@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-json serve cluster loadgen join-bench plan-bench mmap-bench cluster-bench cover fuzz fmt vet vet-strict chaos ci
+.PHONY: all build test race bench bench-test perf bench-json serve cluster loadgen join-bench plan-bench mmap-bench cluster-bench cover fuzz fmt vet vet-strict chaos ci
 
 all: build
 
@@ -15,6 +15,18 @@ race:
 
 bench:
 	$(GO) test -run 'xxx' -bench . -benchtime 1x ./...
+
+# bench-test runs the tests of the perf harness. bench/ is a module of its
+# own (spatialsim/bench, importing spatialsim/internal/...), so `go test ./...`
+# at the root skips it: a change to an exported surface the harness uses
+# (cluster.Config, Coordinator.Range, ...) breaks it unseen unless this runs.
+bench-test:
+	cd bench && $(GO) test .
+
+# perf runs the repo's benchmark (BENCHMARK.json): all five workloads over
+# /v1/*, results in bench/out/. Add `-trace 1` by hand for the layer report.
+perf:
+	bash bench/run.sh -seed 1
 
 # bench-json runs the paired pointer-vs-compact layout benchmarks and records
 # ns/op, allocs/op and speedups in BENCH_PR2.json — the repo's perf

@@ -11,7 +11,7 @@
 //
 // Endpoints (all under /v1):
 //
-//	GET  /v1/range?minx=..&maxz=..      scatter/gather range (merged, ID order)
+//	GET  /v1/range?minx=..&maxz=..      scatter/gather range (task-launch order)
 //	GET  /v1/knn?x=&y=&z=&k=            scatter/gather k nearest
 //	GET  /v1/join?eps=[&algo=][&limit=] cluster-wide epsilon self-join
 //	POST /v1/update                     two-phase epoch-consistent swap

@@ -1,10 +1,11 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -62,6 +63,14 @@ func ids(items []index.Item) []int64 {
 	return out
 }
 
+// sortedIDs is the reply's ID set in ascending order: range replies come in
+// task-launch order, so set comparisons sort first.
+func sortedIDs(items []index.Item) []int64 {
+	out := ids(items)
+	slices.Sort(out)
+	return out
+}
+
 func sameIDs(a, b []int64) bool {
 	if len(a) != len(b) {
 		return false
@@ -75,12 +84,8 @@ func sameIDs(a, b []int64) bool {
 }
 
 func sortByDist(items []index.Item, p geom.Vec3) {
-	sort.Slice(items, func(i, j int) bool {
-		di, dj := items[i].Box.Distance2ToPoint(p), items[j].Box.Distance2ToPoint(p)
-		if di != dj {
-			return di < dj
-		}
-		return items[i].ID < items[j].ID
+	slices.SortFunc(items, func(a, b index.Item) int {
+		return cmp.Or(cmp.Compare(a.Box.Distance2ToPoint(p), b.Box.Distance2ToPoint(p)), cmp.Compare(a.ID, b.ID))
 	})
 }
 
@@ -110,9 +115,8 @@ func TestClusterConformance(t *testing.T) {
 			t.Fatalf("range %d: err=%v degraded=%v", q, rep.Err, rep.Degraded)
 		}
 		want := single.Query(serve.Request{Op: serve.OpRange, Query: box}).Items
-		sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
-		if !sameIDs(ids(rep.Items), ids(want)) {
-			t.Fatalf("range %d: cluster %v != single %v", q, ids(rep.Items), ids(want))
+		if !sameIDs(sortedIDs(rep.Items), sortedIDs(want)) {
+			t.Fatalf("range %d: cluster %v != single %v", q, sortedIDs(rep.Items), sortedIDs(want))
 		}
 	}
 
@@ -361,7 +365,7 @@ func bruteRange(items []index.Item, box geom.AABB) []int64 {
 			out = append(out, it.ID)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -412,8 +416,8 @@ func TestClusterFailoverCoversKilledNode(t *testing.T) {
 	if rep.Degraded {
 		t.Fatalf("degraded with a live replica: %+v", rep.NodeErrors)
 	}
-	if want := bruteRange(items, box); !sameIDs(ids(rep.Items), want) {
-		t.Fatalf("failover result %v != truth %v", ids(rep.Items), want)
+	if want := bruteRange(items, box); !sameIDs(sortedIDs(rep.Items), want) {
+		t.Fatalf("failover result %v != truth %v", sortedIDs(rep.Items), want)
 	}
 	if rep.Failovers == 0 {
 		t.Fatal("expected failover queries after primary kill")
@@ -449,17 +453,7 @@ func TestClusterDegradedNeverWrong(t *testing.T) {
 	if len(rep.Items) == 0 || len(rep.Items) >= len(items) {
 		t.Fatalf("degraded items = %d, want a proper non-empty subset of %d", len(rep.Items), len(items))
 	}
-	seen := make(map[int64]bool)
-	for _, it := range rep.Items {
-		box, ok := truth[it.ID]
-		if !ok || it.Box != box {
-			t.Fatalf("degraded reply carries wrong item %d", it.ID)
-		}
-		if seen[it.ID] {
-			t.Fatalf("degraded reply duplicates item %d", it.ID)
-		}
-		seen[it.ID] = true
-	}
+	checkReplyItems(t, "degraded range", truth, rep.Items)
 
 	// All nodes dead: zero progress is an error, not an empty success.
 	nds[0].Kill()
@@ -532,8 +526,8 @@ func TestClusterHedgedRequests(t *testing.T) {
 	if rep.Err != nil || rep.Degraded {
 		t.Fatalf("range: err=%v degraded=%v", rep.Err, rep.Degraded)
 	}
-	if want := bruteRange(items, box); !sameIDs(ids(rep.Items), want) {
-		t.Fatalf("hedged result %v != truth %v", ids(rep.Items), want)
+	if want := bruteRange(items, box); !sameIDs(sortedIDs(rep.Items), want) {
+		t.Fatalf("hedged result %v != truth %v", sortedIDs(rep.Items), want)
 	}
 	if rep.Hedges == 0 {
 		t.Fatal("expected hedged queries against the slow primary's tile")
@@ -586,15 +580,24 @@ func TestClusterMetrics(t *testing.T) {
 	}
 	co.Range(context.Background(), universe())
 	co.KNN(context.Background(), geom.V(1, 2, 3), 5)
+	co.Join(context.Background(), serve.JoinRequest{Eps: 0.5})
 
 	text := promText(t, reg)
 	for _, want := range []string{
 		"spatial_cluster_epoch 1",
 		"spatial_cluster_nodes 2",
 		"spatial_cluster_nodes_up 2",
-		"spatial_cluster_queries_total 2",
+		"spatial_cluster_queries_total 3",
 		"spatial_cluster_epoch_swaps_total 1",
-		"spatial_cluster_query_seconds",
+		// Replication 2 of 2: one node answers each query whole, so the
+		// gather amplification is exactly 1 — 100 (range) + 5 (kNN) + 100
+		// (join gather) items produced by node tasks, the same 205 returned.
+		"spatial_cluster_fanout_queries_total 3",
+		"spatial_cluster_node_items_total 205",
+		"spatial_cluster_result_items_total 205",
+		`spatial_cluster_query_seconds_count{class="range"} 1`,
+		`spatial_cluster_query_seconds_count{class="knn"} 1`,
+		`spatial_cluster_query_seconds_count{class="join"} 1`,
 	} {
 		if !containsLine(text, want) {
 			t.Fatalf("metrics exposition missing %q:\n%s", want, text)

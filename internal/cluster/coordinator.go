@@ -1,10 +1,11 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,15 +58,19 @@ type Reply struct {
 	// Epoch is the cluster epoch the read observed (consistent across every
 	// node touched).
 	Epoch uint64 `json:"epoch"`
-	// Items holds range results (sorted by ID — the canonical merge order)
-	// or kNN results (sorted by distance, ties by ID).
+	// Items holds range results in task-launch order — each fan-out task's
+	// items together, tasks in the order they were launched; deterministic
+	// for a fixed view as long as no failover or hedge fired, and in no ID
+	// order — or kNN results (sorted by distance, ties by ID). Every item is
+	// emitted by exactly one task, so there are no duplicates to remove.
 	Items []index.Item `json:"-"`
 	// Pairs, JoinAlgo and JoinStats hold the cluster join outcome.
 	Pairs     []join.Pair    `json:"-"`
 	JoinAlgo  join.Algorithm `json:"-"`
 	JoinStats exec.JoinStats `json:"-"`
-	// FanOut counts node queries issued (including hedges and failovers);
-	// Hedges and Failovers break out the retries.
+	// FanOut counts fan-out tasks launched — node queries, including hedges
+	// and failovers (a node asked twice, for disjoint tile sets, counts
+	// twice); Hedges and Failovers break out the retries.
 	FanOut    int `json:"fan_out"`
 	Hedges    int `json:"hedges"`
 	Failovers int `json:"failovers"`
@@ -93,6 +98,10 @@ type viewNode struct {
 type View struct {
 	Epoch uint64
 	Nodes []viewNode
+	// TileMBR bounds, per tile, every item any epoch up to this one routed
+	// there. It only ever grows (deletes and moves do not shrink it), so a
+	// query that misses it misses the tile; immutable once published.
+	TileMBR []geom.AABB
 
 	pins       atomic.Int64
 	superseded atomic.Bool
@@ -113,16 +122,21 @@ type Coordinator struct {
 	// section; node stores coalesce under it as usual).
 	applyMu sync.Mutex
 	view    atomic.Pointer[View]
+	// tileMBR is the running per-tile MBR the next view is cut from (under
+	// applyMu; replaced, never written in place — views share the slices).
+	tileMBR []geom.AABB
 
-	queries    atomic.Int64
-	fanouts    atomic.Int64
-	hedges     atomic.Int64
-	failovers  atomic.Int64
-	degradedC  atomic.Int64
-	swaps      atomic.Int64
-	stageFails atomic.Int64
+	queries     atomic.Int64
+	fanouts     atomic.Int64
+	hedges      atomic.Int64
+	failovers   atomic.Int64
+	degradedC   atomic.Int64
+	swaps       atomic.Int64
+	stageFails  atomic.Int64
+	nodeItems   atomic.Int64
+	resultItems atomic.Int64
 
-	queryLat *obs.Histogram
+	queryLat [3]*obs.Histogram // by query class
 }
 
 // New wires a coordinator over the given transports and publishes view 0
@@ -212,6 +226,10 @@ func (c *Coordinator) Bootstrap(items []index.Item) (uint64, error) {
 	if len(c.place.Load().tiles) == 0 {
 		p := NewPlacement(items, len(c.nodes), c.cfg.Replication)
 		c.place.Store(&p)
+		c.tileMBR = make([]geom.AABB, len(p.tiles))
+		for t := range c.tileMBR {
+			c.tileMBR[t] = geom.EmptyAABB()
+		}
 	}
 	batch := make([]serve.Update, len(items))
 	for i, it := range items {
@@ -245,7 +263,12 @@ func (c *Coordinator) ApplyCtx(ctx context.Context, batch []serve.Update) (uint6
 // applyMu.
 func (c *Coordinator) applyLocked(ctx context.Context, batch []serve.Update) (uint64, error) {
 	n := len(c.nodes)
-	per := c.routeBatch(batch)
+	// The tile MBRs grow on a copy, and the growth is kept even when the swap
+	// aborts: a node that did stage keeps the batch and serves it from the
+	// next published epoch on.
+	mbrs := slices.Clone(c.tileMBR)
+	per := c.routeBatch(batch, mbrs)
+	c.tileMBR = mbrs
 	cur := c.view.Load()
 	next := cur.Epoch + 1
 
@@ -277,7 +300,7 @@ func (c *Coordinator) applyLocked(ctx context.Context, batch []serve.Update) (ui
 	// swap atomically. A pin failure (node died between ack and publish)
 	// aborts the same way: the old view stays current and consistent.
 	ps := obs.SpanFromContext(ctx).Child("cluster_publish")
-	nv := &View{Epoch: next, Nodes: make([]viewNode, n)}
+	nv := &View{Epoch: next, Nodes: make([]viewNode, n), TileMBR: mbrs}
 	for i, tr := range c.nodes {
 		ref, err := tr.Pin()
 		if err != nil {
@@ -302,8 +325,9 @@ func (c *Coordinator) applyLocked(ctx context.Context, batch []serve.Update) (ui
 // lands on every owner of its routed tile and becomes a delete everywhere
 // else (so an item that moved tiles vanishes from its old owners); a delete
 // broadcasts to every node. Every node sees every batch — that is what keeps
-// one cluster epoch aligned with exactly one local epoch per node.
-func (c *Coordinator) routeBatch(batch []serve.Update) [][]serve.Update {
+// one cluster epoch aligned with exactly one local epoch per node. Each
+// upsert also grows its tile's entry in mbrs.
+func (c *Coordinator) routeBatch(batch []serve.Update, mbrs []geom.AABB) [][]serve.Update {
 	n := len(c.nodes)
 	place := c.place.Load()
 	per := make([][]serve.Update, n)
@@ -317,16 +341,10 @@ func (c *Coordinator) routeBatch(batch []serve.Update) [][]serve.Update {
 			}
 			continue
 		}
-		owners := place.tiles[place.Route(u.Box)].Owners
+		t := place.Route(u.Box)
+		mbrs[t] = mbrs[t].Union(u.Box)
 		for i := range per {
-			owned := false
-			for _, o := range owners {
-				if o == i {
-					owned = true
-					break
-				}
-			}
-			if owned {
+			if place.tiles[t].ownedBy(i) {
 				per[i] = append(per[i], u)
 			} else {
 				per[i] = append(per[i], serve.Update{ID: u.ID, Delete: true})
@@ -336,258 +354,25 @@ func (c *Coordinator) routeBatch(batch []serve.Update) [][]serve.Update {
 	return per
 }
 
-// scatterOut is the raw outcome of one fan-out before merging.
-type scatterOut struct {
-	// success maps node index to a clean reply; partial to a degraded one
-	// (its items are correct but incomplete — merged, never tile-resolving).
-	success map[int]serve.Reply
-	partial map[int]serve.Reply
-	errs    []NodeError
-	// unresolved counts tiles no owner answered for (pruned owners resolve a
-	// tile too: a pruned node's whole replica has no matches).
-	unresolved int
-	fanout     int
-	hedges     int
-	failovers  int
+// ctxErr maps a dead context onto the serve deadline vocabulary.
+func ctxErr(err error) error {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return serve.ErrDeadline
+	}
+	return err
 }
 
-func (o *scatterOut) progressed() bool { return len(o.success)+len(o.partial) > 0 }
+// Query classes of the latency histogram, matching serve's.
+const (
+	classRange = iota
+	classKNN
+	classJoin
+)
 
-// scatter fans a request out to tile owners through the view's pinned refs:
-// primary owners first, hard failures (and degraded node replies) fail over
-// to untried replica owners immediately, and — with hedging enabled — slow
-// primaries trigger replica queries for their unresolved tiles after
-// HedgeAfter. Returns as soon as every tile is resolved; stragglers drain in
-// the background holding their own view pin.
-func (c *Coordinator) scatter(ctx context.Context, v *View, q geom.AABB, prune bool, mkReq func() serve.Request) scatterOut {
-	out := scatterOut{success: make(map[int]serve.Reply), partial: make(map[int]serve.Reply)}
-	tiles := c.place.Load().tiles
-	n := len(c.nodes)
-	if len(tiles) == 0 {
-		return out
-	}
-
-	pruned := make([]bool, n)
-	if prune {
-		for i := range pruned {
-			pruned[i] = !q.Intersects(v.Nodes[i].Ref.Bounds())
-		}
-	}
-	resolved := make([]bool, len(tiles))
-	for t := range tiles {
-		for _, o := range tiles[t].Owners {
-			if pruned[o] {
-				resolved[t] = true
-				break
-			}
-		}
-	}
-	allResolved := func() bool {
-		for t := range resolved {
-			if !resolved[t] {
-				return false
-			}
-		}
-		return true
-	}
-	resolveOwner := func(i int) {
-		for t := range tiles {
-			if resolved[t] {
-				continue
-			}
-			for _, o := range tiles[t].Owners {
-				if o == i {
-					resolved[t] = true
-					break
-				}
-			}
-		}
-	}
-
-	sp := obs.SpanFromContext(ctx).Child("cluster_fanout")
-	defer func() {
-		sp.Set("fan", out.fanout)
-		sp.End()
-	}()
-
-	type res struct {
-		idx int
-		rep serve.Reply
-	}
-	ch := make(chan res, n) // each node queried at most once
-	tried := make([]bool, n)
-	inflight := 0
-	launch := func(i int, kind string) {
-		tried[i] = true
-		inflight++
-		out.fanout++
-		ns := sp.Child("node_query")
-		ns.Set("node", c.nodes[i].Name())
-		if kind != "" {
-			ns.Set(kind, true)
-		}
-		ref := v.Nodes[i].Ref
-		req := mkReq()
-		req.Ctx = ctx
-		// The goroutine holds its own view pin: scatter may return (and the
-		// caller release its pin) before a straggler finishes.
-		v.pins.Add(1)
-		go func() {
-			defer c.releaseView(v)
-			rep := ref.Query(req)
-			if rep.Err != nil {
-				ns.Set("error", rep.Err.Error())
-			}
-			ns.End()
-			ch <- res{i, rep}
-		}()
-	}
-	// nextTargets picks, per unresolved tile, its first untried un-pruned
-	// owner — the failover/hedge frontier.
-	nextTargets := func() []int {
-		set := make(map[int]bool)
-		for t := range tiles {
-			if resolved[t] {
-				continue
-			}
-			for _, o := range tiles[t].Owners {
-				if !tried[o] && !pruned[o] {
-					set[o] = true
-					break
-				}
-			}
-		}
-		idxs := make([]int, 0, len(set))
-		for i := range set {
-			idxs = append(idxs, i)
-		}
-		sort.Ints(idxs)
-		return idxs
-	}
-
-	for _, i := range nextTargets() {
-		launch(i, "")
-	}
-
-	var hedgeC <-chan time.Time
-	if c.cfg.HedgeAfter > 0 {
-		tm := time.NewTimer(c.cfg.HedgeAfter)
-		defer tm.Stop()
-		hedgeC = tm.C
-	}
-
-	for inflight > 0 {
-		select {
-		case r := <-ch:
-			inflight--
-			switch {
-			case r.rep.Err != nil:
-				out.errs = append(out.errs, NodeError{Node: c.nodes[r.idx].Name(), Err: r.rep.Err.Error()})
-				for _, i := range nextTargets() {
-					out.failovers++
-					launch(i, "failover")
-				}
-			case r.rep.Degraded:
-				// Correct but incomplete: keep the items, record the
-				// degradation, and still try replicas for full coverage.
-				out.partial[r.idx] = r.rep
-				out.errs = append(out.errs, NodeError{Node: c.nodes[r.idx].Name(), Err: degradedDetail(r.rep)})
-				for _, i := range nextTargets() {
-					out.failovers++
-					launch(i, "failover")
-				}
-			default:
-				out.success[r.idx] = r.rep
-				resolveOwner(r.idx)
-				if allResolved() {
-					return out // stragglers drain via their own view pins
-				}
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			for _, i := range nextTargets() {
-				out.hedges++
-				launch(i, "hedge")
-			}
-		case <-ctx.Done():
-			// Deadline died mid-fan-out: report what landed; stragglers will
-			// fail fast on the same dead context.
-			out.errs = append(out.errs, NodeError{Node: "-", Err: ctx.Err().Error()})
-			for t := range resolved {
-				if !resolved[t] {
-					out.unresolved++
-				}
-			}
-			return out
-		}
-	}
-	for t := range resolved {
-		if !resolved[t] {
-			out.unresolved++
-		}
-	}
-	return out
-}
-
-func degradedDetail(rep serve.Reply) string {
-	if len(rep.ShardErrors) > 0 {
-		return fmt.Sprintf("degraded reply (%d shard errors, first: %s)", len(rep.ShardErrors), rep.ShardErrors[0].Err)
-	}
-	return "degraded reply"
-}
-
-// finishScatter folds the fan-out outcome into rep: degraded when tiles went
-// unresolved, failed when nothing contributed at all.
-func (c *Coordinator) finishScatter(ctx context.Context, rep *Reply, out *scatterOut) {
-	rep.FanOut = out.fanout
-	rep.Hedges = out.hedges
-	rep.Failovers = out.failovers
-	rep.NodeErrors = out.errs
-	if out.unresolved == 0 {
-		return
-	}
-	if !out.progressed() {
-		if err := ctx.Err(); err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				rep.Err = serve.ErrDeadline
-			} else {
-				rep.Err = err
-			}
-			return
-		}
-		rep.Err = ErrUnavailable
-		return
-	}
-	rep.Degraded = true
-	c.degradedC.Add(1)
-}
-
-// mergeItems concatenates node results deduplicated by item ID (replica
-// overlap and failover double-coverage collapse here), iterating nodes in
-// index order for determinism.
-func (o *scatterOut) mergeItems(n int) []index.Item {
-	seen := make(map[int64]bool)
-	var items []index.Item
-	for i := 0; i < n; i++ {
-		rep, ok := o.success[i]
-		if !ok {
-			rep, ok = o.partial[i]
-		}
-		if !ok {
-			continue
-		}
-		for _, it := range rep.Items {
-			if !seen[it.ID] {
-				seen[it.ID] = true
-				items = append(items, it)
-			}
-		}
-	}
-	return items
-}
-
-// Range scatters one range query to every tile owner whose epoch MBR
-// intersects q and merges the surviving replies, sorted by item ID.
+// Range scatters one range query over the tiles it can touch — a tile is
+// skipped when the query misses its MBR or an owner's epoch MBR — covering
+// them with the fewest nodes, each asked only for its own tiles. Items come
+// back in task-launch order (see Reply.Items).
 func (c *Coordinator) Range(ctx context.Context, q geom.AABB) Reply {
 	if ctx == nil {
 		ctx = context.Background()
@@ -596,25 +381,24 @@ func (c *Coordinator) Range(ctx context.Context, q geom.AABB) Reply {
 	t0 := time.Now()
 	v := c.acquireView()
 	defer c.releaseView(v)
-	out := c.scatter(ctx, v, q, true, func() serve.Request {
-		return serve.Request{Op: serve.OpRange, Query: q}
-	})
-	c.countScatter(&out)
-	rep := Reply{Epoch: v.Epoch}
-	c.finishScatter(ctx, &rep, &out)
+	f := c.newFanout(ctx, v)
+	f.q = q
+	f.run()
+	rep := f.finish()
 	if rep.Err == nil {
-		items := out.mergeItems(len(c.nodes))
-		sort.Slice(items, func(i, j int) bool { return items[i].ID < items[j].ID })
-		rep.Items = items
+		rep.Items = f.concat()
+		c.resultItems.Add(int64(len(rep.Items)))
 	}
-	c.observeLat(t0)
+	c.observeLat(classRange, t0)
 	return rep
 }
 
-// KNN scatters one kNN query to every tile owner (no MBR prune — nearness
-// has no box) and merges the per-node top-k into the global top-k: the union
-// of per-node candidates is a superset of the true answer as long as every
-// tile had one owner contribute.
+// KNN asks the owner nearest the point first, resolves without a query every
+// tile farther away than the k-th distance that answer proved, fans out only
+// to what is left, and merges the per-node lists — each restricted to the
+// tiles its task won — into the global top k. The union of the winners'
+// candidates is a superset of the true answer as long as every tile was
+// answered or proven too far.
 func (c *Coordinator) KNN(ctx context.Context, p geom.Vec3, k int) Reply {
 	if ctx == nil {
 		ctx = context.Background()
@@ -623,57 +407,47 @@ func (c *Coordinator) KNN(ctx context.Context, p geom.Vec3, k int) Reply {
 	t0 := time.Now()
 	v := c.acquireView()
 	defer c.releaseView(v)
-	out := c.scatter(ctx, v, geom.AABB{}, false, func() serve.Request {
-		return serve.Request{Op: serve.OpKNN, Point: p, K: k}
-	})
-	c.countScatter(&out)
 	rep := Reply{Epoch: v.Epoch}
-	c.finishScatter(ctx, &rep, &out)
-	if rep.Err == nil {
-		items := out.mergeItems(len(c.nodes))
-		sort.Slice(items, func(i, j int) bool {
-			di, dj := items[i].Box.Distance2ToPoint(p), items[j].Box.Distance2ToPoint(p)
-			if di != dj {
-				return di < dj
-			}
-			return items[i].ID < items[j].ID
-		})
-		if len(items) > k {
-			items = items[:k]
+	if k > 0 {
+		f := c.newFanout(ctx, v)
+		f.knn, f.p, f.k = true, p, k
+		f.run()
+		rep = f.finish()
+		if rep.Err == nil {
+			rep.Items = f.mergeKNN()
+			c.resultItems.Add(int64(len(rep.Items)))
 		}
-		rep.Items = items
 	}
-	c.observeLat(t0)
+	c.observeLat(classKNN, t0)
 	return rep
 }
 
 // Join runs a cluster-wide epsilon self-join: the epoch-consistent item set
-// is gathered from the fleet (range scatter over the universe, deduplicated
-// by ID, sorted for a deterministic planner input), then the join planner
-// picks an algorithm and the parallel join engine executes at the
-// coordinator — cross-node pairs fall out naturally because the join runs
-// over the merged set.
+// is gathered from the fleet (the range fan-out over the universe, sorted by
+// ID for a deterministic planner input), then the join planner picks an
+// algorithm and the parallel join engine executes at the coordinator —
+// cross-node pairs fall out naturally because the join runs over the merged
+// set.
 func (c *Coordinator) Join(ctx context.Context, jr serve.JoinRequest) Reply {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	c.queries.Add(1)
 	t0 := time.Now()
+	defer func() { c.observeLat(classJoin, t0) }()
 	v := c.acquireView()
 	defer c.releaseView(v)
 	universe := geom.NewAABB(geom.V(-worldExtent, -worldExtent, -worldExtent), geom.V(worldExtent, worldExtent, worldExtent))
-	out := c.scatter(ctx, v, universe, true, func() serve.Request {
-		return serve.Request{Op: serve.OpRange, Query: universe, Priority: serve.PriorityBackground}
-	})
-	c.countScatter(&out)
-	rep := Reply{Epoch: v.Epoch}
-	c.finishScatter(ctx, &rep, &out)
+	f := c.newFanout(ctx, v)
+	f.q, f.prio = universe, serve.PriorityBackground
+	f.run()
+	rep := f.finish()
 	if rep.Err != nil {
-		c.observeLat(t0)
 		return rep
 	}
-	items := out.mergeItems(len(c.nodes))
-	sort.Slice(items, func(i, j int) bool { return items[i].ID < items[j].ID })
+	items := f.concat()
+	c.resultItems.Add(int64(len(items)))
+	slices.SortFunc(items, func(a, b index.Item) int { return cmp.Compare(a.ID, b.ID) })
 
 	var pl join.Planner
 	var plan *join.Plan
@@ -700,29 +474,18 @@ func (c *Coordinator) Join(ctx context.Context, jr serve.JoinRequest) Reply {
 	if stats.Cancelled {
 		if len(pairs) == 0 {
 			rep.Pairs = nil
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				rep.Err = serve.ErrDeadline
-			} else {
-				rep.Err = ctx.Err()
-			}
+			rep.Err = ctxErr(ctx.Err())
 		} else if !rep.Degraded {
 			rep.Degraded = true
 			c.degradedC.Add(1)
 		}
 	}
-	c.observeLat(t0)
 	return rep
 }
 
-func (c *Coordinator) countScatter(out *scatterOut) {
-	c.fanouts.Add(int64(out.fanout))
-	c.hedges.Add(int64(out.hedges))
-	c.failovers.Add(int64(out.failovers))
-}
-
-func (c *Coordinator) observeLat(t0 time.Time) {
-	if c.queryLat != nil {
-		c.queryLat.Observe(time.Since(t0))
+func (c *Coordinator) observeLat(class int, t0 time.Time) {
+	if h := c.queryLat[class]; h != nil {
+		h.Observe(time.Since(t0))
 	}
 }
 

@@ -31,5 +31,11 @@ func (c *Coordinator) initMetrics(reg *obs.Registry) {
 	reg.CounterFunc("spatial_cluster_degraded_total", func() float64 { return float64(c.degradedC.Load()) })
 	reg.CounterFunc("spatial_cluster_epoch_swaps_total", func() float64 { return float64(c.swaps.Load()) })
 	reg.CounterFunc("spatial_cluster_stage_failures_total", func() float64 { return float64(c.stageFails.Load()) })
-	c.queryLat = reg.Histogram("spatial_cluster_query_seconds")
+	// node_items / result_items is the gather amplification: items the node
+	// tasks produced per item returned, 1.0 on complete range replies.
+	reg.CounterFunc("spatial_cluster_node_items_total", func() float64 { return float64(c.nodeItems.Load()) })
+	reg.CounterFunc("spatial_cluster_result_items_total", func() float64 { return float64(c.resultItems.Load()) })
+	for class, name := range [...]string{classRange: "range", classKNN: "knn", classJoin: "join"} {
+		c.queryLat[class] = reg.Histogram(obs.Name("spatial_cluster_query_seconds", "class", name))
+	}
 }

@@ -22,6 +22,16 @@ type Tile struct {
 	Owners []int `json:"owners"`
 }
 
+// ownedBy reports whether node holds a replica of the tile.
+func (t *Tile) ownedBy(node int) bool {
+	for _, o := range t.Owners {
+		if o == node {
+			return true
+		}
+	}
+	return false
+}
+
 // Placement is the immutable tile map of a cluster: computed once from the
 // bootstrap dataset with the same STR discipline the epoch builder uses, one
 // tile per node, replicated round-robin.
