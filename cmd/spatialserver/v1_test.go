@@ -208,4 +208,7 @@ func TestPlanReportingOptIn(t *testing.T) {
 	if jr.Plan.Algorithm != jr.Algorithm {
 		t.Fatalf("plan algorithm %q disagrees with response algorithm %q", jr.Plan.Algorithm, jr.Algorithm)
 	}
+	if jr.Plan.Comparisons < int64(jr.Count) {
+		t.Fatalf("join plan reports %d comparisons for %d pairs", jr.Plan.Comparisons, jr.Count)
+	}
 }

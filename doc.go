@@ -53,7 +53,8 @@
 //     BatchRangeVisit/BatchKNNInto visitor paths with reusable Arena
 //     buffers, ParallelBulkLoad (STR sort-tile slabs, grid cell bands,
 //     octants built concurrently), ParallelJoin (join.Plan tasks tiled over
-//     the pool with reusable JoinArena pair buffers and a sort-merge gather)
+//     the pool with reusable JoinArena pair buffers, gathered by one
+//     distribution sort of the disjoint task outputs — no merge, no dedup)
 //     and the striped-lock ConcurrentIndex wrapper;
 //   - internal/sim — the time-stepped simulation harness of the paper's
 //     Figure 1;

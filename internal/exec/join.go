@@ -8,13 +8,14 @@ import (
 )
 
 // This file runs planner-prepared spatial joins on the worker pool. A
-// join.Plan decomposes the join into independent tasks (grid cells, tree
-// frontier pairs, probe chunks); ParallelJoin tiles those tasks across
+// join.Plan decomposes the join into independent tasks (grid cell runs,
+// tree frontier pairs, probe chunks); ParallelJoin tiles those tasks across
 // workers with per-worker pair buffers and per-worker counters, then gathers
-// with a parallel sort + linear merge — the paper's headline workload on the
-// same engine that drives query batches.
+// the disjoint worker runs with one distribution sort on A (join.Gather) —
+// the paper's headline workload on the same engine that drives query
+// batches.
 
-// JoinArena holds per-worker pair buffers and the merged output buffer,
+// JoinArena holds per-worker pair buffers and the gathered output buffer,
 // persisting across ParallelJoinArena calls. Reuse invalidates the pair
 // slice returned by the previous call that used this arena.
 type JoinArena struct {
@@ -42,7 +43,7 @@ type JoinStats struct {
 	Workers int
 	// Tasks is the number of independent plan tasks tiled over the pool.
 	Tasks int
-	// Pairs is the number of result pairs after the gather merge.
+	// Pairs is the number of result pairs.
 	Pairs int64
 	// PerWorker holds the counters each worker accumulated privately —
 	// the load-balance view of the join's comparison work.
@@ -52,7 +53,7 @@ type JoinStats struct {
 	// that did run.
 	Cancelled bool
 	// Elapsed is the wall-clock duration of the join, including the gather
-	// merge — what a caller would have measured around the call.
+	// — what a caller would have measured around the call.
 	Elapsed time.Duration
 }
 
@@ -66,7 +67,7 @@ func (s JoinStats) Aggregate() instrument.CounterSnapshot {
 }
 
 // ParallelJoin executes a prepared join plan on the worker pool and returns
-// the pairs in canonical (sorted, deduplicated) order. See ParallelJoinArena
+// the pairs in canonical (A, then B) order. See ParallelJoinArena
 // for the reusable-buffer form.
 func ParallelJoin(p *join.Plan, opts Options) ([]join.Pair, JoinStats) {
 	return ParallelJoinArena(p, opts, nil)
@@ -75,10 +76,9 @@ func ParallelJoin(p *join.Plan, opts Options) ([]join.Pair, JoinStats) {
 // ParallelJoinArena is ParallelJoin with caller-owned result storage. Plan
 // tasks are handed out through the chunked atomic cursor (uneven cells and
 // subtrees still balance), each worker appends into its private arena buffer
-// and charges a private counter, and the gather sorts the worker runs in
-// parallel and k-way heap-merges them in a single pass — a sort-merge dedup
-// instead of a hash table, although the plans themselves never emit a pair
-// twice.
+// and charges a private counter. Plan tasks never emit a pair twice, so the
+// gather is join.Gather: the worker runs are distribution-sorted on A straight
+// into the arena's output — no per-worker sort, no merge, no dedup.
 // The aggregated worker accounting is folded back into the plan's counters,
 // so sequential and parallel runs charge the same totals. A nil arena uses a
 // private one.
@@ -95,8 +95,7 @@ func ParallelJoinArena(p *join.Plan, opts Options, arena *JoinArena) ([]join.Pai
 	stats.Cancelled = !ForTasksCtx(opts.Ctx, n, w, func(worker, task int) {
 		bufs[worker] = p.RunTask(task, &locals[worker], bufs[worker])
 	})
-	ForTasks(w, w, func(_, i int) { join.SortPairs(bufs[i]) })
-	arena.out = join.MergeSortedPairs(bufs, arena.out[:0])
+	arena.out = join.Gather(bufs, arena.out)
 
 	stats.PerWorker = snapshotLocals(locals)
 	stats.Pairs = int64(len(arena.out))

@@ -186,3 +186,29 @@ func BenchmarkSelfTOUCHJoinSequential(b *testing.B) {
 	benchmarkSelfJoin(b, join.AlgoTOUCH, 1)
 }
 func BenchmarkSelfTOUCHJoinParallel4(b *testing.B) { benchmarkSelfJoin(b, join.AlgoTOUCH, 4) }
+
+// BenchmarkSelfGridJoinNeuron is the join workload's self-join at a quarter
+// of its size: 50 neurons × 1000 segments in the generator's own universe, at
+// the workload's eps (0.3 in its 100-unit universe) scaled to this one. Each
+// iteration plans and runs the grid join on the pool, as Store.SelfJoin
+// does; comparisons/pair is the paper's yardstick of join work.
+func BenchmarkSelfGridJoinNeuron(b *testing.B) {
+	d := datagen.GenerateNeurons(datagen.DefaultNeuronConfig(50, 1000, 1))
+	items := make([]index.Item, d.Len())
+	for i := range d.Elements {
+		items[i] = index.Item{ID: d.Elements[i].ID, Box: d.Elements[i].Box}
+	}
+	eps := 0.3 * d.Universe.Size().X / 100
+	arena := &JoinArena{}
+	var c instrument.Counters
+	pairs := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := join.Planner{}.PlanSelfWith(join.AlgoGrid, items, join.Options{Eps: eps, Counters: &c})
+		out, _ := ParallelJoinArena(p, Options{}, arena)
+		pairs = len(out)
+		p.Close()
+	}
+	b.ReportMetric(float64(c.Comparisons())/float64(b.N)/float64(max(pairs, 1)), "comparisons/pair")
+}

@@ -1,8 +1,6 @@
 package join
 
 import (
-	"math"
-	"sort"
 	"sync"
 
 	"spatialsim/internal/geom"
@@ -11,8 +9,10 @@ import (
 
 // GridJoinConfig configures the PBSM-style grid join.
 type GridJoinConfig struct {
-	// CellsPerDim is the grid resolution; 0 derives it from the input size
-	// (roughly one cell per few elements, capped).
+	// CellsPerDim is the grid resolution along every axis, clamped to
+	// 1..128; 0 sizes the cells from the data (see gridCells): per axis, a
+	// cell side of twice the mean element extent plus Eps, with at most one
+	// cell per element overall.
 	CellsPerDim int
 }
 
@@ -41,184 +41,233 @@ func SelfGridJoin(items []index.Item, opts Options, cfg GridJoinConfig) []Pair {
 	return p.Run()
 }
 
-func defaultJoinCells(n int) int {
-	c := int(math.Cbrt(float64(n) / 4))
-	if c < 2 {
-		c = 2
-	}
-	if c > 128 {
-		c = 128
-	}
-	return c
-}
+const (
+	// maxCellsPerAxis bounds the grid resolution along one axis; cell
+	// coordinates fit a uint8.
+	maxCellsPerAxis = 128
+	// cellsPerElement caps the data-sized grid at this many cells per
+	// element, so the per-cell counters stay O(n). Finer grids cut
+	// comparisons further but cost more serial partitioning than they save
+	// on sparse uniform inputs.
+	cellsPerElement = 1
+)
 
-// cellAssignment is the reusable cell-list storage of one input side: every
-// (cell, element) replication entry, sorted by cell so each occupied cell is
-// one contiguous run. It replaces the per-call map[cell][]int of the old
-// partitioner — reuse keeps assignment allocation-free once the buffers are
-// warm.
-type cellAssignment struct {
-	keys     []int64 // linear cell id per entry, sorted
-	idxs     []int32 // element index per entry, aligned with keys
-	runCell  []int64 // distinct occupied cells
-	runStart []int32 // start offset of each run in keys/idxs, plus final len
-}
-
-func (a *cellAssignment) Len() int { return len(a.keys) }
-func (a *cellAssignment) Less(i, j int) bool {
-	if a.keys[i] != a.keys[j] {
-		return a.keys[i] < a.keys[j]
-	}
-	return a.idxs[i] < a.idxs[j]
-}
-func (a *cellAssignment) Swap(i, j int) {
-	a.keys[i], a.keys[j] = a.keys[j], a.keys[i]
-	a.idxs[i], a.idxs[j] = a.idxs[j], a.idxs[i]
-}
-
-// buildRuns derives the per-cell runs from the sorted entry list.
-func (a *cellAssignment) buildRuns() {
-	a.runCell = a.runCell[:0]
-	a.runStart = a.runStart[:0]
-	for i := 0; i < len(a.keys); i++ {
-		if i == 0 || a.keys[i] != a.keys[i-1] {
-			a.runCell = append(a.runCell, a.keys[i])
-			a.runStart = append(a.runStart, int32(i))
+// gridCells sizes the data-driven grid: along each axis, a cell is twice as
+// wide as the mean element extent plus eps, so an element's expanded box
+// covers 1.5 cells per axis on average and a cell holds little beyond the
+// elements that can reach it. The result is capped at maxCellsPerAxis per
+// axis and cellsPerElement·n cells overall (largest axes shrink first), and
+// is total: non-finite or huge eps, zero extents and tiny inputs all yield
+// 1..cap cells.
+func gridCells(universe geom.AABB, extent geom.Vec3, eps float64, n int) [3]int {
+	span, ext := universe.Size(), [3]float64{extent.X, extent.Y, extent.Z}
+	var cells [3]int
+	total := 1
+	for axis := range cells {
+		c := span.Axis(axis) / (2 * (ext[axis] + eps))
+		switch {
+		case !(c >= 1): // also NaN: 0/0, Inf/Inf
+			cells[axis] = 1
+		case c >= maxCellsPerAxis: // also +Inf: zero extent and eps
+			cells[axis] = maxCellsPerAxis
+		default:
+			cells[axis] = int(c)
 		}
+		total *= cells[axis]
 	}
-	a.runStart = append(a.runStart, int32(len(a.keys)))
+	limit := max(cellsPerElement*n, 1)
+	for total > limit {
+		widest := 0
+		for axis := 1; axis < 3; axis++ {
+			if cells[axis] > cells[widest] {
+				widest = axis
+			}
+		}
+		total = total / cells[widest] * (cells[widest] - 1)
+		cells[widest]--
+	}
+	return cells
 }
 
-// gridTask is one cell's worth of join work: the entry ranges of the two
-// sides (aLo..aHi only, for self-joins).
+// refAll is the cellAssignment mask of an entry that is, on every axis, the
+// element's lowest assigned cell.
+const refAll = 7
+
+// cellBox is the inclusive cell-coordinate range an element's expanded box
+// covers.
+type cellBox struct {
+	lo, hi [3]uint8
+}
+
+// cellAssignment is the reusable CSR cell-list storage of one input side:
+// cell c's replication entries are idxs[start[c]:start[c+1]], in element
+// order. Reuse keeps assignment allocation-free once the buffers are warm.
+type cellAssignment struct {
+	boxes []cellBox // per element: the cells its expanded box covers
+	start []int32   // per cell: offset of its run in idxs/masks, plus total
+	idxs  []int32   // element index per entry
+	// masks holds, per entry, bit k set when the cell's axis-k coordinate is
+	// the element's lowest one. A candidate pair's reference cell is the
+	// componentwise max of the two elements' lowest cells; both are at most
+	// the shared cell's coordinate on every axis, so the shared cell is the
+	// reference cell exactly when masks[x]|masks[y] == refAll.
+	masks []uint8
+}
+
+// gridTask is a run of consecutive cells [lo, hi) holding about an equal
+// share of the plan's candidate pairs.
 type gridTask struct {
-	cell     int64
-	aLo, aHi int32
-	bLo, bHi int32
+	lo, hi int32
 }
 
 // partitioner assigns elements to uniform grid cells. Its assignment and task
 // buffers are reused across joins through a pool (getPartitioner /
 // putPartitioner), so steady-state grid joins rebuild no per-call cell maps.
 type partitioner struct {
-	universe geom.AABB
-	n        int
-	cell     geom.Vec3
-	h        float64 // assignment half-expansion: Eps/2 plus guard
-	a, b     cellAssignment
-	tasks    []gridTask
+	n      [3]int     // cells per axis
+	origin [3]float64 // universe minimum
+	scale  [3]float64 // cells per unit length
+	h      float64    // assignment half-expansion: Eps/2 plus guard
+	a, b   cellAssignment
+	tasks  []gridTask
 }
 
 var partPool = sync.Pool{New: func() interface{} { return &partitioner{} }}
 
-func getPartitioner(u geom.AABB, cells int, eps float64) *partitioner {
+func getPartitioner(u geom.AABB, cells [3]int, eps float64) *partitioner {
 	p := partPool.Get().(*partitioner)
 	s := u.Size()
-	p.universe = u
 	p.n = cells
-	p.cell = geom.V(s.X/float64(cells), s.Y/float64(cells), s.Z/float64(cells))
+	p.origin = [3]float64{u.Min.X, u.Min.Y, u.Min.Z}
+	p.scale = [3]float64{float64(cells[0]) / s.X, float64(cells[1]) / s.Y, float64(cells[2]) / s.Z}
 	p.h = eps/2 + 1e-12
 	return p
 }
 
 func putPartitioner(p *partitioner) { partPool.Put(p) }
 
-// coordAxis maps a coordinate to its (clamped) cell index along one axis.
-func (p *partitioner) coordAxis(v float64, axis int) int {
-	x := (v - p.universe.Min.Axis(axis)) / p.cell.Axis(axis)
-	return clampInt(int(x), 0, p.n-1)
+// cells returns the number of grid cells.
+func (p *partitioner) cells() int { return p.n[0] * p.n[1] * p.n[2] }
+
+// coordAxis maps a coordinate to its (clamped) cell index along one axis. It
+// is monotone in v, which is what makes the reference cell of a pair the
+// componentwise max of the two elements' lowest cells.
+func (p *partitioner) coordAxis(v float64, axis int) uint8 {
+	x := (v - p.origin[axis]) * p.scale[axis]
+	if !(x >= 0) { // also NaN
+		return 0
+	}
+	if x >= float64(p.n[axis]) {
+		return uint8(p.n[axis] - 1)
+	}
+	return uint8(x)
 }
 
 // linear maps cell coordinates to the linear cell id.
-func (p *partitioner) linear(x, y, z int) int64 {
-	n := int64(p.n)
-	return (int64(z)*n+int64(y))*n + int64(x)
+func (p *partitioner) linear(x, y, z uint8) int {
+	return (int(z)*p.n[1]+int(y))*p.n[0] + int(x)
 }
 
-// refCell returns the cell holding the reference point of the candidate pair
-// (a, b): the componentwise max of the two box minima, shifted by the same
-// half-expansion the assignment applies. Whenever the pair can be within Eps,
-// this point lies inside both expanded boxes — so it falls in a cell both
-// elements were assigned to, and in exactly one cell overall. Comparing a
-// pair only in its reference cell eliminates border-replication duplicates
-// without any dedup table.
-func (p *partitioner) refCell(a, b geom.AABB) int64 {
-	return p.linear(
-		p.coordAxis(math.Max(a.Min.X, b.Min.X)-p.h, 0),
-		p.coordAxis(math.Max(a.Min.Y, b.Min.Y)-p.h, 1),
-		p.coordAxis(math.Max(a.Min.Z, b.Min.Z)-p.h, 2),
-	)
-}
-
-// assign maps each item index to every cell its expanded box overlaps,
-// producing sorted per-cell runs in asn's reused buffers.
+// assign maps each item index to every cell its expanded box overlaps, by
+// counting sort straight into asn's reused CSR buffers: count entries per
+// cell, prefix-sum, scatter. Items are scattered in index order, so each
+// cell's run lists its elements in ascending index.
 func (p *partitioner) assign(items []index.Item, asn *cellAssignment) {
-	asn.keys = asn.keys[:0]
-	asn.idxs = asn.idxs[:0]
-	for idx := range items {
-		box := items[idx].Box
-		lox := p.coordAxis(box.Min.X-p.h, 0)
-		loy := p.coordAxis(box.Min.Y-p.h, 1)
-		loz := p.coordAxis(box.Min.Z-p.h, 2)
-		hix := p.coordAxis(box.Max.X+p.h, 0)
-		hiy := p.coordAxis(box.Max.Y+p.h, 1)
-		hiz := p.coordAxis(box.Max.Z+p.h, 2)
-		for z := loz; z <= hiz; z++ {
-			for y := loy; y <= hiy; y++ {
-				for x := lox; x <= hix; x++ {
-					asn.keys = append(asn.keys, p.linear(x, y, z))
-					asn.idxs = append(asn.idxs, int32(idx))
+	nc := p.cells()
+	start := resize(asn.start, nc+1)
+	clear(start)
+	boxes := resize(asn.boxes, len(items))
+	for i := range items {
+		b := &items[i].Box
+		cb := cellBox{
+			lo: [3]uint8{p.coordAxis(b.Min.X-p.h, 0), p.coordAxis(b.Min.Y-p.h, 1), p.coordAxis(b.Min.Z-p.h, 2)},
+			hi: [3]uint8{p.coordAxis(b.Max.X+p.h, 0), p.coordAxis(b.Max.Y+p.h, 1), p.coordAxis(b.Max.Z+p.h, 2)},
+		}
+		boxes[i] = cb
+		for z := cb.lo[2]; z <= cb.hi[2]; z++ {
+			for y := cb.lo[1]; y <= cb.hi[1]; y++ {
+				row := p.linear(0, y, z) + 1
+				for x := int(cb.lo[0]); x <= int(cb.hi[0]); x++ {
+					start[row+x]++
 				}
 			}
 		}
 	}
-	sort.Sort(asn)
-	asn.buildRuns()
-}
-
-// binaryTasks intersects the occupied-cell runs of both sides; only cells
-// occupied on both sides produce work.
-func (p *partitioner) binaryTasks() []gridTask {
-	p.tasks = p.tasks[:0]
-	i, j := 0, 0
-	for i < len(p.a.runCell) && j < len(p.b.runCell) {
-		switch {
-		case p.a.runCell[i] < p.b.runCell[j]:
-			i++
-		case p.b.runCell[j] < p.a.runCell[i]:
-			j++
-		default:
-			p.tasks = append(p.tasks, gridTask{
-				cell: p.a.runCell[i],
-				aLo:  p.a.runStart[i], aHi: p.a.runStart[i+1],
-				bLo: p.b.runStart[j], bHi: p.b.runStart[j+1],
-			})
-			i++
-			j++
+	for c := 1; c <= nc; c++ {
+		start[c] += start[c-1]
+	}
+	total := int(start[nc])
+	idxs := resize(asn.idxs, total)
+	masks := resize(asn.masks, total)
+	// start[c] is cell c's write cursor; once every entry is placed it has
+	// advanced to start[c+1], and one shift restores the run offsets.
+	for i, cb := range boxes {
+		mz := uint8(4)
+		for z := cb.lo[2]; z <= cb.hi[2]; z, mz = z+1, 0 {
+			my := uint8(2)
+			for y := cb.lo[1]; y <= cb.hi[1]; y, my = y+1, 0 {
+				row := p.linear(0, y, z)
+				mx := uint8(1)
+				for x := int(cb.lo[0]); x <= int(cb.hi[0]); x, mx = x+1, 0 {
+					pos := start[row+x]
+					start[row+x]++
+					idxs[pos] = int32(i)
+					masks[pos] = mx | my | mz
+				}
+			}
 		}
 	}
-	return p.tasks
+	copy(start[1:], start[:nc])
+	start[0] = 0
+	asn.start, asn.boxes, asn.idxs, asn.masks = start, boxes, idxs, masks
 }
 
-// selfTasks returns the cells holding at least two elements.
-func (p *partitioner) selfTasks() []gridTask {
+// cellPairs returns the candidate pairs of cell c: the pairs of its entries
+// for a self-join, the products of both sides' entries otherwise.
+func (p *partitioner) cellPairs(c int, self bool) int64 {
+	na := int64(p.a.start[c+1] - p.a.start[c])
+	if self {
+		return na * (na - 1) / 2
+	}
+	return na * int64(p.b.start[c+1]-p.b.start[c])
+}
+
+// split cuts the grid into about target tasks of consecutive cells with
+// equal candidate-pair counts; cells without candidate pairs start no task.
+// Batching cells keeps the per-task cost off the thousands of near-empty
+// cells a data-sized grid has.
+func (p *partitioner) split(self bool, target int) []gridTask {
+	var total int64
+	for c := 0; c < p.cells(); c++ {
+		total += p.cellPairs(c, self)
+	}
+	share := max(total/int64(target), 1)
 	p.tasks = p.tasks[:0]
-	for i := range p.a.runCell {
-		lo, hi := p.a.runStart[i], p.a.runStart[i+1]
-		if hi-lo < 2 {
+	lo, acc := -1, int64(0)
+	for c := 0; c < p.cells(); c++ {
+		w := p.cellPairs(c, self)
+		if w == 0 {
 			continue
 		}
-		p.tasks = append(p.tasks, gridTask{cell: p.a.runCell[i], aLo: lo, aHi: hi})
+		if lo < 0 {
+			lo = c
+		}
+		if acc += w; acc >= share {
+			p.tasks = append(p.tasks, gridTask{lo: int32(lo), hi: int32(c + 1)})
+			lo, acc = -1, 0
+		}
+	}
+	if lo >= 0 {
+		p.tasks = append(p.tasks, gridTask{lo: int32(lo), hi: int32(p.cells())})
 	}
 	return p.tasks
 }
 
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
+// resize returns s with length n, reusing its backing array when large
+// enough; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	if v > hi {
-		return hi
-	}
-	return v
+	return s[:n]
 }

@@ -16,9 +16,11 @@
 package join
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 
-	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
 	"spatialsim/internal/instrument"
 )
@@ -41,20 +43,51 @@ type Options struct {
 	Counters *instrument.Counters
 }
 
+// match charges one comparison and reports whether the pair joins.
 func (o Options) match(a, b index.Item) bool {
 	if o.Counters != nil {
 		o.Counters.AddComparisons(1)
 	}
-	if a.Box.Distance2(b.Box) > o.Eps*o.Eps {
+	return o.within(&a, &b)
+}
+
+// within is match without the comparison charge, for loops that count their
+// comparisons and charge them once. The box test is a.Box.Distance2(b.Box) <=
+// Eps², summed in the same axis order but stopping at the first axis that
+// takes the partial sum past Eps².
+func (o *Options) within(a, b *index.Item) bool {
+	eps2 := o.Eps * o.Eps
+	d2 := gap2(a.Box.Min.X, a.Box.Max.X, b.Box.Min.X, b.Box.Max.X)
+	if d2 > eps2 {
+		return false
+	}
+	if d2 += gap2(a.Box.Min.Y, a.Box.Max.Y, b.Box.Min.Y, b.Box.Max.Y); d2 > eps2 {
+		return false
+	}
+	if d2 += gap2(a.Box.Min.Z, a.Box.Max.Z, b.Box.Min.Z, b.Box.Max.Z); d2 > eps2 {
 		return false
 	}
 	if o.Refine != nil {
 		if o.Counters != nil {
 			o.Counters.AddElemIntersectTests(1)
 		}
-		return o.Refine(a, b)
+		return o.Refine(*a, *b)
 	}
 	return true
+}
+
+// gap2 is the squared gap between intervals [lo1, hi1] and [lo2, hi2] (0 when
+// they overlap) — one axis of geom.AABB.Distance2.
+func gap2(lo1, hi1, lo2, hi2 float64) float64 {
+	switch {
+	case hi1 < lo2:
+		d := lo2 - hi1
+		return d * d
+	case hi2 < lo1:
+		d := lo1 - hi2
+		return d * d
+	}
+	return 0
 }
 
 // NestedLoop is the quadratic baseline join between two sets.
@@ -121,97 +154,90 @@ func orderPair(a, b int64) Pair {
 	return Pair{A: a, B: b}
 }
 
-// pairLess is the canonical (A, then B) pair order.
-func pairLess(a, b Pair) bool {
+// comparePairs is the canonical (A, then B) pair order.
+func comparePairs(a, b Pair) int {
 	if a.A != b.A {
-		return a.A < b.A
+		return cmp.Compare(a.A, b.A)
 	}
-	return a.B < b.B
+	return cmp.Compare(a.B, b.B)
 }
 
-// pairSlice sorts pairs by (A, B) without a per-call closure.
-type pairSlice []Pair
-
-func (s pairSlice) Len() int           { return len(s) }
-func (s pairSlice) Less(i, j int) bool { return pairLess(s[i], s[j]) }
-func (s pairSlice) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-
 // SortPairs sorts a pair list in place into canonical (A, then B) order.
-func SortPairs(pairs []Pair) { sort.Sort(pairSlice(pairs)) }
+func SortPairs(pairs []Pair) { slices.SortFunc(pairs, comparePairs) }
 
 // DedupPairs sorts and deduplicates a pair list in place and returns it —
 // entirely allocation-free (no hash table): canonical sort, then one
 // compaction pass.
 func DedupPairs(pairs []Pair) []Pair {
 	SortPairs(pairs)
-	out := pairs[:0]
-	for i, p := range pairs {
-		if i == 0 || p != pairs[i-1] {
-			out = append(out, p)
+	return slices.Compact(pairs)
+}
+
+// Gather concatenates pair runs into out (reusing its capacity) in canonical
+// (A, then B) order and returns it — the gather step of every join. The runs
+// must be disjoint, as plan tasks' outputs are, so it neither merges nor
+// dedups: a distribution sort scatters the pairs into buckets of consecutive
+// A values (about one bucket per pair, counted then prefix-summed), and each
+// small bucket is sorted in place.
+func Gather(runs [][]Pair, out []Pair) []Pair {
+	total := 0
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, run := range runs {
+		total += len(run)
+		for _, p := range run {
+			lo, hi = min(lo, p.A), max(hi, p.A)
 		}
+	}
+	out = resize(out, total)
+	if total == 0 {
+		return out
+	}
+	// bucket(A) = (A-lo)>>shift, the shift making the bucket count at most
+	// the pair count. The unsigned difference cannot overflow.
+	shift := 0
+	for (uint64(hi)-uint64(lo))>>shift >= uint64(total) {
+		shift++
+	}
+	nb := int((uint64(hi)-uint64(lo))>>shift) + 1
+	start := make([]int32, nb+1)
+	for _, run := range runs {
+		for _, p := range run {
+			start[(uint64(p.A)-uint64(lo))>>shift+1]++
+		}
+	}
+	for b := 1; b <= nb; b++ {
+		start[b] += start[b-1]
+	}
+	// start[b] is bucket b's write cursor; afterwards it has advanced to the
+	// end of bucket b.
+	for _, run := range runs {
+		for _, p := range run {
+			b := (uint64(p.A) - uint64(lo)) >> shift
+			out[start[b]] = p
+			start[b]++
+		}
+	}
+	begin := int32(0)
+	for _, end := range start[:nb] {
+		sortSmall(out[begin:end])
+		begin = end
 	}
 	return out
 }
 
-// MergeSortedPairs merges several individually sorted pair runs into out
-// (appended and returned), dropping duplicates across runs — the gather step
-// of the parallel join: workers sort their private buffers, then a k-way
-// heap merge emits the union in one O(pairs·log runs) pass. The runs must
-// each be sorted in SortPairs order.
-func MergeSortedPairs(runs [][]Pair, out []Pair) []Pair {
-	// Min-heap of run indices, keyed by each run's head pair.
-	heads := make([]int, len(runs))
-	heap := make([]int, 0, len(runs))
-	for i := range runs {
-		if len(runs[i]) > 0 {
-			heap = append(heap, i)
+// sortSmall sorts a (typically tiny) bucket into canonical order: insertion
+// sort up to a dozen pairs, the library sort beyond.
+func sortSmall(s []Pair) {
+	if len(s) > 12 {
+		SortPairs(s)
+		return
+	}
+	for i := 1; i < len(s); i++ {
+		p := s[i]
+		j := i
+		for ; j > 0 && comparePairs(p, s[j-1]) < 0; j-- {
+			s[j] = s[j-1]
 		}
+		s[j] = p
 	}
-	lessRun := func(i, j int) bool { return pairLess(runs[i][heads[i]], runs[j][heads[j]]) }
-	siftDown := func(at int) {
-		for {
-			l, r := 2*at+1, 2*at+2
-			next := at
-			if l < len(heap) && lessRun(heap[l], heap[next]) {
-				next = l
-			}
-			if r < len(heap) && lessRun(heap[r], heap[next]) {
-				next = r
-			}
-			if next == at {
-				return
-			}
-			heap[at], heap[next] = heap[next], heap[at]
-			at = next
-		}
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	for len(heap) > 0 {
-		run := heap[0]
-		p := runs[run][heads[run]]
-		heads[run]++
-		if heads[run] >= len(runs[run]) {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		siftDown(0)
-		if len(out) == 0 || out[len(out)-1] != p {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// universeOf returns the union of the boxes of both inputs.
-func universeOf(as, bs []index.Item) geom.AABB {
-	u := geom.EmptyAABB()
-	for _, it := range as {
-		u = u.Union(it.Box)
-	}
-	for _, it := range bs {
-		u = u.Union(it.Box)
-	}
-	return u
 }

@@ -19,7 +19,8 @@ import (
 // sequential Run, the worker-pool exec.ParallelJoin, and the serving layer's
 // /join endpoint. Tasks never produce a pair twice (the grid uses the
 // reference-point technique, the tree joins filter at the emission site), so
-// gathering task outputs needs a merge, not a dedup table.
+// gathering task outputs (Gather) is one distribution sort into canonical
+// order: no merge, no dedup.
 
 // Algorithm identifies one of the five join strategies the paper surveys.
 type Algorithm int
@@ -84,6 +85,9 @@ type Stats struct {
 	// volume divided by the MBR volume. Values well above 1 mean heavily
 	// overlapping elements, where uniform-grid replication degenerates.
 	CoverageA, CoverageB float64
+	// ExtentA and ExtentB are the mean element box extents per axis — what
+	// the grid join sizes its cells from.
+	ExtentA, ExtentB geom.Vec3
 	// OverlapRatio is vol(MBRA ∩ MBRB) / min(vol(MBRA), vol(MBRB)) — how much
 	// of the smaller input's extent the other input can even reach. 1 for
 	// self-joins.
@@ -93,25 +97,38 @@ type Stats struct {
 	Elongation float64
 }
 
-// statsOf computes the statistics of one input set.
-func statsOf(items []index.Item) (mbr geom.AABB, coverage float64) {
+// statsOf computes the statistics of one input set in one pass: the MBR (as
+// a Union fold), the coverage and the mean extent of the non-empty boxes.
+func statsOf(items []index.Item) (mbr geom.AABB, coverage float64, extent geom.Vec3) {
 	mbr = geom.EmptyAABB()
 	var volSum float64
+	n := 0
 	for i := range items {
-		mbr = mbr.Union(items[i].Box)
-		volSum += items[i].Box.Volume()
+		b := &items[i].Box
+		if b.IsEmpty() {
+			continue
+		}
+		mbr.Min = geom.V(min(mbr.Min.X, b.Min.X), min(mbr.Min.Y, b.Min.Y), min(mbr.Min.Z, b.Min.Z))
+		mbr.Max = geom.V(max(mbr.Max.X, b.Max.X), max(mbr.Max.Y, b.Max.Y), max(mbr.Max.Z, b.Max.Z))
+		s := b.Size()
+		extent = extent.Add(s)
+		volSum += s.X * s.Y * s.Z
+		n++
 	}
 	if v := mbr.Volume(); v > 0 {
 		coverage = volSum / v
 	}
-	return mbr, coverage
+	if n > 0 {
+		extent = extent.Scale(1 / float64(n))
+	}
+	return mbr, coverage, extent
 }
 
 // ComputeStats derives the planner inputs for a binary join.
 func ComputeStats(as, bs []index.Item) Stats {
 	st := Stats{CardA: len(as), CardB: len(bs)}
-	st.MBRA, st.CoverageA = statsOf(as)
-	st.MBRB, st.CoverageB = statsOf(bs)
+	st.MBRA, st.CoverageA, st.ExtentA = statsOf(as)
+	st.MBRB, st.CoverageB, st.ExtentB = statsOf(bs)
 	minVol := math.Min(st.MBRA.Volume(), st.MBRB.Volume())
 	if minVol > 0 {
 		st.OverlapRatio = st.MBRA.OverlapVolume(st.MBRB) / minVol
@@ -125,8 +142,8 @@ func ComputeStats(as, bs []index.Item) Stats {
 // ComputeSelfStats derives the planner inputs for a self-join.
 func ComputeSelfStats(items []index.Item) Stats {
 	st := Stats{CardA: len(items), CardB: len(items)}
-	st.MBRA, st.CoverageA = statsOf(items)
-	st.MBRB, st.CoverageB = st.MBRA, st.CoverageA
+	st.MBRA, st.CoverageA, st.ExtentA = statsOf(items)
+	st.MBRB, st.CoverageB, st.ExtentB = st.MBRA, st.CoverageA, st.ExtentA
 	st.OverlapRatio = 1
 	st.Elongation = elongation(st.MBRA)
 	return st
@@ -273,6 +290,15 @@ func (p *Plan) Counters() *instrument.Counters { return p.opts.Counters }
 // Eps returns the distance threshold of the join.
 func (p *Plan) Eps() float64 { return p.opts.Eps }
 
+// Cells returns the number of grid cells a grid plan partitions into (0 for
+// the other algorithms and for degenerate plans).
+func (p *Plan) Cells() int {
+	if p.part == nil {
+		return 0
+	}
+	return p.part.cells()
+}
+
 // Plan prepares a binary join, picking the algorithm from the input
 // statistics.
 func (pl Planner) Plan(as, bs []index.Item, opts Options) *Plan {
@@ -321,7 +347,7 @@ func (pl Planner) newPlan(algo Algorithm, st Stats, as, bs []index.Item, self bo
 			p.bTasks = tasksFor(len(p.sortedB), p.chunkB)
 		}
 	case AlgoGrid:
-		p.prepareGrid(pl.Grid)
+		p.prepareGrid(pl.Grid, target)
 	case AlgoRTree:
 		p.ha = buildFlatHierarchy(as)
 		if self {
@@ -403,13 +429,13 @@ func (p *Plan) RunTask(task int, counters *instrument.Counters, buf []Pair) []Pa
 }
 
 // Run executes every task sequentially and returns the pairs in canonical
-// (sorted, deduplicated) order.
+// (A, then B) order.
 func (p *Plan) Run() []Pair {
-	var out []Pair
+	var raw []Pair
 	for t, n := 0, p.Tasks(); t < n; t++ {
-		out = p.RunTask(t, nil, out)
+		raw = p.RunTask(t, nil, raw)
 	}
-	return DedupPairs(out)
+	return Gather([][]Pair{raw}, nil)
 }
 
 // Close returns pooled partitioning buffers for reuse by later plans. The
@@ -509,70 +535,80 @@ func (p *Plan) runSweepTask(task int, opts Options, out []Pair) []Pair {
 // --- grid (PBSM) ---
 
 // prepareGrid partitions both inputs into the uniform grid using the pooled
-// partitioner; tasks are the cells occupied on both sides (or with at least
-// two elements, for self-joins).
-func (p *Plan) prepareGrid(cfg GridJoinConfig) {
-	u := universeOf(p.as, p.bs).Expand(p.opts.Eps + 1e-9)
-	cells := cfg.CellsPerDim
-	if cells <= 0 {
-		if p.self {
-			cells = defaultJoinCells(len(p.as))
-		} else {
-			cells = defaultJoinCells(len(p.as) + len(p.bs))
-		}
+// partitioner; tasks are runs of cells with candidate pairs (occupied on both
+// sides, or holding at least two elements for self-joins).
+func (p *Plan) prepareGrid(cfg GridJoinConfig, target int) {
+	u := p.stats.MBRA.Union(p.stats.MBRB).Expand(p.opts.Eps + 1e-9)
+	var cells [3]int
+	if c := cfg.CellsPerDim; c > 0 {
+		c = min(c, maxCellsPerAxis)
+		cells = [3]int{c, c, c}
+	} else if p.self {
+		cells = gridCells(u, p.stats.ExtentA, p.opts.Eps, len(p.as))
+	} else {
+		na, nb := float64(len(p.as)), float64(len(p.bs))
+		ext := p.stats.ExtentA.Scale(na).Add(p.stats.ExtentB.Scale(nb)).Scale(1 / (na + nb))
+		cells = gridCells(u, ext, p.opts.Eps, len(p.as)+len(p.bs))
 	}
 	p.part = getPartitioner(u, cells, p.opts.Eps)
 	p.part.assign(p.as, &p.part.a)
-	if p.self {
-		p.gridTasks = p.part.selfTasks()
-	} else {
+	if !p.self {
 		p.part.assign(p.bs, &p.part.b)
-		p.gridTasks = p.part.binaryTasks()
 	}
+	p.gridTasks = p.part.split(p.self, target)
 }
 
-// runGridTask compares the elements sharing one grid cell. The reference
-// point technique makes every pair's emission site unique: a candidate pair
-// is examined only in the cell containing the corner point max(aMin, bMin)
-// shifted by the assignment expansion — a point that lies in both elements'
-// expanded boxes whenever the pair can match, and in exactly one cell. Pairs
-// found through border replication in other cells are skipped before any
-// comparison is charged, so the grid join emits no duplicates at all.
+// runGridTask compares the elements sharing each grid cell of one task. The
+// reference point technique makes every pair's emission site unique: a
+// candidate pair is examined only in the cell containing the corner point
+// max(aMin, bMin) shifted by the assignment expansion — a point that lies in
+// both elements' expanded boxes whenever the pair can match, and in exactly
+// one cell. That cell is the componentwise max of the two elements' lowest
+// cells (the cell mapping is monotone), tested on the integer masks assign
+// recorded. Pairs found through border replication in other cells are
+// skipped before any comparison is charged, so the grid join emits no
+// duplicates at all. Comparisons are counted locally and charged once.
 func (p *Plan) runGridTask(task int, opts Options, out []Pair) []Pair {
 	t := p.gridTasks[task]
-	part := p.part
-	if p.self {
-		idxs := part.a.idxs
-		for x := t.aLo; x < t.aHi; x++ {
-			i := idxs[x]
-			a := p.as[i]
-			for y := x + 1; y < t.aHi; y++ {
-				j := idxs[y]
-				b := p.as[j]
-				if a.ID == b.ID {
+	a, b := &p.part.a, &p.part.b
+	var comparisons int64
+	for c := t.lo; c < t.hi; c++ {
+		aIdxs, aMasks := a.idxs[a.start[c]:a.start[c+1]], a.masks[a.start[c]:a.start[c+1]]
+		if p.self {
+			for x, i := range aIdxs {
+				ia, ma := &p.as[i], aMasks[x]
+				for y := x + 1; y < len(aIdxs); y++ {
+					if ma|aMasks[y] != refAll {
+						continue
+					}
+					ib := &p.as[aIdxs[y]]
+					if ia.ID == ib.ID {
+						continue
+					}
+					comparisons++
+					if opts.within(ia, ib) {
+						out = append(out, orderPair(ia.ID, ib.ID))
+					}
+				}
+			}
+			continue
+		}
+		bIdxs, bMasks := b.idxs[b.start[c]:b.start[c+1]], b.masks[b.start[c]:b.start[c+1]]
+		for x, i := range aIdxs {
+			ia, ma := &p.as[i], aMasks[x]
+			for y, j := range bIdxs {
+				if ma|bMasks[y] != refAll {
 					continue
 				}
-				if part.refCell(a.Box, b.Box) != t.cell {
-					continue
-				}
-				if opts.match(a, b) {
-					out = append(out, orderPair(a.ID, b.ID))
+				comparisons++
+				if ib := &p.bs[j]; opts.within(ia, ib) {
+					out = append(out, Pair{A: ia.ID, B: ib.ID})
 				}
 			}
 		}
-		return out
 	}
-	for x := t.aLo; x < t.aHi; x++ {
-		a := p.as[part.a.idxs[x]]
-		for y := t.bLo; y < t.bHi; y++ {
-			b := p.bs[part.b.idxs[y]]
-			if part.refCell(a.Box, b.Box) != t.cell {
-				continue
-			}
-			if opts.match(a, b) {
-				out = append(out, Pair{A: a.ID, B: b.ID})
-			}
-		}
+	if opts.Counters != nil {
+		opts.Counters.AddComparisons(comparisons)
 	}
 	return out
 }

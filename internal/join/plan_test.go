@@ -1,6 +1,7 @@
 package join
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -176,21 +177,38 @@ func TestPartitionerBufferReuse(t *testing.T) {
 	}
 }
 
-// TestMergeSortedPairs covers the gather-side merge dedup.
-func TestMergeSortedPairs(t *testing.T) {
+// TestGather covers the gather: disjoint runs come out in canonical order,
+// including IDs spanning the whole int64 range (bucket shift) and heavy
+// buckets that take the library sort.
+func TestGather(t *testing.T) {
 	runs := [][]Pair{
-		{{1, 2}, {3, 4}, {5, 6}},
-		{{1, 2}, {2, 3}},
+		{{5, 6}, {1, 2}, {3, 4}},
+		{{2, 3}},
 		nil,
-		{{0, 9}, {5, 6}},
+		{{0, 9}, {1, 1}},
 	}
-	got := MergeSortedPairs(runs, nil)
-	want := []Pair{{0, 9}, {1, 2}, {2, 3}, {3, 4}, {5, 6}}
+	got := Gather(runs, nil)
+	want := []Pair{{0, 9}, {1, 1}, {1, 2}, {2, 3}, {3, 4}, {5, 6}}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("MergeSortedPairs = %v, want %v", got, want)
+		t.Fatalf("Gather = %v, want %v", got, want)
 	}
-	if out := MergeSortedPairs(nil, nil); len(out) != 0 {
-		t.Fatal("empty merge returned pairs")
+	if out := Gather(nil, nil); len(out) != 0 {
+		t.Fatal("empty gather returned pairs")
+	}
+	wide := [][]Pair{{{math.MaxInt64, 1}, {math.MinInt64, 2}, {0, 3}}, {{math.MinInt64, 1}}}
+	want = []Pair{{math.MinInt64, 1}, {math.MinInt64, 2}, {0, 3}, {math.MaxInt64, 1}}
+	if got := Gather(wide, make([]Pair, 0, 1)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("full-range gather = %v, want %v", got, want)
+	}
+	r := rand.New(rand.NewSource(43))
+	var heavy []Pair
+	for i := 0; i < 500; i++ {
+		heavy = append(heavy, Pair{A: int64(r.Intn(3)), B: int64(i)})
+	}
+	want = append([]Pair(nil), heavy...)
+	SortPairs(want)
+	if got := Gather([][]Pair{heavy[:100], heavy[100:]}, nil); !reflect.DeepEqual(got, want) {
+		t.Fatal("heavy-bucket gather out of order")
 	}
 }
 

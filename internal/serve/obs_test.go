@@ -14,6 +14,7 @@ import (
 	"spatialsim/internal/faultinject"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
+	"spatialsim/internal/join"
 	"spatialsim/internal/obs"
 )
 
@@ -147,5 +148,40 @@ func TestTracingOffAddsZeroAllocsOnCachedHit(t *testing.T) {
 	// the caller's buffer.
 	if baseline != 0 {
 		t.Fatalf("cached-hit path allocates %.1f times per op — fast path regressed", baseline)
+	}
+}
+
+// TestJoinTraceReportsComparisons pins the join's cost on the wire: a traced
+// grid self-join has a join_plan span and a join_exec span carrying the
+// comparison, cell and task counts, and the reply's PlanInfo.Comparisons is
+// the same count the workers charged.
+func TestJoinTraceReportsComparisons(t *testing.T) {
+	s := mustNew(t, Config{Shards: 2, Workers: 2})
+	defer s.Close()
+	s.Bootstrap(genItems(300, 0))
+
+	tr := obs.NewTrace("/v1/join")
+	ctx := obs.WithTrace(context.Background(), tr)
+	rep := s.Query(Request{Ctx: ctx, Op: OpJoin, Join: JoinRequest{Eps: 0.5, Algo: join.AlgoGrid, Force: true}})
+	root := tr.Finish()
+	if rep.Err != nil || len(rep.Pairs) == 0 {
+		t.Fatalf("join failed: err=%v pairs=%d", rep.Err, len(rep.Pairs))
+	}
+	want := rep.JoinStats.Aggregate().Comparisons
+	if want == 0 || rep.Plan.Comparisons != want {
+		t.Fatalf("PlanInfo.Comparisons = %d, workers charged %d", rep.Plan.Comparisons, want)
+	}
+	if ps := findSpan(root, "join_plan"); ps == nil || ps.Attrs["algorithm"] != "grid" {
+		t.Fatalf("no join_plan span naming the algorithm: %+v", ps)
+	}
+	js := findSpan(root, "join_exec")
+	if js == nil {
+		t.Fatalf("no join_exec span: %+v", root)
+	}
+	if js.Attrs["comparisons"] != want || js.Attrs["tasks"] != rep.JoinStats.Tasks || js.Attrs["pairs"] != len(rep.Pairs) {
+		t.Fatalf("join_exec attrs %+v, want comparisons %d tasks %d pairs %d", js.Attrs, want, rep.JoinStats.Tasks, len(rep.Pairs))
+	}
+	if cells, ok := js.Attrs["cells"].(int); !ok || cells < 1 {
+		t.Fatalf("join_exec cells = %v, want a positive grid cell count", js.Attrs["cells"])
 	}
 }

@@ -170,6 +170,9 @@ type PlanInfo struct {
 	// FanOut is the number of non-empty shards the query reached after MBR
 	// pruning (for batches: the shard count of the epoch).
 	FanOut int `json:"fan_out"`
+	// Comparisons is the number of pairwise box comparisons a join ran — the
+	// paper's yardstick of join work (0 for non-joins).
+	Comparisons int64 `json:"comparisons,omitempty"`
 }
 
 // Reply is the outcome of one Store.Query call.
@@ -550,6 +553,7 @@ func (s *Store) queryJoin(ctx context.Context, e *Epoch, req Request) Reply {
 		return rep
 	}
 	items := e.AllItems(make([]index.Item, 0, e.items))
+	ps := obs.SpanFromContext(ctx).Child("join_plan")
 	var plan *join.Plan
 	if s.cfg.Planner != nil {
 		plan = s.cfg.Planner.PlanSelfJoin(items, join.Options{Eps: jr.Eps}, jr.Algo, jr.Force)
@@ -562,11 +566,20 @@ func (s *Store) queryJoin(ctx context.Context, e *Epoch, req Request) Reply {
 		}
 	}
 	defer plan.Close()
+	if ps != nil {
+		ps.Set("algorithm", plan.Algo().String())
+		ps.Set("items", len(items))
+		ps.End()
+	}
 	js := obs.SpanFromContext(ctx).Child("join_exec")
 	pairs, stats := exec.ParallelJoin(plan, exec.Options{Workers: jr.Workers, Ctx: ctx})
+	rep.Counters = stats.Aggregate()
 	if js != nil {
 		js.Set("algorithm", plan.Algo().String())
 		js.Set("pairs", len(pairs))
+		js.Set("comparisons", rep.Counters.Comparisons)
+		js.Set("cells", plan.Cells())
+		js.Set("tasks", stats.Tasks)
 		js.End()
 	}
 
@@ -574,8 +587,8 @@ func (s *Store) queryJoin(ctx context.Context, e *Epoch, req Request) Reply {
 	rep.JoinAlgo = plan.Algo()
 	rep.JoinItems = len(items)
 	rep.JoinStats = stats
-	rep.Counters = stats.Aggregate()
 	rep.Plan.Algorithm = plan.Algo().String()
+	rep.Plan.Comparisons = rep.Counters.Comparisons
 	if stats.Cancelled {
 		if len(pairs) == 0 {
 			rep.Pairs = nil
