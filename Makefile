@@ -117,6 +117,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzOverlayCompact -fuzztime $(FUZZTIME) ./internal/persist/
 	$(GO) test -run xxx -fuzz FuzzAABBIntersectContain -fuzztime $(FUZZTIME) ./internal/geom/
 	$(GO) test -run xxx -fuzz FuzzSelfJoinGrid -fuzztime $(FUZZTIME) ./internal/join/
+	$(GO) test -run xxx -fuzz FuzzAppendJSONFloat -fuzztime $(FUZZTIME) ./internal/httpapi/
 
 # chaos soaks the durable serving store under injected disk faults (failed,
 # torn and stalled writes), deadlined query load and crash-abandon restarts,

@@ -2,57 +2,17 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"spatialsim/internal/cluster"
-	"spatialsim/internal/geom"
+	"spatialsim/internal/httpapi"
 	"spatialsim/internal/index"
-	"spatialsim/internal/join"
 	"spatialsim/internal/obs"
 	"spatialsim/internal/serve"
 )
-
-// itemJSON mirrors the single-node wire shape: id plus box corners as
-// [x, y, z] triples, so clients move between spatialserver and spatialcluster
-// without reshaping payloads.
-type itemJSON struct {
-	ID  int64      `json:"id"`
-	Min [3]float64 `json:"min"`
-	Max [3]float64 `json:"max"`
-}
-
-func toItemJSON(it index.Item) itemJSON {
-	return itemJSON{
-		ID:  it.ID,
-		Min: [3]float64{it.Box.Min.X, it.Box.Min.Y, it.Box.Min.Z},
-		Max: [3]float64{it.Box.Max.X, it.Box.Max.Y, it.Box.Max.Z},
-	}
-}
-
-func (ij itemJSON) box() geom.AABB {
-	return geom.NewAABB(geom.V(ij.Min[0], ij.Min[1], ij.Min[2]), geom.V(ij.Max[0], ij.Max[1], ij.Max[2]))
-}
-
-// clusterQueryResponse is the wire shape of scattered range/knn answers: the
-// cluster epoch the whole read observed, the merged items, and the fan-out
-// accounting (how many node queries, hedges and failovers it took). Degraded
-// replies additionally carry per-node error detail; both fields are omitted
-// on complete answers.
-type clusterQueryResponse struct {
-	Epoch      uint64              `json:"epoch"`
-	Count      int                 `json:"count"`
-	Items      []itemJSON          `json:"items"`
-	FanOut     int                 `json:"fan_out"`
-	Hedges     int                 `json:"hedges,omitempty"`
-	Failovers  int                 `json:"failovers,omitempty"`
-	Degraded   bool                `json:"degraded,omitempty"`
-	NodeErrors []cluster.NodeError `json:"node_errors,omitempty"`
-}
 
 // clusterJoinResponse is the wire shape of a cluster-wide join answer.
 type clusterJoinResponse struct {
@@ -67,26 +27,10 @@ type clusterJoinResponse struct {
 	NodeErrors []cluster.NodeError `json:"node_errors,omitempty"`
 }
 
-// updateRequest is the wire shape of an update batch (same as spatialserver).
-type updateRequest struct {
-	Upserts []itemJSON `json:"upserts"`
-	Deletes []int64    `json:"deletes"`
-}
-
 // updateResponse reports the cluster epoch the batch was published as.
 type updateResponse struct {
 	Epoch   uint64 `json:"epoch"`
 	Applied int    `json:"applied"`
-}
-
-// errorEnvelope is the uniform error shape: {"error":{"code","message"}}.
-type errorEnvelope struct {
-	Error errorBody `json:"error"`
-}
-
-type errorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
 }
 
 // newClusterHandler wires the coordinator into the versioned HTTP/JSON API.
@@ -109,16 +53,16 @@ type errorBody struct {
 // ?timeout= answers 504, exactly like the single-node server.
 func newClusterHandler(co *cluster.Coordinator, nodes []*cluster.Node, reg *obs.Registry) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/range", handleClusterRange(co))
-	mux.HandleFunc("/v1/knn", handleClusterKNN(co))
-	mux.HandleFunc("/v1/join", handleClusterJoin(co))
+	mux.Handle("/v1/range", handleClusterRange(co))
+	mux.Handle("/v1/knn", handleClusterKNN(co))
+	mux.Handle("/v1/join", handleClusterJoin(co))
 	mux.HandleFunc("/v1/update", handleClusterUpdate(co))
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, co.Stats()) })
+	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) { httpapi.WriteJSON(w, co.Stats()) })
 	mux.HandleFunc("/v1/placement", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]interface{}{"epoch": co.Epoch(), "tiles": co.Placement().Tiles()})
+		httpapi.WriteJSON(w, map[string]interface{}{"epoch": co.Epoch(), "tiles": co.Placement().Tiles()})
 	})
-	mux.HandleFunc("/v1/nodes/kill", handleNodeAdmin(nodes, true))
-	mux.HandleFunc("/v1/nodes/revive", handleNodeAdmin(nodes, false))
+	mux.Handle("/v1/nodes/kill", handleNodeAdmin(nodes, true))
+	mux.Handle("/v1/nodes/revive", handleNodeAdmin(nodes, false))
 	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
@@ -132,28 +76,6 @@ func newClusterHandler(co *cluster.Coordinator, nodes []*cluster.Node, reg *obs.
 	return mux
 }
 
-// maxQueryTimeout bounds ?timeout= exactly like the single-node server: a
-// typo like 300m (meant 300ms) answers 400 instead of pinning slots for hours.
-const maxQueryTimeout = time.Hour
-
-func queryCtx(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, bool) {
-	ctx := r.Context()
-	if s := r.URL.Query().Get("timeout"); s != "" {
-		d, err := time.ParseDuration(s)
-		if err != nil || d <= 0 {
-			httpError(w, http.StatusBadRequest, "bad_request", "timeout must be a positive duration (e.g. 50ms)")
-			return nil, nil, false
-		}
-		if d > maxQueryTimeout {
-			httpError(w, http.StatusBadRequest, "bad_request", "timeout exceeds the 1h maximum")
-			return nil, nil, false
-		}
-		ctx, cancel := context.WithTimeout(ctx, d)
-		return ctx, cancel, true
-	}
-	return ctx, func() {}, true
-}
-
 // writeClusterError maps a zero-progress cluster Reply onto the envelope:
 // every-owner-down answers 503 (the cluster may heal; retry), an expired
 // deadline 504, everything else 500.
@@ -161,48 +83,56 @@ func writeClusterError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, cluster.ErrUnavailable):
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "unavailable", err.Error())
+		httpapi.Error(w, http.StatusServiceUnavailable, "unavailable", err.Error())
 	case errors.Is(err, serve.ErrOverload):
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "overloaded", err.Error())
+		httpapi.Error(w, http.StatusServiceUnavailable, "overloaded", err.Error())
 	case errors.Is(err, context.DeadlineExceeded):
-		httpError(w, http.StatusGatewayTimeout, "deadline_exceeded", err.Error())
+		httpapi.Error(w, http.StatusGatewayTimeout, "deadline_exceeded", err.Error())
 	case errors.Is(err, context.Canceled):
-		httpError(w, http.StatusServiceUnavailable, "canceled", err.Error())
+		httpapi.Error(w, http.StatusServiceUnavailable, "canceled", err.Error())
 	case errors.Is(err, cluster.ErrNotBootstrapped):
-		httpError(w, http.StatusConflict, "conflict", err.Error())
+		httpapi.Error(w, http.StatusConflict, "conflict", err.Error())
 	default:
-		httpError(w, http.StatusInternalServerError, "internal", err.Error())
+		httpapi.Error(w, http.StatusInternalServerError, "internal", err.Error())
 	}
 }
 
+// writeClusterQueryResponse answers a scattered range/kNN read: epoch,
+// count, items, fan_out, then — each only when non-zero — hedges,
+// failovers, degraded and node_errors.
 func writeClusterQueryResponse(w http.ResponseWriter, rep cluster.Reply, items []index.Item) {
-	resp := clusterQueryResponse{
-		Epoch: rep.Epoch, Count: len(items), Items: make([]itemJSON, len(items)),
-		FanOut: rep.FanOut, Hedges: rep.Hedges, Failovers: rep.Failovers,
-		Degraded: rep.Degraded, NodeErrors: rep.NodeErrors,
+	b := httpapi.NewReply(rep.Epoch, items)
+	b.Int("fan_out", rep.FanOut)
+	if rep.Hedges != 0 {
+		b.Int("hedges", rep.Hedges)
 	}
-	for i, it := range items {
-		resp.Items[i] = toItemJSON(it)
+	if rep.Failovers != 0 {
+		b.Int("failovers", rep.Failovers)
 	}
-	writeJSON(w, resp)
+	if rep.Degraded {
+		b.True("degraded")
+	}
+	if len(rep.NodeErrors) > 0 {
+		b.JSON("node_errors", rep.NodeErrors)
+	}
+	b.Send(w)
 }
 
-func handleClusterRange(co *cluster.Coordinator) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		lo, err1 := parseVec(r, "minx", "miny", "minz")
-		hi, err2 := parseVec(r, "maxx", "maxy", "maxz")
-		if err1 != nil || err2 != nil {
-			httpError(w, http.StatusBadRequest, "bad_request", "range needs float params minx..maxz")
+func handleClusterRange(co *cluster.Coordinator) httpapi.Handler {
+	return func(w http.ResponseWriter, r *http.Request, p httpapi.Params) {
+		box, limit, err := p.Range()
+		if err != nil {
+			httpapi.BadRequest(w, err)
 			return
 		}
-		limit := parseIntDefault(r, "limit", 0)
-		ctx, cancel, ok := queryCtx(w, r)
-		if !ok {
+		ctx, cancel, err := p.Context(r.Context())
+		if err != nil {
+			httpapi.BadRequest(w, err)
 			return
 		}
 		defer cancel()
-		rep := co.Range(ctx, geom.NewAABB(lo, hi))
+		rep := co.Range(ctx, box)
 		if rep.Err != nil {
 			writeClusterError(w, rep.Err)
 			return
@@ -215,24 +145,20 @@ func handleClusterRange(co *cluster.Coordinator) http.HandlerFunc {
 	}
 }
 
-func handleClusterKNN(co *cluster.Coordinator) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		p, err := parseVec(r, "x", "y", "z")
+func handleClusterKNN(co *cluster.Coordinator) httpapi.Handler {
+	return func(w http.ResponseWriter, r *http.Request, p httpapi.Params) {
+		pt, k, err := p.KNN()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad_request", "knn needs float params x, y, z")
+			httpapi.BadRequest(w, err)
 			return
 		}
-		k := parseIntDefault(r, "k", 10)
-		if k <= 0 || k > 1024 {
-			httpError(w, http.StatusBadRequest, "bad_request", "k out of range (1..1024)")
-			return
-		}
-		ctx, cancel, ok := queryCtx(w, r)
-		if !ok {
+		ctx, cancel, err := p.Context(r.Context())
+		if err != nil {
+			httpapi.BadRequest(w, err)
 			return
 		}
 		defer cancel()
-		rep := co.KNN(ctx, p, k)
+		rep := co.KNN(ctx, pt, k)
 		if rep.Err != nil {
 			writeClusterError(w, rep.Err)
 			return
@@ -241,29 +167,16 @@ func handleClusterKNN(co *cluster.Coordinator) http.HandlerFunc {
 	}
 }
 
-func handleClusterJoin(co *cluster.Coordinator) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		eps, err := strconv.ParseFloat(r.URL.Query().Get("eps"), 64)
-		if err != nil || eps < 0 {
-			httpError(w, http.StatusBadRequest, "bad_request", "join needs a non-negative float param eps")
+func handleClusterJoin(co *cluster.Coordinator) httpapi.Handler {
+	return func(w http.ResponseWriter, r *http.Request, p httpapi.Params) {
+		jr, limit, err := p.Join()
+		if err != nil {
+			httpapi.BadRequest(w, err)
 			return
 		}
-		jr := serve.JoinRequest{Eps: eps, Workers: parseIntDefault(r, "workers", 0)}
-		if name := r.URL.Query().Get("algo"); name != "" && name != "auto" {
-			algo, err := join.ParseAlgorithm(name)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "bad_request", err.Error())
-				return
-			}
-			jr.Algo, jr.Force = algo, true
-		}
-		limit := parseIntDefault(r, "limit", 1000)
-		if limit <= 0 || limit > 100000 {
-			httpError(w, http.StatusBadRequest, "bad_request", "limit out of range (1..100000)")
-			return
-		}
-		ctx, cancel, ok := queryCtx(w, r)
-		if !ok {
+		ctx, cancel, err := p.Context(r.Context())
+		if err != nil {
+			httpapi.BadRequest(w, err)
 			return
 		}
 		defer cancel()
@@ -275,7 +188,7 @@ func handleClusterJoin(co *cluster.Coordinator) http.HandlerFunc {
 		resp := clusterJoinResponse{
 			Epoch:      rep.Epoch,
 			Algorithm:  rep.JoinAlgo.String(),
-			Eps:        eps,
+			Eps:        jr.Eps,
 			Count:      len(rep.Pairs),
 			Truncated:  len(rep.Pairs) > limit,
 			FanOut:     rep.FanOut,
@@ -290,54 +203,42 @@ func handleClusterJoin(co *cluster.Coordinator) http.HandlerFunc {
 		for i := 0; i < n; i++ {
 			resp.Pairs[i] = [2]int64{rep.Pairs[i].A, rep.Pairs[i].B}
 		}
-		writeJSON(w, resp)
+		httpapi.WriteJSON(w, resp)
 	}
 }
 
 func handleClusterUpdate(co *cluster.Coordinator) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "method_not_allowed", "update requires POST")
+		batch, ok := httpapi.ReadUpdate(w, r)
+		if !ok {
 			return
-		}
-		var req updateRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad_request", "bad update body: "+err.Error())
-			return
-		}
-		batch := make([]serve.Update, 0, len(req.Upserts)+len(req.Deletes))
-		for _, up := range req.Upserts {
-			batch = append(batch, serve.Update{ID: up.ID, Box: up.box()})
-		}
-		for _, id := range req.Deletes {
-			batch = append(batch, serve.Update{ID: id, Delete: true})
 		}
 		epoch, err := co.ApplyCtx(r.Context(), batch)
 		if err != nil {
 			// A stage failure aborted the swap: readers are still consistent on
 			// the old epoch, so this is retryable — 503, not 500.
 			if errors.Is(err, cluster.ErrNotBootstrapped) {
-				httpError(w, http.StatusConflict, "conflict", err.Error())
+				httpapi.Error(w, http.StatusConflict, "conflict", err.Error())
 				return
 			}
 			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusServiceUnavailable, "swap_aborted", err.Error())
+			httpapi.Error(w, http.StatusServiceUnavailable, "swap_aborted", err.Error())
 			return
 		}
-		writeJSON(w, updateResponse{Epoch: epoch, Applied: len(batch)})
+		httpapi.WriteJSON(w, updateResponse{Epoch: epoch, Applied: len(batch)})
 	}
 }
 
 // handleNodeAdmin is the failure-drill surface: POST /v1/nodes/kill?name=n0
 // makes a node unreachable (queries fail over, swaps abort), revive brings it
 // back. Drills are how the CI smoke job proves degraded-but-correct serving.
-func handleNodeAdmin(nodes []*cluster.Node, kill bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
+func handleNodeAdmin(nodes []*cluster.Node, kill bool) httpapi.Handler {
+	return func(w http.ResponseWriter, r *http.Request, p httpapi.Params) {
 		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "method_not_allowed", "node admin requires POST")
+			httpapi.Error(w, http.StatusMethodNotAllowed, "method_not_allowed", "node admin requires POST")
 			return
 		}
-		name := r.URL.Query().Get("name")
+		name := p.Get("name")
 		for _, n := range nodes {
 			if n.Name() == name {
 				if kill {
@@ -345,51 +246,10 @@ func handleNodeAdmin(nodes []*cluster.Node, kill bool) http.HandlerFunc {
 				} else {
 					n.Revive()
 				}
-				writeJSON(w, map[string]interface{}{"node": name, "down": n.Down()})
+				httpapi.WriteJSON(w, map[string]interface{}{"node": name, "down": n.Down()})
 				return
 			}
 		}
-		httpError(w, http.StatusNotFound, "not_found", "no node named "+strconv.Quote(name))
+		httpapi.Error(w, http.StatusNotFound, "not_found", "no node named "+strconv.Quote(name))
 	}
-}
-
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		httpError(w, http.StatusInternalServerError, "internal", err.Error())
-	}
-}
-
-func httpError(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(errorEnvelope{Error: errorBody{Code: code, Message: msg}})
-}
-
-func parseVec(r *http.Request, xk, yk, zk string) (geom.Vec3, error) {
-	x, err := strconv.ParseFloat(r.URL.Query().Get(xk), 64)
-	if err != nil {
-		return geom.Vec3{}, err
-	}
-	y, err := strconv.ParseFloat(r.URL.Query().Get(yk), 64)
-	if err != nil {
-		return geom.Vec3{}, err
-	}
-	z, err := strconv.ParseFloat(r.URL.Query().Get(zk), 64)
-	if err != nil {
-		return geom.Vec3{}, err
-	}
-	return geom.V(x, y, z), nil
-}
-
-func parseIntDefault(r *http.Request, key string, def int) int {
-	s := r.URL.Query().Get(key)
-	if s == "" {
-		return def
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return def
-	}
-	return n
 }

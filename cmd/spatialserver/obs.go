@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"time"
 
+	"spatialsim/internal/httpapi"
 	"spatialsim/internal/obs"
 	"spatialsim/internal/serve"
 )
@@ -26,9 +27,8 @@ type serverObs struct {
 	logger    *slog.Logger
 	slowQuery time.Duration
 
-	// httpSeconds is resolved once per route at wiring time; the per-status
-	// request counters are resolved through the registry at request time (one
-	// short mutex hold per request, off the store's hot path).
+	// httpSeconds is resolved once per route at wiring time (see instrument
+	// for the request counters).
 	httpSeconds map[string]*obs.Histogram
 }
 
@@ -62,8 +62,10 @@ func (sr *statusRecorder) WriteHeader(code int) {
 
 // instrument wraps one route handler with the HTTP-layer series: a per-route
 // latency histogram and per-(route, status) request counters. route is the
-// canonical path label shared by the /v1 route and its legacy alias.
-func (so *serverObs) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
+// canonical path label shared by the /v1 route and its legacy alias. The
+// histogram and the 200 counter are resolved here, once; other codes are
+// rare enough to resolve through the registry when they happen.
+func (so *serverObs) instrument(route string, h http.Handler) http.Handler {
 	if so == nil || so.reg == nil {
 		return h
 	}
@@ -72,21 +74,26 @@ func (so *serverObs) instrument(route string, h http.HandlerFunc) http.HandlerFu
 		hist = so.reg.Histogram(obs.Name("spatial_http_request_seconds", "route", route))
 		so.httpSeconds[route] = hist
 	}
-	return func(w http.ResponseWriter, r *http.Request) {
+	ok := so.reg.Counter(obs.Name("spatial_http_requests_total", "route", route, "code", "200"))
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		h(sr, r)
+		h.ServeHTTP(sr, r)
 		hist.Observe(time.Since(start))
+		if sr.status == http.StatusOK {
+			ok.Inc()
+			return
+		}
 		so.reg.Counter(obs.Name("spatial_http_requests_total",
 			"route", route, "code", strconv.Itoa(sr.status))).Inc()
-	}
+	})
 }
 
 // maybeTrace attaches a fresh span tree to the context when the request opted
 // in with ?trace=1. The returned trace is nil otherwise; Finish on a nil
 // trace returns nil, so callers thread it unconditionally.
-func maybeTrace(ctx context.Context, r *http.Request) (context.Context, *obs.Trace) {
-	if r.URL.Query().Get("trace") != "1" {
+func maybeTrace(ctx context.Context, r *http.Request, p httpapi.Params) (context.Context, *obs.Trace) {
+	if !p.Flag("trace") {
 		return ctx, nil
 	}
 	t := obs.NewTrace(r.URL.Path)

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -10,50 +9,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"spatialsim/internal/geom"
+	"spatialsim/internal/httpapi"
 	"spatialsim/internal/index"
-	"spatialsim/internal/join"
 	"spatialsim/internal/obs"
 	"spatialsim/internal/serve"
 )
-
-// itemJSON is the wire shape of one spatial item: id plus box corners as
-// [x, y, z] triples.
-type itemJSON struct {
-	ID  int64      `json:"id"`
-	Min [3]float64 `json:"min"`
-	Max [3]float64 `json:"max"`
-}
-
-func toItemJSON(it index.Item) itemJSON {
-	return itemJSON{
-		ID:  it.ID,
-		Min: [3]float64{it.Box.Min.X, it.Box.Min.Y, it.Box.Min.Z},
-		Max: [3]float64{it.Box.Max.X, it.Box.Max.Y, it.Box.Max.Z},
-	}
-}
-
-func (ij itemJSON) box() geom.AABB {
-	return geom.NewAABB(geom.V(ij.Min[0], ij.Min[1], ij.Min[2]), geom.V(ij.Max[0], ij.Max[1], ij.Max[2]))
-}
-
-// queryResponse is the wire shape of range and knn answers: the epoch the
-// query was served from, the result count, the items, and — with plan=1 —
-// the plan the store executed (family, cache hit, shard fan-out).
-type queryResponse struct {
-	Epoch uint64          `json:"epoch"`
-	Count int             `json:"count"`
-	Items []itemJSON      `json:"items"`
-	Plan  *serve.PlanInfo `json:"plan,omitempty"`
-	// Degraded marks a partial answer (some shard missed its deadline slice or
-	// failed; the others' results are included) with per-shard detail. Both
-	// fields are omitted on complete answers, keeping the legacy wire format
-	// byte-identical.
-	Degraded    bool               `json:"degraded,omitempty"`
-	ShardErrors []serve.ShardError `json:"shard_errors,omitempty"`
-	// Trace is the request's span tree, present only with ?trace=1.
-	Trace *obs.SpanJSON `json:"trace,omitempty"`
-}
 
 // joinResponse is the wire shape of a join answer: the epoch and algorithm
 // the join ran with, the total pair count, and (up to limit) result pairs as
@@ -74,12 +34,6 @@ type joinResponse struct {
 	Trace *obs.SpanJSON `json:"trace,omitempty"`
 }
 
-// updateRequest is the wire shape of an update batch.
-type updateRequest struct {
-	Upserts []itemJSON `json:"upserts"`
-	Deletes []int64    `json:"deletes"`
-}
-
 // updateResponse reports the epoch the batch was published as.
 type updateResponse struct {
 	Epoch   uint64 `json:"epoch"`
@@ -87,17 +41,6 @@ type updateResponse struct {
 	// Trace is the update's span tree (staging, WAL append, freeze+swap),
 	// present only with ?trace=1.
 	Trace *obs.SpanJSON `json:"trace,omitempty"`
-}
-
-// errorEnvelope is the uniform error shape of every endpoint:
-// {"error": {"code": "...", "message": "..."}}.
-type errorEnvelope struct {
-	Error errorBody `json:"error"`
-}
-
-type errorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
 }
 
 // newHandler wires the store's serving surface into the versioned HTTP/JSON
@@ -146,42 +89,37 @@ func newHandlerObs(store *serve.Store, so *serverObs) http.Handler {
 	rangeH := handleRange(store, so)
 	knnH := handleKNN(store, so)
 	joinH := handleJoin(store, so)
-	updateH := handleUpdate(store)
-	snapshotH := handleSnapshot(store)
-	recoveryH := func(w http.ResponseWriter, r *http.Request) { writeJSON(w, store.Recovery()) }
-	statsH := func(w http.ResponseWriter, r *http.Request) { writeJSON(w, store.Stats()) }
-	healthH := func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	}
-	queryH := func(w http.ResponseWriter, r *http.Request) {
-		switch op := r.URL.Query().Get("op"); op {
+	queryH := func(w http.ResponseWriter, r *http.Request, p httpapi.Params) {
+		switch p.Get("op") {
 		case "range":
-			rangeH(w, r)
+			rangeH(w, r, p)
 		case "knn":
-			knnH(w, r)
+			knnH(w, r, p)
 		case "join":
-			joinH(w, r)
+			joinH(w, r, p)
 		default:
-			httpError(w, http.StatusBadRequest, "bad_request", "op must be range, knn or join")
+			httpapi.Error(w, http.StatusBadRequest, "bad_request", "op must be range, knn or join")
 		}
 	}
 
-	routes := map[string]http.HandlerFunc{
+	routes := map[string]http.Handler{
 		"/range":    rangeH,
 		"/knn":      knnH,
 		"/join":     joinH,
-		"/query":    queryH,
-		"/update":   updateH,
-		"/snapshot": snapshotH,
-		"/recovery": recoveryH,
-		"/stats":    statsH,
-		"/healthz":  healthH,
+		"/query":    httpapi.Handler(queryH),
+		"/update":   handleUpdate(store),
+		"/snapshot": handleSnapshot(store),
+		"/recovery": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { httpapi.WriteJSON(w, store.Recovery()) }),
+		"/stats":    http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { httpapi.WriteJSON(w, store.Stats()) }),
+		"/healthz": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusOK)
+			fmt.Fprintln(w, "ok")
+		}),
 	}
 	for path, h := range routes {
 		h = so.instrument("/v1"+path, h)
-		mux.HandleFunc("/v1"+path, h) // canonical
-		mux.HandleFunc(path, h)       // legacy alias, byte-identical
+		mux.Handle("/v1"+path, h) // canonical
+		mux.Handle(path, h)       // legacy alias, byte-identical
 	}
 	if so != nil && so.reg != nil {
 		mux.HandleFunc("/metrics", metricsHandler(so.reg))
@@ -207,37 +145,6 @@ func withRequestID(next http.Handler) http.Handler {
 	})
 }
 
-// wantPlan reports whether the request opted into plan reporting.
-func wantPlan(r *http.Request) bool { return r.URL.Query().Get("plan") == "1" }
-
-// maxQueryTimeout bounds ?timeout=: anything beyond it is a client bug (a
-// typo like 300m for 300ms would silently pin a slot for five hours), so it
-// answers 400 instead of being accepted.
-const maxQueryTimeout = time.Hour
-
-// queryCtx derives the query's context from the HTTP request: the request's
-// own context (so a disconnected client cancels the query) tightened by
-// ?timeout= when present. Zero, negative, unparsable and absurdly large
-// (> 1h) timeouts answer 400. The returned cancel must be called; a parse
-// error means the caller already answered 400.
-func queryCtx(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, bool) {
-	ctx := r.Context()
-	if s := r.URL.Query().Get("timeout"); s != "" {
-		d, err := time.ParseDuration(s)
-		if err != nil || d <= 0 {
-			httpError(w, http.StatusBadRequest, "bad_request", "timeout must be a positive duration (e.g. 50ms)")
-			return nil, nil, false
-		}
-		if d > maxQueryTimeout {
-			httpError(w, http.StatusBadRequest, "bad_request", "timeout exceeds the 1h maximum")
-			return nil, nil, false
-		}
-		ctx, cancel := context.WithTimeout(ctx, d)
-		return ctx, cancel, true
-	}
-	return ctx, func() {}, true
-}
-
 // writeReplyError maps a failed Reply onto the error envelope: shed requests
 // answer 503 with a Retry-After estimating when the admission queue actually
 // drains (queue depth x observed mean service time over the slot count, not
@@ -251,33 +158,32 @@ func writeReplyError(w http.ResponseWriter, store *serve.Store, err error) {
 			retry = int64(store.RetryAfterHint() / time.Second)
 		}
 		w.Header().Set("Retry-After", strconv.FormatInt(retry, 10))
-		httpError(w, http.StatusServiceUnavailable, "overloaded", err.Error())
+		httpapi.Error(w, http.StatusServiceUnavailable, "overloaded", err.Error())
 	case errors.Is(err, context.DeadlineExceeded):
-		httpError(w, http.StatusGatewayTimeout, "deadline_exceeded", err.Error())
+		httpapi.Error(w, http.StatusGatewayTimeout, "deadline_exceeded", err.Error())
 	case errors.Is(err, context.Canceled):
-		httpError(w, http.StatusServiceUnavailable, "canceled", err.Error())
+		httpapi.Error(w, http.StatusServiceUnavailable, "canceled", err.Error())
 	default:
-		httpError(w, http.StatusInternalServerError, "internal", err.Error())
+		httpapi.Error(w, http.StatusInternalServerError, "internal", err.Error())
 	}
 }
 
-func handleRange(store *serve.Store, so *serverObs) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		lo, err1 := parseVec(r, "minx", "miny", "minz")
-		hi, err2 := parseVec(r, "maxx", "maxy", "maxz")
-		if err1 != nil || err2 != nil {
-			httpError(w, http.StatusBadRequest, "bad_request", "range needs float params minx..maxz")
+func handleRange(store *serve.Store, so *serverObs) httpapi.Handler {
+	return func(w http.ResponseWriter, r *http.Request, p httpapi.Params) {
+		box, limit, err := p.Range()
+		if err != nil {
+			httpapi.BadRequest(w, err)
 			return
 		}
-		limit := parseIntDefault(r, "limit", 0)
-		ctx, cancel, ok := queryCtx(w, r)
-		if !ok {
+		ctx, cancel, err := p.Context(r.Context())
+		if err != nil {
+			httpapi.BadRequest(w, err)
 			return
 		}
 		defer cancel()
-		ctx, tr := maybeTrace(ctx, r)
+		ctx, tr := maybeTrace(ctx, r, p)
 		start := time.Now()
-		rep := store.Query(serve.Request{Op: serve.OpRange, Query: geom.NewAABB(lo, hi), Ctx: ctx})
+		rep := store.Query(serve.Request{Op: serve.OpRange, Query: box, Ctx: ctx})
 		so.observeQuery(w, "range", time.Since(start), rep)
 		if rep.Err != nil {
 			writeReplyError(w, store, rep.Err)
@@ -287,70 +193,49 @@ func handleRange(store *serve.Store, so *serverObs) http.HandlerFunc {
 		if limit > 0 && len(items) > limit {
 			items = items[:limit]
 		}
-		writeQueryResponse(w, r, rep, items, tr)
+		writeQueryResponse(w, p, rep, items, tr)
 	}
 }
 
-func handleKNN(store *serve.Store, so *serverObs) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		p, err := parseVec(r, "x", "y", "z")
+func handleKNN(store *serve.Store, so *serverObs) httpapi.Handler {
+	return func(w http.ResponseWriter, r *http.Request, p httpapi.Params) {
+		pt, k, err := p.KNN()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad_request", "knn needs float params x, y, z")
+			httpapi.BadRequest(w, err)
 			return
 		}
-		// The cap bounds per-request work: every overlapping shard gathers up
-		// to k candidates before the global merge.
-		k := parseIntDefault(r, "k", 10)
-		if k <= 0 || k > 1024 {
-			httpError(w, http.StatusBadRequest, "bad_request", "k out of range (1..1024)")
-			return
-		}
-		ctx, cancel, ok := queryCtx(w, r)
-		if !ok {
+		ctx, cancel, err := p.Context(r.Context())
+		if err != nil {
+			httpapi.BadRequest(w, err)
 			return
 		}
 		defer cancel()
-		ctx, tr := maybeTrace(ctx, r)
+		ctx, tr := maybeTrace(ctx, r, p)
 		start := time.Now()
-		rep := store.Query(serve.Request{Op: serve.OpKNN, Point: p, K: k, Ctx: ctx})
+		rep := store.Query(serve.Request{Op: serve.OpKNN, Point: pt, K: k, Ctx: ctx})
 		so.observeQuery(w, "knn", time.Since(start), rep)
 		if rep.Err != nil {
 			writeReplyError(w, store, rep.Err)
 			return
 		}
-		writeQueryResponse(w, r, rep, rep.Items, tr)
+		writeQueryResponse(w, p, rep, rep.Items, tr)
 	}
 }
 
-func handleJoin(store *serve.Store, so *serverObs) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		eps, err := strconv.ParseFloat(r.URL.Query().Get("eps"), 64)
-		if err != nil || eps < 0 {
-			httpError(w, http.StatusBadRequest, "bad_request", "join needs a non-negative float param eps")
+func handleJoin(store *serve.Store, so *serverObs) httpapi.Handler {
+	return func(w http.ResponseWriter, r *http.Request, p httpapi.Params) {
+		jr, limit, err := p.Join()
+		if err != nil {
+			httpapi.BadRequest(w, err)
 			return
 		}
-		jr := serve.JoinRequest{Eps: eps, Workers: parseIntDefault(r, "workers", 0)}
-		if name := r.URL.Query().Get("algo"); name != "" && name != "auto" {
-			algo, err := join.ParseAlgorithm(name)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "bad_request", err.Error())
-				return
-			}
-			jr.Algo, jr.Force = algo, true
-		}
-		// The cap bounds the response body, not the join: the full pair set is
-		// computed (and counted) either way.
-		limit := parseIntDefault(r, "limit", 1000)
-		if limit <= 0 || limit > 100000 {
-			httpError(w, http.StatusBadRequest, "bad_request", "limit out of range (1..100000)")
-			return
-		}
-		ctx, cancel, ok := queryCtx(w, r)
-		if !ok {
+		ctx, cancel, err := p.Context(r.Context())
+		if err != nil {
+			httpapi.BadRequest(w, err)
 			return
 		}
 		defer cancel()
-		ctx, tr := maybeTrace(ctx, r)
+		ctx, tr := maybeTrace(ctx, r, p)
 		start := time.Now()
 		rep := store.Query(serve.Request{Op: serve.OpJoin, Join: jr, Ctx: ctx})
 		so.observeQuery(w, "join", time.Since(start), rep)
@@ -361,7 +246,7 @@ func handleJoin(store *serve.Store, so *serverObs) http.HandlerFunc {
 		resp := joinResponse{
 			Epoch:     rep.Epoch,
 			Algorithm: rep.JoinAlgo.String(),
-			Eps:       eps,
+			Eps:       jr.Eps,
 			Items:     rep.JoinItems,
 			Count:     len(rep.Pairs),
 			Truncated: len(rep.Pairs) > limit,
@@ -375,107 +260,59 @@ func handleJoin(store *serve.Store, so *serverObs) http.HandlerFunc {
 		for i := 0; i < n; i++ {
 			resp.Pairs[i] = [2]int64{rep.Pairs[i].A, rep.Pairs[i].B}
 		}
-		if wantPlan(r) {
+		if p.Flag("plan") {
 			plan := rep.Plan
 			resp.Plan = &plan
 		}
 		resp.Trace = tr.Finish()
-		writeJSON(w, resp)
+		httpapi.WriteJSON(w, resp)
 	}
 }
 
-func handleUpdate(store *serve.Store) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "method_not_allowed", "update requires POST")
+func handleUpdate(store *serve.Store) httpapi.Handler {
+	return func(w http.ResponseWriter, r *http.Request, p httpapi.Params) {
+		batch, ok := httpapi.ReadUpdate(w, r)
+		if !ok {
 			return
 		}
-		var req updateRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad_request", "bad update body: "+err.Error())
-			return
-		}
-		batch := make([]serve.Update, 0, len(req.Upserts)+len(req.Deletes))
-		for _, up := range req.Upserts {
-			batch = append(batch, serve.Update{ID: up.ID, Box: up.box()})
-		}
-		for _, id := range req.Deletes {
-			batch = append(batch, serve.Update{ID: id, Delete: true})
-		}
-		ctx, tr := maybeTrace(r.Context(), r)
+		ctx, tr := maybeTrace(r.Context(), r, p)
 		epoch := store.ApplyCtx(ctx, batch)
-		writeJSON(w, updateResponse{Epoch: epoch, Applied: len(batch), Trace: tr.Finish()})
+		httpapi.WriteJSON(w, updateResponse{Epoch: epoch, Applied: len(batch), Trace: tr.Finish()})
 	}
 }
 
 func handleSnapshot(store *serve.Store) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "method_not_allowed", "snapshot requires POST")
+			httpapi.Error(w, http.StatusMethodNotAllowed, "method_not_allowed", "snapshot requires POST")
 			return
 		}
 		epoch, err := store.Snapshot()
 		if err != nil {
-			httpError(w, http.StatusConflict, "conflict", err.Error())
+			httpapi.Error(w, http.StatusConflict, "conflict", err.Error())
 			return
 		}
-		writeJSON(w, map[string]uint64{"persisted_epoch": epoch})
+		httpapi.WriteJSON(w, map[string]uint64{"persisted_epoch": epoch})
 	}
 }
 
-func writeQueryResponse(w http.ResponseWriter, r *http.Request, rep serve.Reply, items []index.Item, tr *obs.Trace) {
-	resp := queryResponse{
-		Epoch: rep.Epoch, Count: len(items), Items: make([]itemJSON, len(items)),
-		Degraded: rep.Degraded, ShardErrors: rep.ShardErrors,
-	}
-	for i, it := range items {
-		resp.Items[i] = toItemJSON(it)
-	}
-	if wantPlan(r) {
+// writeQueryResponse answers a range/kNN query: epoch, count, items, then
+// — each only when present — plan (with ?plan=1), degraded, shard_errors
+// and trace (with ?trace=1).
+func writeQueryResponse(w http.ResponseWriter, p httpapi.Params, rep serve.Reply, items []index.Item, tr *obs.Trace) {
+	b := httpapi.NewReply(rep.Epoch, items)
+	if p.Flag("plan") {
 		plan := rep.Plan
-		resp.Plan = &plan
+		b.JSON("plan", &plan)
 	}
-	resp.Trace = tr.Finish()
-	writeJSON(w, resp)
-}
-
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		httpError(w, http.StatusInternalServerError, "internal", err.Error())
+	if rep.Degraded {
+		b.True("degraded")
 	}
-}
-
-func httpError(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(errorEnvelope{Error: errorBody{Code: code, Message: msg}})
-}
-
-func parseVec(r *http.Request, xk, yk, zk string) (geom.Vec3, error) {
-	x, err := strconv.ParseFloat(r.URL.Query().Get(xk), 64)
-	if err != nil {
-		return geom.Vec3{}, err
+	if len(rep.ShardErrors) > 0 {
+		b.JSON("shard_errors", rep.ShardErrors)
 	}
-	y, err := strconv.ParseFloat(r.URL.Query().Get(yk), 64)
-	if err != nil {
-		return geom.Vec3{}, err
+	if t := tr.Finish(); t != nil {
+		b.JSON("trace", t)
 	}
-	z, err := strconv.ParseFloat(r.URL.Query().Get(zk), 64)
-	if err != nil {
-		return geom.Vec3{}, err
-	}
-	return geom.V(x, y, z), nil
-}
-
-func parseIntDefault(r *http.Request, key string, def int) int {
-	s := r.URL.Query().Get(key)
-	if s == "" {
-		return def
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return def
-	}
-	return n
+	b.Send(w)
 }

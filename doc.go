@@ -78,6 +78,11 @@
 //     results are marked Degraded with per-shard error detail, overload is
 //     shed with typed errors, and snapshot/WAL I/O runs behind a
 //     retry-and-circuit-breaker guard;
+//   - internal/httpapi — the HTTP/JSON wire code both servers share: a
+//     query-string parser run once per request whose readers refuse
+//     non-finite and malformed parameters with 400, and an append-style
+//     encoder writing range/kNN replies from pooled buffers, byte-identical
+//     to encoding/json, with Content-Length on every JSON reply;
 //   - internal/faultinject — the seed-deterministic failpoint registry
 //     (error, latency, torn-write) wired into the storage, persist and
 //     serve layers, powering the chaos soak (make chaos);
@@ -92,5 +97,7 @@
 // layout benchmarks in BENCH_*.json) and cmd/spatialserver (versioned
 // HTTP/JSON range, knn, join, update-batch and stats endpoints over
 // internal/serve — /v1/ routes with the legacy unversioned paths kept as
-// byte-identical aliases). Runnable examples are under examples/.
+// byte-identical aliases) and cmd/spatialcluster (the same /v1 range, knn,
+// join and update surface over internal/cluster); both speak through
+// internal/httpapi. Runnable examples are under examples/.
 package spatialsim
