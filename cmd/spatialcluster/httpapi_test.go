@@ -14,17 +14,20 @@ import (
 // The wire shapes the tests decode replies into.
 type (
 	clusterQueryResponse = httpapitest.ClusterQueryResponse
+	joinResponse         = httpapitest.JoinResponse
+	updateResponse       = httpapi.UpdateResponse
 	errorEnvelope        = httpapi.ErrorEnvelope
 )
 
-func TestClusterParamRefusals(t *testing.T) {
-	_, _, ts := newTestFleet(t, 2, 1, fleetItems(50))
-	httpapitest.CheckRefusals(t, ts.URL)
+func TestClusterContract(t *testing.T) {
+	co, nodes, _ := newTestFleet(t, 2, 1, fleetItems(50))
+	httpapitest.Contract(t, newServer(co, nodes, nil))
 }
 
-// TestClusterQueryResponseIsByteIdentical checks writeClusterQueryResponse
-// against json.NewEncoder(w).Encode of the clusterQueryResponse struct it
-// replaced, with every optional field off and on.
+// TestClusterQueryResponseIsByteIdentical checks httpapi.WriteQuery over a
+// coordinator reply against json.NewEncoder(w).Encode of the
+// clusterQueryResponse struct it replaced, with every optional field off
+// and on.
 func TestClusterQueryResponseIsByteIdentical(t *testing.T) {
 	items := httpapitest.EdgeItems(40)
 	nodeErrs := []cluster.NodeError{{Node: "n1", Err: "node n1 is down"}}
@@ -44,7 +47,7 @@ func TestClusterQueryResponseIsByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := httptest.NewRecorder()
-		writeClusterQueryResponse(rec, rep, items)
+		httpapi.WriteQuery(rec, nil, clusterResult(rep), items, nil)
 		if !bytes.Equal(rec.Body.Bytes(), oracle.Bytes()) {
 			t.Errorf("%+v:\n got %.400s\nwant %.400s", rep, rec.Body.Bytes(), oracle.Bytes())
 		}

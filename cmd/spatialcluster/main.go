@@ -1,8 +1,8 @@
 // Command spatialcluster runs the distributed serving harness: an in-process
 // fleet of 2-3 serve.Store nodes (each with its own persist directory when
 // -data-dir is set — segment files are the replication unit) behind the
-// cluster coordinator, fronted by HTTP/JSON endpoints mirroring the
-// single-node spatialserver API.
+// cluster coordinator, fronted by the same HTTP surface as the single-node
+// spatialserver (internal/httpapi).
 //
 // Usage:
 //
@@ -14,6 +14,7 @@
 //	GET  /v1/range?minx=..&maxz=..      scatter/gather range (task-launch order)
 //	GET  /v1/knn?x=&y=&z=&k=            scatter/gather k nearest
 //	GET  /v1/join?eps=[&algo=][&limit=] cluster-wide epsilon self-join
+//	GET  /v1/query?op=range|knn|join    the same reads, by op
 //	POST /v1/update                     two-phase epoch-consistent swap
 //	GET  /v1/stats                      coordinator + per-node state
 //	GET  /v1/placement                  the tile map
@@ -22,6 +23,11 @@
 //	GET  /v1/healthz                    liveness
 //	GET  /metrics                       spatial_cluster_* + per-node series
 //
+// Every request gets an X-Request-Id and per-route HTTP series, ?trace=1
+// returns the coordinator's span tree, and SIGINT/SIGTERM drain in-flight
+// requests for 5s, then close the coordinator and every node store (with a
+// final snapshot each under -data-dir, so a restart replays no WAL).
+//
 // Degradation contract: when every owner of some tile is unreachable, query
 // replies carry "degraded":true plus per-node error detail — correct but
 // partial, never wrong. Kill/revive exist so the contract can be drilled
@@ -29,12 +35,11 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
@@ -43,11 +48,16 @@ import (
 	"spatialsim/internal/cluster"
 	"spatialsim/internal/datagen"
 	"spatialsim/internal/geom"
+	"spatialsim/internal/httpapi"
 	"spatialsim/internal/index"
 	"spatialsim/internal/obs"
 	"spatialsim/internal/persist"
 	"spatialsim/internal/serve"
 )
+
+// drainBudget is how long a shutdown waits for in-flight requests
+// (spatialserver's -drain default).
+const drainBudget = 5 * time.Second
 
 // recoveredItems gathers the union of every node's durable state (replicas
 // overlap, so dedupe by ID; sorted for deterministic placement). Empty for
@@ -167,9 +177,11 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "spatialcluster: serving on %s\n", ln.Addr().String())
-	srv := &http.Server{Handler: newClusterHandler(co, nds, reg)}
-	if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return httpapi.ServeUntilSignal(newServer(co, nds, reg).Handler(), ln, drainBudget,
+		slog.New(slog.NewTextHandler(stdout, nil)), func() {
+			co.Close()
+			for _, n := range nds {
+				n.Store().Close()
+			}
+		})
 }

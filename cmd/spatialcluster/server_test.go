@@ -9,9 +9,12 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -45,7 +48,7 @@ func newTestFleet(t *testing.T, n, replication int, items []index.Item) (*cluste
 	if _, err := co.Bootstrap(items); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
-	ts := httptest.NewServer(newClusterHandler(co, nodes, nil))
+	ts := httptest.NewServer(newServer(co, nodes, nil).Handler())
 	t.Cleanup(ts.Close)
 	return co, nodes, ts
 }
@@ -138,7 +141,7 @@ func TestClusterHTTPRangeKNNJoin(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("join status %d: %s", resp.StatusCode, body)
 	}
-	var jr clusterJoinResponse
+	var jr joinResponse
 	if err := json.Unmarshal(body, &jr); err != nil {
 		t.Fatalf("decode join: %v", err)
 	}
@@ -302,7 +305,6 @@ func TestClusterHTTPBadRequests(t *testing.T) {
 		{"/v1/range?" + universeQuery + "&timeout=300m", http.StatusBadRequest},
 		{"/v1/knn?x=1&y=2&z=3&k=0", http.StatusBadRequest},
 		{"/v1/join?eps=-1", http.StatusBadRequest},
-		{"/v1/update", http.StatusMethodNotAllowed}, // GET
 	} {
 		resp, body := getBody(t, ts.URL+tc.url)
 		if resp.StatusCode != tc.want {
@@ -380,15 +382,19 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestRunServesAndBootstraps exercises the real entry point: run() on an
-// ephemeral port with a small bootstrap, then a live HTTP round-trip.
-func TestRunServesAndBootstraps(t *testing.T) {
-	var out syncBuffer
+// startRun runs run() with args on an ephemeral port until the returned
+// stop delivers SIGTERM, and returns the base URL it serves and its output.
+func startRun(t *testing.T, args ...string) (string, *syncBuffer, func() error) {
+	t.Helper()
+	// Keep SIGTERM non-fatal for the whole test process even if the signal
+	// lands before ServeUntilSignal registers its handler.
+	guard := make(chan os.Signal, 1)
+	signal.Notify(guard, syscall.SIGTERM)
+	t.Cleanup(func() { signal.Stop(guard) })
+
+	out := &syncBuffer{}
 	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-nodes", "3", "-replication", "2",
-			"-elements", "500", "-data-dir", t.TempDir()}, &out)
-	}()
+	go func() { done <- run(append([]string{"-addr", "127.0.0.1:0"}, args...), out) }()
 
 	// The listen address is printed once serving starts.
 	var base string
@@ -409,6 +415,32 @@ func TestRunServesAndBootstraps(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	// stop re-sends SIGTERM until run returns, covering the window before
+	// the handler is registered.
+	stop := func() error {
+		killDeadline := time.Now().Add(20 * time.Second)
+		for {
+			if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+				return err
+			}
+			select {
+			case err := <-done:
+				return err
+			case <-time.After(200 * time.Millisecond):
+				if time.Now().After(killDeadline) {
+					return fmt.Errorf("run did not return after SIGTERM:\n%s", out.String())
+				}
+			}
+		}
+	}
+	return base, out, stop
+}
+
+// TestRunServesAndBootstraps exercises the real entry point: run() on an
+// ephemeral port with a small bootstrap, a live HTTP round-trip, then a
+// graceful stop.
+func TestRunServesAndBootstraps(t *testing.T) {
+	base, out, stop := startRun(t, "-nodes", "3", "-replication", "2", "-elements", "500", "-data-dir", t.TempDir())
 	if !strings.Contains(out.String(), "bootstrapped 500 elements across 3 nodes") {
 		t.Fatalf("bootstrap log missing:\n%s", out.String())
 	}
@@ -420,8 +452,45 @@ func TestRunServesAndBootstraps(t *testing.T) {
 	if qr := decodeQuery(t, body); qr.Count != 500 || qr.Degraded {
 		t.Fatalf("bootstrapped fleet: count=%d degraded=%v, want 500 complete", qr.Count, qr.Degraded)
 	}
-	// run() blocks on Serve until process shutdown; the test just leaves the
-	// goroutine serving (the listener dies with the test process).
+	if err := stop(); err != nil {
+		t.Fatalf("graceful stop: %v", err)
+	}
+}
+
+// TestServeUntilSignalClosesEveryNodeStore pins the cluster's graceful
+// shutdown: SIGTERM drains, then closes the coordinator and every node
+// store, so each node of a durable fleet takes its final snapshot and a
+// restart replays no WAL.
+func TestServeUntilSignalClosesEveryNodeStore(t *testing.T) {
+	dir := t.TempDir()
+	base, out, stop := startRun(t, "-nodes", "3", "-replication", "2", "-elements", "500", "-data-dir", dir)
+	resp, body := postJSON(t, base+"/v1/update", `{"upserts":[{"id":9000,"min":[1,1,1],"max":[2,2,2]}],"deletes":[1]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("update: status %d: %s", resp.StatusCode, body)
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("graceful stop: %v", err)
+	}
+	if !strings.Contains(out.String(), "graceful shutdown complete") {
+		t.Fatalf("shutdown log missing:\n%s", out.String())
+	}
+
+	for i := 0; i < 3; i++ {
+		ps, err := persist.Open(filepath.Join(dir, fmt.Sprintf("node-n%d", i)), persist.Options{})
+		if err != nil {
+			t.Fatalf("node %d: persist.Open: %v", i, err)
+		}
+		st, err := serve.Open(serve.Config{Shards: 4, Persist: ps})
+		if err != nil {
+			t.Fatalf("node %d: serve.Open: %v", i, err)
+		}
+		rec := st.Recovery()
+		st.Close()
+		ps.Close()
+		if !rec.Recovered || rec.ReplayedBatches != 0 {
+			t.Errorf("node %d: recovery %+v, want a snapshot with no WAL to replay", i, rec)
+		}
+	}
 }
 
 func postJSON(t *testing.T, url, payload string) (*http.Response, []byte) {

@@ -8,27 +8,30 @@ import (
 
 	"spatialsim/internal/httpapi"
 	"spatialsim/internal/httpapi/httpapitest"
+	"spatialsim/internal/join"
 	"spatialsim/internal/obs"
 	"spatialsim/internal/serve"
 )
 
 // The wire shapes the tests decode replies into and build requests from.
 type (
-	queryResponse = httpapitest.QueryResponse
-	updateRequest = httpapi.UpdateRequest
-	itemJSON      = httpapi.ItemJSON
-	errorEnvelope = httpapi.ErrorEnvelope
-	errorBody     = httpapi.ErrorBody
+	queryResponse  = httpapitest.QueryResponse
+	joinResponse   = httpapitest.JoinResponse
+	updateRequest  = httpapi.UpdateRequest
+	updateResponse = httpapi.UpdateResponse
+	itemJSON       = httpapi.ItemJSON
+	errorEnvelope  = httpapi.ErrorEnvelope
+	errorBody      = httpapi.ErrorBody
 )
 
-func TestParamRefusals(t *testing.T) {
-	_, ts := testServer(t, 100)
-	httpapitest.CheckRefusals(t, ts.URL)
+func TestContract(t *testing.T) {
+	store, _ := testServer(t, 100)
+	httpapitest.Contract(t, newServer(store))
 }
 
-// TestQueryResponseIsByteIdentical checks writeQueryResponse against
-// json.NewEncoder(w).Encode of the queryResponse struct it replaced, with
-// every optional field off and on.
+// TestQueryResponseIsByteIdentical checks httpapi.WriteQuery over a store
+// reply against json.NewEncoder(w).Encode of the queryResponse struct it
+// replaced, with every optional field off and on.
 func TestQueryResponseIsByteIdentical(t *testing.T) {
 	items := httpapitest.EdgeItems(40)
 	plan := serve.PlanInfo{Family: "rtree", CacheHit: true, FanOut: 3}
@@ -69,7 +72,54 @@ func TestQueryResponseIsByteIdentical(t *testing.T) {
 		}
 		p := httpapi.Parse(query)
 		rec := httptest.NewRecorder()
-		writeQueryResponse(rec, p, rep, items, tr)
+		httpapi.WriteQuery(rec, p, storeResult(rep), items, tr)
+		if !bytes.Equal(rec.Body.Bytes(), oracle.Bytes()) {
+			t.Errorf("%s:\n got %.400s\nwant %.400s", tc.name, rec.Body.Bytes(), oracle.Bytes())
+		}
+	}
+}
+
+// TestJoinResponseIsByteIdentical checks httpapi.WriteJoin over a store
+// reply against json.NewEncoder(w).Encode of the joinResponse struct it
+// replaced: pairs cut at the limit or not, every optional field off and on.
+func TestJoinResponseIsByteIdentical(t *testing.T) {
+	pairs := []join.Pair{{A: 1, B: 2}, {A: 1, B: 9}, {A: -4, B: 70000000000}}
+	plan := serve.PlanInfo{Family: "rtree", Algorithm: "grid", FanOut: 4, Comparisons: 31}
+	for _, tc := range []struct {
+		name                  string
+		limit                 int
+		plan, degraded, trace bool
+	}{
+		{"plain", 10, false, false, false},
+		{"truncated", 2, false, false, false},
+		{"all", 1, true, true, true},
+	} {
+		rep := serve.Reply{Epoch: 5, Pairs: pairs, JoinAlgo: join.AlgoGrid, JoinItems: 40, Plan: plan}
+		want := joinResponse{Epoch: 5, Algorithm: "grid", Eps: 0.3, Items: 40, Count: len(pairs),
+			Truncated: len(pairs) > tc.limit, Pairs: [][2]int64{}}
+		for _, pr := range pairs[:min(len(pairs), tc.limit)] {
+			want.Pairs = append(want.Pairs, [2]int64{pr.A, pr.B})
+		}
+		query := ""
+		if tc.plan {
+			query, want.Plan = "plan=1", &plan
+		}
+		if tc.degraded {
+			rep.Degraded, want.Degraded = true, true
+		}
+		var tr *obs.Trace
+		if tc.trace {
+			tr = obs.NewTrace("/v1/join")
+			tr.Root().Child("join_exec").End()
+			tr.Root().End()
+			want.Trace = tr.Finish()
+		}
+		var oracle bytes.Buffer
+		if err := json.NewEncoder(&oracle).Encode(want); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		httpapi.WriteJoin(rec, httpapi.Parse(query), storeResult(rep), 0.3, tc.limit, tr)
 		if !bytes.Equal(rec.Body.Bytes(), oracle.Bytes()) {
 			t.Errorf("%s:\n got %.400s\nwant %.400s", tc.name, rec.Body.Bytes(), oracle.Bytes())
 		}

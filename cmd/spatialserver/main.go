@@ -16,9 +16,10 @@
 //	spatialserver -index grid -max-inflight 256
 //	spatialserver -data-dir /var/lib/spatialsim -elements 0
 //
-// Endpoints: GET /range, GET /knn, GET /join, POST /update, POST /snapshot,
-// GET /recovery, GET /stats, GET /healthz (see newHandler for parameter
-// shapes).
+// Endpoints: GET /v1/range, /v1/knn, /v1/join, /v1/query, /v1/stats,
+// /v1/healthz and POST /v1/update (internal/httpapi, the surface
+// spatialcluster serves too), plus the store's own POST /v1/snapshot and
+// GET /v1/recovery (see newServer).
 //
 // The server degrades gracefully under pressure: -deadline/-join-deadline set
 // per-class query deadlines (tightened per request with ?timeout=),
@@ -47,21 +48,21 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"spatialsim/internal/crtree"
 	"spatialsim/internal/datagen"
 	"spatialsim/internal/geom"
+	"spatialsim/internal/httpapi"
 	"spatialsim/internal/index"
 	"spatialsim/internal/obs"
 	"spatialsim/internal/persist"
@@ -77,9 +78,9 @@ func main() {
 	}
 }
 
-// run builds the store from flags and serves until the listener fails. The
-// ready callback seam (none in production) keeps it testable; tests exercise
-// newHandler directly instead of binding a port.
+// run builds the store from flags and serves until the listener fails or a
+// shutdown signal arrives; tests exercise newServer directly instead of
+// binding a port.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("spatialserver", flag.ContinueOnError)
 	fs.SetOutput(stdout)
@@ -105,7 +106,7 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	logger := newLogger(stdout)
+	logger := slog.New(slog.NewTextHandler(stdout, nil))
 
 	reg := obs.NewRegistry()
 	obs.RegisterRuntimeGauges(reg)
@@ -191,50 +192,23 @@ func run(args []string, stdout io.Writer) error {
 	}
 	logger.Info("serving", "index", *indexName, "addr", ln.Addr().String(),
 		"endpoints", "/v1/{range,knn,join,query,update,snapshot,recovery,stats,healthz} /metrics")
-	so := newServerObs(reg, logger, *slowQuery)
-	return serveHandlerUntilSignal(store, newHandlerObs(store, so), ln, *drain, stdout)
+	srv := newServer(store)
+	srv.Metrics, srv.Logger, srv.SlowQuery = reg, logger, *slowQuery
+	return httpapi.ServeUntilSignal(srv.Handler(), ln, *drain, logger, store.Close)
 }
 
-// serveUntilSignal serves until the listener fails or a SIGINT/SIGTERM
-// arrives, then shuts down gracefully: the listener stops accepting,
-// in-flight requests get the drain budget to finish (then are cut), and the
-// store is closed — which, in durable mode, takes the final snapshot that
-// makes the shutdown recoverable without WAL replay.
-func serveUntilSignal(store *serve.Store, ln net.Listener, drain time.Duration, stdout io.Writer) error {
-	return serveHandlerUntilSignal(store, newHandler(store), ln, drain, stdout)
-}
-
-// serveHandlerUntilSignal is serveUntilSignal with a caller-built handler
-// (run wires the observability hooks in; tests use the plain one).
-func serveHandlerUntilSignal(store *serve.Store, handler http.Handler, ln net.Listener, drain time.Duration, stdout io.Writer) error {
-	logger := newLogger(stdout)
-	srv := &http.Server{Handler: handler}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	select {
-	case err := <-serveErr:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-		return nil
-	case <-ctx.Done():
-	}
-	stop() // restore default signal handling: a second signal kills hard
-	logger.Info("shutdown signal received, draining", "budget", drain)
-
-	drainCtx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		logger.Warn("drain budget exhausted, closing remaining connections", "err", err)
-		srv.Close()
-	}
-	store.Close()
-	logger.Info("graceful shutdown complete")
-	return nil
+// newDebugMux builds the -debug-addr surface: the pprof profile endpoints
+// plus a second /metrics exposition, kept off the serving listener so
+// profiling traffic cannot compete with queries for the serving port.
+func newDebugMux(reg *obs.Registry) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/metrics", httpapi.MetricsHandler(reg))
+	return mux
 }
 
 func shardBuilder(name string) (serve.ShardBuilder, error) {

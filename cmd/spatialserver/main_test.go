@@ -26,7 +26,7 @@ func testServer(t *testing.T, n int) (*serve.Store, *httptest.Server) {
 		items[i] = index.Item{ID: int64(i), Box: geom.NewAABB(geom.V(x, y, 0), geom.V(x+1, y+1, 1))}
 	}
 	store.Bootstrap(items)
-	ts := httptest.NewServer(newHandler(store))
+	ts := httptest.NewServer(newServer(store).Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		store.Close()
@@ -53,7 +53,7 @@ func getJSON(t *testing.T, url string, out interface{}) *http.Response {
 func TestRangeEndpoint(t *testing.T) {
 	_, ts := testServer(t, 100)
 	var resp queryResponse
-	getJSON(t, ts.URL+"/range?minx=-1&miny=-1&minz=-1&maxx=20&maxy=20&maxz=2", &resp)
+	getJSON(t, ts.URL+"/v1/range?minx=-1&miny=-1&minz=-1&maxx=20&maxy=20&maxz=2", &resp)
 	if resp.Count != 100 || len(resp.Items) != 100 {
 		t.Fatalf("whole-universe range returned %d items, want 100", resp.Count)
 	}
@@ -63,7 +63,7 @@ func TestRangeEndpoint(t *testing.T) {
 
 	// A query box covering only item 0's cell.
 	var one queryResponse
-	getJSON(t, ts.URL+"/range?minx=0.2&miny=0.2&minz=0.2&maxx=0.8&maxy=0.8&maxz=0.8", &one)
+	getJSON(t, ts.URL+"/v1/range?minx=0.2&miny=0.2&minz=0.2&maxx=0.8&maxy=0.8&maxz=0.8", &one)
 	if one.Count != 1 || one.Items[0].ID != 0 {
 		t.Fatalf("point-sized range got %+v, want exactly item 0", one.Items)
 	}
@@ -72,7 +72,7 @@ func TestRangeEndpoint(t *testing.T) {
 func TestKNNEndpoint(t *testing.T) {
 	_, ts := testServer(t, 100)
 	var resp queryResponse
-	getJSON(t, ts.URL+"/knn?x=0.5&y=0.5&z=0.5&k=3", &resp)
+	getJSON(t, ts.URL+"/v1/knn?x=0.5&y=0.5&z=0.5&k=3", &resp)
 	if resp.Count != 3 {
 		t.Fatalf("knn returned %d items, want 3", resp.Count)
 	}
@@ -85,13 +85,13 @@ func TestUpdateEndpointSwapsEpoch(t *testing.T) {
 	_, ts := testServer(t, 50)
 
 	var before queryResponse
-	getJSON(t, ts.URL+"/range?minx=-1&miny=-1&minz=-1&maxx=20&maxy=20&maxz=2", &before)
+	getJSON(t, ts.URL+"/v1/range?minx=-1&miny=-1&minz=-1&maxx=20&maxy=20&maxz=2", &before)
 
 	body, _ := json.Marshal(updateRequest{
 		Upserts: []itemJSON{{ID: 1000, Min: [3]float64{50, 50, 0}, Max: [3]float64{51, 51, 1}}},
 		Deletes: []int64{0, 1},
 	})
-	resp, err := http.Post(ts.URL+"/update", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/update", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestUpdateEndpointSwapsEpoch(t *testing.T) {
 	}
 
 	var after queryResponse
-	getJSON(t, ts.URL+"/range?minx=-1&miny=-1&minz=-1&maxx=60&maxy=60&maxz=2", &after)
+	getJSON(t, ts.URL+"/v1/range?minx=-1&miny=-1&minz=-1&maxx=60&maxy=60&maxz=2", &after)
 	if after.Count != 49 { // 50 - 2 deletes + 1 upsert
 		t.Fatalf("after update range returned %d items, want 49", after.Count)
 	}
@@ -120,7 +120,7 @@ func TestUpdateEndpointSwapsEpoch(t *testing.T) {
 func TestStatsAndHealthEndpoints(t *testing.T) {
 	_, ts := testServer(t, 80)
 	var stats map[string]interface{}
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats["items"].(float64) != 80 {
 		t.Fatalf("stats items = %v, want 80", stats["items"])
 	}
@@ -128,7 +128,7 @@ func TestStatsAndHealthEndpoints(t *testing.T) {
 		t.Fatal("stats missing shards")
 	}
 
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +141,9 @@ func TestStatsAndHealthEndpoints(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	_, ts := testServer(t, 10)
 	for _, url := range []string{
-		ts.URL + "/range?minx=nope",
-		ts.URL + "/knn?x=1&y=2",
-		ts.URL + "/knn?x=1&y=2&z=3&k=-5",
+		ts.URL + "/v1/range?minx=nope",
+		ts.URL + "/v1/knn?x=1&y=2",
+		ts.URL + "/v1/knn?x=1&y=2&z=3&k=-5",
 	} {
 		resp, err := http.Get(url)
 		if err != nil {
@@ -153,14 +153,6 @@ func TestBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("GET %s: status %d, want 400", url, resp.StatusCode)
 		}
-	}
-	resp, err := http.Get(ts.URL + "/update")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /update: status %d, want 405", resp.StatusCode)
 	}
 }
 
@@ -178,7 +170,7 @@ func TestRunRejectsUnknownIndex(t *testing.T) {
 func TestJoinEndpoint(t *testing.T) {
 	store, ts := testServer(t, 100)
 	var resp joinResponse
-	getJSON(t, ts.URL+"/join?eps=0", &resp)
+	getJSON(t, ts.URL+"/v1/join?eps=0", &resp)
 	if resp.Count == 0 || len(resp.Pairs) == 0 {
 		t.Fatalf("join over touching unit cubes found no pairs: %+v", resp)
 	}
@@ -194,14 +186,14 @@ func TestJoinEndpoint(t *testing.T) {
 
 	// Forcing an algorithm is echoed back and yields the same pair count.
 	var grid joinResponse
-	getJSON(t, ts.URL+"/join?eps=0&algo=grid&workers=2", &grid)
+	getJSON(t, ts.URL+"/v1/join?eps=0&algo=grid&workers=2", &grid)
 	if grid.Algorithm != "grid" || grid.Count != resp.Count {
 		t.Fatalf("forced grid join: %+v, want algorithm=grid count=%d", grid, resp.Count)
 	}
 
 	// The limit truncates the body, not the count.
 	var lim joinResponse
-	getJSON(t, ts.URL+"/join?eps=0&limit=3", &lim)
+	getJSON(t, ts.URL+"/v1/join?eps=0&limit=3", &lim)
 	if len(lim.Pairs) != 3 || !lim.Truncated || lim.Count != resp.Count {
 		t.Fatalf("limited join: %+v, want 3 pairs, truncated, count=%d", lim, resp.Count)
 	}
@@ -215,11 +207,11 @@ func TestJoinEndpoint(t *testing.T) {
 func TestJoinEndpointBadRequests(t *testing.T) {
 	_, ts := testServer(t, 10)
 	for _, path := range []string{
-		"/join",                  // missing eps
-		"/join?eps=-1",           // negative eps
-		"/join?eps=abc",          // non-numeric eps
-		"/join?eps=0&algo=bogus", // unknown algorithm
-		"/join?eps=0&limit=0",    // limit out of range
+		"/v1/join",                  // missing eps
+		"/v1/join?eps=-1",           // negative eps
+		"/v1/join?eps=abc",          // non-numeric eps
+		"/v1/join?eps=0&algo=bogus", // unknown algorithm
+		"/v1/join?eps=0&limit=0",    // limit out of range
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

@@ -8,6 +8,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -30,8 +31,9 @@ func newObsServer(t *testing.T, slow time.Duration) (string, *obs.Registry, *byt
 	}
 	seedStore(t, store, 100)
 	var logBuf bytes.Buffer
-	so := newServerObs(reg, newLogger(&logBuf), slow)
-	ts := httptest.NewServer(newHandlerObs(store, so))
+	srv := newServer(store)
+	srv.Metrics, srv.Logger, srv.SlowQuery = reg, slog.New(slog.NewTextHandler(&logBuf, nil)), slow
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		store.Close()

@@ -32,7 +32,7 @@ func durableServer(t *testing.T, dir string) (*serve.Store, *persist.Store, *htt
 		ps.Close()
 		t.Fatal(err)
 	}
-	return store, ps, httptest.NewServer(newHandler(store))
+	return store, ps, httptest.NewServer(newServer(store).Handler())
 }
 
 func getBody(t *testing.T, url string) []byte {
@@ -79,7 +79,7 @@ func TestRestartServesByteIdenticalResponses(t *testing.T) {
 		}
 		req.Deletes = []int64{int64(batch*7 + 1)}
 		payload, _ := json.Marshal(req)
-		resp, err := http.Post(ts.URL+"/update", "application/json", bytes.NewReader(payload))
+		resp, err := http.Post(ts.URL+"/v1/update", "application/json", bytes.NewReader(payload))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,12 +87,12 @@ func TestRestartServesByteIdenticalResponses(t *testing.T) {
 	}
 
 	queries := []string{
-		"/range?minx=10&miny=10&minz=10&maxx=55&maxy=55&maxz=55",
-		"/range?minx=0&miny=0&minz=0&maxx=100&maxy=100&maxz=100&limit=50",
-		"/knn?x=42&y=42&z=42&k=15",
-		"/knn?x=0&y=100&z=0&k=3",
-		"/join?eps=0.4&limit=2000",
-		"/join?eps=0.4&algo=grid&limit=2000",
+		"/v1/range?minx=10&miny=10&minz=10&maxx=55&maxy=55&maxz=55",
+		"/v1/range?minx=0&miny=0&minz=0&maxx=100&maxy=100&maxz=100&limit=50",
+		"/v1/knn?x=42&y=42&z=42&k=15",
+		"/v1/knn?x=0&y=100&z=0&k=3",
+		"/v1/join?eps=0.4&limit=2000",
+		"/v1/join?eps=0.4&algo=grid&limit=2000",
 	}
 	before := make([][]byte, len(queries))
 	for i, q := range queries {
@@ -113,11 +113,11 @@ func TestRestartServesByteIdenticalResponses(t *testing.T) {
 		t.Fatalf("recovery: %+v, want epoch 4", rec)
 	}
 	var recBody map[string]interface{}
-	if err := json.Unmarshal(getBody(t, ts2.URL+"/recovery"), &recBody); err != nil {
+	if err := json.Unmarshal(getBody(t, ts2.URL+"/v1/recovery"), &recBody); err != nil {
 		t.Fatal(err)
 	}
 	if recBody["epoch"].(float64) != 4 {
-		t.Fatalf("/recovery reports %v", recBody)
+		t.Fatalf("/v1/recovery reports %v", recBody)
 	}
 
 	for i, q := range queries {
@@ -127,27 +127,27 @@ func TestRestartServesByteIdenticalResponses(t *testing.T) {
 		}
 	}
 
-	// /snapshot forces persistence of a post-restart epoch.
+	// /v1/snapshot forces persistence of a post-restart epoch.
 	store2.Apply([]serve.Update{{ID: 99999, Box: geom.NewAABB(geom.V(1, 1, 1), geom.V(2, 2, 2))}})
-	resp, err := http.Post(ts2.URL+"/snapshot", "application/json", strings.NewReader(""))
+	resp, err := http.Post(ts2.URL+"/v1/snapshot", "application/json", strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"persisted_epoch":5`)) {
-		t.Fatalf("/snapshot: status %d body %s", resp.StatusCode, body)
+		t.Fatalf("/v1/snapshot: status %d body %s", resp.StatusCode, body)
 	}
 }
 
 func TestSnapshotEndpointWithoutPersistence(t *testing.T) {
 	_, ts := testServer(t, 10)
-	resp, err := http.Post(ts.URL+"/snapshot", "application/json", strings.NewReader(""))
+	resp, err := http.Post(ts.URL+"/v1/snapshot", "application/json", strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("/snapshot on in-memory store: status %d, want 409", resp.StatusCode)
+		t.Fatalf("/v1/snapshot on in-memory store: status %d, want 409", resp.StatusCode)
 	}
 }

@@ -7,6 +7,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -19,6 +20,7 @@ import (
 
 	"spatialsim/internal/faultinject"
 	"spatialsim/internal/geom"
+	"spatialsim/internal/httpapi"
 	"spatialsim/internal/index"
 	"spatialsim/internal/persist"
 	"spatialsim/internal/serve"
@@ -189,7 +191,7 @@ func TestDegradedAnswers200WithDetail(t *testing.T) {
 // its final snapshot, and a reopened store recovers the served state.
 func TestServeUntilSignalGracefulShutdown(t *testing.T) {
 	// Keep SIGTERM non-fatal for the whole test process even if the signal
-	// lands before serveUntilSignal registers its handler.
+	// lands before ServeUntilSignal registers its handler.
 	guard := make(chan os.Signal, 1)
 	signal.Notify(guard, syscall.SIGTERM)
 	defer signal.Stop(guard)
@@ -215,7 +217,9 @@ func TestServeUntilSignalGracefulShutdown(t *testing.T) {
 	}
 	var out bytes.Buffer
 	done := make(chan error, 1)
-	go func() { done <- serveUntilSignal(store, ln, 2*time.Second, &out) }()
+	go func() {
+		done <- httpapi.ServeUntilSignal(newServer(store).Handler(), ln, 2*time.Second, slog.New(slog.NewTextHandler(&out, nil)), store.Close)
+	}()
 
 	// Wait for the server to answer, proving the handler is live.
 	base := "http://" + ln.Addr().String()
@@ -232,7 +236,7 @@ func TestServeUntilSignalGracefulShutdown(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Deliver SIGTERM until serveUntilSignal returns; re-sending covers the
+	// Deliver SIGTERM until ServeUntilSignal returns; re-sending covers the
 	// (tiny) window before its handler registration, and the guard above
 	// keeps extra signals from killing the process.
 	var serveErr error
@@ -247,12 +251,12 @@ waitShutdown:
 			break waitShutdown
 		case <-time.After(200 * time.Millisecond):
 			if time.Now().After(killDeadline) {
-				t.Fatal("serveUntilSignal did not return after SIGTERM")
+				t.Fatal("ServeUntilSignal did not return after SIGTERM")
 			}
 		}
 	}
 	if serveErr != nil {
-		t.Fatalf("serveUntilSignal returned %v after graceful shutdown", serveErr)
+		t.Fatalf("ServeUntilSignal returned %v after graceful shutdown", serveErr)
 	}
 	logs := out.String()
 	for _, want := range []string{"shutdown signal received", "graceful shutdown complete"} {

@@ -95,9 +95,8 @@
 // workload writing BENCH_PR6.json), cmd/simrun (run a full simulation with
 // a chosen index), cmd/benchjson (record the paired pointer-vs-compact
 // layout benchmarks in BENCH_*.json) and cmd/spatialserver (versioned
-// HTTP/JSON range, knn, join, update-batch and stats endpoints over
-// internal/serve — /v1/ routes with the legacy unversioned paths kept as
-// byte-identical aliases) and cmd/spatialcluster (the same /v1 range, knn,
-// join and update surface over internal/cluster); both speak through
-// internal/httpapi. Runnable examples are under examples/.
+// HTTP/JSON range, knn, join, update-batch and stats endpoints under /v1/
+// over internal/serve) and cmd/spatialcluster (the same /v1 surface over
+// internal/cluster); both serve the one handler set in internal/httpapi.
+// Runnable examples are under examples/.
 package spatialsim

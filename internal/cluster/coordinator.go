@@ -21,7 +21,7 @@ import (
 // ErrUnavailable is the coordinator's zero-progress failure: every node that
 // could have answered is down or failing, so there is no partial result to
 // degrade to.
-var ErrUnavailable = errors.New("cluster: no node available")
+var ErrUnavailable = serve.ErrUnavailable
 
 // worldExtent bounds the universe box the join gather scans (finite so MBR
 // intersection arithmetic stays exact).
@@ -64,9 +64,11 @@ type Reply struct {
 	// order — or kNN results (sorted by distance, ties by ID). Every item is
 	// emitted by exactly one task, so there are no duplicates to remove.
 	Items []index.Item `json:"-"`
-	// Pairs, JoinAlgo and JoinStats hold the cluster join outcome.
+	// Pairs, JoinAlgo, JoinItems (the gathered item count) and JoinStats
+	// hold the cluster join outcome.
 	Pairs     []join.Pair    `json:"-"`
 	JoinAlgo  join.Algorithm `json:"-"`
+	JoinItems int            `json:"-"`
 	JoinStats exec.JoinStats `json:"-"`
 	// FanOut counts fan-out tasks launched — node queries, including hedges
 	// and failovers (a node asked twice, for disjoint tile sets, counts
@@ -291,8 +293,8 @@ func (c *Coordinator) applyLocked(ctx context.Context, batch []serve.Update) (ui
 	for i, err := range errs {
 		if err != nil {
 			c.stageFails.Add(1)
-			return 0, fmt.Errorf("cluster: epoch %d stage on %s failed, swap aborted (readers stay on epoch %d): %w",
-				next, c.nodes[i].Name(), cur.Epoch, err)
+			return 0, fmt.Errorf("cluster: epoch %d stage on %s failed, %w (readers stay on epoch %d): %w",
+				next, c.nodes[i].Name(), serve.ErrSwapAborted, cur.Epoch, err)
 		}
 	}
 
@@ -309,7 +311,7 @@ func (c *Coordinator) applyLocked(ctx context.Context, batch []serve.Update) (ui
 			}
 			ps.End()
 			c.stageFails.Add(1)
-			return 0, fmt.Errorf("cluster: epoch %d publish pin on %s failed, swap aborted: %w", next, tr.Name(), err)
+			return 0, fmt.Errorf("cluster: epoch %d publish pin on %s failed, %w: %w", next, tr.Name(), serve.ErrSwapAborted, err)
 		}
 		nv.Nodes[i] = viewNode{Ref: ref}
 	}
@@ -470,6 +472,7 @@ func (c *Coordinator) Join(ctx context.Context, jr serve.JoinRequest) Reply {
 	}
 	rep.Pairs = pairs
 	rep.JoinAlgo = plan.Algo()
+	rep.JoinItems = len(items)
 	rep.JoinStats = stats
 	if stats.Cancelled {
 		if len(pairs) == 0 {

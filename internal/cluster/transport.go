@@ -15,7 +15,7 @@ var ErrNodeDown = errors.New("cluster: node down")
 
 // ErrNotBootstrapped is returned by coordinator writes before Bootstrap has
 // computed a placement — without tiles there is nothing to route by.
-var ErrNotBootstrapped = errors.New("cluster: not bootstrapped")
+var ErrNotBootstrapped = serve.ErrNotBootstrapped
 
 const (
 	// FaultNodeStage is the failpoint consulted once per node on the staging

@@ -20,7 +20,7 @@ const maxPooledReply = 64 << 10
 
 var replyPool = sync.Pool{New: func() any { return &Reply{buf: make([]byte, 0, 8<<10)} }}
 
-// Reply is a range/kNN reply under construction: the envelope appended to a
+// Reply is a read reply under construction: the envelope appended to a
 // pooled buffer field by field, in wire order. The bytes are exactly what
 // json.NewEncoder(w).Encode of the equivalent struct (omitempty on the
 // optional fields) writes. Send it exactly once; it is not usable after.
@@ -29,14 +29,20 @@ type Reply struct {
 	err error
 }
 
+// newObject starts a reply at {"epoch":E.
+func newObject(epoch uint64) *Reply {
+	b := replyPool.Get().(*Reply)
+	b.buf = append(b.buf, `{"epoch":`...)
+	b.buf = strconv.AppendUint(b.buf, epoch, 10)
+	return b
+}
+
 // NewReply starts {"epoch":E,"count":N,"items":[...]} with every item
 // appended straight from the index — no intermediate copy, no reflection.
 // The caller appends its remaining fields in wire order, then Sends.
 func NewReply(epoch uint64, items []index.Item) *Reply {
-	b := replyPool.Get().(*Reply)
-	buf := append(b.buf, `{"epoch":`...)
-	buf = strconv.AppendUint(buf, epoch, 10)
-	buf = append(buf, `,"count":`...)
+	b := newObject(epoch)
+	buf := append(b.buf, `,"count":`...)
 	buf = strconv.AppendInt(buf, int64(len(items)), 10)
 	buf = append(buf, `,"items":[`...)
 	for i := range items {
@@ -92,6 +98,34 @@ func (b *Reply) Int(key string, v int) {
 func (b *Reply) True(key string) {
 	b.key(key)
 	b.buf = append(b.buf, "true"...)
+}
+
+// newJoinReply starts a join reply: {"epoch":E,"algorithm":A,"eps":F,
+// "items":N,"count":C,"truncated":T,"pairs":[[a,b],...] with at most limit
+// pairs; eps is finite (Params.Join refuses anything else).
+func newJoinReply(res Result, eps float64, limit int) *Reply {
+	b := newObject(res.Epoch)
+	b.JSON("algorithm", res.JoinAlgo.String())
+	b.key("eps")
+	b.buf = AppendFloat(b.buf, eps)
+	b.Int("items", res.JoinItems)
+	b.Int("count", len(res.Pairs))
+	b.key("truncated")
+	b.buf = strconv.AppendBool(b.buf, len(res.Pairs) > limit)
+	b.key("pairs")
+	buf := append(b.buf, '[')
+	for i, p := range res.Pairs[:min(len(res.Pairs), limit)] {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, '[')
+		buf = strconv.AppendInt(buf, p.A, 10)
+		buf = append(buf, ',')
+		buf = strconv.AppendInt(buf, p.B, 10)
+		buf = append(buf, ']')
+	}
+	b.buf = append(buf, ']')
+	return b
 }
 
 // JSON appends ,"key": and v through encoding/json — the rare fields (plan,

@@ -1,4 +1,4 @@
-package httpapi
+package httpapi_test
 
 import (
 	"bytes"
@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"spatialsim/internal/geom"
+	"spatialsim/internal/httpapi"
 	"spatialsim/internal/httpapi/httpapitest"
 	"spatialsim/internal/index"
 	"spatialsim/internal/serve"
@@ -34,7 +35,7 @@ func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := AppendFloat(nil, f); !bytes.Equal(got, want) {
+		if got := httpapi.AppendFloat(nil, f); !bytes.Equal(got, want) {
 			t.Errorf("AppendFloat(%v) = %s, encoding/json %s", f, got, want)
 		}
 	}
@@ -53,7 +54,7 @@ func FuzzAppendJSONFloat(f *testing.F) {
 			}
 			return
 		}
-		if got := AppendFloat([]byte("x"), v); !bytes.Equal(got[1:], want) || got[0] != 'x' {
+		if got := httpapi.AppendFloat([]byte("x"), v); !bytes.Equal(got[1:], want) || got[0] != 'x' {
 			t.Fatalf("AppendFloat(%v [%#x]) = %s, encoding/json %s", v, bits, got[1:], want)
 		}
 	})
@@ -69,7 +70,7 @@ func TestReplyMatchesEncodingJSON(t *testing.T) {
 			Epoch: 7, Count: n, Items: httpapitest.Items(items),
 			Degraded: true, ShardErrors: shardErrs,
 		})
-		b := NewReply(7, items)
+		b := httpapi.NewReply(7, items)
 		b.True("degraded")
 		b.JSON("shard_errors", shardErrs)
 		rec := httptest.NewRecorder()
@@ -97,9 +98,9 @@ func TestReplyNonFiniteAnswers500(t *testing.T) {
 		if err == nil {
 			t.Fatal("oracle encoded a non-finite float")
 		}
-		want := encode(t, ErrorEnvelope{Error: ErrorBody{Code: "internal", Message: err.Error()}})
+		want := encode(t, httpapi.ErrorEnvelope{Error: httpapi.ErrorBody{Code: "internal", Message: err.Error()}})
 		rec := httptest.NewRecorder()
-		NewReply(0, items).Send(rec)
+		httpapi.NewReply(0, items).Send(rec)
 		if rec.Code != http.StatusInternalServerError || !bytes.Equal(rec.Body.Bytes(), want) {
 			t.Fatalf("%v: %d %s, want 500 %s", bad, rec.Code, rec.Body.Bytes(), want)
 		}
@@ -109,7 +110,7 @@ func TestReplyNonFiniteAnswers500(t *testing.T) {
 func TestWriteJSONAndError(t *testing.T) {
 	v := map[string]any{"a": []int{1, 2}, "b": "<&>", "c": 1e-7}
 	rec := httptest.NewRecorder()
-	WriteJSON(rec, v)
+	httpapi.WriteJSON(rec, v)
 	if want := encode(t, v); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Fatalf("WriteJSON: %d %s, want %s", rec.Code, rec.Body.Bytes(), want)
 	}
@@ -118,14 +119,14 @@ func TestWriteJSONAndError(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	WriteJSON(rec, math.NaN())
+	httpapi.WriteJSON(rec, math.NaN())
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("WriteJSON(NaN): status %d", rec.Code)
 	}
 
 	rec = httptest.NewRecorder()
-	Error(rec, http.StatusTeapot, "teapot", "short & stout")
-	want := encode(t, ErrorEnvelope{Error: ErrorBody{Code: "teapot", Message: "short & stout"}})
+	httpapi.Error(rec, http.StatusTeapot, "teapot", "short & stout")
+	want := encode(t, httpapi.ErrorEnvelope{Error: httpapi.ErrorBody{Code: "teapot", Message: "short & stout"}})
 	if rec.Code != http.StatusTeapot || !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Fatalf("Error: %d %s, want %s", rec.Code, rec.Body.Bytes(), want)
 	}
@@ -169,7 +170,7 @@ func BenchmarkWriteItems(b *testing.B) {
 	b.Run("append", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			NewReply(3, items).Send(w)
+			httpapi.NewReply(3, items).Send(w)
 		}
 	})
 }
@@ -182,7 +183,7 @@ func BenchmarkWriteItems(b *testing.B) {
 // net/http itself.
 func BenchmarkHTTPFloor(b *testing.B) {
 	body := bytes.Repeat([]byte("x"), 6052)
-	noop := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { write(w, http.StatusOK, body) })
+	noop := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { httpapi.Write(w, http.StatusOK, body) })
 
 	store, err := serve.New(serve.Config{Shards: 4})
 	if err != nil {
@@ -196,15 +197,15 @@ func BenchmarkHTTPFloor(b *testing.B) {
 		data[i] = index.Item{ID: int64(i), Box: geom.AABBFromCenter(c, geom.V(0.5, 0.5, 0.5))}
 	}
 	store.Bootstrap(data)
-	rangeH := Handler(func(w http.ResponseWriter, r *http.Request, p Params) {
+	rangeH := httpapi.Handler(func(w http.ResponseWriter, r *http.Request, p httpapi.Params) {
 		box, limit, err := p.Range()
 		if err != nil {
-			BadRequest(w, err)
+			httpapi.BadRequest(w, err)
 			return
 		}
 		ctx, cancel, err := p.Context(r.Context())
 		if err != nil {
-			BadRequest(w, err)
+			httpapi.BadRequest(w, err)
 			return
 		}
 		defer cancel()
@@ -213,7 +214,7 @@ func BenchmarkHTTPFloor(b *testing.B) {
 		if limit > 0 && len(items) > limit {
 			items = items[:limit]
 		}
-		NewReply(rep.Epoch, items).Send(w)
+		httpapi.NewReply(rep.Epoch, items).Send(w)
 	})
 	// (s+1)^3 / 100^3 of 20 000 unit boxes ≈ 40 items for s = 11.6.
 	paths := make([]string, 64)

@@ -1,8 +1,11 @@
-// Package httpapi is the HTTP/JSON wire code cmd/spatialserver and
-// cmd/spatialcluster share: one query-string parser whose readers refuse
-// what cannot be answered (params.go), and one encoder — range/kNN replies
-// appended into pooled buffers, the error envelope and the remaining JSON
-// replies — that sets Content-Length and writes each body once (encode.go).
+// Package httpapi is the one HTTP surface cmd/spatialserver and
+// cmd/spatialcluster serve: the /v1 handlers over a Backend that each binary
+// adapts, with request ids, per-route metrics, tracing, the slow-query log,
+// one error table and graceful shutdown (server.go); one query-string parser
+// whose readers refuse what cannot be answered (params.go); and one encoder
+// — read replies appended into pooled buffers, the error envelope and the
+// remaining JSON replies — that sets Content-Length and writes each body
+// once (encode.go).
 package httpapi
 
 import (
@@ -20,6 +23,7 @@ import (
 
 	"spatialsim/internal/geom"
 	"spatialsim/internal/join"
+	"spatialsim/internal/obs"
 	"spatialsim/internal/serve"
 )
 
@@ -232,16 +236,43 @@ type UpdateRequest struct {
 	Deletes []int64    `json:"deletes"`
 }
 
-// ReadUpdate decodes a POST update body into one batch, upserts first. It
-// answers 405 to any other method and 400 to a body that does not decode;
-// ok is false when it has answered.
-func ReadUpdate(w http.ResponseWriter, r *http.Request) (batch []serve.Update, ok bool) {
+// UpdateResponse reports the epoch an update batch was published as.
+type UpdateResponse struct {
+	Epoch   uint64 `json:"epoch"`
+	Applied int    `json:"applied"`
+	// Trace is the update's span tree, present only with ?trace=1.
+	Trace *obs.SpanJSON `json:"trace,omitempty"`
+}
+
+// MaxUpdateBody caps an update body at 64 MiB: well above one POST of
+// 200 000 items (about 26 MiB), and a bound on what a client can make the
+// decoder buffer.
+const MaxUpdateBody = 64 << 20
+
+// readUpdate decodes a POST update body of at most limit bytes into one
+// batch, upserts first. It answers 405 to any other method, 413 to a longer
+// body and 400 to one that does not decode; ok is false when it has
+// answered. A body declared longer than limit is refused before any of it
+// is read.
+func readUpdate(w http.ResponseWriter, r *http.Request, limit int64) (batch []serve.Update, ok bool) {
 	if r.Method != http.MethodPost {
 		Error(w, http.StatusMethodNotAllowed, "method_not_allowed", "update requires POST")
 		return nil, false
 	}
 	var req UpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	var err error
+	if r.ContentLength > limit {
+		err = &http.MaxBytesError{Limit: limit}
+	} else {
+		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&req)
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		Error(w, http.StatusRequestEntityTooLarge, "too_large",
+			fmt.Sprintf("update body exceeds %d bytes", tooLarge.Limit))
+		return nil, false
+	}
+	if err != nil {
 		BadRequest(w, fmt.Errorf("bad update body: %w", err))
 		return nil, false
 	}

@@ -2,6 +2,8 @@ package httpapi
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"runtime"
 	"strings"
@@ -126,6 +128,36 @@ func TestContext(t *testing.T) {
 		p = Parse(bad)
 		if _, _, err := p.Context(parent); err == nil {
 			t.Errorf("%s: accepted", bad)
+		}
+	}
+}
+
+// TestReadUpdateCapsTheBody pins the 413 on both sides of the cap: a body
+// declared too long is refused unread, and one whose length was not
+// declared is cut off once it passes the cap.
+func TestReadUpdateCapsTheBody(t *testing.T) {
+	const body = `{"upserts":[{"id":1,"min":[1,1,1],"max":[2,2,2]}],"deletes":[7]}`
+	for _, tc := range []struct {
+		name          string
+		limit, length int64
+		status        int
+	}{
+		{"fits", int64(len(body)), int64(len(body)), http.StatusOK},
+		{"declared over", int64(len(body)) - 1, int64(len(body)), http.StatusRequestEntityTooLarge},
+		{"streamed over", int64(len(body)) - 1, -1, http.StatusRequestEntityTooLarge},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/update", strings.NewReader(body))
+		r.ContentLength = tc.length
+		w := httptest.NewRecorder()
+		batch, ok := readUpdate(w, r, tc.limit)
+		if tc.status == http.StatusOK {
+			if !ok || len(batch) != 2 || w.Body.Len() != 0 {
+				t.Errorf("%s: ok=%v batch=%v reply %s", tc.name, ok, batch, w.Body.Bytes())
+			}
+			continue
+		}
+		if ok || w.Code != tc.status || !strings.Contains(w.Body.String(), `"too_large"`) {
+			t.Errorf("%s: ok=%v %d %s", tc.name, ok, w.Code, w.Body.Bytes())
 		}
 	}
 }

@@ -3,8 +3,8 @@ package serve
 // Typed failure surface of the robust query path. Every Store.Query outcome
 // is one of three shapes: a clean Reply, a degraded Reply (partial results,
 // per-shard error detail, Reply.Err nil), or a failed Reply whose Err is one
-// of the sentinels below — the contract cmd/spatialserver maps onto HTTP
-// status codes and the future multi-node coordinator will inherit per shard.
+// of the sentinels below — the contract internal/httpapi maps onto HTTP
+// status codes for the store and for the cluster coordinator alike.
 
 import (
 	"context"
@@ -23,6 +23,22 @@ var ErrOverload = errors.New("serve: overloaded: request shed by admission contr
 // any shard produced a result. It wraps context.DeadlineExceeded, so
 // errors.Is(err, context.DeadlineExceeded) holds.
 var ErrDeadline = fmt.Errorf("serve: query deadline exceeded: %w", context.DeadlineExceeded)
+
+// The cluster coordinator's failures are declared here, beside the store's,
+// so that one error table maps both back ends without importing the
+// cluster; internal/cluster re-exports the first two under its own name.
+var (
+	// ErrUnavailable is a zero-progress read: every node that could have
+	// answered is down or failing, so there is no partial result to degrade
+	// to.
+	ErrUnavailable = errors.New("cluster: no node available")
+	// ErrNotBootstrapped is a write before Bootstrap computed a placement.
+	ErrNotBootstrapped = errors.New("cluster: not bootstrapped")
+	// ErrSwapAborted wraps every failed cluster swap: some node did not stage
+	// or pin the next epoch, so readers stay on the current one and the write
+	// may be retried.
+	ErrSwapAborted = errors.New("swap aborted")
+)
 
 // mapCtxErr normalizes a context error into the serve sentinel vocabulary:
 // deadline expiry becomes ErrDeadline, cancellation passes through.
