@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-test perf bench-json serve cluster loadgen join-bench plan-bench mmap-bench cluster-bench cover fuzz fmt vet vet-strict chaos ci
+.PHONY: all build test race bench bench-test perf bench-json serve cluster loadgen join-bench plan-bench cluster-bench cover fuzz cross fmt vet vet-strict chaos ci
 
 all: build
 
@@ -67,16 +67,6 @@ PLANBENCH_ARGS ?= -elements 60000 -shards 8
 plan-bench:
 	$(GO) run ./cmd/spatialbench -exp plan $(PLANBENCH_ARGS) -out BENCH_PR6.json
 
-# mmap-bench runs the E15 zero-copy serving experiment (mapped vs heap cold
-# restart on the same durable store, answer identity across range/kNN, and
-# the constrained-buffer-pool pread-vs-mmap page contrast) and records the
-# cold-restart speedup + identity verdict in BENCH_PR9.json. MMAPBENCH_ARGS
-# shrinks the run in CI; -shards pins the shard count so single-core runners
-# still exercise multi-shard zero-copy recovery.
-MMAPBENCH_ARGS ?= -elements 200000 -queries 100 -shards 4
-mmap-bench:
-	$(GO) run ./cmd/spatialbench -exp mmap $(MMAPBENCH_ARGS) -out BENCH_PR9.json
-
 # cluster starts the distributed serving harness (cmd/spatialcluster): an
 # in-process fleet of nodes behind the scatter/gather coordinator, with
 # kill/revive admin endpoints for failure drills.
@@ -118,6 +108,15 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzAABBIntersectContain -fuzztime $(FUZZTIME) ./internal/geom/
 	$(GO) test -run xxx -fuzz FuzzSelfJoinGrid -fuzztime $(FUZZTIME) ./internal/join/
 	$(GO) test -run xxx -fuzz FuzzAppendJSONFloat -fuzztime $(FUZZTIME) ./internal/httpapi/
+
+# cross is the overlay's portability gate. Persisted R-Tree shards are only
+# ever read as overlays of their bytes, so the 64-byte node layout must hold
+# (and the overlay tests must run, not skip) where float64 is 4-byte aligned
+# (GOARCH=386 runs natively on amd64 hosts), and the packages must still
+# build for a big-endian target, where persist.Open refuses up front.
+cross:
+	GOARCH=386 $(GO) test ./internal/rtree/ ./internal/persist/ ./internal/serve/
+	GOARCH=s390x $(GO) vet ./internal/rtree/ ./internal/persist/
 
 # chaos soaks the durable serving store under injected disk faults (failed,
 # torn and stalled writes), deadlined query load and crash-abandon restarts,

@@ -13,7 +13,7 @@
 //
 // Experiments: fig2, fig3, fig4, updates, indexes, lsh, join, moving,
 // simstep, mesh, ablation-resolution, ablation-advisor, parallel,
-// cache-layout, serve, join-scale, plan, mmap, cluster, all.
+// cache-layout, serve, join-scale, plan, cluster, all.
 //
 // The -workers flag sets the goroutine budget of the parallel execution
 // engine (internal/exec); "serve" is the load-generator mode that drives the
@@ -25,12 +25,9 @@
 // (BENCH_PR4.json); "plan" races the statistics-driven query planner (with
 // the epoch result cache) against every forced static index family on one
 // mixed range/kNN/join workload and, with -out, records the walls and the
-// planner-beats-worst verdict as JSON (BENCH_PR6.json); "mmap" measures
-// zero-copy mapped serving — cold-restart time and query equivalence of
-// Serving=mapped versus heap recovery plus the constrained-buffer-pool
-// contrast — and, with -out, records the run as JSON (BENCH_PR9.json);
-// "cluster" proves the distributed coordinator — scatter/gather answers
-// identical to a single store, zero torn epochs under cluster-wide swap load,
+// planner-beats-worst verdict as JSON (BENCH_PR6.json); "cluster" proves
+// the distributed coordinator — scatter/gather answers identical to a single
+// store, zero torn epochs under cluster-wide swap load,
 // node kills degraded-but-correct (replication 1) or absorbed (replication 2)
 // — and, with -out, records the run as JSON (BENCH_PR10.json).
 package main
@@ -57,7 +54,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("spatialbench", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
-		exp         = fs.String("exp", "all", "experiment to run (fig2|fig3|fig4|updates|indexes|lsh|join|moving|simstep|mesh|ablation-resolution|ablation-advisor|parallel|cache-layout|serve|join-scale|plan|mmap|cluster|all)")
+		exp         = fs.String("exp", "all", "experiment to run (fig2|fig3|fig4|updates|indexes|lsh|join|moving|simstep|mesh|ablation-resolution|ablation-advisor|parallel|cache-layout|serve|join-scale|plan|cluster|all)")
 		elements    = fs.Int("elements", 100000, "number of spatial elements")
 		queries     = fs.Int("queries", 200, "number of range queries")
 		selectivity = fs.Float64("selectivity", 5e-6, "range query selectivity (fraction of universe volume)")
@@ -93,19 +90,16 @@ func run(args []string, stdout io.Writer) error {
 		Shards:       *shards,
 		CacheEntries: *cacheSize,
 	}
-	mmapCfg := experiments.MmapBenchConfig{
-		Shards: *shards,
-	}
 	clusterCfg := experiments.ClusterBenchConfig{
 		Nodes:       *nodes,
 		Replication: *replication,
 		Shards:      *shards,
 		SwapGens:    *swapGens,
 	}
-	return runExp(strings.ToLower(*exp), scale, *steps, serveCfg, planCfg, mmapCfg, clusterCfg, *out, stdout)
+	return runExp(strings.ToLower(*exp), scale, *steps, serveCfg, planCfg, clusterCfg, *out, stdout)
 }
 
-func runExp(exp string, scale experiments.Scale, steps int, serveCfg experiments.ServeConfig, planCfg experiments.PlanBenchConfig, mmapCfg experiments.MmapBenchConfig, clusterCfg experiments.ClusterBenchConfig, out string, stdout io.Writer) error {
+func runExp(exp string, scale experiments.Scale, steps int, serveCfg experiments.ServeConfig, planCfg experiments.PlanBenchConfig, clusterCfg experiments.ClusterBenchConfig, out string, stdout io.Writer) error {
 	runOne := func(name, out string) error {
 		switch name {
 		case "fig2":
@@ -163,15 +157,6 @@ func runExp(exp string, scale experiments.Scale, steps int, serveCfg experiments
 				}
 				fmt.Fprintf(stdout, "wrote %s\n", out)
 			}
-		case "mmap":
-			res := experiments.MmapBench(scale, mmapCfg)
-			fmt.Fprintln(stdout, res)
-			if out != "" {
-				if err := experiments.WriteMmapBenchReport(out, res); err != nil {
-					return err
-				}
-				fmt.Fprintf(stdout, "wrote %s\n", out)
-			}
 		case "cluster":
 			res := experiments.ClusterBench(scale, clusterCfg)
 			fmt.Fprintln(stdout, res)
@@ -195,7 +180,7 @@ func runExp(exp string, scale experiments.Scale, steps int, serveCfg experiments
 		for _, name := range []string{
 			"fig2", "fig3", "fig4", "updates", "indexes", "lsh", "join",
 			"moving", "simstep", "mesh", "ablation-resolution", "ablation-advisor",
-			"parallel", "cache-layout", "serve", "join-scale", "plan", "mmap", "cluster",
+			"parallel", "cache-layout", "serve", "join-scale", "plan", "cluster",
 		} {
 			if err := runOne(name, ""); err != nil {
 				return err

@@ -17,7 +17,9 @@
 //     files (natively serialized R-Tree Compact slabs, item-list fallback
 //     for other shard families), an append-only manifest/WAL with
 //     checksummed records and rotation, crash recovery that falls back one
-//     snapshot generation at a time, and PagedCompact — the disk-resident
+//     snapshot generation at a time and serves every recovered R-Tree shard
+//     as an overlay of the segment image (read onto the heap or mmap'd —
+//     one read path, no decoder), and PagedCompact — the disk-resident
 //     paged read path over the same serialized format (the Figure 2 disk
 //     baseline);
 //   - internal/rtree, internal/crtree, internal/kdtree, internal/octree,

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -171,13 +172,13 @@ func ClusterBench(s Scale, cfg ClusterBenchConfig) ClusterBenchResult {
 	t0 = time.Now()
 	for qi, q := range queries {
 		rep := co.Range(ctx, q)
-		if rep.Err != nil || rep.Degraded || !sameIDs(sortedIDs(rep.Items), singleAnswers[qi]) {
+		if rep.Err != nil || rep.Degraded || !slices.Equal(sortedIDs(rep.Items), singleAnswers[qi]) {
 			res.Identical = false
 		}
 	}
 	for pi, p := range points {
 		rep := co.KNN(ctx, p, 8)
-		if rep.Err != nil || rep.Degraded || !sameIDs(sortedIDs(rep.Items), singleAnswers[len(queries)+pi]) {
+		if rep.Err != nil || rep.Degraded || !slices.Equal(sortedIDs(rep.Items), singleAnswers[len(queries)+pi]) {
 			res.Identical = false
 		}
 	}
@@ -336,7 +337,10 @@ func itemsToUpserts(items []index.Item) []serve.Update {
 }
 
 func sortedIDs(items []index.Item) []int64 {
-	ids := itemIDs(items)
+	ids := make([]int64, len(items))
+	for i, it := range items {
+		ids[i] = it.ID
+	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }

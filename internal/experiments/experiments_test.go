@@ -478,51 +478,6 @@ func TestPlanBenchRunsAndReports(t *testing.T) {
 	}
 }
 
-func TestMmapBenchIdenticalNoRebuildAndReport(t *testing.T) {
-	s := Scale{Elements: 6000, Queries: 20, Selectivity: 5e-5, Seed: 42}
-	r := MmapBench(s, MmapBenchConfig{Shards: 4, Rounds: 1, PoolPages: 8})
-	if !r.Identical {
-		t.Fatal("mapped answers diverge from heap answers")
-	}
-	if r.RebuiltShards != 0 {
-		t.Fatalf("mapped recovery rebuilt %d shards", r.RebuiltShards)
-	}
-	if r.HeapOpen <= 0 || r.MappedOpen <= 0 || r.Speedup <= 0 {
-		t.Fatalf("missing open timings: %+v", r)
-	}
-	if r.MmapSupported && r.ZeroCopyShards != 4 {
-		t.Fatalf("zero-copy shards = %d, want 4 on an mmap platform", r.ZeroCopyShards)
-	}
-	if r.PagedHitRate <= 0 || r.PagedHitRate >= 1 {
-		t.Fatalf("constrained pool hit rate %.3f should be partial", r.PagedHitRate)
-	}
-	if !strings.Contains(r.String(), "E15") {
-		t.Fatal("String missing title")
-	}
-
-	path := filepath.Join(t.TempDir(), "mmap.json")
-	if err := WriteMmapBenchReport(path, r); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Elements       int     `json:"elements"`
-		Speedup        float64 `json:"cold_restart_speedup"`
-		Identical      bool    `json:"identical_answers"`
-		RebuiltShards  int     `json:"rebuilt_shards"`
-		ZeroCopyShards int     `json:"zero_copy_shards"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report does not parse: %v", err)
-	}
-	if rep.Elements != s.Elements || !rep.Identical || rep.RebuiltShards != 0 || rep.Speedup != r.Speedup {
-		t.Fatalf("report shape wrong: %+v", rep)
-	}
-}
-
 func TestClusterBenchConformanceAndDrills(t *testing.T) {
 	s := Scale{Elements: 4000, Queries: 15, Selectivity: 5e-5, Seed: 7}
 	r := ClusterBench(s, ClusterBenchConfig{Nodes: 3, Replication: 2, Shards: 4, SwapGens: 3, SwapReaders: 2, SwapItems: 400})

@@ -7,7 +7,12 @@ package persist
 // thing (the round-trip law the recovery path depends on).
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
@@ -27,6 +32,47 @@ func fuzzSeedSegment() []byte {
 	return EncodeSegment(3, 7, shards, 512)
 }
 
+// checkSegmentDecode is the body of both segment fuzzers: it drives the one
+// segment decoder on data, with or without the payload CRC check. Whatever
+// is accepted must be traversable without panics or out-of-range access,
+// and must re-encode to a segment that decodes (CRC-checked) to the same
+// shard shapes.
+func checkSegmentDecode(t *testing.T, data []byte, verifyCRC bool) ([]ShardRecord, bool) {
+	t.Helper()
+	info, shards, err := DecodeSegment(data, 2, verifyCRC)
+	if err != nil {
+		return nil, false
+	}
+	if len(shards) != info.ShardCount {
+		t.Fatalf("decoded %d shards, header says %d", len(shards), info.ShardCount)
+	}
+	query := geom.NewAABB(geom.V(-1000, -1000, -1000), geom.V(1000, 1000, 1000))
+	for _, sr := range shards {
+		if sr.RTree == nil {
+			continue
+		}
+		n := 0
+		sr.RTree.RangeVisit(query, func(index.Item) bool { n++; return n < 10000 })
+		sr.RTree.KNN(geom.V(1, 2, 3), 3)
+	}
+	re := EncodeSegment(info.EpochSeq, info.BatchSeq, shards, info.PageSize)
+	info2, shards2, err := DecodeSegment(re, 2, true)
+	if err != nil {
+		t.Fatalf("re-encoded segment rejected: %v", err)
+	}
+	if info2.EpochSeq != info.EpochSeq || info2.BatchSeq != info.BatchSeq || len(shards2) != len(shards) {
+		t.Fatalf("re-encode changed identity: %+v vs %+v", info2, info)
+	}
+	for i := range shards {
+		if shards[i].Len() != shards2[i].Len() {
+			t.Fatalf("shard %d: %d items became %d", i, shards[i].Len(), shards2[i].Len())
+		}
+	}
+	return shards, true
+}
+
+// FuzzDecodeSegment drives the segment decoder as heap recovery runs it,
+// with the payload CRC checked.
 func FuzzDecodeSegment(f *testing.F) {
 	seed := fuzzSeedSegment()
 	f.Add(seed)
@@ -40,26 +86,47 @@ func FuzzDecodeSegment(f *testing.F) {
 		if len(data) > 1<<20 {
 			t.Skip("oversized input")
 		}
-		info, shards, err := DecodeSegment(data, 2)
+		checkSegmentDecode(t, data, true)
+	})
+}
+
+// FuzzDecodeSegmentMapped drives the segment decoder as the mapped open runs
+// it, with the CRC check off: no checksum stands between arbitrary bytes and
+// the overlays, so structural validation alone must reject corruption that
+// could fault. The CRC check may only add rejections: where the checked
+// decode also accepts, both see the same shard shapes.
+func FuzzDecodeSegmentMapped(f *testing.F) {
+	seed := fuzzSeedSegment()
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	f.Add(seed[:511])
+	// Flip a byte inside the first shard's blob-length field (payload at
+	// page 1, record header is kind+pad(8) + bounds(48), length at +56).
+	flippedLen := append([]byte(nil), seed...)
+	flippedLen[512+56] ^= 0xFF
+	f.Add(flippedLen)
+	flipped := append([]byte(nil), seed...)
+	flipped[600] ^= 0xFF
+	f.Add(flipped)
+	f.Add([]byte("not a segment"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<20 {
+			t.Skip("oversized input")
+		}
+		shards, ok := checkSegmentDecode(t, data, false)
+		_, checked, err := DecodeSegment(data, 2, true)
 		if err != nil {
 			return
 		}
-		// Accepted input: the decode must be internally consistent and
-		// re-encodable to something that decodes identically.
-		if len(shards) != info.ShardCount {
-			t.Fatalf("decoded %d shards, header says %d", len(shards), info.ShardCount)
+		if !ok {
+			t.Fatal("CRC-checked decode accepted what the unchecked decode rejects")
 		}
-		re := EncodeSegment(info.EpochSeq, info.BatchSeq, shards, info.PageSize)
-		info2, shards2, err := DecodeSegment(re, 2)
-		if err != nil {
-			t.Fatalf("re-encoded segment rejected: %v", err)
+		if len(checked) != len(shards) {
+			t.Fatalf("unchecked decode has %d shards, checked %d", len(shards), len(checked))
 		}
-		if info2.EpochSeq != info.EpochSeq || info2.BatchSeq != info.BatchSeq || len(shards2) != len(shards) {
-			t.Fatalf("re-encode changed identity: %+v vs %+v", info2, info)
-		}
-		for i := range shards {
-			if shards[i].Len() != shards2[i].Len() {
-				t.Fatalf("shard %d: %d items became %d", i, shards[i].Len(), shards2[i].Len())
+		for i := range checked {
+			if checked[i].Len() != shards[i].Len() {
+				t.Fatalf("shard %d: unchecked %d items, checked %d", i, shards[i].Len(), checked[i].Len())
 			}
 		}
 	})
@@ -111,96 +178,31 @@ func FuzzDecodeManifest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeCompact drives the R-Tree slab decoder, then queries whatever it
-// accepts — a decode that passes validation must be traversable without
-// panics or out-of-range indexing.
-func FuzzDecodeCompact(f *testing.F) {
-	items := testItems(200, 13)
-	blob := rtree.FreezeItems(items, rtree.Config{}).AppendBinary(nil)
-	f.Add(blob)
-	f.Add(blob[:len(blob)/3])
-	mutated := append([]byte(nil), blob...)
-	mutated[40] ^= 0x10
-	f.Add(mutated)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<20 {
-			t.Skip("oversized input")
-		}
-		c, _, err := rtree.DecodeCompact(data)
-		if err != nil {
-			return
-		}
-		q := geom.NewAABB(geom.V(-10, -10, -10), geom.V(110, 110, 110))
-		n := 0
-		c.RangeVisit(q, func(index.Item) bool { n++; return n < 10000 })
-		c.KNN(geom.V(1, 2, 3), 5)
-	})
+// compactAnswers is the range and kNN answer list fuzzers compare overlays
+// by, capped so a corrupt-but-accepted tree cannot run away.
+func compactAnswers(c *rtree.Compact) []int64 {
+	var ids []int64
+	q := geom.NewAABB(geom.V(-10, -10, -10), geom.V(110, 110, 110))
+	c.RangeVisit(q, func(it index.Item) bool { ids = append(ids, it.ID); return len(ids) < 10000 })
+	for _, it := range c.KNN(geom.V(1, 2, 3), 5) {
+		ids = append(ids, it.ID)
+	}
+	return ids
 }
 
-// FuzzDecodeSegmentMapped drives the zero-copy segment decoder with
-// verifyCRC=false — the mapped open path, where no checksum stands between
-// arbitrary bytes and the overlay. Structural validation alone must reject
-// corruption: a flipped length field must error, and whatever is accepted
-// must be traversable without a fault. Accepted images are cross-checked
-// against the copying decoder where it also accepts.
-func FuzzDecodeSegmentMapped(f *testing.F) {
-	seed := fuzzSeedSegment()
-	f.Add(seed)
-	f.Add(seed[:len(seed)/2])
-	f.Add(seed[:511])
-	// Flip a byte inside the first shard's blob-length field (v2 layout:
-	// payload at page 1, record header is kind+pad(8) + bounds(48), length
-	// at +56).
-	flippedLen := append([]byte(nil), seed...)
-	flippedLen[512+56] ^= 0xFF
-	f.Add(flippedLen)
-	flipped := append([]byte(nil), seed...)
-	flipped[600] ^= 0xFF
-	f.Add(flipped)
-	f.Add([]byte("not a segment"))
-	query := geom.NewAABB(geom.V(-1000, -1000, -1000), geom.V(1000, 1000, 1000))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<20 {
-			t.Skip("oversized input")
-		}
-		info, shards, zc, err := DecodeSegmentMapped(data, 2, false)
-		if err != nil {
-			return
-		}
-		if len(shards) != info.ShardCount {
-			t.Fatalf("decoded %d shards, header says %d", len(shards), info.ShardCount)
-		}
-		if zc > len(shards) {
-			t.Fatalf("%d zero-copy of %d shards", zc, len(shards))
-		}
-		// Every accepted R-Tree shard must be queryable without panics or
-		// out-of-range access, whatever the bytes were.
-		for _, sr := range shards {
-			if sr.Mapped == nil {
-				continue
-			}
-			n := 0
-			sr.Mapped.RangeVisit(query, func(index.Item) bool { n++; return n < 10000 })
-			sr.Mapped.KNN(geom.V(1, 2, 3), 3)
-		}
-		// Agreement law: when the CRC-verifying copying decoder also accepts
-		// the image, both decoders must see the same shard shape.
-		if _, full, ferr := DecodeSegment(data, 2); ferr == nil {
-			if len(full) != len(shards) {
-				t.Fatalf("mapped decoded %d shards, copying decoded %d", len(shards), len(full))
-			}
-			for i := range full {
-				if full[i].Len() != shards[i].Len() {
-					t.Fatalf("shard %d: mapped %d items, copying %d", i, shards[i].Len(), full[i].Len())
-				}
-			}
-		}
-	})
+// placeAt copies b to an address off bytes past an 8-byte boundary: off 0
+// gives the zero-copy overlay an aligned buffer, any other off sends it down
+// its aligned-copy path.
+func placeAt(b []byte, off int) []byte {
+	words := make([]uint64, (off+len(b)+7)/8+1)
+	buf := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(words)*8)
+	return append(buf[off:off:off+len(b)], b...)
 }
 
-// FuzzOverlayCompact pins the zero-copy slab overlay to the copying decoder:
-// overlay acceptance implies copying acceptance with identical shape, and
-// whatever the overlay accepts must traverse without faulting.
+// FuzzOverlayCompact drives the slab overlay, the only reader of serialized
+// R-Tree snapshots. Whatever it accepts must traverse without faulting, and
+// must re-encode (AppendBinary) to bytes that overlay again to the same
+// length, height and answers.
 func FuzzOverlayCompact(f *testing.F) {
 	items := testItems(200, 13)
 	blob := rtree.FreezeItems(items, rtree.Config{}).AppendBinary(nil)
@@ -216,24 +218,57 @@ func FuzzOverlayCompact(f *testing.F) {
 		if len(data) > 1<<20 {
 			t.Skip("oversized input")
 		}
-		c, n, err := rtree.OverlayCompact(data)
+		c, _, err := rtree.OverlayCompact(data)
 		if err != nil {
-			return // rejected (corrupt) or unsupported (alignment): both fine
+			return
 		}
-		dc, dn, derr := rtree.DecodeCompact(data)
-		if derr != nil {
-			t.Fatalf("overlay accepted what the copying decoder rejects: %v", derr)
+		want := compactAnswers(c)
+		c2, n2, err := rtree.OverlayCompact(c.AppendBinary(nil))
+		if err != nil {
+			t.Fatalf("re-encoded overlay rejected: %v", err)
 		}
-		if n != dn || c.Len() != dc.Len() || c.Height() != dc.Height() {
-			t.Fatalf("overlay (%d bytes, %d items) disagrees with decode (%d bytes, %d items)",
-				n, c.Len(), dn, dc.Len())
+		if n2 != c.BinarySize() || c2.Len() != c.Len() || c2.Height() != c.Height() {
+			t.Fatalf("re-encode changed shape: %d bytes, %d items, height %d; want %d, %d, %d",
+				n2, c2.Len(), c2.Height(), c.BinarySize(), c.Len(), c.Height())
 		}
-		q := geom.NewAABB(geom.V(-10, -10, -10), geom.V(110, 110, 110))
-		count := 0
-		c.RangeVisit(q, func(index.Item) bool { count++; return count < 10000 })
-		batch := 0
-		c.RangeVisitBatch(q, func(index.Item) bool { batch++; return batch < 10000 })
-		c.KNN(geom.V(1, 2, 3), 5)
+		if got := compactAnswers(c2); !equalIDs(got, want) {
+			t.Fatalf("re-encoded overlay answers %d ids, original %d", len(got), len(want))
+		}
+	})
+}
+
+// FuzzDecodeCompact drives the copying open of a snapshot: bytes at a
+// misaligned address, which OverlayCompact validates and then copies into
+// an aligned heap buffer. It must agree with the zero-copy overlay of the
+// same bytes — the same acceptance, span, length, height and answers — and
+// whatever it accepts must traverse without faulting.
+func FuzzDecodeCompact(f *testing.F) {
+	items := testItems(200, 13)
+	blob := rtree.FreezeItems(items, rtree.Config{}).AppendBinary(nil)
+	f.Add(blob)
+	f.Add(blob[:len(blob)/3])
+	mutated := append([]byte(nil), blob...)
+	mutated[40] ^= 0x10
+	f.Add(mutated)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<20 {
+			t.Skip("oversized input")
+		}
+		cp, n, err := rtree.OverlayCompact(placeAt(data, 1))
+		ov, on, oerr := rtree.OverlayCompact(placeAt(data, 0))
+		if (err == nil) != (oerr == nil) {
+			t.Fatalf("copying open err %v, zero-copy overlay err %v", err, oerr)
+		}
+		if err != nil {
+			return
+		}
+		if n != on || cp.Len() != ov.Len() || cp.Height() != ov.Height() {
+			t.Fatalf("copy (%d bytes, %d items, height %d) disagrees with overlay (%d, %d, %d)",
+				n, cp.Len(), cp.Height(), on, ov.Len(), ov.Height())
+		}
+		if got, want := compactAnswers(cp), compactAnswers(ov); !equalIDs(got, want) {
+			t.Fatalf("copy answers %d ids, overlay %d", len(got), len(want))
+		}
 	})
 }
 
@@ -242,12 +277,27 @@ func FuzzOverlayCompact(f *testing.F) {
 // corpus plus the in-code seeds.
 func TestFuzzSeedsHoldRoundTrip(t *testing.T) {
 	seg := fuzzSeedSegment()
-	if _, _, err := DecodeSegment(seg, 2); err != nil {
+	if _, _, err := DecodeSegment(seg, 2, true); err != nil {
 		t.Fatalf("seed segment rejected: %v", err)
 	}
 	bad := append([]byte(nil), seg...)
 	bad[600] ^= 0xFF
-	if _, _, err := DecodeSegment(bad, 2); err == nil {
+	if _, _, err := DecodeSegment(bad, 2, true); err == nil {
 		t.Fatal("corrupted seed segment accepted")
+	}
+	// The committed seed was written by an earlier build of the encoder: the
+	// on-disk format must still decode, checksum included.
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeSegment", "seed-valid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(raw), "\n")
+	quoted := strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")")
+	committed, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatalf("committed seed does not parse: %v", err)
+	}
+	if _, shards, err := DecodeSegment([]byte(committed), 2, true); err != nil || len(shards) != 2 {
+		t.Fatalf("committed seed segment: %d shards, err %v", len(shards), err)
 	}
 }

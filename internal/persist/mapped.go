@@ -1,92 +1,53 @@
 package persist
 
-// The zero-copy read path: segment files served straight from an mmap. Where
-// Recover/DecodeSegment materialize every shard onto the heap (O(rebuild) in
-// the dataset size), the mapped path maps the segment, validates the cheap
-// structural metadata, and overlays the R-Tree slabs in place — O(open) work
-// regardless of how many items the epoch holds, with leaf pages faulted in
-// lazily by the first queries that touch them. This is what makes instant
-// restart and larger-than-RAM datasets first-class: the heap footprint of a
-// mapped epoch is its node validation pass, not its data.
+// The one read path for segment files. Both recovery modes open a segment
+// the same way — get the image, check it against the manifest record, and
+// DecodeSegment it, which overlays every R-Tree shard on the image in place
+// (rtree.OverlayCompact: no deserialization, no copy). They differ only in
+// where the image comes from and how much of it is checksummed:
 //
-// Verification trade, stated plainly: the heap path CRCs the whole image
-// before serving it; the mapped path must not (a full checksum faults every
-// page and is exactly the O(data) cost being eliminated). Mapped recovery
-// therefore checks the O(1) envelope — manifest size, header fields,
-// directory structure, node-slab validation — and trusts the payload bytes
-// the way any mmap-serving database does. The pread fallback (platforms
-// without mmap) reads the image anyway and keeps the full CRC.
+//   - heap (RecoverOptions.Mapped false, and mapped mode on platforms
+//     without mmap): the file is read through a buffer pool onto the heap
+//     and verified in full — whole-image CRC against the manifest, payload
+//     CRC against the header — before any shard is opened;
+//   - mapped: the file is mmap'd read-only and only the O(1) envelope is
+//     checked (file size, header fields, shard directory, node slabs). A
+//     checksum would fault in every page, which is exactly the O(data) cost
+//     this mode removes, so payload bytes are trusted the way any
+//     mmap-serving database trusts them. Recovery is O(open) regardless of
+//     dataset size, and leaf pages fault in lazily as queries touch them.
 
 import (
 	"errors"
 	"fmt"
 
-	"spatialsim/internal/exec"
-	"spatialsim/internal/geom"
-	"spatialsim/internal/index"
 	"spatialsim/internal/rtree"
 	"spatialsim/internal/storage"
 )
 
-// MappedCompact is an R-Tree compact snapshot served from segment bytes
-// without deserialization. On little-endian platforms with an aligned blob
-// it is a true zero-copy overlay (the node slab and SoA leaf arrays alias
-// the mapping); otherwise it silently falls back to a heap decode of the
-// same bytes — identical queries either way. It implements index.ReadIndex
-// and the visitor contracts at zero allocations per call, with range queries
-// routed through the batch branch-free leaf kernel.
-type MappedCompact struct {
-	*rtree.Compact
-	zeroCopy bool
+// OpenMappedCompact opens the R-Tree snapshot at the front of data as an
+// overlay of those bytes — persist's one way a serialized blob becomes a
+// queryable shard, whether data is a heap image or a mapping. Corrupt bytes
+// are an error, never a fault; a misaligned blob is served from an aligned
+// copy (ZeroCopy reports false).
+func OpenMappedCompact(data []byte) (*rtree.Compact, int, error) {
+	return rtree.OverlayCompact(data)
 }
 
-// OpenMappedCompact decodes the snapshot at the front of data for mapped
-// serving: zero-copy overlay when possible, copying decode when not.
-// Corrupt bytes error in both paths; only platform/alignment limitations
-// trigger the fallback.
-func OpenMappedCompact(data []byte) (*MappedCompact, int, error) {
-	c, n, err := rtree.OverlayCompact(data)
-	if err == nil {
-		return &MappedCompact{Compact: c, zeroCopy: true}, n, nil
-	}
-	if !errors.Is(err, rtree.ErrOverlayUnsupported) {
-		return nil, 0, err
-	}
-	c, n, err = rtree.DecodeCompact(data)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &MappedCompact{Compact: c}, n, nil
-}
-
-// ZeroCopy reports whether the snapshot aliases the segment bytes (true) or
-// had to be heap-decoded (false).
-func (m *MappedCompact) ZeroCopy() bool { return m.zeroCopy }
-
-// Name implements index.ReadIndex.
-func (m *MappedCompact) Name() string { return "rtree-mapped" }
-
-// RangeVisit implements index.RangeVisitor through the batch, branch-free
-// MBR kernel: leaf runs are evaluated 64 boxes at a time into a hit bitmask,
-// which on mapped leaf pages means predicate evaluation amortized per OS
-// page rather than per entry. Zero heap allocations per call.
-func (m *MappedCompact) RangeVisit(query geom.AABB, visit func(index.Item) bool) {
-	m.Compact.RangeVisitBatch(query, visit)
-}
-
-// Search mirrors index.Index's Search signature (read-only stand-in).
-func (m *MappedCompact) Search(query geom.AABB, fn func(index.Item) bool) {
-	m.Compact.RangeVisitBatch(query, fn)
-}
-
-var _ index.ReadIndex = (*MappedCompact)(nil)
-
-// MappedSegment is one segment file opened for zero-copy serving: the
-// mapping (or its pread-fallback heap image), the decoded header, and the
-// shard records whose R-Tree blobs overlay the image in place. Close unmaps;
-// the serving layer hooks that into epoch retirement.
+// MappedSegment is one segment file opened for serving: the image (an mmap,
+// or a heap copy where mmap is unavailable), the decoded header, and the
+// shard records whose R-Tree snapshots overlay the image in place. Close
+// unmaps; the serving layer hooks that into epoch retirement.
+//
+// Lifetime contract for a live mapping: the file may be unlinked while
+// mapped — segment GC does exactly that once newer snapshots supersede it,
+// and the mapping keeps the inode's pages alive until Close. Truncating or
+// rewriting the file in place is not safe (a reader touching a vanished
+// page takes SIGBUS, which is not an error value), and nothing does it:
+// segments are written once under a fresh name, synced, and only ever
+// unlinked afterwards.
 type MappedSegment struct {
-	disk   *storage.MmapDisk // nil on the pread fallback
+	disk   *storage.MmapDisk // nil for a heap image
 	image  []byte
 	Info   SegmentInfo
 	Shards []ShardRecord
@@ -102,11 +63,12 @@ type MappedSegment struct {
 // holds.
 var ErrSegmentClosed = errors.New("persist: mapped segment closed twice")
 
-// ZeroCopyShards returns how many R-Tree shards alias the mapping directly.
+// ZeroCopyShards returns how many R-Tree shards alias the mapping directly
+// (0 for a heap image).
 func (ms *MappedSegment) ZeroCopyShards() int { return ms.zeroCopyShards }
 
 // Mapped reports whether the segment is served from an actual mmap (false =
-// pread fallback image on the heap).
+// heap image).
 func (ms *MappedSegment) Mapped() bool { return ms.disk != nil }
 
 // Size returns the segment image size in bytes.
@@ -122,8 +84,8 @@ func (ms *MappedSegment) Resident() (int64, bool) {
 	return ms.disk.Resident()
 }
 
-// Advise forwards an access-pattern hint to the kernel (no-op on the
-// fallback image).
+// Advise forwards an access-pattern hint to the kernel (no-op on a heap
+// image).
 func (ms *MappedSegment) Advise(a storage.Advice) error {
 	if ms.disk == nil {
 		return nil
@@ -150,117 +112,66 @@ func (ms *MappedSegment) Close() error {
 	return ms.disk.Close()
 }
 
-// DecodeSegmentMapped decodes a segment image for mapped serving: header and
-// directory validation as DecodeSegment, but R-Tree blobs become
-// MappedCompact overlays of the image instead of heap copies, and the
-// payload CRC is skipped when verifyCRC is false (the zero-copy open path —
-// checksumming would fault in every page). Returns the shard records and how
-// many of them are true zero-copy overlays.
-func DecodeSegmentMapped(image []byte, workers int, verifyCRC bool) (SegmentInfo, []ShardRecord, int, error) {
-	info, err := DecodeSegmentInfo(image, len(image))
-	if err != nil {
-		return info, nil, 0, err
-	}
-	payload := image[info.PageSize : info.PageSize+info.PayloadLen]
-	if verifyCRC {
-		if crc := crc32Checksum(payload); crc != info.PayloadCRC {
-			return info, nil, 0, fmt.Errorf("%w segment: payload crc %#x, want %#x", ErrCorrupt, crc, info.PayloadCRC)
+// openSegment opens the segment file at path that snapshot record sr names:
+// mmap'd when mapped is set and the platform supports it, read onto the heap
+// through a buffer pool of poolPages otherwise (see the file comment for
+// what each verifies). The header must agree with the record.
+func openSegment(path string, sr SnapshotRecord, pageSize, poolPages, workers int, mapped bool) (*MappedSegment, error) {
+	ms := &MappedSegment{}
+	if mapped {
+		md, err := storage.OpenMmapDisk(path, pageSize)
+		switch {
+		case err == nil:
+			ms.disk, ms.image = md, md.Bytes()
+			// Index descent is random access; tell the kernel not to read ahead.
+			_ = md.Advise(storage.AdviceRandom)
+		case !errors.Is(err, storage.ErrMmapUnsupported):
+			return nil, err
 		}
 	}
-	raw, err := segmentDirectory(info, payload)
-	if err != nil {
-		return info, nil, 0, err
-	}
-	shards := make([]ShardRecord, len(raw))
-	errs := make([]error, len(raw))
-	zero := make([]bool, len(raw))
-	exec.ForTasks(len(raw), workers, func(_, i int) {
-		rs := raw[i]
-		switch rs.kind {
-		case shardKindRTree:
-			mc, n, err := OpenMappedCompact(rs.blob)
-			if err == nil && n != len(rs.blob) {
-				err = fmt.Errorf("%w segment: shard %d has %d trailing bytes", ErrCorrupt, i, len(rs.blob)-n)
-			}
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			shards[i] = ShardRecord{Bounds: rs.bounds, Mapped: mc}
-			zero[i] = mc.ZeroCopy()
-		case shardKindItems:
-			br := &byteReader{data: rs.blob}
-			count := int(br.u32())
-			if count < 0 || count*itemWireSize != br.remaining() {
-				errs[i] = fmt.Errorf("%w segment: shard %d declares %d items in %d bytes", ErrCorrupt, i, count, len(rs.blob))
-				return
-			}
-			items := make([]index.Item, count)
-			for j := range items {
-				items[j] = br.item()
-			}
-			shards[i] = ShardRecord{Bounds: rs.bounds, Items: items}
-		default:
-			errs[i] = fmt.Errorf("%w segment: shard %d kind %d", ErrCorrupt, i, rs.kind)
-		}
-	})
-	for _, err := range errs {
+	if ms.disk == nil {
+		fd, err := storage.OpenFileDisk(path, pageSize)
 		if err != nil {
-			return info, nil, 0, err
+			return nil, err
 		}
-	}
-	n := 0
-	for _, z := range zero {
-		if z {
-			n++
-		}
-	}
-	return info, shards, n, nil
-}
-
-// OpenMappedSegment opens the segment file at path for zero-copy serving.
-// On platforms without mmap it falls back to reading the image into memory
-// through the pread path (with full CRC verification, since every byte is
-// being touched anyway). expectSize < 0 skips the size check.
-func OpenMappedSegment(path string, pageSize, workers int, expectSize int64) (*MappedSegment, error) {
-	var (
-		image []byte
-		disk  *storage.MmapDisk
-	)
-	md, err := storage.OpenMmapDisk(path, pageSize)
-	switch {
-	case err == nil:
-		disk, image = md, md.Bytes()
-		// Index descent is random access; tell the kernel not to read ahead.
-		_ = md.Advise(storage.AdviceRandom)
-	case errors.Is(err, storage.ErrMmapUnsupported):
-		fd, ferr := storage.OpenFileDisk(path, pageSize)
-		if ferr != nil {
-			return nil, ferr
-		}
-		image, ferr = readImage(fd, 0)
+		ms.image, err = readImage(fd, poolPages)
 		fd.Close()
-		if ferr != nil {
-			return nil, ferr
+		if err != nil {
+			return nil, err
 		}
-	default:
+	}
+	if err := ms.load(sr, workers); err != nil {
+		ms.Close()
 		return nil, err
 	}
-	if expectSize >= 0 && int64(len(image)) != expectSize {
-		closeMapping(disk)
-		return nil, fmt.Errorf("%w segment: %d bytes on disk, manifest says %d", ErrCorrupt, len(image), expectSize)
-	}
-	info, shards, zc, err := DecodeSegmentMapped(image, workers, disk == nil)
-	if err != nil {
-		closeMapping(disk)
-		return nil, err
-	}
-	ms := &MappedSegment{disk: disk, image: image, Info: info, Shards: shards, zeroCopyShards: zc}
 	return ms, nil
 }
 
-func closeMapping(disk *storage.MmapDisk) {
-	if disk != nil {
-		disk.Close()
+// load checks the image against the manifest record and decodes it,
+// checksumming only a heap image.
+func (ms *MappedSegment) load(sr SnapshotRecord, workers int) error {
+	heap := ms.disk == nil
+	if int64(len(ms.image)) != sr.SegSize {
+		return fmt.Errorf("%w segment: %d bytes on disk, manifest says %d", ErrCorrupt, len(ms.image), sr.SegSize)
 	}
+	if heap {
+		if crc := crc32Checksum(ms.image); crc != sr.SegCRC {
+			return fmt.Errorf("%w segment: image crc %#x, manifest says %#x", ErrCorrupt, crc, sr.SegCRC)
+		}
+	}
+	info, shards, err := DecodeSegment(ms.image, workers, heap)
+	if err != nil {
+		return err
+	}
+	if info.EpochSeq != sr.EpochSeq || info.BatchSeq != sr.BatchSeq {
+		return fmt.Errorf("%w segment: header (%d,%d) disagrees with manifest (%d,%d)",
+			ErrCorrupt, info.EpochSeq, info.BatchSeq, sr.EpochSeq, sr.BatchSeq)
+	}
+	ms.Info, ms.Shards = info, shards
+	for _, sh := range shards {
+		if !heap && sh.RTree != nil && sh.RTree.ZeroCopy() {
+			ms.zeroCopyShards++
+		}
+	}
+	return nil
 }

@@ -1,12 +1,11 @@
 package persist
 
-// Tests for the zero-copy read path: version-1 read compatibility, the
-// mapped segment lifecycle, mapped recovery equivalence with heap recovery,
-// and larger-than-pool paged serving.
+// Tests for the segment read path: the mapped segment lifecycle, mapped
+// recovery equivalence with heap recovery, corruption in both modes, and
+// larger-than-pool paged serving.
 
 import (
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,46 +17,6 @@ import (
 	"spatialsim/internal/storage"
 )
 
-// encodeSegmentV1 writes the legacy packed segment layout (version 1, no
-// alignment padding) so the decoders' read-compat promise stays pinned even
-// though the writer moved to version 2.
-func encodeSegmentV1(epochSeq, batchSeq uint64, shards []ShardRecord, pageSize int) []byte {
-	payload := make([]byte, 0, 4096)
-	for _, sr := range shards {
-		if sr.RTree != nil {
-			payload = append(payload, shardKindRTree)
-			payload = appendBox(payload, sr.Bounds)
-			payload = appendU64(payload, uint64(sr.RTree.BinarySize()))
-			payload = sr.RTree.AppendBinary(payload)
-			continue
-		}
-		payload = append(payload, shardKindItems)
-		payload = appendBox(payload, sr.Bounds)
-		payload = appendU64(payload, uint64(4+len(sr.Items)*itemWireSize))
-		payload = appendU32(payload, uint32(len(sr.Items)))
-		for _, it := range sr.Items {
-			payload = appendItem(payload, it)
-		}
-	}
-	header := make([]byte, 0, segmentHeaderSize)
-	header = appendU32(header, segmentMagic)
-	header = appendU32(header, segmentVersionLegacy)
-	header = appendU64(header, epochSeq)
-	header = appendU64(header, batchSeq)
-	header = appendU32(header, uint32(len(shards)))
-	header = appendU32(header, uint32(pageSize))
-	header = appendU64(header, uint64(len(payload)))
-	header = appendU32(header, crc32.Checksum(payload, castagnoli))
-	total := pageSize + len(payload)
-	if rem := total % pageSize; rem != 0 {
-		total += pageSize - rem
-	}
-	image := make([]byte, total)
-	copy(image, header)
-	copy(image[pageSize:], payload)
-	return image
-}
-
 // shardIDs collects the sorted result ids of a range query against whichever
 // representation the shard record carries.
 func shardIDs(t *testing.T, sr ShardRecord, q geom.AABB) []int64 {
@@ -66,8 +25,6 @@ func shardIDs(t *testing.T, sr ShardRecord, q geom.AABB) []int64 {
 	switch {
 	case sr.RTree != nil:
 		sr.RTree.RangeVisit(q, func(it index.Item) bool { ids = append(ids, it.ID); return true })
-	case sr.Mapped != nil:
-		sr.Mapped.RangeVisit(q, func(it index.Item) bool { ids = append(ids, it.ID); return true })
 	default:
 		for _, it := range sr.Items {
 			if q.Intersects(it.Box) {
@@ -99,42 +56,8 @@ func testQueries() []geom.AABB {
 	}
 }
 
-func TestSegmentLegacyV1Decode(t *testing.T) {
-	shards := testShards(t, 500, 23)
-	v1 := encodeSegmentV1(5, 9, shards, 4096)
-
-	info, dec, err := DecodeSegment(v1, 2)
-	if err != nil {
-		t.Fatalf("copying decoder rejects v1: %v", err)
-	}
-	if info.Version != segmentVersionLegacy || info.EpochSeq != 5 || info.BatchSeq != 9 {
-		t.Fatalf("v1 info = %+v", info)
-	}
-	minfo, mdec, _, err := DecodeSegmentMapped(v1, 2, true)
-	if err != nil {
-		t.Fatalf("mapped decoder rejects v1: %v", err)
-	}
-	if minfo.Version != segmentVersionLegacy || len(mdec) != len(dec) {
-		t.Fatalf("mapped v1 decode: info %+v, %d shards", minfo, len(mdec))
-	}
-	for i := range dec {
-		if dec[i].Len() != shards[i].Len() || mdec[i].Len() != shards[i].Len() {
-			t.Fatalf("shard %d: v1 lens %d/%d, want %d", i, dec[i].Len(), mdec[i].Len(), shards[i].Len())
-		}
-		for qi, q := range testQueries() {
-			want := shardIDs(t, shards[i], q)
-			if got := shardIDs(t, dec[i], q); !equalIDs(got, want) {
-				t.Fatalf("shard %d q%d: copying v1 decode diverges", i, qi)
-			}
-			if got := shardIDs(t, mdec[i], q); !equalIDs(got, want) {
-				t.Fatalf("shard %d q%d: mapped v1 decode diverges", i, qi)
-			}
-		}
-	}
-}
-
 // TestSegmentV2BlobAlignment pins the writer invariant the overlay relies
-// on: every blob in a version-2 image starts 8-byte aligned.
+// on: every blob in a segment image starts 8-byte aligned.
 func TestSegmentV2BlobAlignment(t *testing.T) {
 	shards := testShards(t, 321, 29) // odd sizes → odd blob lengths
 	image := EncodeSegment(1, 1, shards, 512)
@@ -168,7 +91,8 @@ func TestOpenMappedSegmentLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ms, err := OpenMappedSegment(path, 4096, 2, int64(len(image)))
+	sr := SnapshotRecord{EpochSeq: 3, BatchSeq: 8, SegSize: int64(len(image)), SegCRC: imageCRC(image)}
+	ms, err := openSegment(path, sr, 4096, 0, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,9 +134,19 @@ func TestOpenMappedSegmentLifecycle(t *testing.T) {
 		t.Fatalf("second Close = %v, want ErrSegmentClosed", err)
 	}
 
-	// Size mismatch against the manifest expectation must refuse to open.
-	if _, err := OpenMappedSegment(path, 4096, 2, int64(len(image))+4096); err == nil {
-		t.Fatal("size mismatch accepted")
+	// Size or header disagreement with the manifest record must refuse to
+	// open, in both modes.
+	for _, mapped := range []bool{true, false} {
+		big := sr
+		big.SegSize += 4096
+		if _, err := openSegment(path, big, 4096, 0, 2, mapped); err == nil {
+			t.Fatalf("mapped=%v: size mismatch accepted", mapped)
+		}
+		other := sr
+		other.EpochSeq++
+		if _, err := openSegment(path, other, 4096, 0, 2, mapped); err == nil {
+			t.Fatalf("mapped=%v: header disagreeing with the manifest accepted", mapped)
+		}
 	}
 }
 
@@ -253,11 +187,19 @@ func TestRecoverMappedMatchesHeap(t *testing.T) {
 	if len(mapped.Pending) != len(heap.Pending) {
 		t.Fatalf("mapped sees %d pending batches, heap %d", len(mapped.Pending), len(heap.Pending))
 	}
-	if storage.MmapSupported() && rtree.OverlaySupported() {
+	if heap.Mapping != nil || heap.ZeroCopyShards != 0 {
+		t.Fatalf("heap recovery reports a mapping (%v) or zero-copy shards (%d)", heap.Mapping != nil, heap.ZeroCopyShards)
+	}
+	// One read path: in both modes the R-Tree shard is an overlay of the
+	// segment image, not a decoded copy.
+	if !heap.Shards[0].RTree.ZeroCopy() {
+		t.Fatal("heap-recovered R-Tree shard is not an overlay of the image")
+	}
+	if storage.MmapSupported() {
 		if mapped.ZeroCopyShards != 1 {
 			t.Fatalf("ZeroCopyShards = %d", mapped.ZeroCopyShards)
 		}
-		if !mapped.Shards[0].Mapped.ZeroCopy() {
+		if !mapped.Shards[0].RTree.ZeroCopy() {
 			t.Fatal("R-Tree shard is not a zero-copy overlay")
 		}
 	}
@@ -273,8 +215,9 @@ func TestRecoverMappedMatchesHeap(t *testing.T) {
 
 // TestRecoverMappedRejectsStructuralCorruption flips bytes the mapped path
 // must catch without a checksum: the header, the shard directory, and the
-// R-Tree node slab. (Leaf payload bytes are the documented trust boundary —
-// only the CRC-verifying heap path catches those.)
+// R-Tree node slab; heap recovery must reject them too. (Leaf payload bytes
+// are the documented trust boundary — only the CRC-verifying heap path
+// catches those.)
 func TestRecoverMappedRejectsStructuralCorruption(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{PageSize: 512})
@@ -323,6 +266,9 @@ func TestRecoverMappedRejectsStructuralCorruption(t *testing.T) {
 			rec.Mapping.Close()
 			t.Fatalf("%s: corruption at byte %d recovered cleanly", tc.name, tc.off)
 		}
+		if _, err := s.Recover(RecoverOptions{}); err == nil {
+			t.Fatalf("%s: heap recovery accepted corruption at byte %d", tc.name, tc.off)
+		}
 	}
 	// Truncation (size disagrees with the manifest) must also refuse.
 	if err := os.WriteFile(seg, pristine[:len(pristine)-512], 0o644); err != nil {
@@ -331,6 +277,9 @@ func TestRecoverMappedRejectsStructuralCorruption(t *testing.T) {
 	if rec, err := s.Recover(RecoverOptions{Mapped: true}); err == nil {
 		rec.Mapping.Close()
 		t.Fatal("truncated segment recovered cleanly")
+	}
+	if _, err := s.Recover(RecoverOptions{}); err == nil {
+		t.Fatal("heap recovery accepted a truncated segment")
 	}
 	// Restore and confirm the pristine image still recovers.
 	if err := os.WriteFile(seg, pristine, 0o644); err != nil {

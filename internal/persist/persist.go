@@ -15,22 +15,22 @@
 //     write-temp-then-rename after each snapshot so it never grows beyond
 //     the retained snapshots and their uncovered batches.
 //
-// Recovery therefore never trusts bytes it cannot verify: a segment loads
-// only if its size and CRC match the manifest record that names it and its
-// payload checksum and every shard blob decode cleanly; otherwise recovery
-// falls back to the previous retained snapshot, and only if no snapshot
-// survives does it report corruption instead of serving torn data.
+// Recovery therefore never serves bytes that fail verification: a segment
+// loads only if its size matches the manifest record that names it and
+// every shard blob opens cleanly; otherwise recovery falls back to the
+// previous retained snapshot, and only if no snapshot survives does it
+// report corruption instead of serving torn data.
 //
-// The mapped read path (RecoverOptions.Mapped, OpenMappedSegment) trades
-// that whole-payload scan for O(open) recovery: the segment file is mmapped
-// read-only, only the O(1) envelope (header, shard table, bounds) is
-// validated eagerly, and each aligned R-Tree blob is served zero-copy
-// through rtree.OverlayCompact as a MappedCompact — no decode, no rebuild,
-// no page faulted until a query touches it. Structural corruption is still
-// rejected (the overlay bounds-checks the slab geometry), unsupported
-// shapes (no mmap, v1 packed blobs, misalignment) fall back to the
-// heap-decoding path with full CRC verification, and the mapping is
-// released when the recovered epoch retires.
+// There is one read path for the shards a segment holds: every R-Tree shard
+// is an overlay of the segment image (rtree.OverlayCompact), never a decoded
+// copy. The two recovery modes differ only in the image source and the
+// checksum: heap mode reads the file onto the heap and verifies the
+// whole-image and payload CRCs first; mapped mode (RecoverOptions.Mapped)
+// mmaps it read-only and validates only the O(1) envelope, so recovery is
+// O(open) and no page faults until a query touches it — structural
+// corruption is still rejected (the overlay bounds-checks the slab
+// geometry), and the mapping is released when the recovered epoch retires.
+// The format is little-endian, so Open refuses big-endian hosts.
 package persist
 
 import (
@@ -43,6 +43,7 @@ import (
 
 	"spatialsim/internal/faultinject"
 	"spatialsim/internal/geom"
+	"spatialsim/internal/rtree"
 	"spatialsim/internal/storage"
 )
 
@@ -146,8 +147,13 @@ const manifestName = "MANIFEST"
 
 // Open opens (creating if needed) the data directory and replays the
 // manifest to learn the last batch sequence and the retained snapshots. It
-// never loads segments — Recover does that on demand.
+// never loads segments — Recover does that on demand. On a big-endian host
+// it returns an error wrapping rtree.ErrOverlayUnsupported: segments could
+// be written but never read back.
 func Open(dir string, opts Options) (*Store, error) {
+	if !rtree.OverlaySupported() {
+		return nil, fmt.Errorf("persist: open %s: %w", dir, rtree.ErrOverlayUnsupported)
+	}
 	s := &Store{
 		dir:        dir,
 		opts:       opts.withDefaults(),

@@ -48,7 +48,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if len(image)%4096 != 0 {
 		t.Fatalf("image %d bytes not page aligned", len(image))
 	}
-	info, dec, err := DecodeSegment(image, 4)
+	info, dec, err := DecodeSegment(image, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	for _, off := range []int{4096, 4096 + info.PayloadLen - 1, 4096 + info.PayloadLen/2} {
 		bad := append([]byte(nil), image...)
 		bad[off] ^= 0x40
-		if _, _, err := DecodeSegment(bad, 4); err == nil {
+		if _, _, err := DecodeSegment(bad, 4, true); err == nil {
 			t.Errorf("flip at %d: decode accepted corrupt segment", off)
 		}
 	}

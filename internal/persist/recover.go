@@ -1,33 +1,29 @@
 package persist
 
-// Recovery: pick the newest snapshot whose segment verifies end to end, fall
-// back one generation at a time if it does not, and hand back the WAL tail
-// the chosen snapshot does not cover. The loaded shard records are decoded
-// in parallel (the per-shard blob decode is the recovery hot path — it is
-// the same fan-out exec.ParallelBulkLoad uses for epoch builds).
+// Recovery: pick the newest snapshot whose segment verifies, fall back one
+// generation at a time if it does not, and hand back the WAL tail the chosen
+// snapshot does not cover. Shards are opened in parallel (the same fan-out
+// exec.ParallelBulkLoad uses for epoch builds); an R-Tree shard is an
+// overlay of the segment image in both recovery modes.
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-
-	"spatialsim/internal/storage"
 )
 
 // RecoverOptions shapes one recovery pass.
 type RecoverOptions struct {
-	// Workers bounds the goroutines used for parallel shard decode (<= 0
+	// Workers bounds the goroutines used for parallel shard opens (<= 0
 	// uses GOMAXPROCS).
 	Workers int
-	// Mapped selects the zero-copy recovery path: the chosen segment is
-	// mmap'd and its R-Tree shards are served as overlays of the mapping
-	// (Recovery.Mapping holds it; the caller must Close it when the epoch
-	// retires). Recovery work becomes O(open) — no whole-image checksum, no
-	// blob deserialization — at the cost of trusting segment payload bytes
-	// structurally validated but not checksummed. Platforms without mmap
-	// degrade to a pread image with the full checksum, still without any
-	// shard rebuild.
+	// Mapped selects O(open) recovery: the chosen segment is mmap'd instead
+	// of read onto the heap (Recovery.Mapping holds it; the caller must
+	// Close it when the epoch retires), and no checksum is computed — the
+	// payload bytes are structurally validated but not checksummed. Without
+	// it, the whole image is read and verified before serving. Platforms
+	// without mmap run the heap path either way.
 	Mapped bool
 }
 
@@ -38,7 +34,8 @@ type Recovery struct {
 	EpochSeq uint64
 	// BatchSeq is the last WAL batch the recovered epoch covers.
 	BatchSeq uint64
-	// Shards are the decoded shard records of the recovered epoch.
+	// Shards are the recovered epoch's shard records (R-Tree shards overlay
+	// the segment image).
 	Shards []ShardRecord
 	// Pending are the WAL batches newer than BatchSeq, in replay order.
 	Pending []BatchRecord
@@ -51,8 +48,8 @@ type Recovery struct {
 	// (nil otherwise). The caller must keep it open while any shard serves
 	// and Close it when the recovered epoch retires.
 	Mapping *MappedSegment
-	// ZeroCopyShards counts shards served as true zero-copy overlays of the
-	// mapping (Mapped recoveries only).
+	// ZeroCopyShards counts shards served as zero-copy overlays of an actual
+	// mapping (0 for a heap image).
 	ZeroCopyShards int
 }
 
@@ -88,13 +85,7 @@ func (s *Store) Recover(opts RecoverOptions) (*Recovery, error) {
 	var firstErr error
 	skipped := 0
 	for _, sr := range snaps {
-		var rec *Recovery
-		var err error
-		if opts.Mapped {
-			rec, err = s.loadSnapshotMapped(sr, opts)
-		} else {
-			rec, err = s.loadSnapshot(sr, opts)
-		}
+		rec, err := s.loadSnapshot(sr, opts)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("snapshot epoch %d (%s): %w", sr.EpochSeq, sr.Name, err)
@@ -114,71 +105,29 @@ func (s *Store) Recover(opts RecoverOptions) (*Recovery, error) {
 	return &Recovery{Pending: pendingAfter(m.batches, 0)}, nil
 }
 
-// loadSnapshot verifies and decodes one segment end to end: file size and
-// whole-image CRC against the manifest record, payload CRC against the
-// segment header, then every shard blob.
+// loadSnapshot opens one segment through openSegment, in the mode opts
+// selects, and packages it as a Recovery. A heap image needs no release (the
+// shards overlaying it keep it alive), so only a mapped recovery hands the
+// segment to the caller as Mapping.
 func (s *Store) loadSnapshot(sr SnapshotRecord, opts RecoverOptions) (*Recovery, error) {
 	if filepath.Base(sr.Name) != sr.Name {
 		return nil, fmt.Errorf("%w snapshot: name %q escapes the data dir", ErrCorrupt, sr.Name)
 	}
-	fd, err := storage.OpenFileDisk(filepath.Join(s.dir, sr.Name), s.opts.PageSize)
+	ms, err := openSegment(filepath.Join(s.dir, sr.Name), sr, s.opts.PageSize, s.opts.PoolPages, opts.Workers, opts.Mapped)
 	if err != nil {
 		return nil, err
 	}
-	defer fd.Close()
-	image, err := readImage(fd, s.opts.PoolPages)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(image)) != sr.SegSize {
-		return nil, fmt.Errorf("%w segment: %d bytes on disk, manifest says %d", ErrCorrupt, len(image), sr.SegSize)
-	}
-	if crc := crc32Checksum(image); crc != sr.SegCRC {
-		return nil, fmt.Errorf("%w segment: image crc %#x, manifest says %#x", ErrCorrupt, crc, sr.SegCRC)
-	}
-	info, shards, err := DecodeSegment(image, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	if info.EpochSeq != sr.EpochSeq || info.BatchSeq != sr.BatchSeq {
-		return nil, fmt.Errorf("%w segment: header (%d,%d) disagrees with manifest (%d,%d)",
-			ErrCorrupt, info.EpochSeq, info.BatchSeq, sr.EpochSeq, sr.BatchSeq)
-	}
-	return &Recovery{
-		EpochSeq: sr.EpochSeq,
-		BatchSeq: sr.BatchSeq,
-		Shards:   shards,
-		Segment:  sr.Name,
-	}, nil
-}
-
-// loadSnapshotMapped is loadSnapshot's zero-copy sibling: mmap the segment,
-// validate the O(1) envelope (manifest size, header fields, shard directory,
-// node slabs), and serve the R-Tree shards as overlays of the mapping. The
-// whole-image checksum is intentionally not computed on the mapped path —
-// it would fault in every page, which is the exact O(data) cost this mode
-// removes (the pread fallback inside OpenMappedSegment still checksums).
-func (s *Store) loadSnapshotMapped(sr SnapshotRecord, opts RecoverOptions) (*Recovery, error) {
-	if filepath.Base(sr.Name) != sr.Name {
-		return nil, fmt.Errorf("%w snapshot: name %q escapes the data dir", ErrCorrupt, sr.Name)
-	}
-	ms, err := OpenMappedSegment(filepath.Join(s.dir, sr.Name), s.opts.PageSize, opts.Workers, sr.SegSize)
-	if err != nil {
-		return nil, err
-	}
-	if ms.Info.EpochSeq != sr.EpochSeq || ms.Info.BatchSeq != sr.BatchSeq {
-		ms.Close()
-		return nil, fmt.Errorf("%w segment: header (%d,%d) disagrees with manifest (%d,%d)",
-			ErrCorrupt, ms.Info.EpochSeq, ms.Info.BatchSeq, sr.EpochSeq, sr.BatchSeq)
-	}
-	return &Recovery{
+	rec := &Recovery{
 		EpochSeq:       sr.EpochSeq,
 		BatchSeq:       sr.BatchSeq,
 		Shards:         ms.Shards,
 		Segment:        sr.Name,
-		Mapping:        ms,
 		ZeroCopyShards: ms.ZeroCopyShards(),
-	}, nil
+	}
+	if opts.Mapped {
+		rec.Mapping = ms
+	}
+	return rec, nil
 }
 
 // pendingAfter returns the batches with sequence beyond covered, in replay

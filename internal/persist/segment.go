@@ -7,35 +7,32 @@ package persist
 // are transcribed natively (the slab is offset-based and therefore
 // serializable as-is); every other snapshot family falls back to its item
 // list, rebuilt by the owning shard builder at recovery. One format, two
-// read paths: Recover materializes the snapshots into memory, PagedCompact
-// queries the same bytes page by page through a buffer pool.
+// read paths: Recover overlays the R-Tree snapshots on the segment image
+// (read onto the heap or mmap'd), PagedCompact queries the same bytes page
+// by page through a buffer pool.
 //
 // Segment layout (little-endian):
 //
 //	header page:
 //	  [0:4)   magic "SEG1"
-//	  [4:8)   format version (2; version-1 segments still decode)
+//	  [4:8)   format version (2)
 //	  [8:16)  epoch sequence
 //	  [16:24) covered batch sequence (WAL records <= this are in the epoch)
 //	  [24:28) shard count
 //	  [28:32) page size
 //	  [32:40) payload length in bytes
 //	  [40:44) CRC-32C of the payload
-//	payload (from page 1):
-//	  version 2 (writer): per shard, starting 8-byte aligned:
-//	    kind u8 | pad 7 B | bounds 48 B | blob length u64 | blob | pad to 8 B
-//	  version 1 (read-compat): per shard, packed:
-//	    kind u8 | bounds 48 B | blob length u64 | blob
+//	payload (from page 1), per shard, starting 8-byte aligned:
+//	  kind u8 | pad 7 B | bounds 48 B | blob length u64 | blob | pad to 8 B
 //	  kind 1: blob = rtree.Compact binary form
 //	  kind 2: blob = item count u32 | items (id i64 + box 48 B)
 //
-// Version 2 exists for the zero-copy read path: the payload begins on a page
-// boundary and every field group is padded so each blob starts 8-byte
-// aligned in the file image. An mmap of the segment is page-aligned, so the
-// R-Tree node slab inside each blob lands 8-byte aligned in memory — the
-// precondition for rtree.OverlayCompact to point its slices straight into
-// the mapping. Version-1 segments still decode everywhere; their unaligned
-// blobs simply fall back to the copying decoder on the mapped path.
+// The padding exists for the overlay: the payload begins on a page boundary
+// and every field group is padded so each blob starts 8-byte aligned in the
+// file image. A heap image and an mmap of the segment are both at least
+// 8-byte aligned, so the R-Tree node slab inside each blob lands 8-byte
+// aligned in memory — the precondition for rtree.OverlayCompact to point its
+// slices straight into the image.
 
 import (
 	"errors"
@@ -51,11 +48,8 @@ import (
 
 const (
 	segmentMagic = 0x31474553 // "SEG1"
-	// segmentVersion is what the writer emits (aligned shard records);
-	// segmentVersionLegacy is the packed pre-mmap layout the decoder still
-	// accepts.
-	segmentVersion       = 2
-	segmentVersionLegacy = 1
+	// segmentVersion is the one record layout: aligned shard records.
+	segmentVersion = 2
 	// segmentHeaderSize is the used prefix of the header page.
 	segmentHeaderSize = 44
 	// maxSegmentShards bounds the shard count a decoder will accept.
@@ -72,16 +66,14 @@ func align8(n int) int { return (n + 7) &^ 7 }
 // on disk do not form a complete, checksummed record.
 var ErrCorrupt = errors.New("persist: corrupt")
 
-// ShardRecord is the durable form of one epoch shard. Exactly one of RTree,
-// Mapped and Items is set: RTree carries a natively-serialized compact
-// snapshot that recovery serves directly; Mapped carries the zero-copy
-// overlay a mapped recovery built over the segment bytes; Items carries the
-// fallback item list that recovery rebuilds through the serving layer's
-// shard builder.
+// ShardRecord is the durable form of one epoch shard. Exactly one of RTree
+// and Items is set: RTree carries a natively-serialized compact snapshot
+// (on recovery, an overlay of the segment image that serves directly);
+// Items carries the fallback item list that recovery rebuilds through the
+// serving layer's shard builder.
 type ShardRecord struct {
 	Bounds geom.AABB
 	RTree  *rtree.Compact
-	Mapped *MappedCompact
 	Items  []index.Item
 }
 
@@ -89,9 +81,6 @@ type ShardRecord struct {
 func (sr ShardRecord) Len() int {
 	if sr.RTree != nil {
 		return sr.RTree.Len()
-	}
-	if sr.Mapped != nil {
-		return sr.Mapped.Len()
 	}
 	return len(sr.Items)
 }
@@ -109,10 +98,10 @@ type SegmentInfo struct {
 
 // EncodeSegment builds the complete page-aligned segment image for one
 // epoch. The image length is a multiple of pageSize. Records are written in
-// the version-2 aligned layout (see the package comment): each record starts
-// on an 8-byte boundary with the blob at record offset 64, so blobs are
-// 8-byte aligned within the page-aligned image and a mapped reader can
-// overlay them in place.
+// the aligned layout (see the package comment): each record starts on an
+// 8-byte boundary with the blob at record offset 64, so blobs are 8-byte
+// aligned within the page-aligned image and a reader can overlay them in
+// place.
 func EncodeSegment(epochSeq, batchSeq uint64, shards []ShardRecord, pageSize int) []byte {
 	if pageSize <= 0 {
 		pageSize = 4096
@@ -120,11 +109,7 @@ func EncodeSegment(epochSeq, batchSeq uint64, shards []ShardRecord, pageSize int
 	var pad [8]byte
 	payload := make([]byte, 0, 4096)
 	for _, sr := range shards {
-		rt := sr.RTree
-		if rt == nil && sr.Mapped != nil {
-			rt = sr.Mapped.Compact
-		}
-		if rt != nil {
+		if rt := sr.RTree; rt != nil {
 			payload = append(payload, shardKindRTree)
 			payload = append(payload, pad[:7]...)
 			payload = appendBox(payload, sr.Bounds)
@@ -177,7 +162,7 @@ func DecodeSegmentInfo(data []byte, avail int) (SegmentInfo, error) {
 		return info, fmt.Errorf("%w segment: magic %#x", ErrCorrupt, m)
 	}
 	v := r.u32()
-	if v != segmentVersion && v != segmentVersionLegacy {
+	if v != segmentVersion {
 		return info, fmt.Errorf("%w segment: version %d", ErrCorrupt, v)
 	}
 	info.Version = int(v)
@@ -211,35 +196,29 @@ type rawShard struct {
 }
 
 // segmentDirectory splits a payload into its raw shard entries without
-// decoding any blob — the cheap first pass shared by the copying and mapped
-// read paths. The walk understands both record layouts: version 2 skips the
-// alignment padding, version 1 is packed.
+// decoding any blob, skipping the alignment padding around each record.
 func segmentDirectory(info SegmentInfo, payload []byte) ([]rawShard, error) {
 	// Pre-size from the payload, not the header: a crafted shard count must
-	// not translate into an allocation (a record is at least 57 bytes).
+	// not translate into an allocation (a record is at least 64 bytes).
 	sizeHint := info.ShardCount
-	if maxFit := len(payload)/57 + 1; sizeHint > maxFit {
+	if maxFit := len(payload)/64 + 1; sizeHint > maxFit {
 		sizeHint = maxFit
 	}
 	raw := make([]rawShard, 0, sizeHint)
 	r := &byteReader{data: payload}
 	for i := 0; i < info.ShardCount; i++ {
 		kind := r.u8()
-		if info.Version >= 2 {
-			r.bytes(7) // alignment pad after the kind byte
-		}
+		r.bytes(7) // alignment pad after the kind byte
 		bounds := r.box()
 		blobLen := r.u64()
 		if !r.ensure(0) || blobLen > uint64(r.remaining()) {
 			return nil, fmt.Errorf("%w segment: shard %d blob overruns payload", ErrCorrupt, i)
 		}
 		blob := r.bytes(int(blobLen))
-		if info.Version >= 2 {
-			if tail := align8(int(blobLen)) - int(blobLen); tail > 0 && !r.ensure(tail) {
-				return nil, fmt.Errorf("%w segment: shard %d missing alignment pad", ErrCorrupt, i)
-			} else if tail > 0 {
-				r.bytes(tail)
-			}
+		if tail := align8(int(blobLen)) - int(blobLen); tail > 0 && !r.ensure(tail) {
+			return nil, fmt.Errorf("%w segment: shard %d missing alignment pad", ErrCorrupt, i)
+		} else if tail > 0 {
+			r.bytes(tail)
 		}
 		raw = append(raw, rawShard{kind: kind, bounds: bounds, blob: blob})
 	}
@@ -249,17 +228,25 @@ func segmentDirectory(info SegmentInfo, payload []byte) ([]rawShard, error) {
 	return raw, nil
 }
 
-// DecodeSegment decodes a full segment image (header page + payload) into
-// its shard records using up to workers goroutines for the per-shard blob
-// decodes. It verifies the payload checksum before touching any blob.
-func DecodeSegment(image []byte, workers int) (SegmentInfo, []ShardRecord, error) {
+// DecodeSegment decodes a segment image (header page + payload) into its
+// shard records, using up to workers goroutines. R-Tree blobs become
+// overlays of image (OpenMappedCompact) — image must stay immutable and
+// alive while they serve — and item-list blobs are copied out. verifyCRC
+// checks the payload checksum before any blob is touched. Recovery from a
+// heap image sets it; the mapped open does not (a checksum would fault in
+// every page, the O(data) cost mapping exists to avoid) and relies on
+// structural validation, which still rejects any blob that could make a
+// query fault.
+func DecodeSegment(image []byte, workers int, verifyCRC bool) (SegmentInfo, []ShardRecord, error) {
 	info, err := DecodeSegmentInfo(image, len(image))
 	if err != nil {
 		return info, nil, err
 	}
 	payload := image[info.PageSize : info.PageSize+info.PayloadLen]
-	if crc := crc32.Checksum(payload, castagnoli); crc != info.PayloadCRC {
-		return info, nil, fmt.Errorf("%w segment: payload crc %#x, want %#x", ErrCorrupt, crc, info.PayloadCRC)
+	if verifyCRC {
+		if crc := crc32Checksum(payload); crc != info.PayloadCRC {
+			return info, nil, fmt.Errorf("%w segment: payload crc %#x, want %#x", ErrCorrupt, crc, info.PayloadCRC)
+		}
 	}
 
 	raw, err := segmentDirectory(info, payload)
@@ -267,15 +254,15 @@ func DecodeSegment(image []byte, workers int) (SegmentInfo, []ShardRecord, error
 		return info, nil, err
 	}
 
-	// Second pass: decode blobs in parallel (the expensive part — native
-	// snapshot decodes are O(items) transcriptions).
+	// Second pass: open blobs in parallel (an overlay validates its node
+	// slab; an item list is an O(items) copy).
 	shards := make([]ShardRecord, len(raw))
 	errs := make([]error, len(raw))
 	exec.ForTasks(len(raw), workers, func(_, i int) {
 		rs := raw[i]
 		switch rs.kind {
 		case shardKindRTree:
-			c, n, err := rtree.DecodeCompact(rs.blob)
+			c, n, err := OpenMappedCompact(rs.blob)
 			if err == nil && n != len(rs.blob) {
 				err = fmt.Errorf("%w segment: shard %d has %d trailing bytes", ErrCorrupt, i, len(rs.blob)-n)
 			}

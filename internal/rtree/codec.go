@@ -3,11 +3,13 @@ package rtree
 // Binary codec for the Compact snapshot. The layout is the slab itself,
 // little-endian with fixed-width records — the int32-offset node slab and the
 // SoA leaf arrays are already position-independent, so serialization is a
-// straight transcription and a decoded snapshot answers queries identically
-// to the frozen original (same traversal, same visit order). Fixed 64-byte
-// node records and the contiguous SoA regions also give the paged disk read
-// path (internal/persist) O(1) offset arithmetic into the same bytes: one
-// format, loaded whole into memory or queried page by page.
+// straight transcription, and reading it back is not a decode at all:
+// OverlayCompact (overlay.go) points a Compact's slices at the bytes, and the
+// overlay answers queries identically to the frozen original (same
+// traversal, same visit order). Fixed 64-byte node records and the
+// contiguous SoA regions also give the paged disk read path
+// (internal/persist) O(1) offset arithmetic into the same bytes: one format,
+// overlaid in memory or queried page by page.
 //
 // Layout (all little-endian):
 //
@@ -210,8 +212,8 @@ func ValidateCompactNode(h CompactHeader, i int, first, count int32, leaf bool) 
 	return validateNode(h, i, first, count, leaf)
 }
 
-// validateNode checks one node's references against the header's bounds so a
-// decoded snapshot can be traversed without index checks.
+// validateNode checks one node's references against the header's bounds so an
+// overlaid snapshot can be traversed without index checks.
 func validateNode(h CompactHeader, i int, first, count int32, leaf bool) error {
 	if count < 0 || first < 0 {
 		return fmt.Errorf("%w: node %d has negative extent", ErrBadSnapshot, i)
@@ -237,47 +239,4 @@ func validateNode(h CompactHeader, i int, first, count int32, leaf bool) error {
 		return fmt.Errorf("%w: inner node %d at/after leafStart %d", ErrBadSnapshot, i, h.LeafStart)
 	}
 	return nil
-}
-
-// DecodeCompact decodes a snapshot serialized by AppendBinary from the front
-// of data, returning the snapshot and the number of bytes consumed. The
-// decoded structure is fully validated: every node reference is bounds- and
-// orientation-checked, so traversing a snapshot decoded from arbitrary bytes
-// cannot index out of range or loop.
-func DecodeCompact(data []byte) (*Compact, int, error) {
-	h, err := DecodeCompactHeader(data, len(data))
-	if err != nil {
-		return nil, 0, err
-	}
-	c := &Compact{
-		size:      h.Size,
-		height:    h.Height,
-		leafStart: h.LeafStart,
-		heapCap:   h.HeapCap,
-	}
-	c.initPools()
-	if h.NodeCount > 0 {
-		c.nodes = make([]compactNode, h.NodeCount)
-		off := h.NodesOffset()
-		for i := range c.nodes {
-			box, first, count, leaf := DecodeCompactNode(data[off+i*CompactNodeSize:])
-			if err := validateNode(h, i, first, count, leaf); err != nil {
-				return nil, 0, err
-			}
-			c.nodes[i] = compactNode{box: box, first: first, count: count, leaf: leaf}
-		}
-	}
-	if h.LeafCount > 0 {
-		c.leafBoxes = make([]geom.AABB, h.LeafCount)
-		off := h.LeafBoxesOffset()
-		for i := range c.leafBoxes {
-			c.leafBoxes[i] = readBox(data[off+i*CompactLeafBoxSize:])
-		}
-		c.leafIDs = make([]int64, h.LeafCount)
-		off = h.LeafIDsOffset()
-		for i := range c.leafIDs {
-			c.leafIDs[i] = int64(binary.LittleEndian.Uint64(data[off+i*CompactLeafIDSize:]))
-		}
-	}
-	return c, h.BinarySize(), nil
 }

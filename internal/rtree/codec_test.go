@@ -2,90 +2,62 @@ package rtree
 
 import (
 	"bytes"
+	"errors"
 	"testing"
-
-	"spatialsim/internal/geom"
-	"spatialsim/internal/index"
 )
 
+// TestCompactCodecRoundTrip is the codec law: AppendBinary writes exactly
+// BinarySize bytes, OverlayCompact spans exactly those bytes (trailing bytes
+// are left alone), and re-encoding the overlay is byte-identical — the codec
+// is a transcription, not a rebuild.
 func TestCompactCodecRoundTrip(t *testing.T) {
+	if !OverlaySupported() {
+		t.Skip("overlay unsupported on this platform")
+	}
 	for _, n := range []int{0, 1, 5, 400, 3000} {
-		items := randomItems(n, int64(n)+7)
-		c := FreezeItems(items, Config{})
+		c := FreezeItems(randomItems(n, int64(n)+7), Config{})
 		blob := c.AppendBinary(nil)
 		if got, want := len(blob), c.BinarySize(); got != want {
 			t.Fatalf("n=%d: BinarySize %d, appended %d", n, want, got)
 		}
-		// Decoding must consume exactly the blob and survive trailing bytes.
-		dec, consumed, err := DecodeCompact(append(blob, 0xAA, 0xBB))
+		if _, consumed, err := OverlayCompact(append(blob, 0xAA, 0xBB)); err != nil || consumed != len(blob) {
+			t.Fatalf("n=%d: overlay with trailing bytes: consumed %d of %d, err %v", n, consumed, len(blob), err)
+		}
+		ov, _, err := OverlayCompact(alignedBlob(c))
 		if err != nil {
-			t.Fatalf("n=%d: decode: %v", n, err)
+			t.Fatalf("n=%d: overlay: %v", n, err)
 		}
-		if consumed != len(blob) {
-			t.Fatalf("n=%d: consumed %d of %d", n, consumed, len(blob))
+		if !ov.ZeroCopy() {
+			t.Fatalf("n=%d: overlay of an aligned buffer copied it", n)
 		}
-		if dec.Len() != c.Len() || dec.Height() != c.Height() {
-			t.Fatalf("n=%d: len/height %d/%d, want %d/%d", n, dec.Len(), dec.Height(), c.Len(), c.Height())
+		if ov.Len() != c.Len() || ov.Height() != c.Height() || ov.Bounds() != c.Bounds() {
+			t.Fatalf("n=%d: len/height/bounds %d/%d/%v, want %d/%d/%v",
+				n, ov.Len(), ov.Height(), ov.Bounds(), c.Len(), c.Height(), c.Bounds())
 		}
-		// Re-encoding the decoded snapshot must be byte-identical: the codec
-		// is a transcription, not a rebuild.
-		if !bytes.Equal(blob, dec.AppendBinary(nil)) {
+		if !bytes.Equal(blob, ov.AppendBinary(nil)) {
 			t.Fatalf("n=%d: re-encode differs", n)
-		}
-		// Queries must agree in results and visit order.
-		queries := []geom.AABB{
-			geom.NewAABB(geom.V(10, 10, 10), geom.V(40, 40, 40)),
-			geom.NewAABB(geom.V(0, 0, 0), geom.V(100, 100, 100)),
-			geom.NewAABB(geom.V(90, 90, 90), geom.V(91, 91, 91)),
-		}
-		for _, q := range queries {
-			a := index.VisitAll(c, q)
-			b := index.VisitAll(dec, q)
-			if len(a) != len(b) {
-				t.Fatalf("n=%d: range results %d vs %d", n, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("n=%d: range result %d: %v vs %v", n, i, a[i], b[i])
-				}
-			}
-		}
-		for _, p := range []geom.Vec3{geom.V(50, 50, 50), geom.V(-5, 0, 200)} {
-			a := c.KNN(p, 10)
-			b := dec.KNN(p, 10)
-			if len(a) != len(b) {
-				t.Fatalf("n=%d: knn results %d vs %d", n, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("n=%d: knn result %d: %v vs %v", n, i, a[i], b[i])
-				}
-			}
 		}
 	}
 }
 
+// TestDecodeCompactRejectsCorruption runs the corruption table through the
+// copying open — a misaligned buffer, which OverlayCompact copies into an
+// aligned heap buffer. Validation precedes the copy, so corrupt bytes are
+// rejected as ErrBadSnapshot here exactly as on the zero-copy path.
 func TestDecodeCompactRejectsCorruption(t *testing.T) {
-	c := FreezeItems(randomItems(200, 3), Config{})
-	blob := c.AppendBinary(nil)
-
-	cases := map[string]func([]byte) []byte{
-		"empty":           func(b []byte) []byte { return nil },
-		"short header":    func(b []byte) []byte { return b[:16] },
-		"bad magic":       func(b []byte) []byte { b[0] ^= 0xFF; return b },
-		"truncated body":  func(b []byte) []byte { return b[:len(b)/2] },
-		"huge node count": func(b []byte) []byte { b[4], b[5], b[6], b[7] = 0xFF, 0xFF, 0xFF, 0x7F; return b },
-		"leaf run overflow": func(b []byte) []byte {
-			// First leaf node's count field.
-			off := 32 + int(c.leafStart)*CompactNodeSize + 52
-			b[off], b[off+1], b[off+2], b[off+3] = 0xFF, 0xFF, 0xFF, 0x7F
-			return b
-		},
+	if !OverlaySupported() {
+		t.Skip("overlay unsupported on this platform")
 	}
-	for name, corrupt := range cases {
-		mutated := corrupt(append([]byte(nil), blob...))
-		if _, _, err := DecodeCompact(mutated); err == nil {
-			t.Errorf("%s: decode accepted corrupted snapshot", name)
+	c := FreezeItems(randomItems(200, 3), Config{})
+	base := c.AppendBinary(nil)
+	for name, corrupt := range compactCorruptions(c) {
+		mutated := corrupt(misalignedBlob(base))
+		cp, _, err := OverlayCompact(mutated)
+		if err == nil {
+			t.Fatalf("%s: copying open accepted corrupt snapshot (len %d)", name, cp.Len())
+		}
+		if !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("%s: corruption not reported as ErrBadSnapshot: %v", name, err)
 		}
 	}
 }

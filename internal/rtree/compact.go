@@ -34,17 +34,20 @@ type Compact struct {
 	size      int
 	height    int
 	// heapCap sizes the pooled KNN traversal heaps (4x the source tree's
-	// fan-out). It is part of the serialized form, so a decoded snapshot pools
+	// fan-out). It is part of the serialized form, so an overlay pools
 	// heaps exactly like the one that was frozen.
-	heapCap  int
+	heapCap int
+	// zeroCopy is set by OverlayCompact when the slabs alias the caller's
+	// bytes rather than an aligned copy of them.
+	zeroCopy bool
 	counters instrument.Counters
 	knnPool  sync.Pool // *compactKNNState
 }
 
-// initPools installs the pool constructors (shared by Freeze and the binary
-// decoder). The closure captures the snapshot itself, which is fine — unlike
-// capturing the mutable source tree, it pins nothing beyond the snapshot's
-// own lifetime.
+// initPools installs the pool constructors (shared by Freeze and
+// OverlayCompact). The closure captures the snapshot itself, which is fine —
+// unlike capturing the mutable source tree, it pins nothing beyond the
+// snapshot's own lifetime.
 func (c *Compact) initPools() {
 	c.knnPool.New = func() interface{} {
 		return &compactKNNState{heap: make([]compactHeapEnt, 0, c.heapCap)}
@@ -52,12 +55,16 @@ func (c *Compact) initPools() {
 }
 
 // compactNode is one slab node. For a leaf, [first, first+count) indexes the
-// leaf SoA arrays; for an inner node it indexes the node slab itself.
+// leaf SoA arrays; for an inner node it indexes the node slab itself. The
+// explicit tail padding makes the struct the 64-byte serialized record on
+// every GOARCH, including those that align float64 to 4 bytes (386), which
+// is what lets OverlayCompact view serialized bytes as a []compactNode.
 type compactNode struct {
 	box   geom.AABB
 	first int32
 	count int32
 	leaf  bool
+	_     [7]byte
 }
 
 // compactStackCap bounds the traversal stack kept on the goroutine stack.
@@ -247,6 +254,17 @@ func (c *Compact) RangeVisit(query geom.AABB, visit func(index.Item) bool) {
 func (c *Compact) Search(query geom.AABB, fn func(index.Item) bool) {
 	c.RangeVisit(query, fn)
 }
+
+// RangeVisitBatch is RangeVisit under the name the benchmark harness's
+// per-layer trace times (rtree.batch_scan_us). There is one range kernel.
+func (c *Compact) RangeVisitBatch(query geom.AABB, visit func(index.Item) bool) {
+	c.RangeVisit(query, visit)
+}
+
+// ZeroCopy reports whether the snapshot's slabs alias the bytes it was
+// overlaid on. It is false for Freeze-built snapshots and for overlays of a
+// misaligned buffer, which serve from an aligned copy.
+func (c *Compact) ZeroCopy() bool { return c.zeroCopy }
 
 // compactHeapEnt is one entry of the best-first KNN priority queue. ref >= 0
 // addresses a slab node; ref < 0 addresses leaf entry ^ref. Keeping the queue

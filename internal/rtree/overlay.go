@@ -1,24 +1,23 @@
 package rtree
 
-// Zero-copy overlay decoding: the serialized Compact layout (codec.go) is,
-// byte for byte, the in-memory layout of the node slab and SoA leaf arrays
-// on a little-endian machine — 64-byte node records matching compactNode's
-// padded struct layout, then []geom.AABB, then []int64. OverlayCompact
-// exploits that: instead of DecodeCompact's element-by-element copy onto the
-// heap, it points the slab slices directly into the caller's buffer
-// (typically an mmap'd segment). Decoding becomes O(validate) with zero
-// copies and zero allocations proportional to tree size, and the OS pages
-// holding leaf data are not even faulted in until a query touches them —
-// which is what makes O(open) recovery and larger-than-RAM serving work.
+// Zero-copy overlay: the serialized Compact layout (codec.go) is, byte for
+// byte, the in-memory layout of the node slab and SoA leaf arrays on a
+// little-endian machine — 64-byte node records matching compactNode's
+// explicitly padded struct, then []geom.AABB, then []int64. OverlayCompact
+// points the slab slices straight into the caller's buffer (a segment image
+// read onto the heap, or an mmap'd segment), so opening a snapshot is
+// O(validate) with no copy and no allocation proportional to tree size, and
+// mapped leaf pages are not faulted in until a query touches them. It is the
+// only way serialized bytes become a queryable Compact.
 //
 // Safety is layered, never assumed:
 //
-//   - the struct layout and byte order the overlay relies on are verified by
-//     compile-time constants and a one-time runtime probe; on any mismatch
-//     (big-endian targets, a future field reorder) OverlayCompact returns
-//     ErrOverlayUnsupported and callers fall back to DecodeCompact;
-//   - the buffer must be 8-byte aligned (mmap regions are page-aligned;
-//     checkptr under -race enforces this too);
+//   - the struct layout the overlay relies on is asserted at compile time on
+//     every GOARCH; the byte order is probed once, and big-endian hosts get
+//     ErrOverlayUnsupported (persist.Open refuses them up front);
+//   - a buffer that is not 8-byte aligned is copied once into an aligned
+//     heap buffer and the copy is overlaid (mmap regions and heap segment
+//     images are aligned, so this is the rare path);
 //   - every node record is bounds-, orientation- and bool-validated from the
 //     raw bytes before any unsafe view is built, so traversing an overlay of
 //     arbitrary bytes cannot index out of range, loop, or materialize an
@@ -27,54 +26,50 @@ package rtree
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"unsafe"
 
 	"spatialsim/internal/geom"
-	"spatialsim/internal/index"
 )
 
-// ErrOverlayUnsupported reports that this platform or buffer cannot host a
-// zero-copy overlay (wrong endianness, incompatible struct layout, or a
-// misaligned buffer). It is a fallback signal, not corruption: DecodeCompact
-// of the same bytes will work.
-var ErrOverlayUnsupported = errors.New("rtree: zero-copy overlay unsupported here")
+// ErrOverlayUnsupported reports a big-endian host: the serialized format is
+// little-endian and is only ever read as an overlay.
+var ErrOverlayUnsupported = errors.New("rtree: snapshot overlay needs a little-endian host")
 
-// overlayLayoutOK proves at compile time that compactNode's padded in-memory
-// layout is the serialized 64-byte record and geom.AABB is the serialized
-// 48-byte box (6 contiguous float64s). If a refactor breaks this, the
-// constant flips and overlays cleanly refuse instead of misreading.
-const overlayLayoutOK = unsafe.Sizeof(compactNode{}) == CompactNodeSize &&
-	unsafe.Offsetof(compactNode{}.box) == 0 &&
-	unsafe.Offsetof(compactNode{}.first) == 48 &&
-	unsafe.Offsetof(compactNode{}.count) == 52 &&
-	unsafe.Offsetof(compactNode{}.leaf) == 56 &&
-	unsafe.Sizeof(geom.AABB{}) == CompactLeafBoxSize &&
-	unsafe.Sizeof(geom.Vec3{}) == 24
+// The overlay's layout contract, checked by the compiler: each line fails to
+// compile (array length mismatch, or a negative uintptr constant) unless the
+// in-memory size or offset equals the serialized one.
+var (
+	_ [0]struct{} = [unsafe.Sizeof(compactNode{}) - CompactNodeSize]struct{}{}
+	_ [0]struct{} = [unsafe.Offsetof(compactNode{}.box)]struct{}{}
+	_ [0]struct{} = [unsafe.Offsetof(compactNode{}.first) - 48]struct{}{}
+	_ [0]struct{} = [unsafe.Offsetof(compactNode{}.count) - 52]struct{}{}
+	_ [0]struct{} = [unsafe.Offsetof(compactNode{}.leaf) - 56]struct{}{}
+	_ [0]struct{} = [unsafe.Sizeof(geom.AABB{}) - CompactLeafBoxSize]struct{}{}
+	_ [0]struct{} = [unsafe.Sizeof(int64(0)) - CompactLeafIDSize]struct{}{}
+)
 
-// overlayLittleEndian probes the target's byte order once: the wire format
-// is little-endian, so only little-endian targets can overlay it.
+// overlayLittleEndian probes the host's byte order once: the wire format is
+// little-endian, so only little-endian hosts can overlay it.
 var overlayLittleEndian = func() bool {
 	probe := uint32(0x01020304)
 	return *(*byte)(unsafe.Pointer(&probe)) == 0x04
 }()
 
-// OverlaySupported reports whether this build can serve zero-copy overlays
-// at all (layout + endianness; per-buffer alignment is still checked by each
-// OverlayCompact call).
-func OverlaySupported() bool { return overlayLayoutOK && overlayLittleEndian }
+// OverlaySupported reports whether this host can overlay serialized
+// snapshots, i.e. whether it is little-endian.
+func OverlaySupported() bool { return overlayLittleEndian }
 
-// OverlayCompact decodes a snapshot serialized by AppendBinary from the
-// front of data without copying it: the returned Compact's node slab and SoA
-// leaf arrays alias data directly. data must stay immutable and outlive the
-// snapshot (an mmap'd segment held by the epoch). Validation matches
-// DecodeCompact exactly — every node reference is bounds- and
-// orientation-checked, and leaf flag bytes must be strictly 0 or 1 so the
-// overlaid Go bools are well-formed. Returns ErrOverlayUnsupported when the
-// platform or the buffer's alignment rules out an overlay (fall back to
-// DecodeCompact), or ErrBadSnapshot when the bytes are corrupt.
+// OverlayCompact opens a snapshot serialized by AppendBinary from the front
+// of data without copying it: the returned Compact's node slab and SoA leaf
+// arrays alias data, which must stay immutable and outlive the snapshot.
+// Every node reference is bounds- and orientation-checked and leaf flag
+// bytes must be strictly 0 or 1, so the overlaid Go bools are well-formed.
+// If data is not 8-byte aligned the snapshot is overlaid on an aligned copy
+// instead (ZeroCopy reports false). Returns the snapshot and the number of
+// bytes it spans, ErrBadSnapshot when the bytes are corrupt, or
+// ErrOverlayUnsupported on a big-endian host.
 func OverlayCompact(data []byte) (*Compact, int, error) {
-	if !OverlaySupported() {
+	if !overlayLittleEndian {
 		return nil, 0, ErrOverlayUnsupported
 	}
 	h, err := DecodeCompactHeader(data, len(data))
@@ -86,13 +81,11 @@ func OverlayCompact(data []byte) (*Compact, int, error) {
 		height:    h.Height,
 		leafStart: h.LeafStart,
 		heapCap:   h.HeapCap,
+		zeroCopy:  true,
 	}
 	c.initPools()
 	if h.NodeCount == 0 {
 		return c, h.BinarySize(), nil
-	}
-	if uintptr(unsafe.Pointer(&data[0]))%8 != 0 {
-		return nil, 0, fmt.Errorf("%w: buffer not 8-byte aligned", ErrOverlayUnsupported)
 	}
 	// Validate every node from the raw bytes before building any view. This
 	// touches only the node region (the index skeleton, a few percent of the
@@ -108,129 +101,24 @@ func OverlayCompact(data []byte) (*Compact, int, error) {
 			return nil, 0, err
 		}
 	}
-	c.nodes = unsafe.Slice((*compactNode)(unsafe.Pointer(&data[off])), h.NodeCount)
+	buf := data[:h.BinarySize()]
+	if uintptr(unsafe.Pointer(&buf[0]))%8 != 0 {
+		buf, c.zeroCopy = alignedCopy(buf), false
+	}
+	c.nodes = unsafe.Slice((*compactNode)(unsafe.Pointer(&buf[off])), h.NodeCount)
 	if h.LeafCount > 0 {
-		c.leafBoxes = unsafe.Slice((*geom.AABB)(unsafe.Pointer(&data[h.LeafBoxesOffset()])), h.LeafCount)
-		c.leafIDs = unsafe.Slice((*int64)(unsafe.Pointer(&data[h.LeafIDsOffset()])), h.LeafCount)
+		c.leafBoxes = unsafe.Slice((*geom.AABB)(unsafe.Pointer(&buf[h.LeafBoxesOffset()])), h.LeafCount)
+		c.leafIDs = unsafe.Slice((*int64)(unsafe.Pointer(&buf[h.LeafIDsOffset()])), h.LeafCount)
 	}
 	return c, h.BinarySize(), nil
 }
 
-// b2u is the branch-free bool-to-bit conversion: the compiler lowers it to a
-// SETcc, not a jump, which is what keeps the batch predicate kernel free of
-// per-entry branch mispredictions.
-func b2u(b bool) uint64 {
-	var x uint64
-	if b {
-		x = 1
-	}
-	return x
-}
-
-// RangeVisitBatch is RangeVisit with batch, branch-free MBR predicate
-// evaluation over the SoA leaf runs: instead of testing each leaf box behind
-// a (mispredicting) intersection branch, the kernel evaluates the six
-// comparisons of every box in a 64-entry chunk into a bitmask with no
-// control dependency on the outcome, then walks the set bits. On the mapped
-// read path each leaf run lives on a handful of OS pages, so the chunked
-// sweep also touches pages sequentially — predicate evaluation per page,
-// not per entry. Results and visit order are identical to RangeVisit (the
-// conformance suite pins this); only the accounting granularity differs —
-// the sorted-run early break applies per 64-entry chunk instead of per
-// entry, so elemTests may count a partially-useful chunk in full.
-func (c *Compact) RangeVisitBatch(query geom.AABB, visit func(index.Item) bool) {
-	if c.size == 0 {
-		return
-	}
-	var nodeVisits, treeTests, elemTests, results int64
-	defer func() {
-		c.counters.AddNodeVisits(nodeVisits)
-		c.counters.AddTreeIntersectTests(treeTests)
-		c.counters.AddElemIntersectTests(elemTests)
-		c.counters.AddElementsTouched(elemTests)
-		c.counters.AddResults(results)
-	}()
-	treeTests++
-	if !query.Intersects(c.nodes[0].box) {
-		return
-	}
-	var stackArr [compactStackCap]int32
-	stack := stackArr[:0]
-	stack = append(stack, 0)
-	for len(stack) > 0 {
-		ni := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := &c.nodes[ni]
-		nodeVisits++
-		if n.leaf { // only the root can reach the stack as a leaf
-			tested, hit, more := c.scanLeafRunBatch(query, n.first, n.count, visit)
-			elemTests += tested
-			results += hit
-			if !more {
-				return
-			}
-			continue
-		}
-		treeTests += int64(n.count)
-		children := c.nodes[n.first : n.first+n.count]
-		for i := range children {
-			if !query.Intersects(children[i].box) {
-				continue
-			}
-			ci := n.first + int32(i)
-			if ci < c.leafStart {
-				stack = append(stack, ci)
-				continue
-			}
-			// Leaf child: batch-scan its SoA run inline.
-			ch := &children[i]
-			nodeVisits++
-			tested, hit, more := c.scanLeafRunBatch(query, ch.first, ch.count, visit)
-			elemTests += tested
-			results += hit
-			if !more {
-				return
-			}
-		}
-	}
-}
-
-// scanLeafRunBatch evaluates one leaf's SoA run [first, first+count) against
-// the query branch-free: 64 boxes at a time are reduced to a hit bitmask (6
-// SETcc-and-AND comparisons per box, no data-dependent branch), then only
-// the set bits are visited. Leaf runs are sorted by Min.X, so a chunk whose
-// first box already starts beyond query.Max.X ends the run — the sorted
-// early-break at chunk granularity. Returns how many boxes were tested, how
-// many hit, and whether the visitor wants more.
-func (c *Compact) scanLeafRunBatch(query geom.AABB, first, count int32, visit func(index.Item) bool) (tested, hit int64, more bool) {
-	boxes := c.leafBoxes[first : first+count]
-	ids := c.leafIDs[first : first+count]
-	for base := 0; base < len(boxes); base += 64 {
-		if boxes[base].Min.X > query.Max.X {
-			break // sorted by Min.X: nothing further can intersect
-		}
-		end := base + 64
-		if end > len(boxes) {
-			end = len(boxes)
-		}
-		chunk := boxes[base:end]
-		var mask uint64
-		for i := range chunk {
-			b := &chunk[i]
-			m := b2u(b.Min.X <= query.Max.X) & b2u(b.Max.X >= query.Min.X) &
-				b2u(b.Min.Y <= query.Max.Y) & b2u(b.Max.Y >= query.Min.Y) &
-				b2u(b.Min.Z <= query.Max.Z) & b2u(b.Max.Z >= query.Min.Z)
-			mask |= m << uint(i)
-		}
-		tested += int64(len(chunk))
-		for mask != 0 {
-			i := bits.TrailingZeros64(mask)
-			mask &= mask - 1
-			hit++
-			if !visit(index.Item{ID: ids[base+i], Box: chunk[i]}) {
-				return tested, hit, false
-			}
-		}
-	}
-	return tested, hit, true
+// alignedCopy copies b into a fresh 8-byte-aligned heap buffer: it is backed
+// by a []uint64, and the first word of an allocated array is 64-bit aligned
+// on every platform (the guarantee sync/atomic documents).
+func alignedCopy(b []byte) []byte {
+	words := make([]uint64, (len(b)+7)/8)
+	out := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(b))
+	copy(out, b)
+	return out
 }

@@ -21,8 +21,8 @@ import (
 
 // Open constructs a store and starts its background workers. With
 // Config.Persist set it first recovers: the newest verifiable epoch snapshot
-// is loaded (native R-Tree shards are served directly from their decoded
-// compact slabs; other shard families are rebuilt from their persisted items
+// is loaded (native R-Tree shards serve directly as overlays of the segment
+// image; other shard families are rebuilt from their persisted items
 // through cfg.Build), the staging table is re-seeded from it, and the WAL
 // tail beyond the snapshot is replayed batch by batch — reproducing both the
 // pre-crash content and the pre-crash epoch sequence numbers. Open fails
@@ -67,10 +67,11 @@ func Open(cfg Config) (*Store, error) {
 }
 
 // recoverFromPersist loads the persisted state into the (not yet started)
-// store. In heap mode every shard is decoded (or rebuilt) onto the heap; in
-// mapped mode R-Tree shards overlay the mmap'd segment and recovery work is
-// O(open) — no shard rebuild, no item scan (the staging re-seed is deferred
-// to the first Apply via seedFrom).
+// store. R-Tree shards overlay the segment image in both modes — read onto
+// the heap and checksummed in heap mode, mmap'd in mapped mode, where
+// recovery work is O(open) — and no item is scanned either way (the staging
+// re-seed is deferred to the first Apply via seedFrom). Only non-R-Tree
+// shards are rebuilt.
 func (s *Store) recoverFromPersist() error {
 	mapped := s.cfg.Serving == ServingMapped
 	rec, err := s.cfg.Persist.Recover(persist.RecoverOptions{Workers: s.cfg.Workers, Mapped: mapped})
@@ -94,12 +95,9 @@ func (s *Store) recoverFromPersist() error {
 		inner := s.cfg.Workers/max(len(rec.Shards), 1) + 1
 		exec.ForTasks(len(rec.Shards), s.cfg.Workers, func(_, i int) {
 			sr := rec.Shards[i]
-			switch {
-			case sr.Mapped != nil:
-				shards[i] = mappedShard(sr.Bounds, sr.Mapped)
-			case sr.RTree != nil:
+			if sr.RTree != nil {
 				shards[i] = recoveredShard(sr.Bounds, sr.RTree)
-			default:
+			} else {
 				// Item-fallback shards rebuild through buildShard: the same items
 				// produce the same profile, so a planner-mode store lands on the
 				// same family it chose before the crash.
@@ -263,10 +261,6 @@ func shardRecords(e *Epoch) []persist.ShardRecord {
 		sh := &e.shards[i]
 		if c, ok := sh.snap.(*rtree.Compact); ok {
 			recs[i] = persist.ShardRecord{Bounds: sh.bounds, RTree: c}
-			continue
-		}
-		if mc, ok := sh.snap.(*persist.MappedCompact); ok {
-			recs[i] = persist.ShardRecord{Bounds: sh.bounds, Mapped: mc}
 			continue
 		}
 		var items []index.Item

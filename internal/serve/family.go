@@ -14,7 +14,6 @@ import (
 	"spatialsim/internal/crtree"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
-	"spatialsim/internal/persist"
 	"spatialsim/internal/planner"
 	"spatialsim/internal/rtree"
 )
@@ -84,41 +83,25 @@ func (s *Store) buildShard(bounds geom.AABB, items []index.Item, workers int) Sh
 	return Shard{bounds: bounds, snap: s.cfg.Families[fam](bounds, items, workers), family: fam, profile: prof}
 }
 
-// recoveredShard wraps a natively-decoded snapshot (an R-Tree compact slab
-// loaded straight from a segment file) into a Shard, reconstructing the
-// profile the freeze-time build would have computed.
-func recoveredShard(bounds geom.AABB, snap index.ReadIndex) Shard {
-	var items []index.Item
-	if snap.Len() > 0 {
-		items = make([]index.Item, 0, snap.Len())
-		snap.RangeVisit(bounds, func(it index.Item) bool {
-			items = append(items, it)
-			return true
-		})
-	}
-	return Shard{bounds: bounds, snap: snap, family: normalizeFamily(snap.Name()), profile: catalog.Profile(items)}
-}
-
-// mappedShard wraps a zero-copy mapped snapshot into a Shard. Unlike
-// recoveredShard it does not scan the items to reconstruct a statistics
-// profile — a scan would fault in every leaf page, defeating the O(open)
-// recovery the mapped path exists for. The profile carries only what the
-// envelope knows (cardinality and bounds), which is all query fan-out
-// pruning needs; the first post-recovery epoch build re-profiles everything
-// anyway.
-func mappedShard(bounds geom.AABB, mc *persist.MappedCompact) Shard {
+// recoveredShard wraps a recovered R-Tree snapshot (an overlay of the
+// segment image, in both serving modes) into a Shard. It does not scan the
+// items to reconstruct a statistics profile — on a mapped segment a scan
+// would fault in every leaf page, defeating O(open) recovery. The profile
+// carries only what the envelope knows (cardinality and bounds), which is
+// all query fan-out pruning needs; the first post-recovery epoch build
+// re-profiles everything anyway.
+func recoveredShard(bounds geom.AABB, c *rtree.Compact) Shard {
 	return Shard{
 		bounds:  bounds,
-		snap:    mc,
-		family:  normalizeFamily(mc.Name()),
-		profile: catalog.ShardProfile{Card: mc.Len(), MBR: bounds},
+		snap:    c,
+		family:  normalizeFamily(c.Name()),
+		profile: catalog.ShardProfile{Card: c.Len(), MBR: bounds},
 	}
 }
 
 // normalizeFamily maps a snapshot's self-reported name onto its planner
-// family name ("rtree-compact" and "rtree-mapped" -> "rtree"), so family
-// attribution is stable across the mutable/frozen boundary, across crash
-// recovery, and across heap/mapped serving modes.
+// family name ("rtree-compact" -> "rtree"), so family attribution is stable
+// across the mutable/frozen boundary and across crash recovery.
 func normalizeFamily(name string) string {
-	return strings.TrimSuffix(strings.TrimSuffix(name, "-compact"), "-mapped")
+	return strings.TrimSuffix(name, "-compact")
 }

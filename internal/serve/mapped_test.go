@@ -5,10 +5,15 @@ package serve
 // and must release its mapping exactly when the recovered epoch retires.
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"spatialsim/internal/geom"
+	"spatialsim/internal/index"
 	"spatialsim/internal/obs"
+	"spatialsim/internal/persist"
 	"spatialsim/internal/rtree"
 	"spatialsim/internal/storage"
 )
@@ -152,6 +157,77 @@ func TestMappedServingAcceptsUpdatesAndUnmapsOnRetire(t *testing.T) {
 	again, _ := st2.RangeAll(geom.NewAABB(geom.V(0, 0, 0), geom.V(300, 300, 300)), nil)
 	if !sameItems(again, after) {
 		t.Fatalf("second mapped recovery diverges: %d items, want %d", len(again), len(after))
+	}
+}
+
+// TestPinnedMappedEpochOutlivesSegmentUnlink pins the live-mapping edge: a
+// reader holds the recovered mapped epoch while applies and forced snapshots
+// push snapshot retention past it, until segment GC unlinks the file the
+// mapping was made from. Unlinking is safe — the pinned epoch must still
+// answer identically from the mapping — and the unmap must happen exactly
+// once, when the last pin drops.
+func TestPinnedMappedEpochOutlivesSegmentUnlink(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Shards: 4, Workers: 2}
+	seedMappedStore(t, dir, cfg)
+
+	mCfg := cfg
+	mCfg.Serving = ServingMapped
+	st, ps := openDurable(t, dir, mCfg)
+	defer func() { st.Close(); ps.Close() }()
+	segPath := filepath.Join(dir, st.Recovery().Segment)
+	ms := st.mapping.Load()
+	if ms == nil {
+		t.Fatal("mapped recovery installed no mapping")
+	}
+
+	pinned := st.AcquireEpoch()
+	universe := geom.NewAABB(geom.V(-1000, -1000, -1000), geom.V(1000, 1000, 1000))
+	answers := func() ([]index.Item, []index.Item) {
+		t.Helper()
+		var all []index.Item
+		// A streamed range bypasses the result cache, so it reads every leaf
+		// of every shard from the mapping.
+		r := st.QueryPinned(Request{Op: OpRange, Query: universe, Visit: func(it index.Item) bool {
+			all = append(all, it)
+			return true
+		}}, pinned)
+		k := st.QueryPinned(Request{Op: OpKNN, Point: geom.V(50, 50, 50), K: 12}, pinned)
+		if r.Err != nil || k.Err != nil || r.Degraded || k.Degraded {
+			t.Fatalf("pinned query failed: range %v (degraded %v), knn %v (degraded %v)", r.Err, r.Degraded, k.Err, k.Degraded)
+		}
+		return all, k.Items
+	}
+	wantRange, wantKNN := answers()
+
+	// RetainSnapshots defaults to 2: two newer snapshots make the recovered
+	// segment unreferenced, and rotation unlinks it.
+	for i := 0; i < 3; i++ {
+		st.Apply([]Update{{ID: int64(20000 + i), Box: geom.NewAABB(geom.V(1, 1, 1), geom.V(2, 2, 2))}})
+		if _, err := st.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(segPath); !os.IsNotExist(err) {
+		t.Fatalf("segment GC did not unlink %s (stat err %v)", segPath, err)
+	}
+	if st.mapping.Load() != ms {
+		t.Fatal("mapping released while a reader still pins its epoch")
+	}
+	gotRange, gotKNN := answers()
+	if !sameItems(gotRange, wantRange) || !sameItems(gotKNN, wantKNN) {
+		t.Fatalf("pinned epoch diverged after its segment was unlinked: range %d/%d, knn %d/%d items",
+			len(gotRange), len(wantRange), len(gotKNN), len(wantKNN))
+	}
+
+	st.ReleaseEpoch(pinned)
+	if st.mapping.Load() != nil {
+		t.Fatal("mapping still live after the last pin dropped")
+	}
+	// Retirement already closed the segment once (a second close in the
+	// retire hook would have panicked), so a probe Close must report it.
+	if err := ms.Close(); !errors.Is(err, persist.ErrSegmentClosed) {
+		t.Fatalf("retirement did not unmap the segment: probe Close = %v", err)
 	}
 }
 

@@ -33,14 +33,15 @@
 // reproduces both the pre-crash contents and the pre-crash epoch sequence
 // numbers — before serving.
 //
-// Config.Serving selects the durable-mode recovery read path: ServingHeap
-// decodes every shard into memory, while ServingMapped mmaps the newest
-// segment and serves R-Tree shards zero-copy from the mapped bytes
-// (persist.MappedCompact) — recovery cost is O(open) regardless of dataset
-// size, pages fault in on demand (so datasets larger than RAM serve), and
-// the mapping is unmapped exactly when the recovered epoch retires. The
-// first post-recovery update batch lazily re-seeds the staging table from
-// the mapped epoch, keeping the open path free of item scans.
+// Recovered R-Tree shards are overlays of the segment image
+// (rtree.OverlayCompact) whichever way Config.Serving selects to obtain it:
+// ServingHeap reads the newest segment into memory and verifies every
+// checksum, while ServingMapped mmaps it — recovery cost is O(open)
+// regardless of dataset size, pages fault in on demand (so datasets larger
+// than RAM serve), and the mapping is unmapped exactly when the recovered
+// epoch retires. The first post-recovery update batch lazily re-seeds the
+// staging table from the recovered epoch, keeping the open path free of
+// item scans.
 package serve
 
 import (
@@ -105,16 +106,17 @@ func OctreeBuilder(leafCapacity int) ShardBuilder {
 type ServingMode string
 
 const (
-	// ServingHeap is the default: recovery decodes every shard onto the heap
-	// (verifying the full segment checksum) before serving.
+	// ServingHeap is the default: recovery reads the segment onto the heap
+	// and verifies its full checksum before serving R-Tree shards as
+	// overlays of that image.
 	ServingHeap ServingMode = "heap"
 	// ServingMapped serves recovered R-Tree shards as zero-copy overlays of
 	// the mmap'd segment file: recovery is O(open) — map, validate the
 	// structural envelope, publish, replay the WAL tail — and the OS pages
 	// shard data in lazily as queries touch it, so datasets larger than RAM
 	// serve within whatever the page cache holds. The mapping is released
-	// when the recovered epoch retires. Platforms without mmap degrade to a
-	// checksummed pread image, still with no shard rebuild.
+	// when the recovered epoch retires. Platforms without mmap run the heap
+	// path.
 	ServingMapped ServingMode = "mapped"
 )
 
