@@ -98,7 +98,7 @@ func run(args []string, stdout io.Writer) error {
 		replication = fs.Int("replication", 2, "owners per tile (1 = no replicas)")
 		elements    = fs.Int("elements", 100000, "bootstrap dataset size (0 starts empty)")
 		seed        = fs.Int64("seed", 1, "bootstrap dataset seed")
-		shards      = fs.Int("shards", 0, "STR shards per node epoch (0 = GOMAXPROCS)")
+		shards      = fs.Int("shards", 0, "STR layout size per node: a cut makes up to 16 tiles per shard, and every non-empty tile serves as one shard of the node epoch (0 = GOMAXPROCS)")
 		dataDir     = fs.String("data-dir", "", "per-node persist root (empty = in-memory; node i uses <dir>/node-i)")
 		hedgeAfter  = fs.Duration("hedge-after", 20*time.Millisecond, "hedge replica queries for unresolved tiles after this delay (0 disables)")
 	)

@@ -87,7 +87,7 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		addr        = fs.String("addr", ":8080", "listen address")
 		elements    = fs.Int("elements", 100000, "bootstrap dataset size (0 starts empty)")
-		shards      = fs.Int("shards", 0, "STR shards per epoch (0 = GOMAXPROCS)")
+		shards      = fs.Int("shards", 0, "STR layout size: a cut makes up to 16 tiles per shard, and every non-empty tile serves as one shard of the epoch (0 = GOMAXPROCS)")
 		workers     = fs.Int("workers", 0, "epoch build goroutines (0 = GOMAXPROCS)")
 		maxInflight = fs.Int("max-inflight", 0, "admission-control bound on in-flight queries (0 = 4x GOMAXPROCS)")
 		indexName   = fs.String("index", "rtree", "shard family (rtree|grid|octree|crtree), or auto for planner-chosen per-shard families")

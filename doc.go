@@ -36,7 +36,8 @@
 //     reference-point technique and emission-site filters guaranteeing no
 //     pair is ever produced twice;
 //   - internal/moving — throwaway, lazy (grace window) and buffered
-//     moving-object update strategies;
+//     moving-object update strategies (the paper's comparison, run by
+//     simrun and the experiments; the served binaries do not link it);
 //   - internal/mesh — mesh connectivity, DLS, OCTOPUS-style and FLAT-style
 //     connectivity-driven range queries;
 //   - internal/core — SimIndex, the grid-based index with a maintenance cost
@@ -61,9 +62,11 @@
 //   - internal/sim — the time-stepped simulation harness of the paper's
 //     Figure 1;
 //   - internal/serve — the sharded, epoch-versioned serving subsystem: STR
-//     space partitions of frozen Compact snapshots behind an atomic epoch
-//     pointer with per-epoch refcounts, a background builder that stages
-//     update batches and swaps generations without blocking readers,
+//     tiles of frozen Compact snapshots behind an atomic epoch pointer with
+//     per-epoch refcounts, a tile table (an id -> tile map, SQLite R*-Tree
+//     %_rowid style) that stages update batches so a publish rebuilds only
+//     the tiles a batch dirtied and shares the rest with the previous
+//     epoch, generations swapped without blocking readers,
 //     scatter/gather range and global-merge kNN queries, epoch-pinned
 //     parallel self-joins (Store.SelfJoin), and admission control bounding
 //     in-flight queries; every operation flows through one

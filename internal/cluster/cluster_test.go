@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -601,6 +602,35 @@ func TestClusterMetrics(t *testing.T) {
 	} {
 		if !containsLine(text, want) {
 			t.Fatalf("metrics exposition missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestClusterJoinRefusesBadEps: Coordinator.Join refuses NaN, infinite and
+// negative Eps with serve.ErrBadRequest before any fan-out, and still joins
+// a valid request.
+func TestClusterJoinRefusesBadEps(t *testing.T) {
+	co, _ := newTestCluster(t, 2, 1, 0)
+	if _, err := co.Bootstrap(clusterItems(200, 5)); err != nil {
+		t.Fatalf("bootstrap: %v", err)
+	}
+	for _, tc := range []struct {
+		eps float64
+		ok  bool
+	}{
+		{math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false},
+		{-0.5, false}, {-math.SmallestNonzeroFloat64, false},
+		{0, true}, {0.5, true},
+	} {
+		rep := co.Join(context.Background(), serve.JoinRequest{Eps: tc.eps})
+		if tc.ok {
+			if rep.Err != nil || rep.JoinItems != 200 {
+				t.Fatalf("eps=%v: err=%v items=%d, want a full join", tc.eps, rep.Err, rep.JoinItems)
+			}
+			continue
+		}
+		if !errors.Is(rep.Err, serve.ErrBadRequest) || rep.Pairs != nil || rep.JoinItems != 0 {
+			t.Fatalf("eps=%v: err=%v pairs=%d items=%d, want a refusal before any fetch", tc.eps, rep.Err, len(rep.Pairs), rep.JoinItems)
 		}
 	}
 }

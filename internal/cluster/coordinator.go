@@ -429,8 +429,12 @@ func (c *Coordinator) KNN(ctx context.Context, p geom.Vec3, k int) Reply {
 // ID for a deterministic planner input), then the join planner picks an
 // algorithm and the parallel join engine executes at the coordinator —
 // cross-node pairs fall out naturally because the join runs over the merged
-// set.
+// set. A request that fails JoinRequest.Validate is refused with
+// serve.ErrBadRequest before anything is fetched.
 func (c *Coordinator) Join(ctx context.Context, jr serve.JoinRequest) Reply {
+	if err := jr.Validate(); err != nil {
+		return Reply{Err: err}
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}

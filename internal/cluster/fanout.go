@@ -352,7 +352,7 @@ func (f *fanout) visitor(t *fanTask) func(index.Item) bool {
 	}
 	if whole {
 		return func(it index.Item) bool {
-			t.items = append(t.items, it)
+			t.items = index.AppendItem(t.items, it)
 			return true
 		}
 	}
@@ -362,7 +362,7 @@ func (f *fanout) visitor(t *fanTask) func(index.Item) bool {
 	}
 	return func(it index.Item) bool {
 		if own[place.Route(it.Box)] {
-			t.items = append(t.items, it)
+			t.items = index.AppendItem(t.items, it)
 		}
 		return true
 	}

@@ -227,6 +227,7 @@ var errorStatuses = []struct {
 	{serve.ErrOverload, http.StatusServiceUnavailable, "overloaded", true},
 	{serve.ErrUnavailable, http.StatusServiceUnavailable, "unavailable", true},
 	{serve.ErrNotBootstrapped, http.StatusConflict, "conflict", false},
+	{serve.ErrBadRequest, http.StatusBadRequest, "bad_request", false},
 	{context.DeadlineExceeded, http.StatusGatewayTimeout, "deadline_exceeded", false},
 	{context.Canceled, http.StatusServiceUnavailable, "canceled", false},
 }

@@ -101,52 +101,71 @@ type SegmentInfo struct {
 // the aligned layout (see the package comment): each record starts on an
 // 8-byte boundary with the blob at record offset 64, so blobs are 8-byte
 // aligned within the page-aligned image and a reader can overlay them in
-// place.
+// place. The image is sized once and every record is encoded straight into
+// it: no buffer grows and no payload is copied.
 func EncodeSegment(epochSeq, batchSeq uint64, shards []ShardRecord, pageSize int) []byte {
 	if pageSize <= 0 {
 		pageSize = 4096
 	}
-	var pad [8]byte
-	payload := make([]byte, 0, 4096)
+	payloadLen := 0
 	for _, sr := range shards {
-		if rt := sr.RTree; rt != nil {
-			payload = append(payload, shardKindRTree)
-			payload = append(payload, pad[:7]...)
-			payload = appendBox(payload, sr.Bounds)
-			payload = appendU64(payload, uint64(rt.BinarySize()))
-			payload = rt.AppendBinary(payload)
-			payload = append(payload, pad[:align8(len(payload))-len(payload)]...)
-			continue
+		payloadLen += shardRecordHeaderSize + align8(shardBlobSize(sr))
+	}
+	total := pageSize + payloadLen
+	if rem := total % pageSize; rem != 0 {
+		total += pageSize - rem
+	}
+	image := make([]byte, total)
+	payload := image[pageSize : pageSize+payloadLen]
+
+	off := 0
+	for _, sr := range shards {
+		blobLen := shardBlobSize(sr)
+		kind := byte(shardKindItems)
+		if sr.RTree != nil {
+			kind = shardKindRTree
 		}
-		payload = append(payload, shardKindItems)
-		payload = append(payload, pad[:7]...)
-		payload = appendBox(payload, sr.Bounds)
-		payload = appendU64(payload, uint64(4+len(sr.Items)*itemWireSize))
-		payload = appendU32(payload, uint32(len(sr.Items)))
-		for _, it := range sr.Items {
-			payload = appendItem(payload, it)
+		// Each append below writes in place: the destination is a
+		// zero-length window of the image with room for exactly the record.
+		rec := payload[off : off : off+shardRecordHeaderSize]
+		rec = append(rec, kind, 0, 0, 0, 0, 0, 0, 0)
+		rec = appendBox(rec, sr.Bounds)
+		appendU64(rec, uint64(blobLen))
+		off += shardRecordHeaderSize
+		blob := payload[off : off : off+blobLen]
+		if sr.RTree != nil {
+			sr.RTree.AppendBinary(blob)
+		} else {
+			blob = appendU32(blob, uint32(len(sr.Items)))
+			for _, it := range sr.Items {
+				blob = appendItem(blob, it)
+			}
 		}
-		payload = append(payload, pad[:align8(len(payload))-len(payload)]...)
+		off += align8(blobLen) // the pad bytes are already zero
 	}
 
-	header := make([]byte, 0, segmentHeaderSize)
+	header := image[:0:segmentHeaderSize]
 	header = appendU32(header, segmentMagic)
 	header = appendU32(header, segmentVersion)
 	header = appendU64(header, epochSeq)
 	header = appendU64(header, batchSeq)
 	header = appendU32(header, uint32(len(shards)))
 	header = appendU32(header, uint32(pageSize))
-	header = appendU64(header, uint64(len(payload)))
-	header = appendU32(header, crc32.Checksum(payload, castagnoli))
-
-	total := pageSize + len(payload)
-	if rem := total % pageSize; rem != 0 {
-		total += pageSize - rem
-	}
-	image := make([]byte, total)
-	copy(image, header)
-	copy(image[pageSize:], payload)
+	header = appendU64(header, uint64(payloadLen))
+	appendU32(header, crc32.Checksum(payload, castagnoli))
 	return image
+}
+
+// shardRecordHeaderSize is the fixed prefix of a shard record: kind, pad,
+// bounds and blob length.
+const shardRecordHeaderSize = 8 + boxWireSize + 8
+
+// shardBlobSize is the encoded blob length of one shard record.
+func shardBlobSize(sr ShardRecord) int {
+	if sr.RTree != nil {
+		return sr.RTree.BinarySize()
+	}
+	return 4 + len(sr.Items)*itemWireSize
 }
 
 // DecodeSegmentInfo validates and decodes a segment header from the first
@@ -295,15 +314,24 @@ func DecodeSegment(image []byte, workers int, verifyCRC bool) (SegmentInfo, []Sh
 	return info, shards, nil
 }
 
-// writeImage writes a page-aligned image through a page device and syncs it.
+// imageRunPages bounds one run write of writeImage (1 MiB at 4 KiB pages).
+const imageRunPages = 256
+
+// writeImage writes a page-aligned image through a page device in runs of
+// up to imageRunPages pages, one WriteAt per run, and syncs it.
 func writeImage(fd *storage.FileDisk, image []byte) error {
 	ps := fd.PageSize()
 	if len(image)%ps != 0 {
 		return fmt.Errorf("persist: image size %d is not page-aligned to %d", len(image), ps)
 	}
-	for off := 0; off < len(image); off += ps {
-		id := fd.Allocate()
-		if err := fd.Write(id, image[off:off+ps]); err != nil {
+	run := imageRunPages * ps
+	for off := 0; off < len(image); off += run {
+		end := min(off+run, len(image))
+		first := fd.Allocate()
+		for p := off + ps; p < end; p += ps {
+			fd.Allocate()
+		}
+		if err := fd.WritePages(first, image[off:end]); err != nil {
 			return err
 		}
 	}

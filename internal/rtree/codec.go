@@ -30,6 +30,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"unsafe"
 
 	"spatialsim/internal/geom"
 )
@@ -77,8 +79,9 @@ func appendBox(buf []byte, b geom.AABB) []byte {
 }
 
 // AppendBinary appends the serialized snapshot to buf and returns the
-// extended slice.
+// extended slice. buf grows at most once, to BinarySize more bytes.
 func (c *Compact) AppendBinary(buf []byte) []byte {
+	buf = slices.Grow(buf, c.BinarySize())
 	buf = appendU32(buf, compactMagic)
 	buf = appendU32(buf, uint32(len(c.nodes)))
 	buf = appendU32(buf, uint32(len(c.leafIDs)))
@@ -87,6 +90,15 @@ func (c *Compact) AppendBinary(buf []byte) []byte {
 	buf = appendU32(buf, uint32(c.height))
 	buf = appendU32(buf, uint32(c.heapCap))
 	buf = appendU32(buf, 0)
+	if overlayLittleEndian {
+		return c.appendSlabBytes(buf)
+	}
+	return c.appendSlabFields(buf)
+}
+
+// appendSlabFields encodes the slabs field by field, little-endian on any
+// host: the body of AppendBinary on big-endian hosts.
+func (c *Compact) appendSlabFields(buf []byte) []byte {
 	for i := range c.nodes {
 		n := &c.nodes[i]
 		buf = appendBox(buf, n.box)
@@ -105,6 +117,30 @@ func (c *Compact) AppendBinary(buf []byte) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(c.leafIDs[i]))
 	}
 	return buf
+}
+
+// appendSlabBytes is AppendBinary's body on a little-endian host, where the
+// serialized records are the in-memory slabs byte for byte (the layout
+// contract overlay.go asserts): each slab is one copy. Node padding is
+// cleared after the copy, so an overlay of bytes with stray padding still
+// re-encodes to the canonical form the field encoder writes.
+func (c *Compact) appendSlabBytes(buf []byte) []byte {
+	start := len(buf)
+	buf = append(buf, slabBytes(c.nodes)...)
+	for off := start; off < len(buf); off += CompactNodeSize {
+		clear(buf[off+57 : off+CompactNodeSize])
+	}
+	buf = append(buf, slabBytes(c.leafBoxes)...)
+	return append(buf, slabBytes(c.leafIDs)...)
+}
+
+// slabBytes views a slab as its raw bytes.
+func slabBytes[T any](s []T) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	var zero T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(zero)))
 }
 
 func readF64(data []byte) float64 {

@@ -40,6 +40,35 @@ func TestCompactCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSlabCopyEncoderMatchesFieldEncoder pins the little-endian fast path of
+// AppendBinary to the portable field encoder byte for byte, including an
+// overlay whose node padding carries stray bytes (the copy must clear them).
+func TestSlabCopyEncoderMatchesFieldEncoder(t *testing.T) {
+	if !OverlaySupported() {
+		t.Skip("slab copy is the little-endian path")
+	}
+	for _, n := range []int{0, 1, 17, 400, 3000} {
+		c := FreezeItems(randomItems(n, int64(n)+11), Config{})
+		if got, want := c.appendSlabBytes(nil), c.appendSlabFields(nil); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: slab copy differs from the field encoder", n)
+		}
+		if n == 0 {
+			continue
+		}
+		blob := alignedBlob(c)
+		for off := compactHeaderSize; off < compactHeaderSize+len(c.nodes)*CompactNodeSize; off += CompactNodeSize {
+			blob[off+60] = 0x5A
+		}
+		ov, _, err := OverlayCompact(blob)
+		if err != nil {
+			t.Fatalf("n=%d: overlay with stray padding: %v", n, err)
+		}
+		if !bytes.Equal(ov.AppendBinary(nil), c.AppendBinary(nil)) {
+			t.Fatalf("n=%d: stray node padding survived re-encoding", n)
+		}
+	}
+}
+
 // TestDecodeCompactRejectsCorruption runs the corruption table through the
 // copying open — a misaligned buffer, which OverlayCompact copies into an
 // aligned heap buffer. Validation precedes the copy, so corrupt bytes are

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"sync"
 
 	"spatialsim/internal/geom"
@@ -89,11 +90,17 @@ func (t *Tree) Freeze() *Compact {
 		n   *node
 		idx int32
 	}
-	c.nodes = append(c.nodes, compactNode{})
-	queue := []pending{{n: t.root, idx: 0}}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
+	// Every slab and the queue are sized once: the item count is known and
+	// the node count is one walk over the nodes, so the breadth-first
+	// copy below never grows a slice.
+	nodes := t.root.countNodes()
+	c.nodes = make([]compactNode, 1, nodes)
+	c.leafBoxes = make([]geom.AABB, 0, t.size)
+	c.leafIDs = make([]int64, 0, t.size)
+	queue := make([]pending, 1, nodes)
+	queue[0] = pending{n: t.root, idx: 0}
+	for head := 0; head < len(queue); head++ {
+		p := queue[head]
 		box := geom.EmptyAABB()
 		if p.n.leaf {
 			first := int32(len(c.leafIDs))
@@ -123,6 +130,18 @@ func (t *Tree) Freeze() *Compact {
 		}
 	}
 	return c
+}
+
+// countNodes returns the number of nodes in the subtree rooted at n.
+func (n *node) countNodes() int {
+	if n.leaf {
+		return 1
+	}
+	total := 1
+	for i := range n.entries {
+		total += n.entries[i].child.countNodes()
+	}
+	return total
 }
 
 // sortLeafRun insertion-sorts one leaf's SoA run [first, end) by box Min.X
@@ -284,6 +303,13 @@ type compactKNNState struct {
 // a warm call performs zero heap allocations (results are appended to the
 // caller-owned buf).
 func (c *Compact) KNNInto(p geom.Vec3, k int, buf []index.Item) []index.Item {
+	return c.KNNWithin(p, k, math.Inf(1), buf)
+}
+
+// KNNWithin is KNNInto limited to items whose squared distance to p is at
+// most bound2: the traversal stops at the first heap entry beyond it, so the
+// result is the prefix of KNNInto's within the bound.
+func (c *Compact) KNNWithin(p geom.Vec3, k int, bound2 float64, buf []index.Item) []index.Item {
 	if k <= 0 || c.size == 0 {
 		return buf
 	}
@@ -292,7 +318,7 @@ func (c *Compact) KNNInto(p geom.Vec3, k int, buf []index.Item) []index.Item {
 	h = pushHeapEnt(h, compactHeapEnt{dist: c.nodes[0].box.Distance2ToPoint(p), ref: 0})
 	var nodeVisits, treeTests, elemTests int64
 	found := 0
-	for len(h) > 0 && found < k {
+	for len(h) > 0 && found < k && h[0].dist <= bound2 {
 		e := h[0]
 		h = popHeapEnt(h)
 		if e.ref < 0 {

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -88,6 +89,32 @@ func TestCompactKNNMatchesMutable(t *testing.T) {
 				if gd != wd {
 					t.Fatalf("k=%d rank %d: dist2 %g, want %g", k, i, gd, wd)
 				}
+			}
+		}
+	}
+}
+
+// TestCompactKNNWithinIsBoundedPrefix: KNNWithin returns exactly the prefix
+// of KNNInto's answer within the distance bound — the property the epoch's
+// cross-tile merge relies on to stay identical to an unbounded search.
+func TestCompactKNNWithinIsBoundedPrefix(t *testing.T) {
+	c := FreezeItems(randomItems(3000, 12), Config{})
+	for _, p := range []geom.Vec3{geom.V(1, 1, 1), geom.V(50, 50, 50), geom.V(-5, 120, 50)} {
+		for _, k := range []int{1, 8, 33} {
+			full := c.KNNInto(p, k, nil)
+			for _, cut := range []int{0, k / 2, k - 1} {
+				bound := full[cut].Box.Distance2ToPoint(p)
+				got := c.KNNWithin(p, k, bound, nil)
+				want := full
+				for len(want) > 0 && want[len(want)-1].Box.Distance2ToPoint(p) > bound {
+					want = want[:len(want)-1]
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("p=%v k=%d bound=%g: %d items, want the %d-item prefix", p, k, bound, len(got), len(want))
+				}
+			}
+			if got := c.KNNWithin(p, k, -1, nil); len(got) != 0 {
+				t.Fatalf("p=%v k=%d: a negative bound returned %d items", p, k, len(got))
 			}
 		}
 	}

@@ -14,7 +14,6 @@ import (
 
 	"spatialsim/internal/exec"
 	"spatialsim/internal/index"
-	"spatialsim/internal/moving"
 	"spatialsim/internal/persist"
 	"spatialsim/internal/rtree"
 )
@@ -23,16 +22,16 @@ import (
 // Config.Persist set it first recovers: the newest verifiable epoch snapshot
 // is loaded (native R-Tree shards serve directly as overlays of the segment
 // image; other shard families are rebuilt from their persisted items
-// through cfg.Build), the staging table is re-seeded from it, and the WAL
-// tail beyond the snapshot is replayed batch by batch — reproducing both the
-// pre-crash content and the pre-crash epoch sequence numbers. Open fails
-// (rather than serving torn data) only when snapshots exist but none
-// verifies.
+// through cfg.Build), the tile table is re-seeded from it (one tile per
+// persisted shard), and the WAL tail beyond the snapshot is replayed batch
+// by batch — reproducing the pre-crash content, tile layout and epoch
+// sequence numbers. Open fails (rather than serving torn data) only when
+// snapshots exist but none verifies.
 func Open(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	s := &Store{
 		cfg:     cfg,
-		staging: moving.NewThrowaway(index.NewLinearScan()),
+		tiles:   newTileTable(cfg.Shards),
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 		updates: make(chan []Update, cfg.IngestQueue),
 	}
@@ -69,8 +68,8 @@ func Open(cfg Config) (*Store, error) {
 // recoverFromPersist loads the persisted state into the (not yet started)
 // store. R-Tree shards overlay the segment image in both modes — read onto
 // the heap and checksummed in heap mode, mmap'd in mapped mode, where
-// recovery work is O(open) — and no item is scanned either way (the staging
-// re-seed is deferred to the first Apply via seedFrom). Only non-R-Tree
+// recovery work is O(open) — and no item is scanned either way (the tile
+// table re-seed is deferred to the first Apply via seedFrom). Only non-R-Tree
 // shards are rebuilt.
 func (s *Store) recoverFromPersist() error {
 	mapped := s.cfg.Serving == ServingMapped
@@ -127,9 +126,9 @@ func (s *Store) recoverFromPersist() error {
 		s.attachCache(e)
 		s.epoch.Store(e)
 
-		// Defer the staging re-seed to the first Apply: recovery publishes
+		// Defer the tile-table seed to the first Apply: recovery publishes
 		// without scanning a single item, and replayed deletes still find
-		// their targets because applyBatch seeds before staging.
+		// their targets because stage seeds before staging.
 		s.stagingMu.Lock()
 		s.seedFrom = e
 		s.stagedSeq = rec.BatchSeq

@@ -14,16 +14,18 @@ import (
 	"spatialsim/internal/obs"
 )
 
-// Shard is one space partition of an epoch: a frozen, read-optimised snapshot
-// of the items whose box centers fall inside the shard's STR tile, plus the
-// tight MBR of those items used to prune query fan-out, the index family the
-// snapshot was built as, and the statistics profile the family choice was
-// made on.
+// Shard is one space partition of an epoch — the frozen image of one STR
+// tile of the store's tile table: a read-optimised snapshot of the tile's
+// items, plus the tight MBR of those items used to prune query fan-out, the
+// index family the snapshot was built as, and the statistics profile the
+// family choice was made on. An image unchanged by a publish is shared by
+// reference between consecutive epochs; refs counts the epochs holding it.
 type Shard struct {
 	bounds  geom.AABB
 	snap    index.ReadIndex
 	family  string
 	profile catalog.ShardProfile
+	refs    *atomic.Int32
 }
 
 // Bounds returns the shard's minimum bounding rectangle.
@@ -58,6 +60,9 @@ type Epoch struct {
 	seq    uint64
 	items  int
 	shards []Shard
+	// bounds is the union of the non-empty shards' MBRs, computed once: the
+	// cluster fan-out reads it on every query.
+	bounds geom.AABB
 	// covered is the WAL batch sequence this epoch's content includes; the
 	// snapshotter stamps it into the segment so recovery knows which WAL
 	// tail to replay on top.
@@ -93,7 +98,14 @@ type Epoch struct {
 }
 
 func newEpoch(seq uint64, shards []Shard, items int) *Epoch {
-	e := &Epoch{seq: seq, items: items, shards: shards, born: time.Now()}
+	bounds := geom.EmptyAABB()
+	for i := range shards {
+		shards[i].refs.Add(1)
+		if shards[i].snap.Len() > 0 {
+			bounds = bounds.Union(shards[i].bounds)
+		}
+	}
+	e := &Epoch{seq: seq, items: items, shards: shards, bounds: bounds, born: time.Now()}
 	e.family = modalFamily(shards)
 	e.wrapPool.New = func() interface{} {
 		w := &stopWrap{}
@@ -276,15 +288,7 @@ func (e *Epoch) rangeVisitCtx(ctx context.Context, query geom.AABB, visit func(i
 
 // Bounds returns the union of the epoch's shard MBRs — the tight extent of
 // everything the epoch serves.
-func (e *Epoch) Bounds() geom.AABB {
-	u := geom.EmptyAABB()
-	for i := range e.shards {
-		if e.shards[i].snap.Len() > 0 {
-			u = u.Union(e.shards[i].bounds)
-		}
-	}
-	return u
-}
+func (e *Epoch) Bounds() geom.AABB { return e.bounds }
 
 // AllItems appends every item of the epoch to buf and returns the extended
 // slice. Shards partition the space, so the concatenation is duplicate-free;
@@ -359,16 +363,11 @@ func (e *Epoch) knnIntoCtx(ctx context.Context, p geom.Vec3, k int, buf []index.
 		st.order = append(st.order, int32(i))
 	}
 	out.fan = len(st.order)
-	// Insertion sort: shard counts are small (tens, not thousands).
-	for i := 1; i < len(st.order); i++ {
-		for j := i; j > 0 && st.dist2[st.order[j]] < st.dist2[st.order[j-1]]; j-- {
-			st.order[j], st.order[j-1] = st.order[j-1], st.order[j]
-		}
-	}
 
 	base := len(buf)
 	st.curD = st.curD[:0]
-	for _, si := range st.order {
+	for len(st.order) > 0 {
+		si := st.popNearest()
 		cur := len(buf) - base
 		if cur >= k && st.dist2[si] > st.curD[cur-1] {
 			// Branch-and-bound exhaustion: the remaining shards cannot
@@ -405,7 +404,13 @@ func (e *Epoch) knnIntoCtx(ctx context.Context, p geom.Vec3, k int, buf []index.
 		if ctx != nil && c != nil {
 			before = c.Snapshot()
 		}
-		buf = e.shards[si].snap.KNNInto(p, k, buf)
+		if bk, ok := e.shards[si].snap.(boundedKNNer); ok && cur >= k {
+			// Only candidates nearer than the running kth can enter the
+			// merge (ties keep the earlier shard's items).
+			buf = bk.KNNWithin(p, k, st.curD[cur-1], buf)
+		} else {
+			buf = e.shards[si].snap.KNNInto(p, k, buf)
+		}
 		if ctx != nil && c != nil {
 			delta := c.Snapshot().Sub(before)
 			out.counters = out.counters.Add(delta)
@@ -429,6 +434,31 @@ func (e *Epoch) knnIntoCtx(ctx context.Context, p geom.Vec3, k int, buf []index.
 	e.knnPool.Put(st)
 	endFan()
 	return buf, out
+}
+
+// popNearest removes and returns the unvisited shard nearest the query
+// point, ties to the lower shard index: the visit order of a stable sort by
+// distance, selected lazily because the branch-and-bound usually stops after
+// a few of an epoch's tens of tiles.
+func (st *knnScratch) popNearest() int32 {
+	best := 0
+	for j := 1; j < len(st.order); j++ {
+		a, b := st.order[j], st.order[best]
+		if st.dist2[a] < st.dist2[b] || (st.dist2[a] == st.dist2[b] && a < b) {
+			best = j
+		}
+	}
+	si := st.order[best]
+	last := len(st.order) - 1
+	st.order[best] = st.order[last]
+	st.order = st.order[:last]
+	return si
+}
+
+// boundedKNNer is a shard snapshot whose kNN search stops at a distance
+// bound (rtree.Compact).
+type boundedKNNer interface {
+	KNNWithin(p geom.Vec3, k int, bound2 float64, buf []index.Item) []index.Item
 }
 
 // mergeTopK merges the sorted runs buf[base:base+cur] (distances st.curD) and

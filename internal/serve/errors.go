@@ -24,6 +24,11 @@ var ErrOverload = errors.New("serve: overloaded: request shed by admission contr
 // errors.Is(err, context.DeadlineExceeded) holds.
 var ErrDeadline = fmt.Errorf("serve: query deadline exceeded: %w", context.DeadlineExceeded)
 
+// ErrBadRequest is the refusal of a request no engine can answer, such as a
+// join whose Eps is NaN, infinite or negative. It is returned before
+// admission, so nothing runs.
+var ErrBadRequest = errors.New("serve: bad request")
+
 // The cluster coordinator's failures are declared here, beside the store's,
 // so that one error table maps both back ends without importing the
 // cluster; internal/cluster re-exports the first two under its own name.

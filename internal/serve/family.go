@@ -9,6 +9,7 @@ package serve
 import (
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"spatialsim/internal/catalog"
 	"spatialsim/internal/crtree"
@@ -70,17 +71,17 @@ func familyNames(m map[string]ShardBuilder) []string {
 
 // buildShard profiles one shard's items and builds its frozen snapshot,
 // routing the index-family choice through the planner when one is configured.
-// Both the freeze path (publishLocked) and crash recovery build through here,
+// Both the publish path (freezeAndSwap) and crash recovery build through here,
 // so a recovered shard re-derives the same profile from the same items and
 // lands on the same family the pre-crash build chose.
 func (s *Store) buildShard(bounds geom.AABB, items []index.Item, workers int) Shard {
 	prof := catalog.Profile(items)
 	if s.cfg.Planner == nil {
 		snap := s.cfg.Build(bounds, items, workers)
-		return Shard{bounds: bounds, snap: snap, family: normalizeFamily(snap.Name()), profile: prof}
+		return Shard{bounds: bounds, snap: snap, family: normalizeFamily(snap.Name()), profile: prof, refs: new(atomic.Int32)}
 	}
 	fam := s.cfg.Planner.ChooseFamily(prof, s.families)
-	return Shard{bounds: bounds, snap: s.cfg.Families[fam](bounds, items, workers), family: fam, profile: prof}
+	return Shard{bounds: bounds, snap: s.cfg.Families[fam](bounds, items, workers), family: fam, profile: prof, refs: new(atomic.Int32)}
 }
 
 // recoveredShard wraps a recovered R-Tree snapshot (an overlay of the
@@ -96,6 +97,7 @@ func recoveredShard(bounds geom.AABB, c *rtree.Compact) Shard {
 		snap:    c,
 		family:  normalizeFamily(c.Name()),
 		profile: catalog.ShardProfile{Card: c.Len(), MBR: bounds},
+		refs:    new(atomic.Int32),
 	}
 }
 

@@ -214,18 +214,23 @@ func (s *Store) costSnapshot() (instrument.CounterSnapshot, int) {
 	return acc, int(s.queries.Load())
 }
 
-// foldRetiredCounters accumulates a retiring epoch's shard counters (and its
-// lifetime) into the store-level totals. Called exactly once per epoch, from
-// maybeRetire.
+// foldRetiredCounters drops a retiring epoch's hold on its shard images and
+// accumulates the counters of every image no epoch holds any more (and the
+// epoch's lifetime) into the store-level totals. An image shared by N
+// epochs is folded once, when the last of them retires. Called exactly once
+// per epoch, from maybeRetire.
 func (s *Store) foldRetiredCounters(e *Epoch) {
-	if s.metrics == nil {
-		return
-	}
 	var acc instrument.CounterSnapshot
 	for i := range e.shards {
+		if e.shards[i].refs.Add(-1) != 0 || s.metrics == nil {
+			continue
+		}
 		if c := e.shards[i].Counters(); c != nil {
 			acc = acc.Add(c.Snapshot())
 		}
+	}
+	if s.metrics == nil {
+		return
 	}
 	s.costMu.Lock()
 	s.costRetired = s.costRetired.Add(acc)

@@ -1,8 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
@@ -47,45 +48,82 @@ func partitionSTR(items []index.Item, k int) [][]index.Item {
 		nz = 1
 	}
 
-	parts := make([][]index.Item, 0, nx*ny*nz)
-	sortByCenter(items, 0)
-	for _, slab := range cutRuns(items, nx) {
-		sortByCenter(slab, 1)
-		for _, tile := range cutRuns(slab, ny) {
-			sortByCenter(tile, 2)
-			for _, part := range cutRuns(tile, nz) {
-				parts = append(parts, part)
-			}
+	// The sorts compare precomputed (center, ID) keys with an inlined
+	// comparator — not two Box.Center() calls per comparison through a
+	// reflection swapper — and move 24-byte keys, not items; each sorted
+	// run is then permuted into place.
+	keys := make([]centerKey, len(items))
+	bounds := make([][2]int, 0, nx*ny*nz)
+	sortByCenter(items, keys, 0)
+	for _, slab := range cutBounds(0, len(items), nx) {
+		sortByCenter(items[slab[0]:slab[1]], keys, 1)
+		for _, tile := range cutBounds(slab[0], slab[1], ny) {
+			sortByCenter(items[tile[0]:tile[1]], keys, 2)
+			bounds = append(bounds, cutBounds(tile[0], tile[1], nz)...)
 		}
+	}
+	parts := make([][]index.Item, len(bounds))
+	for i, b := range bounds {
+		parts[i] = items[b[0]:b[1]]
 	}
 	return parts
 }
 
-// sortByCenter orders items by box center along the given axis, breaking ties
-// by ID.
-func sortByCenter(items []index.Item, axis int) {
-	sort.Slice(items, func(i, j int) bool {
-		a := items[i].Box.Center().Axis(axis)
-		b := items[j].Box.Center().Axis(axis)
-		if a != b {
-			return a < b
-		}
-		return items[i].ID < items[j].ID
-	})
+// centerKey is an item's sort key along one axis: its box center, then its
+// ID; pos is the item's index in the run being sorted.
+type centerKey struct {
+	c   float64
+	id  int64
+	pos int
 }
 
-// cutRuns splits items into up to n contiguous runs of near-equal length,
-// dropping empty runs.
-func cutRuns(items []index.Item, n int) [][]index.Item {
-	if n > len(items) {
-		n = len(items)
+// sortByCenter orders items by box center along the given axis, breaking
+// ties by ID, using keys (at least len(items) long) as scratch.
+func sortByCenter(items []index.Item, keys []centerKey, axis int) {
+	keys = keys[:len(items)]
+	for i := range items {
+		keys[i] = centerKey{c: items[i].Box.Center().Axis(axis), id: items[i].ID, pos: i}
 	}
-	runs := make([][]index.Item, 0, n)
+	slices.SortFunc(keys, func(a, b centerKey) int {
+		if c := cmp.Compare(a.c, b.c); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	// Permute in place along cycles: slot i takes the item keys[i].pos
+	// names; a placed slot's pos is set to -1.
+	for start := range keys {
+		if keys[start].pos < 0 || keys[start].pos == start {
+			continue
+		}
+		held := items[start]
+		i := start
+		for {
+			src := keys[i].pos
+			keys[i].pos = -1
+			if src == start {
+				items[i] = held
+				break
+			}
+			items[i] = items[src]
+			i = src
+		}
+	}
+}
+
+// cutBounds splits [lo, hi) into up to n contiguous runs of near-equal
+// length, dropping empty runs — cutRuns over index bounds.
+func cutBounds(lo, hi, n int) [][2]int {
+	size := hi - lo
+	if n > size {
+		n = size
+	}
+	runs := make([][2]int, 0, n)
 	for i := 0; i < n; i++ {
-		lo := i * len(items) / n
-		hi := (i + 1) * len(items) / n
-		if lo < hi {
-			runs = append(runs, items[lo:hi])
+		a := lo + i*size/n
+		b := lo + (i+1)*size/n
+		if a < b {
+			runs = append(runs, [2]int{a, b})
 		}
 	}
 	return runs

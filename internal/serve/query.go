@@ -224,6 +224,11 @@ func (s *Store) Query(req Request) Reply {
 // reads the current generation under a query-scoped pin, a non-nil one reads
 // exactly the generation the caller pinned.
 func (s *Store) queryOn(req Request, pinned *Epoch) Reply {
+	if req.Op == OpJoin {
+		if err := req.Join.Validate(); err != nil {
+			return Reply{Err: err}
+		}
+	}
 	ctx := req.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -397,7 +402,7 @@ func (s *Store) queryRange(ctx context.Context, e *Epoch, req Request) Reply {
 		s.cacheMisses.Add(1)
 		var priv []index.Item
 		out := e.rangeVisitCtx(ctx, req.Query, func(it index.Item) bool {
-			priv = append(priv, it)
+			priv = index.AppendItem(priv, it)
 			return true
 		})
 		// entry is nil when the cache was dropped mid-query (epoch retired).
@@ -431,7 +436,7 @@ func (s *Store) rangeUncached(ctx context.Context, e *Epoch, req Request, rep Re
 	buf := req.Buf
 	base := len(buf)
 	out := e.rangeVisitCtx(ctx, req.Query, func(it index.Item) bool {
-		buf = append(buf, it)
+		buf = index.AppendItem(buf, it)
 		return true
 	})
 	rep.finishOutcome(ctx, out, len(buf)-base)

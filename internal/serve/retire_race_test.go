@@ -20,7 +20,7 @@ import (
 
 // TestSeedRaceForcedSnapshotFirstApply races a forced Snapshot()/builder
 // cycle against the first Apply after mapped recovery — the window where the
-// staging table is still empty and the current epoch's shards alias the
+// tile table is still empty and the current epoch's shards alias the
 // mmap'd segment. The recovered items must survive into both the live store
 // and the snapshot a subsequent reopen recovers from.
 func TestSeedRaceForcedSnapshotFirstApply(t *testing.T) {

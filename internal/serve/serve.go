@@ -5,13 +5,23 @@
 // then hammered with range/kNN traffic until the next timestep — so the
 // serving layer splits exactly along that seam:
 //
-//   - the read side is a space-partitioned shard set (STR tiles of the
-//     domain), each shard a frozen Compact snapshot from the flat-memory
-//     query engine, grouped into an immutable Epoch;
-//   - the write side is a staging table (the moving-object "throwaway"
-//     strategy) that a builder drains: it partitions the staged state,
-//     rebuilds every shard in parallel (exec.ParallelBulkLoad), freezes the
-//     next generation and atomically swaps the epoch pointer.
+//   - the read side is a space-partitioned shard set, each shard the frozen
+//     Compact image of one STR tile of the domain, grouped into an
+//     immutable Epoch;
+//   - the write side is a tile table (tiles.go): a cut partitions the items
+//     into Config.Shards x 16 STR tiles, an id -> (tile, slot) map routes
+//     every upsert and delete to its tile in O(1), and a publish rebuilds
+//     only the tiles a batch dirtied — on one goroutine, leaving the other
+//     cores to readers — while every clean tile's image is carried into the
+//     next epoch by reference. Only a cut (after a bulk load — a batch
+//     longer than the live item count, the bootstrap among them — after a
+//     re-cut when a tile's cardinality drifts past a stated factor, and on
+//     the first publish after recovery) rebuilds every tile, fanned out
+//     over Config.Workers. The epoch pointer then swaps atomically.
+//
+// The paper's workload is "massive but minimal movement": a timestep moves
+// many items a short way, so a batch dirties the few tiles it lands in and
+// the publish costs what changed, not the dataset.
 //
 // Readers pin the current epoch with an atomic pointer + per-epoch refcount,
 // so a swap never blocks a reader and a reader never observes half of two
@@ -40,13 +50,21 @@
 // regardless of dataset size, pages fault in on demand (so datasets larger
 // than RAM serve), and the mapping is unmapped exactly when the recovered
 // epoch retires. The first post-recovery update batch lazily re-seeds the
-// staging table from the recovered epoch, keeping the open path free of
-// item scans.
+// tile table from the recovered epoch (one tile per persisted shard),
+// keeping the open path free of item scans. The tile layout is a function
+// of the staged batches alone, so WAL replay rebuilds the layout, and
+// therefore the replies, the crashed process served; each batch of a burst
+// the background builder coalesces into one epoch is staged and journaled
+// on its own, so replaying such a burst publishes one epoch per batch.
 package serve
 
 import (
+	"cmp"
 	"context"
+	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,7 +76,6 @@ import (
 	"spatialsim/internal/index"
 	"spatialsim/internal/instrument"
 	"spatialsim/internal/join"
-	"spatialsim/internal/moving"
 	"spatialsim/internal/obs"
 	"spatialsim/internal/octree"
 	"spatialsim/internal/persist"
@@ -122,13 +139,15 @@ const (
 
 // Config configures a Store.
 type Config struct {
-	// Shards bounds the STR space partitions per epoch (<= 0 picks
-	// GOMAXPROCS). The partitioner factors the bound into near-cubical x/y/z
-	// cuts, so the epoch may hold slightly fewer shards than the bound (and
-	// never more than the item count); Stats reports the actual layout.
+	// Shards sizes the STR tile layout (<= 0 picks GOMAXPROCS): a cut makes
+	// at most 16 tiles per shard, and every non-empty tile is one shard of
+	// the epoch. The partitioner factors the bound into near-cubical x/y/z
+	// cuts, so the epoch may hold fewer tiles than the bound (and never more
+	// than the item count); Stats reports the actual layout.
 	Shards int
-	// Workers is the goroutine budget of an epoch build (<= 0 uses
-	// GOMAXPROCS).
+	// Workers is the goroutine budget of a full epoch build — after a cut
+	// or a recovery (<= 0 uses GOMAXPROCS). An incremental publish rebuilds
+	// its dirty tiles on one goroutine.
 	Workers int
 	// MaxInFlight bounds concurrently executing queries; callers beyond the
 	// bound wait (admission control; <= 0 picks 4x GOMAXPROCS).
@@ -237,20 +256,23 @@ type Store struct {
 	epoch atomic.Pointer[Epoch]
 
 	// buildMu serializes freeze/swap cycles (one builder at a time);
-	// stagingMu guards the staging table for the short apply window only, so
-	// staging new batches overlaps an in-progress shard build.
+	// stagingMu guards the tile table for the short apply window only, so
+	// staging new batches overlaps an in-progress tile build.
 	buildMu   sync.Mutex
 	stagingMu sync.Mutex
-	staging   *moving.Throwaway
-	scratch   []index.Item // reused items snapshot (safe: shard builds copy)
+	tiles     *tileTable
+	// scratch holds the dirty tiles' item copies of an incremental publish
+	// (guarded by buildMu; tile builds copy items into their own storage, so
+	// it is reused, and dropped after a full rebuild).
+	scratch []index.Item
 	// stagedSeq is the WAL sequence of the last batch staged (guarded by
 	// stagingMu); each epoch records the value it was built under, so a
 	// snapshot knows exactly which WAL records it covers.
 	stagedSeq uint64
-	// seedFrom defers the post-recovery staging re-seed (guarded by
+	// seedFrom defers the post-recovery tile-table seed (guarded by
 	// stagingMu): recovery publishes the recovered epoch without scanning its
 	// items — the O(open) property of mapped serving — and the first Apply
-	// materializes them into staging before staging its own batch, so
+	// materializes them into the table before staging its own batch, so
 	// replayed deletes still find their targets. Nil once seeded.
 	seedFrom *Epoch
 
@@ -372,26 +394,28 @@ func (s *Store) Close() {
 	}
 }
 
-// builderLoop drains the async ingest queue, coalescing every batch already
-// queued into a single stage+freeze+swap cycle so a burst of small batches
-// costs one epoch build, not one per batch.
+// builderLoop drains the async ingest queue, staging every batch already
+// queued — each one on its own, journaled as its own WAL record — before a
+// single freeze+swap, so a burst of small batches costs one epoch build, not
+// one per batch, and stages exactly as the same batches applied one by one.
 func (s *Store) builderLoop() {
 	defer s.wg.Done()
+	ctx := context.Background()
 	for batch := range s.updates {
-		for {
+		s.stage(ctx, batch, true)
+		for drained := false; !drained; {
 			select {
 			case more, ok := <-s.updates:
 				if !ok {
-					s.Apply(batch)
+					s.freezeAndSwap()
 					return
 				}
-				batch = append(batch, more...)
-				continue
+				s.stage(ctx, more, true)
 			default:
+				drained = true
 			}
-			break
 		}
-		s.Apply(batch)
+		s.freezeAndSwap()
 	}
 }
 
@@ -415,7 +439,7 @@ func (s *Store) Bootstrap(items []index.Item) uint64 {
 
 // Apply stages one update batch and synchronously freezes + swaps an epoch
 // that includes it, returning that epoch's sequence number. Staging happens
-// before the build lock is taken, so new batches land in the staging table
+// before the build lock is taken, so new batches land in the tile table
 // while an earlier epoch build is still running; readers are never blocked
 // either way — they keep answering from the previous epoch until the atomic
 // pointer swap, and pinned readers finish on the epoch they pinned.
@@ -438,20 +462,24 @@ func (s *Store) applyBatch(batch []Update, journal bool) uint64 {
 }
 
 // applyBatchCtx stages the batch (journaling it unless replaying), then
-// freezes and swaps. The WAL append happens under stagingMu, which makes the
-// WAL order identical to the staging order — the property replay depends on.
+// freezes and swaps.
 func (s *Store) applyBatchCtx(ctx context.Context, batch []Update, journal bool) uint64 {
+	s.stage(ctx, batch, journal)
+	fs := obs.SpanFromContext(ctx).Child("freeze")
+	seq := s.freezeAndSwap()
+	fs.End()
+	return seq
+}
+
+// stage applies one batch to the tile table and journals it unless
+// replaying. The WAL append happens under stagingMu, which makes the WAL
+// order identical to the staging order — the property replay depends on.
+func (s *Store) stage(ctx context.Context, batch []Update, journal bool) {
 	span := obs.SpanFromContext(ctx)
 	st := span.Child("stage")
 	s.stagingMu.Lock()
-	s.seedStagingLocked()
-	for _, u := range batch {
-		if u.Delete {
-			s.staging.Delete(u.ID, geom.AABB{})
-		} else {
-			s.staging.Update(u.ID, geom.AABB{}, u.Box)
-		}
-	}
+	s.seedTilesLocked()
+	s.tiles.stage(batch)
 	if journal && s.cfg.Persist != nil {
 		ws := span.Child("wal_append")
 		var w0 time.Time
@@ -484,78 +512,49 @@ func (s *Store) applyBatchCtx(ctx context.Context, batch []Update, journal bool)
 	}
 	s.stagingMu.Unlock()
 	st.End()
-	fs := span.Child("freeze")
-	seq := s.freezeAndSwap()
-	fs.End()
-	return seq
 }
 
-// freezeAndSwap snapshots the staging table and publishes it as the next
-// epoch. The snapshot is taken under buildMu *after* the lock is acquired,
-// so an Apply that waited behind another build picks up every batch staged
-// in the meantime (coalescing, and the returned epoch always contains the
-// caller's own batch).
+// freezeAndSwap publishes the staged state as the next epoch. The layout is
+// taken under buildMu *after* the lock is acquired, so an Apply that waited
+// behind another build picks up every batch staged in the meantime
+// (coalescing, and the returned epoch always contains the caller's own
+// batch). Only dirty tiles are copied and rebuilt; clean tiles carry their
+// images into the new epoch by reference. A full rebuild (after a cut or a
+// recovery) fans the tiles out over cfg.Workers; an incremental one builds
+// its dirty tiles on this goroutine alone, leaving the other cores to
+// readers.
 func (s *Store) freezeAndSwap() uint64 {
 	s.buildMu.Lock()
 	defer s.buildMu.Unlock()
-	s.stagingMu.Lock()
-	snapshot, covered := s.snapshotStagingLocked()
-	s.stagingMu.Unlock()
-	return s.publishLocked(snapshot, covered)
-}
-
-// seedStagingLocked materializes the recovered epoch's items into the
-// staging table, once, on the first Apply after recovery. Caller holds
-// stagingMu. Until this runs, recovery cost is independent of dataset size;
-// the seed is the deferred O(items) scan, paid only when the content
-// actually starts changing.
-func (s *Store) seedStagingLocked() {
-	if s.seedFrom == nil {
-		return
-	}
-	// Pin the recovered epoch for the scan: in mapped mode AllItems reads
-	// shard data straight out of the mmap'd segment, and the pin guarantees
-	// the epoch cannot retire (and unmap that segment) mid-scan no matter
-	// what concurrent snapshot or publish activity does. The epoch cannot be
-	// superseded yet — every publish path seeds (under stagingMu) before its
-	// staging snapshot — so a direct pin without the acquire retry loop is
-	// sound here.
-	e := s.seedFrom
-	e.pins.Add(1)
-	items := e.AllItems(nil)
-	s.seedFrom = nil
-	s.release(e)
-	for _, it := range items {
-		s.staging.Update(it.ID, it.Box, it.Box)
-	}
-}
-
-// snapshotStagingLocked copies the staged state into the reusable scratch
-// slice and reports the WAL sequence the copy covers. Caller holds
-// stagingMu.
-func (s *Store) snapshotStagingLocked() ([]index.Item, uint64) {
-	s.scratch = s.staging.Items(s.scratch[:0])
-	return s.scratch, s.stagedSeq
-}
-
-// publishLocked partitions the items into STR shards, builds and freezes
-// every shard in parallel, and atomically swaps the epoch pointer. Caller
-// holds buildMu. The scratch slice is free for reuse on return: every shard
-// family copies items into its own storage during bulk load.
-func (s *Store) publishLocked(items []index.Item, covered uint64) uint64 {
 	var t0 time.Time
 	if s.metrics != nil {
 		t0 = time.Now()
 	}
-	parts := partitionSTR(items, s.cfg.Shards)
-	shards := make([]Shard, len(parts))
-	inner := s.cfg.Workers/max(len(parts), 1) + 1
-	exec.ForTasks(len(parts), s.cfg.Workers, func(_, i int) {
-		shards[i] = s.buildShard(boundsOf(parts[i]), parts[i], inner)
-	})
+	s.stagingMu.Lock()
+	s.seedTilesLocked()
+	shards, builds, full, scratch := s.tiles.plan(s.scratch)
+	covered, items := s.stagedSeq, s.tiles.len()
+	s.stagingMu.Unlock()
+
+	build := func(_, i int) {
+		b := &builds[i]
+		slices.SortFunc(b.items, func(x, y index.Item) int { return cmp.Compare(x.ID, y.ID) })
+		sh := s.buildShard(boundsOf(b.items), b.items, 1)
+		b.tile.image = sh
+		shards[b.shard] = sh
+	}
+	if full {
+		exec.ForTasks(len(builds), s.cfg.Workers, build)
+		s.scratch = nil
+	} else {
+		for i := range builds {
+			build(0, i)
+		}
+		s.scratch = scratch[:0]
+	}
 
 	prev := s.epoch.Load()
-	next := newEpoch(prev.seq+1, shards, len(items))
+	next := newEpoch(prev.seq+1, shards, items)
 	next.covered = covered
 	s.attachCache(next)
 	s.epoch.Store(next)
@@ -570,6 +569,28 @@ func (s *Store) publishLocked(items []index.Item, covered uint64) uint64 {
 		s.metrics.buildSeconds.Observe(time.Since(t0))
 	}
 	return next.seq
+}
+
+// seedTilesLocked materializes the recovered epoch's items into the tile
+// table, once, on the first publish after recovery. Caller holds
+// stagingMu. Until this runs, recovery cost is independent of dataset size;
+// the seed is the deferred O(items) scan, paid only when the content
+// actually starts changing.
+func (s *Store) seedTilesLocked() {
+	if s.seedFrom == nil {
+		return
+	}
+	// Pin the recovered epoch for the scan: in mapped mode the shards read
+	// straight out of the mmap'd segment, and the pin guarantees the epoch
+	// cannot retire (and unmap that segment) mid-scan no matter what
+	// concurrent snapshot or publish activity does. The epoch cannot be
+	// superseded yet — every publish path seeds (under stagingMu) before it
+	// plans — so a direct pin without the acquire retry loop is sound here.
+	e := s.seedFrom
+	e.pins.Add(1)
+	s.tiles.seed(e.shards)
+	s.seedFrom = nil
+	s.release(e)
 }
 
 // maybeRetire counts e as retired exactly once, once it is superseded and
@@ -703,6 +724,16 @@ type JoinRequest struct {
 	Workers int
 }
 
+// Validate refuses a join no engine can answer: Eps must be finite and
+// non-negative. Store.Query and the cluster coordinator call it before any
+// engine runs; the error wraps ErrBadRequest.
+func (jr JoinRequest) Validate() error {
+	if math.IsNaN(jr.Eps) || math.IsInf(jr.Eps, 0) || jr.Eps < 0 {
+		return fmt.Errorf("%w: join eps %v must be finite and non-negative", ErrBadRequest, jr.Eps)
+	}
+	return nil
+}
+
 // JoinReply is the outcome of one epoch-pinned self-join.
 type JoinReply struct {
 	// Epoch is the generation the join ran against.
@@ -832,9 +863,7 @@ func (s *Store) Stats() Stats {
 		Durability:       s.durabilityStats(),
 	}
 	s.stagingMu.Lock()
-	if c := s.staging.Counters(); c != nil {
-		st.UpdatesStaged = c.Updates()
-	}
+	st.UpdatesStaged = s.tiles.updates
 	s.stagingMu.Unlock()
 	st.Shards = make([]ShardStats, len(e.shards))
 	for i := range e.shards {

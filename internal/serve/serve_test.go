@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -533,5 +537,117 @@ func TestEpochAllItems(t *testing.T) {
 	}
 	if empty := (&Epoch{}); len(empty.AllItems(nil)) != 0 {
 		t.Fatal("empty epoch returned items")
+	}
+}
+
+// partitionSTRReference is the partitioner as first written: sort.Slice
+// with Box.Center() recomputed inside the comparator. It is the reference
+// the precomputed-key sort must reproduce part for part.
+func partitionSTRReference(items []index.Item, k int) [][]index.Item {
+	if len(items) == 0 {
+		return nil
+	}
+	k = min(max(k, 1), len(items))
+	if k == 1 {
+		return [][]index.Item{items}
+	}
+	nx := max(int(math.Cbrt(float64(k))+1e-9), 1)
+	ny := max(int(math.Sqrt(float64(k/nx))+1e-9), 1)
+	nz := max(k/(nx*ny), 1)
+	sortBy := func(items []index.Item, axis int) {
+		sort.Slice(items, func(i, j int) bool {
+			a := items[i].Box.Center().Axis(axis)
+			b := items[j].Box.Center().Axis(axis)
+			if a != b {
+				return a < b
+			}
+			return items[i].ID < items[j].ID
+		})
+	}
+	runs := func(items []index.Item, n int) [][]index.Item {
+		n = min(n, len(items))
+		var out [][]index.Item
+		for i := 0; i < n; i++ {
+			if lo, hi := i*len(items)/n, (i+1)*len(items)/n; lo < hi {
+				out = append(out, items[lo:hi])
+			}
+		}
+		return out
+	}
+	var parts [][]index.Item
+	sortBy(items, 0)
+	for _, slab := range runs(items, nx) {
+		sortBy(slab, 1)
+		for _, tile := range runs(slab, ny) {
+			sortBy(tile, 2)
+			parts = append(parts, runs(tile, nz)...)
+		}
+	}
+	return parts
+}
+
+// TestPartitionSTRMatchesReferenceComparator: on random inputs full of
+// center ties (coarse integer coordinates, shuffled ids), the precomputed-key
+// sort cuts exactly the parts the recomputing comparator cut, in the same
+// order, so tiles do not change.
+func TestPartitionSTRMatchesReferenceComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range []int{1, 2, 9, 64, 513, 4000} {
+		for _, k := range []int{1, 3, 8, 16, 27, 64} {
+			items := make([]index.Item, n)
+			for i, id := range rng.Perm(n) {
+				c := geom.V(float64(rng.Intn(5)), float64(rng.Intn(5)), float64(rng.Intn(5)))
+				h := geom.V(rng.Float64(), float64(rng.Intn(2)), 0.5)
+				items[i] = index.Item{ID: int64(id), Box: geom.NewAABB(c.Sub(h), c.Add(h))}
+			}
+			ref := append([]index.Item(nil), items...)
+			got, want := partitionSTR(items, k), partitionSTRReference(ref, k)
+			if len(got) != len(want) {
+				t.Fatalf("n=%d k=%d: %d parts, reference %d", n, k, len(got), len(want))
+			}
+			for p := range got {
+				if !slices.Equal(got[p], want[p]) {
+					t.Fatalf("n=%d k=%d: part %d differs from the reference", n, k, p)
+				}
+			}
+			if !slices.Equal(items, ref) {
+				t.Fatalf("n=%d k=%d: in-place order differs from the reference", n, k)
+			}
+		}
+	}
+}
+
+// TestJoinRequestValidate: Store.Query(OpJoin) and SelfJoin refuse NaN,
+// infinite and negative Eps with ErrBadRequest before admission — no join
+// runs and no join is counted — and still answer a valid request.
+func TestJoinRequestValidate(t *testing.T) {
+	s := mustNew(t, Config{Shards: 2, Workers: 2})
+	defer s.Close()
+	s.Bootstrap(genItems(300, 0))
+	for _, tc := range []struct {
+		eps float64
+		ok  bool
+	}{
+		{math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false},
+		{-1, false}, {-math.SmallestNonzeroFloat64, false},
+		{0, true}, {0.25, true},
+	} {
+		joins := s.Stats().Joins
+		rep := s.Query(Request{Op: OpJoin, Join: JoinRequest{Eps: tc.eps}})
+		if tc.ok {
+			if rep.Err != nil || rep.JoinItems != 300 {
+				t.Fatalf("eps=%v: err=%v items=%d, want a full join", tc.eps, rep.Err, rep.JoinItems)
+			}
+			continue
+		}
+		if !errors.Is(rep.Err, ErrBadRequest) || rep.Pairs != nil || rep.JoinItems != 0 {
+			t.Fatalf("eps=%v: err=%v pairs=%d items=%d, want a refusal", tc.eps, rep.Err, len(rep.Pairs), rep.JoinItems)
+		}
+		if got := s.Stats().Joins; got != joins {
+			t.Fatalf("eps=%v: refused join counted (%d -> %d)", tc.eps, joins, got)
+		}
+		if jr := s.SelfJoin(JoinRequest{Eps: tc.eps}); jr.Pairs != nil || jr.Items != 0 {
+			t.Fatalf("eps=%v: SelfJoin ran a refused join", tc.eps)
+		}
 	}
 }

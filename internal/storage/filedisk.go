@@ -137,22 +137,47 @@ func (d *FileDisk) Write(id PageID, data []byte) error {
 	d.stats.BytesWritten += int64(d.pageSize)
 	d.mu.Unlock()
 
-	// Full pages write straight through (the snapshot path streams exact
-	// page slices); only a short chunk needs zero-padding to page size.
+	// Full pages write straight through; only a short chunk needs
+	// zero-padding to page size.
 	page := data
 	if len(data) < d.pageSize {
 		page = make([]byte, d.pageSize)
 		copy(page, data)
 	}
-	if n, ferr := faultinject.CheckWrite(FaultFileDiskWrite, len(page)); ferr != nil {
+	return d.writeAt(page, int64(id)*int64(d.pageSize))
+}
+
+// WritePages writes a run of consecutive allocated pages starting at first
+// with one WriteAt — the path a snapshot streams its page-aligned image
+// through. data must be a whole number of pages. The write failpoint sees
+// the run as one write, so a torn injection lands a proper prefix of it.
+func (d *FileDisk) WritePages(first PageID, data []byte) error {
+	if len(data)%d.pageSize != 0 {
+		return fmt.Errorf("storage: run of %d bytes is not a whole number of %d-byte pages", len(data), d.pageSize)
+	}
+	n := len(data) / d.pageSize
+	d.mu.Lock()
+	if first < 0 || int(first)+n > d.pages {
+		d.mu.Unlock()
+		return fmt.Errorf("%w: run [%d,%d)", ErrPageOutOfRange, first, int(first)+n)
+	}
+	d.stats.PageWrites += int64(n)
+	d.stats.BytesWritten += int64(len(data))
+	d.mu.Unlock()
+	return d.writeAt(data, int64(first)*int64(d.pageSize))
+}
+
+// writeAt lands data at off through the write failpoint.
+func (d *FileDisk) writeAt(data []byte, off int64) error {
+	if n, ferr := faultinject.CheckWrite(FaultFileDiskWrite, len(data)); ferr != nil {
 		if n > 0 {
 			// Torn write: land the prefix, then fail — the caller sees the
 			// error but the file holds partial bytes, like a crash mid-write.
-			d.f.WriteAt(page[:n], int64(id)*int64(d.pageSize))
+			d.f.WriteAt(data[:n], off)
 		}
 		return ferr
 	}
-	_, err := d.f.WriteAt(page, int64(id)*int64(d.pageSize))
+	_, err := d.f.WriteAt(data, off)
 	return err
 }
 

@@ -1,10 +1,13 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"spatialsim/internal/faultinject"
 )
 
 func TestFileDiskRoundTrip(t *testing.T) {
@@ -122,5 +125,58 @@ func TestBufferPoolOverFileDisk(t *testing.T) {
 	}
 	if st := pool.Stats(); st.Misses == 0 || st.Evictions == 0 {
 		t.Fatalf("pool never exercised the file disk: %+v", st)
+	}
+}
+
+// TestFileDiskWritePagesTornRun pins the run write's fault seam: a clean run
+// lands every page with one write, and a torn injection lands a proper
+// prefix of the run and reports the failure.
+func TestFileDiskWritePagesTornRun(t *testing.T) {
+	const ps = 256
+	run := make([]byte, 3*ps)
+	for i := range run {
+		run[i] = byte(i%251) + 1
+	}
+	path := filepath.Join(t.TempDir(), "pages.bin")
+	fd, err := CreateFileDisk(path, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fd.Close()
+	if err := fd.WritePages(fd.Allocate(), run[:ps+1]); err == nil {
+		t.Fatal("a run that is not a whole number of pages was accepted")
+	}
+	if err := fd.WritePages(0, run); !errors.Is(err, ErrPageOutOfRange) {
+		t.Fatalf("run past the allocated pages: %v", err)
+	}
+	fd.Allocate()
+	fd.Allocate()
+	if err := fd.WritePages(0, run); err != nil {
+		t.Fatal(err)
+	}
+	if st := fd.Stats(); st.PageWrites != 3 || st.BytesWritten != int64(len(run)) {
+		t.Fatalf("stats %+v after one 3-page run", st)
+	}
+
+	faultinject.Enable(FaultFileDiskWrite, faultinject.Spec{TornRate: 1, Count: 1})
+	defer faultinject.Disable(FaultFileDiskWrite)
+	torn := filepath.Join(t.TempDir(), "torn.bin")
+	td, err := CreateFileDisk(torn, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer td.Close()
+	first := td.Allocate()
+	td.Allocate()
+	td.Allocate()
+	if err := td.WritePages(first, run); err == nil {
+		t.Fatal("torn run write reported success")
+	}
+	got, err := os.ReadFile(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 || len(got) >= len(run) || !bytes.Equal(got, run[:len(got)]) {
+		t.Fatalf("torn run landed %d bytes, want a proper prefix of %d", len(got), len(run))
 	}
 }
