@@ -108,6 +108,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzAABBIntersectContain -fuzztime $(FUZZTIME) ./internal/geom/
 	$(GO) test -run xxx -fuzz FuzzSelfJoinGrid -fuzztime $(FUZZTIME) ./internal/join/
 	$(GO) test -run xxx -fuzz FuzzAppendJSONFloat -fuzztime $(FUZZTIME) ./internal/httpapi/
+	$(GO) test -run xxx -fuzz FuzzReadUpdate -fuzztime $(FUZZTIME) ./internal/httpapi/
 
 # cross is the overlay's portability gate. Persisted R-Tree shards are only
 # ever read as overlays of their bytes, so the 64-byte node layout must hold

@@ -17,9 +17,9 @@ import (
 type (
 	queryResponse  = httpapitest.QueryResponse
 	joinResponse   = httpapitest.JoinResponse
-	updateRequest  = httpapi.UpdateRequest
+	updateRequest  = httpapitest.UpdateRequest
 	updateResponse = httpapi.UpdateResponse
-	itemJSON       = httpapi.ItemJSON
+	itemJSON       = httpapitest.ItemJSON
 	errorEnvelope  = httpapi.ErrorEnvelope
 	errorBody      = httpapi.ErrorBody
 )

@@ -95,7 +95,7 @@ func run(args []string, stdout io.Writer) error {
 		seed        = fs.Int64("seed", 1, "bootstrap dataset seed")
 		dataDir     = fs.String("data-dir", "", "durable epoch store directory (empty = in-memory only)")
 		snapEvery   = fs.Int("snapshot-every", 1, "persist every Nth published epoch (durable mode)")
-		serving     = fs.String("serving", "heap", "durable-mode recovery read path: heap (decode shards to memory) or mapped (zero-copy mmap of the segment, O(open) restart)")
+		serving     = fs.String("serving", "heap", "durable-mode recovery read path: heap (read the segment into memory, checksum it and overlay its shards) or mapped (zero-copy mmap of the segment, O(open) restart)")
 		maxQueued   = fs.Int("max-queued", 0, "admission queue bound before requests are shed with 503 (0 = 4x max-inflight)")
 		deadline    = fs.Duration("deadline", 0, "default deadline for range/knn queries (0 = none; ?timeout= overrides)")
 		joinDead    = fs.Duration("join-deadline", 0, "default deadline for join and batch queries (0 = none)")

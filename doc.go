@@ -85,9 +85,12 @@
 //     retry-and-circuit-breaker guard;
 //   - internal/httpapi — the HTTP/JSON wire code both servers share: a
 //     query-string parser run once per request whose readers refuse
-//     non-finite and malformed parameters with 400, and an append-style
-//     encoder writing range/kNN replies from pooled buffers, byte-identical
-//     to encoding/json, with Content-Length on every JSON reply;
+//     non-finite and malformed parameters with 400; a streaming decoder
+//     reading update bodies through one 64 KiB window straight into the
+//     batch, accepting, refusing and decoding exactly as encoding/json
+//     does; and an append-style encoder writing range/kNN replies from
+//     pooled buffers, byte-identical to encoding/json, with Content-Length
+//     on every JSON reply;
 //   - internal/faultinject — the seed-deterministic failpoint registry
 //     (error, latency, torn-write) wired into the storage, persist and
 //     serve layers, powering the chaos soak (make chaos);

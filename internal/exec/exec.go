@@ -115,8 +115,10 @@ func ForTasks(n, workers int, fn func(worker, task int)) {
 
 // ForTasksCtx is ForTasks with cooperative cancellation: workers check ctx
 // between task chunks and stop claiming work once it is done. It reports
-// whether every task ran (true for a nil ctx). Tasks already started always
-// run to completion — cancellation never tears a task's own writes.
+// whether every task ran (true for a nil ctx) — decided by the claim
+// cursor, so a context that ends after the last chunk was claimed still
+// reports a complete run. Tasks already started always run to completion —
+// cancellation never tears a task's own writes.
 func ForTasksCtx(ctx context.Context, n, workers int, fn func(worker, task int)) bool {
 	if n <= 0 {
 		return true
@@ -137,7 +139,6 @@ func ForTasksCtx(ctx context.Context, n, workers int, fn func(worker, task int))
 	if chunk < 1 {
 		chunk = 1
 	}
-	var cancelled atomic.Bool
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -146,7 +147,6 @@ func ForTasksCtx(ctx context.Context, n, workers int, fn func(worker, task int))
 			defer wg.Done()
 			for {
 				if ctx != nil && ctx.Err() != nil {
-					cancelled.Store(true)
 					return
 				}
 				end := int(next.Add(int64(chunk)))
@@ -164,7 +164,8 @@ func ForTasksCtx(ctx context.Context, n, workers int, fn func(worker, task int))
 		}(w)
 	}
 	wg.Wait()
-	return !cancelled.Load()
+	// A claimed chunk always runs, so every task ran once all were claimed.
+	return next.Load() >= int64(n)
 }
 
 // ForChunks splits [0, n) into one contiguous chunk per worker and runs

@@ -7,9 +7,11 @@ package exec_test
 // under the race detector.
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"spatialsim/internal/core"
@@ -256,6 +258,35 @@ func TestForTasksCoversAllTasksOnce(t *testing.T) {
 					t.Fatalf("workers=%d n=%d: task %d ran %d times", workers, n, task, count)
 				}
 			}
+		}
+	}
+}
+
+// TestForTasksCtxCancelAfterLastClaim: a context that ends inside the last
+// task, when every task is already claimed, leaves a complete run — not
+// one reported cancelled because a worker looped after the end. A context
+// that ended before the run claims nothing.
+func TestForTasksCtxCancelAfterLastClaim(t *testing.T) {
+	const n = 64
+	for _, workers := range []int{1, 2, 4} {
+		for run := 0; run < 200; run++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			var ran atomic.Int64
+			complete := exec.ForTasksCtx(ctx, n, workers, func(_, task int) {
+				ran.Add(1)
+				if task == n-1 {
+					cancel()
+				}
+			})
+			cancel()
+			if !complete || ran.Load() != n {
+				t.Fatalf("workers=%d run %d: complete=%v after %d of %d tasks", workers, run, complete, ran.Load(), n)
+			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if exec.ForTasksCtx(ctx, n, workers, func(int, int) { t.Error("a task ran after the context ended") }) {
+			t.Fatalf("workers=%d: a run under an ended context reported complete", workers)
 		}
 	}
 }

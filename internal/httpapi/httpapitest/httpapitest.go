@@ -1,8 +1,9 @@
 // Package httpapitest holds what the tests of both servers and of httpapi
 // share: the reply structs the servers encoded through encoding/json before
 // httpapi's append encoder — the oracle that encoder must match byte for
-// byte, and the shape tests decode replies into — and the contract suite
-// both servers' handlers must pass.
+// byte, and the shape tests decode replies into — the update request
+// encoding/json decodes, the oracle of httpapi's update decoder, and the
+// contract suite both servers' handlers must pass.
 package httpapitest
 
 import (
@@ -32,6 +33,13 @@ type ItemJSON struct {
 	ID  int64      `json:"id"`
 	Min [3]float64 `json:"min"`
 	Max [3]float64 `json:"max"`
+}
+
+// UpdateRequest is the wire shape of an update batch: decoded by
+// encoding/json, the oracle httpapi's update decoder must agree with.
+type UpdateRequest struct {
+	Upserts []ItemJSON `json:"upserts"`
+	Deletes []int64    `json:"deletes"`
 }
 
 // Items copies items into their wire shape.
@@ -144,7 +152,8 @@ var ErrorClasses = []ErrorClass{
 // back end's reads and writes failing with each class; 405 on GET
 // /v1/update; 413 on an update body over httpapi.MaxUpdateBody;
 // X-Request-Id generated or echoed on every response; Content-Length equal
-// to the body on every JSON reply; and a span tree with ?trace=1.
+// to the body on every JSON reply; and a span tree with ?trace=1, which on
+// an update includes the body's decode.
 func Contract(t *testing.T, srv *httpapi.Server) {
 	base := start(t, srv)
 	t.Run("refusals", func(t *testing.T) {
@@ -227,7 +236,7 @@ func Contract(t *testing.T, srv *httpapi.Server) {
 			{http.MethodGet, "/v1/join?eps=0.5&limit=1&trace=1"},
 			{http.MethodPost, "/v1/update?trace=1"},
 		} {
-			resp, body := do(t, req[0], base+req[1], `{"upserts":[{"id":987654321,"min":[1,1,1],"max":[2,2,2]}]}`)
+			resp, body := do(t, req[0], base+req[1], traceUpdateBody)
 			var rep struct {
 				Trace *obs.SpanJSON `json:"trace"`
 			}
@@ -235,12 +244,36 @@ func Contract(t *testing.T, srv *httpapi.Server) {
 				t.Errorf("%s: %d, no trace: %.300s", req[1], resp.StatusCode, body)
 				continue
 			}
-			if stage := req[1][:strings.IndexByte(req[1], '?')]; rep.Trace.Stage != stage || len(rep.Trace.Children) == 0 {
+			stage := req[1][:strings.IndexByte(req[1], '?')]
+			if rep.Trace.Stage != stage || len(rep.Trace.Children) == 0 {
 				t.Errorf("%s: trace root %q with %d children, want %q with some", req[1], rep.Trace.Stage, len(rep.Trace.Children), stage)
+			}
+			if stage == "/v1/update" {
+				checkDecodeSpan(t, rep.Trace)
 			}
 		}
 	})
 }
+
+// checkDecodeSpan requires the update trace's "decode" child and its
+// counts for the contract's one-upsert body.
+func checkDecodeSpan(t *testing.T, root *obs.SpanJSON) {
+	t.Helper()
+	for _, c := range root.Children {
+		if c.Stage != "decode" {
+			continue
+		}
+		// Attributes come back through encoding/json, so numbers are float64.
+		if c.Attrs["bytes"] != float64(len(traceUpdateBody)) || c.Attrs["upserts"] != 1.0 || c.Attrs["deletes"] != 0.0 {
+			t.Errorf("/v1/update: decode span attrs %v, want bytes %d, upserts 1, deletes 0", c.Attrs, len(traceUpdateBody))
+		}
+		return
+	}
+	t.Errorf("/v1/update: no decode span among the trace's children")
+}
+
+// traceUpdateBody is the update the trace subtest posts.
+const traceUpdateBody = `{"upserts":[{"id":987654321,"min":[1,1,1],"max":[2,2,2]}]}`
 
 // failing is a back end whose reads come back failed with err (the rest of
 // the reply as the back end gave it) and whose writes fail with err.

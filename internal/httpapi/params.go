@@ -2,15 +2,15 @@
 // cmd/spatialcluster serve: the /v1 handlers over a Backend that each binary
 // adapts, with request ids, per-route metrics, tracing, the slow-query log,
 // one error table and graceful shutdown (server.go); one query-string parser
-// whose readers refuse what cannot be answered (params.go); and one encoder
-// — read replies appended into pooled buffers, the error envelope and the
-// remaining JSON replies — that sets Content-Length and writes each body
-// once (encode.go).
+// whose readers refuse what cannot be answered (params.go); one streaming
+// decoder for update bodies that agrees with encoding/json on every body
+// (decode.go); and one encoder — read replies appended into pooled buffers,
+// the error envelope and the remaining JSON replies — that sets
+// Content-Length and writes each body once (encode.go).
 package httpapi
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -222,20 +222,6 @@ func (p Params) Context(ctx context.Context) (context.Context, context.CancelFun
 	return ctx, cancel, nil
 }
 
-// ItemJSON is the wire shape of one item in an update body: id plus box
-// corners as [x, y, z] triples (replies append the same shape directly).
-type ItemJSON struct {
-	ID  int64      `json:"id"`
-	Min [3]float64 `json:"min"`
-	Max [3]float64 `json:"max"`
-}
-
-// UpdateRequest is the wire shape of an update batch.
-type UpdateRequest struct {
-	Upserts []ItemJSON `json:"upserts"`
-	Deletes []int64    `json:"deletes"`
-}
-
 // UpdateResponse reports the epoch an update batch was published as.
 type UpdateResponse struct {
 	Epoch   uint64 `json:"epoch"`
@@ -245,27 +231,33 @@ type UpdateResponse struct {
 }
 
 // MaxUpdateBody caps an update body at 64 MiB: well above one POST of
-// 200 000 items (about 26 MiB), and a bound on what a client can make the
-// decoder buffer.
+// 200 000 items (about 26 MiB), and a bound on the batch a client can make
+// the decoder build.
 const MaxUpdateBody = 64 << 20
 
 // readUpdate decodes a POST update body of at most limit bytes into one
-// batch, upserts first. It answers 405 to any other method, 413 to a longer
-// body and 400 to one that does not decode; ok is false when it has
-// answered. A body declared longer than limit is refused before any of it
-// is read.
+// batch, upserts first (decode.go), under a "decode" span of the request's
+// trace. It answers 405 to any other method, 413 to a longer body and 400
+// to one that does not decode; ok is false when it has answered. A body
+// declared longer than limit is refused before any of it is read.
 func readUpdate(w http.ResponseWriter, r *http.Request, limit int64) (batch []serve.Update, ok bool) {
 	if r.Method != http.MethodPost {
 		Error(w, http.StatusMethodNotAllowed, "method_not_allowed", "update requires POST")
 		return nil, false
 	}
-	var req UpdateRequest
+	span := obs.SpanFromContext(r.Context()).Child("decode")
+	var upserts int
+	var read int64
 	var err error
 	if r.ContentLength > limit {
 		err = &http.MaxBytesError{Limit: limit}
 	} else {
-		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&req)
+		batch, upserts, read, err = decodeUpdate(http.MaxBytesReader(w, r.Body, limit))
 	}
+	span.Set("bytes", read)
+	span.Set("upserts", upserts)
+	span.Set("deletes", len(batch)-upserts)
+	span.End()
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		Error(w, http.StatusRequestEntityTooLarge, "too_large",
@@ -275,14 +267,6 @@ func readUpdate(w http.ResponseWriter, r *http.Request, limit int64) (batch []se
 	if err != nil {
 		BadRequest(w, fmt.Errorf("bad update body: %w", err))
 		return nil, false
-	}
-	batch = make([]serve.Update, 0, len(req.Upserts)+len(req.Deletes))
-	for _, up := range req.Upserts {
-		box := geom.NewAABB(geom.V(up.Min[0], up.Min[1], up.Min[2]), geom.V(up.Max[0], up.Max[1], up.Max[2]))
-		batch = append(batch, serve.Update{ID: up.ID, Box: box})
-	}
-	for _, id := range req.Deletes {
-		batch = append(batch, serve.Update{ID: id, Delete: true})
 	}
 	return batch, true
 }

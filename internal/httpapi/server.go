@@ -200,11 +200,14 @@ func sendRead(w http.ResponseWriter, p Params, b *Reply, res Result, tr *obs.Tra
 }
 
 func (s *Server) update(w http.ResponseWriter, r *http.Request, p Params) {
+	ctx, tr := maybeTrace(r.Context(), r, p)
+	if tr != nil {
+		r = r.WithContext(ctx)
+	}
 	batch, ok := readUpdate(w, r, MaxUpdateBody)
 	if !ok {
 		return
 	}
-	ctx, tr := maybeTrace(r.Context(), r, p)
 	epoch, err := s.Backend.Apply(ctx, batch)
 	if err != nil {
 		s.fail(w, err)

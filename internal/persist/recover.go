@@ -2,8 +2,8 @@ package persist
 
 // Recovery: pick the newest snapshot whose segment verifies, fall back one
 // generation at a time if it does not, and hand back the WAL tail the chosen
-// snapshot does not cover. Shards are opened in parallel (the same fan-out
-// exec.ParallelBulkLoad uses for epoch builds); an R-Tree shard is an
+// snapshot does not cover. Shards are opened in parallel, one
+// exec.ForTasks task per shard record of the segment; an R-Tree shard is an
 // overlay of the segment image in both recovery modes.
 
 import (
