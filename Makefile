@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-test perf bench-json serve cluster loadgen join-bench plan-bench cluster-bench cover fuzz cross fmt vet vet-strict chaos ci
+.PHONY: all build test race bench bench-test perf serve cluster cover fuzz cross fmt vet vet-strict chaos ci
 
 all: build
 
@@ -16,8 +16,10 @@ race:
 bench:
 	$(GO) test -run 'xxx' -bench . -benchtime 1x ./...
 
-# bench-test runs the tests of the perf harness. bench/ is a module of its
-# own (spatialsim/bench, importing spatialsim/internal/...), so `go test ./...`
+# bench-test is the perf smoke: the tests of the perf harness, whose
+# TestSmokeRunPrintsEveryMetric builds both servers and runs all five
+# workloads and the traced run at smoke scale. bench/ is a module of its own
+# (spatialsim/bench, importing spatialsim/internal/...), so `go test ./...`
 # at the root skips it: a change to an exported surface the harness uses
 # (cluster.Config, Coordinator.Range, ...) breaks it unseen unless this runs.
 bench-test:
@@ -28,14 +30,6 @@ bench-test:
 perf:
 	bash bench/run.sh -seed 1
 
-# bench-json runs the paired pointer-vs-compact layout benchmarks and records
-# ns/op, allocs/op and speedups in BENCH_PR2.json — the repo's perf
-# trajectory file. BENCHTIME trades precision for runtime (CI uses a short
-# one; local runs should keep the default 1s).
-BENCHTIME ?= 1s
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_PR2.json -benchtime $(BENCHTIME)
-
 # serve starts the HTTP spatial server (internal/serve behind
 # cmd/spatialserver): range/knn/update/stats endpoints over a sharded,
 # epoch-versioned store.
@@ -44,29 +38,6 @@ SERVE_ELEMENTS ?= 100000
 serve:
 	$(GO) run ./cmd/spatialserver -addr $(SERVE_ADDR) -elements $(SERVE_ELEMENTS)
 
-# loadgen drives the serving store with mixed query+update traffic (E12) and
-# records throughput + latency percentiles in BENCH_PR3.json. LOADGEN_ARGS
-# shrinks the run in CI.
-LOADGEN_ARGS ?= -elements 50000 -duration 2s
-loadgen:
-	$(GO) run ./cmd/spatialbench -exp serve $(LOADGEN_ARGS) -out BENCH_PR3.json
-
-# join-bench runs the E13 join-scaling experiment (planner-driven parallel
-# join engine: algorithm x workers x dataset density) and records
-# sequential-vs-parallel speedups in BENCH_PR4.json. JOINBENCH_ARGS shrinks
-# the run in CI.
-JOINBENCH_ARGS ?= -elements 80000
-join-bench:
-	$(GO) run ./cmd/spatialbench -exp join-scale $(JOINBENCH_ARGS) -out BENCH_PR4.json
-
-# plan-bench runs the E14 mixed-workload planning experiment (statistics
-# catalog + query planner + epoch result cache vs every forced static index
-# family) and records the per-configuration walls plus the planner-beats-worst
-# verdict in BENCH_PR6.json. PLANBENCH_ARGS shrinks the run in CI.
-PLANBENCH_ARGS ?= -elements 60000 -shards 8
-plan-bench:
-	$(GO) run ./cmd/spatialbench -exp plan $(PLANBENCH_ARGS) -out BENCH_PR6.json
-
 # cluster starts the distributed serving harness (cmd/spatialcluster): an
 # in-process fleet of nodes behind the scatter/gather coordinator, with
 # kill/revive admin endpoints for failure drills.
@@ -74,15 +45,6 @@ CLUSTER_ADDR ?= :8090
 CLUSTER_NODES ?= 3
 cluster:
 	$(GO) run ./cmd/spatialcluster -addr $(CLUSTER_ADDR) -nodes $(CLUSTER_NODES) -elements $(SERVE_ELEMENTS)
-
-# cluster-bench runs the E16 distributed scatter/gather experiment (3-node
-# coordinator vs single-store answer identity, torn-epoch count under
-# cluster-wide swap load, and the node-kill drills) and records the verdicts
-# in BENCH_PR10.json. CLUSTERBENCH_ARGS shrinks the run in CI; CI greps the
-# report for identical answers and zero torn epochs.
-CLUSTERBENCH_ARGS ?= -elements 50000 -queries 100 -shards 4
-cluster-bench:
-	$(GO) run ./cmd/spatialbench -exp cluster $(CLUSTERBENCH_ARGS) -out BENCH_PR10.json
 
 # cover runs the whole suite with coverage and fails if the total drops
 # below the ratcheted baseline (raise the baseline when coverage improves,
@@ -146,7 +108,7 @@ vet-strict:
 		./internal/octree/... ./internal/kdtree/... ./internal/exec/... \
 		./internal/core/... ./internal/join/... ./internal/serve/... \
 		./internal/persist/... ./internal/storage/... ./internal/cluster/... \
-		./cmd/benchjson/... ./cmd/spatialserver/... ./cmd/spatialcluster/...
+		./cmd/spatialserver/... ./cmd/spatialcluster/...
 	$(GO) test -run xxx -race ./internal/index/ ./internal/rtree/ ./internal/grid/ > /dev/null
 
 ci: build fmt vet vet-strict race bench

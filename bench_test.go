@@ -1,19 +1,18 @@
 package spatialsim
 
-// Benchmarks regenerating every figure and in-text experiment of the paper
-// (see DESIGN.md for the experiment index E1-E9 and EXPERIMENTS.md for the
-// recorded paper-vs-measured comparison). The experiment drivers live in
-// internal/experiments; these benchmarks wrap them at a benchmark-friendly
-// scale plus micro-benchmarks for the individual operations the experiments
-// are composed of.
+// Benchmarks regenerating every figure and in-text experiment of the paper,
+// E1-E9 and the ablations (the internal/experiments package doc indexes
+// them: experiment, driver, spatialbench -exp name, paper figure or
+// section). They wrap the drivers at a benchmark-friendly scale, plus the
+// per-algorithm, per-strategy and per-method runs E6, E7 and E9 compare.
+// Micro-benchmarks of single index operations live next to their package;
+// the serving stack is timed layer by layer by the bench/ harness.
 
 import (
 	"testing"
 
-	"spatialsim/internal/core"
 	"spatialsim/internal/crtree"
 	"spatialsim/internal/datagen"
-	"spatialsim/internal/exec"
 	"spatialsim/internal/experiments"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/grid"
@@ -21,7 +20,6 @@ import (
 	"spatialsim/internal/join"
 	"spatialsim/internal/mesh"
 	"spatialsim/internal/moving"
-	"spatialsim/internal/octree"
 	"spatialsim/internal/rtree"
 )
 
@@ -304,348 +302,5 @@ func byteLabel(fanout int) string {
 		return "node~4cachelines"
 	default:
 		return "node~8cachelines"
-	}
-}
-
-// --- Micro-benchmarks for the core operations ---------------------------------
-
-func benchItems(n int) ([]index.Item, geom.AABB) {
-	d := datagen.GenerateNeurons(datagen.DefaultNeuronConfig(n/400+1, 400, 9))
-	items := make([]index.Item, d.Len())
-	for i := range d.Elements {
-		items[i] = index.Item{ID: d.Elements[i].ID, Box: d.Elements[i].Box}
-	}
-	return items, d.Universe
-}
-
-func BenchmarkMicro_RTreeBulkLoad(b *testing.B) {
-	items, _ := benchItems(50000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := rtree.NewDefault()
-		t.BulkLoad(items)
-	}
-}
-
-func BenchmarkMicro_GridBulkLoad(b *testing.B) {
-	items, u := benchItems(50000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := grid.New(grid.Config{Universe: u, CellsPerDim: 40})
-		g.BulkLoad(items)
-	}
-}
-
-func BenchmarkMicro_SimIndexBulkLoad(b *testing.B) {
-	items, u := benchItems(50000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := core.New(core.Config{Universe: u})
-		s.BulkLoad(items)
-	}
-}
-
-func benchRangeQueries(b *testing.B, ix index.Index, items []index.Item, u geom.AABB) {
-	b.Helper()
-	ix.(index.BulkLoader).BulkLoad(items)
-	queries := datagen.GenerateRangeQueries(datagen.RangeQueryConfig{N: 100, Selectivity: 5e-5, Universe: u, Seed: 11})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := queries[i%len(queries)]
-		ix.Search(q, func(index.Item) bool { return true })
-	}
-}
-
-func BenchmarkMicro_RTreeRangeQuery(b *testing.B) {
-	items, u := benchItems(50000)
-	benchRangeQueries(b, rtree.NewDefault(), items, u)
-}
-
-func BenchmarkMicro_CRTreeRangeQuery(b *testing.B) {
-	items, u := benchItems(50000)
-	benchRangeQueries(b, crtree.New(crtree.Config{}), items, u)
-}
-
-func BenchmarkMicro_GridRangeQuery(b *testing.B) {
-	items, u := benchItems(50000)
-	benchRangeQueries(b, grid.New(grid.Config{Universe: u, CellsPerDim: 40}), items, u)
-}
-
-func BenchmarkMicro_SimIndexRangeQuery(b *testing.B) {
-	items, u := benchItems(50000)
-	benchRangeQueries(b, core.New(core.Config{Universe: u}), items, u)
-}
-
-func benchPointUpdates(b *testing.B, ix index.Index, items []index.Item) {
-	b.Helper()
-	ix.(index.BulkLoader).BulkLoad(items)
-	delta := geom.V(0.001, 0.001, 0.001)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := &items[i%len(items)]
-		newBox := it.Box.Translate(delta)
-		ix.Update(it.ID, it.Box, newBox)
-		it.Box = newBox
-	}
-}
-
-func BenchmarkMicro_RTreeUpdate(b *testing.B) {
-	items, _ := benchItems(50000)
-	benchPointUpdates(b, rtree.NewDefault(), items)
-}
-
-func BenchmarkMicro_GridUpdate(b *testing.B) {
-	items, u := benchItems(50000)
-	benchPointUpdates(b, grid.New(grid.Config{Universe: u, CellsPerDim: 40}), items)
-}
-
-func BenchmarkMicro_SimIndexKNN(b *testing.B) {
-	items, u := benchItems(50000)
-	s := core.New(core.Config{Universe: u})
-	s.BulkLoad(items)
-	points := datagen.GenerateKNNQueries(100, u, 12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.KNN(points[i%len(points)], 8)
-	}
-}
-
-// --- E10: parallel execution engine -------------------------------------------
-
-// batchBenchState caches the 100k-element index and 1k-query batch the
-// BenchmarkBatchSearch pair runs over, so the sequential and parallel sides
-// measure identical work.
-var batchBenchState struct {
-	tree    *rtree.Tree
-	queries []geom.AABB
-	items   []index.Item
-	u       geom.AABB
-}
-
-func batchBenchSetup(b *testing.B) (*rtree.Tree, []geom.AABB) {
-	b.Helper()
-	if batchBenchState.tree == nil {
-		items, u := benchItems(100000)
-		t := rtree.NewDefault()
-		t.BulkLoad(items)
-		batchBenchState.tree = t
-		batchBenchState.items = items
-		batchBenchState.u = u
-		batchBenchState.queries = datagen.GenerateRangeQueries(datagen.RangeQueryConfig{
-			N: 1000, Selectivity: 5e-5, Universe: u, Seed: 21,
-		})
-	}
-	return batchBenchState.tree, batchBenchState.queries
-}
-
-func BenchmarkBatchSearch_Sequential(b *testing.B) {
-	ix, queries := batchBenchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, q := range queries {
-			ix.Search(q, func(index.Item) bool { return true })
-		}
-	}
-}
-
-func BenchmarkBatchSearch_Workers8(b *testing.B) {
-	ix, queries := batchBenchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		exec.BatchSearch(ix, queries, exec.Options{Workers: 8})
-	}
-}
-
-func BenchmarkBatchSearch_WorkersMax(b *testing.B) {
-	ix, queries := batchBenchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		exec.BatchSearch(ix, queries, exec.Options{})
-	}
-}
-
-func BenchmarkBatchKNN_Sequential(b *testing.B) {
-	ix, _ := batchBenchSetup(b)
-	points := datagen.GenerateKNNQueries(500, batchBenchState.u, 22)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range points {
-			ix.KNN(p, 8)
-		}
-	}
-}
-
-func BenchmarkBatchKNN_Workers8(b *testing.B) {
-	ix, _ := batchBenchSetup(b)
-	points := datagen.GenerateKNNQueries(500, batchBenchState.u, 22)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		exec.BatchKNN(ix, points, 8, exec.Options{Workers: 8})
-	}
-}
-
-func BenchmarkParallelBulkLoad_RTree_Sequential(b *testing.B) {
-	batchBenchSetup(b)
-	items := batchBenchState.items
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := rtree.NewDefault()
-		t.BulkLoad(items)
-	}
-}
-
-func BenchmarkParallelBulkLoad_RTree_Workers8(b *testing.B) {
-	batchBenchSetup(b)
-	items := batchBenchState.items
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := rtree.NewDefault()
-		t.ParallelBulkLoad(items, 8)
-	}
-}
-
-func BenchmarkParallelBulkLoad_Grid_Sequential(b *testing.B) {
-	batchBenchSetup(b)
-	items, u := batchBenchState.items, batchBenchState.u
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := grid.New(grid.Config{Universe: u, CellsPerDim: 40})
-		g.BulkLoad(items)
-	}
-}
-
-func BenchmarkParallelBulkLoad_Grid_Workers8(b *testing.B) {
-	batchBenchSetup(b)
-	items, u := batchBenchState.items, batchBenchState.u
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := grid.New(grid.Config{Universe: u, CellsPerDim: 40})
-		g.ParallelBulkLoad(items, 8)
-	}
-}
-
-func BenchmarkConcurrentIndex_StripedInserts(b *testing.B) {
-	batchBenchSetup(b)
-	items := batchBenchState.items
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := exec.NewConcurrent(0, func() index.Index { return rtree.NewDefault() })
-		exec.ParallelBulkLoad(c, items, exec.Options{Workers: 8})
-	}
-}
-
-func BenchmarkParallelSpeedup_Experiment(b *testing.B) {
-	s := benchScale()
-	s.Workers = 8
-	for i := 0; i < b.N; i++ {
-		experiments.ParallelSpeedup(s)
-	}
-}
-
-// --- E11: flat-memory layouts, pointer vs compact ------------------------------
-
-func BenchmarkCacheLayout_Experiment(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.CacheLayout(benchScale())
-	}
-}
-
-// benchUniformItems builds the uniform dataset the cache-layout acceptance
-// workload uses (spatially homogeneous, so layout effects are not masked by
-// clustering).
-func benchUniformItems(n int) ([]index.Item, geom.AABB) {
-	u := geom.NewAABB(geom.V(0, 0, 0), geom.V(100, 100, 100))
-	d := datagen.GenerateUniform(datagen.UniformConfig{N: n, Universe: u, Seed: 31})
-	items := make([]index.Item, d.Len())
-	for i := range d.Elements {
-		items[i] = index.Item{ID: d.Elements[i].ID, Box: d.Elements[i].Box}
-	}
-	return items, u
-}
-
-func benchVisitorRangeQueries(b *testing.B, rv index.RangeVisitor, u geom.AABB) {
-	b.Helper()
-	queries := datagen.GenerateRangeQueries(datagen.RangeQueryConfig{N: 100, Selectivity: 5e-5, Universe: u, Seed: 11})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := queries[i%len(queries)]
-		rv.RangeVisit(q, func(index.Item) bool { return true })
-	}
-}
-
-func BenchmarkMicro_RTreeRangeQueryPointer(b *testing.B) {
-	items, u := benchUniformItems(50000)
-	t := rtree.NewDefault()
-	t.BulkLoad(items)
-	benchVisitorRangeQueries(b, t, u)
-}
-
-func BenchmarkMicro_RTreeRangeQueryCompact(b *testing.B) {
-	items, u := benchUniformItems(50000)
-	benchVisitorRangeQueries(b, rtree.FreezeItems(items, rtree.Config{}), u)
-}
-
-func BenchmarkMicro_GridRangeQueryPointer(b *testing.B) {
-	items, u := benchUniformItems(50000)
-	g := grid.New(grid.Config{Universe: u, CellsPerDim: 40})
-	g.BulkLoad(items)
-	benchVisitorRangeQueries(b, g, u)
-}
-
-func BenchmarkMicro_GridRangeQueryCompact(b *testing.B) {
-	items, u := benchUniformItems(50000)
-	benchVisitorRangeQueries(b, grid.FreezeItems(items, grid.Config{Universe: u, CellsPerDim: 40}), u)
-}
-
-func BenchmarkMicro_OctreeRangeQueryPointer(b *testing.B) {
-	items, u := benchUniformItems(50000)
-	t := octree.New(octree.Config{Universe: u})
-	t.BulkLoad(items)
-	queries := datagen.GenerateRangeQueries(datagen.RangeQueryConfig{N: 100, Selectivity: 5e-5, Universe: u, Seed: 11})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.Search(queries[i%len(queries)], func(index.Item) bool { return true })
-	}
-}
-
-func BenchmarkMicro_OctreeRangeQueryCompact(b *testing.B) {
-	items, u := benchUniformItems(50000)
-	benchVisitorRangeQueries(b, octree.FreezeItems(items, octree.Config{Universe: u}), u)
-}
-
-func BenchmarkMicro_RTreeKNNPointer(b *testing.B) {
-	items, u := benchUniformItems(50000)
-	t := rtree.NewDefault()
-	t.BulkLoad(items)
-	points := datagen.GenerateKNNQueries(100, u, 12)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.KNN(points[i%len(points)], 8)
-	}
-}
-
-func BenchmarkMicro_RTreeKNNCompact(b *testing.B) {
-	items, u := benchUniformItems(50000)
-	c := rtree.FreezeItems(items, rtree.Config{})
-	points := datagen.GenerateKNNQueries(100, u, 12)
-	buf := make([]index.Item, 0, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = c.KNNInto(points[i%len(points)], 8, buf[:0])
-	}
-}
-
-func BenchmarkBatchRangeVisit_CompactWorkers8(b *testing.B) {
-	ix, queries := batchBenchSetup(b)
-	frozen := ix.Freeze()
-	arena := &exec.Arena{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		exec.BatchRangeVisitArena(frozen, queries, exec.Options{Workers: 8}, arena)
 	}
 }

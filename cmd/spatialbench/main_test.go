@@ -1,9 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -23,80 +20,79 @@ func TestRunIndexesSmoke(t *testing.T) {
 	}
 }
 
-// TestRunServeWritesReport drives the serve load generator briefly and
-// checks the BENCH_PR3-shaped JSON report it writes.
-func TestRunServeWritesReport(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench_serve.json")
-	var out strings.Builder
-	err := run([]string{
-		"-exp", "serve", "-elements", "3000", "-duration", "150ms",
-		"-shards", "3", "-readers", "3", "-out", path,
-	}, &out)
-	if err != nil {
-		t.Fatalf("run: %v", err)
+// TestRunDispatchesEveryExperiment runs each -exp name at a tiny scale and
+// checks it printed its own table and no other, then checks "all" prints
+// every table in list order.
+func TestRunDispatchesEveryExperiment(t *testing.T) {
+	titles := map[string]string{
+		"fig2":                "Figure 2:",
+		"fig3":                "Figure 3:",
+		"fig4":                "Figure 4:",
+		"updates":             "Section 4.1:",
+		"indexes":             "E5:",
+		"lsh":                 "E5b:",
+		"join":                "E6:",
+		"moving":              "E7:",
+		"simstep":             "E8:",
+		"mesh":                "E9:",
+		"ablation-resolution": "Ablation: grid resolution",
+		"ablation-advisor":    "Ablation: SimIndex maintenance",
 	}
-	if !strings.Contains(out.String(), "E12") {
-		t.Fatalf("serve output missing E12 header:\n%s", out.String())
+	if len(titles) != len(experimentList) {
+		t.Fatalf("%d titles for %d experiments", len(titles), len(experimentList))
 	}
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("report not written: %v", err)
+	for _, e := range experimentList {
+		e := e
+		t.Run(e.name, func(t *testing.T) {
+			want, ok := titles[e.name]
+			if !ok {
+				t.Fatalf("no title for experiment %q", e.name)
+			}
+			var out strings.Builder
+			if err := run([]string{"-exp", e.name, "-elements", "2000", "-queries", "10", "-steps", "1"}, &out); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			got := out.String()
+			if !strings.HasPrefix(got, want) {
+				t.Fatalf("output does not start with %q:\n%s", want, got)
+			}
+			for name, title := range titles {
+				if name != e.name && strings.Contains(got, title) {
+					t.Fatalf("output also holds the %s table:\n%s", name, got)
+				}
+			}
+		})
 	}
-	var rep map[string]interface{}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report not valid JSON: %v", err)
-	}
-	for _, key := range []string{"throughput_ops_per_sec", "p50_us", "p99_us", "epoch_swaps", "ops"} {
-		if _, ok := rep[key]; !ok {
-			t.Fatalf("report missing %q:\n%s", key, data)
+	t.Run("all", func(t *testing.T) {
+		var out strings.Builder
+		if err := run([]string{"-exp", "all", "-elements", "2000", "-queries", "10", "-steps", "1"}, &out); err != nil {
+			t.Fatalf("run: %v", err)
 		}
-	}
-	if rep["ops"].(float64) <= 0 {
-		t.Fatal("serve run recorded no operations")
-	}
+		rest := out.String()
+		for _, e := range experimentList {
+			i := strings.Index(rest, titles[e.name])
+			if i < 0 {
+				t.Fatalf("all: %s table missing or out of order:\n%s", e.name, out.String())
+			}
+			rest = rest[i:]
+		}
+	})
 }
 
-// TestRunRejectsUnknownExperiment checks the error path.
+// TestRunRejectsUnknownExperiment checks the error paths: unknown and
+// retired experiment names fail dispatch, unknown and retired flags fail
+// flag parsing.
 func TestRunRejectsUnknownExperiment(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-exp", "nope"}, &out); err == nil {
-		t.Fatal("unknown experiment should fail")
-	}
-	if err := run([]string{"-bogus"}, &out); err == nil {
-		t.Fatal("unknown flag should fail")
-	}
-}
-
-// TestRunJoinScaleWritesReport drives the E13 join-scaling experiment and
-// checks the BENCH_PR4-shaped JSON report it writes.
-func TestRunJoinScaleWritesReport(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench_join.json")
-	var out strings.Builder
-	err := run([]string{
-		"-exp", "join-scale", "-elements", "4000", "-workers", "2", "-out", path,
-	}, &out)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !strings.Contains(out.String(), "E13") {
-		t.Fatalf("join-scale output missing E13 header:\n%s", out.String())
-	}
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("report not written: %v", err)
-	}
-	var rep map[string]interface{}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report not valid JSON: %v", err)
-	}
-	for _, key := range []string{"planner_picks", "rows", "elements", "eps"} {
-		if _, ok := rep[key]; !ok {
-			t.Fatalf("report missing %q:\n%s", key, data)
+	for _, name := range []string{"nope", "serve", "join-scale", "plan", "cluster", "parallel", "cache-layout"} {
+		var out strings.Builder
+		if err := run([]string{"-exp", name, "-elements", "2000"}, &out); err == nil {
+			t.Errorf("experiment %q should fail", name)
 		}
 	}
-	if len(rep["rows"].([]interface{})) == 0 {
-		t.Fatal("join-scale run recorded no rows")
+	for _, flag := range []string{"-bogus", "-out=x.json", "-workers=2", "-duration=1s", "-shards=2"} {
+		var out strings.Builder
+		if err := run([]string{flag}, &out); err == nil {
+			t.Errorf("flag %s should fail", flag)
+		}
 	}
 }

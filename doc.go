@@ -51,14 +51,14 @@
 //     plain scan for tiny shards), delegates join-algorithm choice to
 //     join.Planner, absorbs core.Advisor's freeze/maintenance cost model,
 //     and lets measured latency evidence override the a-priori choice;
-//   - internal/exec — the parallel batch execution engine: worker-pool
-//     BatchSearch/BatchKNN over any index family, the zero-allocation
-//     BatchRangeVisit/BatchKNNInto visitor paths with reusable Arena
+//   - internal/exec — the parallel batch execution engine: the shared
+//     worker pool (ForTasks/ForChunks), worker-pool BatchSearchCount/BatchKNN
+//     over any index family, the zero-allocation
+//     BatchRangeVisitArena/BatchKNNInto visitor paths with reusable Arena
 //     buffers, ParallelBulkLoad (STR sort-tile slabs, grid cell bands,
-//     octants built concurrently), ParallelJoin (join.Plan tasks tiled over
-//     the pool with reusable JoinArena pair buffers, gathered by one
-//     distribution sort of the disjoint task outputs — no merge, no dedup)
-//     and the striped-lock ConcurrentIndex wrapper;
+//     octants built concurrently) and ParallelJoin (join.Plan tasks tiled
+//     over the pool, gathered by one distribution sort of the disjoint task
+//     outputs — no merge, no dedup);
 //   - internal/sim — the time-stepped simulation harness of the paper's
 //     Figure 1;
 //   - internal/serve — the sharded, epoch-versioned serving subsystem: STR
@@ -95,16 +95,15 @@
 //     (error, latency, torn-write) wired into the storage, persist and
 //     serve layers, powering the chaos soak (make chaos);
 //   - internal/experiments — drivers regenerating every figure and in-text
-//     experiment of the paper (see DESIGN.md and EXPERIMENTS.md).
+//     experiment of the paper, E1-E9 (its package doc indexes them:
+//     experiment, driver, spatialbench -exp name, paper figure or section).
 //
-// Executables: cmd/spatialbench (run any experiment, including the E12
-// serving load generator writing BENCH_PR3.json, the E13 join-scaling
-// experiment writing BENCH_PR4.json and the E14 planner-vs-static mixed
-// workload writing BENCH_PR6.json), cmd/simrun (run a full simulation with
-// a chosen index), cmd/benchjson (record the paired pointer-vs-compact
-// layout benchmarks in BENCH_*.json) and cmd/spatialserver (versioned
-// HTTP/JSON range, knn, join, update-batch and stats endpoints under /v1/
-// over internal/serve) and cmd/spatialcluster (the same /v1 surface over
-// internal/cluster); both serve the one handler set in internal/httpapi.
-// Runnable examples are under examples/.
+// Executables: cmd/spatialbench (run any of the paper's experiments),
+// cmd/simrun (run a full simulation with a chosen index),
+// cmd/spatialserver (versioned HTTP/JSON range, knn, join, update-batch and
+// stats endpoints under /v1/ over internal/serve) and cmd/spatialcluster
+// (the same /v1 surface over internal/cluster); both servers serve the one
+// handler set in internal/httpapi. The two servers are measured end to end
+// and layer by layer by the bench/ harness (make perf). Runnable examples
+// are under examples/.
 package spatialsim

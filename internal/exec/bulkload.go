@@ -8,13 +8,12 @@ import (
 // path the index supports:
 //
 //   - families implementing index.ParallelBulkLoader (R-Tree, grid, octree,
-//     SimIndex, ConcurrentIndex) partition the items into STR-style sort-tile
-//     slabs / cell stripes / octants and build the partitions concurrently;
+//     SimIndex) partition the items into STR-style sort-tile slabs / cell
+//     stripes / octants and build the partitions concurrently;
 //   - plain index.BulkLoader families fall back to their sequential bulk
 //     load, which still replaces the index contents;
 //   - indexes with neither receive a sequential insert loop into their
-//     current contents (wrap them in a ConcurrentIndex to make chunked
-//     concurrent inserts safe and parallel).
+//     current contents.
 func ParallelBulkLoad(ix index.Index, items []index.Item, opts Options) {
 	workers := opts.workerCount(len(items))
 	switch x := ix.(type) {

@@ -5,15 +5,20 @@
 // staying entirely behind the library-wide index contracts, so every index
 // family gains parallel execution unchanged:
 //
-//   - BatchSearch / BatchKNN fan a query batch out across a worker pool with
-//     per-worker result arenas, merged without locks on the hot path (each
-//     query owns a disjoint slot of the result slice);
+//   - ForTasks / ForTasksCtx / ForChunks are the worker pool the parallel
+//     bulk loaders, the join engine and the batches below share;
+//   - BatchSearchCount / BatchKNN fan a query batch out across the pool over
+//     any index family (the simulation harness's monitoring phase), and
+//     BatchRangeVisitArena / BatchKNNInto do the same over the
+//     zero-allocation visitor contract with reusable Arena buffers (the
+//     serving layer's batch queries); each query owns a disjoint slot of
+//     the result slice, so the merge needs no locks;
 //   - ParallelBulkLoad rebuilds an index concurrently when the family
 //     implements index.ParallelBulkLoader (STR sort-tile slabs for the
 //     R-Tree, cell stripes for grids, octants for octrees) and degrades
 //     gracefully to the sequential path otherwise;
-//   - ConcurrentIndex stripes any index family behind per-stripe locks so
-//     even purely sequential families accept concurrent inserts and queries.
+//   - ParallelJoin tiles a join.Plan's tasks over the pool and gathers the
+//     disjoint worker runs in canonical pair order.
 //
 // Cost accounting survives parallelism: every worker accumulates into a
 // private instrument.Counters whose snapshots are aggregated into the
@@ -198,56 +203,12 @@ func ForChunks(n, workers int, fn func(worker, lo, hi int)) {
 	wg.Wait()
 }
 
-// BatchSearch executes all range queries against the index using a worker
-// pool and returns the per-query results (out[i] holds the matches of
-// queries[i], in unspecified order). Workers append into private arenas and
-// publish each query's results into its own slot of the output slice, so the
-// merge needs no locks. The index must be safe for concurrent readers, which
-// every in-memory family in this library is after Prepare (deferred
-// maintenance is forced up front).
-func BatchSearch(ix index.Index, queries []geom.AABB, opts Options) ([][]index.Item, BatchStats) {
-	start := time.Now()
-	Prepare(ix)
-	w := opts.workerCount(len(queries))
-	out := make([][]index.Item, len(queries))
-	stats := BatchStats{Workers: w, Queries: len(queries)}
-
-	var before instrument.CounterSnapshot
-	counters := ix.Counters()
-	if counters != nil {
-		before = counters.Snapshot()
-	}
-
-	locals := make([]instrument.Counters, w)
-	arenas := make([][]index.Item, w)
-	ForTasks(len(queries), w, func(worker, qi int) {
-		buf := arenas[worker]
-		start := len(buf)
-		ix.Search(queries[qi], func(it index.Item) bool {
-			buf = append(buf, it)
-			return true
-		})
-		arenas[worker] = buf
-		// Full-slice-expression cap: later arena growth can never write into
-		// this query's published results.
-		out[qi] = buf[start:len(buf):len(buf)]
-		locals[worker].AddResults(int64(len(buf) - start))
-	})
-
-	stats.PerWorker = snapshotLocals(locals)
-	stats.Results = stats.Aggregate().Results
-	if counters != nil {
-		stats.Index = counters.Snapshot().Sub(before)
-	}
-	stats.Elapsed = time.Since(start)
-	return out, stats
-}
-
-// BatchSearchCount executes all range queries like BatchSearch but only
-// counts matches instead of materializing them — the parallel equivalent of a
-// sequential count-callback loop, with no per-result retention. Use it when
-// only result cardinality is needed (e.g. the simulation harness's
-// monitoring phase).
+// BatchSearchCount executes all range queries against the index using a
+// worker pool and only counts matches instead of materializing them — the
+// parallel equivalent of a sequential count-callback loop, with no
+// per-result retention (the simulation harness's monitoring phase). The
+// index must be safe for concurrent readers, which every in-memory family in
+// this library is after Prepare (deferred maintenance is forced up front).
 func BatchSearchCount(ix index.Index, queries []geom.AABB, opts Options) (int64, BatchStats) {
 	start := time.Now()
 	Prepare(ix)

@@ -2,9 +2,7 @@ package exec_test
 
 // Conformance tests for the parallel execution engine: parallel batch
 // queries and parallel bulk loads must be answer-for-answer identical to
-// their sequential counterparts across every interchangeable index family,
-// and the striped ConcurrentIndex must survive a mixed read/write stress run
-// under the race detector.
+// their sequential counterparts across every interchangeable index family.
 
 import (
 	"context"
@@ -45,7 +43,6 @@ func families() []index.Index {
 		moving.NewThrowaway(rtree.NewDefault()),
 		moving.NewLazy(rtree.NewDefault(), 0.25),
 		moving.NewBuffered(rtree.NewDefault(), 64),
-		exec.NewConcurrent(7, func() index.Index { return rtree.NewDefault() }),
 	}
 }
 
@@ -90,6 +87,8 @@ func equalIDs(a, b []int64) bool {
 	return true
 }
 
+// TestBatchSearchMatchesSequential: the parallel count of a range batch
+// equals the sequential count, in the result and in the per-worker view.
 func TestBatchSearchMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	items := randomItems(r, 3000)
@@ -98,34 +97,19 @@ func TestBatchSearchMatchesSequential(t *testing.T) {
 		ix := ix
 		t.Run(ix.Name(), func(t *testing.T) {
 			exec.ParallelBulkLoad(ix, items, exec.Options{Workers: 1})
-			want := make([][]int64, len(queries))
-			for i, q := range queries {
-				want[i] = sortedIDs(index.SearchAll(ix, q))
+			var total int64
+			for _, q := range queries {
+				total += int64(len(index.SearchAll(ix, q)))
 			}
-			got, stats := exec.BatchSearch(ix, queries, exec.Options{Workers: 8})
+			count, stats := exec.BatchSearchCount(ix, queries, exec.Options{Workers: 8})
 			if stats.Queries != len(queries) {
 				t.Fatalf("stats.Queries = %d, want %d", stats.Queries, len(queries))
 			}
-			var total int64
-			for i := range queries {
-				ids := sortedIDs(got[i])
-				if !equalIDs(ids, want[i]) {
-					t.Fatalf("query %d: got %d results, want %d", i, len(ids), len(want[i]))
-				}
-				total += int64(len(ids))
-			}
-			if stats.Results != total {
-				t.Errorf("stats.Results = %d, want %d", stats.Results, total)
+			if count != total || stats.Results != total {
+				t.Errorf("BatchSearchCount = %d (stats %d), want %d", count, stats.Results, total)
 			}
 			if agg := stats.Aggregate().Results; agg != total {
 				t.Errorf("aggregated per-worker results = %d, want %d", agg, total)
-			}
-			count, countStats := exec.BatchSearchCount(ix, queries, exec.Options{Workers: 8})
-			if count != total {
-				t.Errorf("BatchSearchCount = %d, want %d", count, total)
-			}
-			if countStats.Aggregate().Results != total {
-				t.Errorf("BatchSearchCount per-worker aggregate = %d, want %d", countStats.Aggregate().Results, total)
 			}
 		})
 	}
@@ -208,9 +192,6 @@ func TestParallelBulkLoadReloads(t *testing.T) {
 		grid.New(grid.Config{Universe: testUniverse(), CellsPerDim: 12}),
 		octree.New(octree.Config{Universe: testUniverse(), LeafCapacity: 10, MaxDepth: 7}),
 		core.New(core.Config{Universe: testUniverse(), CellsPerDim: 12}),
-		exec.NewConcurrent(5, func() index.Index { return rtree.NewDefault() }),
-		// Stripes without a native BulkLoad must still be replaced on reload.
-		exec.NewConcurrent(5, func() index.Index { return moving.NewLazy(rtree.NewDefault(), 0.25) }),
 	} {
 		loader := ix.(index.ParallelBulkLoader)
 		loader.ParallelBulkLoad(first, 8)
@@ -222,21 +203,6 @@ func TestParallelBulkLoadReloads(t *testing.T) {
 		if len(everything) != len(second) {
 			t.Errorf("%s: full-universe query returned %d, want %d", ix.Name(), len(everything), len(second))
 		}
-	}
-}
-
-func TestBatchSearchEarlyStopViaConcurrent(t *testing.T) {
-	// ConcurrentIndex.Search must honor a false return from the callback.
-	c := exec.NewConcurrent(4, func() index.Index { return rtree.NewDefault() })
-	r := rand.New(rand.NewSource(11))
-	exec.ParallelBulkLoad(c, randomItems(r, 500), exec.Options{Workers: 4})
-	seen := 0
-	c.Search(testUniverse(), func(index.Item) bool {
-		seen++
-		return seen < 3
-	})
-	if seen != 3 {
-		t.Fatalf("early-stopped search visited %d results, want 3", seen)
 	}
 }
 
@@ -312,65 +278,6 @@ func TestForChunksPartition(t *testing.T) {
 	}
 }
 
-// TestConcurrentIndexStress hammers a ConcurrentIndex with mixed writers and
-// readers; run with -race this is the engine's data-race gate. It finishes by
-// checking the survivors against a mutex-guarded truth map.
-func TestConcurrentIndexStress(t *testing.T) {
-	u := testUniverse()
-	c := exec.NewConcurrent(8, func() index.Index {
-		return grid.New(grid.Config{Universe: u, CellsPerDim: 8})
-	})
-	var truthMu sync.Mutex
-	truth := make(map[int64]geom.AABB)
-
-	const goroutines = 8
-	const opsPerGoroutine = 400
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(100 + g)))
-			for op := 0; op < opsPerGoroutine; op++ {
-				id := int64(g*opsPerGoroutine + op)
-				box := geom.AABBFromCenter(
-					geom.V(r.Float64()*50, r.Float64()*50, r.Float64()*50),
-					geom.V(0.5, 0.5, 0.5),
-				)
-				switch op % 4 {
-				case 0, 1:
-					c.Insert(id, box)
-					truthMu.Lock()
-					truth[id] = box
-					truthMu.Unlock()
-				case 2:
-					q := geom.AABBFromCenter(
-						geom.V(r.Float64()*50, r.Float64()*50, r.Float64()*50),
-						geom.V(3, 3, 3),
-					)
-					c.Search(q, func(index.Item) bool { return true })
-				case 3:
-					c.KNN(geom.V(r.Float64()*50, r.Float64()*50, r.Float64()*50), 4)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	if c.Len() != len(truth) {
-		t.Fatalf("Len = %d, truth has %d", c.Len(), len(truth))
-	}
-	got := sortedIDs(index.SearchAll(c, u.Expand(5)))
-	if len(got) != len(truth) {
-		t.Fatalf("full query returned %d, truth has %d", len(got), len(truth))
-	}
-	for _, id := range got {
-		if _, ok := truth[id]; !ok {
-			t.Fatalf("spurious id %d", id)
-		}
-	}
-}
-
 // TestBatchStatsIndexDelta checks the paper's cost accounting survives a
 // parallel batch: the index-counter delta reported by BatchStats must equal
 // the per-worker aggregation for categories both sides observe.
@@ -379,7 +286,7 @@ func TestBatchStatsIndexDelta(t *testing.T) {
 	ix := rtree.NewDefault()
 	ix.BulkLoad(randomItems(r, 5000))
 	queries := randomQueries(r, 100)
-	_, stats := exec.BatchSearch(ix, queries, exec.Options{Workers: 8})
+	_, stats := exec.BatchSearchCount(ix, queries, exec.Options{Workers: 8})
 	if stats.Index.Results != stats.Results {
 		t.Errorf("index counter delta reports %d results, engine counted %d", stats.Index.Results, stats.Results)
 	}

@@ -129,9 +129,8 @@ func TestJoinDifferential(t *testing.T) {
 					if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
 						t.Fatalf("%s/seq: %d pairs, want %d", name, len(got), len(want))
 					}
-					arena := &JoinArena{}
 					for _, w := range []int{1, 2, 4} {
-						got, _ := ParallelJoinArena(p, Options{Workers: w}, arena)
+						got, _ := ParallelJoin(p, Options{Workers: w})
 						requireCanonical(t, fmt.Sprintf("%s/w=%d", name, w), got)
 						if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
 							t.Fatalf("%s/w=%d: %d pairs, want %d", name, w, len(got), len(want))

@@ -64,9 +64,8 @@ func TestParallelJoinConformance(t *testing.T) {
 			if got := p.Run(); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s/%v sequential: %d pairs, want %d", name, algo, len(got), len(want))
 			}
-			arena := &JoinArena{}
 			for _, workers := range []int{1, 2, 4} {
-				got, stats := ParallelJoinArena(p, Options{Workers: workers}, arena)
+				got, stats := ParallelJoin(p, Options{Workers: workers})
 				if !reflect.DeepEqual(canonPairs(got), want) {
 					t.Errorf("%s/%v parallel w=%d: %d pairs, want %d", name, algo, workers, len(got), len(want))
 				}
@@ -169,13 +168,12 @@ func benchmarkSelfJoin(b *testing.B, algo join.Algorithm, workers int) {
 	opts := join.Options{Eps: 0.25}
 	p := join.Planner{}.PlanSelfWith(algo, items, opts)
 	defer p.Close()
-	arena := &JoinArena{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if workers <= 1 {
 			p.Run()
 		} else {
-			ParallelJoinArena(p, Options{Workers: workers}, arena)
+			ParallelJoin(p, Options{Workers: workers})
 		}
 	}
 }
@@ -199,14 +197,13 @@ func BenchmarkSelfGridJoinNeuron(b *testing.B) {
 		items[i] = index.Item{ID: d.Elements[i].ID, Box: d.Elements[i].Box}
 	}
 	eps := 0.3 * d.Universe.Size().X / 100
-	arena := &JoinArena{}
 	var c instrument.Counters
 	pairs := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := join.Planner{}.PlanSelfWith(join.AlgoGrid, items, join.Options{Eps: eps, Counters: &c})
-		out, _ := ParallelJoinArena(p, Options{}, arena)
+		out, _ := ParallelJoin(p, Options{})
 		pairs = len(out)
 		p.Close()
 	}

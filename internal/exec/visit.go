@@ -8,16 +8,16 @@ import (
 	"spatialsim/internal/instrument"
 )
 
-// This file is the batch engine's flat-memory fast path: the Batch*Visit
-// functions mirror BatchSearch/BatchKNN but run against the zero-allocation
-// visitor contract (index.RangeVisitor / index.KNNer) that the compact
-// frozen layouts implement. Combined with an Arena whose per-worker result
-// buffers survive across batches, a steady-state query batch performs no
-// heap allocation at all: the index side allocates nothing by contract, and
-// the engine side reuses warmed arenas.
+// This file is the batch engine's flat-memory fast path: BatchRangeVisitArena
+// and BatchKNNInto run against the zero-allocation visitor contract
+// (index.RangeVisitor / index.KNNer) that the compact frozen layouts
+// implement. Combined with an Arena whose per-worker result buffers survive
+// across batches, a steady-state query batch performs no heap allocation at
+// all: the index side allocates nothing by contract, and the engine side
+// reuses warmed arenas.
 
 // Arena holds per-worker result buffers that persist across batches. Passing
-// the same Arena to successive Batch*Visit calls reuses the buffers, so after
+// the same Arena to successive batch calls reuses the buffers, so after
 // the first batch the engine allocates only when a batch produces more
 // results than any previous one.
 //
@@ -48,17 +48,11 @@ func indexCounters(ix interface{}) *instrument.Counters {
 	return nil
 }
 
-// BatchRangeVisit executes all range queries against the visitor using a
-// worker pool and a private Arena; out[i] holds the matches of queries[i].
-// See BatchRangeVisitArena for the reusable-buffer form.
-func BatchRangeVisit(rv index.RangeVisitor, queries []geom.AABB, opts Options) ([][]index.Item, BatchStats) {
-	return BatchRangeVisitArena(rv, queries, opts, nil)
-}
-
-// BatchRangeVisitArena is BatchRangeVisit with caller-owned result storage:
-// workers append into arena's per-worker buffers and publish each query's
-// results as a capped sub-slice, so a warm arena makes the whole batch
-// allocation-free on the engine side. A nil arena uses a private one.
+// BatchRangeVisitArena executes all range queries against the visitor using
+// a worker pool; out[i] holds the matches of queries[i]. Workers append into
+// arena's per-worker buffers (nil uses a private one) and publish each
+// query's results as a capped sub-slice, so a warm arena makes the whole
+// batch allocation-free on the engine side.
 func BatchRangeVisitArena(rv index.RangeVisitor, queries []geom.AABB, opts Options, arena *Arena) ([][]index.Item, BatchStats) {
 	start := time.Now()
 	if p, ok := rv.(index.Preparer); ok {
@@ -100,42 +94,6 @@ func BatchRangeVisitArena(rv index.RangeVisitor, queries []geom.AABB, opts Optio
 	}
 	stats.Elapsed = time.Since(start)
 	return out, stats
-}
-
-// BatchRangeVisitCount executes all range queries like BatchRangeVisit but
-// only counts matches — with a compact index this path performs zero heap
-// allocations per query at any batch size.
-func BatchRangeVisitCount(rv index.RangeVisitor, queries []geom.AABB, opts Options) (int64, BatchStats) {
-	start := time.Now()
-	if p, ok := rv.(index.Preparer); ok {
-		p.PrepareForRead()
-	}
-	w := opts.workerCount(len(queries))
-	stats := BatchStats{Workers: w, Queries: len(queries)}
-
-	var before instrument.CounterSnapshot
-	counters := indexCounters(rv)
-	if counters != nil {
-		before = counters.Snapshot()
-	}
-
-	locals := make([]instrument.Counters, w)
-	ForTasks(len(queries), w, func(worker, qi int) {
-		var n int64
-		rv.RangeVisit(queries[qi], func(index.Item) bool {
-			n++
-			return true
-		})
-		locals[worker].AddResults(n)
-	})
-
-	stats.PerWorker = snapshotLocals(locals)
-	stats.Results = stats.Aggregate().Results
-	if counters != nil {
-		stats.Index = counters.Snapshot().Sub(before)
-	}
-	stats.Elapsed = time.Since(start)
-	return stats.Results, stats
 }
 
 // BatchKNNInto executes a k-nearest-neighbor query for every point using a

@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // tinyScale keeps the experiment drivers fast enough for unit tests while
@@ -287,242 +283,5 @@ func TestScaleDefaults(t *testing.T) {
 	d := DefaultScale()
 	if d.Elements != 200000 {
 		t.Fatalf("DefaultScale = %+v", d)
-	}
-}
-
-func TestParallelSpeedupRunsAllFamilies(t *testing.T) {
-	s := tinyScale()
-	s.Workers = 4
-	r := ParallelSpeedup(s)
-	if r.Workers != 4 {
-		t.Fatalf("Workers = %d", r.Workers)
-	}
-	if len(r.Rows) < 6 {
-		t.Fatalf("only %d families measured", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		if row.SeqRange <= 0 || row.ParRange <= 0 {
-			t.Fatalf("%s: range timings not recorded: %+v", row.Name, row)
-		}
-		if row.RangeSpeedup <= 0 || row.BuildSpeedup <= 0 || row.KNNSpeedup <= 0 {
-			t.Fatalf("%s: speedups not computed: %+v", row.Name, row)
-		}
-	}
-	out := r.String()
-	if !strings.Contains(out, "E10") || !strings.Contains(out, "concurrent-rtree") {
-		t.Fatalf("unexpected rendering:\n%s", out)
-	}
-}
-
-func TestCacheLayoutComparesAllFamilies(t *testing.T) {
-	r := CacheLayout(tinyScale())
-	if len(r.Rows) != 3 {
-		t.Fatalf("expected 3 families, got %d", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		if row.PointerTime <= 0 || row.CompactTime <= 0 {
-			t.Fatalf("%s: timings not recorded: %+v", row.Family, row)
-		}
-		if row.Speedup <= 0 {
-			t.Fatalf("%s: speedup not computed", row.Family)
-		}
-		if row.CompactTests.ElemIntersectTests == 0 {
-			t.Fatalf("%s: compact run recorded no element tests", row.Family)
-		}
-		// Same algorithm, different layout: the compact run must not do more
-		// element intersection tests than the pointer run.
-		if row.CompactTests.ElemIntersectTests > row.PointerTests.ElemIntersectTests {
-			t.Fatalf("%s: compact did more element tests (%d) than pointer (%d)",
-				row.Family, row.CompactTests.ElemIntersectTests, row.PointerTests.ElemIntersectTests)
-		}
-	}
-	out := r.String()
-	if !strings.Contains(out, "E11") || !strings.Contains(out, "rtree") {
-		t.Fatalf("unexpected rendering:\n%s", out)
-	}
-}
-
-func TestServeBenchMixedLoad(t *testing.T) {
-	r := ServeBench(Scale{Elements: 3000, Seed: 5}, ServeConfig{
-		Shards: 3, Readers: 3, Duration: 150 * time.Millisecond,
-		UpdateEvery: 25 * time.Millisecond,
-	})
-	if r.Ops == 0 || r.RangeOps == 0 || r.KNNOps == 0 {
-		t.Fatalf("mixed load did not run both query kinds: %+v", r)
-	}
-	if r.Throughput <= 0 {
-		t.Fatal("throughput not computed")
-	}
-	if r.P50 <= 0 || r.P99 < r.P50 || r.Max < r.P99 {
-		t.Fatalf("latency percentiles inconsistent: p50=%v p99=%v max=%v", r.P50, r.P99, r.Max)
-	}
-	// The writer must have turned epochs over under the readers: bootstrap is
-	// swap 1, so mixed load needs at least one more.
-	if r.EpochSwaps < 2 || r.UpdatesApplied == 0 {
-		t.Fatalf("no ingestion happened during the run: %+v", r)
-	}
-	out := r.String()
-	if !strings.Contains(out, "E12") || !strings.Contains(out, "epoch swaps") {
-		t.Fatalf("unexpected rendering:\n%s", out)
-	}
-}
-
-func TestJoinScalingRunsAndReports(t *testing.T) {
-	s := tinyScale()
-	s.Workers = 2
-	r := JoinScaling(s)
-	if len(r.Rows) == 0 {
-		t.Fatal("E13 produced no rows")
-	}
-	wantRows := 3 * 2 * len(r.Workers) // algorithms x datasets x worker ladder
-	if len(r.Rows) != wantRows {
-		t.Fatalf("E13 produced %d rows, want %d", len(r.Rows), wantRows)
-	}
-	for _, ds := range []string{"uniform", "clustered"} {
-		if r.PlannerPicks[ds] == "" {
-			t.Fatalf("no planner pick recorded for %s", ds)
-		}
-	}
-	// Every (algo, dataset) must agree on the pair count across worker counts.
-	counts := make(map[string]int)
-	for _, row := range r.Rows {
-		key := row.Algo + "/" + row.Dataset
-		if prev, ok := counts[key]; ok && prev != row.Pairs {
-			t.Fatalf("%s: pair count varies across workers (%d vs %d)", key, prev, row.Pairs)
-		}
-		counts[key] = row.Pairs
-		if row.Pairs == 0 {
-			t.Fatalf("%s: no pairs found; eps too small for the test scale", key)
-		}
-	}
-	out := r.String()
-	if !strings.Contains(out, "E13") || !strings.Contains(out, "planner picks") {
-		t.Fatalf("unexpected E13 rendering:\n%s", out)
-	}
-
-	path := filepath.Join(t.TempDir(), "BENCH_PR4.json")
-	if err := WriteJoinScaleReport(path, r); err != nil {
-		t.Fatalf("WriteJoinScaleReport: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Elements     int               `json:"elements"`
-		PlannerPicks map[string]string `json:"planner_picks"`
-		Rows         []struct {
-			Algo    string  `json:"algo"`
-			Workers int     `json:"workers"`
-			Speedup float64 `json:"speedup"`
-		} `json:"rows"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("BENCH_PR4.json does not parse: %v", err)
-	}
-	if rep.Elements != s.Elements || len(rep.Rows) != wantRows || len(rep.PlannerPicks) != 2 {
-		t.Fatalf("report shape wrong: %+v", rep)
-	}
-}
-
-func TestPlanBenchRunsAndReports(t *testing.T) {
-	s := Scale{Elements: 4000, Seed: 3, Workers: 2}
-	r := PlanBench(s, PlanBenchConfig{
-		Shards: 4, CacheEntries: 256, RangeQueries: 24, KNNQueries: 12, Repeats: 2, Joins: 1,
-	})
-	if len(r.Static) != 5 {
-		t.Fatalf("E14 must race all five static families, got %d rows", len(r.Static))
-	}
-	if r.Planner.Wall <= 0 || r.Planner.Throughput <= 0 {
-		t.Fatalf("planner row not measured: %+v", r.Planner)
-	}
-	if r.BestStatic == "" || r.WorstStatic == "" || r.BestStatic == r.WorstStatic {
-		t.Fatalf("best/worst statics not ranked: best=%q worst=%q", r.BestStatic, r.WorstStatic)
-	}
-	if !r.PlannerBeatsWorst {
-		t.Fatalf("planner lost to the worst static configuration (%s): %v", r.WorstStatic, r)
-	}
-	if r.CacheHitRate <= 0 {
-		t.Fatalf("repeated working set produced no cache hits: %+v", r)
-	}
-	if len(r.Families) == 0 {
-		t.Fatal("no family census recorded")
-	}
-	out := r.String()
-	if !strings.Contains(out, "E14") || !strings.Contains(out, "planner beats worst") {
-		t.Fatalf("unexpected E14 rendering:\n%s", out)
-	}
-
-	path := filepath.Join(t.TempDir(), "BENCH_PR6.json")
-	if err := WritePlanBenchReport(path, r); err != nil {
-		t.Fatalf("WritePlanBenchReport: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Elements          int     `json:"elements"`
-		PlannerBeatsWorst bool    `json:"planner_beats_worst"`
-		CacheHitRate      float64 `json:"cache_hit_rate"`
-		Static            []struct {
-			Config string  `json:"config"`
-			WallMS float64 `json:"wall_ms"`
-		} `json:"static"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("BENCH_PR6.json does not parse: %v", err)
-	}
-	if rep.Elements != r.Elements || len(rep.Static) != 5 || !rep.PlannerBeatsWorst || rep.CacheHitRate <= 0 {
-		t.Fatalf("report shape wrong: %+v", rep)
-	}
-}
-
-func TestClusterBenchConformanceAndDrills(t *testing.T) {
-	s := Scale{Elements: 4000, Queries: 15, Selectivity: 5e-5, Seed: 7}
-	r := ClusterBench(s, ClusterBenchConfig{Nodes: 3, Replication: 2, Shards: 4, SwapGens: 3, SwapReaders: 2, SwapItems: 400})
-	if !r.Identical {
-		t.Fatal("cluster answers diverge from the single store")
-	}
-	if r.TornEpochs != 0 {
-		t.Fatalf("swap storm observed %d torn epochs", r.TornEpochs)
-	}
-	if r.FinalEpoch != 4 {
-		t.Fatalf("storm final epoch = %d, want 4 (bootstrap + 3 generations)", r.FinalEpoch)
-	}
-	if !r.DegradedCorrect || !r.ReplicasAbsorb {
-		t.Fatalf("kill drills failed: degraded_correct=%v replicas_absorb=%v", r.DegradedCorrect, r.ReplicasAbsorb)
-	}
-	if r.DegradedCount == 0 || r.DegradedCount >= r.FullCount {
-		t.Fatalf("degraded count %d of %d is not a proper subset", r.DegradedCount, r.FullCount)
-	}
-	if !r.OK {
-		t.Fatalf("gate failed: %+v", r)
-	}
-	if !strings.Contains(r.String(), "E16") {
-		t.Fatal("String missing title")
-	}
-
-	path := filepath.Join(t.TempDir(), "cluster.json")
-	if err := WriteClusterBenchReport(path, r); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Nodes      int  `json:"nodes"`
-		Identical  bool `json:"identical_answers"`
-		TornEpochs int  `json:"torn_epochs"`
-		Degraded   bool `json:"degraded_correct"`
-		Absorb     bool `json:"replicas_absorb"`
-		OK         bool `json:"ok"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report does not parse: %v", err)
-	}
-	if rep.Nodes != 3 || !rep.Identical || rep.TornEpochs != 0 || !rep.Degraded || !rep.Absorb || !rep.OK {
-		t.Fatalf("report shape wrong: %+v", rep)
 	}
 }

@@ -8,8 +8,23 @@
 // with a human-readable String method; cmd/spatialbench prints them and the
 // root-level benchmarks call them inside testing.B loops. Scales default to
 // laptop-sized datasets — the paper's absolute numbers used 200 M elements on
-// a disk array, but the relative shapes (which DESIGN.md documents per
-// experiment) are what the drivers reproduce.
+// a disk array, but the relative shapes are what the drivers reproduce.
+//
+// Experiment index (driver → spatialbench -exp name → what of the paper it
+// reproduces):
+//
+//	E1  Figure2                 fig2                 Figure 2: R-Tree query time, disk vs memory
+//	E2  Figure3                 fig3                 Figure 3: in-memory R-Tree time breakdown
+//	E3  UpdateVsRebuild         updates              Section 4.1: update vs rebuild crossover
+//	E4  Figure4                 fig4                 Figure 4: unnecessary intersection tests
+//	E5  IndexComparison         indexes              survey: in-memory index families
+//	E5b MeasureLSHRecall        lsh                  Section 3.3: LSH kNN without a tree
+//	E6  JoinComparison          join                 survey: spatial self-join algorithms
+//	E7  MovingComparison        moving               Section 4.2: moving-object strategies
+//	E8  SimStep                 simstep              Figure 1: whole simulation step
+//	E9  Mesh                    mesh                 Section 4.3: connectivity-driven queries
+//	    AblationGridResolution  ablation-resolution  grid resolution vs the cost model
+//	    AblationAdvisor         ablation-advisor     SimIndex maintenance policy
 package experiments
 
 import (
@@ -38,9 +53,6 @@ type Scale struct {
 	Selectivity float64
 	// Seed makes runs deterministic.
 	Seed int64
-	// Workers is the goroutine budget for experiments that exercise the
-	// parallel execution engine (<= 0 uses GOMAXPROCS).
-	Workers int
 }
 
 // DefaultScale is a laptop-sized stand-in for the paper's 200M-element / 200

@@ -1,0 +1,105 @@
+package grid
+
+// Benchmarks of the uniform grid's build, update and query paths, pointer
+// and frozen Compact side by side.
+
+import (
+	"testing"
+
+	"spatialsim/internal/datagen"
+	"spatialsim/internal/geom"
+	"spatialsim/internal/index"
+)
+
+// neuronBenchItems is the paper's neuron dataset at about n segments.
+func neuronBenchItems(n int) ([]index.Item, geom.AABB) {
+	d := datagen.GenerateNeurons(datagen.DefaultNeuronConfig(n/400+1, 400, 9))
+	items := make([]index.Item, d.Len())
+	for i := range d.Elements {
+		items[i] = index.Item{ID: d.Elements[i].ID, Box: d.Elements[i].Box}
+	}
+	return items, d.Universe
+}
+
+// uniformBenchItems is a spatially homogeneous dataset, so layout effects are
+// not masked by clustering.
+func uniformBenchItems(n int) ([]index.Item, geom.AABB) {
+	u := geom.NewAABB(geom.V(0, 0, 0), geom.V(100, 100, 100))
+	d := datagen.GenerateUniform(datagen.UniformConfig{N: n, Universe: u, Seed: 31})
+	items := make([]index.Item, d.Len())
+	for i := range d.Elements {
+		items[i] = index.Item{ID: d.Elements[i].ID, Box: d.Elements[i].Box}
+	}
+	return items, u
+}
+
+func BenchmarkBulkLoad(b *testing.B) {
+	items, u := neuronBenchItems(50000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(Config{Universe: u, CellsPerDim: 40}).BulkLoad(items)
+	}
+}
+
+func BenchmarkParallelBulkLoad_Sequential(b *testing.B) {
+	items, u := neuronBenchItems(100000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(Config{Universe: u, CellsPerDim: 40}).BulkLoad(items)
+	}
+}
+
+func BenchmarkParallelBulkLoad_Workers8(b *testing.B) {
+	items, u := neuronBenchItems(100000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(Config{Universe: u, CellsPerDim: 40}).ParallelBulkLoad(items, 8)
+	}
+}
+
+func BenchmarkRangeQuery(b *testing.B) {
+	items, u := neuronBenchItems(50000)
+	g := New(Config{Universe: u, CellsPerDim: 40})
+	g.BulkLoad(items)
+	queries := datagen.GenerateRangeQueries(datagen.RangeQueryConfig{N: 100, Selectivity: 5e-5, Universe: u, Seed: 11})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Search(queries[i%len(queries)], func(index.Item) bool { return true })
+	}
+}
+
+func BenchmarkUpdate(b *testing.B) {
+	items, u := neuronBenchItems(50000)
+	g := New(Config{Universe: u, CellsPerDim: 40})
+	g.BulkLoad(items)
+	delta := geom.V(0.001, 0.001, 0.001)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		it := &items[i%len(items)]
+		newBox := it.Box.Translate(delta)
+		g.Update(it.ID, it.Box, newBox)
+		it.Box = newBox
+	}
+}
+
+func benchRangeVisit(b *testing.B, rv index.RangeVisitor, u geom.AABB) {
+	b.Helper()
+	queries := datagen.GenerateRangeQueries(datagen.RangeQueryConfig{N: 100, Selectivity: 5e-5, Universe: u, Seed: 11})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rv.RangeVisit(queries[i%len(queries)], func(index.Item) bool { return true })
+	}
+}
+
+func BenchmarkRangeVisitPointer(b *testing.B) {
+	items, u := uniformBenchItems(50000)
+	g := New(Config{Universe: u, CellsPerDim: 40})
+	g.BulkLoad(items)
+	benchRangeVisit(b, g, u)
+}
+
+func BenchmarkRangeVisitCompact(b *testing.B) {
+	items, u := uniformBenchItems(50000)
+	benchRangeVisit(b, FreezeItems(items, Config{Universe: u, CellsPerDim: 40}), u)
+}

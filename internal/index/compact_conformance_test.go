@@ -129,19 +129,17 @@ func TestBatchVisitPathsMatchClassicBatchPaths(t *testing.T) {
 		c := geom.V(r.Float64()*50, r.Float64()*50, r.Float64()*50)
 		queries[i] = geom.AABBFromCenter(c, geom.V(2.5, 2.5, 2.5))
 	}
-	classic, _ := exec.BatchSearch(rt, queries, exec.Options{Workers: 4})
 	arena := &exec.Arena{}
 	visited, _ := exec.BatchRangeVisitArena(frozen, queries, exec.Options{Workers: 4}, arena)
-	for i := range queries {
-		equalIDSets(t, "batch-range-visit", i, idsOf(visited[i]), idsOf(classic[i]))
-	}
-	count, _ := exec.BatchRangeVisitCount(frozen, queries, exec.Options{Workers: 4})
 	var total int64
-	for i := range classic {
-		total += int64(len(classic[i]))
+	for i, q := range queries {
+		classic := index.SearchAll(rt, q)
+		equalIDSets(t, "batch-range-visit", i, idsOf(visited[i]), idsOf(classic))
+		total += int64(len(classic))
 	}
+	count, _ := exec.BatchSearchCount(rt, queries, exec.Options{Workers: 4})
 	if count != total {
-		t.Fatalf("BatchRangeVisitCount = %d, want %d", count, total)
+		t.Fatalf("BatchSearchCount = %d, want %d", count, total)
 	}
 
 	points := make([]geom.Vec3, 32)

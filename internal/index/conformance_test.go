@@ -14,7 +14,6 @@ import (
 
 	"spatialsim/internal/core"
 	"spatialsim/internal/crtree"
-	"spatialsim/internal/exec"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/grid"
 	"spatialsim/internal/index"
@@ -43,7 +42,6 @@ func candidates() []index.Index {
 		moving.NewThrowaway(rtree.NewDefault()),
 		moving.NewLazy(rtree.NewDefault(), 0.25),
 		moving.NewBuffered(rtree.NewDefault(), 64),
-		exec.NewConcurrent(5, func() index.Index { return rtree.NewDefault() }),
 	}
 }
 

@@ -122,9 +122,8 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return h.SnapshotInto(nil).Quantile(q)
 }
 
-// HistogramSnapshot is a point-in-time copy of a histogram, mergeable with
-// other snapshots (the loadgen harness merges the per-class histograms into
-// one mixed-workload view).
+// HistogramSnapshot is a point-in-time copy of a histogram, so the quantiles
+// and totals read from one snapshot describe the same observations.
 type HistogramSnapshot struct {
 	Counts []int64
 	Count  int64
@@ -150,21 +149,6 @@ func (h *Histogram) SnapshotInto(s *HistogramSnapshot) *HistogramSnapshot {
 	s.Min = h.min.Load()
 	s.Max = h.max.Load()
 	return s
-}
-
-// Merge folds o into s component-wise.
-func (s *HistogramSnapshot) Merge(o *HistogramSnapshot) {
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Min < s.Min {
-		s.Min = o.Min
-	}
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
 }
 
 // Quantile estimates the q-th quantile of the snapshot (see

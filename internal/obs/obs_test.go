@@ -101,32 +101,6 @@ func TestHistogramEdges(t *testing.T) {
 	}
 }
 
-func TestHistogramSnapshotMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	merged := NewHistogram()
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 5000; i++ {
-		v := time.Duration(rng.Int63n(int64(10 * time.Millisecond)))
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-		merged.Observe(v)
-	}
-	s := a.SnapshotInto(nil)
-	s.Merge(b.SnapshotInto(nil))
-	want := merged.SnapshotInto(nil)
-	if s.Count != want.Count || s.Sum != want.Sum || s.Min != want.Min || s.Max != want.Max {
-		t.Fatalf("merge mismatch: %+v vs %+v", s.Count, want.Count)
-	}
-	for _, q := range []float64{0.5, 0.99} {
-		if s.Quantile(q) != want.Quantile(q) {
-			t.Fatalf("merged quantile %g differs", q)
-		}
-	}
-}
-
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup

@@ -2,7 +2,8 @@
 // experiment runs on: a page-oriented block device with a configurable
 // latency model and an LRU buffer pool.
 //
-// The substitution is deliberate (see DESIGN.md): the paper uses a physical
+// The substitution is deliberate (experiment E1 in the internal/experiments
+// index): the paper uses a physical
 // SAS disk array with a cold OS cache, and only relies on the qualitative
 // property that random page reads cost milliseconds while in-memory
 // computation costs nanoseconds. The simulated disk accumulates *virtual*
