@@ -9,6 +9,7 @@ package persist
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -25,11 +26,22 @@ func fuzzSeedSegment() []byte {
 		f := float64(i)
 		items[i] = index.Item{ID: int64(i + 1), Box: geom.NewAABB(geom.V(f, f, f), geom.V(f+1, f+1, f+1))}
 	}
+	return refSeedSegment(3, 7, items, 512)
+}
+
+// refSeedSegment encodes a segment of all three record kinds: an R-Tree
+// over the first half of items, an item list of the rest, and a reference
+// naming the R-Tree record. The reference points into the segment itself,
+// so resolving it against the same image succeeds.
+func refSeedSegment(epochSeq, batchSeq uint64, items []index.Item, pageSize int) []byte {
+	half := len(items) / 2
 	shards := []ShardRecord{
-		{Bounds: boundsOf(items[:32]), RTree: rtree.FreezeItems(items[:32], rtree.Config{})},
-		{Bounds: boundsOf(items[32:]), Items: items[32:]},
+		{Bounds: boundsOf(items[:half]), RTree: rtree.FreezeItems(items[:half], rtree.Config{})},
+		{Bounds: boundsOf(items[half:]), Items: items[half:]},
 	}
-	return EncodeSegment(3, 7, shards, 512)
+	_, locs := encodeSegment(epochSeq, batchSeq, shards, pageSize)
+	shards = append(shards, ShardRecord{Bounds: shards[0].Bounds, Ref: &locs[0]})
+	return EncodeSegment(epochSeq, batchSeq, shards, pageSize)
 }
 
 // checkSegmentDecode is the body of both segment fuzzers: it drives the one
@@ -48,6 +60,12 @@ func checkSegmentDecode(t *testing.T, data []byte, verifyCRC bool) ([]ShardRecor
 	}
 	query := geom.NewAABB(geom.V(-1000, -1000, -1000), geom.V(1000, 1000, 1000))
 	for _, sr := range shards {
+		if sr.Ref != nil {
+			// Resolve the reference against this image, as if it were the
+			// segment named: any offset, length and checksum must be
+			// refused or opened, never a fault.
+			sr, _ = resolveRef(data, info, *sr.Ref, verifyCRC)
+		}
 		if sr.RTree == nil {
 			continue
 		}
@@ -64,8 +82,9 @@ func checkSegmentDecode(t *testing.T, data []byte, verifyCRC bool) ([]ShardRecor
 		t.Fatalf("re-encode changed identity: %+v vs %+v", info2, info)
 	}
 	for i := range shards {
-		if shards[i].Len() != shards2[i].Len() {
-			t.Fatalf("shard %d: %d items became %d", i, shards[i].Len(), shards2[i].Len())
+		if shards[i].Len() != shards2[i].Len() || (shards[i].Ref == nil) != (shards2[i].Ref == nil) ||
+			(shards[i].Ref != nil && *shards[i].Ref != *shards2[i].Ref) {
+			t.Fatalf("shard %d: re-encode changed the record", i)
 		}
 	}
 	return shards, true
@@ -134,7 +153,7 @@ func FuzzDecodeSegmentMapped(f *testing.F) {
 
 func FuzzDecodeManifest(f *testing.F) {
 	var seed []byte
-	seed = encodeSnapshotRecord(seed, SnapshotRecord{EpochSeq: 2, BatchSeq: 5, SegSize: 4096, SegCRC: 0xABCD, Name: "epoch-0000000000000002.seg"})
+	seed = encodeSnapshotRecord(seed, SnapshotRecord{EpochSeq: 2, BatchSeq: 5, SegSize: 4096, SegCRC: 0xABCD, Name: "epoch-0000000000000002.seg", Refs: []uint64{1}})
 	seed = encodeBatchRecord(seed, BatchRecord{Seq: 6, Updates: []Update{
 		{ID: 1, Box: geom.NewAABB(geom.V(0, 0, 0), geom.V(1, 1, 1))},
 		{ID: 2, Delete: true},
@@ -166,7 +185,7 @@ func FuzzDecodeManifest(f *testing.F) {
 				len(snaps2), len(batches2), len(snaps), len(batches))
 		}
 		for i := range snaps {
-			if snaps2[i] != snaps[i] {
+			if !sameSnapshotRecord(snaps2[i], snaps[i]) {
 				t.Fatalf("snapshot record %d changed: %+v vs %+v", i, snaps2[i], snaps[i])
 			}
 		}
@@ -176,6 +195,11 @@ func FuzzDecodeManifest(f *testing.F) {
 			}
 		}
 	})
+}
+
+func sameSnapshotRecord(a, b SnapshotRecord) bool {
+	return a.EpochSeq == b.EpochSeq && a.BatchSeq == b.BatchSeq && a.SegSize == b.SegSize &&
+		a.SegCRC == b.SegCRC && a.Name == b.Name && slices.Equal(a.Refs, b.Refs)
 }
 
 // compactAnswers is the range and kNN answer list fuzzers compare overlays
@@ -297,7 +321,13 @@ func TestFuzzSeedsHoldRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("committed seed does not parse: %v", err)
 	}
-	if _, shards, err := DecodeSegment([]byte(committed), 2, true); err != nil || len(shards) != 2 {
+	info, shards, err := DecodeSegment([]byte(committed), 2, true)
+	if err != nil || len(shards) != 3 || shards[2].Ref == nil {
 		t.Fatalf("committed seed segment: %d shards, err %v", len(shards), err)
+	}
+	// Its reference names its own R-Tree record, so it resolves in place.
+	rec, err := resolveRef([]byte(committed), info, *shards[2].Ref, true)
+	if err != nil || rec.RTree == nil || rec.Len() != shards[0].Len() {
+		t.Fatalf("committed seed reference does not resolve to its R-Tree record: %v", err)
 	}
 }

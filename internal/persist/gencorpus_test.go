@@ -46,15 +46,16 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	mut[50] ^= 0x20
 	writeCorpusFile(t, "FuzzDecodeCompact", "seed-mutated", mut)
 
-	seg := EncodeSegment(9, 4, []ShardRecord{
-		{Bounds: boundsOf(items), RTree: c},
-		{Bounds: boundsOf(items), Items: items},
-	}, 256)
+	seg := refSeedSegment(9, 4, items, 256)
 	writeCorpusFile(t, "FuzzDecodeSegment", "seed-valid", seg)
 	writeCorpusFile(t, "FuzzDecodeSegmentMapped", "seed-valid", seg)
 	lenFlip := append([]byte(nil), seg...)
-	lenFlip[256+56] ^= 0xFF // shard 0 blob-length field (v2: payload at page 1, record offset 56)
+	lenFlip[256+56] ^= 0xFF // shard 0 blob-length field (payload at page 1, record offset 56)
 	writeCorpusFile(t, "FuzzDecodeSegmentMapped", "seed-flipped-length", lenFlip)
+	info, _ := DecodeSegmentInfo(seg, len(seg))
+	refFlip := append([]byte(nil), seg...)
+	refFlip[info.PageSize+info.PayloadLen-32+8] ^= 0x40 // the reference's record offset
+	writeCorpusFile(t, "FuzzDecodeSegmentMapped", "seed-flipped-ref", refFlip)
 
 	writeCorpusFile(t, "FuzzOverlayCompact", "seed-valid", blob)
 	writeCorpusFile(t, "FuzzOverlayCompact", "seed-mutated", mut)
@@ -62,7 +63,7 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	var man []byte
 	man = encodeSnapshotRecord(man, SnapshotRecord{
 		EpochSeq: 9, BatchSeq: 4, SegSize: int64(len(seg)), SegCRC: 7,
-		Name: "epoch-0000000000000009.seg",
+		Name: "epoch-0000000000000009.seg", Refs: []uint64{7, 8},
 	})
 	man = encodeBatchRecord(man, BatchRecord{Seq: 5, Updates: []Update{
 		{ID: 12, Box: geom.NewAABB(geom.V(1, 2, 3), geom.V(4, 5, 6))},

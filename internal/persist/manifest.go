@@ -17,7 +17,8 @@ package persist
 //	body: u8 type | payload
 //	type 1 (snapshot): epoch seq u64 | covered batch seq u64 |
 //	                   segment size u64 | segment CRC-32C u32 |
-//	                   name length u16 | name bytes
+//	                   name length u16 | name bytes |
+//	                   referenced segment count u32 | epoch seq u64 each
 //	type 2 (batch):    batch seq u64 | update count u32 |
 //	                   updates (flag u8 | id i64 | box 48 B)
 
@@ -39,13 +40,17 @@ const (
 	maxSegmentName = 4096
 )
 
-// SnapshotRecord points at one durably written segment file.
+// SnapshotRecord points at one durably written segment file. Refs lists
+// the epoch sequences of the older segments its reference records point
+// into, ascending: the snapshot needs those files as much as its own, so
+// segment GC keeps them while the record is retained.
 type SnapshotRecord struct {
 	EpochSeq uint64
 	BatchSeq uint64
 	SegSize  int64
 	SegCRC   uint32
 	Name     string
+	Refs     []uint64
 }
 
 // BatchRecord is one WAL entry: an update batch with its position in the
@@ -72,7 +77,7 @@ func appendRecord(buf []byte, body []byte) []byte {
 }
 
 func encodeSnapshotRecord(buf []byte, sr SnapshotRecord) []byte {
-	body := make([]byte, 0, 1+8+8+8+4+2+len(sr.Name))
+	body := make([]byte, 0, 1+8+8+8+4+2+len(sr.Name)+4+8*len(sr.Refs))
 	body = append(body, recSnapshot)
 	body = appendU64(body, sr.EpochSeq)
 	body = appendU64(body, sr.BatchSeq)
@@ -80,6 +85,10 @@ func encodeSnapshotRecord(buf []byte, sr SnapshotRecord) []byte {
 	body = appendU32(body, sr.SegCRC)
 	body = binary.LittleEndian.AppendUint16(body, uint16(len(sr.Name)))
 	body = append(body, sr.Name...)
+	body = appendU32(body, uint32(len(sr.Refs)))
+	for _, seg := range sr.Refs {
+		body = appendU64(body, seg)
+	}
 	return appendRecord(buf, body)
 }
 
@@ -169,10 +178,17 @@ func decodeSnapshotBody(payload []byte) (SnapshotRecord, bool) {
 		return sr, false
 	}
 	name := r.bytes(nameLen)
-	if !r.ok() || r.remaining() != 0 || sr.SegSize < 0 {
+	refs := int(r.u32())
+	if !r.ok() || refs != r.remaining()/8 || r.remaining()%8 != 0 || sr.SegSize < 0 {
 		return sr, false
 	}
 	sr.Name = string(name)
+	if refs > 0 {
+		sr.Refs = make([]uint64, refs)
+		for i := range sr.Refs {
+			sr.Refs[i] = r.u64()
+		}
+	}
 	return sr, true
 }
 

@@ -1,26 +1,34 @@
 package persist
 
-// The one read path for segment files. Both recovery modes open a segment
-// the same way — get the image, check it against the manifest record, and
-// DecodeSegment it, which overlays every R-Tree shard on the image in place
-// (rtree.OverlayCompact: no deserialization, no copy). They differ only in
-// where the image comes from and how much of it is checksummed:
+// The one read path for segment files. Both recovery modes open a snapshot
+// the same way — get the image of its segment, check it against the
+// manifest record, DecodeSegment it, which overlays every R-Tree shard on
+// the image in place (rtree.OverlayCompact: no deserialization, no copy),
+// then open each older segment its reference records point into and
+// overlay the referenced records the same way. They differ only in where
+// the images come from and how much of them is checksummed:
 //
 //   - heap (RecoverOptions.Mapped false, and mapped mode on platforms
-//     without mmap): the file is read through a buffer pool onto the heap
-//     and verified in full — whole-image CRC against the manifest, payload
-//     CRC against the header — before any shard is opened;
-//   - mapped: the file is mmap'd read-only and only the O(1) envelope is
-//     checked (file size, header fields, shard directory, node slabs). A
-//     checksum would fault in every page, which is exactly the O(data) cost
-//     this mode removes, so payload bytes are trusted the way any
-//     mmap-serving database trusts them. Recovery is O(open) regardless of
-//     dataset size, and leaf pages fault in lazily as queries touch them.
+//     without mmap): each file is read through a buffer pool onto the heap.
+//     The snapshot's own image is verified in full — whole-image CRC
+//     against the manifest, payload CRC against the header — and every
+//     referenced record against the CRC its reference carries, before any
+//     shard is opened;
+//   - mapped: each file is mmap'd read-only and only the O(1) envelope is
+//     checked (file size, header fields, shard directory, reference bounds,
+//     node slabs). A checksum would fault in every page, which is exactly
+//     the O(data) cost this mode removes, so payload bytes are trusted the
+//     way any mmap-serving database trusts them. Recovery is O(open)
+//     regardless of dataset size, and leaf pages fault in lazily as queries
+//     touch them.
 
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
+	"slices"
 
+	"spatialsim/internal/exec"
 	"spatialsim/internal/rtree"
 	"spatialsim/internal/storage"
 )
@@ -34,26 +42,33 @@ func OpenMappedCompact(data []byte) (*rtree.Compact, int, error) {
 	return rtree.OverlayCompact(data)
 }
 
-// MappedSegment is one segment file opened for serving: the image (an mmap,
-// or a heap copy where mmap is unavailable), the decoded header, and the
-// shard records whose R-Tree snapshots overlay the image in place. Close
-// unmaps; the serving layer hooks that into epoch retirement.
+// MappedSegment is one snapshot opened for serving: the image of its own
+// segment file and of every older segment file its references resolve into
+// (mmaps, or heap copies where mmap is unavailable), the decoded header of
+// its own segment, and the shard records whose R-Tree snapshots overlay
+// those images in place. Close unmaps them all; the serving layer hooks
+// that into epoch retirement.
 //
-// Lifetime contract for a live mapping: the file may be unlinked while
-// mapped — segment GC does exactly that once newer snapshots supersede it,
-// and the mapping keeps the inode's pages alive until Close. Truncating or
-// rewriting the file in place is not safe (a reader touching a vanished
-// page takes SIGBUS, which is not an error value), and nothing does it:
-// segments are written once under a fresh name, synced, and only ever
-// unlinked afterwards.
+// Lifetime contract for a live mapping: the files may be unlinked while
+// mapped — segment GC does exactly that once newer snapshots supersede them,
+// and each mapping keeps its inode's pages alive until Close. Truncating or
+// rewriting a file in place is not safe (a reader touching a vanished page
+// takes SIGBUS, which is not an error value), and nothing does it: segments
+// are written once under a fresh name, synced, and only ever unlinked
+// afterwards, and a save never references the file it writes.
 type MappedSegment struct {
-	disk   *storage.MmapDisk // nil for a heap image
-	image  []byte
+	files  []segmentFile // the snapshot's own segment first
 	Info   SegmentInfo
 	Shards []ShardRecord
 
 	zeroCopyShards int
 	closed         bool
+}
+
+// segmentFile is one opened segment file.
+type segmentFile struct {
+	disk  *storage.MmapDisk // nil for a heap image
+	image []byte
 }
 
 // ErrSegmentClosed is returned by Close when the mapping was already
@@ -63,37 +78,58 @@ type MappedSegment struct {
 // holds.
 var ErrSegmentClosed = errors.New("persist: mapped segment closed twice")
 
-// ZeroCopyShards returns how many R-Tree shards alias the mapping directly
-// (0 for a heap image).
+// ZeroCopyShards returns how many R-Tree shards alias a mapping directly
+// (0 for heap images).
 func (ms *MappedSegment) ZeroCopyShards() int { return ms.zeroCopyShards }
 
-// Mapped reports whether the segment is served from an actual mmap (false =
-// heap image).
-func (ms *MappedSegment) Mapped() bool { return ms.disk != nil }
+// Mapped reports whether the segments are served from actual mmaps (false =
+// heap images).
+func (ms *MappedSegment) Mapped() bool { return len(ms.files) > 0 && ms.files[0].disk != nil }
 
-// Size returns the segment image size in bytes.
-func (ms *MappedSegment) Size() int64 { return int64(len(ms.image)) }
+// Files returns how many segment files the snapshot spans (0 once closed).
+func (ms *MappedSegment) Files() int { return len(ms.files) }
 
-// Resident returns how many bytes of the mapping are resident in physical
+// Size returns the total image size in bytes of the segment files.
+func (ms *MappedSegment) Size() int64 {
+	var n int64
+	for _, f := range ms.files {
+		n += int64(len(f.image))
+	}
+	return n
+}
+
+// Resident returns how many bytes of the mappings are resident in physical
 // memory (0, false where the platform cannot tell) — the page-fault proxy
 // the serving metrics export.
 func (ms *MappedSegment) Resident() (int64, bool) {
-	if ms.disk == nil {
-		return int64(len(ms.image)), false
+	if !ms.Mapped() {
+		return ms.Size(), false
 	}
-	return ms.disk.Resident()
+	var total int64
+	for _, f := range ms.files {
+		n, ok := f.disk.Resident()
+		if !ok {
+			return 0, false
+		}
+		total += n
+	}
+	return total, true
 }
 
-// Advise forwards an access-pattern hint to the kernel (no-op on a heap
-// image).
+// Advise forwards an access-pattern hint to the kernel for every mapping
+// (no-op on heap images).
 func (ms *MappedSegment) Advise(a storage.Advice) error {
-	if ms.disk == nil {
-		return nil
+	for _, f := range ms.files {
+		if f.disk != nil {
+			if err := f.disk.Advise(a); err != nil {
+				return err
+			}
+		}
 	}
-	return ms.disk.Advise(a)
+	return nil
 }
 
-// Close releases the mapping. The caller owns the ordering: no reader may
+// Close releases every mapping. The caller owns the ordering: no reader may
 // hold a view of any shard past Close (epoch retirement guarantees this —
 // an epoch is retired only after its last reader pin drops). Close is not
 // idempotent by design: a second call returns ErrSegmentClosed so a
@@ -105,61 +141,78 @@ func (ms *MappedSegment) Close() error {
 	}
 	ms.closed = true
 	ms.Shards = nil
-	ms.image = nil
-	if ms.disk == nil {
-		return nil
+	var first error
+	for _, f := range ms.files {
+		if f.disk != nil {
+			if err := f.disk.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
 	}
-	return ms.disk.Close()
+	ms.files = nil
+	return first
 }
 
-// openSegment opens the segment file at path that snapshot record sr names:
-// mmap'd when mapped is set and the platform supports it, read onto the heap
-// through a buffer pool of poolPages otherwise (see the file comment for
-// what each verifies). The header must agree with the record.
+// openSegment opens the snapshot that record sr names, whose segment file is
+// at path: mmap'd when mapped is set and the platform supports it, read onto
+// the heap through a buffer pool of poolPages otherwise (see the file
+// comment for what each verifies). The header must agree with the record,
+// and every reference must point into a segment sr.Refs lists, found in
+// the same directory.
 func openSegment(path string, sr SnapshotRecord, pageSize, poolPages, workers int, mapped bool) (*MappedSegment, error) {
 	ms := &MappedSegment{}
-	if mapped {
-		md, err := storage.OpenMmapDisk(path, pageSize)
-		switch {
-		case err == nil:
-			ms.disk, ms.image = md, md.Bytes()
-			// Index descent is random access; tell the kernel not to read ahead.
-			_ = md.Advise(storage.AdviceRandom)
-		case !errors.Is(err, storage.ErrMmapUnsupported):
-			return nil, err
-		}
+	err := ms.open(path, pageSize, poolPages, mapped)
+	if err == nil {
+		err = ms.load(filepath.Dir(path), sr, pageSize, poolPages, workers, mapped)
 	}
-	if ms.disk == nil {
-		fd, err := storage.OpenFileDisk(path, pageSize)
-		if err != nil {
-			return nil, err
-		}
-		ms.image, err = readImage(fd, poolPages)
-		fd.Close()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := ms.load(sr, workers); err != nil {
+	if err != nil {
 		ms.Close()
 		return nil, err
 	}
 	return ms, nil
 }
 
-// load checks the image against the manifest record and decodes it,
-// checksumming only a heap image.
-func (ms *MappedSegment) load(sr SnapshotRecord, workers int) error {
-	heap := ms.disk == nil
-	if int64(len(ms.image)) != sr.SegSize {
-		return fmt.Errorf("%w segment: %d bytes on disk, manifest says %d", ErrCorrupt, len(ms.image), sr.SegSize)
+// open adds the segment file at path to ms.files.
+func (ms *MappedSegment) open(path string, pageSize, poolPages int, mapped bool) error {
+	if mapped {
+		md, err := storage.OpenMmapDisk(path, pageSize)
+		switch {
+		case err == nil:
+			// Index descent is random access; tell the kernel not to read ahead.
+			_ = md.Advise(storage.AdviceRandom)
+			ms.files = append(ms.files, segmentFile{disk: md, image: md.Bytes()})
+			return nil
+		case !errors.Is(err, storage.ErrMmapUnsupported):
+			return err
+		}
+	}
+	fd, err := storage.OpenFileDisk(path, pageSize)
+	if err != nil {
+		return err
+	}
+	image, err := readImage(fd, poolPages)
+	fd.Close()
+	if err != nil {
+		return err
+	}
+	ms.files = append(ms.files, segmentFile{image: image})
+	return nil
+}
+
+// load checks the snapshot's own image against the manifest record and
+// decodes it, checksumming only a heap image, then resolves its references.
+func (ms *MappedSegment) load(dir string, sr SnapshotRecord, pageSize, poolPages, workers int, mapped bool) error {
+	own := ms.files[0]
+	heap := own.disk == nil
+	if int64(len(own.image)) != sr.SegSize {
+		return fmt.Errorf("%w segment: %d bytes on disk, manifest says %d", ErrCorrupt, len(own.image), sr.SegSize)
 	}
 	if heap {
-		if crc := crc32Checksum(ms.image); crc != sr.SegCRC {
+		if crc := crc32Checksum(own.image); crc != sr.SegCRC {
 			return fmt.Errorf("%w segment: image crc %#x, manifest says %#x", ErrCorrupt, crc, sr.SegCRC)
 		}
 	}
-	info, shards, err := DecodeSegment(ms.image, workers, heap)
+	info, shards, err := DecodeSegment(own.image, workers, heap)
 	if err != nil {
 		return err
 	}
@@ -167,10 +220,74 @@ func (ms *MappedSegment) load(sr SnapshotRecord, workers int) error {
 		return fmt.Errorf("%w segment: header (%d,%d) disagrees with manifest (%d,%d)",
 			ErrCorrupt, info.EpochSeq, info.BatchSeq, sr.EpochSeq, sr.BatchSeq)
 	}
+	if err := ms.resolve(dir, sr, shards, pageSize, poolPages, workers, mapped); err != nil {
+		return err
+	}
 	ms.Info, ms.Shards = info, shards
 	for _, sh := range shards {
-		if !heap && sh.RTree != nil && sh.RTree.ZeroCopy() {
+		if ms.Mapped() && sh.RTree != nil && sh.RTree.ZeroCopy() {
 			ms.zeroCopyShards++
+		}
+	}
+	return nil
+}
+
+// resolve replaces every reference record in shards with the record it
+// names, opening each referenced segment once. A heap image is trusted per
+// record: the reference's CRC covers every byte served from it.
+func (ms *MappedSegment) resolve(dir string, sr SnapshotRecord, shards []ShardRecord, pageSize, poolPages, workers int, mapped bool) error {
+	type target struct {
+		file int
+		info SegmentInfo
+	}
+	targets := make(map[uint64]target)
+	for i := range shards {
+		ref := shards[i].Ref
+		if ref == nil {
+			continue
+		}
+		if _, ok := targets[ref.Segment]; ok {
+			continue
+		}
+		if !slices.Contains(sr.Refs, ref.Segment) || ref.Segment >= sr.EpochSeq {
+			return fmt.Errorf("%w segment: shard %d references segment %d, which the snapshot does not list",
+				ErrCorrupt, i, ref.Segment)
+		}
+		if err := ms.open(filepath.Join(dir, segmentName(ref.Segment)), pageSize, poolPages, mapped); err != nil {
+			return fmt.Errorf("referenced segment %d: %w", ref.Segment, err)
+		}
+		image := ms.files[len(ms.files)-1].image
+		info, err := DecodeSegmentInfo(image, len(image))
+		if err == nil && info.EpochSeq != ref.Segment {
+			err = fmt.Errorf("%w segment: header says epoch %d", ErrCorrupt, info.EpochSeq)
+		}
+		if err != nil {
+			return fmt.Errorf("referenced segment %d: %w", ref.Segment, err)
+		}
+		targets[ref.Segment] = target{file: len(ms.files) - 1, info: info}
+	}
+	if len(targets) == 0 {
+		return nil
+	}
+	errs := make([]error, len(shards))
+	exec.ForTasks(len(shards), workers, func(_, i int) {
+		ref := shards[i].Ref
+		if ref == nil {
+			return
+		}
+		tg := targets[ref.Segment]
+		f := ms.files[tg.file]
+		rec, err := resolveRef(f.image, tg.info, *ref, f.disk == nil)
+		if err != nil {
+			errs[i] = fmt.Errorf("shard %d: %w", i, err)
+			return
+		}
+		rec.Bounds = shards[i].Bounds
+		shards[i] = rec
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil

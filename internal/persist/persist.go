@@ -7,42 +7,60 @@
 //
 // The design splits along the same seam as the serving layer itself:
 //
-//   - segments are immutable bulk images — one per epoch, written once,
-//     synced, and only then referenced from the manifest, so a half-written
-//     segment is invisible to recovery;
+//   - segments are immutable bulk images — one per saved epoch, written
+//     once, synced, and only then referenced from the manifest, so a
+//     half-written segment is invisible to recovery;
 //   - the manifest is the tiny mutable part: an append-only record log whose
 //     torn tail is cut at the first bad checksum, rotated via
 //     write-temp-then-rename after each snapshot so it never grows beyond
 //     the retained snapshots and their uncovered batches.
 //
-// Recovery therefore never serves bytes that fail verification: a segment
-// loads only if its size matches the manifest record that names it and
-// every shard blob opens cleanly; otherwise recovery falls back to the
-// previous retained snapshot, and only if no snapshot survives does it
-// report corruption instead of serving torn data.
+// Every saved epoch is complete, but its segment holds only the images the
+// last successful save did not already persist: each other shard is a
+// reference record naming the older segment, offset, length and checksum
+// of the record that holds its bytes (see Store.SaveEpoch). A snapshot is
+// therefore its own segment plus the older segments it references; the
+// manifest record lists them, and segment GC keeps every segment a
+// retained snapshot lists.
+//
+// Recovery never serves bytes that fail verification: a segment loads only
+// if its size matches the manifest record that names it and every shard
+// record — its own or one a reference resolves to — opens cleanly;
+// otherwise recovery falls back to the previous retained snapshot, and only
+// if no snapshot survives does it report corruption instead of serving torn
+// data. Sharing changes one edge of that fallback: retained generations
+// usually reference the same older segments, so corrupting a segment both
+// reference costs both. Heap recovery then fails with an ErrCorrupt-wrapped
+// error (the reference's checksum catches any flipped byte); mapped
+// recovery fails with a structural error when the corruption is structural
+// (header, record framing, node slab) and, like any mapped read, does not
+// see a flipped leaf byte. Neither mode panics.
 //
 // There is one read path for the shards a segment holds: every R-Tree shard
-// is an overlay of the segment image (rtree.OverlayCompact), never a decoded
+// is an overlay of a segment image (rtree.OverlayCompact), never a decoded
 // copy. The two recovery modes differ only in the image source and the
-// checksum: heap mode reads the file onto the heap and verifies the
-// whole-image and payload CRCs first; mapped mode (RecoverOptions.Mapped)
-// mmaps it read-only and validates only the O(1) envelope, so recovery is
+// checksum: heap mode reads each file onto the heap and verifies the
+// whole-image and payload CRCs of the snapshot's own segment and the record
+// CRC of every reference first; mapped mode (RecoverOptions.Mapped) mmaps
+// each file read-only and validates only the O(1) envelope, so recovery is
 // O(open) and no page faults until a query touches it — structural
 // corruption is still rejected (the overlay bounds-checks the slab
-// geometry), and the mapping is released when the recovered epoch retires.
-// The format is little-endian, so Open refuses big-endian hosts.
+// geometry), and the mappings are released when the recovered epoch
+// retires. The format is little-endian, so Open refuses big-endian hosts.
 package persist
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
 	"spatialsim/internal/faultinject"
 	"spatialsim/internal/geom"
+	"spatialsim/internal/obs"
 	"spatialsim/internal/rtree"
 	"spatialsim/internal/storage"
 )
@@ -118,6 +136,15 @@ type Store struct {
 	batchSeq  uint64
 	snapshots []SnapshotRecord
 	stats     StoreStats
+	// carry is what the last successful save persisted (nil before the
+	// first one): the next save references these images instead of
+	// rewriting them. Only a successful save replaces it.
+	carry *carrySet
+	// images counts, over successful saves, the R-Tree images written in
+	// full, carried by reference, and relocated (written in full although
+	// carried, to keep their old segment from going mostly dead). They are
+	// exported as registry series (RegisterMetrics), not StoreStats fields.
+	images struct{ written, carried, relocated int64 }
 
 	// createFile is the crash-injection seam: segment files, manifest
 	// rotations and appends all go through it. Tests substitute files that
@@ -295,6 +322,17 @@ func (s *Store) appendLocked(rec []byte, sync bool) error {
 // the manifest is then rotated down to the retained snapshots. A crash at
 // any byte offset of this sequence leaves the previous snapshot recoverable.
 //
+// The epoch is always complete, but the segment holds only what changed:
+// an R-Tree image that the last successful save wrote or referenced — the
+// same *rtree.Compact, recognized by identity — becomes a reference record
+// naming the bytes already on disk. Callers therefore pass the whole epoch
+// every time; carrying is decided here. One rule bounds the disk: when the
+// images an epoch still uses from an older segment fill less than half of
+// that segment's payload, they are rewritten into the new segment instead,
+// so the older segments a snapshot references hold at most twice the
+// image bytes it uses from them. The first save of a Store (after a load or
+// a restart) has nothing to carry and is whole.
+//
 // The segment file I/O happens outside the store mutex — a multi-megabyte
 // write and fsync must not stall concurrent LogBatch callers (the serving
 // layer appends under its staging lock, so a blocked LogBatch would freeze
@@ -302,16 +340,22 @@ func (s *Store) appendLocked(rec []byte, sync bool) error {
 // update serialize. Callers must not save the same epoch concurrently (the
 // serving snapshotter serializes on its own mutex).
 func (s *Store) SaveEpoch(epochSeq, batchSeq uint64, shards []ShardRecord) error {
-	image := EncodeSegment(epochSeq, batchSeq, shards, s.opts.PageSize)
-	name := segmentName(epochSeq)
-
 	s.mu.Lock()
 	if s.manifest == nil {
 		s.mu.Unlock()
 		return fmt.Errorf("persist: store closed")
 	}
-	create := s.createFile
+	create, carry := s.createFile, s.carry
 	s.mu.Unlock()
+	for i := range shards {
+		if shards[i].Ref != nil {
+			return fmt.Errorf("persist: shard %d is a reference; SaveEpoch takes images", i)
+		}
+	}
+
+	recs, refs, relocated := carry.plan(epochSeq, shards)
+	image, locs := encodeSegment(epochSeq, batchSeq, recs, s.opts.PageSize)
+	name := segmentName(epochSeq)
 
 	f, err := create(filepath.Join(s.dir, name))
 	if err != nil {
@@ -335,6 +379,7 @@ func (s *Store) SaveEpoch(epochSeq, batchSeq uint64, shards []ShardRecord) error
 		SegSize:  int64(len(image)),
 		SegCRC:   imageCRC(image),
 		Name:     name,
+		Refs:     refs,
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -348,11 +393,114 @@ func (s *Store) SaveEpoch(epochSeq, batchSeq uint64, shards []ShardRecord) error
 	s.stats.SnapshotsSaved++
 	s.stats.SnapshotBytes += int64(len(image))
 	s.stats.LastEpochSaved = epochSeq
+	s.carry = carry.next(epochSeq, payloadLen(image), shards, locs)
+	for i := range recs {
+		switch {
+		case recs[i].Ref != nil:
+			s.images.carried++
+		case recs[i].RTree != nil:
+			s.images.written++
+		}
+	}
+	s.images.relocated += int64(relocated)
 
 	// Rotation and segment GC are best-effort: failure leaves a larger
 	// manifest and stray segments, never a lost epoch.
 	s.rotateLocked()
 	return nil
+}
+
+// carrySet is what one successful save persisted: where the bytes of every
+// R-Tree image it wrote or referenced live, and the payload size of each
+// segment those locations point into. It is immutable once built.
+type carrySet struct {
+	at      map[*rtree.Compact]ShardRef
+	payload map[uint64]int64
+}
+
+// plan lays out the save of epoch epochSeq: shards whose image this set
+// holds become reference records, except where the images carried from one
+// segment would fill less than half its payload — those are relocated
+// (written in full again). It returns the records to encode, the ascending
+// epochs of the segments they reference, and how many images it relocated.
+// A nil set carries nothing.
+func (cs *carrySet) plan(epochSeq uint64, shards []ShardRecord) (recs []ShardRecord, refs []uint64, relocated int) {
+	if cs == nil {
+		return shards, nil, 0
+	}
+	live := make(map[uint64]int64)
+	for _, sh := range shards {
+		if ref, ok := cs.lookup(epochSeq, sh); ok {
+			live[ref.Segment] += ref.span()
+		}
+	}
+	recs = make([]ShardRecord, len(shards))
+	for i, sh := range shards {
+		recs[i] = sh
+		ref, ok := cs.lookup(epochSeq, sh)
+		if !ok {
+			continue
+		}
+		if 2*live[ref.Segment] < cs.payload[ref.Segment] {
+			relocated++
+			continue
+		}
+		recs[i] = ShardRecord{Bounds: sh.Bounds, Ref: &ref}
+	}
+	for seg, n := range live {
+		if 2*n >= cs.payload[seg] {
+			refs = append(refs, seg)
+		}
+	}
+	slices.Sort(refs)
+	return recs, refs, relocated
+}
+
+// lookup returns where the set holds sh's image. Only segments older than
+// the one being written are eligible: a save must never reference the file
+// it is about to (re)create.
+func (cs *carrySet) lookup(epochSeq uint64, sh ShardRecord) (ShardRef, bool) {
+	if sh.RTree == nil {
+		return ShardRef{}, false
+	}
+	ref, ok := cs.at[sh.RTree]
+	return ref, ok && ref.Segment < epochSeq
+}
+
+// next builds the set a successful save of epochSeq leaves behind: every
+// R-Tree image of shards at the location its record now names (locs, from
+// encodeSegment), with payloadLen the new segment's payload size.
+func (cs *carrySet) next(epochSeq uint64, payloadLen int64, shards []ShardRecord, locs []ShardRef) *carrySet {
+	nx := &carrySet{at: make(map[*rtree.Compact]ShardRef, len(shards)), payload: map[uint64]int64{epochSeq: payloadLen}}
+	for i, sh := range shards {
+		if sh.RTree == nil {
+			continue
+		}
+		nx.at[sh.RTree] = locs[i]
+		if seg := locs[i].Segment; seg != epochSeq {
+			nx.payload[seg] = cs.payload[seg]
+		}
+	}
+	return nx
+}
+
+// RegisterMetrics exports the store's snapshot counters as registry
+// series: R-Tree images written in full, carried by reference and
+// relocated by successful saves, and the segment bytes they wrote.
+func (s *Store) RegisterMetrics(reg *obs.Registry) {
+	series := map[string]*int64{
+		"spatial_snapshot_images_written_total":   &s.images.written,
+		"spatial_snapshot_images_carried_total":   &s.images.carried,
+		"spatial_snapshot_images_relocated_total": &s.images.relocated,
+		"spatial_snapshot_segment_bytes_total":    &s.stats.SnapshotBytes,
+	}
+	for name, v := range series {
+		reg.CounterFunc(name, func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(*v)
+		})
+	}
 }
 
 // rotateLocked rewrites the manifest down to the retained snapshot records
@@ -445,12 +593,16 @@ func (s *Store) reopenManifestAfterRotate(retain []SnapshotRecord, size int64) e
 	return nil
 }
 
-// gcSegmentsLocked deletes segment files not referenced by the retained
-// snapshot records. Caller holds s.mu.
+// gcSegmentsLocked deletes segment files that no retained snapshot record
+// names, as its own segment or as one its references point into. Caller
+// holds s.mu.
 func (s *Store) gcSegmentsLocked(retain []SnapshotRecord) {
 	referenced := make(map[string]bool, len(retain))
 	for _, sr := range retain {
 		referenced[sr.Name] = true
+		for _, seg := range sr.Refs {
+			referenced[segmentName(seg)] = true
+		}
 	}
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {

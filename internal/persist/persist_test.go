@@ -83,7 +83,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 
 func TestManifestRoundTripAndTornTail(t *testing.T) {
 	var buf []byte
-	sn := SnapshotRecord{EpochSeq: 3, BatchSeq: 9, SegSize: 8192, SegCRC: 0xDEAD, Name: "epoch-3.seg"}
+	sn := SnapshotRecord{EpochSeq: 3, BatchSeq: 9, SegSize: 8192, SegCRC: 0xDEAD, Name: "epoch-3.seg", Refs: []uint64{1, 2}}
 	b1 := BatchRecord{Seq: 10, Updates: []Update{{ID: 1, Box: geom.NewAABB(geom.V(0, 0, 0), geom.V(1, 1, 1))}}}
 	b2 := BatchRecord{Seq: 11, Updates: []Update{{ID: 1, Delete: true}}}
 	buf = encodeSnapshotRecord(buf, sn)
@@ -95,7 +95,7 @@ func TestManifestRoundTripAndTornTail(t *testing.T) {
 	if torn || len(snaps) != 1 || len(batches) != 2 {
 		t.Fatalf("full replay: snaps=%d batches=%d torn=%v", len(snaps), len(batches), torn)
 	}
-	if snaps[0] != sn {
+	if !sameSnapshotRecord(snaps[0], sn) {
 		t.Fatalf("snapshot record %+v, want %+v", snaps[0], sn)
 	}
 	if batches[1].Seq != 11 || !batches[1].Updates[0].Delete {

@@ -1,10 +1,11 @@
 package persist
 
-// Recovery: pick the newest snapshot whose segment verifies, fall back one
-// generation at a time if it does not, and hand back the WAL tail the chosen
+// Recovery: pick the newest snapshot whose segments verify, fall back one
+// generation at a time if they do not, and hand back the WAL tail the chosen
 // snapshot does not cover. Shards are opened in parallel, one
-// exec.ForTasks task per shard record of the segment; an R-Tree shard is an
-// overlay of the segment image in both recovery modes.
+// exec.ForTasks task per shard record; an R-Tree shard is an overlay of a
+// segment image in both recovery modes, whether the snapshot's own segment
+// holds it or an older one its reference names.
 
 import (
 	"fmt"
@@ -18,10 +19,11 @@ type RecoverOptions struct {
 	// Workers bounds the goroutines used for parallel shard opens (<= 0
 	// uses GOMAXPROCS).
 	Workers int
-	// Mapped selects O(open) recovery: the chosen segment is mmap'd instead
-	// of read onto the heap (Recovery.Mapping holds it; the caller must
-	// Close it when the epoch retires), and no checksum is computed — the
-	// payload bytes are structurally validated but not checksummed. Without
+	// Mapped selects O(open) recovery: the chosen snapshot's segment files
+	// are mmap'd instead of read onto the heap (Recovery.Mapping holds them;
+	// the caller must Close it when the epoch retires), and no checksum is
+	// computed — the payload bytes are structurally validated but not
+	// checksummed. Without
 	// it, the whole image is read and verified before serving. Platforms
 	// without mmap run the heap path either way.
 	Mapped bool
@@ -34,19 +36,20 @@ type Recovery struct {
 	EpochSeq uint64
 	// BatchSeq is the last WAL batch the recovered epoch covers.
 	BatchSeq uint64
-	// Shards are the recovered epoch's shard records (R-Tree shards overlay
-	// the segment image).
+	// Shards are the recovered epoch's shard records, every reference
+	// resolved (R-Tree shards overlay the segment images).
 	Shards []ShardRecord
 	// Pending are the WAL batches newer than BatchSeq, in replay order.
 	Pending []BatchRecord
 	// SkippedCorrupt counts snapshot generations that failed verification
 	// and were skipped on the way to this one.
 	SkippedCorrupt int
-	// Segment is the file name the epoch was loaded from ("" if none).
+	// Segment is the file name of the recovered snapshot's own segment ("" if
+	// none); its references may point into older files.
 	Segment string
-	// Mapping is the mapped segment backing the shards of a Mapped recovery
-	// (nil otherwise). The caller must keep it open while any shard serves
-	// and Close it when the recovered epoch retires.
+	// Mapping is the mapped segment files backing the shards of a Mapped
+	// recovery (nil otherwise). The caller must keep it open while any
+	// shard serves and Close it when the recovered epoch retires.
 	Mapping *MappedSegment
 	// ZeroCopyShards counts shards served as zero-copy overlays of an actual
 	// mapping (0 for a heap image).
@@ -105,10 +108,10 @@ func (s *Store) Recover(opts RecoverOptions) (*Recovery, error) {
 	return &Recovery{Pending: pendingAfter(m.batches, 0)}, nil
 }
 
-// loadSnapshot opens one segment through openSegment, in the mode opts
-// selects, and packages it as a Recovery. A heap image needs no release (the
-// shards overlaying it keep it alive), so only a mapped recovery hands the
-// segment to the caller as Mapping.
+// loadSnapshot opens one snapshot through openSegment, in the mode opts
+// selects, and packages it as a Recovery. Heap images need no release (the
+// shards overlaying them keep them alive), so only a mapped recovery hands
+// the segments to the caller as Mapping.
 func (s *Store) loadSnapshot(sr SnapshotRecord, opts RecoverOptions) (*Recovery, error) {
 	if filepath.Base(sr.Name) != sr.Name {
 		return nil, fmt.Errorf("%w snapshot: name %q escapes the data dir", ErrCorrupt, sr.Name)

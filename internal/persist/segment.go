@@ -1,21 +1,24 @@
 package persist
 
 // Epoch segment files. A segment is the durable image of one published
-// serving epoch: a fixed header page followed by the concatenated shard
-// blobs, padded to a whole number of pages so the file maps 1:1 onto the
-// storage layer's page devices. Shards whose snapshot is an R-Tree Compact
-// are transcribed natively (the slab is offset-based and therefore
-// serializable as-is); every other snapshot family falls back to its item
-// list, rebuilt by the owning shard builder at recovery. One format, two
-// read paths: Recover overlays the R-Tree snapshots on the segment image
-// (read onto the heap or mmap'd), PagedCompact queries the same bytes page
-// by page through a buffer pool.
+// serving epoch: a fixed header page followed by one record per shard,
+// padded to a whole number of pages so the file maps 1:1 onto the storage
+// layer's page devices. Shards whose snapshot is an R-Tree Compact are
+// transcribed natively (the slab is offset-based and therefore serializable
+// as-is); every other snapshot family falls back to its item list, rebuilt
+// by the owning shard builder at recovery. A shard whose image an older
+// segment already holds is a reference record instead: it names that
+// segment, the record's offset and length in it, and the record's checksum,
+// so a save writes only the images that changed (see Store.SaveEpoch). One
+// format, two read paths: Recover overlays the R-Tree snapshots on the
+// segment images (read onto the heap or mmap'd), PagedCompact queries the
+// same blob bytes page by page through a buffer pool.
 //
 // Segment layout (little-endian):
 //
 //	header page:
 //	  [0:4)   magic "SEG1"
-//	  [4:8)   format version (2)
+//	  [4:8)   format version (3)
 //	  [8:16)  epoch sequence
 //	  [16:24) covered batch sequence (WAL records <= this are in the epoch)
 //	  [24:28) shard count
@@ -26,6 +29,11 @@ package persist
 //	  kind u8 | pad 7 B | bounds 48 B | blob length u64 | blob | pad to 8 B
 //	  kind 1: blob = rtree.Compact binary form
 //	  kind 2: blob = item count u32 | items (id i64 + box 48 B)
+//	  kind 3: blob = segment epoch u64 | record offset u64 |
+//	          record length u64 | record CRC-32C u32
+//	          (a reference: the kind 1 or 2 record at that byte offset of
+//	          that older segment, header through blob, is this shard; a
+//	          reference never names another reference)
 //
 // The padding exists for the overlay: the payload begins on a page boundary
 // and every field group is padded so each blob starts 8-byte aligned in the
@@ -35,6 +43,7 @@ package persist
 // slices straight into the image.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -48,8 +57,9 @@ import (
 
 const (
 	segmentMagic = 0x31474553 // "SEG1"
-	// segmentVersion is the one record layout: aligned shard records.
-	segmentVersion = 2
+	// segmentVersion is the one record layout: aligned shard records, some
+	// of which may reference older segments.
+	segmentVersion = 3
 	// segmentHeaderSize is the used prefix of the header page.
 	segmentHeaderSize = 44
 	// maxSegmentShards bounds the shard count a decoder will accept.
@@ -57,6 +67,10 @@ const (
 
 	shardKindRTree = 1
 	shardKindItems = 2
+	shardKindRef   = 3
+
+	// refBlobSize is the blob length of a reference record.
+	refBlobSize = 8 + 8 + 8 + 4
 )
 
 // align8 rounds n up to the next multiple of 8.
@@ -66,18 +80,36 @@ func align8(n int) int { return (n + 7) &^ 7 }
 // on disk do not form a complete, checksummed record.
 var ErrCorrupt = errors.New("persist: corrupt")
 
-// ShardRecord is the durable form of one epoch shard. Exactly one of RTree
-// and Items is set: RTree carries a natively-serialized compact snapshot
+// ShardRecord is the durable form of one epoch shard. Exactly one of RTree,
+// Items and Ref is set: RTree carries a natively-serialized compact snapshot
 // (on recovery, an overlay of the segment image that serves directly);
 // Items carries the fallback item list that recovery rebuilds through the
-// serving layer's shard builder.
+// serving layer's shard builder; Ref marks a reference record as
+// DecodeSegment returns it — recovery resolves every reference into the
+// RTree or Items of the record it names.
 type ShardRecord struct {
 	Bounds geom.AABB
 	RTree  *rtree.Compact
 	Items  []index.Item
+	Ref    *ShardRef
 }
 
-// Len returns the number of items the shard holds.
+// ShardRef locates a shard record inside a segment file: the segment's
+// epoch sequence (its file name), the record's byte offset in the file, its
+// length from the kind byte through the end of the blob, and the CRC-32C of
+// those bytes.
+type ShardRef struct {
+	Segment uint64
+	Offset  int64
+	Length  int64
+	CRC     uint32
+}
+
+// span is the payload bytes the record occupies, alignment pad included.
+func (r ShardRef) span() int64 { return int64(align8(int(r.Length))) }
+
+// Len returns the number of items the shard holds (0 for an unresolved
+// reference).
 func (sr ShardRecord) Len() int {
 	if sr.RTree != nil {
 		return sr.RTree.Len()
@@ -104,6 +136,14 @@ type SegmentInfo struct {
 // place. The image is sized once and every record is encoded straight into
 // it: no buffer grows and no payload is copied.
 func EncodeSegment(epochSeq, batchSeq uint64, shards []ShardRecord, pageSize int) []byte {
+	image, _ := encodeSegment(epochSeq, batchSeq, shards, pageSize)
+	return image
+}
+
+// encodeSegment is EncodeSegment that also reports where each shard's bytes
+// now live: for a record written in full, a reference to it in this segment;
+// for a reference record, the reference itself.
+func encodeSegment(epochSeq, batchSeq uint64, shards []ShardRecord, pageSize int) ([]byte, []ShardRef) {
 	if pageSize <= 0 {
 		pageSize = 4096
 	}
@@ -117,31 +157,53 @@ func EncodeSegment(epochSeq, batchSeq uint64, shards []ShardRecord, pageSize int
 	}
 	image := make([]byte, total)
 	payload := image[pageSize : pageSize+payloadLen]
+	locs := make([]ShardRef, len(shards))
 
 	off := 0
-	for _, sr := range shards {
+	for i, sr := range shards {
 		blobLen := shardBlobSize(sr)
 		kind := byte(shardKindItems)
-		if sr.RTree != nil {
+		switch {
+		case sr.RTree != nil:
 			kind = shardKindRTree
+		case sr.Ref != nil:
+			kind = shardKindRef
 		}
 		// Each append below writes in place: the destination is a
 		// zero-length window of the image with room for exactly the record.
+		start := off
 		rec := payload[off : off : off+shardRecordHeaderSize]
 		rec = append(rec, kind, 0, 0, 0, 0, 0, 0, 0)
 		rec = appendBox(rec, sr.Bounds)
 		appendU64(rec, uint64(blobLen))
 		off += shardRecordHeaderSize
 		blob := payload[off : off : off+blobLen]
-		if sr.RTree != nil {
+		switch kind {
+		case shardKindRTree:
 			sr.RTree.AppendBinary(blob)
-		} else {
+		case shardKindRef:
+			blob = appendU64(blob, sr.Ref.Segment)
+			blob = appendU64(blob, uint64(sr.Ref.Offset))
+			blob = appendU64(blob, uint64(sr.Ref.Length))
+			appendU32(blob, sr.Ref.CRC)
+		default:
 			blob = appendU32(blob, uint32(len(sr.Items)))
 			for _, it := range sr.Items {
 				blob = appendItem(blob, it)
 			}
 		}
-		off += align8(blobLen) // the pad bytes are already zero
+		off += blobLen
+		if sr.Ref != nil {
+			locs[i] = *sr.Ref
+		} else {
+			locs[i] = ShardRef{
+				Segment: epochSeq,
+				Offset:  int64(pageSize + start),
+				Length:  int64(off - start),
+				CRC:     crc32Checksum(payload[start:off]),
+			}
+		}
+		off = start + shardRecordHeaderSize + align8(blobLen) // the pad bytes are already zero
 	}
 
 	header := image[:0:segmentHeaderSize]
@@ -153,8 +215,11 @@ func EncodeSegment(epochSeq, batchSeq uint64, shards []ShardRecord, pageSize int
 	header = appendU32(header, uint32(pageSize))
 	header = appendU64(header, uint64(payloadLen))
 	appendU32(header, crc32.Checksum(payload, castagnoli))
-	return image
+	return image, locs
 }
+
+// payloadLen reads the payload length from an image encodeSegment built.
+func payloadLen(image []byte) int64 { return int64(binary.LittleEndian.Uint64(image[32:40])) }
 
 // shardRecordHeaderSize is the fixed prefix of a shard record: kind, pad,
 // bounds and blob length.
@@ -162,8 +227,11 @@ const shardRecordHeaderSize = 8 + boxWireSize + 8
 
 // shardBlobSize is the encoded blob length of one shard record.
 func shardBlobSize(sr ShardRecord) int {
-	if sr.RTree != nil {
+	switch {
+	case sr.RTree != nil:
 		return sr.RTree.BinarySize()
+	case sr.Ref != nil:
+		return refBlobSize
 	}
 	return 4 + len(sr.Items)*itemWireSize
 }
@@ -250,12 +318,12 @@ func segmentDirectory(info SegmentInfo, payload []byte) ([]rawShard, error) {
 // DecodeSegment decodes a segment image (header page + payload) into its
 // shard records, using up to workers goroutines. R-Tree blobs become
 // overlays of image (OpenMappedCompact) — image must stay immutable and
-// alive while they serve — and item-list blobs are copied out. verifyCRC
-// checks the payload checksum before any blob is touched. Recovery from a
-// heap image sets it; the mapped open does not (a checksum would fault in
-// every page, the O(data) cost mapping exists to avoid) and relies on
-// structural validation, which still rejects any blob that could make a
-// query fault.
+// alive while they serve — item-list blobs are copied out, and reference
+// records come back unresolved (ShardRecord.Ref). verifyCRC checks the
+// payload checksum before any blob is touched. Recovery from a heap image
+// sets it; the mapped open does not (a checksum would fault in every page,
+// the O(data) cost mapping exists to avoid) and relies on structural
+// validation, which still rejects any blob that could make a query fault.
 func DecodeSegment(image []byte, workers int, verifyCRC bool) (SegmentInfo, []ShardRecord, error) {
 	info, err := DecodeSegmentInfo(image, len(image))
 	if err != nil {
@@ -278,32 +346,9 @@ func DecodeSegment(image []byte, workers int, verifyCRC bool) (SegmentInfo, []Sh
 	shards := make([]ShardRecord, len(raw))
 	errs := make([]error, len(raw))
 	exec.ForTasks(len(raw), workers, func(_, i int) {
-		rs := raw[i]
-		switch rs.kind {
-		case shardKindRTree:
-			c, n, err := OpenMappedCompact(rs.blob)
-			if err == nil && n != len(rs.blob) {
-				err = fmt.Errorf("%w segment: shard %d has %d trailing bytes", ErrCorrupt, i, len(rs.blob)-n)
-			}
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			shards[i] = ShardRecord{Bounds: rs.bounds, RTree: c}
-		case shardKindItems:
-			br := &byteReader{data: rs.blob}
-			count := int(br.u32())
-			if count < 0 || count*itemWireSize != br.remaining() {
-				errs[i] = fmt.Errorf("%w segment: shard %d declares %d items in %d bytes", ErrCorrupt, i, count, len(rs.blob))
-				return
-			}
-			items := make([]index.Item, count)
-			for j := range items {
-				items[j] = br.item()
-			}
-			shards[i] = ShardRecord{Bounds: rs.bounds, Items: items}
-		default:
-			errs[i] = fmt.Errorf("%w segment: shard %d kind %d", ErrCorrupt, i, rs.kind)
+		shards[i], errs[i] = openRecord(raw[i])
+		if errs[i] != nil {
+			errs[i] = fmt.Errorf("shard %d: %w", i, errs[i])
 		}
 	})
 	for _, err := range errs {
@@ -312,6 +357,74 @@ func DecodeSegment(image []byte, workers int, verifyCRC bool) (SegmentInfo, []Sh
 		}
 	}
 	return info, shards, nil
+}
+
+// openRecord opens one shard record's blob according to its kind.
+func openRecord(rs rawShard) (ShardRecord, error) {
+	switch rs.kind {
+	case shardKindRTree:
+		c, n, err := OpenMappedCompact(rs.blob)
+		if err == nil && n != len(rs.blob) {
+			err = fmt.Errorf("%w segment: %d trailing bytes after the R-Tree", ErrCorrupt, len(rs.blob)-n)
+		}
+		if err != nil {
+			return ShardRecord{}, err
+		}
+		return ShardRecord{Bounds: rs.bounds, RTree: c}, nil
+	case shardKindItems:
+		br := &byteReader{data: rs.blob}
+		count := int(br.u32())
+		if count < 0 || count*itemWireSize != br.remaining() {
+			return ShardRecord{}, fmt.Errorf("%w segment: %d items declared in %d bytes", ErrCorrupt, count, len(rs.blob))
+		}
+		items := make([]index.Item, count)
+		for j := range items {
+			items[j] = br.item()
+		}
+		return ShardRecord{Bounds: rs.bounds, Items: items}, nil
+	case shardKindRef:
+		if len(rs.blob) != refBlobSize {
+			return ShardRecord{}, fmt.Errorf("%w segment: %d-byte reference", ErrCorrupt, len(rs.blob))
+		}
+		br := &byteReader{data: rs.blob}
+		ref := &ShardRef{Segment: br.u64(), Offset: int64(br.u64()), Length: int64(br.u64()), CRC: br.u32()}
+		return ShardRecord{Bounds: rs.bounds, Ref: ref}, nil
+	}
+	return ShardRecord{}, fmt.Errorf("%w segment: kind %d", ErrCorrupt, rs.kind)
+}
+
+// resolveRef opens the record ref names inside image, the segment file ref
+// points into (info is its decoded header). The record must lie inside the
+// payload and must not itself be a reference; verifyCRC checks the
+// record's bytes against ref's checksum, which is how heap recovery
+// verifies every byte it serves from a segment it does not checksum whole.
+func resolveRef(image []byte, info SegmentInfo, ref ShardRef, verifyCRC bool) (ShardRecord, error) {
+	end := int64(info.PageSize) + int64(info.PayloadLen)
+	if ref.Offset < int64(info.PageSize) || ref.Offset%8 != 0 ||
+		ref.Length < shardRecordHeaderSize || ref.Length > end-ref.Offset {
+		return ShardRecord{}, fmt.Errorf("%w segment: reference [%d,+%d) outside segment %d's payload",
+			ErrCorrupt, ref.Offset, ref.Length, ref.Segment)
+	}
+	rec := image[ref.Offset : ref.Offset+ref.Length]
+	if verifyCRC {
+		if crc := crc32Checksum(rec); crc != ref.CRC {
+			return ShardRecord{}, fmt.Errorf("%w segment: record crc %#x in segment %d, reference says %#x",
+				ErrCorrupt, crc, ref.Segment, ref.CRC)
+		}
+	}
+	r := &byteReader{data: rec}
+	kind := r.u8()
+	r.bytes(7)
+	bounds := r.box()
+	blobLen := r.u64()
+	if kind == shardKindRef {
+		return ShardRecord{}, fmt.Errorf("%w segment: reference into segment %d names another reference", ErrCorrupt, ref.Segment)
+	}
+	if blobLen != uint64(r.remaining()) {
+		return ShardRecord{}, fmt.Errorf("%w segment: referenced record declares a %d-byte blob in %d bytes",
+			ErrCorrupt, blobLen, r.remaining())
+	}
+	return openRecord(rawShard{kind: kind, bounds: bounds, blob: rec[shardRecordHeaderSize:]})
 }
 
 // imageRunPages bounds one run write of writeImage (1 MiB at 4 KiB pages).

@@ -133,93 +133,250 @@ func sameSet(a, b map[int64]geom.AABB) bool {
 	return true
 }
 
-func TestTortureRandomizedCrashOffsets(t *testing.T) {
-	rng := rand.New(rand.NewSource(1234))
-	items1 := testItems(300, 1)
-	items2 := testItems(330, 2)
+// tortureStep is one store call of a crash sequence: a WAL batch when
+// batch is set, otherwise a save of epoch with shards (whose full content is
+// want).
+type tortureStep struct {
+	batch  []Update
+	epoch  uint64
+	shards []ShardRecord
+	want   map[int64]geom.AABB
+}
 
-	// Size the budget range off one failure-free run so crashes land in
-	// every phase: segment pages, manifest append, rotation.
-	probeDir := t.TempDir()
-	probeBudget := &atomic.Int64{}
-	probeBudget.Store(1 << 40)
-	probe := failingStore(t, probeDir, probeBudget)
-	if err := probe.SaveEpoch(1, 0, tortureShards(items1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := probe.LogBatch([]Update{{ID: 999, Box: items2[0].Box}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := probe.SaveEpoch(2, 1, tortureShards(items2)); err != nil {
-		t.Fatal(err)
-	}
-	probe.Close()
-	fullCost := (int64(1) << 40) - probeBudget.Load()
+// tortureRun is what one crash trial acknowledged before its budget ran out.
+type tortureRun struct {
+	acked    uint64   // last epoch whose SaveEpoch returned nil (0: none)
+	inflight uint64   // epoch whose SaveEpoch failed (0: none)
+	batches  []uint64 // sequence numbers of acknowledged batches
+	cost     int64    // bytes the run wrote
+}
 
-	trials := 40
-	if testing.Short() {
-		trials = 10
-	}
-	sawPrevious, sawNew := false, false
-	for trial := 0; trial < trials; trial++ {
-		dir := t.TempDir()
-
-		// Phase 1: epoch 1 lands cleanly (unlimited budget).
-		setup := &atomic.Int64{}
-		setup.Store(1 << 40)
-		s := failingStore(t, dir, setup)
-		if err := s.SaveEpoch(1, 0, tortureShards(items1)); err != nil {
-			t.Fatal(err)
+// runTorture replays steps on one failing store in dir: the first clean
+// steps with an unlimited budget, the rest under budget bytes. It stops at
+// the first failed call, as a crashed process would.
+func runTorture(t *testing.T, dir string, steps []tortureStep, clean int, budget int64) tortureRun {
+	t.Helper()
+	const unlimited = int64(1) << 40
+	b := &atomic.Int64{}
+	b.Store(unlimited)
+	s := failingStore(t, dir, b)
+	defer s.Close()
+	var run tortureRun
+	var seq uint64
+	spent := int64(0)
+	for i, st := range steps {
+		if i == clean {
+			spent = unlimited - b.Load()
+			b.Store(budget)
 		}
-		s.Close()
-		phase1Cost := (int64(1) << 40) - setup.Load()
+		if st.batch != nil {
+			n, err := s.LogBatch(st.batch)
+			if err != nil {
+				break
+			}
+			seq = n
+			run.batches = append(run.batches, n)
+			continue
+		}
+		if err := s.SaveEpoch(st.epoch, seq, st.shards); err != nil {
+			run.inflight = st.epoch
+			break
+		}
+		run.acked = st.epoch
+	}
+	if clean >= len(steps) {
+		spent = unlimited - b.Load()
+	} else {
+		spent += budget - b.Load()
+	}
+	run.cost = spent
+	return run
+}
 
-		// Phase 2: batch + epoch 2 under a budget that dies at a random
-		// offset of the remaining write sequence.
-		budget := &atomic.Int64{}
-		budget.Store(1 + rng.Int63n(fullCost-phase1Cost+256))
-		s2 := failingStore(t, dir, budget)
-		batchSeq, batchErr := s2.LogBatch([]Update{{ID: 999, Box: items2[0].Box}})
-		saveErr := s2.SaveEpoch(2, batchSeq, tortureShards(items2))
-		s2.Close()
-
-		// Recovery with a clean store: previous epoch, new epoch, or a clean
-		// corruption report — never torn data, never a panic.
+// checkTortureRecovery recovers dir in both modes and asserts the only
+// legal outcomes of run: the last acknowledged epoch or the one in flight
+// when the budget ran out, each with exactly its content, and every
+// acknowledged batch beyond it still pending. It returns the epoch.
+func checkTortureRecovery(t *testing.T, dir string, steps []tortureStep, run tortureRun) uint64 {
+	t.Helper()
+	want := map[uint64]map[int64]geom.AABB{0: {}}
+	for _, st := range steps {
+		if st.batch == nil {
+			want[st.epoch] = st.want
+		}
+	}
+	var got uint64
+	for _, mapped := range []bool{false, true} {
 		clean, err := Open(dir, Options{})
 		if err != nil {
-			t.Fatalf("trial %d: reopen: %v", trial, err)
+			t.Fatalf("reopen: %v", err)
 		}
-		rec, err := clean.Recover(RecoverOptions{})
+		rec, err := clean.Recover(RecoverOptions{Mapped: mapped})
 		clean.Close()
 		if err != nil {
-			t.Fatalf("trial %d (batchErr=%v saveErr=%v): recovery failed with epoch 1 intact: %v",
-				trial, batchErr, saveErr, err)
+			t.Fatalf("mapped=%v, run %+v: recovery failed: %v", mapped, run, err)
 		}
-		switch rec.EpochSeq {
-		case 1:
-			sawPrevious = true
-			if !sameSet(itemSet(t, rec.Shards), wantSet(items1)) {
-				t.Fatalf("trial %d: epoch 1 content differs after crash", trial)
-			}
-			if saveErr == nil {
-				t.Fatalf("trial %d: SaveEpoch(2) claimed success but epoch 1 recovered", trial)
-			}
-			// The WAL tail is replayable iff its append fully succeeded.
-			if batchErr == nil && len(rec.Pending) != 1 {
-				t.Fatalf("trial %d: logged batch lost from WAL tail", trial)
-			}
-		case 2:
-			sawNew = true
-			if !sameSet(itemSet(t, rec.Shards), wantSet(items2)) {
-				t.Fatalf("trial %d: epoch 2 content differs after crash", trial)
-			}
-		default:
-			t.Fatalf("trial %d: recovered impossible epoch %d", trial, rec.EpochSeq)
+		if rec.EpochSeq != run.acked && (run.inflight == 0 || rec.EpochSeq != run.inflight) {
+			t.Fatalf("mapped=%v: recovered epoch %d; acknowledged %d, in flight %d",
+				mapped, rec.EpochSeq, run.acked, run.inflight)
 		}
+		if !sameSet(itemSet(t, rec.Shards), want[rec.EpochSeq]) {
+			t.Fatalf("mapped=%v: epoch %d content differs after crash", mapped, rec.EpochSeq)
+		}
+		pending := make(map[uint64]bool, len(rec.Pending))
+		for _, br := range rec.Pending {
+			pending[br.Seq] = true
+		}
+		for _, seq := range run.batches {
+			if seq > rec.BatchSeq && !pending[seq] {
+				t.Fatalf("mapped=%v: acknowledged batch %d lost from the WAL tail of epoch %d", mapped, seq, rec.EpochSeq)
+			}
+		}
+		if rec.Mapping != nil {
+			rec.Mapping.Close()
+		}
+		got = rec.EpochSeq
 	}
-	if !sawPrevious || !sawNew {
-		t.Fatalf("budget range failed to exercise both outcomes: previous=%v new=%v", sawPrevious, sawNew)
+	return got
+}
+
+// sweepCrashes runs steps under budgets spread evenly over the bytes the
+// unclean steps write, plus random ones and one that never runs out, and
+// checks recovery after each. It returns how often each epoch was
+// recovered.
+func sweepCrashes(t *testing.T, rng *rand.Rand, steps []tortureStep, clean, trials int) map[uint64]int {
+	t.Helper()
+	full := runTorture(t, t.TempDir(), steps, clean, 1<<40)
+	if full.inflight != 0 {
+		t.Fatalf("failure-free run failed at epoch %d", full.inflight)
 	}
+	full.cost -= runTorture(t, t.TempDir(), steps[:clean], clean, 1<<40).cost
+	seen := make(map[uint64]int)
+	for trial := 0; trial <= trials; trial++ {
+		budget := 1 + full.cost*int64(trial)/int64(trials)
+		if trial%4 == 3 {
+			budget = 1 + rng.Int63n(full.cost+256)
+		}
+		dir := t.TempDir()
+		run := runTorture(t, dir, steps, clean, budget)
+		seen[checkTortureRecovery(t, dir, steps, run)]++
+	}
+	return seen
+}
+
+// tortureTiles is a toy epoch of independently frozen tile images, the
+// shape the serving layer's tile table hands SaveEpoch: replacing a tile
+// freezes a new image, every other tile keeps its *rtree.Compact, so a
+// save carries it.
+type tortureTiles struct {
+	per    int
+	items  [][]index.Item
+	shards []ShardRecord
+}
+
+func newTortureTiles(n, perTile int) *tortureTiles {
+	tl := &tortureTiles{per: perTile, items: make([][]index.Item, n), shards: make([]ShardRecord, n)}
+	for i := range tl.items {
+		tl.replace(i, int64(i+1))
+	}
+	return tl
+}
+
+// replace gives tile i the same ids at new positions (seed picks them) and
+// a new image.
+func (tl *tortureTiles) replace(i int, seed int64) {
+	items := testItems(tl.per, seed*7919+int64(i))
+	for j := range items {
+		items[j].ID = int64(i*100000 + j + 1)
+	}
+	tl.items[i] = items
+	tl.shards[i] = ShardRecord{Bounds: boundsOf(items), RTree: rtree.FreezeItems(items, rtree.Config{})}
+}
+
+// save returns a save step of the tiles' current state as epoch.
+func (tl *tortureTiles) save(epoch uint64) tortureStep {
+	var all []index.Item
+	for _, items := range tl.items {
+		all = append(all, items...)
+	}
+	return tortureStep{epoch: epoch, shards: append([]ShardRecord(nil), tl.shards...), want: wantSet(all)}
+}
+
+// carriedSteps is a save sequence whose later saves carry most images of
+// earlier ones: 8 tiles, then saves that dirty one or two tiles each, the
+// fourth leaving segment 1 less than half live so its last images are
+// relocated, with a WAL batch between saves.
+func carriedSteps() []tortureStep {
+	tl := newTortureTiles(8, 40)
+	batch := func(id int64) tortureStep {
+		return tortureStep{batch: []Update{{ID: id, Box: geom.NewAABB(geom.V(1, 1, 1), geom.V(2, 2, 2))}}}
+	}
+	steps := []tortureStep{tl.save(1), batch(1)}
+	for epoch, dirty := range [][]int{2: {0}, 3: {1, 2}, 4: {3, 4}, 5: {0, 1}} {
+		if dirty == nil {
+			continue
+		}
+		for _, i := range dirty {
+			tl.replace(i, int64(epoch))
+		}
+		steps = append(steps, tl.save(uint64(epoch)), batch(int64(epoch)))
+	}
+	return steps
+}
+
+func TestTortureRandomizedCrashOffsets(t *testing.T) {
+	rng := rand.New(rand.NewSource(1234))
+	trials := 40
+	if testing.Short() {
+		trials = 12
+	}
+
+	// Whole saves: epoch 1 lands cleanly, then a batch and epoch 2 crash at
+	// offsets spread over everything they write — segment pages, manifest
+	// append, rotation.
+	t.Run("whole", func(t *testing.T) {
+		items1, items2 := testItems(300, 1), testItems(330, 2)
+		steps := []tortureStep{
+			{epoch: 1, shards: tortureShards(items1), want: wantSet(items1)},
+			{batch: []Update{{ID: 999, Box: items2[0].Box}}},
+			{epoch: 2, shards: tortureShards(items2), want: wantSet(items2)},
+		}
+		seen := sweepCrashes(t, rng, steps, 1, trials)
+		if seen[1] == 0 || seen[2] == 0 {
+			t.Fatalf("budget range failed to exercise both outcomes: %v", seen)
+		}
+	})
+
+	// Carried saves: the crash lands anywhere in a sequence whose later
+	// segments hold only dirty tiles and reference the rest, one of them
+	// relocating the live images of a half-dead segment. Every epoch must
+	// recover exactly, which needs every segment a retained snapshot
+	// references to survive segment GC.
+	t.Run("carried", func(t *testing.T) {
+		steps := carriedSteps()
+		probe := failingStore(t, t.TempDir(), func() *atomic.Int64 { b := &atomic.Int64{}; b.Store(1 << 40); return b }())
+		var seq uint64
+		for _, st := range steps {
+			if st.batch != nil {
+				seq, _ = probe.LogBatch(st.batch)
+				continue
+			}
+			if err := probe.SaveEpoch(st.epoch, seq, st.shards); err != nil {
+				t.Fatal(err)
+			}
+		}
+		probe.Close()
+		if probe.images.carried == 0 || probe.images.relocated == 0 {
+			t.Fatalf("sequence carried %d and relocated %d images; it must do both",
+				probe.images.carried, probe.images.relocated)
+		}
+		seen := sweepCrashes(t, rng, steps, 0, 4*trials)
+		for _, st := range steps {
+			if st.batch == nil && seen[st.epoch] == 0 {
+				t.Fatalf("no crash offset recovered epoch %d: %v", st.epoch, seen)
+			}
+		}
+	})
 }
 
 // syncFailFile passes writes through but fails Sync while the flag is up —

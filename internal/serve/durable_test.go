@@ -2,10 +2,13 @@ package serve
 
 import (
 	"math/rand"
+	"regexp"
+	"strings"
 	"testing"
 
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
+	"spatialsim/internal/obs"
 	"spatialsim/internal/persist"
 )
 
@@ -186,5 +189,51 @@ func TestDurableStatsSurface(t *testing.T) {
 	defer mem.Close()
 	if mem.Stats().Durability != nil {
 		t.Fatal("in-memory store reports durability stats")
+	}
+}
+
+// TestSkippedSnapshotsCarryOnlyPersistedImages snapshots every fourth
+// epoch: tiles rebuilt in the skipped epochs were never persisted, so a
+// save may carry only images an earlier successful save wrote. Restarting
+// (heap and mapped) must give back the last saved epoch exactly, and the
+// registry must show images carried between the saves.
+func TestSkippedSnapshotsCarryOnlyPersistedImages(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	cfg := Config{Shards: 4, Workers: 2, SnapshotEvery: 4, Metrics: reg}
+	st, ps := openDurable(t, dir, cfg)
+	items := durableItems(4000, 31)
+	st.Bootstrap(items)
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 13; i++ {
+		batch := make([]Update, 20)
+		for j := range batch {
+			it := items[r.Intn(len(items))]
+			batch[j] = Update{ID: it.ID, Box: it.Box.Translate(geom.V(0.5, 0, 0))}
+		}
+		st.Apply(batch)
+	}
+	epoch, wantRange, wantKNN := queryFingerprint(t, st)
+	st.Close() // the final snapshot is forced, whatever the cadence
+	ps.Close()
+	var out strings.Builder
+	reg.WritePrometheus(&out)
+	if !regexp.MustCompile(`(?m)^spatial_snapshot_images_carried_total [1-9]`).MatchString(out.String()) {
+		t.Fatalf("no image carried between snapshots:\n%s", out.String())
+	}
+
+	for _, serving := range []ServingMode{ServingHeap, ServingMapped} {
+		c := Config{Shards: 4, Workers: 2, Serving: serving}
+		st2, ps2 := openDurable(t, dir, c)
+		got, gotRange, gotKNN := queryFingerprint(t, st2)
+		rec := st2.Recovery()
+		st2.Close()
+		ps2.Close()
+		if got != epoch || rec.ReplayedBatches != 0 {
+			t.Fatalf("%v: recovered epoch %d with %d batches replayed, want %d and none", serving, got, rec.ReplayedBatches, epoch)
+		}
+		if !sameItems(gotRange, wantRange) || !sameItems(gotKNN, wantKNN) {
+			t.Fatalf("%v: recovered epoch %d answers differently", serving, epoch)
+		}
 	}
 }

@@ -268,3 +268,90 @@ func TestMappedRecoveryWALReplay(t *testing.T) {
 		t.Fatal("mapped WAL replay diverges from pre-crash state")
 	}
 }
+
+// TestPinnedMappedEpochOverSeveralSegmentsOutlivesUnlink is the live-mapping
+// edge for carried snapshots: the recovered epoch overlays its own segment
+// and the older one its references point into. A reader pins it while
+// newer snapshots push both files out of retention and GC unlinks them;
+// the pinned epoch must still answer identically, and retirement must
+// release every mapping exactly once.
+func TestPinnedMappedEpochOverSeveralSegmentsOutlivesUnlink(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Shards: 4, Workers: 2}
+	st, ps := openDurable(t, dir, cfg)
+	st.Bootstrap(durableItems(3000, 23))
+	if _, err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	// One moved item dirties one tile: the next snapshot writes that image
+	// and references the others in the bootstrap's segment.
+	st.Apply([]Update{{ID: 7, Box: geom.NewAABB(geom.V(5, 5, 5), geom.V(6, 6, 6))}})
+	if _, err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	ps.Close()
+	before, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mCfg := cfg
+	mCfg.Serving = ServingMapped
+	st, ps = openDurable(t, dir, mCfg)
+	defer func() { st.Close(); ps.Close() }()
+	ms := st.mapping.Load()
+	if ms == nil {
+		t.Fatal("mapped recovery installed no mapping")
+	}
+	if ms.Files() < 2 {
+		t.Fatalf("recovered epoch overlays %d segment files, want >= 2", ms.Files())
+	}
+
+	pinned := st.AcquireEpoch()
+	universe := geom.NewAABB(geom.V(-1000, -1000, -1000), geom.V(1000, 1000, 1000))
+	answers := func() ([]index.Item, []index.Item) {
+		t.Helper()
+		var all []index.Item
+		r := st.QueryPinned(Request{Op: OpRange, Query: universe, Visit: func(it index.Item) bool {
+			all = append(all, it)
+			return true
+		}}, pinned)
+		k := st.QueryPinned(Request{Op: OpKNN, Point: geom.V(50, 50, 50), K: 12}, pinned)
+		if r.Err != nil || k.Err != nil || r.Degraded || k.Degraded {
+			t.Fatalf("pinned query failed: range %v, knn %v", r.Err, k.Err)
+		}
+		return all, k.Items
+	}
+	wantRange, wantKNN := answers()
+
+	// The first snapshot after a restart is whole, so three more leave no
+	// retained snapshot referencing any file written before the restart.
+	for i := 0; i < 3; i++ {
+		st.Apply([]Update{{ID: int64(30000 + i), Box: geom.NewAABB(geom.V(1, 1, 1), geom.V(2, 2, 2))}})
+		if _, err := st.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range before {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("segment GC did not unlink %s (stat err %v)", path, err)
+		}
+	}
+	gotRange, gotKNN := answers()
+	if !sameItems(gotRange, wantRange) || !sameItems(gotKNN, wantKNN) {
+		t.Fatalf("pinned epoch diverged after its segments were unlinked: range %d/%d, knn %d/%d items",
+			len(gotRange), len(wantRange), len(gotKNN), len(wantKNN))
+	}
+
+	st.ReleaseEpoch(pinned)
+	if st.mapping.Load() != nil {
+		t.Fatal("mapping still live after the last pin dropped")
+	}
+	if ms.Files() != 0 || ms.Size() != 0 {
+		t.Fatalf("retirement left %d files (%d bytes) mapped", ms.Files(), ms.Size())
+	}
+	if err := ms.Close(); !errors.Is(err, persist.ErrSegmentClosed) {
+		t.Fatalf("retirement did not close the mappings: probe Close = %v", err)
+	}
+}

@@ -140,6 +140,7 @@ func (s *Store) initMetrics(reg *obs.Registry) {
 	}
 
 	if s.cfg.Persist != nil {
+		s.cfg.Persist.RegisterMetrics(reg)
 		m.walSeconds = reg.Histogram("spatial_wal_append_seconds")
 		m.snapshotSeconds = reg.Histogram("spatial_snapshot_seconds")
 		walCounters := map[string]*atomicInt64{
@@ -155,14 +156,15 @@ func (s *Store) initMetrics(reg *obs.Registry) {
 		reg.CounterFunc("spatial_breaker_trips_total", func() float64 {
 			return float64(s.breaker.tripCount())
 		})
-		// Zero-copy serving series: how many segments are mapped (0 or 1 —
-		// the recovered epoch's), the mapped byte extent, and how much of it
-		// is resident in physical memory — the page-fault proxy (bytes not
-		// yet resident are faults still to come; a falling resident count is
+		// Zero-copy serving series: how many segment files are mapped (the
+		// recovered snapshot's own and every older one its references
+		// point into), the mapped byte extent, and how much of it is
+		// resident in physical memory — the page-fault proxy (bytes not yet
+		// resident are faults still to come; a falling resident count is
 		// reclaim). All go to zero when the mapped epoch retires.
 		reg.Gauge("spatial_mmap_segments", func() float64 {
-			if s.mapping.Load() != nil {
-				return 1
+			if ms := s.mapping.Load(); ms != nil {
+				return float64(ms.Files())
 			}
 			return 0
 		})

@@ -43,13 +43,14 @@
 // reproduces both the pre-crash contents and the pre-crash epoch sequence
 // numbers — before serving.
 //
-// Recovered R-Tree shards are overlays of the segment image
-// (rtree.OverlayCompact) whichever way Config.Serving selects to obtain it:
-// ServingHeap reads the newest segment into memory and verifies every
-// checksum, while ServingMapped mmaps it — recovery cost is O(open)
-// regardless of dataset size, pages fault in on demand (so datasets larger
-// than RAM serve), and the mapping is unmapped exactly when the recovered
-// epoch retires. The first post-recovery update batch lazily re-seeds the
+// Recovered R-Tree shards are overlays of segment images
+// (rtree.OverlayCompact) whichever way Config.Serving selects to obtain
+// them: a snapshot's segment holds the tile images that changed since the
+// save before it and references the rest in older segments. ServingHeap
+// reads those files into memory and verifies every checksum, while
+// ServingMapped mmaps them — recovery cost is O(open) regardless of dataset
+// size, pages fault in on demand (so datasets larger than RAM serve), and
+// the mappings are unmapped exactly once, when the recovered epoch retires. The first post-recovery update batch lazily re-seeds the
 // tile table from the recovered epoch (one tile per persisted shard),
 // keeping the open path free of item scans. The tile layout is a function
 // of the staged batches alone, so WAL replay rebuilds the layout, and
@@ -123,15 +124,15 @@ func OctreeBuilder(leafCapacity int) ShardBuilder {
 type ServingMode string
 
 const (
-	// ServingHeap is the default: recovery reads the segment onto the heap
-	// and verifies its full checksum before serving R-Tree shards as
-	// overlays of that image.
+	// ServingHeap is the default: recovery reads the snapshot's segment
+	// files onto the heap and verifies their checksums before serving R-Tree
+	// shards as overlays of those images.
 	ServingHeap ServingMode = "heap"
 	// ServingMapped serves recovered R-Tree shards as zero-copy overlays of
-	// the mmap'd segment file: recovery is O(open) — map, validate the
+	// the mmap'd segment files: recovery is O(open) — map, validate the
 	// structural envelope, publish, replay the WAL tail — and the OS pages
 	// shard data in lazily as queries touch it, so datasets larger than RAM
-	// serve within whatever the page cache holds. The mapping is released
+	// serve within whatever the page cache holds. The mappings are released
 	// when the recovered epoch retires. Platforms without mmap run the heap
 	// path.
 	ServingMapped ServingMode = "mapped"
@@ -331,8 +332,8 @@ type Store struct {
 	snapSkipped   atomic.Int64
 	lastSnapErr   atomic.Pointer[string]
 	recovery      RecoveryInfo
-	// mapping is the mmap'd segment backing the recovered epoch's zero-copy
-	// shards (mapped serving only); cleared and closed when that epoch
+	// mapping is the mmap'd segment files backing the recovered epoch's
+	// zero-copy shards (mapped serving only); cleared and closed when that epoch
 	// retires. The pointer outlives the epoch reference only for metrics.
 	mapping atomic.Pointer[persist.MappedSegment]
 	// breaker guards persistence I/O: snapshot failures trip it, an open
