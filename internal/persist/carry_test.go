@@ -8,6 +8,8 @@ package persist
 // sharing introduces, and the metrics series.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -19,12 +21,6 @@ import (
 	"spatialsim/internal/obs"
 	"spatialsim/internal/storage"
 )
-
-// recordSpan is the payload bytes a shard's record takes when written in
-// full.
-func recordSpan(sr ShardRecord) int64 {
-	return int64(shardRecordHeaderSize + align8(shardBlobSize(sr)))
-}
 
 // segmentPayload reads the payload length from a segment file's header.
 func segmentPayload(t *testing.T, dir string, epoch uint64) int64 {
@@ -217,7 +213,7 @@ func TestCarriedBytesBounded(t *testing.T) {
 		}
 	}
 	if s.images.relocated == 0 {
-		t.Fatal("no save relocated the images of a half-dead segment")
+		t.Fatal("no save relocated the images of a sparse segment")
 	}
 	if ratio := float64(written) / float64(whole); ratio > 0.5 {
 		t.Fatalf("saves wrote %.2f of a whole segment on average, want <= 0.5", ratio)
@@ -316,9 +312,10 @@ func TestSharedSegmentCorruption(t *testing.T) {
 }
 
 // TestFailedSaveDoesNotPoisonCarrying fails a save partway through its
-// segment: the images it meant to write were never persisted, so the next
-// save must write them again, and recovering that save must give back its
-// epoch exactly.
+// segment: the images it meant to write were never persisted, and the save
+// drops the carry table, so the store keeps no retired image reachable and
+// the next save is whole. Recovering it, and the carrying save after it,
+// must give back each epoch exactly.
 func TestFailedSaveDoesNotPoisonCarrying(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{PageSize: 512})
@@ -348,6 +345,9 @@ func TestFailedSaveDoesNotPoisonCarrying(t *testing.T) {
 	if err := s.SaveEpoch(2, 0, failed); err == nil {
 		t.Fatal("save through a failing segment file succeeded")
 	}
+	if s.carry != nil {
+		t.Fatal("a failed save kept the carry table")
+	}
 	if err := s.SetFileHooks(osCreate, osOpen); err != nil {
 		t.Fatal(err)
 	}
@@ -356,16 +356,29 @@ func TestFailedSaveDoesNotPoisonCarrying(t *testing.T) {
 	if err := s.SaveEpoch(3, 0, tl.save(3).shards); err != nil {
 		t.Fatal(err)
 	}
-	// Tiles 2 and 5 only ever went to the failed segment 2, so epoch 3
-	// writes them with tile 6 and references the other five in segment 1.
 	snaps := s.Snapshots()
-	if got := snaps[len(snaps)-1].Refs; len(got) != 1 || got[0] != 1 {
-		t.Fatalf("epoch 3 references segments %v, want only [1]", got)
+	if got := snaps[len(snaps)-1].Refs; len(got) != 0 {
+		t.Fatalf("epoch 3 after a failed save references segments %v, want none", got)
 	}
-	if s.images.written != 8+3 || s.images.carried != 5 {
-		t.Fatalf("images written/carried = %d/%d, want 11/5", s.images.written, s.images.carried)
+	if s.images.written != 8+8 || s.images.carried != 0 {
+		t.Fatalf("images written/carried = %d/%d, want 16/0", s.images.written, s.images.carried)
 	}
-	checkRecovered(t, s, 3, tl, 2)
+	checkRecovered(t, s, 3, tl, 1)
+
+	// Carrying resumes from the whole save: epoch 4 writes tile 1 and
+	// references the other seven in segment 3.
+	tl.replace(1, 4)
+	if err := s.SaveEpoch(4, 0, tl.save(4).shards); err != nil {
+		t.Fatal(err)
+	}
+	snaps = s.Snapshots()
+	if got := snaps[len(snaps)-1].Refs; len(got) != 1 || got[0] != 3 {
+		t.Fatalf("epoch 4 references segments %v, want only [3]", got)
+	}
+	if s.images.written != 16+1 || s.images.carried != 7 {
+		t.Fatalf("images written/carried = %d/%d, want 17/7", s.images.written, s.images.carried)
+	}
+	checkRecovered(t, s, 4, tl, 2)
 }
 
 // TestPagedCompactRefusesReference: the paged reader only knows R-Tree
@@ -421,5 +434,80 @@ func TestStoreRegistersSnapshotSeries(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "spatial_snapshot_segment_bytes_total ") {
 		t.Fatal("/metrics lacks spatial_snapshot_segment_bytes_total")
+	}
+}
+
+// TestPreviousFormatIsRefused builds a data directory as the previous
+// format left it — version 2 segments, snapshot records that end after the
+// segment name — and checks that the store refuses it loudly: Open replays
+// every record (none is mistaken for a torn tail, which would let the next
+// append overwrite the manifest and the next save collect every segment),
+// Recover fails with ErrCorrupt in both modes, and no file changes.
+func TestPreviousFormatIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	tl := newTortureTiles(4, 40)
+	var manifest []byte
+	for epoch := uint64(1); epoch <= 2; epoch++ {
+		tl.replace(0, int64(epoch))
+		image := EncodeSegment(epoch, epoch, tl.save(epoch).shards, 512)
+		binary.LittleEndian.PutUint32(image[4:8], 2)
+		name := segmentName(epoch)
+		if err := os.WriteFile(filepath.Join(dir, name), image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		body := []byte{recSnapshot}
+		body = appendU64(body, epoch)
+		body = appendU64(body, epoch)
+		body = appendU64(body, uint64(len(image)))
+		body = appendU32(body, imageCRC(image))
+		body = binary.LittleEndian.AppendUint16(body, uint16(len(name)))
+		body = append(body, name...)
+		manifest = appendRecord(manifest, body)
+	}
+	manifest = encodeBatchRecord(manifest, BatchRecord{Seq: 3, Updates: []Update{{ID: 1, Delete: true}}})
+	if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	files := func() map[string][]byte {
+		out := make(map[string][]byte)
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = data
+		}
+		return out
+	}
+	before := files()
+
+	s, err := Open(dir, Options{PageSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snaps := s.Snapshots(); len(snaps) != 2 || s.off != int64(len(manifest)) {
+		t.Fatalf("Open replayed %d snapshot records and %d of %d manifest bytes", len(snaps), s.off, len(manifest))
+	}
+	for _, mapped := range []bool{false, true} {
+		rec, err := s.Recover(RecoverOptions{Mapped: mapped})
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version 2") {
+			t.Fatalf("mapped=%v: recovery of the previous format = %+v, %v; want an ErrCorrupt naming version 2", mapped, rec, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after := files()
+	if len(after) != len(before) {
+		t.Fatalf("refusing the previous format changed the directory: %d files, was %d", len(after), len(before))
+	}
+	for name, data := range before {
+		if !bytes.Equal(after[name], data) {
+			t.Fatalf("refusing the previous format changed %s", name)
+		}
 	}
 }

@@ -39,9 +39,10 @@ func refSeedSegment(epochSeq, batchSeq uint64, items []index.Item, pageSize int)
 		{Bounds: boundsOf(items[:half]), RTree: rtree.FreezeItems(items[:half], rtree.Config{})},
 		{Bounds: boundsOf(items[half:]), Items: items[half:]},
 	}
-	_, locs := encodeSegment(epochSeq, batchSeq, shards, pageSize)
-	shards = append(shards, ShardRecord{Bounds: shards[0].Bounds, Ref: &locs[0]})
-	return EncodeSegment(epochSeq, batchSeq, shards, pageSize)
+	_, locs := encodeSegment(epochSeq, batchSeq, shards, nil, pageSize)
+	shards = append(shards, ShardRecord{Bounds: shards[0].Bounds})
+	image, _ := encodeSegment(epochSeq, batchSeq, shards, []*ShardRef{nil, nil, &locs[0]}, pageSize)
+	return image
 }
 
 // checkSegmentDecode is the body of both segment fuzzers: it drives the one
@@ -73,7 +74,11 @@ func checkSegmentDecode(t *testing.T, data []byte, verifyCRC bool) ([]ShardRecor
 		sr.RTree.RangeVisit(query, func(index.Item) bool { n++; return n < 10000 })
 		sr.RTree.KNN(geom.V(1, 2, 3), 3)
 	}
-	re := EncodeSegment(info.EpochSeq, info.BatchSeq, shards, info.PageSize)
+	refs := make([]*ShardRef, len(shards))
+	for i := range shards {
+		refs[i] = shards[i].Ref
+	}
+	re, _ := encodeSegment(info.EpochSeq, info.BatchSeq, shards, refs, info.PageSize)
 	info2, shards2, err := DecodeSegment(re, 2, true)
 	if err != nil {
 		t.Fatalf("re-encoded segment rejected: %v", err)

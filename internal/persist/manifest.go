@@ -19,6 +19,10 @@ package persist
 //	                   segment size u64 | segment CRC-32C u32 |
 //	                   name length u16 | name bytes |
 //	                   referenced segment count u32 | epoch seq u64 each
+//	                   (a record of the previous format ends after the
+//	                   name; it decodes with no references, so recovery
+//	                   meets its segment and refuses the old version
+//	                   instead of cutting the manifest there)
 //	type 2 (batch):    batch seq u64 | update count u32 |
 //	                   updates (flag u8 | id i64 | box 48 B)
 
@@ -178,11 +182,18 @@ func decodeSnapshotBody(payload []byte) (SnapshotRecord, bool) {
 		return sr, false
 	}
 	name := r.bytes(nameLen)
-	refs := int(r.u32())
-	if !r.ok() || refs != r.remaining()/8 || r.remaining()%8 != 0 || sr.SegSize < 0 {
+	if !r.ok() || sr.SegSize < 0 {
 		return sr, false
 	}
 	sr.Name = string(name)
+	if r.remaining() == 0 {
+		// The previous format: no reference list.
+		return sr, true
+	}
+	refs := int(r.u32())
+	if !r.ok() || refs != r.remaining()/8 || r.remaining()%8 != 0 {
+		return sr, false
+	}
 	if refs > 0 {
 		sr.Refs = make([]uint64, refs)
 		for i := range sr.Refs {

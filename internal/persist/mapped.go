@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
+	"sync"
 
 	"spatialsim/internal/exec"
 	"spatialsim/internal/rtree"
@@ -61,8 +62,15 @@ type MappedSegment struct {
 	Info   SegmentInfo
 	Shards []ShardRecord
 
+	// Fixed once the snapshot is open: the serving metrics read them while
+	// the retire hook may be closing the files.
+	nfiles         int
+	size           int64
+	mapped         bool
 	zeroCopyShards int
-	closed         bool
+
+	mu     sync.Mutex // orders Close against Resident and Advise
+	closed bool
 }
 
 // segmentFile is one opened segment file.
@@ -84,26 +92,25 @@ func (ms *MappedSegment) ZeroCopyShards() int { return ms.zeroCopyShards }
 
 // Mapped reports whether the segments are served from actual mmaps (false =
 // heap images).
-func (ms *MappedSegment) Mapped() bool { return len(ms.files) > 0 && ms.files[0].disk != nil }
+func (ms *MappedSegment) Mapped() bool { return ms.mapped }
 
-// Files returns how many segment files the snapshot spans (0 once closed).
-func (ms *MappedSegment) Files() int { return len(ms.files) }
+// Files returns how many segment files the snapshot spans.
+func (ms *MappedSegment) Files() int { return ms.nfiles }
 
 // Size returns the total image size in bytes of the segment files.
-func (ms *MappedSegment) Size() int64 {
-	var n int64
-	for _, f := range ms.files {
-		n += int64(len(f.image))
-	}
-	return n
-}
+func (ms *MappedSegment) Size() int64 { return ms.size }
 
 // Resident returns how many bytes of the mappings are resident in physical
-// memory (0, false where the platform cannot tell) — the page-fault proxy
-// the serving metrics export.
+// memory (0, false where the platform cannot tell, and once closed) — the
+// page-fault proxy the serving metrics export.
 func (ms *MappedSegment) Resident() (int64, bool) {
-	if !ms.Mapped() {
-		return ms.Size(), false
+	if !ms.mapped {
+		return ms.size, false
+	}
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	if ms.closed {
+		return 0, false
 	}
 	var total int64
 	for _, f := range ms.files {
@@ -119,6 +126,11 @@ func (ms *MappedSegment) Resident() (int64, bool) {
 // Advise forwards an access-pattern hint to the kernel for every mapping
 // (no-op on heap images).
 func (ms *MappedSegment) Advise(a storage.Advice) error {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	if ms.closed {
+		return nil
+	}
 	for _, f := range ms.files {
 		if f.disk != nil {
 			if err := f.disk.Advise(a); err != nil {
@@ -136,6 +148,8 @@ func (ms *MappedSegment) Advise(a storage.Advice) error {
 // double-retire bug surfaces as a hard error instead of a silent no-op over
 // possibly-invalidated reader views.
 func (ms *MappedSegment) Close() error {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
 	if ms.closed {
 		return ErrSegmentClosed
 	}
@@ -149,7 +163,6 @@ func (ms *MappedSegment) Close() error {
 			}
 		}
 	}
-	ms.files = nil
 	return first
 }
 
@@ -168,6 +181,10 @@ func openSegment(path string, sr SnapshotRecord, pageSize, poolPages, workers in
 	if err != nil {
 		ms.Close()
 		return nil, err
+	}
+	ms.nfiles = len(ms.files)
+	for _, f := range ms.files {
+		ms.size += int64(len(f.image))
 	}
 	return ms, nil
 }
@@ -223,9 +240,9 @@ func (ms *MappedSegment) load(dir string, sr SnapshotRecord, pageSize, poolPages
 	if err := ms.resolve(dir, sr, shards, pageSize, poolPages, workers, mapped); err != nil {
 		return err
 	}
-	ms.Info, ms.Shards = info, shards
+	ms.Info, ms.Shards, ms.mapped = info, shards, !heap
 	for _, sh := range shards {
-		if ms.Mapped() && sh.RTree != nil && sh.RTree.ZeroCopy() {
+		if ms.mapped && sh.RTree != nil && sh.RTree.ZeroCopy() {
 			ms.zeroCopyShards++
 		}
 	}

@@ -50,6 +50,7 @@
 package persist
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -137,8 +138,8 @@ type Store struct {
 	snapshots []SnapshotRecord
 	stats     StoreStats
 	// carry is what the last successful save persisted (nil before the
-	// first one): the next save references these images instead of
-	// rewriting them. Only a successful save replaces it.
+	// first one and after a failed one): the next save references these
+	// images instead of rewriting them. Only a successful save installs it.
 	carry *carrySet
 	// images counts, over successful saves, the R-Tree images written in
 	// full, carried by reference, and relocated (written in full although
@@ -326,12 +327,17 @@ func (s *Store) appendLocked(rec []byte, sync bool) error {
 // an R-Tree image that the last successful save wrote or referenced — the
 // same *rtree.Compact, recognized by identity — becomes a reference record
 // naming the bytes already on disk. Callers therefore pass the whole epoch
-// every time; carrying is decided here. One rule bounds the disk: when the
-// images an epoch still uses from an older segment fill less than half of
-// that segment's payload, they are rewritten into the new segment instead,
-// so the older segments a snapshot references hold at most twice the
-// image bytes it uses from them. The first save of a Store (after a load or
-// a restart) has nothing to carry and is whole.
+// every time; carrying is decided here. The carry table keeps the images
+// of the last successful save reachable: when the caller skips epochs
+// between saves, that is at most one saved epoch's images beyond those it
+// holds itself. A failed save drops the table, so the save after it is
+// whole, as is the first save of a Store (after a load or a restart).
+//
+// One rule bounds the disk (see carrySet.plan): each save relocates —
+// rewrites in full — the images it uses from the sparsest older segment it
+// references once they fill less than two thirds of that segment's
+// payload, and relocates more only where the snapshot's files would
+// otherwise hold more than twice the image bytes of the epoch.
 //
 // The segment file I/O happens outside the store mutex — a multi-megabyte
 // write and fsync must not stall concurrent LogBatch callers (the serving
@@ -347,14 +353,21 @@ func (s *Store) SaveEpoch(epochSeq, batchSeq uint64, shards []ShardRecord) error
 	}
 	create, carry := s.createFile, s.carry
 	s.mu.Unlock()
-	for i := range shards {
-		if shards[i].Ref != nil {
-			return fmt.Errorf("persist: shard %d is a reference; SaveEpoch takes images", i)
-		}
+	if err := s.saveEpoch(create, carry, epochSeq, batchSeq, shards); err != nil {
+		s.mu.Lock()
+		s.carry = nil
+		s.mu.Unlock()
+		return err
 	}
+	return nil
+}
 
-	recs, refs, relocated := carry.plan(epochSeq, shards)
-	image, locs := encodeSegment(epochSeq, batchSeq, recs, s.opts.PageSize)
+// saveEpoch is SaveEpoch after the store-state checks: it writes the
+// segment, appends its record and, on success, installs the carry table
+// the save leaves behind.
+func (s *Store) saveEpoch(create func(string) (storage.BackingFile, error), carry *carrySet, epochSeq, batchSeq uint64, shards []ShardRecord) error {
+	refs, segs, relocated := carry.plan(epochSeq, shards)
+	image, locs := encodeSegment(epochSeq, batchSeq, shards, refs, s.opts.PageSize)
 	name := segmentName(epochSeq)
 
 	f, err := create(filepath.Join(s.dir, name))
@@ -379,7 +392,7 @@ func (s *Store) SaveEpoch(epochSeq, batchSeq uint64, shards []ShardRecord) error
 		SegSize:  int64(len(image)),
 		SegCRC:   imageCRC(image),
 		Name:     name,
-		Refs:     refs,
+		Refs:     segs,
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -394,11 +407,11 @@ func (s *Store) SaveEpoch(epochSeq, batchSeq uint64, shards []ShardRecord) error
 	s.stats.SnapshotBytes += int64(len(image))
 	s.stats.LastEpochSaved = epochSeq
 	s.carry = carry.next(epochSeq, payloadLen(image), shards, locs)
-	for i := range recs {
+	for i := range shards {
 		switch {
-		case recs[i].Ref != nil:
+		case refs != nil && refs[i] != nil:
 			s.images.carried++
-		case recs[i].RTree != nil:
+		case shards[i].RTree != nil:
 			s.images.written++
 		}
 	}
@@ -418,42 +431,72 @@ type carrySet struct {
 	payload map[uint64]int64
 }
 
-// plan lays out the save of epoch epochSeq: shards whose image this set
-// holds become reference records, except where the images carried from one
-// segment would fill less than half its payload — those are relocated
-// (written in full again). It returns the records to encode, the ascending
-// epochs of the segments they reference, and how many images it relocated.
-// A nil set carries nothing.
-func (cs *carrySet) plan(epochSeq uint64, shards []ShardRecord) (recs []ShardRecord, refs []uint64, relocated int) {
+// plan lays out the save of epoch epochSeq. A shard whose image this set
+// holds becomes a reference record (refs[i] set), unless its older segment
+// is relocated — its images the epoch uses written in full again, so later
+// snapshots stop needing that file. A save relocates the sparsest segment
+// it references once the images it uses from there fill less than two
+// thirds of the segment's payload — one segment per save, because the
+// fallback generation keeps a relocated segment on disk until the next
+// save, so relocating several at once makes the disk peak; it relocates
+// further segments, sparsest first, only while the snapshot's files would
+// hold more than twice the epoch's image bytes. plan returns the
+// references (nil when the set is nil: a whole save), the ascending epochs
+// of the segments they point into, and how many images it relocated.
+func (cs *carrySet) plan(epochSeq uint64, shards []ShardRecord) (refs []*ShardRef, segs []uint64, relocated int) {
 	if cs == nil {
-		return shards, nil, 0
+		return nil, nil, 0
 	}
+	refs = make([]*ShardRef, len(shards))
 	live := make(map[uint64]int64)
-	for _, sh := range shards {
-		if ref, ok := cs.lookup(epochSeq, sh); ok {
-			live[ref.Segment] += ref.span()
-		}
-	}
-	recs = make([]ShardRecord, len(shards))
+	// used is the image bytes of the epoch; held is the image bytes its
+	// files would hold with nothing relocated.
+	var used, held int64
 	for i, sh := range shards {
-		recs[i] = sh
+		span := recordSpan(sh)
+		used += span
 		ref, ok := cs.lookup(epochSeq, sh)
 		if !ok {
+			held += span
 			continue
 		}
-		if 2*live[ref.Segment] < cs.payload[ref.Segment] {
+		refs[i] = &ref
+		live[ref.Segment] += ref.span()
+	}
+	for seg := range live {
+		segs = append(segs, seg)
+		held += cs.payload[seg]
+	}
+	slices.SortFunc(segs, func(a, b uint64) int {
+		if c := cmp.Compare(live[a]*cs.payload[b], live[b]*cs.payload[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	drop := make(map[uint64]bool)
+	for k, seg := range segs {
+		sparse := k == 0 && 3*live[seg] < 2*cs.payload[seg]
+		if !sparse && held <= 2*used {
+			break
+		}
+		drop[seg] = true
+		held += live[seg] - cs.payload[seg]
+	}
+	for i, ref := range refs {
+		if ref != nil && drop[ref.Segment] {
+			refs[i] = nil
 			relocated++
-			continue
-		}
-		recs[i] = ShardRecord{Bounds: sh.Bounds, Ref: &ref}
-	}
-	for seg, n := range live {
-		if 2*n >= cs.payload[seg] {
-			refs = append(refs, seg)
 		}
 	}
-	slices.Sort(refs)
-	return recs, refs, relocated
+	segs = slices.DeleteFunc(segs, func(seg uint64) bool { return drop[seg] })
+	slices.Sort(segs)
+	return refs, segs, relocated
+}
+
+// recordSpan is the payload bytes sh's record takes when written in full,
+// alignment pad included.
+func recordSpan(sh ShardRecord) int64 {
+	return int64(shardRecordHeaderSize + align8(shardBlobSize(sh, nil)))
 }
 
 // lookup returns where the set holds sh's image. Only segments older than

@@ -80,13 +80,14 @@ func align8(n int) int { return (n + 7) &^ 7 }
 // on disk do not form a complete, checksummed record.
 var ErrCorrupt = errors.New("persist: corrupt")
 
-// ShardRecord is the durable form of one epoch shard. Exactly one of RTree,
-// Items and Ref is set: RTree carries a natively-serialized compact snapshot
-// (on recovery, an overlay of the segment image that serves directly);
-// Items carries the fallback item list that recovery rebuilds through the
-// serving layer's shard builder; Ref marks a reference record as
-// DecodeSegment returns it — recovery resolves every reference into the
-// RTree or Items of the record it names.
+// ShardRecord is the durable form of one epoch shard. RTree carries a
+// natively-serialized compact snapshot (on recovery, an overlay of the
+// segment image that serves directly); otherwise Items carries the fallback
+// item list that recovery rebuilds through the serving layer's shard
+// builder. Ref is set only on a reference record as DecodeSegment returns
+// it, with RTree and Items nil — recovery resolves every reference into the
+// record it names. The encoders ignore Ref: whether a shard is written as a
+// reference is Store.SaveEpoch's decision, not the caller's.
 type ShardRecord struct {
 	Bounds geom.AABB
 	RTree  *rtree.Compact
@@ -136,20 +137,27 @@ type SegmentInfo struct {
 // place. The image is sized once and every record is encoded straight into
 // it: no buffer grows and no payload is copied.
 func EncodeSegment(epochSeq, batchSeq uint64, shards []ShardRecord, pageSize int) []byte {
-	image, _ := encodeSegment(epochSeq, batchSeq, shards, pageSize)
+	image, _ := encodeSegment(epochSeq, batchSeq, shards, nil, pageSize)
 	return image
 }
 
-// encodeSegment is EncodeSegment that also reports where each shard's bytes
-// now live: for a record written in full, a reference to it in this segment;
-// for a reference record, the reference itself.
-func encodeSegment(epochSeq, batchSeq uint64, shards []ShardRecord, pageSize int) ([]byte, []ShardRef) {
+// encodeSegment is EncodeSegment that writes shard i as a reference record
+// where refs[i] is set (refs may be nil), and reports where each shard's
+// bytes now live: for a record written in full, a reference to it in this
+// segment; for a reference record, the reference itself.
+func encodeSegment(epochSeq, batchSeq uint64, shards []ShardRecord, refs []*ShardRef, pageSize int) ([]byte, []ShardRef) {
 	if pageSize <= 0 {
 		pageSize = 4096
 	}
+	refAt := func(i int) *ShardRef {
+		if refs == nil {
+			return nil
+		}
+		return refs[i]
+	}
 	payloadLen := 0
-	for _, sr := range shards {
-		payloadLen += shardRecordHeaderSize + align8(shardBlobSize(sr))
+	for i, sr := range shards {
+		payloadLen += shardRecordHeaderSize + align8(shardBlobSize(sr, refAt(i)))
 	}
 	total := pageSize + payloadLen
 	if rem := total % pageSize; rem != 0 {
@@ -161,13 +169,14 @@ func encodeSegment(epochSeq, batchSeq uint64, shards []ShardRecord, pageSize int
 
 	off := 0
 	for i, sr := range shards {
-		blobLen := shardBlobSize(sr)
+		ref := refAt(i)
+		blobLen := shardBlobSize(sr, ref)
 		kind := byte(shardKindItems)
 		switch {
+		case ref != nil:
+			kind = shardKindRef
 		case sr.RTree != nil:
 			kind = shardKindRTree
-		case sr.Ref != nil:
-			kind = shardKindRef
 		}
 		// Each append below writes in place: the destination is a
 		// zero-length window of the image with room for exactly the record.
@@ -182,10 +191,10 @@ func encodeSegment(epochSeq, batchSeq uint64, shards []ShardRecord, pageSize int
 		case shardKindRTree:
 			sr.RTree.AppendBinary(blob)
 		case shardKindRef:
-			blob = appendU64(blob, sr.Ref.Segment)
-			blob = appendU64(blob, uint64(sr.Ref.Offset))
-			blob = appendU64(blob, uint64(sr.Ref.Length))
-			appendU32(blob, sr.Ref.CRC)
+			blob = appendU64(blob, ref.Segment)
+			blob = appendU64(blob, uint64(ref.Offset))
+			blob = appendU64(blob, uint64(ref.Length))
+			appendU32(blob, ref.CRC)
 		default:
 			blob = appendU32(blob, uint32(len(sr.Items)))
 			for _, it := range sr.Items {
@@ -193,8 +202,8 @@ func encodeSegment(epochSeq, batchSeq uint64, shards []ShardRecord, pageSize int
 			}
 		}
 		off += blobLen
-		if sr.Ref != nil {
-			locs[i] = *sr.Ref
+		if ref != nil {
+			locs[i] = *ref
 		} else {
 			locs[i] = ShardRef{
 				Segment: epochSeq,
@@ -225,13 +234,14 @@ func payloadLen(image []byte) int64 { return int64(binary.LittleEndian.Uint64(im
 // bounds and blob length.
 const shardRecordHeaderSize = 8 + boxWireSize + 8
 
-// shardBlobSize is the encoded blob length of one shard record.
-func shardBlobSize(sr ShardRecord) int {
+// shardBlobSize is the encoded blob length of one shard record, written as
+// a reference when ref is set.
+func shardBlobSize(sr ShardRecord, ref *ShardRef) int {
 	switch {
+	case ref != nil:
+		return refBlobSize
 	case sr.RTree != nil:
 		return sr.RTree.BinarySize()
-	case sr.Ref != nil:
-		return refBlobSize
 	}
 	return 4 + len(sr.Items)*itemWireSize
 }
@@ -250,7 +260,7 @@ func DecodeSegmentInfo(data []byte, avail int) (SegmentInfo, error) {
 	}
 	v := r.u32()
 	if v != segmentVersion {
-		return info, fmt.Errorf("%w segment: version %d", ErrCorrupt, v)
+		return info, fmt.Errorf("%w segment: version %d, this build reads only version %d", ErrCorrupt, v, segmentVersion)
 	}
 	info.Version = int(v)
 	info.EpochSeq = r.u64()

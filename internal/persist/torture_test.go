@@ -304,7 +304,7 @@ func (tl *tortureTiles) save(epoch uint64) tortureStep {
 
 // carriedSteps is a save sequence whose later saves carry most images of
 // earlier ones: 8 tiles, then saves that dirty one or two tiles each, the
-// fourth leaving segment 1 less than half live so its last images are
+// third leaving segment 1 under two thirds live so its images are
 // relocated, with a WAL batch between saves.
 func carriedSteps() []tortureStep {
 	tl := newTortureTiles(8, 40)
@@ -349,7 +349,7 @@ func TestTortureRandomizedCrashOffsets(t *testing.T) {
 
 	// Carried saves: the crash lands anywhere in a sequence whose later
 	// segments hold only dirty tiles and reference the rest, one of them
-	// relocating the live images of a half-dead segment. Every epoch must
+	// relocating the live images of a sparse segment. Every epoch must
 	// recover exactly, which needs every segment a retained snapshot
 	// references to survive segment GC.
 	t.Run("carried", func(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"spatialsim/internal/geom"
@@ -348,10 +349,72 @@ func TestPinnedMappedEpochOverSeveralSegmentsOutlivesUnlink(t *testing.T) {
 	if st.mapping.Load() != nil {
 		t.Fatal("mapping still live after the last pin dropped")
 	}
-	if ms.Files() != 0 || ms.Size() != 0 {
-		t.Fatalf("retirement left %d files (%d bytes) mapped", ms.Files(), ms.Size())
+	if n, _ := ms.Resident(); n != 0 {
+		t.Fatalf("retirement left %d bytes of %d files resident", n, ms.Files())
 	}
 	if err := ms.Close(); !errors.Is(err, persist.ErrSegmentClosed) {
 		t.Fatalf("retirement did not close the mappings: probe Close = %v", err)
+	}
+}
+
+// TestMetricsScrapeRacesMappedRetire scrapes /metrics without pause while
+// the first apply retires a recovered mapped epoch — in the first round one
+// mapped over several segment files: the mmap gauges read the mapping the
+// retire hook is closing, which must be neither a data race (run it under
+// -race) nor a fault.
+func TestMetricsScrapeRacesMappedRetire(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Shards: 4, Workers: 2}
+	st, ps := openDurable(t, dir, cfg)
+	st.Bootstrap(durableItems(3000, 29))
+	if _, err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	st.Apply([]Update{{ID: 11, Box: geom.NewAABB(geom.V(5, 5, 5), geom.V(6, 6, 6))}})
+	st.Close()
+	ps.Close()
+
+	for round := 0; round < 4; round++ {
+		reg := obs.NewRegistry()
+		mCfg := cfg
+		mCfg.Serving = ServingMapped
+		mCfg.Metrics = reg
+		st, ps := openDurable(t, dir, mCfg)
+		ms := st.mapping.Load()
+		if ms == nil || (round == 0 && ms.Files() < 2) {
+			t.Fatalf("round %d: recovered epoch is not mapped over several files: %v", round, ms)
+		}
+
+		started, stop, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; ; i++ {
+				var out strings.Builder
+				reg.WritePrometheus(&out)
+				if !strings.Contains(out.String(), "spatial_mmap_segments ") {
+					t.Error("/metrics lacks spatial_mmap_segments")
+				}
+				if i == 0 {
+					close(started)
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+		<-started
+		st.Apply([]Update{{ID: int64(12 + round), Box: geom.NewAABB(geom.V(7, 7, 7), geom.V(8, 8, 8))}})
+		close(stop)
+		<-done
+		if st.mapping.Load() != nil {
+			t.Fatalf("round %d: mapping still live after the recovered epoch retired", round)
+		}
+		if err := ms.Close(); !errors.Is(err, persist.ErrSegmentClosed) {
+			t.Fatalf("round %d: retirement did not close the mappings: probe Close = %v", round, err)
+		}
+		st.Close()
+		ps.Close()
 	}
 }
