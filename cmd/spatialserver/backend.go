@@ -54,7 +54,6 @@ func (d *storeDetail) AppendFields(b *httpapi.Reply, p httpapi.Params) {
 // shard errors of a partial reply.
 func (d *storeDetail) LogAttrs() []any {
 	attrs := []any{
-		"family", d.Plan.Family,
 		"cache_hit", d.Plan.CacheHit,
 		"fan_out", d.Plan.FanOut,
 		"counters", d.Counters,
@@ -74,8 +73,8 @@ func (d *storeDetail) LogAttrs() []any {
 //	POST /v1/snapshot  force a durable snapshot of the current epoch
 //	GET  /v1/recovery  what the store recovered on boot (durable mode)
 //
-// ?plan=1 on a read adds the store's plan report (index family, join
-// algorithm, cache hit, shard fan-out); a deadline that fires mid-fan-out
+// ?plan=1 on a read adds the store's plan report (join algorithm, cache
+// hit, shard fan-out); a deadline that fires mid-fan-out
 // answers 200 with "degraded":true, the partial result and shard_errors.
 func newServer(store *serve.Store) *httpapi.Server {
 	return &httpapi.Server{Backend: storeBackend{store}, Routes: map[string]http.Handler{

@@ -34,7 +34,7 @@ func TestContract(t *testing.T) {
 // replaced, with every optional field off and on.
 func TestQueryResponseIsByteIdentical(t *testing.T) {
 	items := httpapitest.EdgeItems(40)
-	plan := serve.PlanInfo{Family: "rtree", CacheHit: true, FanOut: 3}
+	plan := serve.PlanInfo{CacheHit: true, FanOut: 3}
 	shardErrs := []serve.ShardError{{Shard: 1, Err: "shard 1: context deadline exceeded"}}
 	for _, tc := range []struct {
 		name                  string
@@ -84,7 +84,7 @@ func TestQueryResponseIsByteIdentical(t *testing.T) {
 // replaced: pairs cut at the limit or not, every optional field off and on.
 func TestJoinResponseIsByteIdentical(t *testing.T) {
 	pairs := []join.Pair{{A: 1, B: 2}, {A: 1, B: 9}, {A: -4, B: 70000000000}}
-	plan := serve.PlanInfo{Family: "rtree", Algorithm: "grid", FanOut: 4, Comparisons: 31}
+	plan := serve.PlanInfo{Algorithm: "grid", FanOut: 4, Comparisons: 31}
 	for _, tc := range []struct {
 		name                  string
 		limit                 int

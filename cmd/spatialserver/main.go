@@ -13,7 +13,7 @@
 // Usage:
 //
 //	spatialserver -addr :8080 -elements 100000 -shards 8
-//	spatialserver -index grid -max-inflight 256
+//	spatialserver -max-inflight 256 -cache 4096
 //	spatialserver -data-dir /var/lib/spatialsim -elements 0
 //
 // Endpoints: GET /v1/range, /v1/knn, /v1/join, /v1/query, /v1/stats,
@@ -37,7 +37,7 @@
 //     cache and epoch lifecycle series, per-route HTTP series and Go runtime
 //     gauges;
 //   - ?trace=1 on any /v1 query or update endpoint adds a "trace" span tree
-//     to the reply — admission, planner decision, cache lookup, per-shard
+//     to the reply — admission, cache lookup, per-shard
 //     fan-out with instrument counter deltas, merge, WAL append and freeze;
 //   - -debug-addr starts a second listener serving /debug/pprof and /metrics
 //     so profiling never competes with queries for the serving port;
@@ -59,15 +59,12 @@ import (
 	"os"
 	"time"
 
-	"spatialsim/internal/crtree"
 	"spatialsim/internal/datagen"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/httpapi"
 	"spatialsim/internal/index"
 	"spatialsim/internal/obs"
 	"spatialsim/internal/persist"
-	"spatialsim/internal/planner"
-	"spatialsim/internal/rtree"
 	"spatialsim/internal/serve"
 )
 
@@ -90,7 +87,7 @@ func run(args []string, stdout io.Writer) error {
 		shards      = fs.Int("shards", 0, "STR layout size: a cut makes up to 16 tiles per shard, and every non-empty tile serves as one shard of the epoch (0 = GOMAXPROCS)")
 		workers     = fs.Int("workers", 0, "epoch build goroutines (0 = GOMAXPROCS)")
 		maxInflight = fs.Int("max-inflight", 0, "admission-control bound on in-flight queries (0 = 4x GOMAXPROCS)")
-		indexName   = fs.String("index", "rtree", "shard family (rtree|grid|octree|crtree), or auto for planner-chosen per-shard families")
+		indexName   = fs.String("index", "rtree", "shard family: only rtree is served (the flag stays for callers that pass -index rtree)")
 		cacheSize   = fs.Int("cache", 0, "epoch result-cache entries per epoch (0 disables caching)")
 		seed        = fs.Int64("seed", 1, "bootstrap dataset seed")
 		dataDir     = fs.String("data-dir", "", "durable epoch store directory (empty = in-memory only)")
@@ -126,14 +123,8 @@ func run(args []string, stdout io.Writer) error {
 			Batch: *joinDead,
 		},
 	}
-	if *indexName == "auto" {
-		cfg.Planner = planner.Default()
-	} else {
-		build, err := shardBuilder(*indexName)
-		if err != nil {
-			return err
-		}
-		cfg.Build = build
+	if *indexName != "rtree" {
+		return fmt.Errorf("unknown shard family %q: spatialserver serves rtree only (the other families run in spatialbench -exp indexes)", *indexName)
 	}
 	switch serve.ServingMode(*serving) {
 	case serve.ServingHeap, serve.ServingMapped:
@@ -158,7 +149,7 @@ func run(args []string, stdout io.Writer) error {
 	if rec := store.Recovery(); rec.Recovered {
 		logger.Info("recovered persisted state",
 			"epoch", rec.Epoch, "items", rec.Items, "dir", *dataDir, "replayed_batches", rec.ReplayedBatches,
-			"serving", string(rec.Serving), "zero_copy_shards", rec.ZeroCopyShards, "rebuilt_shards", rec.RebuiltShards)
+			"serving", string(rec.Serving), "zero_copy_shards", rec.ZeroCopyShards)
 	}
 
 	if *elements > 0 && store.Current().Len() == 0 {
@@ -209,19 +200,4 @@ func newDebugMux(reg *obs.Registry) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/metrics", httpapi.MetricsHandler(reg))
 	return mux
-}
-
-func shardBuilder(name string) (serve.ShardBuilder, error) {
-	switch name {
-	case "rtree":
-		return serve.RTreeBuilder(rtree.Config{}), nil
-	case "grid":
-		return serve.GridBuilder(24), nil
-	case "octree":
-		return serve.OctreeBuilder(32), nil
-	case "crtree":
-		return serve.CRTreeBuilder(crtree.Config{}), nil
-	default:
-		return nil, fmt.Errorf("unknown shard family %q (rtree|grid|octree|crtree|auto)", name)
-	}
 }

@@ -156,11 +156,16 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknownIndex: rtree is the one shard family served, so an
+// unknown family and each retired one (grid, octree, crtree, and the
+// planner's auto) is refused at start with an error naming rtree.
 func TestRunRejectsUnknownIndex(t *testing.T) {
 	var out strings.Builder
-	err := run([]string{"-index", "btree", "-elements", "10", "-addr", "127.0.0.1:0"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "unknown shard family") {
-		t.Fatalf("run with unknown index: err = %v", err)
+	for _, name := range []string{"btree", "grid", "octree", "crtree", "auto"} {
+		err := run([]string{"-index", name, "-elements", "10", "-addr", "127.0.0.1:0"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "unknown shard family") || !strings.Contains(err.Error(), "rtree") {
+			t.Fatalf("run with -index %s: err = %v", name, err)
+		}
 	}
 	if err := run([]string{"-bogus-flag"}, &out); err == nil {
 		t.Fatal("run with bad flag should fail")

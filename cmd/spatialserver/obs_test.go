@@ -121,7 +121,7 @@ func TestTraceOptInOnHTTP(t *testing.T) {
 		}
 	}
 	walk(rep.Trace)
-	for _, want := range []string{"admit", "plan", "cache_lookup", "fanout", "shard_visit"} {
+	for _, want := range []string{"admit", "cache_lookup", "fanout", "shard_visit"} {
 		if !stages[want] {
 			t.Errorf("trace missing %q stage (got %v)", want, stages)
 		}
@@ -142,7 +142,7 @@ func TestSlowQueryLog(t *testing.T) {
 	if !strings.Contains(logged, "slow query") {
 		t.Fatalf("no slow-query record in log: %q", logged)
 	}
-	for _, want := range []string{"request_id=" + reqID, "op=range", "elapsed=", "family=", "fan_out="} {
+	for _, want := range []string{"request_id=" + reqID, "op=range", "elapsed=", "fan_out="} {
 		if !strings.Contains(logged, want) {
 			t.Errorf("slow-query record missing %q: %q", want, logged)
 		}

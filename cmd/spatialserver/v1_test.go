@@ -12,7 +12,6 @@ import (
 
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
-	"spatialsim/internal/planner"
 	"spatialsim/internal/serve"
 )
 
@@ -70,7 +69,7 @@ func TestUnifiedQueryEndpointMatchesDedicatedRoutes(t *testing.T) {
 }
 
 func TestPlanReportingOptIn(t *testing.T) {
-	store, err := serve.New(serve.Config{Shards: 4, Workers: 2, Planner: planner.Default(), CacheEntries: 64})
+	store, err := serve.New(serve.Config{Shards: 4, Workers: 2, CacheEntries: 64})
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}
@@ -89,7 +88,7 @@ func TestPlanReportingOptIn(t *testing.T) {
 	if resp.Plan == nil {
 		t.Fatal("plan=1 response missing plan")
 	}
-	if resp.Plan.Family == "" || resp.Plan.FanOut <= 0 {
+	if resp.Plan.FanOut <= 0 {
 		t.Fatalf("plan incomplete: %+v", resp.Plan)
 	}
 	if resp.Plan.CacheHit {

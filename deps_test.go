@@ -38,7 +38,6 @@ func TestReproductionDoesNotLinkServing(t *testing.T) {
 		"internal/serve":   true,
 		"internal/cluster": true,
 		"internal/planner": true,
-		"internal/catalog": true,
 		"internal/httpapi": true,
 	}
 	for _, pkg := range []string{"./cmd/spatialbench", "./cmd/simrun", "./internal/experiments"} {
@@ -55,21 +54,16 @@ func TestReproductionDoesNotLinkServing(t *testing.T) {
 // removes one from it, updates this list on purpose.
 func TestServedBinariesLinkedPackages(t *testing.T) {
 	want := []string{
-		"internal/catalog",
 		"internal/cluster",
-		"internal/core",
-		"internal/crtree",
 		"internal/datagen",
 		"internal/exec",
 		"internal/faultinject",
 		"internal/geom",
-		"internal/grid",
 		"internal/httpapi",
 		"internal/index",
 		"internal/instrument",
 		"internal/join",
 		"internal/obs",
-		"internal/octree",
 		"internal/persist",
 		"internal/planner",
 		"internal/rtree",

@@ -14,8 +14,8 @@
 //     real-file FileDisk the durability layer writes through, cached by a
 //     pin-aware LRU BufferPool;
 //   - internal/persist — the durability layer: page-aligned epoch segment
-//     files (natively serialized R-Tree Compact slabs, item-list fallback
-//     for other shard families), an append-only manifest/WAL with
+//     files (natively serialized R-Tree Compact slabs, or references to
+//     the same slabs in older segments), an append-only manifest/WAL with
 //     checksummed records and rotation, crash recovery that falls back one
 //     snapshot generation at a time and serves every recovered R-Tree shard
 //     as an overlay of the segment image (read onto the heap or mmap'd —
@@ -26,7 +26,10 @@
 //     internal/grid, internal/lsh — the in-memory index families the paper
 //     surveys; each tree/grid family also offers a packed read-optimised
 //     Compact snapshot (node slab + structure-of-arrays leaves, built by
-//     Freeze) serving the zero-allocation visitor query paths;
+//     Freeze) serving the zero-allocation visitor query paths. All of them
+//     run in the reproduction (E5, simrun -index); the serving store uses
+//     the R-Tree only, the one family no other beat through Store.Query by
+//     more than the benchmark's bound;
 //   - internal/join — nested-loop, plane-sweep, PBSM-style grid, synchronized
 //     R-Tree and TOUCH-style spatial joins behind a planner-driven Plan/Exec
 //     split: a Planner picks the algorithm from input statistics
@@ -42,15 +45,9 @@
 //     connectivity-driven range queries;
 //   - internal/core — SimIndex, the grid-based index with a maintenance cost
 //     advisor that the paper's conclusions call for;
-//   - internal/catalog — the per-shard statistics catalog: freeze-time
-//     profiles (cardinality, MBR, coverage, clustering, elongation) and the
-//     online per-(family, query-class) latency accumulators the query
-//     planner consumes;
-//   - internal/planner — the cross-family query planner: chooses each
-//     shard's index family from its catalog profile (falling back to a
-//     plain scan for tiny shards), delegates join-algorithm choice to
-//     join.Planner, absorbs core.Advisor's freeze/maintenance cost model,
-//     and lets measured latency evidence override the a-priori choice;
+//   - internal/planner — what is left of the retired per-shard family
+//     planner: a type serve.Config still accepts, with no effect, kept only
+//     for the bench/ harness;
 //   - internal/exec — the parallel batch execution engine: the shared
 //     worker pool (ForTasks/ForChunks), worker-pool BatchSearchCount/BatchKNN
 //     over any index family, the zero-allocation
@@ -62,7 +59,7 @@
 //   - internal/sim — the time-stepped simulation harness of the paper's
 //     Figure 1;
 //   - internal/serve — the sharded, epoch-versioned serving subsystem: STR
-//     tiles of frozen Compact snapshots behind an atomic epoch pointer with
+//     tiles of frozen R-Tree Compact snapshots behind an atomic epoch pointer with
 //     per-epoch refcounts, a tile table (an id -> tile map, SQLite R*-Tree
 //     %_rowid style) that stages update batches so a publish rebuilds only
 //     the tiles a batch dirtied and shares the rest with the previous
@@ -71,8 +68,7 @@
 //     parallel self-joins (Store.SelfJoin), and admission control bounding
 //     in-flight queries; every operation flows through one
 //     Store.Query(Request) Reply entry point whose Reply reports the
-//     executed plan, with an optional planner (per-shard family choice)
-//     and a bounded epoch-keyed result cache with query coalescing —
+//     executed plan, with a bounded epoch-keyed result cache with query coalescing —
 //     dropped wholesale on epoch retirement, so cached results can never
 //     go stale; with a persist store attached the subsystem is
 //     durable — batches are WAL-journaled as they are staged, a background

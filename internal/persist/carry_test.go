@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -18,7 +19,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"spatialsim/internal/geom"
+	"spatialsim/internal/index"
 	"spatialsim/internal/obs"
+	"spatialsim/internal/rtree"
 	"spatialsim/internal/storage"
 )
 
@@ -437,77 +441,207 @@ func TestStoreRegistersSnapshotSeries(t *testing.T) {
 	}
 }
 
-// TestPreviousFormatIsRefused builds a data directory as the previous
+// TestPreviousFormatIsRefused builds data directories this build cannot
+// read and checks that the store refuses each loudly: one as the previous
 // format left it — version 2 segments, snapshot records that end after the
-// segment name — and checks that the store refuses it loudly: Open replays
-// every record (none is mistaken for a torn tail, which would let the next
-// append overwrite the manifest and the next save collect every segment),
-// Recover fails with ErrCorrupt in both modes, and no file changes.
+// segment name — and one whose every snapshot holds the retired item-list
+// record (kind 2). Open replays every record (none is mistaken for a torn
+// tail, which would let the next append overwrite the manifest and the next
+// save collect every segment), Recover fails in both modes with an
+// ErrCorrupt naming what it refused, and no file changes.
 func TestPreviousFormatIsRefused(t *testing.T) {
-	dir := t.TempDir()
 	tl := newTortureTiles(4, 40)
-	var manifest []byte
-	for epoch := uint64(1); epoch <= 2; epoch++ {
-		tl.replace(0, int64(epoch))
-		image := EncodeSegment(epoch, epoch, tl.save(epoch).shards, 512)
-		binary.LittleEndian.PutUint32(image[4:8], 2)
-		name := segmentName(epoch)
-		if err := os.WriteFile(filepath.Join(dir, name), image, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		body := []byte{recSnapshot}
-		body = appendU64(body, epoch)
-		body = appendU64(body, epoch)
-		body = appendU64(body, uint64(len(image)))
-		body = appendU32(body, imageCRC(image))
-		body = binary.LittleEndian.AppendUint16(body, uint16(len(name)))
-		body = append(body, name...)
-		manifest = appendRecord(manifest, body)
-	}
-	manifest = encodeBatchRecord(manifest, BatchRecord{Seq: 3, Updates: []Update{{ID: 1, Delete: true}}})
-	if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	files := func() map[string][]byte {
-		out := make(map[string][]byte)
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+	for _, tc := range []struct {
+		refused string
+		image   func(epoch uint64) []byte
+		record  func(manifest []byte, sr SnapshotRecord) []byte
+	}{
+		{"version 2", func(epoch uint64) []byte {
+			tl.replace(0, int64(epoch))
+			image := EncodeSegment(epoch, epoch, tl.save(epoch).shards, 512)
+			binary.LittleEndian.PutUint32(image[4:8], 2)
+			return image
+		}, func(manifest []byte, sr SnapshotRecord) []byte {
+			body := []byte{recSnapshot}
+			body = appendU64(body, sr.EpochSeq)
+			body = appendU64(body, sr.BatchSeq)
+			body = appendU64(body, uint64(sr.SegSize))
+			body = appendU32(body, sr.SegCRC)
+			body = binary.LittleEndian.AppendUint16(body, uint16(len(sr.Name)))
+			body = append(body, sr.Name...)
+			return appendRecord(manifest, body)
+		}},
+		{"kind 2", func(epoch uint64) []byte {
+			return itemListSegment(epoch, epoch, testItems(30, int64(epoch)), 512)
+		}, encodeSnapshotRecord},
+	} {
+		t.Run(tc.refused, func(t *testing.T) {
+			dir := t.TempDir()
+			var manifest []byte
+			for epoch := uint64(1); epoch <= 2; epoch++ {
+				manifest = writeSnapshot(t, dir, manifest, tc.record, epoch, epoch, tc.image(epoch))
+			}
+			manifest = encodeBatchRecord(manifest, BatchRecord{Seq: 3, Updates: []Update{{ID: 1, Delete: true}}})
+			if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := dirFiles(t, dir)
+
+			s, err := Open(dir, Options{PageSize: 512})
 			if err != nil {
 				t.Fatal(err)
 			}
-			out[e.Name()] = data
-		}
-		return out
+			if snaps := s.Snapshots(); len(snaps) != 2 || s.off != int64(len(manifest)) {
+				t.Fatalf("Open replayed %d snapshot records and %d of %d manifest bytes", len(snaps), s.off, len(manifest))
+			}
+			for _, mapped := range []bool{false, true} {
+				rec, err := s.Recover(RecoverOptions{Mapped: mapped})
+				if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.refused) {
+					t.Fatalf("mapped=%v: recovery = %+v, %v; want an ErrCorrupt naming %s", mapped, rec, err, tc.refused)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			sameFiles(t, dir, before)
+		})
 	}
-	before := files()
+}
 
+// dirFiles reads every file of dir.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = data
+	}
+	return out
+}
+
+// sameFiles fails unless dir holds exactly the files of before, byte for
+// byte.
+func sameFiles(t *testing.T, dir string, before map[string][]byte) {
+	t.Helper()
+	after := dirFiles(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("the directory changed: %d files, was %d", len(after), len(before))
+	}
+	for name, data := range before {
+		if !bytes.Equal(after[name], data) {
+			t.Fatalf("%s changed", name)
+		}
+	}
+}
+
+// itemListSegment builds a segment image as the previous build wrote a
+// shard of a non-R-Tree family: version 3, one kind 2 record whose blob is
+// the item count and the items. This build writes no such record.
+func itemListSegment(epoch, batch uint64, items []index.Item, pageSize int) []byte {
+	blob := appendU32(nil, uint32(len(items)))
+	for _, it := range items {
+		blob = appendItem(blob, it)
+	}
+	payload := append([]byte{2, 0, 0, 0, 0, 0, 0, 0}, appendBox(nil, boundsOf(items))...)
+	payload = appendU64(payload, uint64(len(blob)))
+	payload = append(payload, blob...)
+	payload = append(payload, make([]byte, align8(len(payload))-len(payload))...)
+	image := appendU32(nil, segmentMagic)
+	image = appendU32(image, segmentVersion)
+	image = appendU64(image, epoch)
+	image = appendU64(image, batch)
+	image = appendU32(image, 1)
+	image = appendU32(image, uint32(pageSize))
+	image = appendU64(image, uint64(len(payload)))
+	image = appendU32(image, crc32Checksum(payload))
+	image = append(image, make([]byte, pageSize-len(image))...)
+	image = append(image, payload...)
+	return append(image, make([]byte, (pageSize-len(image)%pageSize)%pageSize)...)
+}
+
+// writeSnapshot writes image as epoch's segment file in dir and appends its
+// snapshot record to manifest through record.
+func writeSnapshot(t *testing.T, dir string, manifest []byte, record func([]byte, SnapshotRecord) []byte, epoch, batch uint64, image []byte) []byte {
+	t.Helper()
+	name := segmentName(epoch)
+	if err := os.WriteFile(filepath.Join(dir, name), image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return record(manifest, SnapshotRecord{
+		EpochSeq: epoch, BatchSeq: batch, SegSize: int64(len(image)), SegCRC: imageCRC(image), Name: name,
+	})
+}
+
+// TestRetiredItemListRecordFallsBack: when only the newest snapshot holds
+// an item-list record, recovery skips it as corrupt and recovers the
+// all-R-Tree snapshot before it plus the WAL tail, which together hold the
+// same content.
+func TestRetiredItemListRecordFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	items := testItems(200, 21)
 	s, err := Open(dir, Options{PageSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snaps := s.Snapshots(); len(snaps) != 2 || s.off != int64(len(manifest)) {
-		t.Fatalf("Open replayed %d snapshot records and %d of %d manifest bytes", len(snaps), s.off, len(manifest))
+	if err := s.SaveEpoch(1, 0, []ShardRecord{{Bounds: boundsOf(items), RTree: rtree.FreezeItems(items, rtree.Config{})}}); err != nil {
+		t.Fatal(err)
+	}
+	moved := index.Item{ID: items[0].ID, Box: geom.NewAABB(geom.V(1, 1, 1), geom.V(2, 2, 2))}
+	batch := []Update{{ID: moved.ID, Box: moved.Box}, {ID: items[1].ID, Delete: true}}
+	if _, err := s.LogBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	final := append([]index.Item{moved}, items[2:]...)
+	manifest, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest = writeSnapshot(t, dir, manifest, encodeSnapshotRecord, 2, 1, itemListSegment(2, 1, final, 512))
+	if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+
+	s, err = Open(dir, Options{PageSize: 512})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, mapped := range []bool{false, true} {
 		rec, err := s.Recover(RecoverOptions{Mapped: mapped})
-		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version 2") {
-			t.Fatalf("mapped=%v: recovery of the previous format = %+v, %v; want an ErrCorrupt naming version 2", mapped, rec, err)
+		if err != nil {
+			t.Fatalf("mapped=%v: %v", mapped, err)
+		}
+		if rec.EpochSeq != 1 || rec.SkippedCorrupt != 1 || len(rec.Pending) != 1 || rec.Pending[0].Seq != 1 {
+			t.Fatalf("mapped=%v: recovered epoch %d, skipped %d, %d pending batches; want epoch 1, 1 skipped, batch 1 pending",
+				mapped, rec.EpochSeq, rec.SkippedCorrupt, len(rec.Pending))
+		}
+		got := itemSet(t, rec.Shards)
+		for _, u := range rec.Pending[0].Updates {
+			if u.Delete {
+				delete(got, u.ID)
+			} else {
+				got[u.ID] = u.Box
+			}
+		}
+		if !maps.Equal(got, wantSet(final)) {
+			t.Fatalf("mapped=%v: snapshot plus WAL tail holds %d items, want the %d the item-list snapshot held", mapped, len(got), len(final))
+		}
+		if rec.Mapping != nil {
+			rec.Mapping.Close()
 		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	after := files()
-	if len(after) != len(before) {
-		t.Fatalf("refusing the previous format changed the directory: %d files, was %d", len(after), len(before))
-	}
-	for name, data := range before {
-		if !bytes.Equal(after[name], data) {
-			t.Fatalf("refusing the previous format changed %s", name)
-		}
-	}
+	sameFiles(t, dir, before)
 }

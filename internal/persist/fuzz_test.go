@@ -29,15 +29,15 @@ func fuzzSeedSegment() []byte {
 	return refSeedSegment(3, 7, items, 512)
 }
 
-// refSeedSegment encodes a segment of all three record kinds: an R-Tree
-// over the first half of items, an item list of the rest, and a reference
-// naming the R-Tree record. The reference points into the segment itself,
-// so resolving it against the same image succeeds.
+// refSeedSegment encodes a segment of both record kinds: an R-Tree over
+// each half of items and a reference naming the first R-Tree record. The
+// reference points into the segment itself, so resolving it against the
+// same image succeeds.
 func refSeedSegment(epochSeq, batchSeq uint64, items []index.Item, pageSize int) []byte {
 	half := len(items) / 2
 	shards := []ShardRecord{
 		{Bounds: boundsOf(items[:half]), RTree: rtree.FreezeItems(items[:half], rtree.Config{})},
-		{Bounds: boundsOf(items[half:]), Items: items[half:]},
+		{Bounds: boundsOf(items[half:]), RTree: rtree.FreezeItems(items[half:], rtree.Config{})},
 	}
 	_, locs := encodeSegment(epochSeq, batchSeq, shards, nil, pageSize)
 	shards = append(shards, ShardRecord{Bounds: shards[0].Bounds})

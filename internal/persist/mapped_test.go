@@ -17,21 +17,12 @@ import (
 	"spatialsim/internal/storage"
 )
 
-// shardIDs collects the sorted result ids of a range query against whichever
-// representation the shard record carries.
+// shardIDs collects the sorted result ids of a range query against the
+// shard record's R-Tree.
 func shardIDs(t *testing.T, sr ShardRecord, q geom.AABB) []int64 {
 	t.Helper()
 	var ids []int64
-	switch {
-	case sr.RTree != nil:
-		sr.RTree.RangeVisit(q, func(it index.Item) bool { ids = append(ids, it.ID); return true })
-	default:
-		for _, it := range sr.Items {
-			if q.Intersects(it.Box) {
-				ids = append(ids, it.ID)
-			}
-		}
-	}
+	sr.RTree.RangeVisit(q, func(it index.Item) bool { ids = append(ids, it.ID); return true })
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
@@ -102,8 +93,8 @@ func TestOpenMappedSegmentLifecycle(t *testing.T) {
 	if ms.Mapped() != storage.MmapSupported() {
 		t.Fatalf("Mapped() = %v with MmapSupported() = %v", ms.Mapped(), storage.MmapSupported())
 	}
-	if storage.MmapSupported() && rtree.OverlaySupported() && ms.ZeroCopyShards() != 1 {
-		t.Fatalf("expected 1 zero-copy shard, got %d", ms.ZeroCopyShards())
+	if storage.MmapSupported() && rtree.OverlaySupported() && ms.ZeroCopyShards() != 2 {
+		t.Fatalf("expected 2 zero-copy shards, got %d", ms.ZeroCopyShards())
 	}
 	if ms.Size() != int64(len(image)) {
 		t.Fatalf("Size() = %d, want %d", ms.Size(), len(image))
@@ -196,7 +187,7 @@ func TestRecoverMappedMatchesHeap(t *testing.T) {
 		t.Fatal("heap-recovered R-Tree shard is not an overlay of the image")
 	}
 	if storage.MmapSupported() {
-		if mapped.ZeroCopyShards != 1 {
+		if mapped.ZeroCopyShards != 2 {
 			t.Fatalf("ZeroCopyShards = %d", mapped.ZeroCopyShards)
 		}
 		if !mapped.Shards[0].RTree.ZeroCopy() {

@@ -324,8 +324,8 @@ func (s *Store) appendLocked(rec []byte, sync bool) error {
 // any byte offset of this sequence leaves the previous snapshot recoverable.
 //
 // The epoch is always complete, but the segment holds only what changed:
-// an R-Tree image that the last successful save wrote or referenced — the
-// same *rtree.Compact, recognized by identity — becomes a reference record
+// an image that the last successful save wrote or referenced — the same
+// *rtree.Compact, recognized by identity — becomes a reference record
 // naming the bytes already on disk. Callers therefore pass the whole epoch
 // every time; carrying is decided here. The carry table keeps the images
 // of the last successful save reachable: when the caller skips epochs
@@ -408,10 +408,9 @@ func (s *Store) saveEpoch(create func(string) (storage.BackingFile, error), carr
 	s.stats.LastEpochSaved = epochSeq
 	s.carry = carry.next(epochSeq, payloadLen(image), shards, locs)
 	for i := range shards {
-		switch {
-		case refs != nil && refs[i] != nil:
+		if refs != nil && refs[i] != nil {
 			s.images.carried++
-		case shards[i].RTree != nil:
+		} else {
 			s.images.written++
 		}
 	}
@@ -503,22 +502,16 @@ func recordSpan(sh ShardRecord) int64 {
 // the one being written are eligible: a save must never reference the file
 // it is about to (re)create.
 func (cs *carrySet) lookup(epochSeq uint64, sh ShardRecord) (ShardRef, bool) {
-	if sh.RTree == nil {
-		return ShardRef{}, false
-	}
 	ref, ok := cs.at[sh.RTree]
 	return ref, ok && ref.Segment < epochSeq
 }
 
 // next builds the set a successful save of epochSeq leaves behind: every
-// R-Tree image of shards at the location its record now names (locs, from
+// image of shards at the location its record now names (locs, from
 // encodeSegment), with payloadLen the new segment's payload size.
 func (cs *carrySet) next(epochSeq uint64, payloadLen int64, shards []ShardRecord, locs []ShardRef) *carrySet {
 	nx := &carrySet{at: make(map[*rtree.Compact]ShardRef, len(shards)), payload: map[uint64]int64{epochSeq: payloadLen}}
 	for i, sh := range shards {
-		if sh.RTree == nil {
-			continue
-		}
 		nx.at[sh.RTree] = locs[i]
 		if seg := locs[i].Segment; seg != epochSeq {
 			nx.payload[seg] = cs.payload[seg]

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -38,7 +39,7 @@ func testShards(t *testing.T, n int, seed int64) []ShardRecord {
 	half := len(items) / 2
 	return []ShardRecord{
 		{Bounds: boundsOf(items[:half]), RTree: rtree.FreezeItems(items[:half], rtree.Config{})},
-		{Bounds: boundsOf(items[half:]), Items: items[half:]},
+		{Bounds: boundsOf(items[half:]), RTree: rtree.FreezeItems(items[half:], rtree.Config{})},
 	}
 }
 
@@ -55,18 +56,14 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if info.EpochSeq != 7 || info.BatchSeq != 42 || info.ShardCount != 2 {
 		t.Fatalf("info = %+v", info)
 	}
-	if dec[0].RTree == nil || dec[1].Items == nil {
-		t.Fatalf("shard kinds lost: %+v", dec)
-	}
-	if dec[0].RTree.Len() != shards[0].RTree.Len() {
-		t.Fatalf("rtree shard len %d, want %d", dec[0].RTree.Len(), shards[0].RTree.Len())
-	}
-	if len(dec[1].Items) != len(shards[1].Items) {
-		t.Fatalf("items shard len %d, want %d", len(dec[1].Items), len(shards[1].Items))
-	}
-	for i, it := range shards[1].Items {
-		if dec[1].Items[i] != it {
-			t.Fatalf("item %d: %+v vs %+v", i, dec[1].Items[i], it)
+	for i := range shards {
+		if dec[i].RTree == nil || dec[i].Bounds != shards[i].Bounds {
+			t.Fatalf("shard %d lost its R-Tree or bounds: %+v", i, dec[i])
+		}
+		all := shards[i].Bounds.Expand(1)
+		want, got := index.VisitAll(shards[i].RTree, all), index.VisitAll(dec[i].RTree, all)
+		if !slices.Equal(got, want) {
+			t.Fatalf("shard %d: %d items decoded, want the %d encoded in order", i, len(got), len(want))
 		}
 	}
 	// Corruption of any payload byte must be detected by the payload CRC.

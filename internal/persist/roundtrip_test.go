@@ -5,13 +5,18 @@ package persist
 // frozen compact snapshot, generate random datasets — uniform and clustered,
 // several seeds each — freeze, persist through a real Store (segment +
 // manifest on disk), recover, and assert that range, kNN and self-join
-// results are identical to the in-memory snapshot's. "Identical" is exact:
-// same items in the same order for range/kNN (the recovered structure is
-// either a byte-level transcription or a deterministic rebuild from the
-// identical item list), same canonical pair set for joins.
+// results are identical to the in-memory snapshot's. The durable form of a
+// shard is an R-Tree image: an R-Tree snapshot is written as itself, any
+// other family's items as the R-Tree over them, and the family is rebuilt
+// from the items recovery hands back. "Identical" is exact: same items in
+// the same order for range/kNN (the recovered structure is either a
+// byte-level transcription or a deterministic rebuild from the identical
+// item list), same canonical pair set for joins.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 
 	"spatialsim/internal/datagen"
@@ -89,8 +94,8 @@ func datasetItems(t *testing.T, clustered bool, n int, seed int64) ([]index.Item
 }
 
 // persistRoundTrip pushes one frozen snapshot through a real on-disk store
-// and returns what recovery hands back: the native decode for R-Tree shards,
-// or the recovered item list for the fallback families.
+// and returns what recovery hands back. An R-Tree snapshot is written as
+// itself; any other family's items are written as the R-Tree over them.
 func persistRoundTrip(t *testing.T, dir string, snap index.ReadIndex, bounds geom.AABB, items []index.Item) ShardRecord {
 	t.Helper()
 	ps, err := Open(dir, Options{})
@@ -98,12 +103,11 @@ func persistRoundTrip(t *testing.T, dir string, snap index.ReadIndex, bounds geo
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	rec := ShardRecord{Bounds: bounds}
-	if c, ok := snap.(*rtree.Compact); ok {
-		rec.RTree = c
-	} else {
-		rec.Items = items
+	c, ok := snap.(*rtree.Compact)
+	if !ok {
+		c = rtree.FreezeItems(items, rtree.Config{})
 	}
+	rec := ShardRecord{Bounds: bounds, RTree: c}
 	if err := ps.SaveEpoch(1, 0, []ShardRecord{rec}); err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +119,15 @@ func persistRoundTrip(t *testing.T, dir string, snap index.ReadIndex, bounds geo
 		t.Fatalf("recovery: epoch %d, %d shards", recovered.EpochSeq, len(recovered.Shards))
 	}
 	return recovered.Shards[0]
+}
+
+// recoveredItems returns every item of a recovered R-Tree in ID order — the
+// order the datasets are generated in, so a family rebuilt from them is
+// built from the identical item list.
+func recoveredItems(c *rtree.Compact) []index.Item {
+	items := index.VisitAll(c, c.Bounds().Expand(1))
+	slices.SortFunc(items, func(a, b index.Item) int { return cmp.Compare(a.ID, b.ID) })
+	return items
 }
 
 func assertSameResults(t *testing.T, label string, want, got []index.Item) {
@@ -148,11 +161,9 @@ func TestRoundTripPropertyAllFamilies(t *testing.T) {
 					inMem := freeze(bounds, items)
 
 					shard := persistRoundTrip(t, t.TempDir(), inMem, bounds, items)
-					var recovered index.ReadIndex
-					if shard.RTree != nil {
-						recovered = shard.RTree
-					} else {
-						recovered = freeze(shard.Bounds, shard.Items)
+					var recovered index.ReadIndex = shard.RTree
+					if _, native := inMem.(*rtree.Compact); !native {
+						recovered = freeze(shard.Bounds, recoveredItems(shard.RTree))
 					}
 					if recovered.Len() != inMem.Len() {
 						t.Fatalf("recovered %d items, in-memory %d", recovered.Len(), inMem.Len())
@@ -187,9 +198,6 @@ func TestRoundTripJoinIdentical(t *testing.T) {
 	shard := persistRoundTrip(t, t.TempDir(), grid.FreezeItems(items, grid.Config{
 		Universe: bounds.Expand(1e-9), CellsPerDim: 10,
 	}), bounds, items)
-	if shard.Items == nil {
-		t.Fatal("grid shard did not round-trip as items")
-	}
 
 	const eps = 1.5
 	var pl join.Planner
@@ -200,7 +208,7 @@ func TestRoundTripJoinIdentical(t *testing.T) {
 		return pairs
 	}
 	want := run(items)
-	got := run(shard.Items)
+	got := run(recoveredItems(shard.RTree))
 	if len(want) != len(got) {
 		t.Fatalf("join pairs: %d in memory, %d recovered", len(want), len(got))
 	}

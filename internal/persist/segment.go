@@ -3,16 +3,15 @@ package persist
 // Epoch segment files. A segment is the durable image of one published
 // serving epoch: a fixed header page followed by one record per shard,
 // padded to a whole number of pages so the file maps 1:1 onto the storage
-// layer's page devices. Shards whose snapshot is an R-Tree Compact are
-// transcribed natively (the slab is offset-based and therefore serializable
-// as-is); every other snapshot family falls back to its item list, rebuilt
-// by the owning shard builder at recovery. A shard whose image an older
-// segment already holds is a reference record instead: it names that
-// segment, the record's offset and length in it, and the record's checksum,
-// so a save writes only the images that changed (see Store.SaveEpoch). One
-// format, two read paths: Recover overlays the R-Tree snapshots on the
-// segment images (read onto the heap or mmap'd), PagedCompact queries the
-// same blob bytes page by page through a buffer pool.
+// layer's page devices. Each shard's R-Tree Compact is transcribed natively
+// (the slab is offset-based and therefore serializable as-is). A shard
+// whose image an older segment already holds is a reference record
+// instead: it names that segment, the record's offset and length in it,
+// and the record's checksum, so a save writes only the images that changed
+// (see Store.SaveEpoch). One format, two read paths: Recover overlays the
+// R-Tree snapshots on the segment images (read onto the heap or mmap'd),
+// PagedCompact queries the same blob bytes page by page through a buffer
+// pool.
 //
 // Segment layout (little-endian):
 //
@@ -28,12 +27,12 @@ package persist
 //	payload (from page 1), per shard, starting 8-byte aligned:
 //	  kind u8 | pad 7 B | bounds 48 B | blob length u64 | blob | pad to 8 B
 //	  kind 1: blob = rtree.Compact binary form
-//	  kind 2: blob = item count u32 | items (id i64 + box 48 B)
 //	  kind 3: blob = segment epoch u64 | record offset u64 |
 //	          record length u64 | record CRC-32C u32
-//	          (a reference: the kind 1 or 2 record at that byte offset of
-//	          that older segment, header through blob, is this shard; a
-//	          reference never names another reference)
+//	          (a reference: the kind 1 record at that byte offset of that
+//	          older segment, header through blob, is this shard)
+//	  kind 2 (an item list, for shard families the store no longer serves)
+//	  is retired: a decoder refuses it like any unknown kind.
 //
 // The padding exists for the overlay: the payload begins on a page boundary
 // and every field group is padded so each blob starts 8-byte aligned in the
@@ -50,7 +49,6 @@ import (
 
 	"spatialsim/internal/exec"
 	"spatialsim/internal/geom"
-	"spatialsim/internal/index"
 	"spatialsim/internal/rtree"
 	"spatialsim/internal/storage"
 )
@@ -66,7 +64,6 @@ const (
 	maxSegmentShards = 1 << 20
 
 	shardKindRTree = 1
-	shardKindItems = 2
 	shardKindRef   = 3
 
 	// refBlobSize is the blob length of a reference record.
@@ -80,18 +77,16 @@ func align8(n int) int { return (n + 7) &^ 7 }
 // on disk do not form a complete, checksummed record.
 var ErrCorrupt = errors.New("persist: corrupt")
 
-// ShardRecord is the durable form of one epoch shard. RTree carries a
-// natively-serialized compact snapshot (on recovery, an overlay of the
-// segment image that serves directly); otherwise Items carries the fallback
-// item list that recovery rebuilds through the serving layer's shard
-// builder. Ref is set only on a reference record as DecodeSegment returns
-// it, with RTree and Items nil — recovery resolves every reference into the
-// record it names. The encoders ignore Ref: whether a shard is written as a
-// reference is Store.SaveEpoch's decision, not the caller's.
+// ShardRecord is the durable form of one epoch shard. RTree carries its
+// natively-serialized compact image (on recovery, an overlay of the segment
+// image that serves directly); the encoders require it. Ref is set only on
+// a reference record as DecodeSegment returns it, with RTree nil — recovery
+// resolves every reference into the record it names. The encoders ignore
+// Ref: whether a shard is written as a reference is Store.SaveEpoch's
+// decision, not the caller's.
 type ShardRecord struct {
 	Bounds geom.AABB
 	RTree  *rtree.Compact
-	Items  []index.Item
 	Ref    *ShardRef
 }
 
@@ -115,7 +110,7 @@ func (sr ShardRecord) Len() int {
 	if sr.RTree != nil {
 		return sr.RTree.Len()
 	}
-	return len(sr.Items)
+	return 0
 }
 
 // SegmentInfo is the decoded header of a segment.
@@ -171,12 +166,9 @@ func encodeSegment(epochSeq, batchSeq uint64, shards []ShardRecord, refs []*Shar
 	for i, sr := range shards {
 		ref := refAt(i)
 		blobLen := shardBlobSize(sr, ref)
-		kind := byte(shardKindItems)
-		switch {
-		case ref != nil:
+		kind := byte(shardKindRTree)
+		if ref != nil {
 			kind = shardKindRef
-		case sr.RTree != nil:
-			kind = shardKindRTree
 		}
 		// Each append below writes in place: the destination is a
 		// zero-length window of the image with room for exactly the record.
@@ -187,19 +179,13 @@ func encodeSegment(epochSeq, batchSeq uint64, shards []ShardRecord, refs []*Shar
 		appendU64(rec, uint64(blobLen))
 		off += shardRecordHeaderSize
 		blob := payload[off : off : off+blobLen]
-		switch kind {
-		case shardKindRTree:
-			sr.RTree.AppendBinary(blob)
-		case shardKindRef:
+		if ref != nil {
 			blob = appendU64(blob, ref.Segment)
 			blob = appendU64(blob, uint64(ref.Offset))
 			blob = appendU64(blob, uint64(ref.Length))
 			appendU32(blob, ref.CRC)
-		default:
-			blob = appendU32(blob, uint32(len(sr.Items)))
-			for _, it := range sr.Items {
-				blob = appendItem(blob, it)
-			}
+		} else {
+			sr.RTree.AppendBinary(blob)
 		}
 		off += blobLen
 		if ref != nil {
@@ -237,13 +223,10 @@ const shardRecordHeaderSize = 8 + boxWireSize + 8
 // shardBlobSize is the encoded blob length of one shard record, written as
 // a reference when ref is set.
 func shardBlobSize(sr ShardRecord, ref *ShardRef) int {
-	switch {
-	case ref != nil:
+	if ref != nil {
 		return refBlobSize
-	case sr.RTree != nil:
-		return sr.RTree.BinarySize()
 	}
-	return 4 + len(sr.Items)*itemWireSize
+	return sr.RTree.BinarySize()
 }
 
 // DecodeSegmentInfo validates and decodes a segment header from the first
@@ -328,9 +311,9 @@ func segmentDirectory(info SegmentInfo, payload []byte) ([]rawShard, error) {
 // DecodeSegment decodes a segment image (header page + payload) into its
 // shard records, using up to workers goroutines. R-Tree blobs become
 // overlays of image (OpenMappedCompact) — image must stay immutable and
-// alive while they serve — item-list blobs are copied out, and reference
-// records come back unresolved (ShardRecord.Ref). verifyCRC checks the
-// payload checksum before any blob is touched. Recovery from a heap image
+// alive while they serve — and reference records come back unresolved
+// (ShardRecord.Ref). verifyCRC checks the payload checksum before any blob
+// is touched. Recovery from a heap image
 // sets it; the mapped open does not (a checksum would fault in every page,
 // the O(data) cost mapping exists to avoid) and relies on structural
 // validation, which still rejects any blob that could make a query fault.
@@ -352,7 +335,7 @@ func DecodeSegment(image []byte, workers int, verifyCRC bool) (SegmentInfo, []Sh
 	}
 
 	// Second pass: open blobs in parallel (an overlay validates its node
-	// slab; an item list is an O(items) copy).
+	// slab).
 	shards := make([]ShardRecord, len(raw))
 	errs := make([]error, len(raw))
 	exec.ForTasks(len(raw), workers, func(_, i int) {
@@ -381,17 +364,6 @@ func openRecord(rs rawShard) (ShardRecord, error) {
 			return ShardRecord{}, err
 		}
 		return ShardRecord{Bounds: rs.bounds, RTree: c}, nil
-	case shardKindItems:
-		br := &byteReader{data: rs.blob}
-		count := int(br.u32())
-		if count < 0 || count*itemWireSize != br.remaining() {
-			return ShardRecord{}, fmt.Errorf("%w segment: %d items declared in %d bytes", ErrCorrupt, count, len(rs.blob))
-		}
-		items := make([]index.Item, count)
-		for j := range items {
-			items[j] = br.item()
-		}
-		return ShardRecord{Bounds: rs.bounds, Items: items}, nil
 	case shardKindRef:
 		if len(rs.blob) != refBlobSize {
 			return ShardRecord{}, fmt.Errorf("%w segment: %d-byte reference", ErrCorrupt, len(rs.blob))

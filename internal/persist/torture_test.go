@@ -99,16 +99,10 @@ func itemSet(t *testing.T, shards []ShardRecord) map[int64]geom.AABB {
 	t.Helper()
 	out := make(map[int64]geom.AABB)
 	for _, sr := range shards {
-		if sr.RTree != nil {
-			sr.RTree.RangeVisit(sr.RTree.Bounds().Expand(1), func(it index.Item) bool {
-				out[it.ID] = it.Box
-				return true
-			})
-			continue
-		}
-		for _, it := range sr.Items {
+		sr.RTree.RangeVisit(sr.RTree.Bounds().Expand(1), func(it index.Item) bool {
 			out[it.ID] = it.Box
-		}
+			return true
+		})
 	}
 	return out
 }

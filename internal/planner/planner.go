@@ -1,291 +1,19 @@
-// Package planner is the cross-family query planner of the serving
-// subsystem. PR 4's join planner proved the paper's claim that
-// statistics-driven algorithm choice beats any static configuration — but
-// only for joins. This package generalizes it: one planner, consuming the
-// statistics catalog (internal/catalog), chooses
+// Package planner once chose an index family per serving shard from a
+// statistics catalog. The store now serves R-Tree tiles only: measured
+// through Store.Query, no other family beat the R-Tree by more than the
+// benchmark's bound on any dataset and query class, so the family choice,
+// its catalog and its latency feedback left the serving path. The paper's
+// per-workload index comparison still runs in the reproduction
+// (internal/experiments E5, cmd/simrun -index), and the join algorithm is
+// chosen by join.Planner.
 //
-//   - the index family of every shard at freeze time (R-Tree, CSR grid,
-//     octree, compressed CR-Tree, or no structure at all — a linear scan —
-//     when the shard is too small to amortize one),
-//   - the join algorithm per query, by delegating to the join planner's
-//     decision criteria (cardinality, density, MBR overlap, elongation),
-//   - freeze timing and maintenance strategy, by absorbing core.Advisor's
-//     cost model (the paper's update-vs-rebuild-vs-scan crossover),
-//
-// and corrects its a-priori family choice with the catalog's online latency
-// evidence once enough samples have accumulated — the workload-aware half of
-// "workload-aware caching and planning".
+// What is left is kept only so the benchmark harness (bench/) builds
+// unchanged; a later change to the benchmark drops its use and then this
+// package.
 package planner
 
-import (
-	"time"
+// Planner has no effect: serve.Config.Planner accepts it and ignores it.
+type Planner struct{}
 
-	"spatialsim/internal/catalog"
-	"spatialsim/internal/core"
-	"spatialsim/internal/geom"
-	"spatialsim/internal/index"
-	"spatialsim/internal/join"
-)
-
-// Family names of the shard layouts the serving layer can build. The planner
-// speaks names rather than builder funcs so the decision logic stays
-// decoupled from construction (the serve package owns the builders).
-const (
-	FamilyRTree  = "rtree"
-	FamilyGrid   = "grid"
-	FamilyOctree = "octree"
-	FamilyCRTree = "crtree"
-	FamilyScan   = "scan"
-)
-
-// Config tunes the planner's decision thresholds. The zero value picks
-// paper-calibrated defaults.
-type Config struct {
-	// ScanMax is the shard cardinality at or below which no index structure
-	// pays for itself and the flat scan family wins. <= 0 derives it from the
-	// advisor cost model: a structure saves at most the difference between a
-	// full scan (ScanCostFactor per element) and an indexed query
-	// (IndexedQueryCost), so below IndexedQueryCost/ScanCostFactor elements
-	// the scan is never worse.
-	ScanMax int
-	// ClusterThreshold: at this catalog clustering score and above the data
-	// is clumped and the octree's adaptive subdivision wins over uniform
-	// decompositions.
-	ClusterThreshold float64
-	// DenseCoverage: at this element-density coverage and above (heavily
-	// overlapping boxes) the R-Tree's overlap-tolerant hierarchy wins; the
-	// same threshold the join planner uses to abandon the uniform grid.
-	DenseCoverage float64
-	// SparseCoverage: below this coverage the elements are so small relative
-	// to the shard that uniform grid cells sit mostly empty and traversing
-	// them costs more than the R-Tree's data-oriented hierarchy — the grid
-	// only pays inside the [SparseCoverage, DenseCoverage) density band.
-	SparseCoverage float64
-	// CompressMin is the cardinality at and above which the CR-Tree's
-	// compressed cache-conscious nodes win for uniform point-like data —
-	// compression only pays once the working set outgrows fast cache levels.
-	CompressMin int
-	// MinLatencySamples is the per-(family, class) sample count the online
-	// latency catalog needs before its evidence can override the a-priori
-	// choice (<= 0 uses 64).
-	MinLatencySamples int64
-	// Cost is the absorbed core.Advisor cost model, used for the scan
-	// threshold, freeze timing and maintenance strategy. Zero value uses the
-	// paper-calibrated defaults.
-	Cost core.Advisor
-	// Join configures the delegated join-algorithm choice. Zero value uses
-	// the join planner defaults.
-	Join join.Planner
-}
-
-func (c Config) withDefaults() Config {
-	if c.ScanMax <= 0 {
-		adv := core.DefaultAdvisor()
-		c.ScanMax = int(adv.IndexedQueryCost / adv.ScanCostFactor)
-	}
-	if c.ClusterThreshold <= 0 {
-		c.ClusterThreshold = 0.5
-	}
-	if c.DenseCoverage <= 0 {
-		c.DenseCoverage = 2
-	}
-	if c.SparseCoverage <= 0 {
-		c.SparseCoverage = 0.02
-	}
-	if c.CompressMin <= 0 {
-		c.CompressMin = 1 << 14
-	}
-	if c.MinLatencySamples <= 0 {
-		c.MinLatencySamples = 64
-	}
-	return c
-}
-
-// Planner makes the serving layer's planning decisions. Construct with New;
-// the zero value is not ready (it has no latency catalog).
-type Planner struct {
-	cfg Config
-	lat *catalog.Latencies
-}
-
-// New returns a planner with the given thresholds and a fresh latency
-// catalog.
-func New(cfg Config) *Planner {
-	return &Planner{cfg: cfg.withDefaults(), lat: catalog.NewLatencies()}
-}
-
-// Default returns a planner with the paper-calibrated default thresholds.
-func Default() *Planner { return New(Config{}) }
-
-// Latencies returns the planner's online latency catalog — the serve layer
-// feeds query executions into it and Stats surfaces its snapshot.
-func (p *Planner) Latencies() *catalog.Latencies { return p.lat }
-
-// Observe records one query execution on the latency catalog. family is the
-// executing epoch's family summary; class is a catalog.Class* constant.
-func (p *Planner) Observe(family, class string, d time.Duration) {
-	p.lat.Observe(family, class, d.Seconds())
-}
-
-// ScanMax returns the effective scan-family cardinality threshold.
-func (p *Planner) ScanMax() int { return p.cfg.ScanMax }
-
-// ChooseFamily picks the index family for one shard from its profile,
-// restricted to the available families (empty means all). The decision runs
-// the paper's criteria from the most to the least specific regime:
-//
-//  1. tiny shards take no structure at all (the advisor's scan crossover);
-//  2. clumped data favors the octree's adaptive subdivision;
-//  3. heavily overlapping boxes favor the R-Tree (uniform decompositions
-//     degenerate, the join planner's DenseCoverage criterion);
-//  4. large uniform point-like sets favor the CR-Tree's compressed
-//     cache-conscious nodes;
-//  5. very sparse data (coverage below SparseCoverage) also favors the
-//     R-Tree — uniform grid cells sit mostly empty and cost more to walk
-//     than the data-oriented hierarchy;
-//  6. everything else takes the uniform CSR grid.
-//
-// When the online latency catalog holds enough evidence (MinLatencySamples
-// per class) for the heuristic family and a strictly faster alternative, the
-// evidence wins — measured latency outranks a-priori statistics.
-func (p *Planner) ChooseFamily(prof catalog.ShardProfile, available []string) string {
-	pick := p.heuristicFamily(prof)
-	pick = restrict(pick, available)
-	return restrict(p.latencyOverride(pick, available), available)
-}
-
-func (p *Planner) heuristicFamily(prof catalog.ShardProfile) string {
-	switch {
-	case prof.Card <= p.cfg.ScanMax:
-		return FamilyScan
-	case prof.Clustering >= p.cfg.ClusterThreshold:
-		return FamilyOctree
-	case prof.Coverage >= p.cfg.DenseCoverage:
-		return FamilyRTree
-	case prof.Card >= p.cfg.CompressMin:
-		return FamilyCRTree
-	case prof.Coverage < p.cfg.SparseCoverage:
-		return FamilyRTree
-	default:
-		return FamilyGrid
-	}
-}
-
-// familyPriority orders the fallback when a choice is not available.
-var familyPriority = []string{FamilyRTree, FamilyGrid, FamilyOctree, FamilyCRTree, FamilyScan}
-
-// restrict maps pick onto the available set (nil/empty means everything is
-// available), falling back through familyPriority.
-func restrict(pick string, available []string) string {
-	if len(available) == 0 {
-		return pick
-	}
-	has := func(f string) bool {
-		for _, a := range available {
-			if a == f {
-				return true
-			}
-		}
-		return false
-	}
-	if has(pick) {
-		return pick
-	}
-	for _, f := range familyPriority {
-		if has(f) {
-			return f
-		}
-	}
-	return available[0]
-}
-
-// latencyOverride replaces the heuristic pick with a measured-faster family
-// when the catalog has enough evidence for both. Evidence is compared on the
-// summed mean latency of the classes both families have fully sampled, so a
-// family cannot win on a class the incumbent has never been measured on.
-func (p *Planner) latencyOverride(pick string, available []string) string {
-	candidates := available
-	if len(candidates) == 0 {
-		candidates = familyPriority
-	}
-	classes := [...]string{catalog.ClassRange, catalog.ClassKNN, catalog.ClassJoin}
-	best, bestScore := pick, 0.0
-	baseScored := false
-	for _, class := range classes {
-		if m, n := p.lat.Mean(pick, class); n >= p.cfg.MinLatencySamples {
-			bestScore += m
-			baseScored = true
-		}
-	}
-	if !baseScored {
-		return pick
-	}
-	for _, f := range candidates {
-		if f == pick || f == FamilyScan {
-			// The scan family is a cost-model decision, not a latency race:
-			// its measured latency comes from tiny shards and does not
-			// transfer to the shard being planned.
-			continue
-		}
-		score, scored := 0.0, true
-		for _, class := range classes {
-			// Compare only classes the incumbent was scored on, and require
-			// the challenger to have evidence for each of them.
-			if _, n0 := p.lat.Mean(pick, class); n0 < p.cfg.MinLatencySamples {
-				continue
-			}
-			m, n := p.lat.Mean(f, class)
-			if n < p.cfg.MinLatencySamples {
-				scored = false
-				break
-			}
-			score += m
-		}
-		if scored && score < bestScore {
-			best, bestScore = f, score
-		}
-	}
-	return best
-}
-
-// JoinAlgorithm delegates the per-query join choice to the join planner's
-// statistics criteria.
-func (p *Planner) JoinAlgorithm(st join.Stats) join.Algorithm {
-	return p.cfg.Join.Pick(st)
-}
-
-// PlanSelfJoin prepares an epoch self-join: the join planner picks the
-// algorithm from the input statistics unless one is forced.
-func (p *Planner) PlanSelfJoin(items []index.Item, opts join.Options, forced join.Algorithm, force bool) *join.Plan {
-	if force {
-		return p.cfg.Join.PlanSelfWith(forced, items, opts)
-	}
-	return p.cfg.Join.PlanSelf(items, opts)
-}
-
-// Maintenance is the absorbed advisor decision: the cheapest way to carry an
-// index across a step in which `changed` of `total` elements moved and
-// `queries` queries will run before the next step.
-func (p *Planner) Maintenance(changed, total, queries int) core.Strategy {
-	return p.cfg.Cost.Choose(changed, total, queries)
-}
-
-// ShouldFreeze is the absorbed freeze-timing decision: whether packing a
-// read-optimised snapshot pays for itself over the expected query count.
-func (p *Planner) ShouldFreeze(queries, total int) bool {
-	return p.cfg.Cost.ShouldFreeze(queries, total)
-}
-
-// FanOut predicts the shard fan-out of a range query over the given shard
-// profiles — the number of shards whose MBR the query reaches. The serving
-// layer reports it in every Reply so tests and experiments can assert
-// pruning instead of inferring it from timing.
-func FanOut(profiles []catalog.ShardProfile, query geom.AABB) int {
-	n := 0
-	for i := range profiles {
-		if profiles[i].Card > 0 && query.Intersects(profiles[i].MBR) {
-			n++
-		}
-	}
-	return n
-}
+// Default returns a Planner.
+func Default() *Planner { return &Planner{} }

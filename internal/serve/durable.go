@@ -9,21 +9,16 @@ package serve
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
-	"spatialsim/internal/exec"
-	"spatialsim/internal/index"
 	"spatialsim/internal/persist"
-	"spatialsim/internal/rtree"
 )
 
 // Open constructs a store and starts its background workers. With
 // Config.Persist set it first recovers: the newest verifiable epoch snapshot
-// is loaded (native R-Tree shards serve directly as overlays of the segment
-// image; other shard families are rebuilt from their persisted items
-// through cfg.Build), the tile table is re-seeded from it (one tile per
-// persisted shard), and the WAL tail beyond the snapshot is replayed batch
+// is loaded (its R-Tree shards serve directly as overlays of the segment
+// images), the tile table is re-seeded from it (one tile per persisted
+// shard), and the WAL tail beyond the snapshot is replayed batch
 // by batch — reproducing the pre-crash content, tile layout and epoch
 // sequence numbers. Open fails (rather than serving torn data) only when
 // snapshots exist but none verifies.
@@ -38,9 +33,6 @@ func Open(cfg Config) (*Store, error) {
 	s.releaseSlot = func() {
 		s.inFlight.Add(-1)
 		<-s.sem
-	}
-	if cfg.Planner != nil {
-		s.families = familyNames(cfg.Families)
 	}
 	empty := newEpoch(0, nil, 0)
 	s.attachCache(empty)
@@ -66,11 +58,10 @@ func Open(cfg Config) (*Store, error) {
 }
 
 // recoverFromPersist loads the persisted state into the (not yet started)
-// store. R-Tree shards overlay the segment image in both modes — read onto
-// the heap and checksummed in heap mode, mmap'd in mapped mode, where
-// recovery work is O(open) — and no item is scanned either way (the tile
-// table re-seed is deferred to the first Apply via seedFrom). Only non-R-Tree
-// shards are rebuilt.
+// store. Shards overlay the segment images in both modes — read onto the
+// heap and checksummed in heap mode, mmap'd in mapped mode, where recovery
+// work is O(open) — and no shard is rebuilt or item scanned either way (the
+// tile table re-seed is deferred to the first Apply via seedFrom).
 func (s *Store) recoverFromPersist() error {
 	mapped := s.cfg.Serving == ServingMapped
 	rec, err := s.cfg.Persist.Recover(persist.RecoverOptions{Workers: s.cfg.Workers, Mapped: mapped})
@@ -90,21 +81,9 @@ func (s *Store) recoverFromPersist() error {
 
 	if len(rec.Shards) > 0 || rec.EpochSeq > 0 {
 		shards := make([]Shard, len(rec.Shards))
-		var rebuilt atomic.Int64
-		inner := s.cfg.Workers/max(len(rec.Shards), 1) + 1
-		exec.ForTasks(len(rec.Shards), s.cfg.Workers, func(_, i int) {
-			sr := rec.Shards[i]
-			if sr.RTree != nil {
-				shards[i] = recoveredShard(sr.Bounds, sr.RTree)
-			} else {
-				// Item-fallback shards rebuild through buildShard: the same items
-				// produce the same profile, so a planner-mode store lands on the
-				// same family it chose before the crash.
-				shards[i] = s.buildShard(sr.Bounds, sr.Items, inner)
-				rebuilt.Add(1)
-			}
-		})
-		s.recovery.RebuiltShards = int(rebuilt.Load())
+		for i, sr := range rec.Shards {
+			shards[i] = newShard(sr.Bounds, sr.RTree)
+		}
 		e := newEpoch(rec.EpochSeq, shards, rec.Items())
 		e.covered = rec.BatchSeq
 		if rec.Mapping != nil {
@@ -251,26 +230,12 @@ func (s *Store) Snapshot() (uint64, error) {
 	return s.lastPersisted.Load(), nil
 }
 
-// shardRecords converts an epoch's shards into their durable form: R-Tree
-// compact snapshots are transcribed natively, every other family falls back
-// to its item list (rebuilt through the shard builder at recovery).
+// shardRecords converts an epoch's shards into their durable form: each
+// R-Tree image is transcribed natively.
 func shardRecords(e *Epoch) []persist.ShardRecord {
 	recs := make([]persist.ShardRecord, len(e.shards))
 	for i := range e.shards {
-		sh := &e.shards[i]
-		if c, ok := sh.snap.(*rtree.Compact); ok {
-			recs[i] = persist.ShardRecord{Bounds: sh.bounds, RTree: c}
-			continue
-		}
-		var items []index.Item
-		if sh.snap.Len() > 0 {
-			items = make([]index.Item, 0, sh.snap.Len())
-			sh.snap.RangeVisit(sh.bounds, func(it index.Item) bool {
-				items = append(items, it)
-				return true
-			})
-		}
-		recs[i] = persist.ShardRecord{Bounds: sh.bounds, Items: items}
+		recs[i] = persist.ShardRecord{Bounds: e.shards[i].bounds, RTree: e.shards[i].snap}
 	}
 	return recs
 }

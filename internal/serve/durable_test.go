@@ -136,37 +136,6 @@ func TestDurableWALReplayRestoresEpochSequence(t *testing.T) {
 	}
 }
 
-func TestDurableItemsFallbackFamilies(t *testing.T) {
-	for name, build := range map[string]ShardBuilder{
-		"grid":   GridBuilder(12),
-		"octree": OctreeBuilder(16),
-	} {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := Config{Shards: 4, Workers: 2, Build: build}
-			st, ps := openDurable(t, dir, cfg)
-			st.Bootstrap(durableItems(1500, 21))
-			st.Apply([]Update{{ID: 42, Delete: true}})
-			epoch, rangeRes, knnRes := queryFingerprint(t, st)
-			st.Close()
-			ps.Close()
-
-			st2, ps2 := openDurable(t, dir, cfg)
-			defer func() { st2.Close(); ps2.Close() }()
-			epoch2, rangeRes2, knnRes2 := queryFingerprint(t, st2)
-			if epoch2 != epoch {
-				t.Fatalf("epoch after restart = %d, want %d", epoch2, epoch)
-			}
-			if !sameItems(rangeRes, rangeRes2) {
-				t.Fatalf("range results differ after rebuild from items")
-			}
-			if !sameItems(knnRes, knnRes2) {
-				t.Fatalf("knn results differ after rebuild from items")
-			}
-		})
-	}
-}
-
 func TestDurableStatsSurface(t *testing.T) {
 	dir := t.TempDir()
 	st, ps := openDurable(t, dir, Config{Shards: 2})

@@ -6,48 +6,36 @@ import (
 	"sync/atomic"
 	"time"
 
-	"spatialsim/internal/catalog"
 	"spatialsim/internal/faultinject"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
 	"spatialsim/internal/instrument"
 	"spatialsim/internal/obs"
+	"spatialsim/internal/rtree"
 )
 
-// Shard is one space partition of an epoch — the frozen image of one STR
-// tile of the store's tile table: a read-optimised snapshot of the tile's
-// items, plus the tight MBR of those items used to prune query fan-out, the
-// index family the snapshot was built as, and the statistics profile the
-// family choice was made on. An image unchanged by a publish is shared by
+// Shard is one space partition of an epoch — the frozen R-Tree image of one
+// STR tile of the store's tile table, plus the tight MBR of its items used
+// to prune query fan-out. An image unchanged by a publish is shared by
 // reference between consecutive epochs; refs counts the epochs holding it.
 type Shard struct {
-	bounds  geom.AABB
-	snap    index.ReadIndex
-	family  string
-	profile catalog.ShardProfile
-	refs    *atomic.Int32
+	bounds geom.AABB
+	snap   *rtree.Compact
+	refs   *atomic.Int32
+}
+
+// newShard wraps a frozen image into a Shard. Both the publish path
+// (freezeAndSwap) and crash recovery — where the image overlays the
+// segment bytes in both serving modes — build shards through here.
+func newShard(bounds geom.AABB, c *rtree.Compact) Shard {
+	return Shard{bounds: bounds, snap: c, refs: new(atomic.Int32)}
 }
 
 // Bounds returns the shard's minimum bounding rectangle.
 func (sh *Shard) Bounds() geom.AABB { return sh.bounds }
 
-// Family returns the index family name the shard snapshot was built as.
-func (sh *Shard) Family() string { return sh.family }
-
-// Profile returns the freeze-time statistics profile of the shard's items.
-func (sh *Shard) Profile() catalog.ShardProfile { return sh.profile }
-
 // Len returns the number of items the shard holds.
 func (sh *Shard) Len() int { return sh.snap.Len() }
-
-// Counters returns the shard snapshot's instrumentation counters, or nil if
-// the snapshot is not instrumented (index.ReadIndex does not require it).
-func (sh *Shard) Counters() *instrument.Counters {
-	if c, ok := sh.snap.(interface{ Counters() *instrument.Counters }); ok {
-		return c.Counters()
-	}
-	return nil
-}
 
 // Epoch is one immutable generation of the serving store: a set of frozen
 // shards built from a consistent snapshot of the staged state. Readers pin an
@@ -82,12 +70,9 @@ type Epoch struct {
 	// uses to release its segment mapping instead of freeing heap.
 	onRetire []func()
 
-	// family is the modal shard family of the epoch — the default attribution
-	// of a query that fans out to several shards. cache is the epoch's result
-	// cache (nil when caching is disabled); it dies with the epoch, which is
-	// the whole invalidation story.
-	family string
-	cache  *epochCache
+	// cache is the epoch's result cache (nil when caching is disabled); it
+	// dies with the epoch, which is the whole invalidation story.
+	cache *epochCache
 
 	// wrapPool recycles the early-stop wrappers RangeVisit threads through
 	// shards and knnPool the scratch KNNInto merges shard candidates in, so
@@ -106,7 +91,6 @@ func newEpoch(seq uint64, shards []Shard, items int) *Epoch {
 		}
 	}
 	e := &Epoch{seq: seq, items: items, shards: shards, bounds: bounds, born: time.Now()}
-	e.family = modalFamily(shards)
 	e.wrapPool.New = func() interface{} {
 		w := &stopWrap{}
 		w.fn = w.call
@@ -233,11 +217,9 @@ func (e *Epoch) rangeVisitCtx(ctx context.Context, query geom.AABB, visit func(i
 		sp := fan.Child("shard_visit")
 		sp.SetShard(i)
 		var before instrument.CounterSnapshot
-		c := sh.Counters()
-		if ctx != nil && c != nil {
-			before = c.Snapshot()
-		}
+		c := sh.snap.Counters()
 		if ctx != nil {
+			before = c.Snapshot()
 			if err := ctx.Err(); err != nil {
 				// Deadline gone: keep walking only to attribute the skipped
 				// shards in the degraded reply's error detail.
@@ -258,7 +240,7 @@ func (e *Epoch) rangeVisitCtx(ctx context.Context, query geom.AABB, visit func(i
 			}
 		}
 		sh.snap.RangeVisit(query, w.fn)
-		if ctx != nil && c != nil {
+		if ctx != nil {
 			delta := c.Snapshot().Sub(before)
 			out.counters = out.counters.Add(delta)
 			if sp != nil {
@@ -400,18 +382,18 @@ func (e *Epoch) knnIntoCtx(ctx context.Context, p geom.Vec3, k int, buf []index.
 			}
 		}
 		var before instrument.CounterSnapshot
-		c := e.shards[si].Counters()
-		if ctx != nil && c != nil {
+		c := e.shards[si].snap.Counters()
+		if ctx != nil {
 			before = c.Snapshot()
 		}
-		if bk, ok := e.shards[si].snap.(boundedKNNer); ok && cur >= k {
+		if cur >= k {
 			// Only candidates nearer than the running kth can enter the
 			// merge (ties keep the earlier shard's items).
-			buf = bk.KNNWithin(p, k, st.curD[cur-1], buf)
+			buf = e.shards[si].snap.KNNWithin(p, k, st.curD[cur-1], buf)
 		} else {
 			buf = e.shards[si].snap.KNNInto(p, k, buf)
 		}
-		if ctx != nil && c != nil {
+		if ctx != nil {
 			delta := c.Snapshot().Sub(before)
 			out.counters = out.counters.Add(delta)
 			if sp != nil {
@@ -455,12 +437,6 @@ func (st *knnScratch) popNearest() int32 {
 	return si
 }
 
-// boundedKNNer is a shard snapshot whose kNN search stops at a distance
-// bound (rtree.Compact).
-type boundedKNNer interface {
-	KNNWithin(p geom.Vec3, k int, bound2 float64, buf []index.Item) []index.Item
-}
-
 // mergeTopK merges the sorted runs buf[base:base+cur] (distances st.curD) and
 // buf[base+cur:] (distances st.newD) into the k closest, writing the result
 // back into buf[base:] and returning the truncated buf plus the new distance
@@ -488,79 +464,28 @@ func (st *knnScratch) mergeTopK(buf []index.Item, base, cur, k int, p geom.Vec3)
 
 var _ index.ReadIndex = (*Epoch)(nil)
 
-// Family returns the epoch's modal shard family — what most of its shards
-// were built as ("" for an empty epoch).
-func (e *Epoch) Family() string { return e.family }
-
-// modalFamily returns the most common family among the non-empty shards,
-// ties broken toward the lexically smaller name for determinism.
-func modalFamily(shards []Shard) string {
-	counts := make(map[string]int, 4)
-	best, bestC := "", 0
-	for i := range shards {
-		sh := &shards[i]
-		if sh.snap == nil || sh.snap.Len() == 0 {
-			continue
-		}
-		counts[sh.family]++
-		if c := counts[sh.family]; c > bestC || (c == bestC && sh.family < best) {
-			best, bestC = sh.family, c
-		}
-	}
-	return best
-}
-
-// planRange counts the shards a range query fans out to after MBR pruning
-// and returns the modal family among them — the Reply plan report, computed
-// without touching the shard snapshots. Allocation-free: family diversity is
-// bounded by the planner menu, so fixed-size scratch suffices.
-func (e *Epoch) planRange(q geom.AABB) (int, string) {
-	var names [8]string
-	var counts [8]int
-	nf, fan := 0, 0
+// planRange counts the shards a range query fans out to after MBR pruning —
+// the Reply plan report, computed without touching the shard images.
+func (e *Epoch) planRange(q geom.AABB) int {
+	fan := 0
 	for i := range e.shards {
-		sh := &e.shards[i]
-		if sh.snap.Len() == 0 || !q.Intersects(sh.bounds) {
-			continue
-		}
-		fan++
-		for j := 0; ; j++ {
-			if j == nf {
-				if nf < len(names) {
-					names[nf], counts[nf] = sh.family, 1
-					nf++
-				}
-				break
-			}
-			if names[j] == sh.family {
-				counts[j]++
-				break
-			}
+		if sh := &e.shards[i]; sh.snap.Len() > 0 && q.Intersects(sh.bounds) {
+			fan++
 		}
 	}
-	if fan == 0 || nf == 0 {
-		return fan, e.family
-	}
-	best := 0
-	for j := 1; j < nf; j++ {
-		if counts[j] > counts[best] || (counts[j] == counts[best] && names[j] < names[best]) {
-			best = j
-		}
-	}
-	return fan, names[best]
+	return fan
 }
 
 // planAll is planRange for whole-epoch operations (kNN merges, joins, arena
-// batches): every non-empty shard participates and the family attribution is
-// the epoch's modal one.
-func (e *Epoch) planAll() (int, string) {
+// batches): every non-empty shard participates.
+func (e *Epoch) planAll() int {
 	fan := 0
 	for i := range e.shards {
 		if e.shards[i].snap.Len() > 0 {
 			fan++
 		}
 	}
-	return fan, e.family
+	return fan
 }
 
 // dropCache releases the epoch's result cache wholesale; called exactly once,

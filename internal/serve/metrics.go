@@ -208,9 +208,7 @@ func (s *Store) costSnapshot() (instrument.CounterSnapshot, int) {
 	s.costMu.Unlock()
 	e := s.acquire()
 	for i := range e.shards {
-		if c := e.shards[i].Counters(); c != nil {
-			acc = acc.Add(c.Snapshot())
-		}
+		acc = acc.Add(e.shards[i].snap.Counters().Snapshot())
 	}
 	s.release(e)
 	return acc, int(s.queries.Load())
@@ -227,9 +225,7 @@ func (s *Store) foldRetiredCounters(e *Epoch) {
 		if e.shards[i].refs.Add(-1) != 0 || s.metrics == nil {
 			continue
 		}
-		if c := e.shards[i].Counters(); c != nil {
-			acc = acc.Add(c.Snapshot())
-		}
+		acc = acc.Add(e.shards[i].snap.Counters().Snapshot())
 	}
 	if s.metrics == nil {
 		return

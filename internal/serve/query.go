@@ -2,10 +2,10 @@ package serve
 
 // The unified query entry point: every read the store serves — single range,
 // single kNN, arena batches, epoch self-joins — is one Store.Query call, so
-// admission control, epoch pinning, deadlines, planning, caching, latency
-// feedback and plan reporting happen in exactly one place. The named methods
-// (Range, KNN, BatchRange, SelfJoin, ...) are thin wrappers that fill a
-// Request and reshape the Reply.
+// admission control, epoch pinning, deadlines, caching and plan reporting
+// happen in exactly one place. The named methods (Range, KNN, BatchRange,
+// SelfJoin, ...) are thin wrappers that fill a Request and reshape the
+// Reply.
 //
 // Robustness contract (the graceful-degradation shape a future multi-node
 // coordinator inherits per shard):
@@ -28,7 +28,6 @@ import (
 	"errors"
 	"time"
 
-	"spatialsim/internal/catalog"
 	"spatialsim/internal/exec"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
@@ -155,13 +154,10 @@ func (r Request) priority() Priority {
 	}
 }
 
-// PlanInfo reports the decisions behind one Reply: which index family served
-// it, which join algorithm ran, whether the result came from the epoch cache,
-// and how many shards the query fanned out to.
+// PlanInfo reports the decisions behind one Reply: which join algorithm
+// ran, whether the result came from the epoch cache, and how many shards the
+// query fanned out to.
 type PlanInfo struct {
-	// Family is the index family that served the query — the modal family of
-	// the shards reached (per-shard families may differ under the planner).
-	Family string `json:"family"`
 	// Algorithm is the join algorithm that executed ("" for non-joins).
 	Algorithm string `json:"algorithm,omitempty"`
 	// CacheHit is true when the result was served from the epoch cache
@@ -320,36 +316,9 @@ func (rep *Reply) finishOutcome(ctx context.Context, out visitOutcome, gathered 
 	rep.ShardErrors = out.errs
 }
 
-// observeStart returns the wall-clock start of a latency observation, zero
-// when no planner is consuming observations (keeps time.Now off the legacy
-// hot path).
-func (s *Store) observeStart() time.Time {
-	if s.cfg.Planner == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// observe feeds one execution latency into the planner's catalog. Degraded or
-// failed executions are not observed — a shed shard would make a family look
-// faster than it is.
-func (s *Store) observe(family, class string, start time.Time) {
-	if s.cfg.Planner == nil || start.IsZero() || family == "" {
-		return
-	}
-	s.cfg.Planner.Observe(family, class, time.Since(start))
-}
-
 func (s *Store) queryRange(ctx context.Context, e *Epoch, req Request) Reply {
-	start := s.observeStart()
 	span := obs.SpanFromContext(ctx)
-	ps := span.Child("plan")
-	_, fam := e.planRange(req.Query)
-	if ps != nil {
-		ps.Set("family", fam)
-		ps.End()
-	}
-	rep := Reply{Epoch: e.seq, Plan: PlanInfo{Family: fam}}
+	rep := Reply{Epoch: e.seq}
 
 	if req.Visit != nil {
 		var n int64
@@ -364,9 +333,6 @@ func (s *Store) queryRange(ctx context.Context, e *Epoch, req Request) Reply {
 		rep.finishOutcome(ctx, out, int(n))
 		s.queries.Add(1)
 		s.results.Add(n)
-		if out.clean() || out.stopped {
-			s.observe(fam, catalog.ClassRange, start)
-		}
 		return rep
 	}
 
@@ -386,11 +352,11 @@ func (s *Store) queryRange(ctx context.Context, e *Epoch, req Request) Reply {
 			} else if failed {
 				// The owner abandoned the entry (cancelled or degraded
 				// execution): fall through and execute privately, uncached.
-				return s.rangeUncached(ctx, e, req, rep, fam, start)
+				return s.rangeUncached(ctx, e, req, rep)
 			}
 			rep.Items = append(req.Buf, entry.items...)
 			rep.Plan.CacheHit = true
-			rep.Plan.FanOut, _ = e.planRange(req.Query)
+			rep.Plan.FanOut = e.planRange(req.Query)
 			s.queries.Add(1)
 			s.results.Add(int64(len(entry.items)))
 			return rep
@@ -422,17 +388,14 @@ func (s *Store) queryRange(ctx context.Context, e *Epoch, req Request) Reply {
 		rep.Items = append(req.Buf, priv...)
 		s.queries.Add(1)
 		s.results.Add(int64(len(priv)))
-		if out.clean() {
-			s.observe(fam, catalog.ClassRange, start)
-		}
 		return rep
 	}
 
-	return s.rangeUncached(ctx, e, req, rep, fam, start)
+	return s.rangeUncached(ctx, e, req, rep)
 }
 
 // rangeUncached is the cache-bypassing materializing range path.
-func (s *Store) rangeUncached(ctx context.Context, e *Epoch, req Request, rep Reply, fam string, start time.Time) Reply {
+func (s *Store) rangeUncached(ctx context.Context, e *Epoch, req Request, rep Reply) Reply {
 	buf := req.Buf
 	base := len(buf)
 	out := e.rangeVisitCtx(ctx, req.Query, func(it index.Item) bool {
@@ -446,9 +409,6 @@ func (s *Store) rangeUncached(ctx context.Context, e *Epoch, req Request, rep Re
 	rep.Items = buf
 	s.queries.Add(1)
 	s.results.Add(int64(len(buf) - base))
-	if out.clean() {
-		s.observe(fam, catalog.ClassRange, start)
-	}
 	return rep
 }
 
@@ -472,10 +432,8 @@ func (s *Store) awaitEntry(ctx context.Context, entry *cacheEntry) (hit, failed 
 }
 
 func (s *Store) queryKNN(ctx context.Context, e *Epoch, req Request) Reply {
-	start := s.observeStart()
 	span := obs.SpanFromContext(ctx)
-	_, fam := e.planAll()
-	rep := Reply{Epoch: e.seq, Plan: PlanInfo{Family: fam}}
+	rep := Reply{Epoch: e.seq}
 
 	if c := e.cache; c != nil && !req.NoCache {
 		key := knnKey(req.Point, req.K)
@@ -491,11 +449,11 @@ func (s *Store) queryKNN(ctx context.Context, e *Epoch, req Request) Reply {
 				rep.Err = mapCtxErr(ctx.Err())
 				return rep
 			} else if failed {
-				return s.knnUncached(ctx, e, req, rep, fam, start)
+				return s.knnUncached(ctx, e, req, rep)
 			}
 			rep.Items = append(req.Buf, entry.items...)
 			rep.Plan.CacheHit = true
-			rep.Plan.FanOut, _ = e.planAll()
+			rep.Plan.FanOut = e.planAll()
 			s.queries.Add(1)
 			s.results.Add(int64(len(entry.items)))
 			return rep
@@ -521,17 +479,14 @@ func (s *Store) queryKNN(ctx context.Context, e *Epoch, req Request) Reply {
 		rep.Items = append(req.Buf, priv...)
 		s.queries.Add(1)
 		s.results.Add(int64(len(priv)))
-		if out.clean() {
-			s.observe(fam, catalog.ClassKNN, start)
-		}
 		return rep
 	}
 
-	return s.knnUncached(ctx, e, req, rep, fam, start)
+	return s.knnUncached(ctx, e, req, rep)
 }
 
 // knnUncached is the cache-bypassing kNN path.
-func (s *Store) knnUncached(ctx context.Context, e *Epoch, req Request, rep Reply, fam string, start time.Time) Reply {
+func (s *Store) knnUncached(ctx context.Context, e *Epoch, req Request, rep Reply) Reply {
 	base := len(req.Buf)
 	items, out := e.knnIntoCtx(ctx, req.Point, req.K, req.Buf)
 	rep.finishOutcome(ctx, out, len(items)-base)
@@ -541,16 +496,11 @@ func (s *Store) knnUncached(ctx context.Context, e *Epoch, req Request, rep Repl
 	rep.Items = items
 	s.queries.Add(1)
 	s.results.Add(int64(len(items) - base))
-	if out.clean() {
-		s.observe(fam, catalog.ClassKNN, start)
-	}
 	return rep
 }
 
 func (s *Store) queryJoin(ctx context.Context, e *Epoch, req Request) Reply {
-	start := s.observeStart()
-	fan, fam := e.planAll()
-	rep := Reply{Epoch: e.seq, Plan: PlanInfo{Family: fam, FanOut: fan}}
+	rep := Reply{Epoch: e.seq, Plan: PlanInfo{FanOut: e.planAll()}}
 	jr := req.Join
 
 	if err := ctx.Err(); err != nil {
@@ -559,16 +509,12 @@ func (s *Store) queryJoin(ctx context.Context, e *Epoch, req Request) Reply {
 	}
 	items := e.AllItems(make([]index.Item, 0, e.items))
 	ps := obs.SpanFromContext(ctx).Child("join_plan")
+	var pl join.Planner
 	var plan *join.Plan
-	if s.cfg.Planner != nil {
-		plan = s.cfg.Planner.PlanSelfJoin(items, join.Options{Eps: jr.Eps}, jr.Algo, jr.Force)
+	if jr.Force {
+		plan = pl.PlanSelfWith(jr.Algo, items, join.Options{Eps: jr.Eps})
 	} else {
-		var pl join.Planner
-		if jr.Force {
-			plan = pl.PlanSelfWith(jr.Algo, items, join.Options{Eps: jr.Eps})
-		} else {
-			plan = pl.PlanSelf(items, join.Options{Eps: jr.Eps})
-		}
+		plan = pl.PlanSelf(items, join.Options{Eps: jr.Eps})
 	}
 	defer plan.Close()
 	if ps != nil {
@@ -604,14 +550,10 @@ func (s *Store) queryJoin(ctx context.Context, e *Epoch, req Request) Reply {
 	}
 	s.joins.Add(1)
 	s.joinPairs.Add(int64(len(pairs)))
-	if !stats.Cancelled {
-		s.observe(fam, catalog.ClassJoin, start)
-	}
 	return rep
 }
 
 func (s *Store) queryBatchRange(ctx context.Context, e *Epoch, req Request) Reply {
-	fan, fam := e.planAll()
 	opts := req.Opts
 	opts.Ctx = ctx
 	bs := obs.SpanFromContext(ctx).Child("batch_exec")
@@ -623,11 +565,10 @@ func (s *Store) queryBatchRange(ctx context.Context, e *Epoch, req Request) Repl
 	}
 	s.queries.Add(int64(len(req.Queries)))
 	s.results.Add(stats.Results)
-	return Reply{Epoch: e.seq, Batch: out, Degraded: stats.Cancelled, Counters: stats.Index, Plan: PlanInfo{Family: fam, FanOut: fan}}
+	return Reply{Epoch: e.seq, Batch: out, Degraded: stats.Cancelled, Counters: stats.Index, Plan: PlanInfo{FanOut: e.planAll()}}
 }
 
 func (s *Store) queryBatchKNN(ctx context.Context, e *Epoch, req Request) Reply {
-	fan, fam := e.planAll()
 	opts := req.Opts
 	opts.Ctx = ctx
 	bs := obs.SpanFromContext(ctx).Child("batch_exec")
@@ -639,5 +580,5 @@ func (s *Store) queryBatchKNN(ctx context.Context, e *Epoch, req Request) Reply 
 	}
 	s.queries.Add(int64(len(req.Points)))
 	s.results.Add(stats.Results)
-	return Reply{Epoch: e.seq, Batch: out, Degraded: stats.Cancelled, Counters: stats.Index, Plan: PlanInfo{Family: fam, FanOut: fan}}
+	return Reply{Epoch: e.seq, Batch: out, Degraded: stats.Cancelled, Counters: stats.Index, Plan: PlanInfo{FanOut: e.planAll()}}
 }

@@ -43,7 +43,7 @@
 // reproduces both the pre-crash contents and the pre-crash epoch sequence
 // numbers — before serving.
 //
-// Recovered R-Tree shards are overlays of segment images
+// Recovered shards are overlays of segment images
 // (rtree.OverlayCompact) whichever way Config.Serving selects to obtain
 // them: a snapshot's segment holds the tile images that changed since the
 // save before it and references the rest in older segments. ServingHeap
@@ -70,53 +70,29 @@ import (
 	"sync/atomic"
 	"time"
 
-	"spatialsim/internal/catalog"
 	"spatialsim/internal/exec"
 	"spatialsim/internal/geom"
-	"spatialsim/internal/grid"
 	"spatialsim/internal/index"
 	"spatialsim/internal/instrument"
 	"spatialsim/internal/join"
 	"spatialsim/internal/obs"
-	"spatialsim/internal/octree"
 	"spatialsim/internal/persist"
 	"spatialsim/internal/planner"
 	"spatialsim/internal/rtree"
 )
 
-// ShardBuilder builds the frozen snapshot of one shard from the items whose
-// STR tile it owns. bounds is the tight MBR of the items (grid- and
-// octree-backed builders size their cell structure from it); workers is the
-// goroutine budget for the build.
-type ShardBuilder func(bounds geom.AABB, items []index.Item, workers int) index.ReadIndex
+// ShardBuilder builds the frozen R-Tree image of one shard from the items
+// whose STR tile it owns. bounds is the tight MBR of the items; workers is
+// the goroutine budget for the build.
+type ShardBuilder func(bounds geom.AABB, items []index.Item, workers int) *rtree.Compact
 
 // RTreeBuilder returns a ShardBuilder backed by an STR-bulk-loaded R-Tree
-// frozen into its compact layout. It is the default shard family.
+// frozen into its compact layout — the only shard family the store serves.
 func RTreeBuilder(cfg rtree.Config) ShardBuilder {
-	return func(_ geom.AABB, items []index.Item, workers int) index.ReadIndex {
+	return func(_ geom.AABB, items []index.Item, workers int) *rtree.Compact {
 		t := rtree.New(cfg)
 		exec.ParallelBulkLoad(t, items, exec.Options{Workers: workers})
 		return t.Freeze()
-	}
-}
-
-// GridBuilder returns a ShardBuilder backed by a uniform grid sized to the
-// shard's bounds and frozen into the CSR compact layout.
-func GridBuilder(cellsPerDim int) ShardBuilder {
-	return func(bounds geom.AABB, items []index.Item, workers int) index.ReadIndex {
-		g := grid.New(grid.Config{Universe: bounds.Expand(1e-9), CellsPerDim: cellsPerDim})
-		exec.ParallelBulkLoad(g, items, exec.Options{Workers: workers})
-		return g.Freeze()
-	}
-}
-
-// OctreeBuilder returns a ShardBuilder backed by an octree over the shard's
-// bounds, frozen into its compact layout.
-func OctreeBuilder(leafCapacity int) ShardBuilder {
-	return func(bounds geom.AABB, items []index.Item, workers int) index.ReadIndex {
-		oc := octree.New(octree.Config{Universe: bounds.Expand(1e-9), LeafCapacity: leafCapacity})
-		exec.ParallelBulkLoad(oc, items, exec.Options{Workers: workers})
-		return oc.Freeze()
 	}
 }
 
@@ -168,19 +144,17 @@ type Config struct {
 	// are suspended instead of hammering a sick disk — serving continues in
 	// memory and durability catches up when the disk recovers.
 	Breaker BreakerConfig
-	// Build constructs one shard snapshot (nil uses RTreeBuilder with the
-	// default R-Tree configuration). Ignored when Planner is set — the
-	// planner chooses per shard from Families instead.
+	// Build constructs one shard image (nil uses RTreeBuilder with the
+	// default R-Tree configuration). Every shard is an R-Tree: no other
+	// index family beat it through Store.Query by more than the benchmark's
+	// bound, and snapshot carrying and recovery work on R-Tree images. The
+	// other families run in the reproduction (internal/experiments E5). Build
+	// is kept only for the benchmark harness (bench/), which sets the
+	// default.
 	Build ShardBuilder
-	// Planner enables statistics-driven planning: the index family of every
-	// shard is chosen per shard at freeze time from its catalog profile
-	// (corrected by online latency evidence), the join algorithm is delegated
-	// through the planner, and every query feeds the latency catalog. Nil
-	// keeps the static single-family configuration.
+	// Planner has no effect; join.Planner picks each join's algorithm. It is
+	// kept only for the benchmark harness.
 	Planner *planner.Planner
-	// Families is the planner's menu of shard builders (nil uses
-	// DefaultFamilies). Ignored when Planner is nil.
-	Families map[string]ShardBuilder
 	// CacheEntries bounds the per-epoch result cache (entries per epoch,
 	// FIFO-evicted); <= 0 disables result caching. Epoch immutability makes
 	// cached results valid for the epoch's lifetime, and epoch retirement
@@ -224,11 +198,7 @@ func (c Config) withDefaults() Config {
 		c.MaxQueued = 4 * c.MaxInFlight
 	}
 	c.Breaker = c.Breaker.withDefaults()
-	if c.Planner != nil {
-		if c.Families == nil {
-			c.Families = DefaultFamilies()
-		}
-	} else if c.Build == nil {
+	if c.Build == nil {
 		c.Build = RTreeBuilder(rtree.Config{})
 	}
 	if c.IngestQueue <= 0 {
@@ -299,9 +269,8 @@ type Store struct {
 	degraded     atomic.Int64
 	deadlineHits atomic.Int64
 
-	// families is the sorted planner menu (nil in static mode); the cache
-	// counters aggregate across epochs (each epoch's cache map is its own).
-	families       []string
+	// The cache counters aggregate across epochs (each epoch's cache map is
+	// its own).
 	cacheHits      atomic.Int64
 	cacheMisses    atomic.Int64
 	cacheCoalesced atomic.Int64
@@ -360,10 +329,6 @@ type RecoveryInfo struct {
 	SkippedCorrupt int `json:"skipped_corrupt"`
 	// Serving is the mode the recovery ran under ("heap" or "mapped").
 	Serving ServingMode `json:"serving,omitempty"`
-	// RebuiltShards counts shards recovery had to rebuild through the shard
-	// builder (item-fallback records). Mapped recovery of an all-R-Tree epoch
-	// reports 0 — the no-rebuild guarantee the mode exists for.
-	RebuiltShards int `json:"rebuilt_shards"`
 	// ZeroCopyShards counts shards served as zero-copy overlays of the
 	// mapped segment (0 in heap mode and on platforms without mmap).
 	ZeroCopyShards int `json:"zero_copy_shards"`
@@ -540,7 +505,8 @@ func (s *Store) freezeAndSwap() uint64 {
 	build := func(_, i int) {
 		b := &builds[i]
 		slices.SortFunc(b.items, func(x, y index.Item) int { return cmp.Compare(x.ID, y.ID) })
-		sh := s.buildShard(boundsOf(b.items), b.items, 1)
+		bounds := boundsOf(b.items)
+		sh := newShard(bounds, s.cfg.Build(bounds, b.items, 1))
 		b.tile.image = sh
 		shards[b.shard] = sh
 	}
@@ -773,18 +739,13 @@ func (s *Store) BatchKNN(points []geom.Vec3, k int, opts exec.Options, arena *ex
 type ShardStats struct {
 	Items    int                        `json:"items"`
 	Bounds   geom.AABB                  `json:"bounds"`
-	Family   string                     `json:"family"`
-	Profile  catalog.ShardProfile       `json:"profile"`
 	Counters instrument.CounterSnapshot `json:"counters"`
 }
 
-// PlannerStats is the Stats slice describing the query planner's state (nil
-// when the store runs a static configuration).
+// PlannerStats is kept only for the benchmark harness, which prints it when
+// present; Stats().Planner is always nil.
 type PlannerStats struct {
-	// Families counts the current epoch's shards per index family.
 	Families map[string]int `json:"families"`
-	// Latencies is the online latency catalog snapshot.
-	Latencies []catalog.LatencyStat `json:"latencies,omitempty"`
 }
 
 // CacheStats is the Stats slice describing the epoch result cache (nil when
@@ -828,7 +789,7 @@ type Stats struct {
 	// QueryLatencies holds live per-class latency summaries from the metrics
 	// histograms (nil unless the store was opened with Config.Metrics).
 	QueryLatencies []QueryLatencyStat `json:"query_latencies,omitempty"`
-	// Planner reports the query planner's state (nil for static stores).
+	// Planner is always nil (see PlannerStats).
 	Planner *PlannerStats `json:"planner,omitempty"`
 	// Cache reports the epoch result cache (nil when caching is disabled).
 	Cache *CacheStats `json:"cache,omitempty"`
@@ -869,19 +830,7 @@ func (s *Store) Stats() Stats {
 	st.Shards = make([]ShardStats, len(e.shards))
 	for i := range e.shards {
 		sh := &e.shards[i]
-		ss := ShardStats{Items: sh.Len(), Bounds: sh.bounds, Family: sh.family, Profile: sh.profile}
-		if c := sh.Counters(); c != nil {
-			ss.Counters = c.Snapshot()
-		}
-		st.Shards[i] = ss
-	}
-	if s.cfg.Planner != nil {
-		ps := &PlannerStats{Families: make(map[string]int, len(s.families))}
-		for i := range e.shards {
-			ps.Families[e.shards[i].family]++
-		}
-		ps.Latencies = s.cfg.Planner.Latencies().Snapshot()
-		st.Planner = ps
+		st.Shards[i] = ShardStats{Items: sh.Len(), Bounds: sh.bounds, Counters: sh.snap.Counters().Snapshot()}
 	}
 	if s.cfg.CacheEntries > 0 {
 		cs := &CacheStats{

@@ -164,42 +164,155 @@ func TestEpochSwapConsistencyUnderConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestRangeMatchesReference checks the scatter/gather range path against a
-// linear scan over every shard family.
+// TestRangeMatchesReference is the store's brute-force oracle: on three
+// datasets, with the result cache off and on, range ids, kNN rank distances
+// (ties between equidistant items may break either way) and self-join pairs
+// match a linear scan and a nested-loop join over the same items. Every
+// query runs twice, so with the cache on the repeat is a hit and is checked
+// too.
 func TestRangeMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	items := make([]index.Item, 4000)
+	for _, ds := range []struct {
+		name  string
+		items []index.Item
+	}{
+		{"random", randomDataset(4000, 7)},
+		{"uniform", uniformDataset(3000, 42)},
+		{"clustered", clusteredDataset(3000, 43)},
+	} {
+		t.Run(ds.name, func(t *testing.T) {
+			ref := index.NewLinearScan()
+			ref.BulkLoad(ds.items)
+			const eps = 1.5
+			wantPairs := join.DedupPairs(join.SelfNestedLoop(ds.items, join.Options{Eps: eps}))
+			bounds := BoundsOf(ds.items)
+			size := bounds.Size()
+			for _, cache := range []int{0, 256} {
+				name := "nocache"
+				if cache > 0 {
+					name = "cache"
+				}
+				t.Run(name, func(t *testing.T) {
+					s := mustNew(t, Config{Shards: 7, Workers: 4, CacheEntries: cache})
+					defer s.Close()
+					s.Bootstrap(ds.items)
+					rng := rand.New(rand.NewSource(7))
+					at := func(f float64) geom.Vec3 {
+						return geom.V(bounds.Min.X+rng.Float64()*f*size.X, bounds.Min.Y+rng.Float64()*f*size.Y, bounds.Min.Z+rng.Float64()*f*size.Z)
+					}
+					for q := 0; q < 40; q++ {
+						lo := at(0.9)
+						box := geom.NewAABB(lo, lo.Add(geom.V(size.X*(0.01+rng.Float64()/4), size.Y*(0.01+rng.Float64()/4), size.Z*(0.01+rng.Float64()/4))))
+						want := sortedIDs(index.SearchAll(ref, box))
+						for rep := 0; rep < 2; rep++ {
+							got, _ := s.RangeAll(box, nil)
+							if !reflect.DeepEqual(sortedIDs(got), want) {
+								t.Fatalf("range %v (run %d): %d items, want %d", box, rep, len(got), len(want))
+							}
+						}
+					}
+					for q := 0; q < 25; q++ {
+						p, k := at(1), 1+rng.Intn(20)
+						want := rankDistances(ref.KNN(p, k), p)
+						for rep := 0; rep < 2; rep++ {
+							got, _ := s.KNN(p, k, nil)
+							if d := rankDistances(got, p); !reflect.DeepEqual(d, want) {
+								t.Fatalf("knn p=%v k=%d (run %d): distances %v, want %v", p, k, rep, d, want)
+							}
+						}
+					}
+					if rep := s.SelfJoin(JoinRequest{Eps: eps, Workers: 2}); !reflect.DeepEqual(rep.Pairs, wantPairs) {
+						t.Fatalf("self-join: %d pairs, want %d", len(rep.Pairs), len(wantPairs))
+					}
+					if st := s.Stats(); cache > 0 && (st.Cache == nil || st.Cache.Hits == 0) {
+						t.Fatalf("repeated queries must produce cache hits, stats: %+v", st.Cache)
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestReplyReportsPlanOnEveryOp: every reply reports its shard fan-out and
+// whether the epoch cache answered it; a join reply names its algorithm.
+func TestReplyReportsPlanOnEveryOp(t *testing.T) {
+	s := mustNew(t, Config{Shards: 4, Workers: 2, CacheEntries: 16})
+	defer s.Close()
+	s.Bootstrap(uniformDataset(2000, 11))
+
+	box := geom.NewAABB(geom.V(10, 10, 10), geom.V(60, 60, 60))
+	r1 := s.Query(Request{Op: OpRange, Query: box})
+	if r1.Plan.FanOut <= 0 || r1.Plan.CacheHit {
+		t.Fatalf("first range plan: %+v", r1.Plan)
+	}
+	r2 := s.Query(Request{Op: OpRange, Query: box})
+	if !r2.Plan.CacheHit || r2.Plan.FanOut != r1.Plan.FanOut {
+		t.Fatalf("repeat range plan should be a cache hit with the same fan-out: %+v", r2.Plan)
+	}
+	if !reflect.DeepEqual(sortedIDs(r1.Items), sortedIDs(r2.Items)) {
+		t.Fatal("cache hit changed the result")
+	}
+
+	k := s.Query(Request{Op: OpKNN, Point: geom.V(50, 50, 50), K: 5})
+	if k.Plan.FanOut <= 0 {
+		t.Fatalf("knn plan: %+v", k.Plan)
+	}
+	j := s.Query(Request{Op: OpJoin, Join: JoinRequest{Eps: 1, Workers: 2}})
+	if j.Plan.Algorithm == "" || j.Plan.FanOut <= 0 {
+		t.Fatalf("join plan must name the algorithm and the fan-out: %+v", j.Plan)
+	}
+	if j.JoinAlgo.String() != j.Plan.Algorithm {
+		t.Fatalf("join algo %v disagrees with plan %q", j.JoinAlgo, j.Plan.Algorithm)
+	}
+}
+
+func randomDataset(n int, seed int64) []index.Item {
+	rng := rand.New(rand.NewSource(seed))
+	items := make([]index.Item, n)
 	for i := range items {
 		c := geom.V(rng.Float64()*50, rng.Float64()*50, rng.Float64()*50)
 		half := geom.V(0.1+rng.Float64(), 0.1+rng.Float64(), 0.1+rng.Float64())
 		items[i] = index.Item{ID: int64(i), Box: geom.AABBFromCenter(c, half)}
 	}
-	ref := index.NewLinearScan()
-	ref.BulkLoad(items)
+	return items
+}
 
-	for name, build := range map[string]ShardBuilder{
-		"rtree":  nil, // nil exercises the default RTreeBuilder
-		"grid":   GridBuilder(12),
-		"octree": OctreeBuilder(16),
-	} {
-		s := mustNew(t, Config{Shards: 7, Workers: 4, Build: build})
-		s.Bootstrap(items)
-		for q := 0; q < 40; q++ {
-			c := geom.V(rng.Float64()*50, rng.Float64()*50, rng.Float64()*50)
-			query := geom.AABBFromCenter(c, geom.V(3, 3, 3))
-			want := idSet(index.SearchAll(ref, query))
-			got, _ := s.RangeAll(query, nil)
-			if len(got) != len(want) {
-				t.Fatalf("%s: query %d returned %d items, want %d", name, q, len(got), len(want))
-			}
-			for _, it := range got {
-				if !want[it.ID] {
-					t.Fatalf("%s: query %d returned unexpected id %d", name, q, it.ID)
-				}
-			}
-		}
-		s.Close()
+func uniformDataset(n int, seed int64) []index.Item {
+	rng := rand.New(rand.NewSource(seed))
+	items := make([]index.Item, n)
+	for i := range items {
+		c := geom.V(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
+		items[i] = index.Item{ID: int64(i), Box: geom.AABBFromCenter(c, geom.V(0.5, 0.5, 0.5))}
 	}
+	return items
+}
+
+func clusteredDataset(n int, seed int64) []index.Item {
+	rng := rand.New(rand.NewSource(seed))
+	items := make([]index.Item, n)
+	centers := []geom.Vec3{geom.V(10, 10, 10), geom.V(90, 90, 90), geom.V(10, 90, 50)}
+	for i := range items {
+		base := centers[i%len(centers)]
+		c := base.Add(geom.V(rng.NormFloat64()*2, rng.NormFloat64()*2, rng.NormFloat64()*2))
+		items[i] = index.Item{ID: int64(i), Box: geom.AABBFromCenter(c, geom.V(0.5, 0.5, 0.5))}
+	}
+	return items
+}
+
+func sortedIDs(items []index.Item) []int64 {
+	ids := make([]int64, len(items))
+	for i, it := range items {
+		ids[i] = it.ID
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+func rankDistances(items []index.Item, p geom.Vec3) []float64 {
+	d := make([]float64, len(items))
+	for i, it := range items {
+		d[i] = it.Box.Distance2ToPoint(p)
+	}
+	return d
 }
 
 // TestKNNMatchesReference checks the cross-shard kNN merge (shard-local heaps

@@ -254,7 +254,7 @@ func TestCostCountersFoldEachTileOnce(t *testing.T) {
 	defer s.Close()
 	items := durableItems(4000, 8)
 	s.Bootstrap(items)
-	images := make(map[index.ReadIndex]bool)
+	images := make(map[*rtree.Compact]bool)
 	epochs := 0
 	record := func() {
 		e := s.AcquireEpoch()
@@ -288,7 +288,7 @@ func TestCostCountersFoldEachTileOnce(t *testing.T) {
 	}
 	var want int64
 	for img := range images {
-		want += img.(*rtree.Compact).Counters().Snapshot().ElemIntersectTests
+		want += img.Counters().Snapshot().ElemIntersectTests
 	}
 	got, _ := s.costSnapshot()
 	if got.ElemIntersectTests != want || want == 0 {
@@ -321,7 +321,7 @@ func TestMappedRecoveryFirstPublishRebuildsEveryTile(t *testing.T) {
 	e := st2.AcquireEpoch()
 	defer st2.ReleaseEpoch(e)
 	for i := range e.shards {
-		if c, ok := e.shards[i].snap.(*rtree.Compact); ok && c.ZeroCopy() {
+		if e.shards[i].snap.ZeroCopy() {
 			t.Fatalf("shard %d of the first post-recovery epoch overlays the mapped segment", i)
 		}
 	}
@@ -394,8 +394,8 @@ func TestStatsListsOneShardPerTile(t *testing.T) {
 	for i, sh := range e.Shards() {
 		var items []index.Item
 		sh.snap.RangeVisit(sh.Bounds(), func(it index.Item) bool { items = append(items, it); return true })
-		if sh.Bounds() != BoundsOf(items) || sh.Profile().Card != sh.Len() || sh.Family() != "rtree" || st.Shards[i].Items != sh.Len() {
-			t.Fatalf("shard %d: bounds %v (items span %v), profile card %d, len %d, family %q", i, sh.Bounds(), BoundsOf(items), sh.Profile().Card, sh.Len(), sh.Family())
+		if sh.Bounds() != BoundsOf(items) || len(items) != sh.Len() || st.Shards[i].Items != sh.Len() {
+			t.Fatalf("shard %d: bounds %v (items span %v), %d items visited, len %d, stats %d", i, sh.Bounds(), BoundsOf(items), len(items), sh.Len(), st.Shards[i].Items)
 		}
 		total += sh.Len()
 	}
