@@ -29,6 +29,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -374,6 +375,16 @@ func (r UpdateVsRebuildResult) String() string {
 	return b.String()
 }
 
+// UpdateVsRebuild times each side of a row up to updateRebuildReps times,
+// stopping early once the row has spent updateRebuildBudget; the row reports
+// the fastest run of each side. Small scales, where one GC pause or
+// preemption would otherwise decide the winner, get every repetition; large
+// ones, whose runs are long enough to average such noise out, get one.
+const (
+	updateRebuildReps   = 5
+	updateRebuildBudget = 100 * time.Millisecond
+)
+
 // UpdateVsRebuild runs the Section 4.1 sweep over the given fractions of the
 // dataset changing per step (defaults to 5%..100%).
 func UpdateVsRebuild(s Scale, fractions []float64) UpdateVsRebuildResult {
@@ -389,32 +400,44 @@ func UpdateVsRebuild(s Scale, fractions []float64) UpdateVsRebuildResult {
 	var result UpdateVsRebuildResult
 	result.Movement = movement
 	for _, frac := range fractions {
-		// Fresh tree per fraction.
-		t := rtree.NewDefault()
-		t.BulkLoad(items)
 		// Pick the moved subset deterministically and compute new boxes.
 		moved := d.Clone()
 		model := datagen.NewPartialPlasticityModel(s.Seed+5, frac)
 		model.Step(moved)
-
-		// Per-element updates.
-		start := time.Now()
-		for i := range moved.Elements {
-			if moved.Elements[i].Box != d.Elements[i].Box {
-				t.Update(moved.Elements[i].ID, d.Elements[i].Box, moved.Elements[i].Box)
-			}
-		}
-		updateTime := time.Since(start)
-
-		// Full rebuild from the new state.
 		newItems := make([]index.Item, moved.Len())
 		for i := range moved.Elements {
 			newItems[i] = index.Item{ID: moved.Elements[i].ID, Box: moved.Elements[i].Box}
 		}
-		t2 := rtree.NewDefault()
-		start = time.Now()
-		t2.BulkLoad(newItems)
-		rebuildTime := time.Since(start)
+
+		var updateTime, rebuildTime, spent time.Duration
+		for rep := 0; rep < updateRebuildReps && (rep == 0 || spent < updateRebuildBudget); rep++ {
+			// Per-element updates on a fresh tree.
+			t := rtree.NewDefault()
+			t.BulkLoad(items)
+			runtime.GC()
+			start := time.Now()
+			for i := range moved.Elements {
+				if moved.Elements[i].Box != d.Elements[i].Box {
+					t.Update(moved.Elements[i].ID, d.Elements[i].Box, moved.Elements[i].Box)
+				}
+			}
+			el := time.Since(start)
+			spent += el
+			if rep == 0 || el < updateTime {
+				updateTime = el
+			}
+
+			// Full rebuild from the new state.
+			t2 := rtree.NewDefault()
+			runtime.GC()
+			start = time.Now()
+			t2.BulkLoad(newItems)
+			el = time.Since(start)
+			spent += el
+			if rep == 0 || el < rebuildTime {
+				rebuildTime = el
+			}
+		}
 
 		result.Rows = append(result.Rows, UpdateVsRebuildRow{
 			FractionChanged: frac,

@@ -1,73 +1,34 @@
 package serve
 
-// Randomized conformance suite for the query planner: a planner-routed store
-// must answer every query identically to every forced static configuration —
-// the planner is allowed to be faster, never different. Ranges compare exact
-// id sets, kNN compares the per-rank distance sequence (tie-breaking between
-// equidistant items is legitimately family-specific), joins compare the
-// canonical pair list.
+// Conformance suite for the planner-configured store the benchmark harness
+// runs (Config.Planner set, result cache on): it must answer every query
+// identically to every static configuration the store still offers — R-Tree
+// shards of different node fan-outs and shard counts, cache off. Ranges
+// compare exact id sets, kNN compares the per-rank distance sequence
+// (tie-breaking between equidistant items may differ between layouts), joins
+// compare the canonical pair list.
 
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
-	"spatialsim/internal/crtree"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
 	"spatialsim/internal/planner"
 	"spatialsim/internal/rtree"
 )
 
-// staticConfigs is the full forced-family menu the planner competes against.
-func staticConfigs() map[string]ShardBuilder {
-	return map[string]ShardBuilder{
-		"rtree":  RTreeBuilder(rtree.Config{}),
-		"grid":   GridBuilder(24),
-		"octree": OctreeBuilder(32),
-		"crtree": CRTreeBuilder(crtree.Config{}),
-		"scan":   ScanBuilder(),
+// staticConfigs is the menu of static store configurations the
+// planner-configured store is checked against.
+func staticConfigs() map[string]Config {
+	return map[string]Config{
+		"rtree":          {Shards: 4, Workers: 2, Build: RTreeBuilder(rtree.Config{})},
+		"rtree-fanout4":  {Shards: 4, Workers: 2, Build: RTreeBuilder(rtree.Config{MaxEntries: 4})},
+		"rtree-fanout64": {Shards: 4, Workers: 2, Build: RTreeBuilder(rtree.Config{MaxEntries: 64})},
+		"one-shard":      {Shards: 1, Workers: 2},
+		"many-shards":    {Shards: 16, Workers: 2},
 	}
-}
-
-func uniformDataset(n int, seed int64) []index.Item {
-	rng := rand.New(rand.NewSource(seed))
-	items := make([]index.Item, n)
-	for i := range items {
-		c := geom.V(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
-		items[i] = index.Item{ID: int64(i), Box: geom.AABBFromCenter(c, geom.V(0.5, 0.5, 0.5))}
-	}
-	return items
-}
-
-func clusteredDataset(n int, seed int64) []index.Item {
-	rng := rand.New(rand.NewSource(seed))
-	items := make([]index.Item, n)
-	centers := []geom.Vec3{geom.V(10, 10, 10), geom.V(90, 90, 90), geom.V(10, 90, 50)}
-	for i := range items {
-		base := centers[i%len(centers)]
-		c := base.Add(geom.V(rng.NormFloat64()*2, rng.NormFloat64()*2, rng.NormFloat64()*2))
-		items[i] = index.Item{ID: int64(i), Box: geom.AABBFromCenter(c, geom.V(0.5, 0.5, 0.5))}
-	}
-	return items
-}
-
-func sortedIDs(items []index.Item) []int64 {
-	ids := make([]int64, len(items))
-	for i, it := range items {
-		ids[i] = it.ID
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-func rankDistances(items []index.Item, p geom.Vec3) []float64 {
-	d := make([]float64, len(items))
-	for i, it := range items {
-		d[i] = it.Box.Distance2ToPoint(p)
-	}
-	return d
 }
 
 func TestPlannerConformsToEveryStaticConfiguration(t *testing.T) {
@@ -77,15 +38,15 @@ func TestPlannerConformsToEveryStaticConfiguration(t *testing.T) {
 	}
 	for dsName, items := range datasets {
 		t.Run(dsName, func(t *testing.T) {
-			// The planner-routed store, with the result cache on so cached and
-			// computed answers are both exercised against the baselines.
+			// The planner-configured store, with the result cache on so cached
+			// and computed answers are both exercised against the baselines.
 			auto := mustNew(t, Config{Shards: 4, Workers: 2, Planner: planner.Default(), CacheEntries: 256})
 			defer auto.Close()
 			auto.Bootstrap(items)
 
 			statics := make(map[string]*Store)
-			for name, build := range staticConfigs() {
-				st := mustNew(t, Config{Shards: 4, Workers: 2, Build: build})
+			for name, cfg := range staticConfigs() {
+				st := mustNew(t, cfg)
 				defer st.Close()
 				st.Bootstrap(items)
 				statics[name] = st
@@ -96,14 +57,14 @@ func TestPlannerConformsToEveryStaticConfiguration(t *testing.T) {
 				lo := geom.V(rng.Float64()*90, rng.Float64()*90, rng.Float64()*90)
 				ext := geom.V(rng.Float64()*25+1, rng.Float64()*25+1, rng.Float64()*25+1)
 				box := geom.NewAABB(lo, lo.Add(ext))
-				// Every other query repeats to drive the cache path.
+				// Every query repeats to drive the cache path.
 				for rep := 0; rep < 2; rep++ {
 					got, _ := auto.RangeAll(box, nil)
 					want := sortedIDs(got)
 					for name, st := range statics {
 						ref, _ := st.RangeAll(box, nil)
 						if !reflect.DeepEqual(want, sortedIDs(ref)) {
-							t.Fatalf("range %v: planner answered %d items, static %s answered %d", box, len(got), name, len(ref))
+							t.Fatalf("range %v: planner store answered %d items, static %s answered %d", box, len(got), name, len(ref))
 						}
 					}
 				}
@@ -119,7 +80,7 @@ func TestPlannerConformsToEveryStaticConfiguration(t *testing.T) {
 						ref, _ := st.KNN(p, k, nil)
 						refD := rankDistances(ref, p)
 						if !reflect.DeepEqual(want, refD) {
-							t.Fatalf("knn p=%v k=%d: planner distances %v, static %s distances %v", p, k, want, name, refD)
+							t.Fatalf("knn p=%v k=%d: planner store distances %v, static %s distances %v", p, k, want, name, refD)
 						}
 					}
 				}
@@ -129,67 +90,13 @@ func TestPlannerConformsToEveryStaticConfiguration(t *testing.T) {
 			for name, st := range statics {
 				ref := st.SelfJoin(JoinRequest{Eps: 1.5, Workers: 2})
 				if !reflect.DeepEqual(rep.Pairs, ref.Pairs) {
-					t.Fatalf("self-join: planner found %d pairs, static %s found %d", len(rep.Pairs), name, len(ref.Pairs))
+					t.Fatalf("self-join: planner store found %d pairs, static %s found %d", len(rep.Pairs), name, len(ref.Pairs))
 				}
 			}
 
-			// The planner store must actually report its planning surface.
-			st := auto.Stats()
-			if st.Planner == nil || len(st.Planner.Families) == 0 {
-				t.Fatal("planner store must report family assignments in Stats")
-			}
-			if st.Cache == nil || st.Cache.Hits == 0 {
+			if st := auto.Stats(); st.Cache == nil || st.Cache.Hits == 0 {
 				t.Fatalf("repeated queries must produce cache hits, stats: %+v", st.Cache)
 			}
 		})
-	}
-}
-
-func TestPlannerPicksScanForTinyShards(t *testing.T) {
-	s := mustNew(t, Config{Shards: 4, Workers: 2, Planner: planner.Default()})
-	defer s.Close()
-	s.Bootstrap(uniformDataset(100, 9)) // ~25 items per shard, far below ScanMax
-	st := s.Stats()
-	if st.Planner == nil {
-		t.Fatal("no planner stats")
-	}
-	if n := st.Planner.Families[planner.FamilyScan]; n != len(st.Shards) {
-		t.Fatalf("tiny shards should all be scan, got %v", st.Planner.Families)
-	}
-	// And the reply must report the plan.
-	r := s.Query(Request{Op: OpRange, Query: geom.NewAABB(geom.V(0, 0, 0), geom.V(100, 100, 100))})
-	if r.Plan.Family != planner.FamilyScan || r.Plan.FanOut == 0 {
-		t.Fatalf("reply plan = %+v, want scan family with fan-out", r.Plan)
-	}
-}
-
-func TestReplyReportsPlanOnEveryOp(t *testing.T) {
-	s := mustNew(t, Config{Shards: 4, Workers: 2, Planner: planner.Default(), CacheEntries: 16})
-	defer s.Close()
-	s.Bootstrap(uniformDataset(2000, 11))
-
-	box := geom.NewAABB(geom.V(10, 10, 10), geom.V(60, 60, 60))
-	r1 := s.Query(Request{Op: OpRange, Query: box})
-	if r1.Plan.Family == "" || r1.Plan.FanOut <= 0 || r1.Plan.CacheHit {
-		t.Fatalf("first range plan: %+v", r1.Plan)
-	}
-	r2 := s.Query(Request{Op: OpRange, Query: box})
-	if !r2.Plan.CacheHit {
-		t.Fatalf("repeat range plan should be a cache hit: %+v", r2.Plan)
-	}
-	if !reflect.DeepEqual(sortedIDs(r1.Items), sortedIDs(r2.Items)) {
-		t.Fatal("cache hit changed the result")
-	}
-
-	k := s.Query(Request{Op: OpKNN, Point: geom.V(50, 50, 50), K: 5})
-	if k.Plan.Family == "" || k.Plan.FanOut <= 0 {
-		t.Fatalf("knn plan: %+v", k.Plan)
-	}
-	j := s.Query(Request{Op: OpJoin, Join: JoinRequest{Eps: 1, Workers: 2}})
-	if j.Plan.Algorithm == "" {
-		t.Fatalf("join plan must name the algorithm: %+v", j.Plan)
-	}
-	if j.JoinAlgo.String() != j.Plan.Algorithm {
-		t.Fatalf("join algo %v disagrees with plan %q", j.JoinAlgo, j.Plan.Algorithm)
 	}
 }
