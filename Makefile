@@ -105,7 +105,7 @@ vet:
 # variants (-race flips the raceEnabled guards).
 vet-strict:
 	$(GO) vet ./internal/index/... ./internal/rtree/... ./internal/grid/... \
-		./internal/octree/... ./internal/kdtree/... ./internal/exec/... \
+		./internal/octree/... ./internal/kdtree/... ./internal/par/... \
 		./internal/core/... ./internal/join/... ./internal/serve/... \
 		./internal/persist/... ./internal/storage/... ./internal/cluster/... \
 		./cmd/spatialserver/... ./cmd/spatialcluster/...

@@ -95,7 +95,7 @@ func run(args []string, stdout io.Writer) error {
 		serving     = fs.String("serving", "heap", "durable-mode recovery read path: heap (read the segment into memory, checksum it and overlay its shards) or mapped (zero-copy mmap of the segment, O(open) restart)")
 		maxQueued   = fs.Int("max-queued", 0, "admission queue bound before requests are shed with 503 (0 = 4x max-inflight)")
 		deadline    = fs.Duration("deadline", 0, "default deadline for range/knn queries (0 = none; ?timeout= overrides)")
-		joinDead    = fs.Duration("join-deadline", 0, "default deadline for join and batch queries (0 = none)")
+		joinDead    = fs.Duration("join-deadline", 0, "default deadline for joins (0 = none)")
 		drain       = fs.Duration("drain", 5*time.Second, "graceful-shutdown drain budget for in-flight requests")
 		debugAddr   = fs.String("debug-addr", "", "separate listen address for pprof and /metrics (empty disables)")
 		slowQuery   = fs.Duration("slow-query", 0, "log queries slower than this threshold with plan and counter detail (0 disables)")
@@ -120,7 +120,6 @@ func run(args []string, stdout io.Writer) error {
 			Range: *deadline,
 			KNN:   *deadline,
 			Join:  *joinDead,
-			Batch: *joinDead,
 		},
 	}
 	if *indexName != "rtree" {

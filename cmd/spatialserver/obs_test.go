@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"log/slog"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -75,6 +76,18 @@ func TestMetricsEndpointExposesCoreSeries(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	// The query-latency histograms cover exactly the store's three query
+	// classes.
+	var classes []string
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, `spatial_query_seconds_count{class="`); ok {
+			classes = append(classes, rest[:strings.IndexByte(rest, '"')])
+		}
+	}
+	slices.Sort(classes)
+	if want := []string{"join", "knn", "range"}; !slices.Equal(classes, want) {
+		t.Errorf("spatial_query_seconds classes %v, want %v", classes, want)
 	}
 	// Every non-comment line must be "name[{labels}] value".
 	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {

@@ -49,6 +49,37 @@ func TestReproductionDoesNotLinkServing(t *testing.T) {
 	}
 }
 
+// TestIndexFamiliesLinkOnlyThePool fences the index families below the
+// engines that use them: the R-Tree, grid and octree link the geometry, the
+// index contracts, the counters and the worker pool, and nothing else — no
+// join engine. The join engine in turn links no serving, durability or
+// cluster package.
+func TestIndexFamiliesLinkOnlyThePool(t *testing.T) {
+	want := []string{
+		"internal/geom",
+		"internal/index",
+		"internal/instrument",
+		"internal/par",
+	}
+	for _, family := range []string{"rtree", "grid", "octree"} {
+		var got []string
+		for _, dep := range internalDeps(t, "./internal/"+family) {
+			if dep != "internal/"+family {
+				got = append(got, dep)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("internal/%s links %v, want %v", family, got, want)
+		}
+	}
+	for _, dep := range internalDeps(t, "./internal/join") {
+		switch dep {
+		case "internal/serve", "internal/persist", "internal/cluster":
+			t.Errorf("internal/join links %s", dep)
+		}
+	}
+}
+
 // TestServedBinariesLinkedPackages pins the internal packages the two
 // served binaries link. A change that adds a package to a server, or
 // removes one from it, updates this list on purpose.
@@ -56,7 +87,6 @@ func TestServedBinariesLinkedPackages(t *testing.T) {
 	want := []string{
 		"internal/cluster",
 		"internal/datagen",
-		"internal/exec",
 		"internal/faultinject",
 		"internal/geom",
 		"internal/httpapi",
@@ -64,6 +94,7 @@ func TestServedBinariesLinkedPackages(t *testing.T) {
 		"internal/instrument",
 		"internal/join",
 		"internal/obs",
+		"internal/par",
 		"internal/persist",
 		"internal/planner",
 		"internal/rtree",

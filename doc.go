@@ -48,14 +48,14 @@
 //   - internal/planner — what is left of the retired per-shard family
 //     planner: a type serve.Config still accepts, with no effect, kept only
 //     for the bench/ harness;
-//   - internal/exec — the parallel batch execution engine: the shared
-//     worker pool (ForTasks/ForChunks), worker-pool BatchSearchCount/BatchKNN
-//     over any index family, the zero-allocation
-//     BatchRangeVisitArena/BatchKNNInto visitor paths with reusable Arena
-//     buffers, ParallelBulkLoad (STR sort-tile slabs, grid cell bands,
-//     octants built concurrently) and ParallelJoin (join.Plan tasks tiled
-//     over the pool, gathered by one distribution sort of the disjoint task
-//     outputs — no merge, no dedup);
+//   - internal/par — the worker pool every parallel path shares
+//     (ForTasks/ForTasksCtx/ForChunks, one worker-budget rule: <= 0 means
+//     GOMAXPROCS), a leaf below the index families: their parallel bulk
+//     loads (STR sort-tile slabs, grid cell bands, octants built
+//     concurrently), join.Plan.RunParallel (plan tasks tiled over the pool,
+//     gathered by one distribution sort of the disjoint task outputs — no
+//     merge, no dedup), segment decoding at recovery, full epoch builds and
+//     the simulator's monitoring queries;
 //   - internal/sim — the time-stepped simulation harness of the paper's
 //     Figure 1;
 //   - internal/serve — the sharded, epoch-versioned serving subsystem: STR

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"spatialsim/internal/exec"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
 	"spatialsim/internal/join"
@@ -69,7 +68,7 @@ type Reply struct {
 	Pairs     []join.Pair    `json:"-"`
 	JoinAlgo  join.Algorithm `json:"-"`
 	JoinItems int            `json:"-"`
-	JoinStats exec.JoinStats `json:"-"`
+	JoinStats join.RunStats  `json:"-"`
 	// FanOut counts fan-out tasks launched — node queries, including hedges
 	// and failovers (a node asked twice, for disjoint tile sets, counts
 	// twice); Hedges and Failovers break out the retries.
@@ -468,7 +467,7 @@ func (c *Coordinator) Join(ctx context.Context, jr serve.JoinRequest) Reply {
 	if workers <= 0 {
 		workers = c.cfg.Workers
 	}
-	pairs, stats := exec.ParallelJoin(plan, exec.Options{Workers: workers, Ctx: ctx})
+	pairs, stats := plan.RunParallel(ctx, workers)
 	if js != nil {
 		js.Set("algorithm", plan.Algo().String())
 		js.Set("pairs", len(pairs))

@@ -3,8 +3,8 @@ package grid
 import (
 	"sync"
 
-	"spatialsim/internal/exec"
 	"spatialsim/internal/index"
+	"spatialsim/internal/par"
 )
 
 // parallelLoadMinItems is the size below which the sequential path is used.
@@ -29,7 +29,7 @@ func (g *Grid) ParallelBulkLoad(items []index.Item, workers int) {
 
 	// Phase 1: compute every item's cell range once, in parallel.
 	ranges := make([]cellRange, len(items))
-	exec.ForChunks(len(items), workers, func(_, lo, hi int) {
+	par.ForChunks(len(items), workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ranges[i] = g.rangeFor(items[i].Box)
 		}
@@ -51,7 +51,7 @@ func (g *Grid) ParallelBulkLoad(items []index.Item, workers int) {
 	if bands > nz {
 		bands = nz
 	}
-	exec.ForTasks(bands, bands, func(_, band int) {
+	par.ForTasks(bands, bands, func(_, band int) {
 		zLo := band * nz / bands
 		zHi := (band+1)*nz/bands - 1
 		for i := range items {

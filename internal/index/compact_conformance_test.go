@@ -3,8 +3,8 @@ package index_test
 // Cross-family conformance for the flat-memory layouts: every compact
 // (frozen) snapshot must answer range and kNN queries exactly like the
 // mutable index it was frozen from — and therefore, transitively, like the
-// linear-scan baseline — and the exec batch visitor paths must agree with
-// the classic batch paths.
+// linear-scan baseline — and the frozen R-Tree's visitor paths must agree
+// with the pointer tree's classic paths.
 
 import (
 	"math/rand"
@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"spatialsim/internal/core"
-	"spatialsim/internal/exec"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/grid"
 	"spatialsim/internal/index"
@@ -118,71 +117,34 @@ func TestCompactFamiliesKNNConformToScanBaseline(t *testing.T) {
 	}
 }
 
+// TestBatchVisitPathsMatchClassicBatchPaths: the frozen R-Tree's visitor
+// paths (RangeVisit, KNNInto) answer a query batch exactly like the pointer
+// tree's classic Search and KNN.
 func TestBatchVisitPathsMatchClassicBatchPaths(t *testing.T) {
 	items, _ := compactConformanceItems(4000, 55)
 	rt := rtree.NewDefault()
 	rt.BulkLoad(items)
 	frozen := rt.Freeze()
 	r := rand.New(rand.NewSource(56))
-	queries := make([]geom.AABB, 64)
-	for i := range queries {
+	for i := 0; i < 64; i++ {
 		c := geom.V(r.Float64()*50, r.Float64()*50, r.Float64()*50)
-		queries[i] = geom.AABBFromCenter(c, geom.V(2.5, 2.5, 2.5))
-	}
-	arena := &exec.Arena{}
-	visited, _ := exec.BatchRangeVisitArena(frozen, queries, exec.Options{Workers: 4}, arena)
-	var total int64
-	for i, q := range queries {
-		classic := index.SearchAll(rt, q)
-		equalIDSets(t, "batch-range-visit", i, idsOf(visited[i]), idsOf(classic))
-		total += int64(len(classic))
-	}
-	count, _ := exec.BatchSearchCount(rt, queries, exec.Options{Workers: 4})
-	if count != total {
-		t.Fatalf("BatchSearchCount = %d, want %d", count, total)
+		q := geom.AABBFromCenter(c, geom.V(2.5, 2.5, 2.5))
+		equalIDSets(t, "batch-range-visit", i, idsOf(index.VisitAll(frozen, q)), idsOf(index.SearchAll(rt, q)))
 	}
 
-	points := make([]geom.Vec3, 32)
-	for i := range points {
-		points[i] = geom.V(r.Float64()*50, r.Float64()*50, r.Float64()*50)
-	}
-	classicKNN, _ := exec.BatchKNN(rt, points, 7, exec.Options{Workers: 4})
-	visitKNN, _ := exec.BatchKNNInto(frozen, points, 7, exec.Options{Workers: 4}, arena)
-	for i := range points {
-		if len(visitKNN[i]) != len(classicKNN[i]) {
-			t.Fatalf("point %d: got %d neighbors, want %d", i, len(visitKNN[i]), len(classicKNN[i]))
+	for i := 0; i < 32; i++ {
+		p := geom.V(r.Float64()*50, r.Float64()*50, r.Float64()*50)
+		classic := rt.KNN(p, 7)
+		visit := frozen.KNNInto(p, 7, nil)
+		if len(visit) != len(classic) {
+			t.Fatalf("point %d: got %d neighbors, want %d", i, len(visit), len(classic))
 		}
-		for j := range visitKNN[i] {
-			gd := visitKNN[i][j].Box.Distance2ToPoint(points[i])
-			wd := classicKNN[i][j].Box.Distance2ToPoint(points[i])
+		for j := range visit {
+			gd := visit[j].Box.Distance2ToPoint(p)
+			wd := classic[j].Box.Distance2ToPoint(p)
 			if gd != wd {
 				t.Fatalf("point %d rank %d: dist2 %g, want %g", i, j, gd, wd)
 			}
-		}
-	}
-}
-
-func TestArenaReuseAcrossBatches(t *testing.T) {
-	items, _ := compactConformanceItems(2000, 57)
-	frozen := rtree.FreezeItems(items, rtree.Config{})
-	r := rand.New(rand.NewSource(58))
-	queries := make([]geom.AABB, 32)
-	for i := range queries {
-		c := geom.V(r.Float64()*50, r.Float64()*50, r.Float64()*50)
-		queries[i] = geom.AABBFromCenter(c, geom.V(2, 2, 2))
-	}
-	arena := &exec.Arena{}
-	first, _ := exec.BatchRangeVisitArena(frozen, queries, exec.Options{Workers: 2}, arena)
-	wantCounts := make([]int, len(first))
-	for i := range first {
-		wantCounts[i] = len(first[i])
-	}
-	// Re-running the identical batch over the same arena must reuse buffers
-	// and reproduce the same per-query result counts.
-	second, _ := exec.BatchRangeVisitArena(frozen, queries, exec.Options{Workers: 2}, arena)
-	for i := range second {
-		if len(second[i]) != wantCounts[i] {
-			t.Fatalf("query %d: reused-arena batch returned %d results, want %d", i, len(second[i]), wantCounts[i])
 		}
 	}
 }

@@ -210,3 +210,106 @@ func TestRangeQueryEquivalenceQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// loaderFamilies returns one fresh instance of every family at its default
+// configuration, the linear scan included: the families whose bulk loads
+// the parallel-load tests compare.
+func loaderFamilies() []index.Index {
+	u := conformanceUniverse()
+	return []index.Index{
+		rtree.NewDefault(),
+		crtree.New(crtree.Config{}),
+		grid.New(grid.Config{Universe: u, CellsPerDim: 12}),
+		grid.NewMulti(grid.MultiConfig{Universe: u, CoarsestCells: 4, Levels: 4}),
+		octree.New(octree.Config{Universe: u, LeafCapacity: 10, MaxDepth: 7}),
+		octree.New(octree.Config{Universe: u, LeafCapacity: 10, MaxDepth: 7, Loose: true}),
+		core.New(core.Config{Universe: u, CellsPerDim: 12}),
+		index.NewLinearScan(),
+		moving.NewThrowaway(rtree.NewDefault()),
+		moving.NewLazy(rtree.NewDefault(), 0.25),
+		moving.NewBuffered(rtree.NewDefault(), 64),
+	}
+}
+
+// bulkLoad loads items through the family's own loader: ParallelBulkLoad on
+// workers goroutines where it has one, BulkLoad where it has only that, an
+// insert loop otherwise.
+func bulkLoad(ix index.Index, items []index.Item, workers int) {
+	switch x := ix.(type) {
+	case index.ParallelBulkLoader:
+		x.ParallelBulkLoad(items, workers)
+	case index.BulkLoader:
+		x.BulkLoad(items)
+	default:
+		for _, it := range items {
+			ix.Insert(it.ID, it.Box)
+		}
+	}
+}
+
+func loaderItems(r *rand.Rand, n int) []index.Item {
+	items := make([]index.Item, n)
+	for i := range items {
+		c := geom.V(r.Float64()*50, r.Float64()*50, r.Float64()*50)
+		half := geom.V(0.1+r.Float64(), 0.1+r.Float64(), 0.1+r.Float64())
+		items[i] = index.Item{ID: int64(i), Box: geom.AABBFromCenter(c, half)}
+	}
+	return items
+}
+
+// TestParallelBulkLoadMatchesSequential asserts that a parallel load produces
+// an index answering exactly like a sequentially loaded one, for every family
+// (native parallel loaders and sequential fallbacks alike).
+func TestParallelBulkLoadMatchesSequential(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	// Above every family's sequential-fallback threshold.
+	items := loaderItems(r, 10000)
+	queries := make([]geom.AABB, 80)
+	for i := range queries {
+		a := geom.V(r.Float64()*50, r.Float64()*50, r.Float64()*50)
+		b := geom.V(r.Float64()*50, r.Float64()*50, r.Float64()*50)
+		queries[i] = geom.NewAABB(a, b)
+	}
+	seq := loaderFamilies()
+	par := loaderFamilies()
+	for fi := range seq {
+		fi := fi
+		t.Run(seq[fi].Name(), func(t *testing.T) {
+			bulkLoad(seq[fi], items, 1)
+			bulkLoad(par[fi], items, 8)
+			if sl, pl := seq[fi].Len(), par[fi].Len(); sl != pl {
+				t.Fatalf("Len: sequential %d, parallel %d", sl, pl)
+			}
+			for qi, q := range queries {
+				want := idsOf(index.SearchAll(seq[fi], q))
+				got := idsOf(index.SearchAll(par[fi], q))
+				equalIDSets(t, "parallel load", qi, got, want)
+			}
+		})
+	}
+}
+
+// TestParallelBulkLoadReloads asserts a parallel load fully replaces earlier
+// contents, exactly like BulkLoad.
+func TestParallelBulkLoadReloads(t *testing.T) {
+	r := rand.New(rand.NewSource(10))
+	first := loaderItems(r, 9000)
+	second := loaderItems(r, 8192)
+	for _, ix := range []index.Index{
+		rtree.NewDefault(),
+		grid.New(grid.Config{Universe: conformanceUniverse(), CellsPerDim: 12}),
+		octree.New(octree.Config{Universe: conformanceUniverse(), LeafCapacity: 10, MaxDepth: 7}),
+		core.New(core.Config{Universe: conformanceUniverse(), CellsPerDim: 12}),
+	} {
+		loader := ix.(index.ParallelBulkLoader)
+		loader.ParallelBulkLoad(first, 8)
+		loader.ParallelBulkLoad(second, 8)
+		if ix.Len() != len(second) {
+			t.Errorf("%s: Len after reload = %d, want %d", ix.Name(), ix.Len(), len(second))
+		}
+		everything := index.SearchAll(ix, conformanceUniverse().Expand(5))
+		if len(everything) != len(second) {
+			t.Errorf("%s: full-universe query returned %d, want %d", ix.Name(), len(everything), len(second))
+		}
+	}
+}

@@ -1,6 +1,7 @@
-package exec
+package join_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -130,7 +131,7 @@ func TestJoinDifferential(t *testing.T) {
 						t.Fatalf("%s/seq: %d pairs, want %d", name, len(got), len(want))
 					}
 					for _, w := range []int{1, 2, 4} {
-						got, _ := ParallelJoin(p, Options{Workers: w})
+						got, _ := p.RunParallel(context.Background(), w)
 						requireCanonical(t, fmt.Sprintf("%s/w=%d", name, w), got)
 						if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
 							t.Fatalf("%s/w=%d: %d pairs, want %d", name, w, len(got), len(want))

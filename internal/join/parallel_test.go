@@ -1,6 +1,7 @@
-package exec
+package join_test
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -45,7 +46,7 @@ var joinAlgos = []join.Algorithm{
 
 // TestParallelJoinConformance is the randomized cross-algorithm conformance
 // check of the tentpole: all five algorithms, sequential (Plan.Run) and
-// parallel (ParallelJoin at several worker counts), must return the same pair
+// parallel (RunParallel at several worker counts), must return the same pair
 // set as the nested-loop ground truth on both uniform and clustered data.
 // It runs under -race in CI, so it also exercises the task tiling for races.
 func TestParallelJoinConformance(t *testing.T) {
@@ -65,7 +66,7 @@ func TestParallelJoinConformance(t *testing.T) {
 				t.Errorf("%s/%v sequential: %d pairs, want %d", name, algo, len(got), len(want))
 			}
 			for _, workers := range []int{1, 2, 4} {
-				got, stats := ParallelJoin(p, Options{Workers: workers})
+				got, stats := p.RunParallel(context.Background(), workers)
 				if !reflect.DeepEqual(canonPairs(got), want) {
 					t.Errorf("%s/%v parallel w=%d: %d pairs, want %d", name, algo, workers, len(got), len(want))
 				}
@@ -92,7 +93,7 @@ func TestParallelJoinBinaryConformance(t *testing.T) {
 	}
 	for _, algo := range joinAlgos {
 		p := join.Planner{}.PlanWith(algo, as, bs, join.Options{Eps: eps})
-		got, _ := ParallelJoin(p, Options{Workers: 4})
+		got, _ := p.RunParallel(context.Background(), 4)
 		if !reflect.DeepEqual(canonPairs(got), want) {
 			t.Errorf("%v: %d pairs, want %d", algo, len(got), len(want))
 		}
@@ -107,7 +108,7 @@ func TestParallelJoinPlannerAuto(t *testing.T) {
 	want := canonPairs(join.SelfNestedLoop(items, join.Options{Eps: eps}))
 	p := join.Planner{}.PlanSelf(items, join.Options{Eps: eps})
 	defer p.Close()
-	got, stats := ParallelJoin(p, Options{Workers: 4})
+	got, stats := p.RunParallel(context.Background(), 4)
 	if !reflect.DeepEqual(canonPairs(got), want) {
 		t.Fatalf("auto plan (%v): %d pairs, want %d", p.Algo(), len(got), len(want))
 	}
@@ -130,7 +131,7 @@ func TestParallelJoinCountersMatchSequential(t *testing.T) {
 
 	var parC instrument.Counters
 	p2 := join.Planner{}.PlanSelfWith(join.AlgoGrid, items, join.Options{Eps: eps, Counters: &parC})
-	_, stats := ParallelJoin(p2, Options{Workers: 4})
+	_, stats := p2.RunParallel(context.Background(), 4)
 	p2.Close()
 	if parC.Comparisons() != seqComparisons {
 		t.Fatalf("parallel fold charged %d comparisons, sequential %d", parC.Comparisons(), seqComparisons)
@@ -154,7 +155,7 @@ func TestParallelJoinSharedPlan(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, _ := ParallelJoin(p, Options{Workers: 2})
+			got, _ := p.RunParallel(context.Background(), 2)
 			if !reflect.DeepEqual(canonPairs(got), want) {
 				t.Errorf("concurrent run diverged: %d pairs, want %d", len(got), len(want))
 			}
@@ -173,7 +174,7 @@ func benchmarkSelfJoin(b *testing.B, algo join.Algorithm, workers int) {
 		if workers <= 1 {
 			p.Run()
 		} else {
-			ParallelJoin(p, Options{Workers: workers})
+			p.RunParallel(context.Background(), workers)
 		}
 	}
 }
@@ -203,7 +204,7 @@ func BenchmarkSelfGridJoinNeuron(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := join.Planner{}.PlanSelfWith(join.AlgoGrid, items, join.Options{Eps: eps, Counters: &c})
-		out, _ := ParallelJoin(p, Options{})
+		out, _ := p.RunParallel(context.Background(), 0)
 		pairs = len(out)
 		p.Close()
 	}

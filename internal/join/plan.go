@@ -1,6 +1,7 @@
 package join
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -8,6 +9,7 @@ import (
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
 	"spatialsim/internal/instrument"
+	"spatialsim/internal/par"
 )
 
 // This file is the planner-driven execution core of the join subsystem. The
@@ -16,7 +18,7 @@ import (
 // overlap. The Planner encodes those decision criteria; a Plan is the
 // prepared form of one join — the shared partitioning/replication state plus
 // a decomposition into independent tasks — so the same machinery drives the
-// sequential Run, the worker-pool exec.ParallelJoin, and the serving layer's
+// sequential Run, the worker-pool RunParallel, and the serving layer's
 // /join endpoint. Tasks never produce a pair twice (the grid uses the
 // reference-point technique, the tree joins filter at the emission site), so
 // gathering task outputs (Gather) is one distribution sort into canonical
@@ -242,7 +244,7 @@ func (pl Planner) Pick(st Stats) Algorithm {
 // Plan is one prepared join: the chosen algorithm, the shared partitioning
 // state, and a decomposition into Tasks() independent units of work. A Plan
 // is read-only after construction — RunTask may be called concurrently for
-// distinct (or even identical) tasks, which is how exec.ParallelJoin tiles a
+// distinct (or even identical) tasks, which is how RunParallel tiles a
 // plan across its worker pool. Close releases pooled partitioning buffers;
 // using the plan after Close is invalid.
 type Plan struct {
@@ -407,7 +409,7 @@ func (p *Plan) Tasks() int {
 // disjoint pair sets (no task-level deduplication is ever needed); within a
 // task, pairs are emitted at most once. counters, if non-nil, receives the
 // task's comparison accounting instead of the plan's own counters — the hook
-// exec.ParallelJoin uses to keep per-worker accounting contention-free.
+// RunParallel uses to keep per-worker accounting contention-free.
 func (p *Plan) RunTask(task int, counters *instrument.Counters, buf []Pair) []Pair {
 	opts := p.opts
 	if counters != nil {
@@ -436,6 +438,69 @@ func (p *Plan) Run() []Pair {
 		raw = p.RunTask(t, nil, raw)
 	}
 	return Gather([][]Pair{raw}, nil)
+}
+
+// RunStats reports the execution of one RunParallel call.
+type RunStats struct {
+	// Algo is the algorithm the plan executed.
+	Algo Algorithm
+	// Workers is the number of goroutines actually used.
+	Workers int
+	// Tasks is the number of independent plan tasks tiled over the pool.
+	Tasks int
+	// Pairs is the number of result pairs.
+	Pairs int64
+	// PerWorker holds the counters each worker accumulated privately —
+	// the load-balance view of the join's comparison work.
+	PerWorker []instrument.CounterSnapshot
+	// Cancelled reports that ctx ended before every plan task ran; the
+	// returned pairs are the (correct but incomplete) output of the tasks
+	// that did run.
+	Cancelled bool
+}
+
+// Aggregate returns the sum of the per-worker counter snapshots.
+func (s RunStats) Aggregate() instrument.CounterSnapshot {
+	var total instrument.CounterSnapshot
+	for _, w := range s.PerWorker {
+		total = total.Add(w)
+	}
+	return total
+}
+
+// RunParallel executes the plan's tasks on up to workers goroutines (<= 0
+// uses GOMAXPROCS, bounded by the task count) and returns the pairs in
+// canonical (A, then B) order. Tasks are handed out through par's chunked
+// atomic cursor (uneven cells and subtrees still balance); each worker
+// appends into a private pair buffer and charges a private counter. Tasks
+// never emit a pair twice, so the gather is Gather: the worker runs are
+// distribution-sorted on A straight into the output — no per-worker sort,
+// no merge, no dedup. The aggregated worker accounting is folded back into
+// the plan's counters, so Run and RunParallel charge the same totals. Once
+// ctx ends, workers stop claiming tasks and the stats are marked Cancelled.
+func (p *Plan) RunParallel(ctx context.Context, workers int) ([]Pair, RunStats) {
+	n := p.Tasks()
+	w := par.Workers(workers, n)
+	stats := RunStats{Algo: p.algo, Workers: w, Tasks: n}
+	bufs := make([][]Pair, w)
+	locals := make([]instrument.Counters, w)
+	stats.Cancelled = !par.ForTasksCtx(ctx, n, w, func(worker, task int) {
+		bufs[worker] = p.RunTask(task, &locals[worker], bufs[worker])
+	})
+	out := Gather(bufs, nil)
+
+	stats.PerWorker = make([]instrument.CounterSnapshot, w)
+	for i := range locals {
+		stats.PerWorker[i] = locals[i].Snapshot()
+	}
+	stats.Pairs = int64(len(out))
+	if c := p.opts.Counters; c != nil {
+		agg := stats.Aggregate()
+		c.AddComparisons(agg.Comparisons)
+		c.AddElemIntersectTests(agg.ElemIntersectTests)
+		c.AddTreeIntersectTests(agg.TreeIntersectTests)
+	}
+	return out, stats
 }
 
 // Close returns pooled partitioning buffers for reuse by later plans. The

@@ -1,8 +1,8 @@
 package octree
 
 import (
-	"spatialsim/internal/exec"
 	"spatialsim/internal/index"
+	"spatialsim/internal/par"
 )
 
 // parallelLoadMinItems is the size below which the sequential path is used.
@@ -37,7 +37,7 @@ func (t *Tree) ParallelBulkLoad(items []index.Item, workers int) {
 		lists [9][]item
 	}
 	per := make([]*buckets, workers)
-	exec.ForChunks(len(items), workers, func(worker, lo, hi int) {
+	par.ForChunks(len(items), workers, func(worker, lo, hi int) {
 		b := &buckets{}
 		per[worker] = b
 		for i := lo; i < hi; i++ {
@@ -71,7 +71,7 @@ func (t *Tree) ParallelBulkLoad(items []index.Item, workers int) {
 	}
 
 	// Build the eight subtrees concurrently.
-	exec.ForTasks(8, workers, func(_, ci int) {
+	par.ForTasks(8, workers, func(_, ci int) {
 		for _, b := range per {
 			if b == nil {
 				continue

@@ -29,7 +29,7 @@ import (
 	"slices"
 	"sync"
 
-	"spatialsim/internal/exec"
+	"spatialsim/internal/par"
 	"spatialsim/internal/rtree"
 	"spatialsim/internal/storage"
 )
@@ -287,7 +287,7 @@ func (ms *MappedSegment) resolve(dir string, sr SnapshotRecord, shards []ShardRe
 		return nil
 	}
 	errs := make([]error, len(shards))
-	exec.ForTasks(len(shards), workers, func(_, i int) {
+	par.ForTasks(len(shards), workers, func(_, i int) {
 		ref := shards[i].Ref
 		if ref == nil {
 			return

@@ -3,7 +3,7 @@ package persist
 // Recovery: pick the newest snapshot whose segments verify, fall back one
 // generation at a time if they do not, and hand back the WAL tail the chosen
 // snapshot does not cover. Shards are opened in parallel, one
-// exec.ForTasks task per shard record; an R-Tree shard is an overlay of a
+// par.ForTasks task per shard record; an R-Tree shard is an overlay of a
 // segment image in both recovery modes, whether the snapshot's own segment
 // holds it or an older one its reference names.
 

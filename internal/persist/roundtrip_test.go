@@ -15,12 +15,12 @@ package persist
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 	"testing"
 
 	"spatialsim/internal/datagen"
-	"spatialsim/internal/exec"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/grid"
 	"spatialsim/internal/index"
@@ -204,7 +204,7 @@ func TestRoundTripJoinIdentical(t *testing.T) {
 	run := func(items []index.Item) []join.Pair {
 		plan := pl.PlanSelf(items, join.Options{Eps: eps})
 		defer plan.Close()
-		pairs, _ := exec.ParallelJoin(plan, exec.Options{Workers: 4})
+		pairs, _ := plan.RunParallel(context.Background(), 4)
 		return pairs
 	}
 	want := run(items)

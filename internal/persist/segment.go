@@ -47,8 +47,8 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"spatialsim/internal/exec"
 	"spatialsim/internal/geom"
+	"spatialsim/internal/par"
 	"spatialsim/internal/rtree"
 	"spatialsim/internal/storage"
 )
@@ -309,14 +309,14 @@ func segmentDirectory(info SegmentInfo, payload []byte) ([]rawShard, error) {
 }
 
 // DecodeSegment decodes a segment image (header page + payload) into its
-// shard records, using up to workers goroutines. R-Tree blobs become
-// overlays of image (OpenMappedCompact) — image must stay immutable and
-// alive while they serve — and reference records come back unresolved
-// (ShardRecord.Ref). verifyCRC checks the payload checksum before any blob
-// is touched. Recovery from a heap image
-// sets it; the mapped open does not (a checksum would fault in every page,
-// the O(data) cost mapping exists to avoid) and relies on structural
-// validation, which still rejects any blob that could make a query fault.
+// shard records, using up to workers goroutines (<= 0 uses GOMAXPROCS).
+// R-Tree blobs become overlays of image (OpenMappedCompact) — image must
+// stay immutable and alive while they serve — and reference records come
+// back unresolved (ShardRecord.Ref). verifyCRC checks the payload checksum
+// before any blob is touched. Recovery from a heap image sets it; the
+// mapped open does not (a checksum would fault in every page, the O(data)
+// cost mapping exists to avoid) and relies on structural validation, which
+// still rejects any blob that could make a query fault.
 func DecodeSegment(image []byte, workers int, verifyCRC bool) (SegmentInfo, []ShardRecord, error) {
 	info, err := DecodeSegmentInfo(image, len(image))
 	if err != nil {
@@ -338,7 +338,7 @@ func DecodeSegment(image []byte, workers int, verifyCRC bool) (SegmentInfo, []Sh
 	// slab).
 	shards := make([]ShardRecord, len(raw))
 	errs := make([]error, len(raw))
-	exec.ForTasks(len(raw), workers, func(_, i int) {
+	par.ForTasks(len(raw), workers, func(_, i int) {
 		shards[i], errs[i] = openRecord(raw[i])
 		if errs[i] != nil {
 			errs[i] = fmt.Errorf("shard %d: %w", i, errs[i])

@@ -3,8 +3,8 @@ package rtree
 import (
 	"sync"
 
-	"spatialsim/internal/exec"
 	"spatialsim/internal/index"
+	"spatialsim/internal/par"
 )
 
 // parallelLoadMinItems is the size below which the sequential STR path is
@@ -33,7 +33,7 @@ func (t *Tree) ParallelBulkLoad(items []index.Item, workers int) {
 		return
 	}
 	entries := make([]entry, len(items))
-	exec.ForChunks(len(items), workers, func(_, lo, hi int) {
+	par.ForChunks(len(items), workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			entries[i] = entry{box: items[i].Box, id: items[i].ID}
 		}
@@ -44,7 +44,7 @@ func (t *Tree) ParallelBulkLoad(items []index.Item, workers int) {
 	slabSize, runSize := t.strTiling(len(entries))
 	numSlabs := (len(entries) + slabSize - 1) / slabSize
 	perSlab := make([][]*node, numSlabs)
-	exec.ForTasks(numSlabs, workers, func(_, si int) {
+	par.ForTasks(numSlabs, workers, func(_, si int) {
 		lo := si * slabSize
 		hi := minInt(lo+slabSize, len(entries))
 		perSlab[si] = packTiles(entries[lo:hi], true, runSize, m)
@@ -87,7 +87,7 @@ func parallelSortByCenter(entries []entry, axis, workers int) {
 	for w := 0; w <= workers; w++ {
 		bounds = append(bounds, w*n/workers)
 	}
-	exec.ForTasks(workers, workers, func(_, w int) {
+	par.ForTasks(workers, workers, func(_, w int) {
 		sortByCenter(entries[bounds[w]:bounds[w+1]], axis)
 	})
 

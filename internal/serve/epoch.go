@@ -42,8 +42,8 @@ func (sh *Shard) Len() int { return sh.snap.Len() }
 // epoch (atomic refcount) for the duration of a query, so an epoch swap never
 // blocks readers and never frees state out from under them; queries observe
 // exactly one generation end to end, which is the torn-read guarantee the
-// epoch tests drive. Epoch implements index.ReadIndex, so the exec batch
-// visitors drive a whole epoch like any other frozen index.
+// epoch tests drive. Epoch implements index.ReadIndex, so a whole epoch
+// reads like any other frozen index.
 type Epoch struct {
 	seq    uint64
 	items  int
@@ -127,8 +127,8 @@ func (e *Epoch) Pins() int64 { return e.pins.Load() }
 // arming it with latency makes a shard deliberately slow, arming it with
 // errors makes a shard fail its slice of the fan-out — the two conditions the
 // degraded-reply contract is tested under. The interface paths (RangeVisit /
-// KNNInto, used by the exec batch engine and join materialization) never
-// consult it, so fault arming cannot silently thin a batch result.
+// KNNInto) and the join's AllItems never consult it, so fault arming cannot
+// silently thin a join's input.
 const FaultShardVisit = "serve.shard.visit"
 
 // cancelCheckEvery is how many visited leaves pass between context checks
@@ -476,8 +476,8 @@ func (e *Epoch) planRange(q geom.AABB) int {
 	return fan
 }
 
-// planAll is planRange for whole-epoch operations (kNN merges, joins, arena
-// batches): every non-empty shard participates.
+// planAll is planRange for whole-epoch operations (kNN merges, joins):
+// every non-empty shard participates.
 func (e *Epoch) planAll() int {
 	fan := 0
 	for i := range e.shards {

@@ -45,11 +45,9 @@ var serveCostModel = instrument.CostModel{
 type storeMetrics struct {
 	reg *obs.Registry
 
-	latRange      *obs.Histogram
-	latKNN        *obs.Histogram
-	latJoin       *obs.Histogram
-	latBatchRange *obs.Histogram
-	latBatchKNN   *obs.Histogram
+	latRange *obs.Histogram
+	latKNN   *obs.Histogram
+	latJoin  *obs.Histogram
 
 	buildSeconds    *obs.Histogram // freeze+swap of one epoch publish
 	walSeconds      *obs.Histogram // one WAL batch append
@@ -64,10 +62,6 @@ func (m *storeMetrics) latFor(op Op) *obs.Histogram {
 		return m.latKNN
 	case OpJoin:
 		return m.latJoin
-	case OpBatchRange:
-		return m.latBatchRange
-	case OpBatchKNN:
-		return m.latBatchKNN
 	default:
 		return m.latRange
 	}
@@ -86,8 +80,6 @@ func (s *Store) initMetrics(reg *obs.Registry) {
 	m.latRange = hist("range")
 	m.latKNN = hist("knn")
 	m.latJoin = hist("join")
-	m.latBatchRange = hist("batch_range")
-	m.latBatchKNN = hist("batch_knn")
 	m.buildSeconds = reg.Histogram("spatial_epoch_build_seconds")
 	m.retireAge = reg.Histogram("spatial_epoch_retire_age_seconds")
 
@@ -260,8 +252,6 @@ func (s *Store) queryLatencyStats() []QueryLatencyStat {
 		{"range", s.metrics.latRange},
 		{"knn", s.metrics.latKNN},
 		{"join", s.metrics.latJoin},
-		{"batch_range", s.metrics.latBatchRange},
-		{"batch_knn", s.metrics.latBatchKNN},
 	}
 	var out []QueryLatencyStat
 	for _, c := range classes {

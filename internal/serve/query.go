@@ -1,11 +1,10 @@
 package serve
 
 // The unified query entry point: every read the store serves — single range,
-// single kNN, arena batches, epoch self-joins — is one Store.Query call, so
-// admission control, epoch pinning, deadlines, caching and plan reporting
-// happen in exactly one place. The named methods (Range, KNN, BatchRange,
-// SelfJoin, ...) are thin wrappers that fill a Request and reshape the
-// Reply.
+// single kNN, epoch self-joins — is one Store.Query call, so admission
+// control, epoch pinning, deadlines, caching and plan reporting happen in
+// exactly one place. The named methods (Range, KNN, SelfJoin, ...) are thin
+// wrappers that fill a Request and reshape the Reply.
 //
 // Robustness contract (the graceful-degradation shape a future multi-node
 // coordinator inherits per shard):
@@ -28,7 +27,6 @@ import (
 	"errors"
 	"time"
 
-	"spatialsim/internal/exec"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
 	"spatialsim/internal/instrument"
@@ -48,20 +46,16 @@ const (
 	OpKNN
 	// OpJoin is an epoch-pinned self-join (Join parameters).
 	OpJoin
-	// OpBatchRange scatters Queries over the worker pool with arena reuse.
-	OpBatchRange
-	// OpBatchKNN scatters Points over the worker pool with arena reuse.
-	OpBatchKNN
 )
 
 // Priority classes admission-control shedding. Under saturation, background
 // work is shed at a quarter of the wait-queue bound, so interactive traffic
-// keeps four times the queue headroom of scans and joins.
+// keeps four times the queue headroom of joins.
 type Priority int
 
 const (
-	// PriorityAuto derives the class from the Op: joins and arena batches are
-	// background, single range/kNN queries are interactive.
+	// PriorityAuto derives the class from the Op: joins are background,
+	// single range/kNN queries are interactive.
 	PriorityAuto Priority = iota
 	// PriorityInteractive is latency-sensitive point traffic.
 	PriorityInteractive
@@ -80,8 +74,6 @@ type Deadlines struct {
 	KNN time.Duration
 	// Join bounds epoch-pinned self-joins.
 	Join time.Duration
-	// Batch bounds the arena batch operations.
-	Batch time.Duration
 }
 
 // ForOp returns the class deadline of op.
@@ -91,8 +83,6 @@ func (d Deadlines) ForOp(op Op) time.Duration {
 		return d.KNN
 	case OpJoin:
 		return d.Join
-	case OpBatchRange, OpBatchKNN:
-		return d.Batch
 	default:
 		return d.Range
 	}
@@ -105,7 +95,7 @@ type Request struct {
 
 	// Ctx carries the caller's deadline and cancellation into the query: the
 	// admission queue, the shard fan-out (checked every few hundred leaves)
-	// and the parallel batch/join engines all observe it. Nil means
+	// and the parallel join engine all observe it. Nil means
 	// context.Background() plus the store's per-class default deadline.
 	Ctx context.Context
 
@@ -126,13 +116,6 @@ type Request struct {
 	Point geom.Vec3
 	K     int
 
-	// Queries, Points, Opts and Arena shape the batch ops, mirroring the exec
-	// batch visitors they dispatch to.
-	Queries []geom.AABB
-	Points  []geom.Vec3
-	Opts    exec.Options
-	Arena   *exec.Arena
-
 	// Join shapes OpJoin.
 	Join JoinRequest
 
@@ -146,12 +129,10 @@ func (r Request) priority() Priority {
 	if r.Priority != PriorityAuto {
 		return r.Priority
 	}
-	switch r.Op {
-	case OpJoin, OpBatchRange, OpBatchKNN:
+	if r.Op == OpJoin {
 		return PriorityBackground
-	default:
-		return PriorityInteractive
 	}
+	return PriorityInteractive
 }
 
 // PlanInfo reports the decisions behind one Reply: which join algorithm
@@ -164,7 +145,7 @@ type PlanInfo struct {
 	// (including coalesced waits on an in-flight identical query).
 	CacheHit bool `json:"cache_hit"`
 	// FanOut is the number of non-empty shards the query reached after MBR
-	// pruning (for batches: the shard count of the epoch).
+	// pruning (for kNN and joins: every non-empty shard of the epoch).
 	FanOut int `json:"fan_out"`
 	// Comparisons is the number of pairwise box comparisons a join ran — the
 	// paper's yardstick of join work (0 for non-joins).
@@ -178,25 +159,23 @@ type Reply struct {
 	Epoch uint64
 	// Items holds materialized OpRange/OpKNN results (req.Buf extended).
 	Items []index.Item
-	// Batch holds per-query results of the batch ops.
-	Batch [][]index.Item
 	// Pairs, JoinAlgo, JoinItems and JoinStats hold the OpJoin outcome.
 	Pairs     []join.Pair
 	JoinAlgo  join.Algorithm
 	JoinItems int
-	JoinStats exec.JoinStats
+	JoinStats join.RunStats
 	// Plan reports the planning decisions behind the reply.
 	Plan PlanInfo
 	// Counters is the instrument-counter delta the query induced on the index
 	// structures it touched — the raw material of the paper's cost breakdown,
 	// attributed per query. For range/kNN it is the delta observed across the
 	// shard fan-out (approximate under concurrent load: shard counters are
-	// shared); for joins it is the workers' aggregated accounting; for batches
-	// it is the exact index delta of the batch. Zero on cache hits.
+	// shared); for joins it is the workers' aggregated accounting. Zero on
+	// cache hits.
 	Counters instrument.CounterSnapshot `json:"counters"`
 
 	// Degraded marks a partial result: some shard of the fan-out (or some
-	// task of a batch/join) did not contribute — because its slice of the
+	// task of a join) did not contribute — because its slice of the
 	// deadline budget ran out or it failed — but others did, so the reply
 	// carries what was gathered instead of failing outright. ShardErrors
 	// holds the per-shard detail. Degraded results are never cached.
@@ -266,10 +245,6 @@ func (s *Store) queryOn(req Request, pinned *Epoch) Reply {
 		rep = s.queryKNN(ctx, e, req)
 	case OpJoin:
 		rep = s.queryJoin(ctx, e, req)
-	case OpBatchRange:
-		rep = s.queryBatchRange(ctx, e, req)
-	case OpBatchKNN:
-		rep = s.queryBatchKNN(ctx, e, req)
 	default:
 		rep = s.queryRange(ctx, e, req)
 	}
@@ -523,7 +498,7 @@ func (s *Store) queryJoin(ctx context.Context, e *Epoch, req Request) Reply {
 		ps.End()
 	}
 	js := obs.SpanFromContext(ctx).Child("join_exec")
-	pairs, stats := exec.ParallelJoin(plan, exec.Options{Workers: jr.Workers, Ctx: ctx})
+	pairs, stats := plan.RunParallel(ctx, jr.Workers)
 	rep.Counters = stats.Aggregate()
 	if js != nil {
 		js.Set("algorithm", plan.Algo().String())
@@ -551,34 +526,4 @@ func (s *Store) queryJoin(ctx context.Context, e *Epoch, req Request) Reply {
 	s.joins.Add(1)
 	s.joinPairs.Add(int64(len(pairs)))
 	return rep
-}
-
-func (s *Store) queryBatchRange(ctx context.Context, e *Epoch, req Request) Reply {
-	opts := req.Opts
-	opts.Ctx = ctx
-	bs := obs.SpanFromContext(ctx).Child("batch_exec")
-	out, stats := exec.BatchRangeVisitArena(e, req.Queries, opts, req.Arena)
-	if bs != nil {
-		bs.Set("queries", len(req.Queries))
-		bs.Set("workers", stats.Workers)
-		bs.End()
-	}
-	s.queries.Add(int64(len(req.Queries)))
-	s.results.Add(stats.Results)
-	return Reply{Epoch: e.seq, Batch: out, Degraded: stats.Cancelled, Counters: stats.Index, Plan: PlanInfo{FanOut: e.planAll()}}
-}
-
-func (s *Store) queryBatchKNN(ctx context.Context, e *Epoch, req Request) Reply {
-	opts := req.Opts
-	opts.Ctx = ctx
-	bs := obs.SpanFromContext(ctx).Child("batch_exec")
-	out, stats := exec.BatchKNNInto(e, req.Points, req.K, opts, req.Arena)
-	if bs != nil {
-		bs.Set("queries", len(req.Points))
-		bs.Set("workers", stats.Workers)
-		bs.End()
-	}
-	s.queries.Add(int64(len(req.Points)))
-	s.results.Add(stats.Results)
-	return Reply{Epoch: e.seq, Batch: out, Degraded: stats.Cancelled, Counters: stats.Index, Plan: PlanInfo{FanOut: e.planAll()}}
 }

@@ -32,8 +32,7 @@
 // per-class default deadline (Config.Deadlines); a deadline that fires
 // mid-fan-out degrades the reply to the partial result gathered so far
 // (Reply.Degraded + per-shard errors) rather than discarding it.
-// cmd/spatialserver fronts a Store with HTTP endpoints and spatialbench's
-// "serve" experiment drives it with mixed query/update traffic.
+// cmd/spatialserver fronts a Store with HTTP endpoints.
 //
 // With a persistence store attached (Config.Persist, see internal/persist
 // and Open), the subsystem is durable: ingest batches are WAL-journaled as
@@ -50,13 +49,14 @@
 // reads those files into memory and verifies every checksum, while
 // ServingMapped mmaps them — recovery cost is O(open) regardless of dataset
 // size, pages fault in on demand (so datasets larger than RAM serve), and
-// the mappings are unmapped exactly once, when the recovered epoch retires. The first post-recovery update batch lazily re-seeds the
-// tile table from the recovered epoch (one tile per persisted shard),
-// keeping the open path free of item scans. The tile layout is a function
-// of the staged batches alone, so WAL replay rebuilds the layout, and
-// therefore the replies, the crashed process served; each batch of a burst
-// the background builder coalesces into one epoch is staged and journaled
-// on its own, so replaying such a burst publishes one epoch per batch.
+// the mappings are unmapped exactly once, when the recovered epoch retires.
+// The first post-recovery update batch lazily re-seeds the tile table from
+// the recovered epoch (one tile per persisted shard), keeping the open path
+// free of item scans. The tile layout is a function of the staged batches
+// alone, so WAL replay rebuilds the layout, and therefore the replies, the
+// crashed process served; each batch of a burst the background builder
+// coalesces into one epoch is staged and journaled on its own, so replaying
+// such a burst publishes one epoch per batch.
 package serve
 
 import (
@@ -70,12 +70,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"spatialsim/internal/exec"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
 	"spatialsim/internal/instrument"
 	"spatialsim/internal/join"
 	"spatialsim/internal/obs"
+	"spatialsim/internal/par"
 	"spatialsim/internal/persist"
 	"spatialsim/internal/planner"
 	"spatialsim/internal/rtree"
@@ -83,7 +83,8 @@ import (
 
 // ShardBuilder builds the frozen R-Tree image of one shard from the items
 // whose STR tile it owns. bounds is the tight MBR of the items; workers is
-// the goroutine budget for the build.
+// the goroutine budget for the build (<= 1 builds on the caller's
+// goroutine).
 type ShardBuilder func(bounds geom.AABB, items []index.Item, workers int) *rtree.Compact
 
 // RTreeBuilder returns a ShardBuilder backed by an STR-bulk-loaded R-Tree
@@ -91,7 +92,7 @@ type ShardBuilder func(bounds geom.AABB, items []index.Item, workers int) *rtree
 func RTreeBuilder(cfg rtree.Config) ShardBuilder {
 	return func(_ geom.AABB, items []index.Item, workers int) *rtree.Compact {
 		t := rtree.New(cfg)
-		exec.ParallelBulkLoad(t, items, exec.Options{Workers: workers})
+		t.ParallelBulkLoad(items, workers)
 		return t.Freeze()
 	}
 }
@@ -131,8 +132,8 @@ type Config struct {
 	MaxInFlight int
 	// MaxQueued bounds how many callers may wait for an in-flight slot before
 	// admission control sheds with ErrOverload (<= 0 picks 4x MaxInFlight).
-	// Background-priority requests (joins, batches) are shed at a quarter of
-	// the bound, so interactive traffic keeps queue headroom under overload.
+	// Background-priority requests (joins) are shed at a quarter of the
+	// bound, so interactive traffic keeps queue headroom under overload.
 	MaxQueued int
 	// Deadlines is the per-query-class default deadline table (zero entries
 	// mean no default). A class deadline applies only when the request's own
@@ -511,7 +512,7 @@ func (s *Store) freezeAndSwap() uint64 {
 		shards[b.shard] = sh
 	}
 	if full {
-		exec.ForTasks(len(builds), s.cfg.Workers, build)
+		par.ForTasks(len(builds), s.cfg.Workers, build)
 		s.scratch = nil
 	} else {
 		for i := range builds {
@@ -669,15 +670,6 @@ func (s *Store) KNN(p geom.Vec3, k int, buf []index.Item) ([]index.Item, uint64)
 	return r.Items, r.Epoch
 }
 
-// BatchRange scatters a query batch over the worker pool against one pinned
-// epoch (every query in the batch sees the same generation) with per-worker
-// arena buffers; out[i] holds the matches of queries[i]. The batch occupies
-// one admission slot. Thin wrapper over Query.
-func (s *Store) BatchRange(queries []geom.AABB, opts exec.Options, arena *exec.Arena) ([][]index.Item, uint64) {
-	r := s.Query(Request{Op: OpBatchRange, Queries: queries, Opts: opts, Arena: arena})
-	return r.Batch, r.Epoch
-}
-
 // JoinRequest shapes one epoch-pinned self-join.
 type JoinRequest struct {
 	// Eps is the distance threshold between boxes; 0 means intersection join.
@@ -712,7 +704,7 @@ type JoinReply struct {
 	// Pairs holds the result in canonical (sorted) order.
 	Pairs []join.Pair
 	// Stats is the parallel execution accounting.
-	Stats exec.JoinStats
+	Stats join.RunStats
 }
 
 // SelfJoin runs the paper's headline workload — an epsilon self-join — over
@@ -720,19 +712,11 @@ type JoinReply struct {
 // shards, the join planner picks (or is forced to) an algorithm, and the
 // plan's tasks are tiled across the worker pool. The epoch stays pinned for
 // the duration, so concurrent ingestion keeps swapping generations without
-// ever tearing the join's input; the join occupies one admission slot like a
-// query batch. Thin wrapper over Query.
+// ever tearing the join's input; the join occupies one admission slot like
+// a query. Thin wrapper over Query.
 func (s *Store) SelfJoin(req JoinRequest) JoinReply {
 	r := s.Query(Request{Op: OpJoin, Join: req})
 	return JoinReply{Epoch: r.Epoch, Algo: r.JoinAlgo, Items: r.JoinItems, Pairs: r.Pairs, Stats: r.JoinStats}
-}
-
-// BatchKNN scatters a kNN batch over the worker pool against one pinned
-// epoch; out[i] holds the (up to) k nearest items of points[i], closest
-// first. The batch occupies one admission slot. Thin wrapper over Query.
-func (s *Store) BatchKNN(points []geom.Vec3, k int, opts exec.Options, arena *exec.Arena) ([][]index.Item, uint64) {
-	r := s.Query(Request{Op: OpBatchKNN, Points: points, K: k, Opts: opts, Arena: arena})
-	return r.Batch, r.Epoch
 }
 
 // ShardStats is the per-shard slice of a Stats snapshot.

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"spatialsim/internal/exec"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
 	"spatialsim/internal/join"
@@ -343,59 +342,6 @@ func TestKNNMatchesReference(t *testing.T) {
 			wd := want[i].Box.Distance2ToPoint(p)
 			if gd != wd {
 				t.Fatalf("query %d rank %d: distance2 %v, want %v", q, i, gd, wd)
-			}
-		}
-	}
-}
-
-// TestBatchPathsMatchSingleQueries drives the arena-backed batch scatter
-// paths and compares them result-for-result with the one-at-a-time paths.
-func TestBatchPathsMatchSingleQueries(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	items := make([]index.Item, 2500)
-	for i := range items {
-		c := geom.V(rng.Float64()*50, rng.Float64()*50, rng.Float64()*50)
-		items[i] = index.Item{ID: int64(i), Box: geom.AABBFromCenter(c, geom.V(0.5, 0.5, 0.5))}
-	}
-	s := mustNew(t, Config{Shards: 6, Workers: 4})
-	defer s.Close()
-	s.Bootstrap(items)
-
-	queries := make([]geom.AABB, 30)
-	points := make([]geom.Vec3, 30)
-	for i := range queries {
-		c := geom.V(rng.Float64()*50, rng.Float64()*50, rng.Float64()*50)
-		queries[i] = geom.AABBFromCenter(c, geom.V(4, 4, 4))
-		points[i] = geom.V(rng.Float64()*50, rng.Float64()*50, rng.Float64()*50)
-	}
-
-	arena := &exec.Arena{}
-	batched, _ := s.BatchRange(queries, exec.Options{Workers: 4}, arena)
-	for i, q := range queries {
-		want := idSet(batched[i])
-		got, _ := s.RangeAll(q, nil)
-		if len(got) != len(want) {
-			t.Fatalf("range query %d: batch %d items, single %d", i, len(want), len(got))
-		}
-		for _, it := range got {
-			if !want[it.ID] {
-				t.Fatalf("range query %d: id %d missing from batch result", i, it.ID)
-			}
-		}
-	}
-
-	knnArena := &exec.Arena{}
-	batchedKNN, _ := s.BatchKNN(points, 6, exec.Options{Workers: 4}, knnArena)
-	for i, p := range points {
-		single, _ := s.KNN(p, 6, nil)
-		if len(single) != len(batchedKNN[i]) {
-			t.Fatalf("knn query %d: batch %d items, single %d", i, len(batchedKNN[i]), len(single))
-		}
-		for j := range single {
-			bd := batchedKNN[i][j].Box.Distance2ToPoint(p)
-			sd := single[j].Box.Distance2ToPoint(p)
-			if bd != sd {
-				t.Fatalf("knn query %d rank %d: batch distance %v, single %v", i, j, bd, sd)
 			}
 		}
 	}

@@ -12,10 +12,10 @@ import (
 	"time"
 
 	"spatialsim/internal/datagen"
-	"spatialsim/internal/exec"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
 	"spatialsim/internal/join"
+	"spatialsim/internal/par"
 )
 
 // Config configures a simulation run.
@@ -35,9 +35,8 @@ type Config struct {
 	JoinEps float64
 	// Seed seeds the query generators.
 	Seed int64
-	// Workers > 1 runs the monitoring queries of every step through the
-	// parallel batch engine (internal/exec) with that many goroutines;
-	// 0 or 1 keeps the sequential path.
+	// Workers > 1 runs the monitoring queries of every step on that many
+	// goroutines (internal/par); 0 or 1 keeps the sequential path.
 	Workers int
 }
 
@@ -159,28 +158,20 @@ func (s *Simulation) Step() StepStats {
 	seed := s.cfg.Seed + int64(s.step)
 	if s.cfg.QueriesPerStep > 0 {
 		queries := datagen.GenerateDataCenteredQueries(s.Dataset, s.cfg.QueriesPerStep, s.cfg.QuerySelectivity, seed)
-		if s.cfg.Workers > 1 {
-			count, _ := exec.BatchSearchCount(s.Index, queries, exec.Options{Workers: s.cfg.Workers})
-			stats.RangeResults += int(count)
-		} else {
-			for _, q := range queries {
-				s.Index.Search(q, func(index.Item) bool {
-					stats.RangeResults++
-					return true
-				})
-			}
-		}
+		stats.RangeResults += s.monitor(len(queries), func(i int) int {
+			n := 0
+			s.Index.Search(queries[i], func(index.Item) bool {
+				n++
+				return true
+			})
+			return n
+		})
 	}
 	if s.cfg.KNNPerStep > 0 {
 		points := datagen.GenerateKNNQueries(s.cfg.KNNPerStep, s.Dataset.Universe, seed+7919)
-		if s.cfg.Workers > 1 {
-			_, batch := exec.BatchKNN(s.Index, points, s.cfg.K, exec.Options{Workers: s.cfg.Workers})
-			stats.KNNResults += int(batch.Results)
-		} else {
-			for _, p := range points {
-				stats.KNNResults += len(s.Index.KNN(p, s.cfg.K))
-			}
-		}
+		stats.KNNResults += s.monitor(len(points), func(i int) int {
+			return len(s.Index.KNN(points[i], s.cfg.K))
+		})
 	}
 	stats.QueryTime = time.Since(start)
 
@@ -196,6 +187,30 @@ func (s *Simulation) Step() StepStats {
 		stats.JoinTime = time.Since(start)
 	}
 	return stats
+}
+
+// monitor runs query(i) for every i in [0, n) and returns the sum of the
+// result counts. With Workers > 1 the queries run on the worker pool, after
+// the index's deferred maintenance (lazy rebuilds, buffered updates) is
+// forced so that its reads are safe from many goroutines; each query owns
+// one slot of the count slice, so the workers share nothing.
+func (s *Simulation) monitor(n int, query func(i int) int) int {
+	total := 0
+	if s.cfg.Workers <= 1 {
+		for i := 0; i < n; i++ {
+			total += query(i)
+		}
+		return total
+	}
+	if p, ok := s.Index.(index.Preparer); ok {
+		p.PrepareForRead()
+	}
+	counts := make([]int, n)
+	par.ForTasks(n, s.cfg.Workers, func(_, i int) { counts[i] = query(i) })
+	for _, c := range counts {
+		total += c
+	}
+	return total
 }
 
 // Run executes the given number of steps and aggregates their statistics.

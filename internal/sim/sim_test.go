@@ -4,11 +4,13 @@ import (
 	"testing"
 
 	"spatialsim/internal/core"
+	"spatialsim/internal/crtree"
 	"spatialsim/internal/datagen"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/grid"
 	"spatialsim/internal/index"
 	"spatialsim/internal/moving"
+	"spatialsim/internal/octree"
 	"spatialsim/internal/rtree"
 )
 
@@ -140,4 +142,61 @@ func TestParallelWorkersMatchSequential(t *testing.T) {
 			t.Fatalf("step %d: kNN results %d (seq) vs %d (parallel)", step, ss.KNNResults, ps.KNNResults)
 		}
 	}
+}
+
+// families returns one fresh instance of every index family the harness
+// must drive identically on the worker pool and sequentially.
+func families(u geom.AABB) []index.Index {
+	return []index.Index{
+		rtree.NewDefault(),
+		crtree.New(crtree.Config{}),
+		grid.New(grid.Config{Universe: u, CellsPerDim: 12}),
+		grid.NewMulti(grid.MultiConfig{Universe: u, CoarsestCells: 4, Levels: 4}),
+		octree.New(octree.Config{Universe: u, LeafCapacity: 10, MaxDepth: 7}),
+		octree.New(octree.Config{Universe: u, LeafCapacity: 10, MaxDepth: 7, Loose: true}),
+		core.New(core.Config{Universe: u, CellsPerDim: 12}),
+		index.NewLinearScan(),
+		moving.NewThrowaway(rtree.NewDefault()),
+		moving.NewLazy(rtree.NewDefault(), 0.25),
+		moving.NewBuffered(rtree.NewDefault(), 64),
+	}
+}
+
+// monitorMatchesSequential runs the same simulation twice per family, once
+// with Workers: 1 and once on 8 workers, and fails unless every step's
+// monitoring counts agree.
+func monitorMatchesSequential(t *testing.T, cfg Config) {
+	d := smallNeuronDataset(21)
+	seqs, pars := families(d.Universe), families(d.Universe)
+	for fi := range seqs {
+		fi := fi
+		t.Run(seqs[fi].Name(), func(t *testing.T) {
+			seqCfg, parCfg := cfg, cfg
+			seqCfg.Workers, parCfg.Workers = 1, 8
+			seq := New(d.Clone(), datagen.NewPlasticityModel(22), seqs[fi], seqCfg)
+			par := New(d.Clone(), datagen.NewPlasticityModel(22), pars[fi], parCfg)
+			for step := 0; step < 2; step++ {
+				ss, ps := seq.Step(), par.Step()
+				if ss.RangeResults+ss.KNNResults == 0 {
+					t.Fatalf("step %d: no monitoring results; the workload is too sparse to compare", step)
+				}
+				if ss.RangeResults != ps.RangeResults || ss.KNNResults != ps.KNNResults {
+					t.Fatalf("step %d: range/kNN results %d/%d with 8 workers, %d/%d with 1",
+						step, ps.RangeResults, ps.KNNResults, ss.RangeResults, ss.KNNResults)
+				}
+			}
+		})
+	}
+}
+
+// TestBatchSearchMatchesSequential: the parallel count of a step's range
+// queries equals the sequential count, for every family.
+func TestBatchSearchMatchesSequential(t *testing.T) {
+	monitorMatchesSequential(t, Config{QueriesPerStep: 150, QuerySelectivity: 1e-3, Seed: 7})
+}
+
+// TestBatchKNNMatchesSequential: the parallel count of a step's kNN results
+// equals the sequential count, for every family.
+func TestBatchKNNMatchesSequential(t *testing.T) {
+	monitorMatchesSequential(t, Config{KNNPerStep: 60, K: 5, Seed: 8})
 }
