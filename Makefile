@@ -72,14 +72,22 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzAppendJSONFloat -fuzztime $(FUZZTIME) ./internal/httpapi/
 	$(GO) test -run xxx -fuzz FuzzReadUpdate -fuzztime $(FUZZTIME) ./internal/httpapi/
 
-# cross is the overlay's portability gate. Persisted R-Tree shards are only
-# ever read as overlays of their bytes, so the 64-byte node layout must hold
-# (and the overlay tests must run, not skip) where float64 is 4-byte aligned
+# cross is the portability gate. Persisted R-Tree shards are only ever read
+# as overlays of their bytes, so the 64-byte node layout must hold (and the
+# overlay tests must run, not skip) where float64 is 4-byte aligned
 # (GOARCH=386 runs natively on amd64 hosts), and the packages must still
-# build for a big-endian target, where persist.Open refuses up front.
+# build for a big-endian target, where persist.Open refuses up front. Both
+# servers must build where persist's mmap code differs from Linux's: darwin
+# and freebsd (mmap without madvise or mincore) and windows (no mmap: the
+# heap read serves mapped mode).
 cross:
 	GOARCH=386 $(GO) test ./internal/rtree/ ./internal/persist/ ./internal/serve/
 	GOARCH=s390x $(GO) vet ./internal/rtree/ ./internal/persist/
+	GOOS=darwin $(GO) vet ./internal/persist/
+	@for os in darwin freebsd windows; do \
+		echo "GOOS=$$os go build ./cmd/spatialserver ./cmd/spatialcluster"; \
+		GOOS=$$os $(GO) build -o /dev/null ./cmd/spatialserver ./cmd/spatialcluster || exit 1; \
+	done
 
 # chaos soaks the durable serving store under injected disk faults (failed,
 # torn and stalled writes), deadlined query load and crash-abandon restarts,

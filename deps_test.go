@@ -100,11 +100,22 @@ func TestServedBinariesLinkedPackages(t *testing.T) {
 		"internal/rtree",
 		"internal/serve",
 		"internal/stats",
-		"internal/storage",
 	}
 	got := internalDeps(t, "./cmd/spatialserver", "./cmd/spatialcluster")
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("served binaries link %d internal packages:\n  %s\nwant %d:\n  %s",
 			len(got), strings.Join(got, "\n  "), len(want), strings.Join(want, "\n  "))
+	}
+}
+
+// TestPersistDoesItsOwnFileIO fences the durability layer off from the
+// reproduction's page-device layer and its experiment drivers: persist
+// writes and reads segment files itself.
+func TestPersistDoesItsOwnFileIO(t *testing.T) {
+	for _, dep := range internalDeps(t, "./internal/persist") {
+		switch dep {
+		case "internal/storage", "internal/experiments":
+			t.Errorf("internal/persist links %s", dep)
+		}
 	}
 }

@@ -9,19 +9,17 @@
 //   - internal/datagen — synthetic simulation datasets (branched neuron
 //     morphologies, clustered particles, uniform fields), movement models and
 //     workload generators;
-//   - internal/storage — the page-device layer behind one Pager contract:
-//     the simulated page/latency disk of the paper's Figure 2 and the
-//     real-file FileDisk the durability layer writes through, cached by a
-//     pin-aware LRU BufferPool;
-//   - internal/persist — the durability layer: page-aligned epoch segment
-//     files (natively serialized R-Tree Compact slabs, or references to
-//     the same slabs in older segments), an append-only manifest/WAL with
-//     checksummed records and rotation, crash recovery that falls back one
-//     snapshot generation at a time and serves every recovered R-Tree shard
-//     as an overlay of the segment image (read onto the heap or mmap'd —
-//     one read path, no decoder), and PagedCompact — the disk-resident
-//     paged read path over the same serialized format (the Figure 2 disk
-//     baseline);
+//   - internal/storage — the reproduction's page-device layer: the
+//     simulated page/latency disk of the paper's Figure 2 behind a Pager
+//     contract, cached by a pin-aware LRU BufferPool (no server links it);
+//   - internal/persist — the durability layer, doing its own file I/O:
+//     page-aligned epoch segment files (natively serialized R-Tree Compact
+//     slabs, or references to the same slabs in older segments) written
+//     with one write and one sync, an append-only manifest/WAL with
+//     checksummed records and rotation, and crash recovery that falls back
+//     one snapshot generation at a time and serves every recovered R-Tree
+//     shard as an overlay of the segment image (read onto the heap in one
+//     read or mmap'd — one read path, no decoder);
 //   - internal/rtree, internal/crtree, internal/kdtree, internal/octree,
 //     internal/grid, internal/lsh — the in-memory index families the paper
 //     surveys; each tree/grid family also offers a packed read-optimised
@@ -88,11 +86,15 @@
 //     pooled buffers, byte-identical to encoding/json, with Content-Length
 //     on every JSON reply;
 //   - internal/faultinject — the seed-deterministic failpoint registry
-//     (error, latency, torn-write) wired into the storage, persist and
-//     serve layers, powering the chaos soak (make chaos);
+//     (error, latency, torn-write) wired into the persist and serve layers
+//     (segment writes and syncs, manifest appends, shard visits), powering
+//     the chaos soak (make chaos);
 //   - internal/experiments — drivers regenerating every figure and in-text
 //     experiment of the paper, E1-E9 (its package doc indexes them:
-//     experiment, driver, spatialbench -exp name, paper figure or section).
+//     experiment, driver, spatialbench -exp name, paper figure or section),
+//     and PagedCompact — the disk-resident paged read path over the
+//     serialized R-Tree format that persisted segments hold (the Figure 2
+//     disk baseline).
 //
 // Executables: cmd/spatialbench (run any of the paper's experiments),
 // cmd/simrun (run a full simulation with a chosen index),

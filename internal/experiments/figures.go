@@ -38,7 +38,6 @@ import (
 	"spatialsim/internal/grid"
 	"spatialsim/internal/index"
 	"spatialsim/internal/instrument"
-	"spatialsim/internal/persist"
 	"spatialsim/internal/rtree"
 	"spatialsim/internal/storage"
 )
@@ -132,11 +131,11 @@ func Figure2(s Scale) Figure2Result {
 	// the buffer pool with a cold cache per query, the paper's protocol.
 	disk := storage.NewDisk(storage.DefaultDiskConfig())
 	frozen := rtree.FreezeItems(items, rtree.Config{})
-	start, _, err := persist.WriteCompactPages(disk, frozen)
+	start, _, err := WriteCompactPages(disk, frozen)
 	if err != nil {
 		panic(err)
 	}
-	dt, err := persist.OpenPagedCompact(disk, start, 1<<20)
+	dt, err := OpenPagedCompact(disk, start, 1<<20)
 	if err != nil {
 		panic(err)
 	}

@@ -1,12 +1,11 @@
-package persist
+package experiments
 
-// PagedCompact is the disk-resident read path over the serialized R-Tree
-// snapshot: the same bytes a segment stores, queried page by page through a
-// storage.BufferPool instead of materialized into memory. It subsumes the
-// old internal/diskrtree package — the paper's Figure 2 protocol (paged STR
-// R-Tree on the latency-modelled disk, cold cache per query) now runs over
-// the exact format the durable epoch store writes, so there is one on-disk
-// story for both measurement and recovery.
+// PagedCompact is the disk-resident read path of the Figure 2 experiment:
+// the serialized R-Tree snapshot (rtree.Compact's binary form, the blob
+// every persisted segment record holds) queried page by page through a
+// storage.BufferPool over the latency-modelled disk instead of
+// materialized into memory, with a cold cache per query — the paper's
+// protocol.
 //
 // The serialized form was designed for this: 64-byte node records mean a
 // node never straddles more than two pages and a node's children are
@@ -14,7 +13,7 @@ package persist
 // pages. Records are served through record(), which keeps the current page
 // pinned across consecutive accesses (per-page pin amortization) and returns
 // direct views into the pinned page — the scratch buffer is touched only
-// when a record straddles a page boundary, so the pread path performs no
+// when a record straddles a page boundary, so the read path performs no
 // per-record copy and no per-record pool round trip.
 
 import (

@@ -1,7 +1,7 @@
 // Package faultinject is the failpoint registry of spatialsim's robustness
-// substrate: named injection points compiled into the storage and serving
-// layers that tests (and chaos jobs) arm with error, latency and torn-write
-// faults. The paper's predictability thesis cuts both ways — a serving layer
+// substrate: named injection points compiled into the durability and
+// serving layers that tests (and chaos jobs) arm with error, latency and
+// torn-write faults. The paper's predictability thesis cuts both ways — a serving layer
 // is only predictable if its behavior under a sick disk or a slow shard is
 // exercised, not assumed — and failpoints make those conditions reproducible:
 // every probabilistic decision is drawn from one seeded generator, so a
@@ -10,7 +10,7 @@
 // Production cost is one atomic load per instrumented operation while the
 // registry is disarmed (no faults enabled); the slow path is taken only by
 // tests. Failpoint names are declared next to the code they instrument (see
-// the Fault* constants in internal/serve and internal/storage usage).
+// the Fault* constants in internal/serve and internal/persist).
 package faultinject
 
 import (

@@ -23,7 +23,6 @@ import (
 	"spatialsim/internal/index"
 	"spatialsim/internal/obs"
 	"spatialsim/internal/rtree"
-	"spatialsim/internal/storage"
 )
 
 // segmentPayload reads the payload length from a segment file's header.
@@ -65,7 +64,7 @@ func checkRecovered(t *testing.T, s *Store, epoch uint64, want *tortureTiles, fi
 			if rec.Mapping.Files() != files {
 				t.Fatalf("mapped recovery spans %d files, want %d", rec.Mapping.Files(), files)
 			}
-			if storage.MmapSupported() && rec.ZeroCopyShards != len(rec.Shards) {
+			if MmapSupported() && rec.ZeroCopyShards != len(rec.Shards) {
 				t.Fatalf("%d of %d shards zero-copy", rec.ZeroCopyShards, len(rec.Shards))
 			}
 			if err := rec.Mapping.Close(); err != nil {
@@ -337,7 +336,7 @@ func TestFailedSaveDoesNotPoisonCarrying(t *testing.T) {
 
 	budget := &atomic.Int64{}
 	budget.Store(700) // past the header page, inside the first record
-	if err := s.SetFileHooks(func(path string) (storage.BackingFile, error) {
+	if err := s.SetFileHooks(func(path string) (BackingFile, error) {
 		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 		if err != nil || !strings.HasSuffix(path, ".seg") {
 			return f, err
@@ -383,31 +382,6 @@ func TestFailedSaveDoesNotPoisonCarrying(t *testing.T) {
 		t.Fatalf("images written/carried = %d/%d, want 17/7", s.images.written, s.images.carried)
 	}
 	checkRecovered(t, s, 4, tl, 2)
-}
-
-// TestPagedCompactRefusesReference: the paged reader only knows R-Tree
-// blobs; handed a reference record's bytes it must refuse them with an
-// error, not fault.
-func TestPagedCompactRefusesReference(t *testing.T) {
-	items := testItems(64, 5)
-	seg := refSeedSegment(1, 0, items, 512)
-	info, recs, err := DecodeSegment(seg, 1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := recs[2].Ref
-	start := info.PageSize + info.PayloadLen - int(shardRecordHeaderSize+align8(refBlobSize))
-	record := seg[start : start+shardRecordHeaderSize+refBlobSize]
-	for name, data := range map[string][]byte{"record": record, "blob": record[shardRecordHeaderSize:]} {
-		pager := storage.NewDisk(storage.DiskConfig{PageSize: 512})
-		id := pager.Allocate()
-		if err := pager.Write(id, data); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenPagedCompact(pager, id, 4); err == nil {
-			t.Fatalf("%s of reference %+v opened as a paged R-Tree", name, *ref)
-		}
-	}
 }
 
 func TestStoreRegistersSnapshotSeries(t *testing.T) {

@@ -6,14 +6,15 @@ package persist
 // the image in place (rtree.OverlayCompact: no deserialization, no copy),
 // then open each older segment its reference records point into and
 // overlay the referenced records the same way. They differ only in where
-// the images come from and how much of them is checksummed:
+// the images come from (openSegmentFile) and how much of them is
+// checksummed:
 //
 //   - heap (RecoverOptions.Mapped false, and mapped mode on platforms
-//     without mmap): each file is read through a buffer pool onto the heap.
-//     The snapshot's own image is verified in full — whole-image CRC
-//     against the manifest, payload CRC against the header — and every
-//     referenced record against the CRC its reference carries, before any
-//     shard is opened;
+//     without mmap): each file is read onto the heap in one read. The
+//     snapshot's own image is verified in full — whole-image CRC against
+//     the manifest, payload CRC against the header — and every referenced
+//     record against the CRC its reference carries, before any shard is
+//     opened;
 //   - mapped: each file is mmap'd read-only and only the O(1) envelope is
 //     checked (file size, header fields, shard directory, reference bounds,
 //     node slabs). A checksum would fault in every page, which is exactly
@@ -31,7 +32,6 @@ import (
 
 	"spatialsim/internal/par"
 	"spatialsim/internal/rtree"
-	"spatialsim/internal/storage"
 )
 
 // OpenMappedCompact opens the R-Tree snapshot at the front of data as an
@@ -69,14 +69,8 @@ type MappedSegment struct {
 	mapped         bool
 	zeroCopyShards int
 
-	mu     sync.Mutex // orders Close against Resident and Advise
+	mu     sync.Mutex // orders Close against Resident
 	closed bool
-}
-
-// segmentFile is one opened segment file.
-type segmentFile struct {
-	disk  *storage.MmapDisk // nil for a heap image
-	image []byte
 }
 
 // ErrSegmentClosed is returned by Close when the mapping was already
@@ -114,31 +108,13 @@ func (ms *MappedSegment) Resident() (int64, bool) {
 	}
 	var total int64
 	for _, f := range ms.files {
-		n, ok := f.disk.Resident()
+		n, ok := residentBytes(f.image)
 		if !ok {
 			return 0, false
 		}
 		total += n
 	}
 	return total, true
-}
-
-// Advise forwards an access-pattern hint to the kernel for every mapping
-// (no-op on heap images).
-func (ms *MappedSegment) Advise(a storage.Advice) error {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if ms.closed {
-		return nil
-	}
-	for _, f := range ms.files {
-		if f.disk != nil {
-			if err := f.disk.Advise(a); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // Close releases every mapping. The caller owns the ordering: no reader may
@@ -157,10 +133,8 @@ func (ms *MappedSegment) Close() error {
 	ms.Shards = nil
 	var first error
 	for _, f := range ms.files {
-		if f.disk != nil {
-			if err := f.disk.Close(); err != nil && first == nil {
-				first = err
-			}
+		if err := f.close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first
@@ -168,15 +142,15 @@ func (ms *MappedSegment) Close() error {
 
 // openSegment opens the snapshot that record sr names, whose segment file is
 // at path: mmap'd when mapped is set and the platform supports it, read onto
-// the heap through a buffer pool of poolPages otherwise (see the file
-// comment for what each verifies). The header must agree with the record,
-// and every reference must point into a segment sr.Refs lists, found in
-// the same directory.
-func openSegment(path string, sr SnapshotRecord, pageSize, poolPages, workers int, mapped bool) (*MappedSegment, error) {
+// the heap otherwise (see the file comment for what each verifies). The
+// header must agree with the record, and every reference must point into a
+// segment sr.Refs lists, found in the same directory.
+func openSegment(path string, sr SnapshotRecord, pageSize, workers int, mapped bool) (*MappedSegment, error) {
 	ms := &MappedSegment{}
-	err := ms.open(path, pageSize, poolPages, mapped)
+	f, err := openSegmentFile(path, pageSize, mapped)
 	if err == nil {
-		err = ms.load(filepath.Dir(path), sr, pageSize, poolPages, workers, mapped)
+		ms.files = append(ms.files, f)
+		err = ms.load(filepath.Dir(path), sr, pageSize, workers, mapped)
 	}
 	if err != nil {
 		ms.Close()
@@ -189,38 +163,11 @@ func openSegment(path string, sr SnapshotRecord, pageSize, poolPages, workers in
 	return ms, nil
 }
 
-// open adds the segment file at path to ms.files.
-func (ms *MappedSegment) open(path string, pageSize, poolPages int, mapped bool) error {
-	if mapped {
-		md, err := storage.OpenMmapDisk(path, pageSize)
-		switch {
-		case err == nil:
-			// Index descent is random access; tell the kernel not to read ahead.
-			_ = md.Advise(storage.AdviceRandom)
-			ms.files = append(ms.files, segmentFile{disk: md, image: md.Bytes()})
-			return nil
-		case !errors.Is(err, storage.ErrMmapUnsupported):
-			return err
-		}
-	}
-	fd, err := storage.OpenFileDisk(path, pageSize)
-	if err != nil {
-		return err
-	}
-	image, err := readImage(fd, poolPages)
-	fd.Close()
-	if err != nil {
-		return err
-	}
-	ms.files = append(ms.files, segmentFile{image: image})
-	return nil
-}
-
 // load checks the snapshot's own image against the manifest record and
 // decodes it, checksumming only a heap image, then resolves its references.
-func (ms *MappedSegment) load(dir string, sr SnapshotRecord, pageSize, poolPages, workers int, mapped bool) error {
+func (ms *MappedSegment) load(dir string, sr SnapshotRecord, pageSize, workers int, mapped bool) error {
 	own := ms.files[0]
-	heap := own.disk == nil
+	heap := !own.mapped
 	if int64(len(own.image)) != sr.SegSize {
 		return fmt.Errorf("%w segment: %d bytes on disk, manifest says %d", ErrCorrupt, len(own.image), sr.SegSize)
 	}
@@ -237,7 +184,7 @@ func (ms *MappedSegment) load(dir string, sr SnapshotRecord, pageSize, poolPages
 		return fmt.Errorf("%w segment: header (%d,%d) disagrees with manifest (%d,%d)",
 			ErrCorrupt, info.EpochSeq, info.BatchSeq, sr.EpochSeq, sr.BatchSeq)
 	}
-	if err := ms.resolve(dir, sr, shards, pageSize, poolPages, workers, mapped); err != nil {
+	if err := ms.resolve(dir, sr, shards, pageSize, workers, mapped); err != nil {
 		return err
 	}
 	ms.Info, ms.Shards, ms.mapped = info, shards, !heap
@@ -252,7 +199,7 @@ func (ms *MappedSegment) load(dir string, sr SnapshotRecord, pageSize, poolPages
 // resolve replaces every reference record in shards with the record it
 // names, opening each referenced segment once. A heap image is trusted per
 // record: the reference's CRC covers every byte served from it.
-func (ms *MappedSegment) resolve(dir string, sr SnapshotRecord, shards []ShardRecord, pageSize, poolPages, workers int, mapped bool) error {
+func (ms *MappedSegment) resolve(dir string, sr SnapshotRecord, shards []ShardRecord, pageSize, workers int, mapped bool) error {
 	type target struct {
 		file int
 		info SegmentInfo
@@ -270,11 +217,12 @@ func (ms *MappedSegment) resolve(dir string, sr SnapshotRecord, shards []ShardRe
 			return fmt.Errorf("%w segment: shard %d references segment %d, which the snapshot does not list",
 				ErrCorrupt, i, ref.Segment)
 		}
-		if err := ms.open(filepath.Join(dir, segmentName(ref.Segment)), pageSize, poolPages, mapped); err != nil {
+		f, err := openSegmentFile(filepath.Join(dir, segmentName(ref.Segment)), pageSize, mapped)
+		if err != nil {
 			return fmt.Errorf("referenced segment %d: %w", ref.Segment, err)
 		}
-		image := ms.files[len(ms.files)-1].image
-		info, err := DecodeSegmentInfo(image, len(image))
+		ms.files = append(ms.files, f)
+		info, err := DecodeSegmentInfo(f.image, len(f.image))
 		if err == nil && info.EpochSeq != ref.Segment {
 			err = fmt.Errorf("%w segment: header says epoch %d", ErrCorrupt, info.EpochSeq)
 		}
@@ -294,7 +242,7 @@ func (ms *MappedSegment) resolve(dir string, sr SnapshotRecord, shards []ShardRe
 		}
 		tg := targets[ref.Segment]
 		f := ms.files[tg.file]
-		rec, err := resolveRef(f.image, tg.info, *ref, f.disk == nil)
+		rec, err := resolveRef(f.image, tg.info, *ref, !f.mapped)
 		if err != nil {
 			errs[i] = fmt.Errorf("shard %d: %w", i, err)
 			return

@@ -1,9 +1,10 @@
 // Package persist is the durability layer of the serving subsystem: it
-// writes each published epoch's frozen shards into page-aligned segment
-// files through the storage layer's page devices, journals update batches
-// into a small append-only manifest/WAL between snapshots, and recovers the
-// newest checksum-complete epoch (plus the WAL tail) after a crash or
-// restart.
+// writes each published epoch's frozen shards into a page-aligned segment
+// file with one write and one sync, journals update batches into a small
+// append-only manifest/WAL between snapshots, and recovers the newest
+// checksum-complete epoch (plus the WAL tail) after a crash or restart,
+// reading each segment back with one read or one mmap. It does its own file
+// I/O: no page device or buffer pool sits between it and the files.
 //
 // The design splits along the same seam as the serving layer itself:
 //
@@ -59,11 +60,9 @@ import (
 	"strings"
 	"sync"
 
-	"spatialsim/internal/faultinject"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/obs"
 	"spatialsim/internal/rtree"
-	"spatialsim/internal/storage"
 )
 
 // FaultManifestAppend instruments manifest/WAL record appends (torn-write
@@ -82,12 +81,12 @@ type Update struct {
 
 // Options configures a Store.
 type Options struct {
-	// PageSize is the segment page size in bytes (<= 0 picks 4096, the
-	// storage layer's default).
+	// PageSize is the segment page size in bytes; <= 0 picks 4096. Any
+	// other value must be one the segment decoder reads back: a multiple of
+	// 8 (every record, and so every R-Tree blob, starts 8-byte aligned in
+	// the file) from 48 (the segment header, rounded up to 8) to 1<<24.
+	// Open refuses the rest.
 	PageSize int
-	// PoolPages is the buffer-pool capacity used when reading segments back
-	// (<= 0 picks 64).
-	PoolPages int
 	// RetainSnapshots is how many snapshot generations (segment files and
 	// manifest records) are kept; older ones are garbage collected after
 	// rotation. Minimum (and default) 2: the one just written plus the
@@ -102,9 +101,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.PageSize <= 0 {
 		o.PageSize = 4096
-	}
-	if o.PoolPages <= 0 {
-		o.PoolPages = 64
 	}
 	if o.RetainSnapshots < 2 {
 		o.RetainSnapshots = 2
@@ -132,7 +128,7 @@ type Store struct {
 	opts Options
 
 	mu        sync.Mutex
-	manifest  storage.BackingFile
+	manifest  BackingFile
 	off       int64 // append offset: end of the well-formed prefix
 	batchSeq  uint64
 	snapshots []SnapshotRecord
@@ -150,15 +146,15 @@ type Store struct {
 	// createFile is the crash-injection seam: segment files, manifest
 	// rotations and appends all go through it. Tests substitute files that
 	// fail after a randomized number of bytes.
-	createFile func(path string) (storage.BackingFile, error)
-	openFile   func(path string) (storage.BackingFile, int64, error)
+	createFile func(path string) (BackingFile, error)
+	openFile   func(path string) (BackingFile, int64, error)
 }
 
-func osCreate(path string) (storage.BackingFile, error) {
+func osCreate(path string) (BackingFile, error) {
 	return os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 }
 
-func osOpen(path string) (storage.BackingFile, int64, error) {
+func osOpen(path string) (BackingFile, int64, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, 0, err
@@ -175,16 +171,22 @@ const manifestName = "MANIFEST"
 
 // Open opens (creating if needed) the data directory and replays the
 // manifest to learn the last batch sequence and the retained snapshots. It
-// never loads segments — Recover does that on demand. On a big-endian host
-// it returns an error wrapping rtree.ErrOverlayUnsupported: segments could
-// be written but never read back.
+// never loads segments — Recover does that on demand. It refuses a page
+// size the segment decoder could not read back (see Options.PageSize), and
+// on a big-endian host it returns an error wrapping
+// rtree.ErrOverlayUnsupported: in either case segments could be written but
+// never recovered.
 func Open(dir string, opts Options) (*Store, error) {
 	if !rtree.OverlaySupported() {
 		return nil, fmt.Errorf("persist: open %s: %w", dir, rtree.ErrOverlayUnsupported)
 	}
+	opts = opts.withDefaults()
+	if ps, lo := opts.PageSize, align8(segmentHeaderSize); ps%8 != 0 || ps < lo || ps > maxPageSize {
+		return nil, fmt.Errorf("persist: open %s: page size %d is not a multiple of 8 in [%d, %d]", dir, ps, lo, maxPageSize)
+	}
 	s := &Store{
 		dir:        dir,
-		opts:       opts.withDefaults(),
+		opts:       opts,
 		createFile: osCreate,
 		openFile:   osOpen,
 	}
@@ -239,8 +241,8 @@ func (s *Store) reopenManifest() error {
 // recovery torture tests (files that fail after a randomized number of
 // written bytes); production code never calls it.
 func (s *Store) SetFileHooks(
-	create func(path string) (storage.BackingFile, error),
-	open func(path string) (storage.BackingFile, int64, error),
+	create func(path string) (BackingFile, error),
+	open func(path string) (BackingFile, int64, error),
 ) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -296,17 +298,10 @@ func (s *Store) LogBatch(updates []Update) (uint64, error) {
 // the offset does not advance, so the next append overwrites the doomed
 // bytes: a record the caller was told failed must never survive into
 // replay, where it would collide with the reused sequence number and
-// shadow the retry. Caller holds s.mu.
+// shadow the retry; a torn append's prefix is exactly the partial record
+// recovery's checksum cut must discard. Caller holds s.mu.
 func (s *Store) appendLocked(rec []byte, sync bool) error {
-	if n, ferr := faultinject.CheckWrite(FaultManifestAppend, len(rec)); ferr != nil {
-		if n > 0 {
-			// Torn append: the prefix lands, the offset stays — exactly the
-			// partial record recovery's checksum cut must discard.
-			s.manifest.WriteAt(rec[:n], s.off)
-		}
-		return ferr
-	}
-	if _, err := s.manifest.WriteAt(rec, s.off); err != nil {
+	if err := writeAt(s.manifest, FaultManifestAppend, rec, s.off); err != nil {
 		return err
 	}
 	if sync {
@@ -365,7 +360,7 @@ func (s *Store) SaveEpoch(epochSeq, batchSeq uint64, shards []ShardRecord) error
 // saveEpoch is SaveEpoch after the store-state checks: it writes the
 // segment, appends its record and, on success, installs the carry table
 // the save leaves behind.
-func (s *Store) saveEpoch(create func(string) (storage.BackingFile, error), carry *carrySet, epochSeq, batchSeq uint64, shards []ShardRecord) error {
+func (s *Store) saveEpoch(create func(string) (BackingFile, error), carry *carrySet, epochSeq, batchSeq uint64, shards []ShardRecord) error {
 	refs, segs, relocated := carry.plan(epochSeq, shards)
 	image, locs := encodeSegment(epochSeq, batchSeq, shards, refs, s.opts.PageSize)
 	name := segmentName(epochSeq)
@@ -374,15 +369,11 @@ func (s *Store) saveEpoch(create func(string) (storage.BackingFile, error), carr
 	if err != nil {
 		return err
 	}
-	fd, err := storage.NewFileDisk(f, 0, s.opts.PageSize)
-	if err != nil {
+	if err := writeSegment(f, image); err != nil {
+		f.Close()
 		return err
 	}
-	if err := writeImage(fd, image); err != nil {
-		fd.Close()
-		return err
-	}
-	if err := fd.Close(); err != nil {
+	if err := f.Close(); err != nil {
 		return err
 	}
 

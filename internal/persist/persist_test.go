@@ -11,7 +11,6 @@ import (
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
 	"spatialsim/internal/rtree"
-	"spatialsim/internal/storage"
 )
 
 func testItems(n int, seed int64) []index.Item {
@@ -227,69 +226,5 @@ func TestStoreRotationRetainsAndGCs(t *testing.T) {
 	}
 	if _, err := s.Recover(RecoverOptions{}); err == nil {
 		t.Fatal("recovery succeeded with every snapshot corrupt")
-	}
-}
-
-func TestPagedCompactMatchesInMemory(t *testing.T) {
-	items := testItems(3000, 77)
-	c := rtree.FreezeItems(items, rtree.Config{})
-
-	for _, pagerName := range []string{"simulated", "file"} {
-		var pager storage.Pager
-		switch pagerName {
-		case "simulated":
-			pager = storage.NewDisk(storage.DiskConfig{PageSize: 4096})
-		case "file":
-			fd, err := storage.CreateFileDisk(filepath.Join(t.TempDir(), "c.pages"), 4096)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fd.Close()
-			pager = fd
-		}
-		start, pages, err := WriteCompactPages(pager, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pages < 1 {
-			t.Fatalf("%s: wrote %d pages", pagerName, pages)
-		}
-		pc, err := OpenPagedCompact(pager, start, 1<<16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pc.Len() != c.Len() || pc.Height() != c.Height() {
-			t.Fatalf("%s: len/height %d/%d, want %d/%d", pagerName, pc.Len(), pc.Height(), c.Len(), c.Height())
-		}
-		queries := []geom.AABB{
-			geom.NewAABB(geom.V(10, 10, 10), geom.V(30, 30, 30)),
-			geom.NewAABB(geom.V(0, 0, 0), geom.V(100, 100, 100)),
-			geom.NewAABB(geom.V(200, 200, 200), geom.V(201, 201, 201)),
-		}
-		for qi, q := range queries {
-			pc.ClearCache()
-			got, err := pc.SearchIDs(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want []int64
-			c.RangeVisit(q, func(it index.Item) bool {
-				want = append(want, it.ID)
-				return true
-			})
-			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			if len(got) != len(want) {
-				t.Fatalf("%s q%d: %d results, want %d", pagerName, qi, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s q%d: result %d = %d, want %d", pagerName, qi, i, got[i], want[i])
-				}
-			}
-		}
-		if pc.Counters().Snapshot().PagesRead == 0 {
-			t.Fatalf("%s: no pages read counted", pagerName)
-		}
 	}
 }

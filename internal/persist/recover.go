@@ -116,7 +116,7 @@ func (s *Store) loadSnapshot(sr SnapshotRecord, opts RecoverOptions) (*Recovery,
 	if filepath.Base(sr.Name) != sr.Name {
 		return nil, fmt.Errorf("%w snapshot: name %q escapes the data dir", ErrCorrupt, sr.Name)
 	}
-	ms, err := openSegment(filepath.Join(s.dir, sr.Name), sr, s.opts.PageSize, s.opts.PoolPages, opts.Workers, opts.Mapped)
+	ms, err := openSegment(filepath.Join(s.dir, sr.Name), sr, s.opts.PageSize, opts.Workers, opts.Mapped)
 	if err != nil {
 		return nil, err
 	}

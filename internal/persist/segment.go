@@ -2,16 +2,15 @@ package persist
 
 // Epoch segment files. A segment is the durable image of one published
 // serving epoch: a fixed header page followed by one record per shard,
-// padded to a whole number of pages so the file maps 1:1 onto the storage
-// layer's page devices. Each shard's R-Tree Compact is transcribed natively
-// (the slab is offset-based and therefore serializable as-is). A shard
-// whose image an older segment already holds is a reference record
-// instead: it names that segment, the record's offset and length in it,
-// and the record's checksum, so a save writes only the images that changed
-// (see Store.SaveEpoch). One format, two read paths: Recover overlays the
-// R-Tree snapshots on the segment images (read onto the heap or mmap'd),
-// PagedCompact queries the same blob bytes page by page through a buffer
-// pool.
+// padded to a whole number of pages. The file is the image byte for byte:
+// segfile.go writes it with one write and reads it back with one read or
+// one mmap. Each shard's R-Tree Compact is transcribed natively (the slab
+// is offset-based and therefore serializable as-is). A shard whose image
+// an older segment already holds is a reference record instead: it names
+// that segment, the record's offset and length in it, and the record's
+// checksum, so a save writes only the images that changed (see
+// Store.SaveEpoch). Recover overlays the R-Tree snapshots on the segment
+// images in place, whether read onto the heap or mmap'd.
 //
 // Segment layout (little-endian):
 //
@@ -50,7 +49,6 @@ import (
 	"spatialsim/internal/geom"
 	"spatialsim/internal/par"
 	"spatialsim/internal/rtree"
-	"spatialsim/internal/storage"
 )
 
 const (
@@ -60,6 +58,8 @@ const (
 	segmentVersion = 3
 	// segmentHeaderSize is the used prefix of the header page.
 	segmentHeaderSize = 44
+	// maxPageSize bounds the page size a decoder will accept.
+	maxPageSize = 1 << 24
 	// maxSegmentShards bounds the shard count a decoder will accept.
 	maxSegmentShards = 1 << 20
 
@@ -255,7 +255,7 @@ func DecodeSegmentInfo(data []byte, avail int) (SegmentInfo, error) {
 	if !r.ok() {
 		return info, fmt.Errorf("%w segment: short header", ErrCorrupt)
 	}
-	if info.PageSize < segmentHeaderSize || info.PageSize > 1<<24 {
+	if info.PageSize < segmentHeaderSize || info.PageSize > maxPageSize {
 		return info, fmt.Errorf("%w segment: page size %d", ErrCorrupt, info.PageSize)
 	}
 	if info.ShardCount < 0 || info.ShardCount > maxSegmentShards {
@@ -407,46 +407,4 @@ func resolveRef(image []byte, info SegmentInfo, ref ShardRef, verifyCRC bool) (S
 			ErrCorrupt, blobLen, r.remaining())
 	}
 	return openRecord(rawShard{kind: kind, bounds: bounds, blob: rec[shardRecordHeaderSize:]})
-}
-
-// imageRunPages bounds one run write of writeImage (1 MiB at 4 KiB pages).
-const imageRunPages = 256
-
-// writeImage writes a page-aligned image through a page device in runs of
-// up to imageRunPages pages, one WriteAt per run, and syncs it.
-func writeImage(fd *storage.FileDisk, image []byte) error {
-	ps := fd.PageSize()
-	if len(image)%ps != 0 {
-		return fmt.Errorf("persist: image size %d is not page-aligned to %d", len(image), ps)
-	}
-	run := imageRunPages * ps
-	for off := 0; off < len(image); off += run {
-		end := min(off+run, len(image))
-		first := fd.Allocate()
-		for p := off + ps; p < end; p += ps {
-			fd.Allocate()
-		}
-		if err := fd.WritePages(first, image[off:end]); err != nil {
-			return err
-		}
-	}
-	return fd.Sync()
-}
-
-// readImage reads every allocated page of a page device back into one
-// contiguous image through a buffer pool — the segment load is buffer-pool
-// traffic like any other read of the storage layer.
-func readImage(pager storage.Pager, poolPages int) ([]byte, error) {
-	pool := storage.NewBufferPool(pager, poolPages)
-	ps := pager.PageSize()
-	n := pager.NumPages()
-	image := make([]byte, 0, n*ps)
-	for i := 0; i < n; i++ {
-		page, err := pool.Get(storage.PageID(i))
-		if err != nil {
-			return nil, err
-		}
-		image = append(image, page...)
-	}
-	return image, nil
 }

@@ -19,7 +19,6 @@ import (
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
 	"spatialsim/internal/rtree"
-	"spatialsim/internal/storage"
 )
 
 // failingFile wraps a real file with a shared byte budget; once the budget
@@ -61,14 +60,14 @@ func failingStore(t *testing.T, dir string, budget *atomic.Int64) *Store {
 	s := &Store{
 		dir:  dir,
 		opts: Options{}.withDefaults(),
-		createFile: func(path string) (storage.BackingFile, error) {
+		createFile: func(path string) (BackingFile, error) {
 			f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 			if err != nil {
 				return nil, err
 			}
 			return &failingFile{f: f, budget: budget}, nil
 		},
-		openFile: func(path string) (storage.BackingFile, int64, error) {
+		openFile: func(path string) (BackingFile, int64, error) {
 			f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 			if err != nil {
 				return nil, 0, err
@@ -402,7 +401,7 @@ func TestWALSyncFailureDoesNotShadowLaterBatch(t *testing.T) {
 		dir:        dir,
 		opts:       Options{}.withDefaults(),
 		createFile: osCreate,
-		openFile: func(path string) (storage.BackingFile, int64, error) {
+		openFile: func(path string) (BackingFile, int64, error) {
 			f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 			if err != nil {
 				return nil, 0, err

@@ -33,7 +33,6 @@ import (
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
 	"spatialsim/internal/persist"
-	"spatialsim/internal/storage"
 )
 
 // chaosHistory tracks, per ID, every box ever assigned plus the current
@@ -160,8 +159,8 @@ func TestChaosSoak(t *testing.T) {
 
 		// Arm the disk and shard faults, deterministically per round.
 		faultinject.SetSeed(seed + int64(round))
-		faultinject.Enable(storage.FaultFileDiskWrite, faultinject.Spec{ErrRate: 0.1, TornRate: 0.05})
-		faultinject.Enable(storage.FaultFileDiskSync, faultinject.Spec{ErrRate: 0.1})
+		faultinject.Enable(persist.FaultSegmentWrite, faultinject.Spec{ErrRate: 0.1, TornRate: 0.05})
+		faultinject.Enable(persist.FaultSegmentSync, faultinject.Spec{ErrRate: 0.1})
 		faultinject.Enable(persist.FaultManifestAppend, faultinject.Spec{ErrRate: 0.15, TornRate: 0.05})
 		faultinject.Enable(FaultShardVisit, faultinject.Spec{ErrRate: 0.05, LatencyRate: 0.05, Latency: 2 * time.Millisecond})
 

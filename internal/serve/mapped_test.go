@@ -16,7 +16,6 @@ import (
 	"spatialsim/internal/obs"
 	"spatialsim/internal/persist"
 	"spatialsim/internal/rtree"
-	"spatialsim/internal/storage"
 )
 
 // seedMappedStore writes a durable store with several snapshot generations
@@ -73,7 +72,7 @@ func TestMappedRecoveryNoRebuildAndIdenticalAnswers(t *testing.T) {
 	if n := reg.Histogram("spatial_epoch_build_seconds").Count(); n != 0 {
 		t.Fatalf("recovery ran %d epoch builds; mapped open must run none", n)
 	}
-	if storage.MmapSupported() && rtree.OverlaySupported() {
+	if persist.MmapSupported() && rtree.OverlaySupported() {
 		if rec.ZeroCopyShards == 0 {
 			t.Fatal("no zero-copy shards on a platform with mmap support")
 		}

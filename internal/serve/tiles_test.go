@@ -10,8 +10,8 @@ import (
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
 	"spatialsim/internal/obs"
+	"spatialsim/internal/persist"
 	"spatialsim/internal/rtree"
-	"spatialsim/internal/storage"
 )
 
 // tileBatches generates a random update sequence over a tile table cut from
@@ -301,7 +301,7 @@ func TestCostCountersFoldEachTileOnce(t *testing.T) {
 // overlaying the mapped segment is carried into a later epoch, so the
 // mapping can be released when the recovered epoch retires.
 func TestMappedRecoveryFirstPublishRebuildsEveryTile(t *testing.T) {
-	if !storage.MmapSupported() {
+	if !persist.MmapSupported() {
 		t.Skip("no mmap on this platform")
 	}
 	dir := t.TempDir()

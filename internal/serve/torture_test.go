@@ -19,7 +19,6 @@ import (
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
 	"spatialsim/internal/persist"
-	"spatialsim/internal/storage"
 )
 
 type crashFile struct {
@@ -54,14 +53,14 @@ func (cf *crashFile) Sync() error {
 func injectCrashes(t *testing.T, ps *persist.Store, budget *atomic.Int64) {
 	t.Helper()
 	err := ps.SetFileHooks(
-		func(path string) (storage.BackingFile, error) {
+		func(path string) (persist.BackingFile, error) {
 			f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 			if err != nil {
 				return nil, err
 			}
 			return &crashFile{f: f, budget: budget}, nil
 		},
-		func(path string) (storage.BackingFile, int64, error) {
+		func(path string) (persist.BackingFile, int64, error) {
 			f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 			if err != nil {
 				return nil, 0, err

@@ -3,25 +3,17 @@ package storage
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 )
 
-// BufferPoolStats reports hit/miss counts of a buffer pool. ZeroCopy counts
-// lookups answered straight from a mapped pager's own bytes (no frame copy,
-// no LRU traffic). Zero-copy passthroughs are deliberately NOT hits: a hit
-// means the frame cache earned its memory, a passthrough means the cache was
-// bypassed entirely — folding them together made a tiny pool over a mapped
-// segment report a perfect hit rate while caching nothing.
+// BufferPoolStats reports hit/miss counts of a buffer pool.
 type BufferPoolStats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
-	ZeroCopy  int64
 }
 
-// HitRate returns the fraction of frame-cache lookups served from a cached
-// frame: Hits / (Hits + Misses). Zero-copy passthroughs never enter the frame
-// cache and are excluded; track them with ZeroCopyRate.
+// HitRate returns the fraction of lookups served from a cached frame:
+// Hits / (Hits + Misses).
 func (s BufferPoolStats) HitRate() float64 {
 	total := s.Hits + s.Misses
 	if total == 0 {
@@ -30,41 +22,21 @@ func (s BufferPoolStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// ZeroCopyRate returns the fraction of all lookups served straight from a
-// mapped view, bypassing the frame cache.
-func (s BufferPoolStats) ZeroCopyRate() float64 {
-	total := s.Hits + s.Misses + s.ZeroCopy
-	if total == 0 {
-		return 0
-	}
-	return float64(s.ZeroCopy) / float64(total)
-}
-
 // BufferPool caches pages of a Pager with an LRU replacement policy. The
 // paper's experiments run with a cold cache that is cleared between queries;
 // Clear provides exactly that. Callers that hold a page across other pool
-// operations (the paged segment readers assembling a record that straddles
+// operations (the paged R-Tree reader assembling a record that straddles
 // pages) pin it first: a pinned page is never evicted — not by capacity
 // pressure, not by Evict, not by Clear — until its last pin is dropped.
 //
-// Two fast paths sit in front of the classic frame cache:
-//
-//   - Zero copy: when the pager implements ViewPager (MmapDisk), Get returns
-//     the mapping's own bytes. No frame is allocated, no lock is taken, and
-//     pins are satisfied trivially — the mapping never moves and never gets
-//     evicted, so the pin contract ("the slice stays this page") holds by
-//     construction. The OS page cache becomes the real buffer pool and the
-//     configured capacity stops mattering for those pages.
-//   - Sharding: large pools split the frame cache into independently locked
-//     shards (pages hash to a shard by id), so concurrent readers touching
-//     different pages stop serializing on one mutex. Small pools (below
-//     shardThreshold frames) stay single-sharded, preserving exact global-LRU
-//     eviction order for the paper's cold-cache experiments.
+// Large pools split the frame cache into independently locked shards (pages
+// hash to a shard by id), so concurrent readers touching different pages
+// stop serializing on one mutex. Small pools (below shardThreshold frames)
+// stay single-sharded, preserving exact global-LRU eviction order for the
+// paper's cold-cache experiments.
 type BufferPool struct {
 	pager    Pager
 	capacity int
-	view     ViewPager // non-nil when pager serves stable zero-copy views
-	zcHits   atomic.Int64
 
 	shards []poolShard
 	mask   uint32
@@ -106,9 +78,6 @@ func NewBufferPool(pager Pager, capacity int) *BufferPool {
 		shards:   make([]poolShard, n),
 		mask:     uint32(n - 1),
 	}
-	if v, ok := pager.(ViewPager); ok {
-		p.view = v
-	}
 	base, extra := capacity/n, capacity%n
 	for i := range p.shards {
 		sh := &p.shards[i]
@@ -127,13 +96,9 @@ func NewBufferPool(pager Pager, capacity int) *BufferPool {
 // Capacity returns the configured capacity in pages.
 func (p *BufferPool) Capacity() int { return p.capacity }
 
-// ZeroCopy reports whether lookups bypass the frame cache entirely and serve
-// the pager's own mapped bytes.
-func (p *BufferPool) ZeroCopy() bool { return p.view != nil }
-
 // shard maps a page id to its owning shard. The multiplier spreads the dense
-// sequential ids persist produces across shards instead of striping runs of
-// adjacent pages onto one.
+// sequential ids of a paged snapshot across shards instead of striping runs
+// of adjacent pages onto one.
 func (p *BufferPool) shard(id PageID) *poolShard {
 	return &p.shards[(uint32(id)*2654435761)>>16&p.mask]
 }
@@ -141,17 +106,8 @@ func (p *BufferPool) shard(id PageID) *poolShard {
 // Get returns the contents of the page, reading it from the pager on a miss.
 // The returned slice is owned by the pool and must not be modified; callers
 // that need it to stay coherent across further pool traffic must Pin the page
-// for the duration. On a zero-copy pool the slice is the mapping itself and
-// is valid until the mapping is closed.
+// for the duration.
 func (p *BufferPool) Get(id PageID) ([]byte, error) {
-	if p.view != nil {
-		data, err := p.view.PageView(id)
-		if err != nil {
-			return nil, err
-		}
-		p.zcHits.Add(1)
-		return data, nil
-	}
 	sh := p.shard(id)
 	sh.mu.Lock()
 	if el, ok := sh.index[id]; ok {
@@ -191,13 +147,8 @@ func (p *BufferPool) Get(id PageID) ([]byte, error) {
 // Pin marks the page as unevictable until a matching Unpin. Pinning a page
 // that is not (yet) resident is allowed — the pin takes effect the moment a
 // Get brings it in, which is exactly the interleaving a concurrent
-// Get/Evict of the same id produces. On a zero-copy pool pins are free:
-// mapped bytes cannot be evicted or move, so the pin promise holds without
-// bookkeeping.
+// Get/Evict of the same id produces.
 func (p *BufferPool) Pin(id PageID) {
-	if p.view != nil {
-		return
-	}
 	sh := p.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -211,9 +162,6 @@ func (p *BufferPool) Pin(id PageID) {
 // pools) or kept the pool in overflow leaves immediately rather than
 // lingering as a phantom cache hit.
 func (p *BufferPool) Unpin(id PageID) {
-	if p.view != nil {
-		return
-	}
 	sh := p.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -233,12 +181,8 @@ func (p *BufferPool) Unpin(id PageID) {
 
 // Evict drops the page from the cache and reports whether it is gone. A
 // pinned page is not evicted (returns false); an absent page is trivially
-// gone (returns true). Zero-copy pages live in the OS page cache, not the
-// pool, so they are trivially gone too.
+// gone (returns true).
 func (p *BufferPool) Evict(id PageID) bool {
-	if p.view != nil {
-		return true
-	}
 	sh := p.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -314,7 +258,6 @@ func (p *BufferPool) Stats() BufferPoolStats {
 		out.Evictions += sh.stats.Evictions
 		sh.mu.Unlock()
 	}
-	out.ZeroCopy = p.zcHits.Load()
 	return out
 }
 
@@ -326,7 +269,6 @@ func (p *BufferPool) ResetStats() {
 		sh.stats = BufferPoolStats{}
 		sh.mu.Unlock()
 	}
-	p.zcHits.Store(0)
 }
 
 // resident reports whether the page is currently cached (test hook).

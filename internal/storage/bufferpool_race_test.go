@@ -4,13 +4,10 @@ package storage
 // evictions forced by a capacity smaller than the working set, Clear wiping
 // the pool mid-flight, and stats snapshots — all at once, so `go test -race`
 // patrols the lock discipline that the single-threaded tests never stress.
-// The suite runs the same churn against every pool shape: the classic
-// single-shard pool, the sharded large pool, and (where the platform has
-// mmap) the lock-free zero-copy pool.
+// The suite runs the same churn against both pool shapes: the classic
+// single-shard pool and the sharded large pool.
 
 import (
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -146,60 +143,5 @@ func TestBufferPoolShardedConcurrent(t *testing.T) {
 	if cached > capacity || !coherent {
 		t.Fatalf("sharded pool invariants broken: %d cached (capacity %d), coherent=%v",
 			cached, capacity, coherent)
-	}
-}
-
-func TestBufferPoolZeroCopyConcurrent(t *testing.T) {
-	if !MmapSupported() {
-		t.Skip("mmap not supported on this platform")
-	}
-	const (
-		pages    = 64
-		pageSize = 4096
-		workers  = 8
-		rounds   = 300
-	)
-	path := filepath.Join(t.TempDir(), "pages.bin")
-	img := make([]byte, pages*pageSize)
-	for i := 0; i < pages; i++ {
-		img[i*pageSize] = byte(i)
-	}
-	if err := os.WriteFile(path, img, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	disk, err := OpenMmapDisk(path, pageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk.Close()
-
-	pool := NewBufferPool(disk, 8)
-	if !pool.ZeroCopy() {
-		t.Fatal("pool over MmapDisk should be zero-copy")
-	}
-	ids := make([]PageID, pages)
-	for i := range ids {
-		ids[i] = PageID(i)
-	}
-
-	churnPool(t, pool, ids, workers, rounds)
-
-	st := pool.Stats()
-	if st.ZeroCopy == 0 {
-		t.Fatal("no zero-copy lookups recorded")
-	}
-	if st.Misses != 0 {
-		t.Fatalf("zero-copy pool recorded %d misses; every view should bypass the pager read path", st.Misses)
-	}
-	if cached, _ := pool.cached(); cached != 0 {
-		t.Fatalf("zero-copy pool cached %d frames; views must not be copied into frames", cached)
-	}
-	// Passthroughs are not cache hits: the frame cache saw no traffic at all,
-	// so HitRate has nothing to report while ZeroCopyRate is total.
-	if st.HitRate() != 0 {
-		t.Fatalf("zero-copy HitRate = %v, want 0 (no frame-cache traffic)", st.HitRate())
-	}
-	if st.ZeroCopyRate() != 1 {
-		t.Fatalf("ZeroCopyRate = %v, want 1", st.ZeroCopyRate())
 	}
 }

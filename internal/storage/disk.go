@@ -10,12 +10,9 @@
 // I/O time according to the latency model instead of sleeping, which keeps
 // the experiment fast and deterministic while preserving the cost shape.
 //
-// Two real-file pagers share the same Pager contract: FileDisk (pread into
-// caller buffers, used by the durable store's write and verify paths) and
-// MmapDisk (a read-only memory mapping whose page views are zero-copy
-// slices of the mapped region — the serving layer's mapped recovery path).
-// The sharded BufferPool sits above either, pinning pages for callers that
-// hold views and passing mapped views through without caching or copying.
+// The package serves the reproduction only: the durable epoch store
+// (internal/persist) reads and writes its segment files itself, with no
+// page device or buffer pool in between.
 package storage
 
 import (

@@ -1,13 +1,10 @@
 package storage
 
-// Pager is the page-device contract shared by every on-disk layer in
-// spatialsim: the latency-modelling simulated Disk that the Figure 2
-// experiment measures, and the real-file FileDisk that the durable epoch
-// store (internal/persist) writes its page-aligned segment files through.
-// Code written against Pager — most importantly the BufferPool — serves both
-// worlds unchanged, which is what lets the persisted epoch format be both
-// measured under the paper's cold-cache I/O model and actually recovered
-// from a real file after a crash.
+// Pager is the page-device contract of the Figure 2 reproduction: the
+// latency-modelling simulated Disk implements it, and the BufferPool caches
+// any implementation. Code written against Pager — the paged R-Tree reader
+// of internal/experiments most importantly — runs over the paper's
+// cold-cache I/O model unchanged.
 //
 // Page ids are dense: Allocate hands out 0, 1, 2, ... in order, and Read or
 // Write of an id that was never allocated is an error.
@@ -26,4 +23,3 @@ type Pager interface {
 }
 
 var _ Pager = (*Disk)(nil)
-var _ Pager = (*FileDisk)(nil)
