@@ -68,14 +68,9 @@ func TestSegmentWriteFailpoints(t *testing.T) {
 }
 
 // TestSegmentFileMappedMatchesHeap: the two opens of one segment file give
-// the same bytes, and a mapping stays readable after its path is unlinked —
-// segment GC unlinks files an older epoch may still serve from.
+// the same bytes.
 func TestSegmentFileMappedMatchesHeap(t *testing.T) {
-	image := EncodeSegment(2, 5, testShards(t, 400, 67), 4096)
-	path := filepath.Join(t.TempDir(), segmentName(2))
-	if err := os.WriteFile(path, image, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	image, path := writeTestSegment(t)
 	heap, err := openSegmentFile(path, 4096, false)
 	if err != nil {
 		t.Fatal(err)
@@ -91,12 +86,65 @@ func TestSegmentFileMappedMatchesHeap(t *testing.T) {
 	if mapped.mapped != MmapSupported() {
 		t.Fatalf("mapped open: mapped=%v with MmapSupported()=%v", mapped.mapped, MmapSupported())
 	}
+	if !bytes.Equal(mapped.image, image) {
+		t.Fatal("the mapped and heap opens of one file give different bytes")
+	}
+}
+
+// TestSegmentMappingSurvivesUnlink: a mapping stays readable after its path
+// is unlinked — segment GC unlinks files an older epoch may still serve from.
+func TestSegmentMappingSurvivesUnlink(t *testing.T) {
+	image, path := writeTestSegment(t)
+	mapped, err := openSegmentFile(path, 4096, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.close()
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(mapped.image, image) {
 		t.Fatal("the mapping's bytes differ from the file's after unlink")
 	}
+}
+
+// TestHeapSegmentOpenRejectsTornFile and TestMappedSegmentOpenRejectsTornFile:
+// each open refuses a file that is not a whole number of pages as ErrCorrupt,
+// before reading or mapping any of it.
+func TestHeapSegmentOpenRejectsTornFile(t *testing.T) {
+	checkTornSegmentOpen(t, false)
+}
+
+func TestMappedSegmentOpenRejectsTornFile(t *testing.T) {
+	checkTornSegmentOpen(t, true)
+}
+
+func checkTornSegmentOpen(t *testing.T, mapped bool) {
+	t.Helper()
+	image, path := writeTestSegment(t)
+	if err := os.Truncate(path, int64(len(image))-100); err != nil {
+		t.Fatal(err)
+	}
+	f, err := openSegmentFile(path, 4096, mapped)
+	if !errors.Is(err, ErrCorrupt) {
+		f.close()
+		t.Fatalf("mapped=%v: open of a torn file = %v, want ErrCorrupt", mapped, err)
+	}
+	if f.image != nil || f.mapped {
+		t.Fatalf("mapped=%v: a refused open returned an image (mapped=%v)", mapped, f.mapped)
+	}
+}
+
+// writeTestSegment saves an encoded segment of 4096-byte pages to a fresh
+// file and returns its image and path.
+func writeTestSegment(t *testing.T) ([]byte, string) {
+	t.Helper()
+	image := EncodeSegment(2, 5, testShards(t, 400, 67), 4096)
+	path := filepath.Join(t.TempDir(), segmentName(2))
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return image, path
 }
 
 // TestOpenRefusesUndecodablePageSize: Open accepts exactly the page sizes
