@@ -13,7 +13,8 @@
 //
 //	GET  /v1/range?minx=..&maxz=..      scatter/gather range (task-launch order)
 //	GET  /v1/knn?x=&y=&z=&k=            scatter/gather k nearest
-//	GET  /v1/join?eps=[&algo=][&limit=] cluster-wide epsilon self-join
+//	GET  /v1/join?eps=[&algo=][&limit=] cluster-wide epsilon self-join: the
+//	                                    exact count, the first limit pairs
 //	GET  /v1/query?op=range|knn|join    the same reads, by op
 //	POST /v1/update                     two-phase epoch-consistent swap
 //	GET  /v1/stats                      coordinator + per-node state

@@ -94,7 +94,9 @@ func TestJoinResponseIsByteIdentical(t *testing.T) {
 		{"truncated", 2, false, false, false},
 		{"all", 1, true, true, true},
 	} {
-		rep := serve.Reply{Epoch: 5, Pairs: pairs, JoinAlgo: join.AlgoGrid, JoinItems: 40, Plan: plan}
+		// The store keeps the first limit pairs and counts them all.
+		rep := serve.Reply{Epoch: 5, Pairs: pairs[:min(len(pairs), tc.limit)], JoinAlgo: join.AlgoGrid,
+			JoinItems: 40, JoinCount: len(pairs), Plan: plan}
 		want := joinResponse{Epoch: 5, Algorithm: "grid", Eps: 0.3, Items: 40, Count: len(pairs),
 			Truncated: len(pairs) > tc.limit, Pairs: [][2]int64{}}
 		for _, pr := range pairs[:min(len(pairs), tc.limit)] {

@@ -14,6 +14,7 @@ import (
 	"spatialsim/internal/faultinject"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
+	"spatialsim/internal/obs"
 	"spatialsim/internal/serve"
 )
 
@@ -148,6 +149,25 @@ func TestClusterConformance(t *testing.T) {
 			if rep.Pairs[i] != want.Pairs[i] {
 				t.Fatalf("join eps=%v: pair %d %v != %v", eps, i, rep.Pairs[i], want.Pairs[i])
 			}
+		}
+		// A limit reaches the coordinator's join: the first pairs of the
+		// same list, and the exact count, which cluster_join_exec reports.
+		tr := obs.NewTrace("/v1/join")
+		limited := co.Join(obs.WithTrace(context.Background(), tr), serve.JoinRequest{Eps: eps, Limit: 3})
+		if n := min(3, len(want.Pairs)); limited.Err != nil || limited.JoinCount != len(want.Pairs) ||
+			!slices.Equal(limited.Pairs, want.Pairs[:n]) {
+			t.Fatalf("join eps=%v limit 3: err=%v count %d pairs %v, want count %d and %v",
+				eps, limited.Err, limited.JoinCount, limited.Pairs, len(want.Pairs), want.Pairs[:n])
+		}
+		var exec *obs.SpanJSON
+		for _, c := range tr.Finish().Children {
+			if c.Stage == "cluster_join_exec" {
+				exec = c
+			}
+		}
+		if exec == nil || exec.Attrs["pairs"] != len(want.Pairs) || exec.Attrs["kept"] != len(limited.Pairs) {
+			t.Fatalf("join eps=%v limit 3: cluster_join_exec span %+v, want pairs %d kept %d",
+				eps, exec, len(want.Pairs), len(limited.Pairs))
 		}
 	}
 }

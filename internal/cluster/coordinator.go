@@ -63,11 +63,14 @@ type Reply struct {
 	// order — or kNN results (sorted by distance, ties by ID). Every item is
 	// emitted by exactly one task, so there are no duplicates to remove.
 	Items []index.Item `json:"-"`
-	// Pairs, JoinAlgo, JoinItems (the gathered item count) and JoinStats
-	// hold the cluster join outcome.
+	// Pairs, JoinAlgo, JoinItems (the gathered item count), JoinCount (the
+	// exact number of result pairs; Pairs holds the first JoinRequest.Limit
+	// of them, all when Limit <= 0) and JoinStats hold the cluster join
+	// outcome.
 	Pairs     []join.Pair    `json:"-"`
 	JoinAlgo  join.Algorithm `json:"-"`
 	JoinItems int            `json:"-"`
+	JoinCount int            `json:"-"`
 	JoinStats join.RunStats  `json:"-"`
 	// FanOut counts fan-out tasks launched — node queries, including hedges
 	// and failovers (a node asked twice, for disjoint tile sets, counts
@@ -467,15 +470,17 @@ func (c *Coordinator) Join(ctx context.Context, jr serve.JoinRequest) Reply {
 	if workers <= 0 {
 		workers = c.cfg.Workers
 	}
-	pairs, stats := plan.RunParallel(ctx, workers)
+	pairs, stats := plan.RunParallel(ctx, workers, jr.Limit)
 	if js != nil {
 		js.Set("algorithm", plan.Algo().String())
-		js.Set("pairs", len(pairs))
+		js.Set("pairs", int(stats.Pairs))
+		js.Set("kept", len(pairs))
 		js.End()
 	}
 	rep.Pairs = pairs
 	rep.JoinAlgo = plan.Algo()
 	rep.JoinItems = len(items)
+	rep.JoinCount = int(stats.Pairs)
 	rep.JoinStats = stats
 	if stats.Cancelled {
 		if len(pairs) == 0 {

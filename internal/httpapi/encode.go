@@ -102,16 +102,17 @@ func (b *Reply) True(key string) {
 
 // newJoinReply starts a join reply: {"epoch":E,"algorithm":A,"eps":F,
 // "items":N,"count":C,"truncated":T,"pairs":[[a,b],...] with at most limit
-// pairs; eps is finite (Params.Join refuses anything else).
+// pairs; eps is finite (Params.Join refuses anything else). The count is
+// the exact JoinCount, and truncated says it exceeds the limit.
 func newJoinReply(res Result, eps float64, limit int) *Reply {
 	b := newObject(res.Epoch)
 	b.JSON("algorithm", res.JoinAlgo.String())
 	b.key("eps")
 	b.buf = AppendFloat(b.buf, eps)
 	b.Int("items", res.JoinItems)
-	b.Int("count", len(res.Pairs))
+	b.Int("count", res.JoinCount)
 	b.key("truncated")
-	b.buf = strconv.AppendBool(b.buf, len(res.Pairs) > limit)
+	b.buf = strconv.AppendBool(b.buf, res.JoinCount > limit)
 	b.key("pairs")
 	buf := append(b.buf, '[')
 	for i, p := range res.Pairs[:min(len(res.Pairs), limit)] {

@@ -15,6 +15,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -229,6 +230,29 @@ func Contract(t *testing.T, srv *httpapi.Server) {
 			}
 		}
 	})
+	t.Run("join_limit", func(t *testing.T) {
+		// count is exact whatever the limit; pairs are the first limit of
+		// the full canonical list, and truncated says some were left out.
+		var all JoinResponse
+		eps := ""
+		for _, e := range []string{"1", "10", "1e6"} {
+			if all = getJoin(t, base, "eps="+e+"&limit=100000"); all.Count >= 3 {
+				eps = e
+				break
+			}
+		}
+		if eps == "" || all.Truncated || len(all.Pairs) != all.Count {
+			t.Fatalf("no join with 3 pairs or more, or an inexact full reply: %+v", all)
+		}
+		for _, limit := range []int{1, all.Count - 1, all.Count, all.Count + 5} {
+			rep := getJoin(t, base, "eps="+eps+"&limit="+strconv.Itoa(limit))
+			want := all.Pairs[:min(limit, all.Count)]
+			if rep.Count != all.Count || rep.Truncated != (all.Count > limit) || !slices.Equal(rep.Pairs, want) {
+				t.Errorf("limit=%d: count %d truncated %v %d pairs, want count %d truncated %v and the first %d pairs",
+					limit, rep.Count, rep.Truncated, len(rep.Pairs), all.Count, all.Count > limit, len(want))
+			}
+		}
+	})
 	t.Run("trace", func(t *testing.T) {
 		for _, req := range [][2]string{
 			{http.MethodGet, "/v1/range?minx=0&miny=0&minz=0&maxx=100&maxy=100&maxz=100&trace=1"},
@@ -253,6 +277,17 @@ func Contract(t *testing.T, srv *httpapi.Server) {
 			}
 		}
 	})
+}
+
+// getJoin answers GET /v1/join?query, which must succeed.
+func getJoin(t *testing.T, base, query string) JoinResponse {
+	t.Helper()
+	var rep JoinResponse
+	resp, body := do(t, http.MethodGet, base+"/v1/join?"+query, "")
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &rep) != nil {
+		t.Fatalf("/v1/join?%s: %d %.300s", query, resp.StatusCode, body)
+	}
+	return rep
 }
 
 // checkDecodeSpan requires the update trace's "decode" child and its

@@ -169,37 +169,37 @@ func (p Params) KNN() (geom.Vec3, int, error) {
 }
 
 // Join reads an epsilon self-join: eps (finite, >= 0), algo (auto unless
-// named), workers and the reply cap limit (default 1000, 1..100000; it
-// bounds the body, not the join — the full pair set is computed and counted
-// either way). Workers above GOMAXPROCS are clamped here, at the door: the
-// engine honours an explicit budget (library callers and benchmarks rely on
-// that), so a client asking for 100 000 must not get 100 000 goroutines.
-func (p Params) Join() (serve.JoinRequest, int, error) {
+// named), workers and the reply cap limit (default 1000, 1..100000), which
+// becomes JoinRequest.Limit: the store builds only the first limit pairs
+// and counts the rest exactly. Workers above GOMAXPROCS are clamped here, at
+// the door: the engine honours an explicit budget (library callers and
+// benchmarks rely on that), so a client asking for 100 000 must not get
+// 100 000 goroutines.
+func (p Params) Join() (serve.JoinRequest, error) {
 	var jr serve.JoinRequest
 	s := p.Get("eps")
 	eps, err := strconv.ParseFloat(s, 64)
 	if err != nil || !(eps >= 0) || math.IsInf(eps, 1) {
-		return jr, 0, fmt.Errorf("join needs %w", badParam("eps", s, "a non-negative finite number"))
+		return jr, fmt.Errorf("join needs %w", badParam("eps", s, "a non-negative finite number"))
 	}
 	jr.Eps = eps
 	if name := p.Get("algo"); name != "" && name != "auto" {
 		if jr.Algo, err = join.ParseAlgorithm(name); err != nil {
-			return jr, 0, err
+			return jr, err
 		}
 		jr.Force = true
 	}
 	if jr.Workers, err = p.integer("workers", 0); err != nil {
-		return jr, 0, err
+		return jr, err
 	}
 	jr.Workers = min(jr.Workers, runtime.GOMAXPROCS(0))
-	limit, err := p.integer("limit", 1000)
-	if err != nil {
-		return jr, 0, err
+	if jr.Limit, err = p.integer("limit", 1000); err != nil {
+		return jr, err
 	}
-	if limit <= 0 || limit > 100000 {
-		return jr, 0, errors.New("limit out of range (1..100000)")
+	if jr.Limit <= 0 || jr.Limit > 100000 {
+		return jr, errors.New("limit out of range (1..100000)")
 	}
-	return jr, limit, nil
+	return jr, nil
 }
 
 // Context derives a query's context from the request's own (so a client

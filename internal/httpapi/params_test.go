@@ -72,17 +72,17 @@ func TestReaders(t *testing.T) {
 	}
 
 	p = Parse("eps=0.5&algo=grid&limit=7")
-	jr, limit, err := p.Join()
-	if err != nil || jr.Eps != 0.5 || !jr.Force || jr.Algo != join.AlgoGrid || jr.Workers != 0 || limit != 7 {
-		t.Fatalf("Join = %+v, %d, %v", jr, limit, err)
+	jr, err := p.Join()
+	if err != nil || jr.Eps != 0.5 || !jr.Force || jr.Algo != join.AlgoGrid || jr.Workers != 0 || jr.Limit != 7 {
+		t.Fatalf("Join = %+v, %v", jr, err)
 	}
 	p = Parse("eps=0&algo=auto")
-	if jr, limit, err = p.Join(); err != nil || jr.Force || limit != 1000 {
-		t.Fatalf("Join auto = %+v, %d, %v", jr, limit, err)
+	if jr, err = p.Join(); err != nil || jr.Force || jr.Limit != 1000 {
+		t.Fatalf("Join auto = %+v, %v", jr, err)
 	}
 	for _, bad := range []string{"eps=-1", "eps=", "eps=-Inf", "eps=0&algo=bogus", "eps=0&limit=0", "eps=0&limit=100001"} {
 		p = Parse(bad)
-		if _, _, err := p.Join(); err == nil {
+		if _, err := p.Join(); err == nil {
 			t.Errorf("%s: accepted", bad)
 		}
 	}
@@ -98,7 +98,7 @@ func TestJoinWorkersClampedAtTheDoor(t *testing.T) {
 		"eps=1&workers=100000": procs,
 	} {
 		p := Parse(raw)
-		jr, _, err := p.Join()
+		jr, err := p.Join()
 		if err != nil || jr.Workers != want {
 			t.Errorf("%s: workers %d (%v), want %d", raw, jr.Workers, err, want)
 		}

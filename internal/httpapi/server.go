@@ -38,11 +38,13 @@ type Result struct {
 	Epoch uint64
 	// Items holds a range or kNN answer.
 	Items []index.Item
-	// Pairs, JoinAlgo and JoinItems (how many items were joined) hold a
-	// join's.
+	// Pairs, JoinAlgo, JoinItems (how many items were joined) and
+	// JoinCount (the exact number of result pairs, of which Pairs holds
+	// the first) hold a join's.
 	Pairs     []join.Pair
 	JoinAlgo  join.Algorithm
 	JoinItems int
+	JoinCount int
 	// Err fails the read; errorStatuses maps it onto the reply.
 	Err error
 	// Detail is the back end's own part of the reply.
@@ -89,9 +91,11 @@ var reads = []struct {
 //	GET  /v1/healthz
 //	GET  /metrics                          with Metrics: Prometheus text
 //
-// Every read takes ?timeout= (a Go duration, e.g. 50ms, tightening the back
-// end's deadline) and ?plan=1 where the back end reports a plan; reads and
-// updates take ?trace=1, which adds the request's span tree as "trace".
+// A join reply's count is exact, and only its first ?limit= pairs (in
+// canonical order) are built. Every read takes ?timeout= (a Go duration,
+// e.g. 50ms, tightening the back end's deadline) and ?plan=1 where the back
+// end reports a plan; reads and updates take ?trace=1, which adds the
+// request's span tree as "trace".
 // Errors are {"error":{"code","message"}}, and every response carries an
 // X-Request-Id: the client's, or a generated one.
 func (s *Server) Handler() http.Handler {
@@ -144,7 +148,8 @@ func (s *Server) read(name string, op serve.Op, w http.ResponseWriter, r *http.R
 	case serve.OpKNN:
 		req.Point, req.K, err = p.KNN()
 	default:
-		req.Join, limit, err = p.Join()
+		req.Join, err = p.Join()
+		limit = req.Join.Limit
 	}
 	if err != nil {
 		BadRequest(w, err)

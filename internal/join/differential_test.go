@@ -131,7 +131,7 @@ func TestJoinDifferential(t *testing.T) {
 						t.Fatalf("%s/seq: %d pairs, want %d", name, len(got), len(want))
 					}
 					for _, w := range []int{1, 2, 4} {
-						got, _ := p.RunParallel(context.Background(), w)
+						got, _ := p.RunParallel(context.Background(), w, 0)
 						requireCanonical(t, fmt.Sprintf("%s/w=%d", name, w), got)
 						if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
 							t.Fatalf("%s/w=%d: %d pairs, want %d", name, w, len(got), len(want))

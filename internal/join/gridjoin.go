@@ -1,10 +1,13 @@
 package join
 
 import (
+	"math"
+	"slices"
 	"sync"
 
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
+	"spatialsim/internal/par"
 )
 
 // GridJoinConfig configures the PBSM-style grid join.
@@ -112,6 +115,11 @@ type cellAssignment struct {
 	// the shared cell's coordinate on every axis, so the shared cell is the
 	// reference cell exactly when masks[x]|masks[y] == refAll.
 	masks []uint8
+	// counts holds one row of per-cell counters per assign chunk, then the
+	// chunks' scatter cursors.
+	counts []int32
+	// valid is set when every assigned box is finite and ordered.
+	valid bool
 }
 
 // gridTask is a run of consecutive cells [lo, hi) holding about an equal
@@ -169,57 +177,112 @@ func (p *partitioner) linear(x, y, z uint8) int {
 }
 
 // assign maps each item index to every cell its expanded box overlaps, by
-// counting sort straight into asn's reused CSR buffers: count entries per
-// cell, prefix-sum, scatter. Items are scattered in index order, so each
-// cell's run lists its elements in ascending index.
+// counting sort straight into asn's reused CSR buffers. It splits the items
+// into assignChunks contiguous chunks and runs them on the worker pool.
 func (p *partitioner) assign(items []index.Item, asn *cellAssignment) {
-	nc := p.cells()
+	p.assignChunked(items, asn, assignChunks(len(items), p.cells()))
+}
+
+// assignChunkMin is the fewest items worth a chunk of their own: below it
+// the goroutine hand-off costs more than the chunk's counting pass.
+const assignChunkMin = 4096
+
+// assignChunks is the chunk count of a parallel assign over n items and nc
+// cells: one per worker, at least assignChunkMin items each, and few enough
+// that the per-chunk cell counters (chunks·nc) stay within 4n, so a fine
+// forced grid over few items assigns serially.
+func assignChunks(n, nc int) int {
+	k := par.Workers(0, n/assignChunkMin)
+	for k > 1 && k*nc > 4*n {
+		k--
+	}
+	return k
+}
+
+// assignChunked is assign over k contiguous chunks of the items: each chunk
+// counts its entries per cell into its own row of counters, one prefix over
+// (cell, chunk) turns the rows into write cursors, and each chunk scatters
+// its items in index order from its cursors. Within a cell, chunk k's
+// entries follow those of every chunk before it, so each cell's run lists
+// its elements in ascending index and the CSR is byte-identical for any k.
+// The counting pass also records whether every box is valid (finite and
+// ordered), which lets runGridTask use its branch-free compare.
+func (p *partitioner) assignChunked(items []index.Item, asn *cellAssignment, k int) {
+	n, nc := len(items), p.cells()
 	start := resize(asn.start, nc+1)
-	clear(start)
-	boxes := resize(asn.boxes, len(items))
-	for i := range items {
-		b := &items[i].Box
-		cb := cellBox{
-			lo: [3]uint8{p.coordAxis(b.Min.X-p.h, 0), p.coordAxis(b.Min.Y-p.h, 1), p.coordAxis(b.Min.Z-p.h, 2)},
-			hi: [3]uint8{p.coordAxis(b.Max.X+p.h, 0), p.coordAxis(b.Max.Y+p.h, 1), p.coordAxis(b.Max.Z+p.h, 2)},
-		}
-		boxes[i] = cb
-		for z := cb.lo[2]; z <= cb.hi[2]; z++ {
-			for y := cb.lo[1]; y <= cb.hi[1]; y++ {
-				row := p.linear(0, y, z) + 1
-				for x := int(cb.lo[0]); x <= int(cb.hi[0]); x++ {
-					start[row+x]++
+	boxes := resize(asn.boxes, n)
+	counts := resize(asn.counts, k*nc)
+	invalid := make([]bool, k)
+	chunk := func(c int) (int, int) { return c * n / k, (c + 1) * n / k }
+	par.ForTasks(k, k, func(_, c int) {
+		row := counts[c*nc : (c+1)*nc]
+		clear(row)
+		lo, hi := chunk(c)
+		bad := false
+		for i := lo; i < hi; i++ {
+			b := &items[i].Box
+			bad = bad || !validBox(b)
+			cb := cellBox{
+				lo: [3]uint8{p.coordAxis(b.Min.X-p.h, 0), p.coordAxis(b.Min.Y-p.h, 1), p.coordAxis(b.Min.Z-p.h, 2)},
+				hi: [3]uint8{p.coordAxis(b.Max.X+p.h, 0), p.coordAxis(b.Max.Y+p.h, 1), p.coordAxis(b.Max.Z+p.h, 2)},
+			}
+			boxes[i] = cb
+			for z := cb.lo[2]; z <= cb.hi[2]; z++ {
+				for y := cb.lo[1]; y <= cb.hi[1]; y++ {
+					r := p.linear(0, y, z)
+					for x := int(cb.lo[0]); x <= int(cb.hi[0]); x++ {
+						row[r+x]++
+					}
 				}
 			}
 		}
+		invalid[c] = bad
+	})
+	// counts[c·nc+cell] becomes chunk c's write cursor in cell's run.
+	run := int32(0)
+	for cell := 0; cell < nc; cell++ {
+		start[cell] = run
+		for c := cell; c < k*nc; c += nc {
+			v := counts[c]
+			counts[c] = run
+			run += v
+		}
 	}
-	for c := 1; c <= nc; c++ {
-		start[c] += start[c-1]
-	}
-	total := int(start[nc])
-	idxs := resize(asn.idxs, total)
-	masks := resize(asn.masks, total)
-	// start[c] is cell c's write cursor; once every entry is placed it has
-	// advanced to start[c+1], and one shift restores the run offsets.
-	for i, cb := range boxes {
-		mz := uint8(4)
-		for z := cb.lo[2]; z <= cb.hi[2]; z, mz = z+1, 0 {
-			my := uint8(2)
-			for y := cb.lo[1]; y <= cb.hi[1]; y, my = y+1, 0 {
-				row := p.linear(0, y, z)
-				mx := uint8(1)
-				for x := int(cb.lo[0]); x <= int(cb.hi[0]); x, mx = x+1, 0 {
-					pos := start[row+x]
-					start[row+x]++
-					idxs[pos] = int32(i)
-					masks[pos] = mx | my | mz
+	start[nc] = run
+	idxs := resize(asn.idxs, int(run))
+	masks := resize(asn.masks, int(run))
+	par.ForTasks(k, k, func(_, c int) {
+		cursor := counts[c*nc : (c+1)*nc]
+		lo, hi := chunk(c)
+		for i := lo; i < hi; i++ {
+			cb := boxes[i]
+			mz := uint8(4)
+			for z := cb.lo[2]; z <= cb.hi[2]; z, mz = z+1, 0 {
+				my := uint8(2)
+				for y := cb.lo[1]; y <= cb.hi[1]; y, my = y+1, 0 {
+					r := p.linear(0, y, z)
+					mx := uint8(1)
+					for x := int(cb.lo[0]); x <= int(cb.hi[0]); x, mx = x+1, 0 {
+						pos := cursor[r+x]
+						cursor[r+x]++
+						idxs[pos] = int32(i)
+						masks[pos] = mx | my | mz
+					}
 				}
 			}
 		}
-	}
-	copy(start[1:], start[:nc])
-	start[0] = 0
-	asn.start, asn.boxes, asn.idxs, asn.masks = start, boxes, idxs, masks
+	})
+	asn.start, asn.boxes, asn.counts, asn.idxs, asn.masks = start, boxes, counts, idxs, masks
+	asn.valid = !slices.Contains(invalid, true)
+}
+
+// validBox is geom.AABB.IsValid in a form the compiler inlines: finite,
+// ordered corners (a NaN fails every comparison).
+func validBox(b *geom.AABB) bool {
+	const m = math.MaxFloat64
+	return -m <= b.Min.X && b.Min.X <= b.Max.X && b.Max.X <= m &&
+		-m <= b.Min.Y && b.Min.Y <= b.Max.Y && b.Max.Y <= m &&
+		-m <= b.Min.Z && b.Min.Z <= b.Max.Z && b.Max.Z <= m
 }
 
 // cellPairs returns the candidate pairs of cell c: the pairs of its entries

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"spatialsim/internal/datagen"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
 )
@@ -129,5 +130,150 @@ func FuzzSelfJoinGrid(f *testing.F) {
 		check("self", pl.PlanSelfWith(AlgoGrid, items, opts), DedupPairs(SelfNestedLoop(items, opts)))
 		as, bs := items[:len(items)/2], items[len(items)/2:]
 		check("binary", pl.PlanWith(AlgoGrid, as, bs, opts), DedupPairs(NestedLoop(as, bs, opts)))
+	})
+}
+
+// assignSerial is the one-pass counting sort assign was before it ran in
+// chunks on the pool: count entries per cell, prefix-sum, scatter in element
+// order. It is the reference the chunked assign must reproduce byte for
+// byte.
+func assignSerial(p *partitioner, items []index.Item) (start, idxs []int32, masks []uint8) {
+	nc := p.cells()
+	start = make([]int32, nc+1)
+	boxes := make([]cellBox, len(items))
+	for i := range items {
+		b := &items[i].Box
+		cb := cellBox{
+			lo: [3]uint8{p.coordAxis(b.Min.X-p.h, 0), p.coordAxis(b.Min.Y-p.h, 1), p.coordAxis(b.Min.Z-p.h, 2)},
+			hi: [3]uint8{p.coordAxis(b.Max.X+p.h, 0), p.coordAxis(b.Max.Y+p.h, 1), p.coordAxis(b.Max.Z+p.h, 2)},
+		}
+		boxes[i] = cb
+		for z := cb.lo[2]; z <= cb.hi[2]; z++ {
+			for y := cb.lo[1]; y <= cb.hi[1]; y++ {
+				for x := int(cb.lo[0]); x <= int(cb.hi[0]); x++ {
+					start[p.linear(uint8(x), y, z)+1]++
+				}
+			}
+		}
+	}
+	for c := 1; c <= nc; c++ {
+		start[c] += start[c-1]
+	}
+	idxs = make([]int32, start[nc])
+	masks = make([]uint8, start[nc])
+	cursor := append([]int32(nil), start[:nc]...)
+	for i, cb := range boxes {
+		for z := cb.lo[2]; z <= cb.hi[2]; z++ {
+			for y := cb.lo[1]; y <= cb.hi[1]; y++ {
+				for x := int(cb.lo[0]); x <= int(cb.hi[0]); x++ {
+					c := p.linear(uint8(x), y, z)
+					var m uint8
+					if uint8(x) == cb.lo[0] {
+						m |= 1
+					}
+					if y == cb.lo[1] {
+						m |= 2
+					}
+					if z == cb.lo[2] {
+						m |= 4
+					}
+					idxs[cursor[c]], masks[cursor[c]] = int32(i), m
+					cursor[c]++
+				}
+			}
+		}
+	}
+	return start, idxs, masks
+}
+
+// TestAssignChunkedMatchesSerial: the chunked assign's CSR (start, idxs,
+// masks) equals the serial counting sort's for 1, 2, 3 and 8 chunks, on
+// uniform and clustered data, a forced fine grid, and fewer items than
+// chunks; and the validity flag follows the boxes.
+func TestAssignChunkedMatchesSerial(t *testing.T) {
+	d := datagen.GenerateClustered(datagen.ClusteredConfig{N: 3000, Clusters: 6,
+		Universe: geom.NewAABB(geom.V(0, 0, 0), geom.V(60, 60, 60)), Seed: 5})
+	clustered := make([]index.Item, d.Len())
+	for i := range d.Elements {
+		clustered[i] = index.Item{ID: d.Elements[i].ID, Box: d.Elements[i].Box}
+	}
+	for _, tc := range []struct {
+		name  string
+		items []index.Item
+		cells int
+	}{
+		{"uniform", randomItems(3000, 71, geom.Vec3{}), 0},
+		{"clustered", clustered, 0},
+		{"fine", randomItems(500, 72, geom.Vec3{}), 40},
+		{"tiny", randomItems(5, 73, geom.Vec3{}), 0},
+	} {
+		pl := Planner{Grid: GridJoinConfig{CellsPerDim: tc.cells}}
+		plan := pl.PlanSelfWith(AlgoGrid, tc.items, Options{Eps: 0.5})
+		part := plan.part
+		start, idxs, masks := assignSerial(part, tc.items)
+		for _, k := range []int{1, 2, 3, 8} {
+			var asn cellAssignment
+			part.assignChunked(tc.items, &asn, k)
+			if !reflect.DeepEqual(asn.start, start) || !reflect.DeepEqual(asn.idxs, idxs) || !reflect.DeepEqual(asn.masks, masks) {
+				t.Fatalf("%s, %d chunks: the CSR differs from the serial assign's", tc.name, k)
+			}
+			if !asn.valid {
+				t.Fatalf("%s, %d chunks: valid boxes reported invalid", tc.name, k)
+			}
+		}
+		if !reflect.DeepEqual(part.a.start, start) || !reflect.DeepEqual(part.a.idxs, idxs) {
+			t.Fatalf("%s: the plan's own assign differs from the serial one", tc.name)
+		}
+		bad := append([]index.Item(nil), tc.items...)
+		bad[len(bad)-1].Box.Max.Z = math.Inf(1)
+		var asn cellAssignment
+		part.assignChunked(bad, &asn, 3)
+		if asn.valid {
+			t.Fatalf("%s: an infinite corner was not flagged", tc.name)
+		}
+		plan.Close()
+	}
+}
+
+// FuzzGridCompareMatchesWithin pins the grid join's branch-free box test to
+// Options.within over raw float64 bits — NaN, ±Inf, −0 and subnormal
+// corners and eps included: wherever runGridTask would use it (both boxes
+// valid), gridGap2 > Eps² must reject exactly the pairs within rejects; and
+// a grid self-join of the two boxes, which picks the test from the boxes,
+// must agree with the nested loop.
+func FuzzGridCompareMatchesWithin(f *testing.F) {
+	bits := math.Float64bits
+	nan, inf, sub := bits(math.NaN()), bits(math.Inf(1)), uint64(1)
+	f.Add(bits(0), bits(0), bits(0), bits(1), bits(1), bits(1), bits(1.5), bits(0), bits(0), bits(2), bits(1), bits(1), bits(0.5))
+	f.Add(bits(0), bits(0), bits(0), bits(1), bits(1), bits(1), bits(1), bits(1), bits(1), bits(2), bits(2), bits(2), bits(0))
+	f.Add(bits(-1e308), bits(0), bits(0), bits(-1e308), bits(0), bits(0), bits(1e308), bits(0), bits(0), bits(1e308), bits(0), bits(0), inf)
+	f.Add(sub, sub, sub, sub, sub, sub, bits(0), bits(0), bits(0), bits(0), bits(0), bits(0), sub)
+	f.Add(bits(math.Copysign(0, -1)), bits(0), bits(0), bits(0), bits(0), bits(0), bits(0), bits(0), bits(0), bits(0), bits(0), bits(0), bits(0))
+	f.Add(bits(0), bits(0), bits(0), inf, bits(1), bits(1), inf, bits(0), bits(0), inf, bits(1), bits(1), bits(3))
+	f.Add(nan, bits(0), bits(0), bits(1), bits(1), bits(1), bits(0), bits(0), bits(0), bits(1), bits(1), bits(1), nan)
+	f.Add(bits(5), bits(0), bits(0), bits(0), bits(1), bits(1), bits(3), bits(0), bits(0), bits(1), bits(1), bits(1), bits(1))
+	f.Fuzz(func(t *testing.T, a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5, e uint64) {
+		fl := math.Float64frombits
+		box := func(v0, v1, v2, v3, v4, v5 uint64) geom.AABB {
+			return geom.AABB{Min: geom.V(fl(v0), fl(v1), fl(v2)), Max: geom.V(fl(v3), fl(v4), fl(v5))}
+		}
+		a := index.Item{ID: 1, Box: box(a0, a1, a2, a3, a4, a5)}
+		b := index.Item{ID: 2, Box: box(b0, b1, b2, b3, b4, b5)}
+		opts := Options{Eps: fl(e)}
+		want := opts.within(&a, &b)
+		if validBox(&a.Box) != a.Box.IsValid() || validBox(&b.Box) != b.Box.IsValid() {
+			t.Fatalf("a=%v b=%v: validBox disagrees with IsValid", a.Box, b.Box)
+		}
+		if validBox(&a.Box) && validBox(&b.Box) {
+			if got := !(gridGap2(&a.Box, &b.Box) > opts.Eps*opts.Eps); got != want {
+				t.Fatalf("a=%v b=%v eps=%v: gridGap2 decides %v, within %v", a.Box, b.Box, opts.Eps, got, want)
+			}
+		}
+		p := Planner{}.PlanSelfWith(AlgoGrid, []index.Item{a, b}, opts)
+		got := p.Run()
+		p.Close()
+		if (len(got) == 1) != want || len(got) > 1 {
+			t.Fatalf("a=%v b=%v eps=%v: grid join %v, within %v", a.Box, b.Box, opts.Eps, got, want)
+		}
 	})
 }

@@ -77,15 +77,16 @@ func (o *Options) within(a, b *index.Item) bool {
 }
 
 // gap2 is the squared gap between intervals [lo1, hi1] and [lo2, hi2] (0 when
-// they overlap) — one axis of geom.AABB.Distance2.
+// they overlap) — one axis of geom.AABB.Distance2. The conversion rounds the
+// square, so a caller's sum of squares is never fused into one operation.
 func gap2(lo1, hi1, lo2, hi2 float64) float64 {
 	switch {
 	case hi1 < lo2:
 		d := lo2 - hi1
-		return d * d
+		return float64(d * d)
 	case hi2 < lo1:
 		d := lo1 - hi2
-		return d * d
+		return float64(d * d)
 	}
 	return 0
 }

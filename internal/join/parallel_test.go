@@ -2,6 +2,7 @@ package join_test
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -66,7 +67,7 @@ func TestParallelJoinConformance(t *testing.T) {
 				t.Errorf("%s/%v sequential: %d pairs, want %d", name, algo, len(got), len(want))
 			}
 			for _, workers := range []int{1, 2, 4} {
-				got, stats := p.RunParallel(context.Background(), workers)
+				got, stats := p.RunParallel(context.Background(), workers, 0)
 				if !reflect.DeepEqual(canonPairs(got), want) {
 					t.Errorf("%s/%v parallel w=%d: %d pairs, want %d", name, algo, workers, len(got), len(want))
 				}
@@ -93,7 +94,7 @@ func TestParallelJoinBinaryConformance(t *testing.T) {
 	}
 	for _, algo := range joinAlgos {
 		p := join.Planner{}.PlanWith(algo, as, bs, join.Options{Eps: eps})
-		got, _ := p.RunParallel(context.Background(), 4)
+		got, _ := p.RunParallel(context.Background(), 4, 0)
 		if !reflect.DeepEqual(canonPairs(got), want) {
 			t.Errorf("%v: %d pairs, want %d", algo, len(got), len(want))
 		}
@@ -108,7 +109,7 @@ func TestParallelJoinPlannerAuto(t *testing.T) {
 	want := canonPairs(join.SelfNestedLoop(items, join.Options{Eps: eps}))
 	p := join.Planner{}.PlanSelf(items, join.Options{Eps: eps})
 	defer p.Close()
-	got, stats := p.RunParallel(context.Background(), 4)
+	got, stats := p.RunParallel(context.Background(), 4, 0)
 	if !reflect.DeepEqual(canonPairs(got), want) {
 		t.Fatalf("auto plan (%v): %d pairs, want %d", p.Algo(), len(got), len(want))
 	}
@@ -131,7 +132,7 @@ func TestParallelJoinCountersMatchSequential(t *testing.T) {
 
 	var parC instrument.Counters
 	p2 := join.Planner{}.PlanSelfWith(join.AlgoGrid, items, join.Options{Eps: eps, Counters: &parC})
-	_, stats := p2.RunParallel(context.Background(), 4)
+	_, stats := p2.RunParallel(context.Background(), 4, 0)
 	p2.Close()
 	if parC.Comparisons() != seqComparisons {
 		t.Fatalf("parallel fold charged %d comparisons, sequential %d", parC.Comparisons(), seqComparisons)
@@ -155,7 +156,7 @@ func TestParallelJoinSharedPlan(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, _ := p.RunParallel(context.Background(), 2)
+			got, _ := p.RunParallel(context.Background(), 2, 0)
 			if !reflect.DeepEqual(canonPairs(got), want) {
 				t.Errorf("concurrent run diverged: %d pairs, want %d", len(got), len(want))
 			}
@@ -174,7 +175,7 @@ func benchmarkSelfJoin(b *testing.B, algo join.Algorithm, workers int) {
 		if workers <= 1 {
 			p.Run()
 		} else {
-			p.RunParallel(context.Background(), workers)
+			p.RunParallel(context.Background(), workers, 0)
 		}
 	}
 }
@@ -204,9 +205,84 @@ func BenchmarkSelfGridJoinNeuron(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := join.Planner{}.PlanSelfWith(join.AlgoGrid, items, join.Options{Eps: eps, Counters: &c})
-		out, _ := p.RunParallel(context.Background(), 0)
+		out, _ := p.RunParallel(context.Background(), 0, 0)
 		pairs = len(out)
 		p.Close()
 	}
 	b.ReportMetric(float64(c.Comparisons())/float64(b.N)/float64(max(pairs, 1)), "comparisons/pair")
+}
+
+// TestRunParallelLimit: under a limit, RunParallel returns exactly the first
+// limit pairs of the full canonical list and counts every pair, for every
+// algorithm, worker count and a limit below, at and above the count.
+func TestRunParallelLimit(t *testing.T) {
+	datasets := map[string][]index.Item{
+		"uniform":   joinItems(600, 11, geom.Vec3{}),
+		"clustered": clusteredJoinItems(600, 12),
+	}
+	for name, items := range datasets {
+		opts := join.Options{Eps: 0.6}
+		for _, algo := range joinAlgos {
+			p := join.Planner{}.PlanSelfWith(algo, items, opts)
+			full, fullStats := p.RunParallel(context.Background(), 2, 0)
+			count := len(full)
+			if count < 8 || fullStats.Pairs != int64(count) {
+				t.Fatalf("%s/%v: %d pairs, stats count %d", name, algo, count, fullStats.Pairs)
+			}
+			for _, limit := range []int{1, 7, count - 1, count, count + 5, math.MaxInt} {
+				for _, workers := range []int{1, 2, 4} {
+					got, stats := p.RunParallel(context.Background(), workers, limit)
+					if want := full[:min(limit, count)]; !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s/%v limit=%d workers=%d: %d pairs, not the first %d of the full list",
+							name, algo, limit, workers, len(got), len(want))
+					}
+					if stats.Pairs != int64(count) || stats.Cancelled {
+						t.Fatalf("%s/%v limit=%d workers=%d: count %d (cancelled %v), want %d",
+							name, algo, limit, workers, stats.Pairs, stats.Cancelled, count)
+					}
+				}
+			}
+			p.Close()
+		}
+	}
+}
+
+// TestRunParallelCancelledIsSubset: a join whose context ends mid-run is
+// marked Cancelled; its pairs are a canonical-order subset of the truth and
+// its count is at most the true count, with and without a limit.
+func TestRunParallelCancelledIsSubset(t *testing.T) {
+	items := clusteredJoinItems(2000, 13)
+	truth, _ := join.Planner{}.PlanSelfWith(join.AlgoGrid, items, join.Options{Eps: 0.6}).RunParallel(context.Background(), 2, 0)
+	inTruth := make(map[join.Pair]bool, len(truth))
+	for _, pr := range truth {
+		inTruth[pr] = true
+	}
+	for _, limit := range []int{0, 1, 50} {
+		for _, workers := range []int{1, 2, 4} {
+			ctx, cancel := context.WithCancel(context.Background())
+			var refined sync.Once
+			// The refinement runs inside a task: the first call ends the
+			// context, so the pool stops claiming tasks after the ones in
+			// flight.
+			opts := join.Options{Eps: 0.6, Refine: func(a, b index.Item) bool {
+				refined.Do(cancel)
+				return true
+			}}
+			p := join.Planner{}.PlanSelfWith(join.AlgoGrid, items, opts)
+			got, stats := p.RunParallel(ctx, workers, limit)
+			p.Close()
+			cancel()
+			if !stats.Cancelled {
+				t.Fatalf("limit=%d workers=%d: a run whose context ended is not marked cancelled", limit, workers)
+			}
+			if stats.Pairs > int64(len(truth)) || int64(len(got)) > stats.Pairs || (limit > 0 && len(got) > limit) {
+				t.Fatalf("limit=%d workers=%d: %d pairs of count %d, truth %d", limit, workers, len(got), stats.Pairs, len(truth))
+			}
+			for i, pr := range got {
+				if !inTruth[pr] || (i > 0 && (got[i-1].A > pr.A || (got[i-1].A == pr.A && got[i-1].B >= pr.B))) {
+					t.Fatalf("limit=%d workers=%d: pair %d %+v is not in the truth or out of order", limit, workers, i, pr)
+				}
+			}
+		}
+	}
 }

@@ -448,7 +448,8 @@ type RunStats struct {
 	Workers int
 	// Tasks is the number of independent plan tasks tiled over the pool.
 	Tasks int
-	// Pairs is the number of result pairs.
+	// Pairs is the exact number of result pairs the tasks that ran found:
+	// every pair, also those a limit kept out of the returned list.
 	Pairs int64
 	// PerWorker holds the counters each worker accumulated privately —
 	// the load-balance view of the join's comparison work.
@@ -469,31 +470,58 @@ func (s RunStats) Aggregate() instrument.CounterSnapshot {
 }
 
 // RunParallel executes the plan's tasks on up to workers goroutines (<= 0
-// uses GOMAXPROCS, bounded by the task count) and returns the pairs in
-// canonical (A, then B) order. Tasks are handed out through par's chunked
-// atomic cursor (uneven cells and subtrees still balance); each worker
-// appends into a private pair buffer and charges a private counter. Tasks
+// uses GOMAXPROCS, bounded by the task count) and returns the first limit
+// pairs in canonical (A, then B) order — every pair when limit <= 0. Tasks
+// are handed out through par's chunked atomic cursor (uneven cells and
+// subtrees still balance), and each worker charges a private counter.
+//
+// Without a limit each worker appends into a private pair buffer. Tasks
 // never emit a pair twice, so the gather is Gather: the worker runs are
 // distribution-sorted on A straight into the output — no per-worker sort,
-// no merge, no dedup. The aggregated worker accounting is folded back into
-// the plan's counters, so Run and RunParallel charge the same totals. Once
-// ctx ends, workers stop claiming tasks and the stats are marked Cancelled.
-func (p *Plan) RunParallel(ctx context.Context, workers int) ([]Pair, RunStats) {
+// no merge, no dedup. With a limit each worker runs every task into one
+// reused buffer, counts its pairs and keeps only those below its current
+// limit-th smallest (firstPairs), so the pairs nobody asked for are counted
+// but never gathered or sorted. Stats.Pairs is the exact count either way.
+//
+// The aggregated worker accounting is folded back into the plan's
+// counters, so Run and RunParallel charge the same totals. Once ctx ends,
+// workers stop claiming tasks and the stats are marked Cancelled.
+func (p *Plan) RunParallel(ctx context.Context, workers, limit int) ([]Pair, RunStats) {
 	n := p.Tasks()
 	w := par.Workers(workers, n)
 	stats := RunStats{Algo: p.algo, Workers: w, Tasks: n}
-	bufs := make([][]Pair, w)
 	locals := make([]instrument.Counters, w)
-	stats.Cancelled = !par.ForTasksCtx(ctx, n, w, func(worker, task int) {
-		bufs[worker] = p.RunTask(task, &locals[worker], bufs[worker])
-	})
-	out := Gather(bufs, nil)
+	var out []Pair
+	if limit <= 0 {
+		bufs := make([][]Pair, w)
+		stats.Cancelled = !par.ForTasksCtx(ctx, n, w, func(worker, task int) {
+			bufs[worker] = p.RunTask(task, &locals[worker], bufs[worker])
+		})
+		out = Gather(bufs, nil)
+		stats.Pairs = int64(len(out))
+	} else {
+		firsts := make([]firstPairs, w)
+		for i := range firsts {
+			firsts[i] = newFirstPairs(limit)
+		}
+		stats.Cancelled = !par.ForTasksCtx(ctx, n, w, func(worker, task int) {
+			f := &firsts[worker]
+			f.task = p.RunTask(task, &locals[worker], f.task[:0])
+			f.add(f.task)
+		})
+		runs := make([][]Pair, w)
+		for i := range firsts {
+			runs[i] = firsts[i].kept
+			stats.Pairs += firsts[i].count
+		}
+		out = Gather(runs, nil)
+		out = out[:min(len(out), limit)]
+	}
 
 	stats.PerWorker = make([]instrument.CounterSnapshot, w)
 	for i := range locals {
 		stats.PerWorker[i] = locals[i].Snapshot()
 	}
-	stats.Pairs = int64(len(out))
 	if c := p.opts.Counters; c != nil {
 		agg := stats.Aggregate()
 		c.AddComparisons(agg.Comparisons)
@@ -501,6 +529,48 @@ func (p *Plan) RunParallel(ctx context.Context, workers int) ([]Pair, RunStats) 
 		c.AddTreeIntersectTests(agg.TreeIntersectTests)
 	}
 	return out, stats
+}
+
+// firstPairs is one worker's bounded keep set under a limit: it counts every
+// pair added to it and keeps a superset of the limit smallest in canonical
+// order. kept grows to twice the limit (plus slack, so a tiny limit does not
+// trim on every pair); a trim sorts it, cuts it to the limit and lowers
+// bound to the largest pair left, and no later pair above bound is kept.
+type firstPairs struct {
+	limit  int
+	trimAt int // len(kept) that triggers a trim
+	count  int64
+	task   []Pair // the reused per-task output buffer
+	kept   []Pair
+	bound  Pair
+}
+
+// firstPairsSlack is the room kept has beyond twice the limit.
+const firstPairsSlack = 64
+
+func newFirstPairs(limit int) firstPairs {
+	f := firstPairs{limit: limit, trimAt: math.MaxInt, bound: Pair{A: math.MaxInt64, B: math.MaxInt64}}
+	if limit <= (math.MaxInt-firstPairsSlack)/2 {
+		f.trimAt = 2*limit + firstPairsSlack
+	}
+	return f
+}
+
+func (f *firstPairs) add(pairs []Pair) {
+	f.count += int64(len(pairs))
+	bound := f.bound
+	for _, q := range pairs {
+		if q.A > bound.A || (q.A == bound.A && q.B > bound.B) {
+			continue
+		}
+		f.kept = append(f.kept, q)
+		if len(f.kept) >= f.trimAt {
+			SortPairs(f.kept)
+			f.kept = f.kept[:f.limit]
+			bound = f.kept[f.limit-1]
+		}
+	}
+	f.bound = bound
 }
 
 // Close returns pooled partitioning buffers for reuse by later plans. The
@@ -633,9 +703,15 @@ func (p *Plan) prepareGrid(cfg GridJoinConfig, target int) {
 // recorded. Pairs found through border replication in other cells are
 // skipped before any comparison is charged, so the grid join emits no
 // duplicates at all. Comparisons are counted locally and charged once.
+//
+// Without a refinement predicate, and when assign found every box valid,
+// the box test is gridGap2 <= Eps² — no branch per axis; otherwise it is
+// Options.within.
 func (p *Plan) runGridTask(task int, opts Options, out []Pair) []Pair {
 	t := p.gridTasks[task]
 	a, b := &p.part.a, &p.part.b
+	fast := opts.Refine == nil && a.valid && (p.self || b.valid)
+	eps2 := opts.Eps * opts.Eps
 	var comparisons int64
 	for c := t.lo; c < t.hi; c++ {
 		aIdxs, aMasks := a.idxs[a.start[c]:a.start[c+1]], a.masks[a.start[c]:a.start[c+1]]
@@ -651,9 +727,14 @@ func (p *Plan) runGridTask(task int, opts Options, out []Pair) []Pair {
 						continue
 					}
 					comparisons++
-					if opts.within(ia, ib) {
-						out = append(out, orderPair(ia.ID, ib.ID))
+					if fast {
+						if gridGap2(&ia.Box, &ib.Box) > eps2 {
+							continue
+						}
+					} else if !opts.within(ia, ib) {
+						continue
 					}
+					out = append(out, orderPair(ia.ID, ib.ID))
 				}
 			}
 			continue
@@ -666,9 +747,15 @@ func (p *Plan) runGridTask(task int, opts Options, out []Pair) []Pair {
 					continue
 				}
 				comparisons++
-				if ib := &p.bs[j]; opts.within(ia, ib) {
-					out = append(out, Pair{A: ia.ID, B: ib.ID})
+				ib := &p.bs[j]
+				if fast {
+					if gridGap2(&ia.Box, &ib.Box) > eps2 {
+						continue
+					}
+				} else if !opts.within(ia, ib) {
+					continue
 				}
+				out = append(out, Pair{A: ia.ID, B: ib.ID})
 			}
 		}
 	}
@@ -676,6 +763,20 @@ func (p *Plan) runGridTask(task int, opts Options, out []Pair) []Pair {
 		opts.Counters.AddComparisons(comparisons)
 	}
 	return out
+}
+
+// gridGap2 is the squared distance between two boxes with no branch per
+// axis: the gap max(0, bMin−aMax, aMin−bMax) squared, summed in x, y, z
+// order. For valid (finite, ordered) boxes at most one of the two
+// differences is positive and neither is NaN, so each term equals gap2's
+// and gridGap2(a, b) > Eps² decides exactly as Options.within does — for any
+// Eps, NaN and ±Inf included. The conversions round each square before the
+// sum, as gap2 does, so no platform fuses them.
+func gridGap2(a, b *geom.AABB) float64 {
+	dx := max(0, b.Min.X-a.Max.X, a.Min.X-b.Max.X)
+	dy := max(0, b.Min.Y-a.Max.Y, a.Min.Y-b.Max.Y)
+	dz := max(0, b.Min.Z-a.Max.Z, a.Min.Z-b.Max.Z)
+	return float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 }
 
 // --- synchronized R-Tree traversal ---

@@ -145,12 +145,12 @@ func (ms *MappedSegment) Close() error {
 // the heap otherwise (see the file comment for what each verifies). The
 // header must agree with the record, and every reference must point into a
 // segment sr.Refs lists, found in the same directory.
-func openSegment(path string, sr SnapshotRecord, pageSize, workers int, mapped bool) (*MappedSegment, error) {
+func openSegment(path string, sr SnapshotRecord, workers int, mapped bool) (*MappedSegment, error) {
 	ms := &MappedSegment{}
-	f, err := openSegmentFile(path, pageSize, mapped)
+	f, err := openSegmentFile(path, mapped)
 	if err == nil {
 		ms.files = append(ms.files, f)
-		err = ms.load(filepath.Dir(path), sr, pageSize, workers, mapped)
+		err = ms.load(filepath.Dir(path), sr, workers, mapped)
 	}
 	if err != nil {
 		ms.Close()
@@ -165,7 +165,7 @@ func openSegment(path string, sr SnapshotRecord, pageSize, workers int, mapped b
 
 // load checks the snapshot's own image against the manifest record and
 // decodes it, checksumming only a heap image, then resolves its references.
-func (ms *MappedSegment) load(dir string, sr SnapshotRecord, pageSize, workers int, mapped bool) error {
+func (ms *MappedSegment) load(dir string, sr SnapshotRecord, workers int, mapped bool) error {
 	own := ms.files[0]
 	heap := !own.mapped
 	if int64(len(own.image)) != sr.SegSize {
@@ -184,7 +184,7 @@ func (ms *MappedSegment) load(dir string, sr SnapshotRecord, pageSize, workers i
 		return fmt.Errorf("%w segment: header (%d,%d) disagrees with manifest (%d,%d)",
 			ErrCorrupt, info.EpochSeq, info.BatchSeq, sr.EpochSeq, sr.BatchSeq)
 	}
-	if err := ms.resolve(dir, sr, shards, pageSize, workers, mapped); err != nil {
+	if err := ms.resolve(dir, sr, shards, workers, mapped); err != nil {
 		return err
 	}
 	ms.Info, ms.Shards, ms.mapped = info, shards, !heap
@@ -199,7 +199,7 @@ func (ms *MappedSegment) load(dir string, sr SnapshotRecord, pageSize, workers i
 // resolve replaces every reference record in shards with the record it
 // names, opening each referenced segment once. A heap image is trusted per
 // record: the reference's CRC covers every byte served from it.
-func (ms *MappedSegment) resolve(dir string, sr SnapshotRecord, shards []ShardRecord, pageSize, workers int, mapped bool) error {
+func (ms *MappedSegment) resolve(dir string, sr SnapshotRecord, shards []ShardRecord, workers int, mapped bool) error {
 	type target struct {
 		file int
 		info SegmentInfo
@@ -217,7 +217,7 @@ func (ms *MappedSegment) resolve(dir string, sr SnapshotRecord, shards []ShardRe
 			return fmt.Errorf("%w segment: shard %d references segment %d, which the snapshot does not list",
 				ErrCorrupt, i, ref.Segment)
 		}
-		f, err := openSegmentFile(filepath.Join(dir, segmentName(ref.Segment)), pageSize, mapped)
+		f, err := openSegmentFile(filepath.Join(dir, segmentName(ref.Segment)), mapped)
 		if err != nil {
 			return fmt.Errorf("referenced segment %d: %w", ref.Segment, err)
 		}

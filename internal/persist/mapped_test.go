@@ -82,7 +82,7 @@ func TestOpenMappedSegmentLifecycle(t *testing.T) {
 	}
 
 	sr := SnapshotRecord{EpochSeq: 3, BatchSeq: 8, SegSize: int64(len(image)), SegCRC: imageCRC(image)}
-	ms, err := openSegment(path, sr, 4096, 2, true)
+	ms, err := openSegment(path, sr, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +126,12 @@ func TestOpenMappedSegmentLifecycle(t *testing.T) {
 	for _, mapped := range []bool{true, false} {
 		big := sr
 		big.SegSize += 4096
-		if _, err := openSegment(path, big, 4096, 2, mapped); err == nil {
+		if _, err := openSegment(path, big, 2, mapped); err == nil {
 			t.Fatalf("mapped=%v: size mismatch accepted", mapped)
 		}
 		other := sr
 		other.EpochSeq++
-		if _, err := openSegment(path, other, 4096, 2, mapped); err == nil {
+		if _, err := openSegment(path, other, 2, mapped); err == nil {
 			t.Fatalf("mapped=%v: header disagreeing with the manifest accepted", mapped)
 		}
 	}

@@ -204,7 +204,7 @@ func TestRoundTripJoinIdentical(t *testing.T) {
 	run := func(items []index.Item) []join.Pair {
 		plan := pl.PlanSelf(items, join.Options{Eps: eps})
 		defer plan.Close()
-		pairs, _ := plan.RunParallel(context.Background(), 4)
+		pairs, _ := plan.RunParallel(context.Background(), 4, 0)
 		return pairs
 	}
 	want := run(items)

@@ -78,10 +78,11 @@ type segmentFile struct {
 
 // openSegmentFile opens the segment file at path: mmap'd when mapped is set
 // and the platform supports it, read onto the heap in one read otherwise.
-// The file must be a whole number of pages: segments are written
-// page-aligned, so a short file is a torn write and is reported as
-// ErrCorrupt.
-func openSegmentFile(path string, pageSize int, mapped bool) (segmentFile, error) {
+// The file must be a whole number of the pages its header declares (the
+// page size it was written with, whatever the reopening Store's): segments
+// are written page-aligned, so a short file is a torn write and is
+// reported as ErrCorrupt, as is a file too short to hold a valid header.
+func openSegmentFile(path string, mapped bool) (segmentFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return segmentFile{}, err
@@ -92,11 +93,19 @@ func openSegmentFile(path string, pageSize int, mapped bool) (segmentFile, error
 		return segmentFile{}, err
 	}
 	size := st.Size()
-	if size%int64(pageSize) != 0 {
-		return segmentFile{}, fmt.Errorf("%w segment: file size %d is not a multiple of page size %d (torn write)",
-			ErrCorrupt, size, pageSize)
+	header := make([]byte, min(size, segmentHeaderSize))
+	if _, err := f.ReadAt(header, 0); err != nil {
+		return segmentFile{}, err
 	}
-	if mapped && mmapSupported && size > 0 {
+	info, err := DecodeSegmentInfo(header, int(size))
+	if err != nil {
+		return segmentFile{}, err
+	}
+	if size%int64(info.PageSize) != 0 {
+		return segmentFile{}, fmt.Errorf("%w segment: file size %d is not a multiple of page size %d (torn write)",
+			ErrCorrupt, size, info.PageSize)
+	}
+	if mapped && mmapSupported {
 		// The mapping survives closing the descriptor, and on these
 		// platforms unlinking the path, which is what makes segment GC safe
 		// while an older epoch still serves from it.

@@ -71,14 +71,14 @@ func TestSegmentWriteFailpoints(t *testing.T) {
 // the same bytes.
 func TestSegmentFileMappedMatchesHeap(t *testing.T) {
 	image, path := writeTestSegment(t)
-	heap, err := openSegmentFile(path, 4096, false)
+	heap, err := openSegmentFile(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if heap.mapped || !bytes.Equal(heap.image, image) {
 		t.Fatalf("heap open: mapped=%v, bytes equal=%v", heap.mapped, bytes.Equal(heap.image, image))
 	}
-	mapped, err := openSegmentFile(path, 4096, true)
+	mapped, err := openSegmentFile(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSegmentFileMappedMatchesHeap(t *testing.T) {
 // is unlinked — segment GC unlinks files an older epoch may still serve from.
 func TestSegmentMappingSurvivesUnlink(t *testing.T) {
 	image, path := writeTestSegment(t)
-	mapped, err := openSegmentFile(path, 4096, true)
+	mapped, err := openSegmentFile(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func checkTornSegmentOpen(t *testing.T, mapped bool) {
 	if err := os.Truncate(path, int64(len(image))-100); err != nil {
 		t.Fatal(err)
 	}
-	f, err := openSegmentFile(path, 4096, mapped)
+	f, err := openSegmentFile(path, mapped)
 	if !errors.Is(err, ErrCorrupt) {
 		f.close()
 		t.Fatalf("mapped=%v: open of a torn file = %v, want ErrCorrupt", mapped, err)
@@ -254,5 +254,48 @@ func TestTornSegmentIsCorrupt(t *testing.T) {
 				sameFiles(t, dir, before)
 			}
 		})
+	}
+}
+
+// TestReopenWithOtherPageSizeRecovers: a segment is checked against the page
+// size its own header records, not the reopening Store's. A directory saved
+// with 512-byte pages (and a carried image, so a referenced segment is
+// opened too) recovers every item after a reopen with the default options,
+// in both modes.
+func TestReopenWithOtherPageSizeRecovers(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{PageSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := newTortureTiles(3, 40)
+	if err := s.SaveEpoch(1, 0, tl.save(1).shards); err != nil {
+		t.Fatal(err)
+	}
+	tl.replace(1, 2)
+	step := tl.save(2)
+	if err := s.SaveEpoch(2, 0, step.shards); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, mapped := range []bool{false, true} {
+		rec, err := s.Recover(RecoverOptions{Mapped: mapped})
+		if err != nil {
+			t.Fatalf("mapped=%v: %v", mapped, err)
+		}
+		if rec.EpochSeq != 2 || rec.SkippedCorrupt != 0 || !sameSet(itemSet(t, rec.Shards), step.want) {
+			t.Fatalf("mapped=%v: recovered epoch %d (skipped %d), want epoch 2 exactly",
+				mapped, rec.EpochSeq, rec.SkippedCorrupt)
+		}
+		if rec.Mapping != nil {
+			rec.Mapping.Close()
+		}
 	}
 }

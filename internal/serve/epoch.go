@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"spatialsim/internal/index"
 	"spatialsim/internal/instrument"
 	"spatialsim/internal/obs"
+	"spatialsim/internal/par"
 	"spatialsim/internal/rtree"
 )
 
@@ -273,20 +275,43 @@ func (e *Epoch) rangeVisitCtx(ctx context.Context, query geom.AABB, visit func(i
 func (e *Epoch) Bounds() geom.AABB { return e.bounds }
 
 // AllItems appends every item of the epoch to buf and returns the extended
-// slice. Shards partition the space, so the concatenation is duplicate-free;
-// it is the materialization step of the epoch-pinned self-join.
+// slice, in shard order. Shards partition the space, so the concatenation
+// is duplicate-free; it is the materialization step of the epoch-pinned
+// self-join. The slice is sized once from the shard lengths and the shards
+// fill their own ranges of it on the worker pool.
 func (e *Epoch) AllItems(buf []index.Item) []index.Item {
-	all := e.Bounds().Expand(1e-9)
+	// Shard i fills buf[start[i]:start[i+1]].
+	start := make([]int, len(e.shards)+1)
+	start[0] = len(buf)
 	for i := range e.shards {
-		if e.shards[i].snap.Len() == 0 {
-			continue
-		}
-		e.shards[i].snap.RangeVisit(all, func(it index.Item) bool {
-			buf = append(buf, it)
-			return true
-		})
+		start[i+1] = start[i] + e.shards[i].snap.Len()
 	}
-	return buf
+	buf = slices.Grow(buf, start[len(e.shards)]-start[0])[:start[len(e.shards)]]
+	got := make([]int, len(e.shards))
+	all := e.Bounds().Expand(1e-9)
+	par.ForTasks(len(e.shards), 0, func(_, i int) {
+		dst := buf[start[i]:start[i+1]]
+		if len(dst) == 0 {
+			return
+		}
+		n := 0
+		e.shards[i].snap.RangeVisit(all, func(it index.Item) bool {
+			dst[n] = it
+			n++
+			return n < len(dst)
+		})
+		got[i] = n
+	})
+	// A shard whose traversal missed items leaves a gap (a NaN corner is in
+	// the count but intersects no query); close the gaps in shard order.
+	w := start[0]
+	for i, n := range got {
+		if w != start[i] {
+			copy(buf[w:], buf[start[i]:start[i]+n])
+		}
+		w += n
+	}
+	return buf[:w]
 }
 
 // knnScratch is the pooled per-query state of the cross-shard kNN merge:

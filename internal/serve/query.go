@@ -159,10 +159,13 @@ type Reply struct {
 	Epoch uint64
 	// Items holds materialized OpRange/OpKNN results (req.Buf extended).
 	Items []index.Item
-	// Pairs, JoinAlgo, JoinItems and JoinStats hold the OpJoin outcome.
+	// Pairs, JoinAlgo, JoinItems, JoinCount and JoinStats hold the OpJoin
+	// outcome. JoinCount is the exact number of result pairs; Pairs holds
+	// the first JoinRequest.Limit of them (all when Limit <= 0).
 	Pairs     []join.Pair
 	JoinAlgo  join.Algorithm
 	JoinItems int
+	JoinCount int
 	JoinStats join.RunStats
 	// Plan reports the planning decisions behind the reply.
 	Plan PlanInfo
@@ -482,7 +485,7 @@ func (s *Store) queryJoin(ctx context.Context, e *Epoch, req Request) Reply {
 		rep.Err = mapCtxErr(err)
 		return rep
 	}
-	items := e.AllItems(make([]index.Item, 0, e.items))
+	items := e.AllItems(nil)
 	ps := obs.SpanFromContext(ctx).Child("join_plan")
 	var pl join.Planner
 	var plan *join.Plan
@@ -498,11 +501,12 @@ func (s *Store) queryJoin(ctx context.Context, e *Epoch, req Request) Reply {
 		ps.End()
 	}
 	js := obs.SpanFromContext(ctx).Child("join_exec")
-	pairs, stats := plan.RunParallel(ctx, jr.Workers)
+	pairs, stats := plan.RunParallel(ctx, jr.Workers, jr.Limit)
 	rep.Counters = stats.Aggregate()
 	if js != nil {
 		js.Set("algorithm", plan.Algo().String())
-		js.Set("pairs", len(pairs))
+		js.Set("pairs", int(stats.Pairs))
+		js.Set("kept", len(pairs))
 		js.Set("comparisons", rep.Counters.Comparisons)
 		js.Set("cells", plan.Cells())
 		js.Set("tasks", stats.Tasks)
@@ -512,6 +516,7 @@ func (s *Store) queryJoin(ctx context.Context, e *Epoch, req Request) Reply {
 	rep.Pairs = pairs
 	rep.JoinAlgo = plan.Algo()
 	rep.JoinItems = len(items)
+	rep.JoinCount = int(stats.Pairs)
 	rep.JoinStats = stats
 	rep.Plan.Algorithm = plan.Algo().String()
 	rep.Plan.Comparisons = rep.Counters.Comparisons
@@ -524,6 +529,6 @@ func (s *Store) queryJoin(ctx context.Context, e *Epoch, req Request) Reply {
 		rep.Degraded = true
 	}
 	s.joins.Add(1)
-	s.joinPairs.Add(int64(len(pairs)))
+	s.joinPairs.Add(stats.Pairs)
 	return rep
 }

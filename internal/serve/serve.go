@@ -681,6 +681,10 @@ type JoinRequest struct {
 	// Workers is the goroutine budget of the parallel join (<= 0 uses
 	// GOMAXPROCS, bounded by the task count).
 	Workers int
+	// Limit caps the pairs the reply carries: the first Limit in canonical
+	// order, while the reply's count stays exact. Only those pairs are
+	// built and sorted; the rest are counted. <= 0 returns every pair.
+	Limit int
 }
 
 // Validate refuses a join no engine can answer: Eps must be finite and
@@ -701,7 +705,11 @@ type JoinReply struct {
 	Algo join.Algorithm
 	// Items is the number of elements joined.
 	Items int
-	// Pairs holds the result in canonical (sorted) order.
+	// Count is the exact number of result pairs, also when Limit kept
+	// only the first few in Pairs.
+	Count int
+	// Pairs holds the result (the first Limit pairs under a limit) in
+	// canonical (sorted) order.
 	Pairs []join.Pair
 	// Stats is the parallel execution accounting.
 	Stats join.RunStats
@@ -716,7 +724,7 @@ type JoinReply struct {
 // a query. Thin wrapper over Query.
 func (s *Store) SelfJoin(req JoinRequest) JoinReply {
 	r := s.Query(Request{Op: OpJoin, Join: req})
-	return JoinReply{Epoch: r.Epoch, Algo: r.JoinAlgo, Items: r.JoinItems, Pairs: r.Pairs, Stats: r.JoinStats}
+	return JoinReply{Epoch: r.Epoch, Algo: r.JoinAlgo, Items: r.JoinItems, Count: r.JoinCount, Pairs: r.Pairs, Stats: r.JoinStats}
 }
 
 // ShardStats is the per-shard slice of a Stats snapshot.

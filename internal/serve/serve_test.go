@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -15,6 +16,7 @@ import (
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
 	"spatialsim/internal/join"
+	"spatialsim/internal/obs"
 )
 
 // mustNew builds a store or fails the test (construction only fails for
@@ -580,7 +582,10 @@ func TestSelfJoinPinnedUnderSwaps(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEpochAllItems: materialization gathers every item exactly once.
+// TestEpochAllItems: materialization gathers every item exactly once, in
+// shard order — the shards fill their ranges of one slice on the pool, and
+// the result equals visiting the shards one after another — and appends
+// after what buf already holds.
 func TestEpochAllItems(t *testing.T) {
 	const n = 300
 	s := mustNew(t, Config{Shards: 5, Workers: 2})
@@ -594,8 +599,77 @@ func TestEpochAllItems(t *testing.T) {
 	if got := idSet(items); len(got) != n {
 		t.Fatalf("AllItems returned %d distinct ids, want %d", len(got), n)
 	}
+	var serial []index.Item
+	for _, sh := range e.Shards() {
+		sh.snap.RangeVisit(e.Bounds().Expand(1e-9), func(it index.Item) bool {
+			serial = append(serial, it)
+			return true
+		})
+	}
+	if len(e.Shards()) < 2 || !reflect.DeepEqual(items, serial) {
+		t.Fatalf("AllItems over %d shards differs from the shard-by-shard visit", len(e.Shards()))
+	}
+	prefix := []index.Item{{ID: -1}, {ID: -2}}
+	if got := e.AllItems(prefix); !reflect.DeepEqual(got[:2], prefix) || !reflect.DeepEqual(got[2:], serial) {
+		t.Fatal("AllItems did not append after the buffer's contents")
+	}
 	if empty := (&Epoch{}); len(empty.AllItems(nil)) != 0 {
 		t.Fatal("empty epoch returned items")
+	}
+	// A NaN corner leaves items in the shards' counts but out of their
+	// traversals (here all of them: it poisons the epoch bounds). AllItems
+	// returns exactly what the shard-by-shard visit returns, and no
+	// zero-value item where a traversal fell short.
+	withNaN := genItems(n, 0)
+	withNaN[7].Box.Min.X = math.NaN()
+	s2 := mustNew(t, Config{Shards: 5, Workers: 2})
+	defer s2.Close()
+	s2.Bootstrap(withNaN)
+	e2 := s2.Current()
+	serial = serial[:0]
+	for _, sh := range e2.Shards() {
+		sh.snap.RangeVisit(e2.Bounds().Expand(1e-9), func(it index.Item) bool {
+			serial = append(serial, it)
+			return true
+		})
+	}
+	if got := e2.AllItems(nil); len(got) == n || len(got) != len(serial) || (len(got) > 0 && !reflect.DeepEqual(got, serial)) {
+		t.Fatalf("with a NaN box: AllItems %d items, shard-by-shard visit %d", len(got), len(serial))
+	}
+}
+
+// TestJoinLimitCountsEveryPair: a limited join carries the first Limit
+// pairs of the full canonical list, its JoinCount is the full count, and
+// the store's join accounting (Stats().JoinPairs, the join_exec span's
+// pairs) moves by the full count while the span's kept is the limit.
+func TestJoinLimitCountsEveryPair(t *testing.T) {
+	s := mustNew(t, Config{Shards: 4, Workers: 2})
+	defer s.Close()
+	s.Bootstrap(randomDataset(400, 3))
+	full := s.SelfJoin(JoinRequest{Eps: 0.5, Workers: 2})
+	count := len(full.Pairs)
+	if count < 3 || full.Count != count {
+		t.Fatalf("full join: %d pairs, count %d", count, full.Count)
+	}
+	for _, limit := range []int{1, 2, count, count + 5} {
+		before := s.Stats().JoinPairs
+		tr := obs.NewTrace("/v1/join")
+		rep := s.Query(Request{Ctx: obs.WithTrace(context.Background(), tr), Op: OpJoin,
+			Join: JoinRequest{Eps: 0.5, Workers: 2, Limit: limit}})
+		root := tr.Finish()
+		if rep.Err != nil || rep.Degraded || !reflect.DeepEqual(rep.Pairs, full.Pairs[:min(limit, count)]) {
+			t.Fatalf("limit=%d: %d pairs (err %v), want the first %d of the full list", limit, len(rep.Pairs), rep.Err, min(limit, count))
+		}
+		if rep.JoinCount != count {
+			t.Fatalf("limit=%d: JoinCount %d, want %d", limit, rep.JoinCount, count)
+		}
+		if moved := s.Stats().JoinPairs - before; moved != int64(count) {
+			t.Fatalf("limit=%d: JoinPairs moved by %d, want the full count %d", limit, moved, count)
+		}
+		js := findSpan(root, "join_exec")
+		if js == nil || js.Attrs["pairs"] != count || js.Attrs["kept"] != len(rep.Pairs) {
+			t.Fatalf("limit=%d: join_exec span %+v, want pairs %d kept %d", limit, js, count, len(rep.Pairs))
+		}
 	}
 }
 
