@@ -457,7 +457,11 @@ func (c *Coordinator) Join(ctx context.Context, jr serve.JoinRequest) Reply {
 	c.resultItems.Add(int64(len(items)))
 	slices.SortFunc(items, func(a, b index.Item) int { return cmp.Compare(a.ID, b.ID) })
 
-	var pl join.Planner
+	workers := jr.Workers
+	if workers <= 0 {
+		workers = c.cfg.Workers
+	}
+	pl := join.Planner{Workers: workers}
 	var plan *join.Plan
 	if jr.Force {
 		plan = pl.PlanSelfWith(jr.Algo, items, join.Options{Eps: jr.Eps})
@@ -466,10 +470,6 @@ func (c *Coordinator) Join(ctx context.Context, jr serve.JoinRequest) Reply {
 	}
 	defer plan.Close()
 	js := obs.SpanFromContext(ctx).Child("cluster_join_exec")
-	workers := jr.Workers
-	if workers <= 0 {
-		workers = c.cfg.Workers
-	}
 	pairs, stats := plan.RunParallel(ctx, workers, jr.Limit)
 	if js != nil {
 		js.Set("algorithm", plan.Algo().String())

@@ -178,9 +178,10 @@ func (p *partitioner) linear(x, y, z uint8) int {
 
 // assign maps each item index to every cell its expanded box overlaps, by
 // counting sort straight into asn's reused CSR buffers. It splits the items
-// into assignChunks contiguous chunks and runs them on the worker pool.
-func (p *partitioner) assign(items []index.Item, asn *cellAssignment) {
-	p.assignChunked(items, asn, assignChunks(len(items), p.cells()))
+// into assignChunks contiguous chunks and runs them on up to workers
+// goroutines of the pool.
+func (p *partitioner) assign(items []index.Item, asn *cellAssignment, workers int) {
+	p.assignChunked(items, asn, assignChunks(len(items), p.cells(), workers))
 }
 
 // assignChunkMin is the fewest items worth a chunk of their own: below it
@@ -188,11 +189,12 @@ func (p *partitioner) assign(items []index.Item, asn *cellAssignment) {
 const assignChunkMin = 4096
 
 // assignChunks is the chunk count of a parallel assign over n items and nc
-// cells: one per worker, at least assignChunkMin items each, and few enough
-// that the per-chunk cell counters (chunks·nc) stay within 4n, so a fine
-// forced grid over few items assigns serially.
-func assignChunks(n, nc int) int {
-	k := par.Workers(0, n/assignChunkMin)
+// cells: one per worker of the budget (<= 0 uses GOMAXPROCS), at least
+// assignChunkMin items each, and few enough that the per-chunk cell counters
+// (chunks·nc) stay within 4n, so a fine forced grid over few items assigns
+// serially.
+func assignChunks(n, nc, workers int) int {
+	k := par.Workers(workers, n/assignChunkMin)
 	for k > 1 && k*nc > 4*n {
 		k--
 	}
@@ -212,12 +214,11 @@ func (p *partitioner) assignChunked(items []index.Item, asn *cellAssignment, k i
 	start := resize(asn.start, nc+1)
 	boxes := resize(asn.boxes, n)
 	counts := resize(asn.counts, k*nc)
+	// ForChunks skips empty chunks, whose rows must count zero.
+	clear(counts)
 	invalid := make([]bool, k)
-	chunk := func(c int) (int, int) { return c * n / k, (c + 1) * n / k }
-	par.ForTasks(k, k, func(_, c int) {
+	par.ForChunks(n, k, func(c, lo, hi int) {
 		row := counts[c*nc : (c+1)*nc]
-		clear(row)
-		lo, hi := chunk(c)
 		bad := false
 		for i := lo; i < hi; i++ {
 			b := &items[i].Box
@@ -251,9 +252,8 @@ func (p *partitioner) assignChunked(items []index.Item, asn *cellAssignment, k i
 	start[nc] = run
 	idxs := resize(asn.idxs, int(run))
 	masks := resize(asn.masks, int(run))
-	par.ForTasks(k, k, func(_, c int) {
+	par.ForChunks(n, k, func(c, lo, hi int) {
 		cursor := counts[c*nc : (c+1)*nc]
-		lo, hi := chunk(c)
 		for i := lo; i < hi; i++ {
 			cb := boxes[i]
 			mz := uint8(4)

@@ -235,6 +235,27 @@ func TestAssignChunkedMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestAssignKeepsWorkerBudget: the grid's cell assignment splits into no
+// more chunks — goroutines — than Planner.Workers allows, so a join asked to
+// run on one goroutine prepares its plan on one too.
+func TestAssignKeepsWorkerBudget(t *testing.T) {
+	const n = 8 * assignChunkMin
+	for _, tc := range []struct{ workers, want int }{{1, 1}, {3, 3}, {64, 8}} {
+		if got := assignChunks(n, 64, tc.workers); got != tc.want {
+			t.Fatalf("assignChunks(%d items, workers=%d) = %d chunks, want %d", n, tc.workers, got, tc.want)
+		}
+	}
+	items := randomItems(n, 74, geom.Vec3{})
+	for _, workers := range []int{1, 4} {
+		plan := Planner{Workers: workers}.PlanSelfWith(AlgoGrid, items, Options{Eps: 0.1})
+		nc := plan.part.cells()
+		if got := len(plan.part.a.counts) / nc; got > workers {
+			t.Fatalf("Planner{Workers: %d}: the assign ran in %d chunks", workers, got)
+		}
+		plan.Close()
+	}
+}
+
 // FuzzGridCompareMatchesWithin pins the grid join's branch-free box test to
 // Options.within over raw float64 bits — NaN, ±Inf, −0 and subnormal
 // corners and eps included: wherever runGridTask would use it (both boxes

@@ -229,7 +229,7 @@ func TestRunParallelLimit(t *testing.T) {
 			if count < 8 || fullStats.Pairs != int64(count) {
 				t.Fatalf("%s/%v: %d pairs, stats count %d", name, algo, count, fullStats.Pairs)
 			}
-			for _, limit := range []int{1, 7, count - 1, count, count + 5, math.MaxInt} {
+			for _, limit := range []int{1, 7, count / 3, count - 1, count, count + 5, math.MaxInt} {
 				for _, workers := range []int{1, 2, 4} {
 					got, stats := p.RunParallel(context.Background(), workers, limit)
 					if want := full[:min(limit, count)]; !reflect.DeepEqual(got, want) {

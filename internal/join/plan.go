@@ -190,6 +190,10 @@ type Planner struct {
 	// into (<= 0 uses 256). More tasks than workers keeps the pool balanced
 	// under skew.
 	TaskTarget int
+	// Workers is the goroutine budget of plan preparation — the grid's
+	// chunked cell assignment (<= 0 uses GOMAXPROCS). Give it the budget
+	// the plan's RunParallel gets, so the whole join keeps to one budget.
+	Workers int
 }
 
 func (pl Planner) withDefaults() Planner {
@@ -349,7 +353,7 @@ func (pl Planner) newPlan(algo Algorithm, st Stats, as, bs []index.Item, self bo
 			p.bTasks = tasksFor(len(p.sortedB), p.chunkB)
 		}
 	case AlgoGrid:
-		p.prepareGrid(pl.Grid, target)
+		p.prepareGrid(pl.Grid, target, pl.Workers)
 	case AlgoRTree:
 		p.ha = buildFlatHierarchy(as)
 		if self {
@@ -444,7 +448,8 @@ func (p *Plan) Run() []Pair {
 type RunStats struct {
 	// Algo is the algorithm the plan executed.
 	Algo Algorithm
-	// Workers is the number of goroutines actually used.
+	// Workers is the number of goroutines the task run used. Plan
+	// preparation keeps to its own budget, Planner.Workers.
 	Workers int
 	// Tasks is the number of independent plan tasks tiled over the pool.
 	Tasks int
@@ -475,13 +480,13 @@ func (s RunStats) Aggregate() instrument.CounterSnapshot {
 // are handed out through par's chunked atomic cursor (uneven cells and
 // subtrees still balance), and each worker charges a private counter.
 //
-// Without a limit each worker appends into a private pair buffer. Tasks
-// never emit a pair twice, so the gather is Gather: the worker runs are
-// distribution-sorted on A straight into the output — no per-worker sort,
-// no merge, no dedup. With a limit each worker runs every task into one
-// reused buffer, counts its pairs and keeps only those below its current
-// limit-th smallest (firstPairs), so the pairs nobody asked for are counted
-// but never gathered or sorted. Stats.Pairs is the exact count either way.
+// Each worker appends every task's pairs to its private keep set
+// (firstPairs), which counts them and, under a limit, drops those above its
+// current limit-th smallest — so the pairs nobody asked for are counted but
+// never gathered or sorted. Tasks never emit a pair twice, so the gather is
+// Gather: the worker runs are distribution-sorted on A straight into the
+// output — no per-worker sort, no merge, no dedup. Stats.Pairs is the exact
+// count with or without a limit.
 //
 // The aggregated worker accounting is folded back into the plan's
 // counters, so Run and RunParallel charge the same totals. Once ctx ends,
@@ -491,30 +496,23 @@ func (p *Plan) RunParallel(ctx context.Context, workers, limit int) ([]Pair, Run
 	w := par.Workers(workers, n)
 	stats := RunStats{Algo: p.algo, Workers: w, Tasks: n}
 	locals := make([]instrument.Counters, w)
-	var out []Pair
-	if limit <= 0 {
-		bufs := make([][]Pair, w)
-		stats.Cancelled = !par.ForTasksCtx(ctx, n, w, func(worker, task int) {
-			bufs[worker] = p.RunTask(task, &locals[worker], bufs[worker])
-		})
-		out = Gather(bufs, nil)
-		stats.Pairs = int64(len(out))
-	} else {
-		firsts := make([]firstPairs, w)
-		for i := range firsts {
-			firsts[i] = newFirstPairs(limit)
-		}
-		stats.Cancelled = !par.ForTasksCtx(ctx, n, w, func(worker, task int) {
-			f := &firsts[worker]
-			f.task = p.RunTask(task, &locals[worker], f.task[:0])
-			f.add(f.task)
-		})
-		runs := make([][]Pair, w)
-		for i := range firsts {
-			runs[i] = firsts[i].kept
-			stats.Pairs += firsts[i].count
-		}
-		out = Gather(runs, nil)
+	firsts := make([]firstPairs, w)
+	for i := range firsts {
+		firsts[i] = newFirstPairs(limit)
+	}
+	stats.Cancelled = !par.ForTasksCtx(ctx, n, w, func(worker, task int) {
+		f := &firsts[worker]
+		from := len(f.kept)
+		f.kept = p.RunTask(task, &locals[worker], f.kept)
+		f.admit(from)
+	})
+	runs := make([][]Pair, w)
+	for i := range firsts {
+		runs[i] = firsts[i].kept
+		stats.Pairs += firsts[i].count
+	}
+	out := Gather(runs, nil)
+	if limit > 0 {
 		out = out[:min(len(out), limit)]
 	}
 
@@ -531,46 +529,56 @@ func (p *Plan) RunParallel(ctx context.Context, workers, limit int) ([]Pair, Run
 	return out, stats
 }
 
-// firstPairs is one worker's bounded keep set under a limit: it counts every
-// pair added to it and keeps a superset of the limit smallest in canonical
-// order. kept grows to twice the limit (plus slack, so a tiny limit does not
-// trim on every pair); a trim sorts it, cuts it to the limit and lowers
-// bound to the largest pair left, and no later pair above bound is kept.
+// firstPairs is one worker's keep set: it counts every pair admitted to it
+// and, under a limit, keeps a superset of the limit smallest in canonical
+// order. Once a task leaves kept at twice the limit or more (plus slack, so
+// a tiny limit does not trim after every task), a trim gathers it into
+// spare, keeps the first limit and lowers bound to the largest of them; no
+// later pair above bound is kept. A trim is one linear Gather, and it
+// drops at least as many pairs as it keeps. Without a limit nothing is
+// trimmed or filtered: kept holds every pair.
 type firstPairs struct {
-	limit  int
-	trimAt int // len(kept) that triggers a trim
-	count  int64
-	task   []Pair // the reused per-task output buffer
-	kept   []Pair
-	bound  Pair
+	limit       int
+	trimAt      int // len(kept) that triggers a trim; 0 without a limit
+	count       int64
+	kept, spare []Pair
+	bound       Pair
 }
 
 // firstPairsSlack is the room kept has beyond twice the limit.
 const firstPairsSlack = 64
 
 func newFirstPairs(limit int) firstPairs {
-	f := firstPairs{limit: limit, trimAt: math.MaxInt, bound: Pair{A: math.MaxInt64, B: math.MaxInt64}}
-	if limit <= (math.MaxInt-firstPairsSlack)/2 {
-		f.trimAt = 2*limit + firstPairsSlack
+	f := firstPairs{limit: limit, bound: Pair{A: math.MaxInt64, B: math.MaxInt64}}
+	if limit > 0 {
+		f.trimAt = math.MaxInt
+		if limit <= (math.MaxInt-firstPairsSlack)/2 {
+			f.trimAt = 2*limit + firstPairsSlack
+		}
 	}
 	return f
 }
 
-func (f *firstPairs) add(pairs []Pair) {
-	f.count += int64(len(pairs))
-	bound := f.bound
-	for _, q := range pairs {
-		if q.A > bound.A || (q.A == bound.A && q.B > bound.B) {
-			continue
-		}
-		f.kept = append(f.kept, q)
-		if len(f.kept) >= f.trimAt {
-			SortPairs(f.kept)
-			f.kept = f.kept[:f.limit]
-			bound = f.kept[f.limit-1]
+// admit counts the pairs appended to kept since from and, under a limit,
+// compacts them in place against bound, then trims if kept has filled.
+func (f *firstPairs) admit(from int) {
+	f.count += int64(len(f.kept) - from)
+	if f.trimAt == 0 {
+		return
+	}
+	bound, n := f.bound, from
+	for _, q := range f.kept[from:] {
+		if q.A < bound.A || (q.A == bound.A && q.B <= bound.B) {
+			f.kept[n] = q
+			n++
 		}
 	}
-	f.bound = bound
+	f.kept = f.kept[:n]
+	if n >= f.trimAt {
+		f.spare = Gather([][]Pair{f.kept}, f.spare)
+		f.kept, f.spare = f.spare[:f.limit], f.kept
+		f.bound = f.kept[f.limit-1]
+	}
 }
 
 // Close returns pooled partitioning buffers for reuse by later plans. The
@@ -671,8 +679,9 @@ func (p *Plan) runSweepTask(task int, opts Options, out []Pair) []Pair {
 
 // prepareGrid partitions both inputs into the uniform grid using the pooled
 // partitioner; tasks are runs of cells with candidate pairs (occupied on both
-// sides, or holding at least two elements for self-joins).
-func (p *Plan) prepareGrid(cfg GridJoinConfig, target int) {
+// sides, or holding at least two elements for self-joins). The assignment
+// runs on up to workers goroutines.
+func (p *Plan) prepareGrid(cfg GridJoinConfig, target, workers int) {
 	u := p.stats.MBRA.Union(p.stats.MBRB).Expand(p.opts.Eps + 1e-9)
 	var cells [3]int
 	if c := cfg.CellsPerDim; c > 0 {
@@ -686,9 +695,9 @@ func (p *Plan) prepareGrid(cfg GridJoinConfig, target int) {
 		cells = gridCells(u, ext, p.opts.Eps, len(p.as)+len(p.bs))
 	}
 	p.part = getPartitioner(u, cells, p.opts.Eps)
-	p.part.assign(p.as, &p.part.a)
+	p.part.assign(p.as, &p.part.a, workers)
 	if !p.self {
-		p.part.assign(p.bs, &p.part.b)
+		p.part.assign(p.bs, &p.part.b, workers)
 	}
 	p.gridTasks = p.part.split(p.self, target)
 }

@@ -278,8 +278,9 @@ func (e *Epoch) Bounds() geom.AABB { return e.bounds }
 // slice, in shard order. Shards partition the space, so the concatenation
 // is duplicate-free; it is the materialization step of the epoch-pinned
 // self-join. The slice is sized once from the shard lengths and the shards
-// fill their own ranges of it on the worker pool.
-func (e *Epoch) AllItems(buf []index.Item) []index.Item {
+// fill their own ranges of it on up to workers goroutines of the pool (<= 0
+// uses GOMAXPROCS).
+func (e *Epoch) AllItems(buf []index.Item, workers int) []index.Item {
 	// Shard i fills buf[start[i]:start[i+1]].
 	start := make([]int, len(e.shards)+1)
 	start[0] = len(buf)
@@ -289,7 +290,7 @@ func (e *Epoch) AllItems(buf []index.Item) []index.Item {
 	buf = slices.Grow(buf, start[len(e.shards)]-start[0])[:start[len(e.shards)]]
 	got := make([]int, len(e.shards))
 	all := e.Bounds().Expand(1e-9)
-	par.ForTasks(len(e.shards), 0, func(_, i int) {
+	par.ForTasks(len(e.shards), workers, func(_, i int) {
 		dst := buf[start[i]:start[i+1]]
 		if len(dst) == 0 {
 			return

@@ -485,9 +485,9 @@ func (s *Store) queryJoin(ctx context.Context, e *Epoch, req Request) Reply {
 		rep.Err = mapCtxErr(err)
 		return rep
 	}
-	items := e.AllItems(nil)
+	items := e.AllItems(nil, jr.Workers)
 	ps := obs.SpanFromContext(ctx).Child("join_plan")
-	var pl join.Planner
+	pl := join.Planner{Workers: jr.Workers}
 	var plan *join.Plan
 	if jr.Force {
 		plan = pl.PlanSelfWith(jr.Algo, items, join.Options{Eps: jr.Eps})

@@ -678,8 +678,9 @@ type JoinRequest struct {
 	// picks one from the epoch's input statistics.
 	Algo  join.Algorithm
 	Force bool
-	// Workers is the goroutine budget of the parallel join (<= 0 uses
-	// GOMAXPROCS, bounded by the task count).
+	// Workers is the goroutine budget of the whole join — the epoch's
+	// item gather, the grid's cell assignment and the parallel task run
+	// (<= 0 uses GOMAXPROCS, bounded by the work).
 	Workers int
 	// Limit caps the pairs the reply carries: the first Limit in canonical
 	// order, while the reply's count stays exact. Only those pairs are

@@ -584,21 +584,15 @@ func TestSelfJoinPinnedUnderSwaps(t *testing.T) {
 
 // TestEpochAllItems: materialization gathers every item exactly once, in
 // shard order — the shards fill their ranges of one slice on the pool, and
-// the result equals visiting the shards one after another — and appends
-// after what buf already holds.
+// the result equals visiting the shards one after another, for a budget of
+// one goroutine, several, or GOMAXPROCS — and appends after what buf already
+// holds.
 func TestEpochAllItems(t *testing.T) {
 	const n = 300
 	s := mustNew(t, Config{Shards: 5, Workers: 2})
 	defer s.Close()
 	s.Bootstrap(genItems(n, 0))
 	e := s.Current()
-	items := e.AllItems(nil)
-	if len(items) != n {
-		t.Fatalf("AllItems returned %d items, want %d", len(items), n)
-	}
-	if got := idSet(items); len(got) != n {
-		t.Fatalf("AllItems returned %d distinct ids, want %d", len(got), n)
-	}
 	var serial []index.Item
 	for _, sh := range e.Shards() {
 		sh.snap.RangeVisit(e.Bounds().Expand(1e-9), func(it index.Item) bool {
@@ -606,14 +600,23 @@ func TestEpochAllItems(t *testing.T) {
 			return true
 		})
 	}
-	if len(e.Shards()) < 2 || !reflect.DeepEqual(items, serial) {
-		t.Fatalf("AllItems over %d shards differs from the shard-by-shard visit", len(e.Shards()))
+	for _, workers := range []int{1, 2, 8, 0} {
+		items := e.AllItems(nil, workers)
+		if len(items) != n {
+			t.Fatalf("workers=%d: AllItems returned %d items, want %d", workers, len(items), n)
+		}
+		if got := idSet(items); len(got) != n {
+			t.Fatalf("workers=%d: AllItems returned %d distinct ids, want %d", workers, len(got), n)
+		}
+		if len(e.Shards()) < 2 || !reflect.DeepEqual(items, serial) {
+			t.Fatalf("workers=%d: AllItems over %d shards differs from the shard-by-shard visit", workers, len(e.Shards()))
+		}
 	}
 	prefix := []index.Item{{ID: -1}, {ID: -2}}
-	if got := e.AllItems(prefix); !reflect.DeepEqual(got[:2], prefix) || !reflect.DeepEqual(got[2:], serial) {
+	if got := e.AllItems(prefix, 2); !reflect.DeepEqual(got[:2], prefix) || !reflect.DeepEqual(got[2:], serial) {
 		t.Fatal("AllItems did not append after the buffer's contents")
 	}
-	if empty := (&Epoch{}); len(empty.AllItems(nil)) != 0 {
+	if empty := (&Epoch{}); len(empty.AllItems(nil, 0)) != 0 {
 		t.Fatal("empty epoch returned items")
 	}
 	// A NaN corner leaves items in the shards' counts but out of their
@@ -633,7 +636,7 @@ func TestEpochAllItems(t *testing.T) {
 			return true
 		})
 	}
-	if got := e2.AllItems(nil); len(got) == n || len(got) != len(serial) || (len(got) > 0 && !reflect.DeepEqual(got, serial)) {
+	if got := e2.AllItems(nil, 2); len(got) == n || len(got) != len(serial) || (len(got) > 0 && !reflect.DeepEqual(got, serial)) {
 		t.Fatalf("with a NaN box: AllItems %d items, shard-by-shard visit %d", len(got), len(serial))
 	}
 }
