@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-test perf serve cluster cover fuzz cross fmt vet vet-strict chaos ci
+.PHONY: all build test race cpu1 bench bench-test perf serve cluster cover fuzz cross fmt vet vet-strict chaos ci
 
 all: build
 
@@ -12,6 +12,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# cpu1 runs the packages with background goroutines (snapshotter, builder,
+# fan-out stragglers, parallel joins) or buffers handed between goroutines
+# at one core, where a test that passes only because some goroutine got the
+# CPU in time fails.
+cpu1:
+	$(GO) test -count=1 -cpu=1 ./internal/serve ./internal/persist ./internal/cluster ./internal/join ./internal/httpapi
 
 bench:
 	$(GO) test -run 'xxx' -bench . -benchtime 1x ./...
@@ -120,4 +127,4 @@ vet-strict:
 		./cmd/spatialserver/... ./cmd/spatialcluster/...
 	$(GO) test -run xxx -race ./internal/index/ ./internal/rtree/ ./internal/grid/ > /dev/null
 
-ci: build fmt vet vet-strict race bench
+ci: build fmt vet vet-strict race cpu1 bench

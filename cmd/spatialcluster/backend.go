@@ -17,16 +17,7 @@ import (
 type clusterBackend struct{ co *cluster.Coordinator }
 
 func (b clusterBackend) Query(req serve.Request) httpapi.Result {
-	var rep cluster.Reply
-	switch req.Op {
-	case serve.OpKNN:
-		rep = b.co.KNN(req.Ctx, req.Point, req.K)
-	case serve.OpJoin:
-		rep = b.co.Join(req.Ctx, req.Join)
-	default:
-		rep = b.co.Range(req.Ctx, req.Query)
-	}
-	return clusterResult(rep)
+	return clusterResult(b.co.Query(req))
 }
 
 // clusterResult hands a coordinator reply to the HTTP surface.

@@ -20,8 +20,19 @@ type (
 )
 
 func TestClusterContract(t *testing.T) {
-	co, nodes, _ := newTestFleet(t, 2, 1, fleetItems(50))
-	httpapitest.Contract(t, newServer(co, nodes, nil))
+	items := fleetItems(50)
+	co, nodes, _ := newTestFleet(t, 2, 1, items)
+	httpapitest.Contract(t, newServer(co, nodes, nil), items)
+}
+
+// TestClusterRangeAllocsDoNotGrowWithMatches pins the pooled result and
+// node-task buffers through the coordinator's handler (see
+// httpapitest.AllocPin). Both nodes own every tile, so each range is one
+// node task whatever its size: a fan-out costs a few allocations per task,
+// and the pin is about the matches.
+func TestClusterRangeAllocsDoNotGrowWithMatches(t *testing.T) {
+	co, nodes, _ := newTestFleet(t, 2, 2, httpapitest.ScanItems())
+	httpapitest.AllocPin(t, newServer(co, nodes, nil).Handler())
 }
 
 // TestClusterQueryResponseIsByteIdentical checks httpapi.WriteQuery over a

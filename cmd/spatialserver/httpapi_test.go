@@ -26,7 +26,19 @@ type (
 
 func TestContract(t *testing.T) {
 	store, _ := testServer(t, 100)
-	httpapitest.Contract(t, newServer(store))
+	httpapitest.Contract(t, newServer(store), gridItems(100))
+}
+
+// TestRangeAllocsDoNotGrowWithMatches pins the pooled result buffer through
+// the store's handler (see httpapitest.AllocPin).
+func TestRangeAllocsDoNotGrowWithMatches(t *testing.T) {
+	store, err := serve.New(serve.Config{Shards: 4, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	store.Bootstrap(httpapitest.ScanItems())
+	httpapitest.AllocPin(t, newServer(store).Handler())
 }
 
 // TestQueryResponseIsByteIdentical checks httpapi.WriteQuery over a store

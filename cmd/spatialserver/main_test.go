@@ -19,19 +19,24 @@ func testServer(t *testing.T, n int) (*serve.Store, *httptest.Server) {
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}
-	items := make([]index.Item, n)
-	for i := range items {
-		x := float64(i % 10)
-		y := float64(i / 10)
-		items[i] = index.Item{ID: int64(i), Box: geom.NewAABB(geom.V(x, y, 0), geom.V(x+1, y+1, 1))}
-	}
-	store.Bootstrap(items)
+	store.Bootstrap(gridItems(n))
 	ts := httptest.NewServer(newServer(store).Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		store.Close()
 	})
 	return store, ts
+}
+
+// gridItems are n unit boxes, ten to a row, with IDs 0..n-1.
+func gridItems(n int) []index.Item {
+	items := make([]index.Item, n)
+	for i := range items {
+		x := float64(i % 10)
+		y := float64(i / 10)
+		items[i] = index.Item{ID: int64(i), Box: geom.NewAABB(geom.V(x, y, 0), geom.V(x+1, y+1, 1))}
+	}
+	return items
 }
 
 func getJSON(t *testing.T, url string, out interface{}) *http.Response {

@@ -10,21 +10,13 @@ import (
 	"strings"
 	"testing"
 
-	"spatialsim/internal/geom"
-	"spatialsim/internal/index"
 	"spatialsim/internal/serve"
 )
 
 // seedStore bootstraps the same grid dataset testServer uses.
 func seedStore(t *testing.T, store *serve.Store, n int) {
 	t.Helper()
-	items := make([]index.Item, n)
-	for i := range items {
-		x := float64(i % 10)
-		y := float64(i / 10)
-		items[i] = index.Item{ID: int64(i), Box: geom.NewAABB(geom.V(x, y, 0), geom.V(x+1, y+1, 1))}
-	}
-	store.Bootstrap(items)
+	store.Bootstrap(gridItems(n))
 }
 
 // newTestHTTP serves an already-configured store and returns its base URL.

@@ -558,6 +558,47 @@ func TestClusterHedgedRequests(t *testing.T) {
 	}
 }
 
+// TestClusterHedgedStragglersKeepTheirBuffers: with hedging on and one node
+// slowed past the hedge, fan-outs return while that node's tasks still run,
+// and the stragglers append into their buffers beside later queries that
+// take buffers from the same pool. Only received tasks give theirs back, so
+// every reply stays exact (and -race sees no shared buffer).
+func TestClusterHedgedStragglersKeepTheirBuffers(t *testing.T) {
+	items := clusterItems(3000, 71)
+	co, _ := newTestCluster(t, 3, 2, time.Millisecond)
+	if _, err := co.Bootstrap(items); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Reset()
+	faultinject.Enable(FaultNodeQuery+":"+nodeName(1), faultinject.Spec{LatencyRate: 1, Latency: 4 * time.Millisecond})
+
+	var wg sync.WaitGroup
+	for c := 0; c < 3; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
+			for i := 0; i < 40; i++ {
+				lo := geom.V(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
+				box := geom.NewAABB(lo, lo.Add(geom.V(1, 1, 1).Scale(1+rng.Float64()*60)))
+				rep := co.Range(context.Background(), box)
+				if rep.Err != nil || rep.Degraded {
+					t.Errorf("range %v: err=%v degraded=%v", box, rep.Err, rep.Degraded)
+					return
+				}
+				if got, want := sortedIDs(rep.Items), bruteRange(items, box); !sameIDs(got, want) {
+					t.Errorf("range %v: %d items, not the %d of the linear scan", box, len(got), len(want))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := co.Stats(); st.Hedges == 0 {
+		t.Fatal("no hedge fired: the test did not leave a straggler behind")
+	}
+}
+
 // TestClusterDeadline: a context that dies mid-fan-out surfaces the serve
 // deadline vocabulary on zero progress.
 func TestClusterDeadline(t *testing.T) {

@@ -62,6 +62,8 @@ type Reply struct {
 	// for a fixed view as long as no failover or hedge fired, and in no ID
 	// order — or kNN results (sorted by distance, ties by ID). Every item is
 	// emitted by exactly one task, so there are no duplicates to remove.
+	// Items extends the request's Buf (Range and KNN lend none) or an array
+	// grown from it; it never aliases a node task's buffer.
 	Items []index.Item `json:"-"`
 	// Pairs, JoinAlgo, JoinItems (the gathered item count), JoinCount (the
 	// exact number of result pairs; Pairs holds the first JoinRequest.Limit
@@ -373,28 +375,69 @@ const (
 	classJoin
 )
 
+// Query runs one OpRange, OpKNN or OpJoin read over the fleet, the one
+// entry point Range, KNN and Join wrap, as serve.Store.Query is for one
+// store: any other op reads as a range. Range and kNN items are appended to
+// req.Buf (see Reply.Items); req.Ctx bounds the fan-out (nil: no deadline).
+func (c *Coordinator) Query(req serve.Request) Reply {
+	class := classRange
+	switch req.Op {
+	case serve.OpKNN:
+		class = classKNN
+	case serve.OpJoin:
+		if err := req.Join.Validate(); err != nil {
+			return Reply{Err: err}
+		}
+		class = classJoin
+	}
+	ctx := req.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	c.queries.Add(1)
+	defer c.observeLat(class, time.Now())
+	v := c.acquireView()
+	defer c.releaseView(v)
+	f := c.newFanout(ctx, v)
+	defer f.recycle()
+	switch req.Op {
+	case serve.OpKNN:
+		if req.K <= 0 {
+			return Reply{Epoch: v.Epoch}
+		}
+		f.knn, f.p, f.k = true, req.Point, req.K
+	case serve.OpJoin:
+		f.q = geom.NewAABB(geom.V(-worldExtent, -worldExtent, -worldExtent), geom.V(worldExtent, worldExtent, worldExtent))
+		f.prio = serve.PriorityBackground
+	default:
+		f.q = req.Query
+	}
+	f.run()
+	rep := f.finish()
+	if rep.Err != nil {
+		return rep
+	}
+	switch req.Op {
+	case serve.OpKNN:
+		rep.Items = f.mergeKNN(req.Buf)
+	case serve.OpJoin:
+		items := f.concat(nil)
+		c.resultItems.Add(int64(len(items)))
+		c.join(ctx, &rep, items, req.Join)
+		return rep
+	default:
+		rep.Items = f.concat(req.Buf)
+	}
+	c.resultItems.Add(int64(len(rep.Items) - len(req.Buf)))
+	return rep
+}
+
 // Range scatters one range query over the tiles it can touch — a tile is
 // skipped when the query misses its MBR or an owner's epoch MBR — covering
 // them with the fewest nodes, each asked only for its own tiles. Items come
 // back in task-launch order (see Reply.Items).
 func (c *Coordinator) Range(ctx context.Context, q geom.AABB) Reply {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	c.queries.Add(1)
-	t0 := time.Now()
-	v := c.acquireView()
-	defer c.releaseView(v)
-	f := c.newFanout(ctx, v)
-	f.q = q
-	f.run()
-	rep := f.finish()
-	if rep.Err == nil {
-		rep.Items = f.concat()
-		c.resultItems.Add(int64(len(rep.Items)))
-	}
-	c.observeLat(classRange, t0)
-	return rep
+	return c.Query(serve.Request{Op: serve.OpRange, Ctx: ctx, Query: q})
 }
 
 // KNN asks the owner nearest the point first, resolves without a query every
@@ -404,26 +447,7 @@ func (c *Coordinator) Range(ctx context.Context, q geom.AABB) Reply {
 // candidates is a superset of the true answer as long as every tile was
 // answered or proven too far.
 func (c *Coordinator) KNN(ctx context.Context, p geom.Vec3, k int) Reply {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	c.queries.Add(1)
-	t0 := time.Now()
-	v := c.acquireView()
-	defer c.releaseView(v)
-	rep := Reply{Epoch: v.Epoch}
-	if k > 0 {
-		f := c.newFanout(ctx, v)
-		f.knn, f.p, f.k = true, p, k
-		f.run()
-		rep = f.finish()
-		if rep.Err == nil {
-			rep.Items = f.mergeKNN()
-			c.resultItems.Add(int64(len(rep.Items)))
-		}
-	}
-	c.observeLat(classKNN, t0)
-	return rep
+	return c.Query(serve.Request{Op: serve.OpKNN, Ctx: ctx, Point: p, K: k})
 }
 
 // Join runs a cluster-wide epsilon self-join: the epoch-consistent item set
@@ -434,29 +458,12 @@ func (c *Coordinator) KNN(ctx context.Context, p geom.Vec3, k int) Reply {
 // set. A request that fails JoinRequest.Validate is refused with
 // serve.ErrBadRequest before anything is fetched.
 func (c *Coordinator) Join(ctx context.Context, jr serve.JoinRequest) Reply {
-	if err := jr.Validate(); err != nil {
-		return Reply{Err: err}
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	c.queries.Add(1)
-	t0 := time.Now()
-	defer func() { c.observeLat(classJoin, t0) }()
-	v := c.acquireView()
-	defer c.releaseView(v)
-	universe := geom.NewAABB(geom.V(-worldExtent, -worldExtent, -worldExtent), geom.V(worldExtent, worldExtent, worldExtent))
-	f := c.newFanout(ctx, v)
-	f.q, f.prio = universe, serve.PriorityBackground
-	f.run()
-	rep := f.finish()
-	if rep.Err != nil {
-		return rep
-	}
-	items := f.concat()
-	c.resultItems.Add(int64(len(items)))
-	slices.SortFunc(items, func(a, b index.Item) int { return cmp.Compare(a.ID, b.ID) })
+	return c.Query(serve.Request{Op: serve.OpJoin, Ctx: ctx, Join: jr})
+}
 
+// join plans and runs the self-join over the gathered items into rep.
+func (c *Coordinator) join(ctx context.Context, rep *Reply, items []index.Item, jr serve.JoinRequest) {
+	slices.SortFunc(items, func(a, b index.Item) int { return cmp.Compare(a.ID, b.ID) })
 	workers := jr.Workers
 	if workers <= 0 {
 		workers = c.cfg.Workers
@@ -491,7 +498,6 @@ func (c *Coordinator) Join(ctx context.Context, jr serve.JoinRequest) Reply {
 			c.degradedC.Add(1)
 		}
 	}
-	return rep
 }
 
 func (c *Coordinator) observeLat(class int, t0 time.Time) {

@@ -22,12 +22,15 @@
 // pushed down to the node: a range task queries through the streaming
 // serve.Request.Visit door with a visitor that keeps an item only when
 // Placement.Route(box) is in the task's tile set, so a node never
-// materialises a replica another task answers for, and the gather is a
-// pre-sized concatenation — no hash set, no sort. Reply.Items of a range
+// materialises a replica another task answers for, and the gather appends
+// the tasks' items into the caller's buffer (serve.Request.Buf of
+// Coordinator.Query) — no hash set, no sort. Reply.Items of a range
 // therefore come in task-launch order: each task's items together, tasks in
 // launch order, deterministic for a fixed view as long as no failover or
 // hedge fired, and in no ID order (the cluster join alone sorts its gathered
-// input by ID, for a deterministic planner input).
+// input by ID, for a deterministic planner input). Node tasks fill buffers
+// lent by index.GetItems, and the fan-out returns a task's buffer only once
+// it has received the task: a straggler left running keeps its own.
 //
 // Before anything is launched, tiles are pruned: every view carries a
 // conservative MBR per tile, grown by the coordinator from the upserts it

@@ -40,8 +40,12 @@ type fanTask struct {
 	tiles []int // ascending
 	// items is what the task contributes: filled by the node-side visitor
 	// (range) or taken from the node reply (kNN), then cut down to the tiles
-	// the task won. The task goroutine owns it until the task is received.
+	// the task won. It starts as the pooled buffer buf lends and extends it.
+	// The task goroutine owns both until the task is received (its state
+	// leaves taskPending); recycle returns buf to the pool only then, so a
+	// straggler keeps its buffer.
 	items []index.Item
+	buf   *[]index.Item
 	rep   serve.Reply
 	state uint8
 }
@@ -287,7 +291,8 @@ func (f *fanout) launchNearest() {
 // launch starts one task. The goroutine holds its own view pin: run may
 // return (and the caller release its pin) before a straggler finishes.
 func (f *fanout) launch(node int, ts []int, hedge bool) {
-	t := &fanTask{node: node, tiles: ts}
+	t := &fanTask{node: node, tiles: ts, buf: index.GetItems()}
+	t.items = *t.buf
 	retry := false
 	for _, ti := range ts {
 		retry = retry || f.tries[ti] > 0
@@ -316,7 +321,7 @@ func (f *fanout) launch(node int, ts []int, hedge bool) {
 	}
 	req := serve.Request{Ctx: f.ctx, Priority: f.prio}
 	if f.knn {
-		req.Op, req.Point, req.K = serve.OpKNN, f.p, f.k
+		req.Op, req.Point, req.K, req.Buf = serve.OpKNN, f.p, f.k, t.items
 	} else {
 		req.Op, req.Query, req.Visit = serve.OpRange, f.q, f.visitor(t)
 	}
@@ -388,7 +393,7 @@ func (f *fanout) settle(t *fanTask) {
 	f.progressed = true
 	cutoff := false
 	if f.knn {
-		t.items = t.rep.Items
+		t.items = t.rep.Items // extends the buffer the request lent
 		if len(t.items) >= f.k {
 			if d := t.items[f.k-1].Box.Distance2ToPoint(f.p); d < f.bound {
 				f.bound, cutoff = d, true
@@ -488,30 +493,36 @@ func (f *fanout) contributions(fn func([]index.Item)) {
 }
 
 // concat is the range gather: the contributing tasks' items in task-launch
-// order. Tasks emit disjoint item sets, so there is nothing to deduplicate
-// and no order to restore — one pre-sized copy, or none when a single task
-// contributed.
-func (f *fanout) concat() []index.Item {
-	total, parts := 0, 0
-	var only []index.Item
-	f.contributions(func(items []index.Item) {
-		total += len(items)
-		parts++
-		only = items
-	})
-	if parts <= 1 {
-		return only
+// order, appended to buf (grown once to fit). Tasks emit disjoint item sets,
+// so there is nothing to deduplicate and no order to restore. It copies even
+// when a single task contributed: task buffers go back to the pool.
+func (f *fanout) concat(buf []index.Item) []index.Item {
+	total := 0
+	f.contributions(func(items []index.Item) { total += len(items) })
+	buf = slices.Grow(buf, total)
+	f.contributions(func(items []index.Item) { buf = append(buf, items...) })
+	return buf
+}
+
+// recycle returns the buffers of the tasks the fan-out received to the item
+// pool, once the gather has copied out of them. A task still pending — a
+// straggler run gave up on — keeps its buffer: its goroutine may still be
+// appending to it, and the collector takes it when that goroutine is done.
+func (f *fanout) recycle() {
+	for _, t := range f.tasks {
+		if t.state == taskPending {
+			continue
+		}
+		index.PutItems(t.buf, t.items)
 	}
-	out := make([]index.Item, 0, total)
-	f.contributions(func(items []index.Item) { out = append(out, items...) })
-	return out
 }
 
 // mergeKNN is the kNN gather: a k-way merge of the contributing tasks'
 // lists, each ascending by distance, into the k nearest in (distance, ID)
-// order. Every candidate's distance is computed once; the lists are disjoint
-// by tile ownership, so the merge has no duplicate to look for.
-func (f *fanout) mergeKNN() []index.Item {
+// order, appended to buf. Every candidate's distance is computed once; the
+// lists are disjoint by tile ownership, so the merge has no duplicate to
+// look for.
+func (f *fanout) mergeKNN(buf []index.Item) []index.Item {
 	type run struct {
 		items []index.Item
 		d2    []float64
@@ -523,7 +534,7 @@ func (f *fanout) mergeKNN() []index.Item {
 		total += len(items)
 	})
 	if total == 0 {
-		return nil
+		return buf
 	}
 	d2 := make([]float64, total)
 	for r := range runs {
@@ -544,8 +555,8 @@ func (f *fanout) mergeKNN() []index.Item {
 			i = j
 		}
 	}
-	out := make([]index.Item, 0, min(f.k, total))
-	for len(out) < f.k {
+	out := slices.Grow(buf, min(f.k, total))
+	for base := len(out); len(out)-base < f.k; {
 		best := -1
 		for r := range runs {
 			if len(runs[r].items) == 0 {

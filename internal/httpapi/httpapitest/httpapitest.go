@@ -149,14 +149,17 @@ var ErrorClasses = []ErrorClass{
 }
 
 // Contract runs the suite every server's handler must pass over srv, whose
-// back end holds some data: the refusal table; the error table, with the
+// back end holds exactly items: the refusal table; the error table, with the
 // back end's reads and writes failing with each class; 405 on GET
 // /v1/update; 413 on an update body over httpapi.MaxUpdateBody;
 // X-Request-Id generated or echoed on every response; Content-Length equal
-// to the body on every JSON reply; and a span tree with ?trace=1, which on
-// an update includes the body's decode.
-func Contract(t *testing.T, srv *httpapi.Server) {
+// to the body on every JSON reply; a span tree with ?trace=1, which on an
+// update includes the body's decode; and range and kNN replies that match a
+// linear scan of items while the reads share pooled buffers (checkReuse).
+// The trace subtest's update adds an item, so the reuse check runs first.
+func Contract(t *testing.T, srv *httpapi.Server, items []index.Item) {
 	base := start(t, srv)
+	t.Run("reuse", func(t *testing.T) { checkReuse(t, srv, base, items) })
 	t.Run("refusals", func(t *testing.T) {
 		for _, rf := range Refusals {
 			resp, body := do(t, http.MethodGet, base+rf.Path, "")

@@ -7,6 +7,11 @@
 // (decode.go); and one encoder — read replies appended into pooled buffers,
 // the error envelope and the remaining JSON replies — that sets
 // Content-Length and writes each body once (encode.go).
+//
+// Every range and kNN read lends the back end a result buffer from
+// index.GetItems as serve.Request.Buf, and takes the array Result.Items
+// ended in back once the reply bytes are written — on error, degraded and
+// traced replies too — so a served read grows no result slice from nil.
 package httpapi
 
 import (

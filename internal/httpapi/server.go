@@ -23,7 +23,11 @@ import (
 // Backend is what the HTTP surface serves. cmd/spatialserver adapts a
 // serve.Store to it, cmd/spatialcluster a cluster coordinator.
 type Backend interface {
-	// Query runs one OpRange, OpKNN or OpJoin read.
+	// Query runs one OpRange, OpKNN or OpJoin read. A range or kNN answer
+	// is appended to req.Buf, which the handler lends from index.GetItems:
+	// Result.Items must extend it (or an array grown from it), never alias
+	// memory anyone else holds, because the handler pools that array again
+	// once the reply is written.
 	Query(req serve.Request) Result
 	// Apply publishes one update batch and returns the epoch it became.
 	Apply(ctx context.Context, batch []serve.Update) (uint64, error)
@@ -163,8 +167,18 @@ func (s *Server) read(name string, op serve.Op, w http.ResponseWriter, r *http.R
 	defer cancel()
 	ctx, tr := maybeTrace(ctx, r, p)
 	req.Ctx = ctx
+	var buf *[]index.Item
+	if op != serve.OpJoin {
+		buf = index.GetItems()
+		req.Buf = *buf
+	}
 	start := time.Now()
 	res := s.Backend.Query(req)
+	if buf != nil {
+		// Items extends the lent buffer (or an array grown from it); it goes
+		// back once the reply bytes are written, on every path.
+		defer index.PutItems(buf, res.Items)
+	}
 	s.logSlow(w, name, time.Since(start), res)
 	if res.Err != nil {
 		s.fail(w, res.Err)

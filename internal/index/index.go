@@ -8,6 +8,7 @@ package index
 
 import (
 	"slices"
+	"sync"
 
 	"spatialsim/internal/geom"
 	"spatialsim/internal/instrument"
@@ -28,6 +29,43 @@ func AppendItem(buf []Item, it Item) []Item {
 		buf = slices.Grow(buf, max(len(buf), 64))
 	}
 	return append(buf, it)
+}
+
+// MaxPooledItems caps the result buffers the item pool keeps: 1<<15 items,
+// 1.75 MiB at 56 bytes an item. It is sized by the number of matches, not by
+// the size of the reply, which is why it is far above httpapi's 64 KiB
+// maxPooledReply: a served scan materialises every match (about 16 000 in
+// the benchmark's scan class, which AppendItem grows to 16 384 or 32 768)
+// and then replies with only ?limit= of them, so its item buffer is large
+// while its reply is small. A buffer grown past the cap is dropped, so an
+// unusually large range does not stay resident. The pool keeps at most one
+// buffer per read that was in flight at the busiest moment since the last
+// two garbage collections — at most MaxPooledItems items each — and the
+// collector empties it when reads stop.
+const MaxPooledItems = 1 << 15
+
+var itemBufs = sync.Pool{New: func() any { return new([]Item) }}
+
+// GetItems lends an empty result buffer from the process-wide item pool:
+// append to *buf (AppendItem, or a Request.Buf the answer extends), then
+// hand the holder back with PutItems once nothing reads its items.
+func GetItems() *[]Item { return itemBufs.Get().(*[]Item) }
+
+// PutItems returns a lent buffer to the pool, emptied. items is what became
+// of it — *buf extended, or an array grown from it — and nil keeps *buf's
+// own array. An array grown past MaxPooledItems is dropped instead. The
+// caller must not touch the items again: the next GetItems may hand them to
+// another reader.
+func PutItems(buf *[]Item, items []Item) {
+	if items != nil {
+		*buf = items
+	}
+	if cap(*buf) > MaxPooledItems {
+		*buf = nil
+	} else {
+		*buf = (*buf)[:0]
+	}
+	itemBufs.Put(buf)
 }
 
 // Index is the common interface of all in-memory spatial indexes.

@@ -149,3 +149,26 @@ func TestLinearScanBulkLoadReplaces(t *testing.T) {
 		t.Fatal("BulkLoad position map inconsistent")
 	}
 }
+
+// TestPutItemsKeepsWhatTheBufferBecame: PutItems pools the array a lent
+// buffer grew into, emptied; nil items keep the lent array; an array past
+// MaxPooledItems is dropped.
+func TestPutItemsKeepsWhatTheBufferBecame(t *testing.T) {
+	buf := new([]Item)
+	grown := AppendItem(*buf, Item{ID: 1})
+	PutItems(buf, grown)
+	if len(*buf) != 0 || cap(*buf) != cap(grown) {
+		t.Fatalf("pooled len %d cap %d, want the grown array (cap %d), emptied", len(*buf), cap(*buf), cap(grown))
+	}
+	buf = new([]Item)
+	*buf = make([]Item, 3, 10)
+	PutItems(buf, nil)
+	if len(*buf) != 0 || cap(*buf) != 10 {
+		t.Fatalf("nil items: pooled len %d cap %d, want the lent array, emptied", len(*buf), cap(*buf))
+	}
+	buf = new([]Item)
+	PutItems(buf, make([]Item, 0, MaxPooledItems+1))
+	if *buf != nil {
+		t.Fatalf("an array of cap %d was pooled past the %d cap", cap(*buf), MaxPooledItems)
+	}
+}

@@ -3,8 +3,10 @@ package serve
 import (
 	"math/rand"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
@@ -161,6 +163,19 @@ func TestDurableStatsSurface(t *testing.T) {
 	}
 }
 
+// awaitPersisted yields until the store's snapshotter has persisted epoch
+// seq, failing the test after ten seconds.
+func awaitPersisted(t *testing.T, st *Store, seq uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for st.Stats().Durability.LastPersistedEpoch < seq {
+		if time.Now().After(deadline) {
+			t.Fatalf("epoch %d not persisted within 10s: %+v", seq, st.Stats().Durability)
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestSkippedSnapshotsCarryOnlyPersistedImages snapshots every fourth
 // epoch: tiles rebuilt in the skipped epochs were never persisted, so a
 // save may carry only images an earlier successful save wrote. Restarting
@@ -175,14 +190,21 @@ func TestSkippedSnapshotsCarryOnlyPersistedImages(t *testing.T) {
 	st.Bootstrap(items)
 	r := rand.New(rand.NewSource(5))
 	// Five moved items per epoch leave most of the 64 tiles clean between
-	// saves, so saves carry instead of relocating everything.
+	// saves, so saves carry instead of relocating everything. Each save is
+	// awaited before the next apply: the snapshotter saves whatever epoch is
+	// current when it runs, and at one core it might otherwise not run until
+	// Close.
+	saved := st.Stats().Durability.LastPersistedEpoch
 	for i := 0; i < 13; i++ {
 		batch := make([]Update, 5)
 		for j := range batch {
 			it := items[r.Intn(len(items))]
 			batch[j] = Update{ID: it.ID, Box: it.Box.Translate(geom.V(0.5, 0, 0))}
 		}
-		st.Apply(batch)
+		if seq := st.Apply(batch); seq-saved >= uint64(cfg.SnapshotEvery) {
+			awaitPersisted(t, st, seq)
+			saved = seq
+		}
 	}
 	epoch, wantRange, wantKNN := queryFingerprint(t, st)
 	st.Close() // the final snapshot is forced, whatever the cadence

@@ -109,7 +109,10 @@ type Request struct {
 	// them; streaming queries support early stop and bypass the result cache.
 	Visit func(index.Item) bool
 	// Buf is the append target for materialized OpRange/OpKNN results; the
-	// reply's Items extends it (pass nil to allocate).
+	// reply's Items extends it (pass nil to allocate). The caller lends it —
+	// both HTTP servers lend one from index.GetItems per range and kNN read,
+	// as do the cluster's kNN node tasks — and may reuse Items' array once
+	// it has read the reply.
 	Buf []index.Item
 
 	// Point and K shape OpKNN.
@@ -157,7 +160,9 @@ type Reply struct {
 	// Epoch is the generation the query ran against (0 when the query was
 	// rejected before pinning one).
 	Epoch uint64
-	// Items holds materialized OpRange/OpKNN results (req.Buf extended).
+	// Items holds materialized OpRange/OpKNN results: req.Buf extended, so
+	// it may alias the caller's buffer (or an array grown from it) and never
+	// aliases store memory such as a cache entry.
 	Items []index.Item
 	// Pairs, JoinAlgo, JoinItems, JoinCount and JoinStats hold the OpJoin
 	// outcome. JoinCount is the exact number of result pairs; Pairs holds
