@@ -55,10 +55,19 @@ cluster:
 
 # cover runs the whole suite with coverage and fails if the total drops
 # below the ratcheted baseline (raise the baseline when coverage improves,
-# never lower it to make a red build green).
+# never lower it to make a red build green). Packages that only other
+# packages' tests import (shared test helpers such as
+# internal/httpapi/httpapitest) have no tests of their own and are left out
+# of the measured set, so adding shared test code cannot lower the total;
+# every package that non-test code imports, or that is a command, counts.
 COVERAGE_BASELINE ?= 85.0
 cover:
-	$(GO) test -count=1 -coverprofile=coverage.out -covermode=atomic ./...
+	@pkgs=$$($(GO) list -f '{{.ImportPath}}|{{join .Imports ","}}|{{join .TestImports ","}},{{join .XTestImports ","}}' ./... | \
+		awk -F'|' '{ pkg[NR] = $$1; n = split($$2, a, ","); for (i = 1; i <= n; i++) linked[a[i]] = 1; \
+			n = split($$3, a, ","); for (i = 1; i <= n; i++) tested[a[i]] = 1 } \
+			END { for (i = 1; i <= NR; i++) if (linked[pkg[i]] || !tested[pkg[i]]) print pkg[i]; \
+				else print "cover: leaving out test-only package " pkg[i] > "/dev/stderr" }'); \
+	$(GO) test -count=1 -coverprofile=coverage.out -covermode=atomic $$pkgs
 	@total=$$($(GO) tool cover -func=coverage.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
 	echo "total coverage: $$total% (baseline $(COVERAGE_BASELINE)%)"; \
 	awk -v t="$$total" -v b="$(COVERAGE_BASELINE)" 'BEGIN { exit (t + 0 < b + 0) ? 1 : 0 }' \

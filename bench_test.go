@@ -18,6 +18,7 @@ import (
 	"spatialsim/internal/grid"
 	"spatialsim/internal/index"
 	"spatialsim/internal/join"
+	"spatialsim/internal/join/survey"
 	"spatialsim/internal/mesh"
 	"spatialsim/internal/moving"
 	"spatialsim/internal/rtree"
@@ -102,7 +103,7 @@ func BenchmarkJoin_PlaneSweep(b *testing.B) {
 	items := benchJoinItems(20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		join.SelfPlaneSweep(items, join.Options{Eps: 0.003})
+		survey.SelfPlaneSweep(items, join.Options{Eps: 0.003})
 	}
 }
 
@@ -118,7 +119,7 @@ func BenchmarkJoin_RTreeSync(b *testing.B) {
 	items := benchJoinItems(20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		join.SelfRTreeJoin(items, join.Options{Eps: 0.003})
+		survey.SelfRTreeJoin(items, join.Options{Eps: 0.003})
 	}
 }
 
@@ -126,7 +127,7 @@ func BenchmarkJoin_TOUCH(b *testing.B) {
 	items := benchJoinItems(20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		join.SelfTOUCHJoin(items, join.Options{Eps: 0.003})
+		survey.SelfTOUCHJoin(items, join.Options{Eps: 0.003})
 	}
 }
 

@@ -24,7 +24,7 @@ func (b clusterBackend) Query(req serve.Request) httpapi.Result {
 func clusterResult(rep cluster.Reply) httpapi.Result {
 	return httpapi.Result{
 		Epoch: rep.Epoch, Items: rep.Items,
-		Pairs: rep.Pairs, JoinAlgo: rep.JoinAlgo, JoinItems: rep.JoinItems, JoinCount: rep.JoinCount,
+		Pairs: rep.Pairs, JoinItems: rep.JoinItems, JoinCount: rep.JoinCount,
 		Err: rep.Err, Detail: (*clusterDetail)(&rep),
 	}
 }

@@ -13,8 +13,10 @@
 //
 //	GET  /v1/range?minx=..&maxz=..      scatter/gather range (task-launch order)
 //	GET  /v1/knn?x=&y=&z=&k=            scatter/gather k nearest
-//	GET  /v1/join?eps=[&algo=][&limit=] cluster-wide epsilon self-join: the
-//	                                    exact count, the first limit pairs
+//	GET  /v1/join?eps=[&algo=auto|grid][&limit=]
+//	                                    cluster-wide epsilon self-join (the
+//	                                    grid): the exact count, the first
+//	                                    limit pairs
 //	GET  /v1/query?op=range|knn|join    the same reads, by op
 //	POST /v1/update                     two-phase epoch-consistent swap
 //	GET  /v1/stats                      coordinator + per-node state

@@ -145,12 +145,22 @@ func TestClusterHTTPRangeKNNJoin(t *testing.T) {
 	if err := json.Unmarshal(body, &jr); err != nil {
 		t.Fatalf("decode join: %v", err)
 	}
-	if jr.Count == 0 || jr.Algorithm == "" {
+	if jr.Count == 0 || jr.Algorithm != "grid" {
 		t.Fatalf("join answered count=%d algorithm=%q", jr.Count, jr.Algorithm)
 	}
 	for _, p := range jr.Pairs {
 		if p[0] >= p[1] {
 			t.Fatalf("join pair not canonical: %v", p)
+		}
+	}
+
+	// Naming the grid, or auto, is the same join.
+	for _, algo := range []string{"grid", "auto"} {
+		resp, body = getBody(t, ts.URL+"/v1/join?eps=5&algo="+algo)
+		var named joinResponse
+		if err := json.Unmarshal(body, &named); err != nil || resp.StatusCode != http.StatusOK ||
+			named.Algorithm != "grid" || named.Count != jr.Count {
+			t.Fatalf("algo=%s join: status %d %+v (%v), want grid count=%d", algo, resp.StatusCode, named, err, jr.Count)
 		}
 	}
 }
@@ -305,6 +315,8 @@ func TestClusterHTTPBadRequests(t *testing.T) {
 		{"/v1/range?" + universeQuery + "&timeout=300m", http.StatusBadRequest},
 		{"/v1/knn?x=1&y=2&z=3&k=0", http.StatusBadRequest},
 		{"/v1/join?eps=-1", http.StatusBadRequest},
+		{"/v1/join?eps=0&algo=bogus", http.StatusBadRequest},
+		{"/v1/join?eps=0&algo=touch", http.StatusBadRequest}, // the join is the grid alone
 	} {
 		resp, body := getBody(t, ts.URL+tc.url)
 		if resp.StatusCode != tc.want {

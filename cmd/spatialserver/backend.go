@@ -28,7 +28,7 @@ func (b storeBackend) RetryAfter() time.Duration { return b.store.RetryAfterHint
 func storeResult(rep serve.Reply) httpapi.Result {
 	return httpapi.Result{
 		Epoch: rep.Epoch, Items: rep.Items,
-		Pairs: rep.Pairs, JoinAlgo: rep.JoinAlgo, JoinItems: rep.JoinItems, JoinCount: rep.JoinCount,
+		Pairs: rep.Pairs, JoinItems: rep.JoinItems, JoinCount: rep.JoinCount,
 		Err: rep.Err, Detail: (*storeDetail)(&rep),
 	}
 }

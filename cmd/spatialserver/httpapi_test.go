@@ -107,7 +107,7 @@ func TestJoinResponseIsByteIdentical(t *testing.T) {
 		{"all", 1, true, true, true},
 	} {
 		// The store keeps the first limit pairs and counts them all.
-		rep := serve.Reply{Epoch: 5, Pairs: pairs[:min(len(pairs), tc.limit)], JoinAlgo: join.AlgoGrid,
+		rep := serve.Reply{Epoch: 5, Pairs: pairs[:min(len(pairs), tc.limit)],
 			JoinItems: 40, JoinCount: len(pairs), Plan: plan}
 		want := joinResponse{Epoch: 5, Algorithm: "grid", Eps: 0.3, Items: 40, Count: len(pairs),
 			Truncated: len(pairs) > tc.limit, Pairs: [][2]int64{}}

@@ -184,7 +184,7 @@ func TestJoinEndpoint(t *testing.T) {
 	if resp.Count == 0 || len(resp.Pairs) == 0 {
 		t.Fatalf("join over touching unit cubes found no pairs: %+v", resp)
 	}
-	if resp.Epoch == 0 || resp.Algorithm == "" || resp.Items != 100 {
+	if resp.Epoch == 0 || resp.Algorithm != "grid" || resp.Items != 100 {
 		t.Fatalf("join response metadata incomplete: %+v", resp)
 	}
 	// Pairs arrive in canonical order with A < B.
@@ -194,7 +194,7 @@ func TestJoinEndpoint(t *testing.T) {
 		}
 	}
 
-	// Forcing an algorithm is echoed back and yields the same pair count.
+	// Naming the grid is echoed back and yields the same pair count.
 	var grid joinResponse
 	getJSON(t, ts.URL+"/v1/join?eps=0&algo=grid&workers=2", &grid)
 	if grid.Algorithm != "grid" || grid.Count != resp.Count {
@@ -221,6 +221,7 @@ func TestJoinEndpointBadRequests(t *testing.T) {
 		"/v1/join?eps=-1",           // negative eps
 		"/v1/join?eps=abc",          // non-numeric eps
 		"/v1/join?eps=0&algo=bogus", // unknown algorithm
+		"/v1/join?eps=0&algo=touch", // the join is the grid alone
 		"/v1/join?eps=0&limit=0",    // limit out of range
 	} {
 		resp, err := http.Get(ts.URL + path)

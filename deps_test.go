@@ -31,8 +31,9 @@ func internalDeps(t *testing.T, pkgs ...string) []string {
 }
 
 // TestReproductionDoesNotLinkServing fences the paper's reproduction off
-// from the serving stack: the experiment drivers and the two binaries that
-// run them link no serving, cluster, planning or wire package.
+// from the serving stack: the experiment drivers, the two binaries that run
+// them and the survey join algorithms link no serving, cluster, planning or
+// wire package.
 func TestReproductionDoesNotLinkServing(t *testing.T) {
 	serving := map[string]bool{
 		"internal/serve":   true,
@@ -40,7 +41,7 @@ func TestReproductionDoesNotLinkServing(t *testing.T) {
 		"internal/planner": true,
 		"internal/httpapi": true,
 	}
-	for _, pkg := range []string{"./cmd/spatialbench", "./cmd/simrun", "./internal/experiments"} {
+	for _, pkg := range []string{"./cmd/spatialbench", "./cmd/simrun", "./internal/experiments", "./internal/join/survey"} {
 		for _, dep := range internalDeps(t, pkg) {
 			if serving[dep] {
 				t.Errorf("%s links %s", pkg, dep)
@@ -49,11 +50,12 @@ func TestReproductionDoesNotLinkServing(t *testing.T) {
 	}
 }
 
-// TestIndexFamiliesLinkOnlyThePool fences the index families below the
-// engines that use them: the R-Tree, grid and octree link the geometry, the
-// index contracts, the counters and the worker pool, and nothing else — no
-// join engine. The join engine in turn links no serving, durability or
-// cluster package.
+// TestIndexFamiliesLinkOnlyThePool fences the index families and the served
+// join below the engines that use them: the R-Tree, grid, octree and the
+// grid join link the geometry, the index contracts, the counters and the
+// worker pool, and nothing else — no join engine under an index, and no
+// serving, durability or cluster package (nor the survey joins) under the
+// join.
 func TestIndexFamiliesLinkOnlyThePool(t *testing.T) {
 	want := []string{
 		"internal/geom",
@@ -61,7 +63,7 @@ func TestIndexFamiliesLinkOnlyThePool(t *testing.T) {
 		"internal/instrument",
 		"internal/par",
 	}
-	for _, family := range []string{"rtree", "grid", "octree"} {
+	for _, family := range []string{"rtree", "grid", "octree", "join"} {
 		var got []string
 		for _, dep := range internalDeps(t, "./internal/"+family) {
 			if dep != "internal/"+family {
@@ -70,12 +72,6 @@ func TestIndexFamiliesLinkOnlyThePool(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("internal/%s links %v, want %v", family, got, want)
-		}
-	}
-	for _, dep := range internalDeps(t, "./internal/join") {
-		switch dep {
-		case "internal/serve", "internal/persist", "internal/cluster":
-			t.Errorf("internal/join links %s", dep)
 		}
 	}
 }

@@ -28,14 +28,17 @@
 //     run in the reproduction (E5, simrun -index); the serving store uses
 //     the R-Tree only, the one family no other beat through Store.Query by
 //     more than the benchmark's bound;
-//   - internal/join — nested-loop, plane-sweep, PBSM-style grid, synchronized
-//     R-Tree and TOUCH-style spatial joins behind a planner-driven Plan/Exec
-//     split: a Planner picks the algorithm from input statistics
-//     (cardinality, density, MBR overlap — the paper's criteria) and every
-//     algorithm decomposes into independent tasks over shared partitioning
-//     machinery (pooled CSR grid cell lists, flat STR hierarchies), with the
-//     reference-point technique and emission-site filters guaranteeing no
-//     pair is ever produced twice;
+//   - internal/join — the served spatial join: a PBSM-style grid join
+//     prepared as a Plan of independent cell tasks (pooled CSR grid cell
+//     lists, the reference-point technique guaranteeing no pair is ever
+//     produced twice) that runs sequentially or on the worker pool, plus
+//     the nested loop as the reference oracle. Measured through the store,
+//     the grid won or tied on every input the paper's other join
+//     algorithms were picked for, so it is the only one served;
+//   - internal/join/survey — the plane-sweep, synchronized R-Tree and
+//     TOUCH-style joins the paper surveys, as sequential functions for the
+//     join comparison (E6) and the differential tests; the served binaries
+//     do not link it;
 //   - internal/moving — throwaway, lazy (grace window) and buffered
 //     moving-object update strategies (the paper's comparison, run by
 //     simrun and the experiments; the served binaries do not link it);

@@ -65,15 +65,14 @@ type Reply struct {
 	// Items extends the request's Buf (Range and KNN lend none) or an array
 	// grown from it; it never aliases a node task's buffer.
 	Items []index.Item `json:"-"`
-	// Pairs, JoinAlgo, JoinItems (the gathered item count), JoinCount (the
+	// Pairs, JoinItems (the gathered item count), JoinCount (the
 	// exact number of result pairs; Pairs holds the first JoinRequest.Limit
 	// of them, all when Limit <= 0) and JoinStats hold the cluster join
 	// outcome.
-	Pairs     []join.Pair    `json:"-"`
-	JoinAlgo  join.Algorithm `json:"-"`
-	JoinItems int            `json:"-"`
-	JoinCount int            `json:"-"`
-	JoinStats join.RunStats  `json:"-"`
+	Pairs     []join.Pair   `json:"-"`
+	JoinItems int           `json:"-"`
+	JoinCount int           `json:"-"`
+	JoinStats join.RunStats `json:"-"`
 	// FanOut counts fan-out tasks launched — node queries, including hedges
 	// and failovers (a node asked twice, for disjoint tile sets, counts
 	// twice); Hedges and Failovers break out the retries.
@@ -451,41 +450,37 @@ func (c *Coordinator) KNN(ctx context.Context, p geom.Vec3, k int) Reply {
 }
 
 // Join runs a cluster-wide epsilon self-join: the epoch-consistent item set
-// is gathered from the fleet (the range fan-out over the universe, sorted by
-// ID for a deterministic planner input), then the join planner picks an
-// algorithm and the parallel join engine executes at the coordinator —
-// cross-node pairs fall out naturally because the join runs over the merged
-// set. A request that fails JoinRequest.Validate is refused with
-// serve.ErrBadRequest before anything is fetched.
+// is gathered from the fleet (the range fan-out over the universe), then the
+// grid join runs on the worker pool at the coordinator — cross-node pairs
+// fall out naturally because the join runs over the merged set. A request
+// that fails JoinRequest.Validate is refused with serve.ErrBadRequest before
+// anything is fetched.
 func (c *Coordinator) Join(ctx context.Context, jr serve.JoinRequest) Reply {
 	return c.Query(serve.Request{Op: serve.OpJoin, Ctx: ctx, Join: jr})
 }
 
-// join plans and runs the self-join over the gathered items into rep.
+// join plans and runs the self-join over the gathered items into rep. The
+// items arrive in fan-out order, and the grid sizes its cells from their mean
+// extent, a floating-point sum; sorting them by ID first keeps the cell
+// sizing, and so the comparison count, the same for every arrival order of
+// one epoch.
 func (c *Coordinator) join(ctx context.Context, rep *Reply, items []index.Item, jr serve.JoinRequest) {
 	slices.SortFunc(items, func(a, b index.Item) int { return cmp.Compare(a.ID, b.ID) })
 	workers := jr.Workers
 	if workers <= 0 {
 		workers = c.cfg.Workers
 	}
-	pl := join.Planner{Workers: workers}
-	var plan *join.Plan
-	if jr.Force {
-		plan = pl.PlanSelfWith(jr.Algo, items, join.Options{Eps: jr.Eps})
-	} else {
-		plan = pl.PlanSelf(items, join.Options{Eps: jr.Eps})
-	}
+	plan := join.Planner{Workers: workers}.PlanSelf(items, join.Options{Eps: jr.Eps})
 	defer plan.Close()
 	js := obs.SpanFromContext(ctx).Child("cluster_join_exec")
 	pairs, stats := plan.RunParallel(ctx, workers, jr.Limit)
 	if js != nil {
-		js.Set("algorithm", plan.Algo().String())
+		js.Set("algorithm", join.Algorithm)
 		js.Set("pairs", int(stats.Pairs))
 		js.Set("kept", len(pairs))
 		js.End()
 	}
 	rep.Pairs = pairs
-	rep.JoinAlgo = plan.Algo()
 	rep.JoinItems = len(items)
 	rep.JoinCount = int(stats.Pairs)
 	rep.JoinStats = stats

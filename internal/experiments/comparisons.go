@@ -12,6 +12,7 @@ import (
 	"spatialsim/internal/index"
 	"spatialsim/internal/instrument"
 	"spatialsim/internal/join"
+	"spatialsim/internal/join/survey"
 	"spatialsim/internal/lsh"
 	"spatialsim/internal/moving"
 	"spatialsim/internal/octree"
@@ -208,10 +209,10 @@ func JoinComparison(s Scale) JoinComparisonResult {
 		run  func(opts join.Options) []join.Pair
 	}
 	algos := []algo{
-		{"sweep", func(o join.Options) []join.Pair { return join.SelfPlaneSweep(items, o) }},
+		{"sweep", func(o join.Options) []join.Pair { return survey.SelfPlaneSweep(items, o) }},
 		{"grid", func(o join.Options) []join.Pair { return join.SelfGridJoin(items, o, join.GridJoinConfig{}) }},
-		{"rtree-sync", func(o join.Options) []join.Pair { return join.SelfRTreeJoin(items, o) }},
-		{"touch", func(o join.Options) []join.Pair { return join.SelfTOUCHJoin(items, o) }},
+		{"rtree-sync", func(o join.Options) []join.Pair { return survey.SelfRTreeJoin(items, o) }},
+		{"touch", func(o join.Options) []join.Pair { return survey.SelfTOUCHJoin(items, o) }},
 	}
 	if len(items) <= 20000 {
 		algos = append([]algo{{"nested-loop", func(o join.Options) []join.Pair { return join.SelfNestedLoop(items, o) }}}, algos...)

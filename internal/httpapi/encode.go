@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"spatialsim/internal/index"
+	"spatialsim/internal/join"
 )
 
 // contentTypeJSON is every JSON reply's Content-Type header value, shared
@@ -106,7 +107,7 @@ func (b *Reply) True(key string) {
 // the exact JoinCount, and truncated says it exceeds the limit.
 func newJoinReply(res Result, eps float64, limit int) *Reply {
 	b := newObject(res.Epoch)
-	b.JSON("algorithm", res.JoinAlgo.String())
+	b.JSON("algorithm", join.Algorithm)
 	b.key("eps")
 	b.buf = AppendFloat(b.buf, eps)
 	b.Int("items", res.JoinItems)

@@ -104,7 +104,8 @@ type Refusal struct {
 
 // Refusals is the parameter parser's refusal table: non-finite floats,
 // present-but-malformed integers, out-of-range values, an unparsable
-// timeout and an unknown op, on every read route both servers share.
+// timeout, a join algorithm other than the grid and an unknown op, on every
+// read route both servers share.
 var Refusals = []Refusal{
 	{"/v1/range?minx=NaN&miny=0&minz=0&maxx=1&maxy=1&maxz=1", `minx="NaN"`},
 	{"/v1/range?minx=0&miny=-Inf&minz=0&maxx=1&maxy=1&maxz=1", `miny="-Inf"`},
@@ -123,6 +124,8 @@ var Refusals = []Refusal{
 	{"/v1/join?eps=abc", `eps="abc"`},
 	{"/v1/join?eps=0.1&limit=abc", `limit="abc"`},
 	{"/v1/join?eps=0.1&workers=x", `workers="x"`},
+	{"/v1/join?eps=0.1&algo=touch", `algo="touch": want auto|grid`},
+	{"/v1/query?op=join&eps=0.1&algo=bogus", `algo="bogus": want auto|grid`},
 	{"/v1/query?op=teleport", "op must be"},
 }
 

@@ -173,13 +173,15 @@ func (p Params) KNN() (geom.Vec3, int, error) {
 	return pt, k, nil
 }
 
-// Join reads an epsilon self-join: eps (finite, >= 0), algo (auto unless
-// named), workers and the reply cap limit (default 1000, 1..100000), which
-// becomes JoinRequest.Limit: the store builds only the first limit pairs
-// and counts the rest exactly. Workers above GOMAXPROCS are clamped here, at
-// the door: the engine honours an explicit budget (library callers and
-// benchmarks rely on that), so a client asking for 100 000 must not get
-// 100 000 goroutines.
+// Join reads an epsilon self-join: eps (finite, >= 0), algo, workers and
+// the reply cap limit (default 1000, 1..100000), which becomes
+// JoinRequest.Limit: the store builds only the first limit pairs and counts
+// the rest exactly. Workers above GOMAXPROCS are clamped here, at the door:
+// the engine honours an explicit budget (library callers and benchmarks rely
+// on that), so a client asking for 100 000 must not get 100 000 goroutines.
+// The join is the grid alone, so algo may be absent, auto or grid; any other
+// name is refused rather than ignored, so a client that asks for another
+// algorithm learns that it does not run.
 func (p Params) Join() (serve.JoinRequest, error) {
 	var jr serve.JoinRequest
 	s := p.Get("eps")
@@ -188,11 +190,10 @@ func (p Params) Join() (serve.JoinRequest, error) {
 		return jr, fmt.Errorf("join needs %w", badParam("eps", s, "a non-negative finite number"))
 	}
 	jr.Eps = eps
-	if name := p.Get("algo"); name != "" && name != "auto" {
-		if jr.Algo, err = join.ParseAlgorithm(name); err != nil {
-			return jr, err
-		}
-		jr.Force = true
+	switch name := p.Get("algo"); name {
+	case "", "auto", join.Algorithm:
+	default:
+		return jr, badParam("algo", name, "auto|grid")
 	}
 	if jr.Workers, err = p.integer("workers", 0); err != nil {
 		return jr, err

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"spatialsim/internal/geom"
-	"spatialsim/internal/join"
+	"spatialsim/internal/serve"
 )
 
 // TestParseMatchesURLParseQuery pins Parse to url.ParseQuery's pairs and
@@ -73,17 +73,29 @@ func TestReaders(t *testing.T) {
 
 	p = Parse("eps=0.5&algo=grid&limit=7")
 	jr, err := p.Join()
-	if err != nil || jr.Eps != 0.5 || !jr.Force || jr.Algo != join.AlgoGrid || jr.Workers != 0 || jr.Limit != 7 {
+	if err != nil || jr != (serve.JoinRequest{Eps: 0.5, Limit: 7}) {
 		t.Fatalf("Join = %+v, %v", jr, err)
 	}
-	p = Parse("eps=0&algo=auto")
-	if jr, err = p.Join(); err != nil || jr.Force || jr.Limit != 1000 {
-		t.Fatalf("Join auto = %+v, %v", jr, err)
+	for _, raw := range []string{"eps=0", "eps=0&algo=auto", "eps=0&algo=", "eps=0&algo=grid"} {
+		p = Parse(raw)
+		if jr, err = p.Join(); err != nil || jr != (serve.JoinRequest{Limit: 1000}) {
+			t.Fatalf("Join %s = %+v, %v", raw, jr, err)
+		}
 	}
-	for _, bad := range []string{"eps=-1", "eps=", "eps=-Inf", "eps=0&algo=bogus", "eps=0&limit=0", "eps=0&limit=100001"} {
+	for _, bad := range []string{"eps=-1", "eps=", "eps=-Inf", "eps=0&limit=0", "eps=0&limit=100001"} {
 		p = Parse(bad)
 		if _, err := p.Join(); err == nil {
 			t.Errorf("%s: accepted", bad)
+		}
+	}
+	// The join is the grid alone: every other algorithm name, the ones
+	// earlier builds ran included, is refused with one message rather than
+	// silently answered by the grid.
+	for _, algo := range []string{"touch", "sweep", "rtree-sync", "nested-loop", "pbsm", "GRID", "bogus"} {
+		p = Parse("eps=0&algo=" + algo)
+		want := `algo="` + algo + `": want auto|grid`
+		if _, err := p.Join(); err == nil || err.Error() != want {
+			t.Errorf("algo=%s: err %v, want %q", algo, err, want)
 		}
 	}
 }

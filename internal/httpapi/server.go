@@ -42,11 +42,10 @@ type Result struct {
 	Epoch uint64
 	// Items holds a range or kNN answer.
 	Items []index.Item
-	// Pairs, JoinAlgo, JoinItems (how many items were joined) and
-	// JoinCount (the exact number of result pairs, of which Pairs holds
-	// the first) hold a join's.
+	// Pairs, JoinItems (how many items were joined) and JoinCount (the
+	// exact number of result pairs, of which Pairs holds the first) hold a
+	// join's.
 	Pairs     []join.Pair
-	JoinAlgo  join.Algorithm
 	JoinItems int
 	JoinCount int
 	// Err fails the read; errorStatuses maps it onto the reply.
@@ -88,7 +87,7 @@ var reads = []struct {
 //
 //	GET  /v1/range?minx=&miny=&minz=&maxx=&maxy=&maxz=[&limit=]
 //	GET  /v1/knn?x=&y=&z=[&k=]
-//	GET  /v1/join?eps=[&algo=auto|grid|touch|...][&workers=][&limit=]
+//	GET  /v1/join?eps=[&algo=auto|grid][&workers=][&limit=]
 //	GET  /v1/query?op=range|knn|join&...   the same reads, by op
 //	POST /v1/update  {"upserts":[{"id":..,"min":[..],"max":[..]}],"deletes":[..]}
 //	GET  /v1/stats

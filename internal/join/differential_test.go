@@ -10,7 +10,21 @@ import (
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
 	"spatialsim/internal/join"
+	"spatialsim/internal/join/survey"
 )
+
+// surveyJoins are the join algorithms the paper surveys beside the grid,
+// which the served join does not run; the tests hold them to the same
+// nested-loop truth.
+var surveyJoins = []struct {
+	name   string
+	self   func([]index.Item, join.Options) []join.Pair
+	binary func(as, bs []index.Item, opts join.Options) []join.Pair
+}{
+	{"sweep", survey.SelfPlaneSweep, survey.PlaneSweep},
+	{"rtree-sync", survey.SelfRTreeJoin, survey.RTreeJoin},
+	{"touch", survey.SelfTOUCHJoin, survey.TOUCHJoin},
+}
 
 // joinShape is one degenerate input of the differential join test: a
 // self-join set (the binary join splits it in two with disjoint IDs) and the
@@ -88,13 +102,12 @@ func requireCanonical(t *testing.T, what string, pairs []join.Pair) {
 	}
 }
 
-// TestJoinDifferential is the grid rebuild's safety net: all five
-// algorithms, self and binary, sequential (Plan.Run) and on 1, 2 and 4
-// workers, at every grid resolution (data-sized, 1, 2, 7 per axis), must
-// return exactly the nested loop's pairs in strictly increasing (A, B)
-// order on every degenerate shape.
+// TestJoinDifferential is the join kernels' safety net: on every degenerate
+// shape, self and binary, the grid — sequential (Plan.Run) and on 1, 2 and 4
+// workers, at every grid resolution (data-sized, 1, 2, 7 per axis) — and
+// each survey join must return exactly the nested loop's pairs in strictly
+// increasing (A, B) order.
 func TestJoinDifferential(t *testing.T) {
-	algos := []join.Algorithm{join.AlgoNestedLoop, join.AlgoPlaneSweep, join.AlgoGrid, join.AlgoRTree, join.AlgoTOUCH}
 	for _, sh := range degenerateJoinShapes() {
 		opts := join.Options{Eps: sh.eps}
 		half := len(sh.items) / 2
@@ -108,38 +121,32 @@ func TestJoinDifferential(t *testing.T) {
 		if len(selfWant) == 0 {
 			t.Fatalf("%s: ground truth empty; shape joins nothing", sh.name)
 		}
-		for _, algo := range algos {
-			cellsList := []int{0}
-			if algo == join.AlgoGrid {
-				cellsList = []int{0, 1, 2, 7}
+		check := func(name string, got, want []join.Pair) {
+			t.Helper()
+			requireCanonical(t, name, got)
+			if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+				t.Fatalf("%s: %d pairs, want %d", name, len(got), len(want))
 			}
-			for _, cells := range cellsList {
-				pl := join.Planner{Grid: join.GridJoinConfig{CellsPerDim: cells}}
-				for _, self := range []bool{true, false} {
-					var p *join.Plan
-					want := selfWant
-					if self {
-						p = pl.PlanSelfWith(algo, sh.items, opts)
-					} else {
-						p = pl.PlanWith(algo, as, bs, opts)
-						want = binWant
-					}
-					name := fmt.Sprintf("%s/%v/cells=%d/self=%v", sh.name, algo, cells, self)
-					got := p.Run()
-					requireCanonical(t, name+"/seq", got)
-					if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
-						t.Fatalf("%s/seq: %d pairs, want %d", name, len(got), len(want))
-					}
-					for _, w := range []int{1, 2, 4} {
-						got, _ := p.RunParallel(context.Background(), w, 0)
-						requireCanonical(t, fmt.Sprintf("%s/w=%d", name, w), got)
-						if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
-							t.Fatalf("%s/w=%d: %d pairs, want %d", name, w, len(got), len(want))
-						}
-					}
-					p.Close()
+		}
+		for _, cells := range []int{0, 1, 2, 7} {
+			pl := join.Planner{Grid: join.GridJoinConfig{CellsPerDim: cells}}
+			for _, self := range []bool{true, false} {
+				p, want := pl.PlanSelf(sh.items, opts), selfWant
+				if !self {
+					p, want = pl.Plan(as, bs, opts), binWant
 				}
+				name := fmt.Sprintf("%s/grid/cells=%d/self=%v", sh.name, cells, self)
+				check(name+"/seq", p.Run(), want)
+				for _, w := range []int{1, 2, 4} {
+					got, _ := p.RunParallel(context.Background(), w, 0)
+					check(fmt.Sprintf("%s/w=%d", name, w), got, want)
+				}
+				p.Close()
 			}
+		}
+		for _, k := range surveyJoins {
+			check(sh.name+"/"+k.name+"/self=true", k.self(sh.items, opts), selfWant)
+			check(sh.name+"/"+k.name+"/self=false", k.binary(as, bs, opts), binWant)
 		}
 	}
 }

@@ -28,7 +28,7 @@ func GridJoin(as, bs []index.Item, opts Options, cfg GridJoinConfig) []Pair {
 	if len(as) == 0 || len(bs) == 0 {
 		return nil
 	}
-	p := (Planner{Grid: cfg}).PlanWith(AlgoGrid, as, bs, opts)
+	p := Planner{Grid: cfg}.Plan(as, bs, opts)
 	defer p.Close()
 	return p.Run()
 }
@@ -39,7 +39,7 @@ func SelfGridJoin(items []index.Item, opts Options, cfg GridJoinConfig) []Pair {
 	if len(items) == 0 {
 		return nil
 	}
-	p := (Planner{Grid: cfg}).PlanSelfWith(AlgoGrid, items, opts)
+	p := Planner{Grid: cfg}.PlanSelf(items, opts)
 	defer p.Close()
 	return p.Run()
 }

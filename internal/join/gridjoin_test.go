@@ -68,7 +68,7 @@ func TestGridJoinNonFiniteEps(t *testing.T) {
 	for _, items := range [][]index.Item{pts, pair, randomItems(50, 44, geom.Vec3{})} {
 		for _, eps := range []float64{math.NaN(), math.Inf(1), 1e300, 0} {
 			opts := Options{Eps: eps}
-			p := Planner{}.PlanSelfWith(AlgoGrid, items, opts)
+			p := Planner{}.PlanSelf(items, opts)
 			if c := p.Cells(); c < 1 || c > max(cellsPerElement*len(items), 1) {
 				t.Fatalf("eps=%v n=%d: %d cells", eps, len(items), c)
 			}
@@ -127,9 +127,9 @@ func FuzzSelfJoinGrid(f *testing.F) {
 				t.Fatalf("%s: grid %v, nested loop %v (cells=%d eps=%v)", what, got, want, cells, eps)
 			}
 		}
-		check("self", pl.PlanSelfWith(AlgoGrid, items, opts), DedupPairs(SelfNestedLoop(items, opts)))
+		check("self", pl.PlanSelf(items, opts), DedupPairs(SelfNestedLoop(items, opts)))
 		as, bs := items[:len(items)/2], items[len(items)/2:]
-		check("binary", pl.PlanWith(AlgoGrid, as, bs, opts), DedupPairs(NestedLoop(as, bs, opts)))
+		check("binary", pl.Plan(as, bs, opts), DedupPairs(NestedLoop(as, bs, opts)))
 	})
 }
 
@@ -208,7 +208,7 @@ func TestAssignChunkedMatchesSerial(t *testing.T) {
 		{"tiny", randomItems(5, 73, geom.Vec3{}), 0},
 	} {
 		pl := Planner{Grid: GridJoinConfig{CellsPerDim: tc.cells}}
-		plan := pl.PlanSelfWith(AlgoGrid, tc.items, Options{Eps: 0.5})
+		plan := pl.PlanSelf(tc.items, Options{Eps: 0.5})
 		part := plan.part
 		start, idxs, masks := assignSerial(part, tc.items)
 		for _, k := range []int{1, 2, 3, 8} {
@@ -247,7 +247,7 @@ func TestAssignKeepsWorkerBudget(t *testing.T) {
 	}
 	items := randomItems(n, 74, geom.Vec3{})
 	for _, workers := range []int{1, 4} {
-		plan := Planner{Workers: workers}.PlanSelfWith(AlgoGrid, items, Options{Eps: 0.1})
+		plan := Planner{Workers: workers}.PlanSelf(items, Options{Eps: 0.1})
 		nc := plan.part.cells()
 		if got := len(plan.part.a.counts) / nc; got > workers {
 			t.Fatalf("Planner{Workers: %d}: the assign ran in %d chunks", workers, got)
@@ -290,7 +290,7 @@ func FuzzGridCompareMatchesWithin(f *testing.F) {
 				t.Fatalf("a=%v b=%v eps=%v: gridGap2 decides %v, within %v", a.Box, b.Box, opts.Eps, got, want)
 			}
 		}
-		p := Planner{}.PlanSelfWith(AlgoGrid, []index.Item{a, b}, opts)
+		p := Planner{}.PlanSelf([]index.Item{a, b}, opts)
 		got := p.Run()
 		p.Close()
 		if (len(got) == 1) != want || len(got) > 1 {

@@ -41,15 +41,16 @@ func canonPairs(pairs []join.Pair) []join.Pair {
 	return join.DedupPairs(c)
 }
 
-var joinAlgos = []join.Algorithm{
-	join.AlgoNestedLoop, join.AlgoPlaneSweep, join.AlgoGrid, join.AlgoRTree, join.AlgoTOUCH,
-}
+// gridResolutions are the grid sizings the plan tests run at: data-sized,
+// one cell for the whole universe, and a fixed coarse grid.
+var gridResolutions = []int{0, 1, 7}
 
-// TestParallelJoinConformance is the randomized cross-algorithm conformance
-// check of the tentpole: all five algorithms, sequential (Plan.Run) and
-// parallel (RunParallel at several worker counts), must return the same pair
-// set as the nested-loop ground truth on both uniform and clustered data.
-// It runs under -race in CI, so it also exercises the task tiling for races.
+// TestParallelJoinConformance is the randomized conformance check of the
+// served join: the grid, sequential (Plan.Run) and parallel (RunParallel at
+// several worker counts) at every resolution, and each survey join, must
+// return the same pair set as the nested-loop ground truth on both uniform
+// and clustered data. It runs under -race in CI, so it also exercises the
+// task tiling for races.
 func TestParallelJoinConformance(t *testing.T) {
 	datasets := map[string][]index.Item{
 		"uniform":   joinItems(600, 11, geom.Vec3{}),
@@ -61,26 +62,32 @@ func TestParallelJoinConformance(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("%s: ground truth empty; test data too sparse", name)
 		}
-		for _, algo := range joinAlgos {
-			p := join.Planner{}.PlanSelfWith(algo, items, join.Options{Eps: eps})
+		for _, cells := range gridResolutions {
+			p := join.Planner{Grid: join.GridJoinConfig{CellsPerDim: cells}}.PlanSelf(items, join.Options{Eps: eps})
 			if got := p.Run(); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%v sequential: %d pairs, want %d", name, algo, len(got), len(want))
+				t.Errorf("%s/cells=%d sequential: %d pairs, want %d", name, cells, len(got), len(want))
 			}
 			for _, workers := range []int{1, 2, 4} {
 				got, stats := p.RunParallel(context.Background(), workers, 0)
 				if !reflect.DeepEqual(canonPairs(got), want) {
-					t.Errorf("%s/%v parallel w=%d: %d pairs, want %d", name, algo, workers, len(got), len(want))
+					t.Errorf("%s/cells=%d parallel w=%d: %d pairs, want %d", name, cells, workers, len(got), len(want))
 				}
 				if stats.Pairs != int64(len(got)) {
-					t.Errorf("%s/%v: stats.Pairs=%d, len=%d", name, algo, stats.Pairs, len(got))
+					t.Errorf("%s/cells=%d: stats.Pairs=%d, len=%d", name, cells, stats.Pairs, len(got))
 				}
 			}
 			p.Close()
 		}
+		for _, k := range surveyJoins {
+			if got := k.self(items, join.Options{Eps: eps}); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: %d pairs, want %d", name, k.name, len(got), len(want))
+			}
+		}
 	}
 }
 
-// TestParallelJoinBinaryConformance checks the binary (two-input) variants.
+// TestParallelJoinBinaryConformance checks the binary (two-input) variants:
+// the grid on four workers and each survey join.
 func TestParallelJoinBinaryConformance(t *testing.T) {
 	as := joinItems(400, 13, geom.Vec3{})
 	bs := joinItems(400, 14, geom.V(0.3, 0.3, 0.3))
@@ -92,17 +99,21 @@ func TestParallelJoinBinaryConformance(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("ground truth empty")
 	}
-	for _, algo := range joinAlgos {
-		p := join.Planner{}.PlanWith(algo, as, bs, join.Options{Eps: eps})
-		got, _ := p.RunParallel(context.Background(), 4, 0)
-		if !reflect.DeepEqual(canonPairs(got), want) {
-			t.Errorf("%v: %d pairs, want %d", algo, len(got), len(want))
+	p := join.Planner{}.Plan(as, bs, join.Options{Eps: eps})
+	got, _ := p.RunParallel(context.Background(), 4, 0)
+	if !reflect.DeepEqual(canonPairs(got), want) {
+		t.Errorf("grid: %d pairs, want %d", len(got), len(want))
+	}
+	p.Close()
+	for _, k := range surveyJoins {
+		if got := k.binary(as, bs, join.Options{Eps: eps}); !reflect.DeepEqual(canonPairs(got), want) {
+			t.Errorf("%s: %d pairs, want %d", k.name, len(got), len(want))
 		}
-		p.Close()
 	}
 }
 
-// TestParallelJoinPlannerAuto runs the planner-picked plan end to end.
+// TestParallelJoinPlannerAuto runs a default Planner's plan end to end: the
+// data-sized grid on four workers, with its run statistics.
 func TestParallelJoinPlannerAuto(t *testing.T) {
 	items := joinItems(800, 15, geom.Vec3{})
 	eps := 0.5
@@ -111,10 +122,10 @@ func TestParallelJoinPlannerAuto(t *testing.T) {
 	defer p.Close()
 	got, stats := p.RunParallel(context.Background(), 4, 0)
 	if !reflect.DeepEqual(canonPairs(got), want) {
-		t.Fatalf("auto plan (%v): %d pairs, want %d", p.Algo(), len(got), len(want))
+		t.Fatalf("default plan: %d pairs, want %d", len(got), len(want))
 	}
-	if stats.Algo != p.Algo() {
-		t.Fatalf("stats algo %v != plan algo %v", stats.Algo, p.Algo())
+	if stats.Pairs != int64(len(want)) || stats.Tasks != p.Tasks() || stats.Workers != 4 || len(stats.PerWorker) != 4 {
+		t.Fatalf("stats %+v for %d pairs and %d tasks", stats, len(want), p.Tasks())
 	}
 }
 
@@ -125,13 +136,13 @@ func TestParallelJoinCountersMatchSequential(t *testing.T) {
 	items := joinItems(500, 16, geom.Vec3{})
 	eps := 0.5
 	var seqC instrument.Counters
-	p1 := join.Planner{}.PlanSelfWith(join.AlgoGrid, items, join.Options{Eps: eps, Counters: &seqC})
+	p1 := join.Planner{}.PlanSelf(items, join.Options{Eps: eps, Counters: &seqC})
 	p1.Run()
 	p1.Close()
 	seqComparisons := seqC.Comparisons()
 
 	var parC instrument.Counters
-	p2 := join.Planner{}.PlanSelfWith(join.AlgoGrid, items, join.Options{Eps: eps, Counters: &parC})
+	p2 := join.Planner{}.PlanSelf(items, join.Options{Eps: eps, Counters: &parC})
 	_, stats := p2.RunParallel(context.Background(), 4, 0)
 	p2.Close()
 	if parC.Comparisons() != seqComparisons {
@@ -148,7 +159,7 @@ func TestParallelJoinCountersMatchSequential(t *testing.T) {
 func TestParallelJoinSharedPlan(t *testing.T) {
 	items := joinItems(400, 17, geom.Vec3{})
 	eps := 0.5
-	p := join.Planner{}.PlanSelfWith(join.AlgoTOUCH, items, join.Options{Eps: eps})
+	p := join.Planner{}.PlanSelf(items, join.Options{Eps: eps})
 	defer p.Close()
 	want := canonPairs(p.Run())
 	var wg sync.WaitGroup
@@ -165,10 +176,10 @@ func TestParallelJoinSharedPlan(t *testing.T) {
 	wg.Wait()
 }
 
-func benchmarkSelfJoin(b *testing.B, algo join.Algorithm, workers int) {
+func benchmarkSelfJoin(b *testing.B, workers int) {
 	items := clusteredJoinItems(20000, 21)
 	opts := join.Options{Eps: 0.25}
-	p := join.Planner{}.PlanSelfWith(algo, items, opts)
+	p := join.Planner{}.PlanSelf(items, opts)
 	defer p.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -180,12 +191,8 @@ func benchmarkSelfJoin(b *testing.B, algo join.Algorithm, workers int) {
 	}
 }
 
-func BenchmarkSelfGridJoinSequential(b *testing.B) { benchmarkSelfJoin(b, join.AlgoGrid, 1) }
-func BenchmarkSelfGridJoinParallel4(b *testing.B)  { benchmarkSelfJoin(b, join.AlgoGrid, 4) }
-func BenchmarkSelfTOUCHJoinSequential(b *testing.B) {
-	benchmarkSelfJoin(b, join.AlgoTOUCH, 1)
-}
-func BenchmarkSelfTOUCHJoinParallel4(b *testing.B) { benchmarkSelfJoin(b, join.AlgoTOUCH, 4) }
+func BenchmarkSelfGridJoinSequential(b *testing.B) { benchmarkSelfJoin(b, 1) }
+func BenchmarkSelfGridJoinParallel4(b *testing.B)  { benchmarkSelfJoin(b, 4) }
 
 // BenchmarkSelfGridJoinNeuron is the join workload's self-join at a quarter
 // of its size: 50 neurons × 1000 segments in the generator's own universe, at
@@ -204,7 +211,7 @@ func BenchmarkSelfGridJoinNeuron(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := join.Planner{}.PlanSelfWith(join.AlgoGrid, items, join.Options{Eps: eps, Counters: &c})
+		p := join.Planner{}.PlanSelf(items, join.Options{Eps: eps, Counters: &c})
 		out, _ := p.RunParallel(context.Background(), 0, 0)
 		pairs = len(out)
 		p.Close()
@@ -213,8 +220,9 @@ func BenchmarkSelfGridJoinNeuron(b *testing.B) {
 }
 
 // TestRunParallelLimit: under a limit, RunParallel returns exactly the first
-// limit pairs of the full canonical list and counts every pair, for every
-// algorithm, worker count and a limit below, at and above the count.
+// limit pairs of the full canonical list and counts every pair, at every
+// grid resolution and worker count and a limit below, at and above the
+// count.
 func TestRunParallelLimit(t *testing.T) {
 	datasets := map[string][]index.Item{
 		"uniform":   joinItems(600, 11, geom.Vec3{}),
@@ -222,23 +230,23 @@ func TestRunParallelLimit(t *testing.T) {
 	}
 	for name, items := range datasets {
 		opts := join.Options{Eps: 0.6}
-		for _, algo := range joinAlgos {
-			p := join.Planner{}.PlanSelfWith(algo, items, opts)
+		for _, cells := range gridResolutions {
+			p := join.Planner{Grid: join.GridJoinConfig{CellsPerDim: cells}}.PlanSelf(items, opts)
 			full, fullStats := p.RunParallel(context.Background(), 2, 0)
 			count := len(full)
 			if count < 8 || fullStats.Pairs != int64(count) {
-				t.Fatalf("%s/%v: %d pairs, stats count %d", name, algo, count, fullStats.Pairs)
+				t.Fatalf("%s/cells=%d: %d pairs, stats count %d", name, cells, count, fullStats.Pairs)
 			}
 			for _, limit := range []int{1, 7, count / 3, count - 1, count, count + 5, math.MaxInt} {
 				for _, workers := range []int{1, 2, 4} {
 					got, stats := p.RunParallel(context.Background(), workers, limit)
 					if want := full[:min(limit, count)]; !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s/%v limit=%d workers=%d: %d pairs, not the first %d of the full list",
-							name, algo, limit, workers, len(got), len(want))
+						t.Fatalf("%s/cells=%d limit=%d workers=%d: %d pairs, not the first %d of the full list",
+							name, cells, limit, workers, len(got), len(want))
 					}
 					if stats.Pairs != int64(count) || stats.Cancelled {
-						t.Fatalf("%s/%v limit=%d workers=%d: count %d (cancelled %v), want %d",
-							name, algo, limit, workers, stats.Pairs, stats.Cancelled, count)
+						t.Fatalf("%s/cells=%d limit=%d workers=%d: count %d (cancelled %v), want %d",
+							name, cells, limit, workers, stats.Pairs, stats.Cancelled, count)
 					}
 				}
 			}
@@ -252,7 +260,7 @@ func TestRunParallelLimit(t *testing.T) {
 // its count is at most the true count, with and without a limit.
 func TestRunParallelCancelledIsSubset(t *testing.T) {
 	items := clusteredJoinItems(2000, 13)
-	truth, _ := join.Planner{}.PlanSelfWith(join.AlgoGrid, items, join.Options{Eps: 0.6}).RunParallel(context.Background(), 2, 0)
+	truth, _ := join.Planner{}.PlanSelf(items, join.Options{Eps: 0.6}).RunParallel(context.Background(), 2, 0)
 	inTruth := make(map[join.Pair]bool, len(truth))
 	for _, pr := range truth {
 		inTruth[pr] = true
@@ -268,7 +276,7 @@ func TestRunParallelCancelledIsSubset(t *testing.T) {
 				refined.Do(cancel)
 				return true
 			}}
-			p := join.Planner{}.PlanSelfWith(join.AlgoGrid, items, opts)
+			p := join.Planner{}.PlanSelf(items, opts)
 			got, stats := p.RunParallel(ctx, workers, limit)
 			p.Close()
 			cancel()

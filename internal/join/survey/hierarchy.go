@@ -1,4 +1,4 @@
-package join
+package survey
 
 import (
 	"sort"
@@ -13,9 +13,7 @@ import (
 // and leaf items in structure-of-arrays storage. The join phase — the
 // synchronized descent or the TOUCH subtree probes — is where virtually all
 // node visits happen, so it is the part that must not chase pointers; the
-// transient pointer form exists only during construction. The execution of
-// both joins lives in plan.go (Plan.descend / Plan.probeSubtree); the
-// functions below are the one-shot entry points.
+// transient pointer form exists only during construction.
 
 // joinNode is a node of the transient build-time hierarchy.
 type joinNode struct {
@@ -107,7 +105,7 @@ func packItems(items []index.Item) []*joinNode {
 	})
 	var leaves []*joinNode
 	for i := 0; i < len(sorted); i += joinFanout {
-		chunk := sorted[i:minInt(i+joinFanout, len(sorted))]
+		chunk := sorted[i:min(i+joinFanout, len(sorted))]
 		box := geom.EmptyAABB()
 		for _, it := range chunk {
 			box = box.Union(it.Box)
@@ -124,7 +122,7 @@ func packNodes(nodes []*joinNode) []*joinNode {
 	})
 	var parents []*joinNode
 	for i := 0; i < len(sorted); i += joinFanout {
-		chunk := sorted[i:minInt(i+joinFanout, len(sorted))]
+		chunk := sorted[i:min(i+joinFanout, len(sorted))]
 		box := geom.EmptyAABB()
 		for _, c := range chunk {
 			box = box.Union(c.box)
@@ -132,73 +130,4 @@ func packNodes(nodes []*joinNode) []*joinNode {
 		parents = append(parents, &joinNode{box: box, children: append([]*joinNode(nil), chunk...)})
 	}
 	return parents
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// RTreeJoin performs a synchronized traversal join over the flattened
-// hierarchies: node pairs whose boxes are within Eps are expanded
-// recursively and only leaf pairs generate element comparisons. This is the
-// classic index-based spatial join the paper's survey references, run on the
-// cache-conscious slab layout.
-func RTreeJoin(as, bs []index.Item, opts Options) []Pair {
-	if len(as) == 0 || len(bs) == 0 {
-		return nil
-	}
-	p := Planner{}.PlanWith(AlgoRTree, as, bs, opts)
-	defer p.Close()
-	return p.Run()
-}
-
-// SelfRTreeJoin joins a set with itself by synchronized traversal; each
-// unordered pair is reported once with A < B.
-func SelfRTreeJoin(items []index.Item, opts Options) []Pair {
-	if len(items) < 2 {
-		return nil
-	}
-	p := Planner{}.PlanSelfWith(AlgoRTree, items, opts)
-	defer p.Close()
-	return p.Run()
-}
-
-// TOUCHJoin is an in-memory join in the spirit of TOUCH (Nobari et al.,
-// SIGMOD 2013), the hierarchical data-oriented partitioning join the paper's
-// authors designed: a hierarchy is built over the build side (as); every
-// probe element (bs) descends to the lowest hierarchy node whose box
-// (expanded by Eps) could hold all its join partners and is compared only
-// against the build elements in that node's subtree, pruned by child boxes.
-func TOUCHJoin(as, bs []index.Item, opts Options) []Pair {
-	if len(as) == 0 || len(bs) == 0 {
-		return nil
-	}
-	p := Planner{}.PlanWith(AlgoTOUCH, as, bs, opts)
-	defer p.Close()
-	return p.Run()
-}
-
-// SelfTOUCHJoin joins a set with itself using TOUCH; each unordered pair is
-// reported once with A < B.
-func SelfTOUCHJoin(items []index.Item, opts Options) []Pair {
-	if len(items) < 2 {
-		return nil
-	}
-	p := Planner{}.PlanSelfWith(AlgoTOUCH, items, opts)
-	defer p.Close()
-	return p.Run()
-}
-
-// ExpectedComparisonsNestedLoop returns n*m, the comparison count of the
-// nested-loop join; used by experiments to report comparison savings.
-func ExpectedComparisonsNestedLoop(n, m int) float64 {
-	return float64(n) * float64(m)
-}
-
-// ExpectedComparisonsSelfNestedLoop returns n*(n-1)/2.
-func ExpectedComparisonsSelfNestedLoop(n int) float64 {
-	return float64(n) * float64(n-1) / 2
 }

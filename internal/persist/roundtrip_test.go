@@ -190,7 +190,7 @@ func TestRoundTripPropertyAllFamilies(t *testing.T) {
 
 // TestRoundTripJoinIdentical drives the PR-4 join machinery over the
 // recovered item set and asserts the canonical pair list matches the
-// in-memory one — for the planner's pick and for every forced algorithm.
+// in-memory one.
 func TestRoundTripJoinIdentical(t *testing.T) {
 	items, _ := datasetItems(t, true, 900, 5)
 	bounds := boundsOf(items)

@@ -14,7 +14,6 @@ import (
 	"spatialsim/internal/faultinject"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
-	"spatialsim/internal/join"
 	"spatialsim/internal/obs"
 )
 
@@ -162,7 +161,7 @@ func TestJoinTraceReportsComparisons(t *testing.T) {
 
 	tr := obs.NewTrace("/v1/join")
 	ctx := obs.WithTrace(context.Background(), tr)
-	rep := s.Query(Request{Ctx: ctx, Op: OpJoin, Join: JoinRequest{Eps: 0.5, Algo: join.AlgoGrid, Force: true}})
+	rep := s.Query(Request{Ctx: ctx, Op: OpJoin, Join: JoinRequest{Eps: 0.5}})
 	root := tr.Finish()
 	if rep.Err != nil || len(rep.Pairs) == 0 {
 		t.Fatalf("join failed: err=%v pairs=%d", rep.Err, len(rep.Pairs))

@@ -138,11 +138,11 @@ func (r Request) priority() Priority {
 	return PriorityInteractive
 }
 
-// PlanInfo reports the decisions behind one Reply: which join algorithm
-// ran, whether the result came from the epoch cache, and how many shards the
-// query fanned out to.
+// PlanInfo reports the decisions behind one Reply: the join algorithm (for
+// joins), whether the result came from the epoch cache, and how many shards
+// the query fanned out to.
 type PlanInfo struct {
-	// Algorithm is the join algorithm that executed ("" for non-joins).
+	// Algorithm is join.Algorithm for joins, "" for other reads.
 	Algorithm string `json:"algorithm,omitempty"`
 	// CacheHit is true when the result was served from the epoch cache
 	// (including coalesced waits on an in-flight identical query).
@@ -164,11 +164,10 @@ type Reply struct {
 	// it may alias the caller's buffer (or an array grown from it) and never
 	// aliases store memory such as a cache entry.
 	Items []index.Item
-	// Pairs, JoinAlgo, JoinItems, JoinCount and JoinStats hold the OpJoin
+	// Pairs, JoinItems, JoinCount and JoinStats hold the OpJoin
 	// outcome. JoinCount is the exact number of result pairs; Pairs holds
 	// the first JoinRequest.Limit of them (all when Limit <= 0).
 	Pairs     []join.Pair
-	JoinAlgo  join.Algorithm
 	JoinItems int
 	JoinCount int
 	JoinStats join.RunStats
@@ -492,16 +491,10 @@ func (s *Store) queryJoin(ctx context.Context, e *Epoch, req Request) Reply {
 	}
 	items := e.AllItems(nil, jr.Workers)
 	ps := obs.SpanFromContext(ctx).Child("join_plan")
-	pl := join.Planner{Workers: jr.Workers}
-	var plan *join.Plan
-	if jr.Force {
-		plan = pl.PlanSelfWith(jr.Algo, items, join.Options{Eps: jr.Eps})
-	} else {
-		plan = pl.PlanSelf(items, join.Options{Eps: jr.Eps})
-	}
+	plan := join.Planner{Workers: jr.Workers}.PlanSelf(items, join.Options{Eps: jr.Eps})
 	defer plan.Close()
 	if ps != nil {
-		ps.Set("algorithm", plan.Algo().String())
+		ps.Set("algorithm", join.Algorithm)
 		ps.Set("items", len(items))
 		ps.End()
 	}
@@ -509,7 +502,7 @@ func (s *Store) queryJoin(ctx context.Context, e *Epoch, req Request) Reply {
 	pairs, stats := plan.RunParallel(ctx, jr.Workers, jr.Limit)
 	rep.Counters = stats.Aggregate()
 	if js != nil {
-		js.Set("algorithm", plan.Algo().String())
+		js.Set("algorithm", join.Algorithm)
 		js.Set("pairs", int(stats.Pairs))
 		js.Set("kept", len(pairs))
 		js.Set("comparisons", rep.Counters.Comparisons)
@@ -519,11 +512,10 @@ func (s *Store) queryJoin(ctx context.Context, e *Epoch, req Request) Reply {
 	}
 
 	rep.Pairs = pairs
-	rep.JoinAlgo = plan.Algo()
 	rep.JoinItems = len(items)
 	rep.JoinCount = int(stats.Pairs)
 	rep.JoinStats = stats
-	rep.Plan.Algorithm = plan.Algo().String()
+	rep.Plan.Algorithm = join.Algorithm
 	rep.Plan.Comparisons = rep.Counters.Comparisons
 	if stats.Cancelled {
 		if len(pairs) == 0 {

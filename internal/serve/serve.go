@@ -153,8 +153,7 @@ type Config struct {
 	// is kept only for the benchmark harness (bench/), which sets the
 	// default.
 	Build ShardBuilder
-	// Planner has no effect; join.Planner picks each join's algorithm. It is
-	// kept only for the benchmark harness.
+	// Planner has no effect. It is kept only for the benchmark harness.
 	Planner *planner.Planner
 	// CacheEntries bounds the per-epoch result cache (entries per epoch,
 	// FIFO-evicted); <= 0 disables result caching. Epoch immutability makes
@@ -674,10 +673,6 @@ func (s *Store) KNN(p geom.Vec3, k int, buf []index.Item) ([]index.Item, uint64)
 type JoinRequest struct {
 	// Eps is the distance threshold between boxes; 0 means intersection join.
 	Eps float64
-	// Algo forces the algorithm when Force is set; otherwise the planner
-	// picks one from the epoch's input statistics.
-	Algo  join.Algorithm
-	Force bool
 	// Workers is the goroutine budget of the whole join — the epoch's
 	// item gather, the grid's cell assignment and the parallel task run
 	// (<= 0 uses GOMAXPROCS, bounded by the work).
@@ -702,8 +697,6 @@ func (jr JoinRequest) Validate() error {
 type JoinReply struct {
 	// Epoch is the generation the join ran against.
 	Epoch uint64
-	// Algo is the algorithm that executed (the planner's pick unless forced).
-	Algo join.Algorithm
 	// Items is the number of elements joined.
 	Items int
 	// Count is the exact number of result pairs, also when Limit kept
@@ -718,14 +711,14 @@ type JoinReply struct {
 
 // SelfJoin runs the paper's headline workload — an epsilon self-join — over
 // one pinned epoch: the epoch's items are materialized from its frozen
-// shards, the join planner picks (or is forced to) an algorithm, and the
-// plan's tasks are tiled across the worker pool. The epoch stays pinned for
+// shards, partitioned into the grid join's cells, and the plan's tasks are
+// tiled across the worker pool. The epoch stays pinned for
 // the duration, so concurrent ingestion keeps swapping generations without
 // ever tearing the join's input; the join occupies one admission slot like
 // a query. Thin wrapper over Query.
 func (s *Store) SelfJoin(req JoinRequest) JoinReply {
 	r := s.Query(Request{Op: OpJoin, Join: req})
-	return JoinReply{Epoch: r.Epoch, Algo: r.JoinAlgo, Items: r.JoinItems, Count: r.JoinCount, Pairs: r.Pairs, Stats: r.JoinStats}
+	return JoinReply{Epoch: r.Epoch, Items: r.JoinItems, Count: r.JoinCount, Pairs: r.Pairs, Stats: r.JoinStats}
 }
 
 // ShardStats is the per-shard slice of a Stats snapshot.

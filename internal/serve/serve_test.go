@@ -258,11 +258,8 @@ func TestReplyReportsPlanOnEveryOp(t *testing.T) {
 		t.Fatalf("knn plan: %+v", k.Plan)
 	}
 	j := s.Query(Request{Op: OpJoin, Join: JoinRequest{Eps: 1, Workers: 2}})
-	if j.Plan.Algorithm == "" || j.Plan.FanOut <= 0 {
-		t.Fatalf("join plan must name the algorithm and the fan-out: %+v", j.Plan)
-	}
-	if j.JoinAlgo.String() != j.Plan.Algorithm {
-		t.Fatalf("join algo %v disagrees with plan %q", j.JoinAlgo, j.Plan.Algorithm)
+	if j.Plan.Algorithm != join.Algorithm || j.Plan.FanOut <= 0 {
+		t.Fatalf("join plan must name the grid and the fan-out: %+v", j.Plan)
 	}
 }
 
@@ -511,40 +508,81 @@ func idSet(items []index.Item) map[int64]bool {
 	return m
 }
 
+// joinShape returns a self-join input's elongation (longest over
+// second-longest axis of its MBR) and coverage (summed box volume over MBR
+// volume).
+func joinShape(items []index.Item) (elongation, coverage float64) {
+	mbr := geom.EmptyAABB()
+	var vol float64
+	for _, it := range items {
+		mbr = mbr.Union(it.Box)
+		vol += it.Box.Volume()
+	}
+	d := []float64{mbr.Size().X, mbr.Size().Y, mbr.Size().Z}
+	sort.Float64s(d)
+	return d[2] / d[1], vol / mbr.Volume()
+}
+
 // TestSelfJoinMatchesReference: the epoch-pinned self-join must return
-// exactly the pair set a nested-loop join over the same items produces,
-// whichever algorithm the planner (or the caller) picks.
+// exactly the pair list a nested-loop join over the same items produces, in
+// canonical order, and under a limit its first pairs with the exact count —
+// at eps 0, 0.3 and 0.8 on the lattice set and on the inputs where the store
+// used to run another algorithm than the grid: an elongated set (the plane
+// sweep's), a dense set (TOUCH's) and a set of at most 64 items (the nested
+// loop's).
 func TestSelfJoinMatchesReference(t *testing.T) {
-	const n = 500
-	s := mustNew(t, Config{Shards: 4, Workers: 4})
-	defer s.Close()
-	items := genItems(n, 0)
-	s.Bootstrap(items)
-
-	want := join.SelfNestedLoop(items, join.Options{})
-	want = join.DedupPairs(want)
-	if len(want) == 0 {
-		t.Fatal("reference join empty; test data too sparse")
-	}
-
-	auto := s.SelfJoin(JoinRequest{Eps: 0})
-	if !reflect.DeepEqual(auto.Pairs, want) {
-		t.Fatalf("auto join (%v): %d pairs, want %d", auto.Algo, len(auto.Pairs), len(want))
-	}
-	if auto.Items != n || auto.Epoch == 0 {
-		t.Fatalf("join reply items=%d epoch=%d", auto.Items, auto.Epoch)
-	}
-	for _, algo := range []join.Algorithm{join.AlgoGrid, join.AlgoRTree, join.AlgoTOUCH} {
-		rep := s.SelfJoin(JoinRequest{Eps: 0, Algo: algo, Force: true, Workers: 4})
-		if rep.Algo != algo {
-			t.Fatalf("forced %v ran %v", algo, rep.Algo)
+	r := rand.New(rand.NewSource(61))
+	random := func(n int, span geom.Vec3, minHalf, maxHalf float64) []index.Item {
+		items := make([]index.Item, n)
+		for i := range items {
+			c := geom.V(r.Float64()*span.X, r.Float64()*span.Y, r.Float64()*span.Z)
+			h := minHalf + r.Float64()*(maxHalf-minHalf)
+			items[i] = index.Item{ID: int64(i), Box: geom.AABBFromCenter(c, geom.V(h, h, h))}
 		}
-		if !reflect.DeepEqual(rep.Pairs, want) {
-			t.Fatalf("%v: %d pairs, want %d", algo, len(rep.Pairs), len(want))
-		}
+		return items
 	}
-	if st := s.Stats(); st.Joins != 4 || st.JoinPairs != int64(4*len(want)) {
-		t.Fatalf("stats joins=%d join_pairs=%d, want 4 / %d", st.Joins, st.JoinPairs, 4*len(want))
+	elongated := random(600, geom.V(200, 8, 8), 0.2, 0.7)
+	dense := random(500, geom.V(20, 20, 20), 2, 3)
+	small := random(60, geom.V(6, 6, 6), 0, 0.8)
+	if e, _ := joinShape(elongated); e < 12 {
+		t.Fatalf("elongated set: elongation %.1f", e)
+	}
+	if e, c := joinShape(dense); c < 2 || e >= 12 {
+		t.Fatalf("dense set: coverage %.2f, elongation %.1f", c, e)
+	}
+
+	for _, in := range []struct {
+		name  string
+		items []index.Item
+	}{{"lattice", genItems(500, 0)}, {"elongated", elongated}, {"dense", dense}, {"small", small}} {
+		s := mustNew(t, Config{Shards: 4, Workers: 4})
+		s.Bootstrap(in.items)
+		var pairs int64
+		for _, eps := range []float64{0, 0.3, 0.8} {
+			want := join.DedupPairs(join.SelfNestedLoop(in.items, join.Options{Eps: eps}))
+			if len(want) == 0 {
+				t.Fatalf("%s eps=%v: reference join empty; test data too sparse", in.name, eps)
+			}
+			pairs += 2 * int64(len(want))
+			for _, limit := range []int{0, 1} {
+				rep := s.SelfJoin(JoinRequest{Eps: eps, Workers: 4, Limit: limit})
+				wantPairs := want
+				if limit > 0 {
+					wantPairs = want[:limit]
+				}
+				if !reflect.DeepEqual(rep.Pairs, wantPairs) || rep.Count != len(want) {
+					t.Fatalf("%s eps=%v limit=%d: %d pairs of count %d, want %d of %d",
+						in.name, eps, limit, len(rep.Pairs), rep.Count, len(wantPairs), len(want))
+				}
+				if rep.Items != len(in.items) || rep.Epoch == 0 {
+					t.Fatalf("%s: join reply items=%d epoch=%d", in.name, rep.Items, rep.Epoch)
+				}
+			}
+		}
+		if st := s.Stats(); st.Joins != 6 || st.JoinPairs != pairs {
+			t.Fatalf("%s: stats joins=%d join_pairs=%d, want 6 / %d", in.name, st.Joins, st.JoinPairs, pairs)
+		}
+		s.Close()
 	}
 }
 
@@ -574,8 +612,8 @@ func TestSelfJoinPinnedUnderSwaps(t *testing.T) {
 		if !reflect.DeepEqual(rep.Pairs, want) {
 			stop.Store(true)
 			wg.Wait()
-			t.Fatalf("join %d (epoch %d, %v): %d pairs, want %d — torn epoch input?",
-				i, rep.Epoch, rep.Algo, len(rep.Pairs), len(want))
+			t.Fatalf("join %d (epoch %d): %d pairs, want %d — torn epoch input?",
+				i, rep.Epoch, len(rep.Pairs), len(want))
 		}
 	}
 	stop.Store(true)
