@@ -13,12 +13,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# cpu1 runs the packages with background goroutines (snapshotter, builder,
-# fan-out stragglers, parallel joins) or buffers handed between goroutines
-# at one core, where a test that passes only because some goroutine got the
-# CPU in time fails.
+# cpu1 runs the packages with background goroutines (snapshotter, fan-out
+# stragglers, parallel joins), buffers handed between goroutines, or
+# concurrent Apply callers that must share one publish (cmd/spatialserver's
+# coalescing test) at one core, where a test that passes only because some
+# goroutine got the CPU in time fails.
 cpu1:
-	$(GO) test -count=1 -cpu=1 ./internal/serve ./internal/persist ./internal/cluster ./internal/join ./internal/httpapi
+	$(GO) test -count=1 -cpu=1 ./internal/serve ./internal/persist ./internal/cluster ./internal/join ./internal/httpapi ./cmd/spatialserver
 
 bench:
 	$(GO) test -run 'xxx' -bench . -benchtime 1x ./...

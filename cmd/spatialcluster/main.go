@@ -64,25 +64,33 @@ const drainBudget = 5 * time.Second
 
 // recoveredItems gathers the union of every node's durable state (replicas
 // overlap, so dedupe by ID; sorted for deterministic placement). Empty for
-// fresh in-memory fleets.
-func recoveredItems(nds []*cluster.Node) []index.Item {
+// fresh in-memory fleets. A node read that fails or comes back partial is
+// an error: taken for an empty or thinner fleet, it would re-bootstrap the
+// cluster without the items it missed.
+func recoveredItems(nds []*cluster.Node) ([]index.Item, error) {
 	everything := geom.NewAABB(geom.V(-1e18, -1e18, -1e18), geom.V(1e18, 1e18, 1e18))
 	seen := make(map[int64]index.Item)
 	for _, n := range nds {
-		items, _ := n.Store().RangeAll(everything, nil)
-		for _, it := range items {
+		rep := n.Store().Query(serve.Request{Op: serve.OpRange, Query: everything, NoCache: true})
+		if rep.Err != nil {
+			return nil, fmt.Errorf("reading node %s's recovered items: %w", n.Name(), rep.Err)
+		}
+		if rep.Degraded {
+			return nil, fmt.Errorf("reading node %s's recovered items: partial read: %+v", n.Name(), rep.ShardErrors)
+		}
+		for _, it := range rep.Items {
 			seen[it.ID] = it
 		}
 	}
 	if len(seen) == 0 {
-		return nil
+		return nil, nil
 	}
 	out := make([]index.Item, 0, len(seen))
 	for _, it := range seen {
 		out = append(out, it)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return out, nil
 }
 
 func main() {
@@ -148,7 +156,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 	defer co.Close()
 
-	if recovered := recoveredItems(nds); len(recovered) > 0 {
+	recovered, err := recoveredItems(nds)
+	if err != nil {
+		return err
+	}
+	if len(recovered) > 0 {
 		// The coordinator's placement and cluster epoch are process-local;
 		// only the node stores are durable. A fleet restarted over its
 		// persist directories re-bootstraps the view from the union of the

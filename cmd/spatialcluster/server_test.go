@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"spatialsim/internal/cluster"
+	"spatialsim/internal/faultinject"
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
 	"spatialsim/internal/persist"
@@ -553,8 +554,8 @@ func TestRecoveredItemsRebuildsClusterState(t *testing.T) {
 	}
 
 	nodes, co := openFleet()
-	if len(recoveredItems(nodes)) != 0 {
-		t.Fatal("fresh fleet should recover nothing")
+	if rec, err := recoveredItems(nodes); err != nil || len(rec) != 0 {
+		t.Fatalf("fresh fleet recovered %d items, err %v; want none", len(rec), err)
 	}
 	if _, err := co.Bootstrap(items); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
@@ -571,7 +572,18 @@ func TestRecoveredItemsRebuildsClusterState(t *testing.T) {
 	}
 
 	nodes2, co2 := openFleet()
-	rec := recoveredItems(nodes2)
+	// A shard that fails its read fails the recovery read loudly instead of
+	// passing for a thinner fleet.
+	faultinject.Enable(serve.FaultShardVisit, faultinject.Spec{ErrRate: 1, Count: 1})
+	if rec, err := recoveredItems(nodes2); err == nil {
+		faultinject.Reset()
+		t.Fatalf("a failed shard read recovered %d items and no error", len(rec))
+	}
+	faultinject.Reset()
+	rec, err := recoveredItems(nodes2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rec) != 300 {
 		t.Fatalf("recovered %d items, want 300 (299 originals + upsert, delete gone)", len(rec))
 	}

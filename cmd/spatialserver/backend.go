@@ -15,7 +15,7 @@ type storeBackend struct{ store *serve.Store }
 func (b storeBackend) Query(req serve.Request) httpapi.Result { return storeResult(b.store.Query(req)) }
 
 func (b storeBackend) Apply(ctx context.Context, batch []serve.Update) (uint64, error) {
-	return b.store.ApplyCtx(ctx, batch), nil
+	return b.store.ApplyCtx(ctx, batch)
 }
 
 func (b storeBackend) Stats() any { return b.store.Stats() }

@@ -158,7 +158,10 @@ func run(args []string, stdout io.Writer) error {
 		for i := range d.Elements {
 			items[i] = index.Item{ID: d.Elements[i].ID, Box: d.Elements[i].Box}
 		}
-		epoch := store.Bootstrap(items)
+		epoch, err := store.Bootstrap(items)
+		if err != nil {
+			return err
+		}
 		logger.Info("bootstrapped dataset", "elements", len(items), "epoch", epoch)
 	}
 

@@ -8,10 +8,15 @@ import (
 	"regexp"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"spatialsim/internal/geom"
+	"spatialsim/internal/index"
 	"spatialsim/internal/persist"
+	"spatialsim/internal/rtree"
 	"spatialsim/internal/serve"
 )
 
@@ -95,12 +100,12 @@ func v1Replies(t *testing.T, store *serve.Store) []string {
 }
 
 // TestTileTableRepliesByteIdentical: the same batches applied one by one,
-// coalesced through Enqueue, and replayed from the WAL after a crash give
-// byte-identical /v1 replies — the tile layout is a function of the staged
-// batches, not of how they were grouped into epochs.
+// by concurrent Apply callers that share one publish, and replayed from the
+// WAL after a crash give byte-identical /v1 replies — the tile layout is a
+// function of the staged batches, not of how they were grouped into epochs.
 func TestTileTableRepliesByteIdentical(t *testing.T) {
 	batches := tileWorkload(7)
-	cfg := serve.Config{Shards: 2, Workers: 2, IngestQueue: len(batches)}
+	cfg := serve.Config{Shards: 2, Workers: 2}
 
 	one, err := serve.New(cfg)
 	if err != nil {
@@ -112,14 +117,51 @@ func TestTileTableRepliesByteIdentical(t *testing.T) {
 	}
 	want := v1Replies(t, one)
 
-	co, err := serve.New(cfg)
-	if err != nil {
+	// Coalesced: the first publish is held inside its shard builds, under
+	// the store's build lock, while the other batches are applied by one
+	// caller each, started once the previous caller's batch is staged. The
+	// next publish then holds every one of them, and no later publish
+	// builds a tile.
+	gate := make(chan struct{})
+	var co *serve.Store
+	var held atomic.Bool
+	var laterBuilds atomic.Int64
+	ccfg := cfg
+	ccfg.Build = func(items []index.Item) *rtree.Compact {
+		held.Store(true)
+		<-gate
+		if co.Current().Seq() >= 2 {
+			laterBuilds.Add(1)
+		}
+		return rtree.FreezeItems(items, rtree.Config{})
+	}
+	if co, err = serve.New(ccfg); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range batches {
-		co.Enqueue(slices.Clone(b))
+	var wg sync.WaitGroup
+	staged := int64(0)
+	for i, b := range batches {
+		wg.Add(1)
+		go func(b []serve.Update) {
+			defer wg.Done()
+			if _, err := co.Apply(b); err != nil {
+				t.Errorf("apply: %v", err)
+			}
+		}(slices.Clone(b))
+		deadline := time.Now().Add(10 * time.Second)
+		for staged += int64(len(b)); co.Stats().UpdatesStaged < staged || (i == 0 && !held.Load()); time.Sleep(20 * time.Microsecond) {
+			// The first publish holds the first batch alone.
+			if time.Now().After(deadline) {
+				close(gate)
+				t.Fatal("an Apply did not stage its batch while a publish held the build lock")
+			}
+		}
 	}
-	co.Close() // drains the queue
+	close(gate)
+	wg.Wait()
+	if n, swaps := laterBuilds.Load(), co.Stats().EpochSwaps; n != 0 || swaps != int64(len(batches)) {
+		t.Fatalf("coalesced: %d tile builds after the second publish, %d publishes for %d batches", n, swaps, len(batches))
+	}
 	for i, got := range v1Replies(t, co) {
 		if got != want[i] {
 			t.Fatalf("coalesced reply %d differs:\n%.300s\nwant\n%.300s", i, got, want[i])

@@ -51,9 +51,9 @@
 //     for the bench/ harness;
 //   - internal/par — the worker pool every parallel path shares
 //     (ForTasks/ForTasksCtx/ForChunks, one worker-budget rule: <= 0 means
-//     GOMAXPROCS), a leaf below the index families: their parallel bulk
-//     loads (STR sort-tile slabs, grid cell bands, octants built
-//     concurrently), join.Plan.RunParallel (plan tasks tiled over the pool,
+//     GOMAXPROCS), a leaf below the grid and octree: their parallel bulk
+//     loads (grid cell bands, octants built concurrently),
+//     join.Plan.RunParallel (plan tasks tiled over the pool,
 //     gathered by one distribution sort of the disjoint task outputs — no
 //     merge, no dedup), segment decoding at recovery, full epoch builds and
 //     the simulator's monitoring queries;

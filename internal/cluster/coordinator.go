@@ -224,8 +224,16 @@ func (c *Coordinator) maybeRetireView(v *View) {
 }
 
 // Bootstrap computes the placement from the initial dataset (first call
-// only) and publishes cluster epoch 1 containing it.
+// only) and publishes cluster epoch 1 containing it. A dataset
+// serve.ValidateBatch refuses is refused before any placement.
 func (c *Coordinator) Bootstrap(items []index.Item) (uint64, error) {
+	batch := make([]serve.Update, len(items))
+	for i, it := range items {
+		batch[i] = serve.Update{ID: it.ID, Box: it.Box}
+	}
+	if err := serve.ValidateBatch(batch); err != nil {
+		return 0, err
+	}
 	c.applyMu.Lock()
 	defer c.applyMu.Unlock()
 	if len(c.place.Load().tiles) == 0 {
@@ -235,10 +243,6 @@ func (c *Coordinator) Bootstrap(items []index.Item) (uint64, error) {
 		for t := range c.tileMBR {
 			c.tileMBR[t] = geom.EmptyAABB()
 		}
-	}
-	batch := make([]serve.Update, len(items))
-	for i, it := range items {
-		batch[i] = serve.Update{ID: it.ID, Box: it.Box}
 	}
 	return c.applyLocked(context.Background(), batch)
 }
@@ -254,8 +258,12 @@ func (c *Coordinator) Apply(batch []serve.Update) (uint64, error) {
 
 // ApplyCtx is Apply with the caller's context threaded through to the node
 // stages (tracing; staging is not cancelled midway — publish still requires
-// every ack).
+// every ack). A batch serve.ValidateBatch refuses is refused before routing,
+// so no node stages it.
 func (c *Coordinator) ApplyCtx(ctx context.Context, batch []serve.Update) (uint64, error) {
+	if err := serve.ValidateBatch(batch); err != nil {
+		return 0, err
+	}
 	c.applyMu.Lock()
 	defer c.applyMu.Unlock()
 	if len(c.place.Load().tiles) == 0 {

@@ -53,7 +53,8 @@ func (n *Node) hit(ctx context.Context, point string) error {
 }
 
 // Stage implements Transport by applying the sub-batch synchronously to the
-// wrapped store.
+// wrapped store; a batch the store refuses (serve.ValidateBatch) fails the
+// stage with the store's error.
 func (n *Node) Stage(ctx context.Context, batch []serve.Update) (uint64, error) {
 	if n.down.Load() {
 		return 0, fmt.Errorf("%w: %s", ErrNodeDown, n.name)
@@ -61,7 +62,7 @@ func (n *Node) Stage(ctx context.Context, batch []serve.Update) (uint64, error) 
 	if err := n.hit(ctx, FaultNodeStage); err != nil {
 		return 0, fmt.Errorf("cluster: stage %s: %w", n.name, err)
 	}
-	return n.store.ApplyCtx(ctx, batch), nil
+	return n.store.ApplyCtx(ctx, batch)
 }
 
 // Pin implements Transport.

@@ -146,6 +146,8 @@ var ErrorClasses = []ErrorClass{
 	{context.Canceled, http.StatusServiceUnavailable, "canceled", false},
 	{serve.ErrUnavailable, http.StatusServiceUnavailable, "unavailable", true},
 	{serve.ErrNotBootstrapped, http.StatusConflict, "conflict", false},
+	{serve.ValidateBatch([]serve.Update{{ID: 1, Box: geom.AABB{Min: geom.V(2, 2, 2), Max: geom.V(1, 1, 1)}}}),
+		http.StatusBadRequest, "bad_request", false},
 	{fmt.Errorf("cluster: epoch 2 stage on n1 failed, %w (readers stay on epoch 1): %w",
 		serve.ErrSwapAborted, cluster.ErrNodeDown), http.StatusServiceUnavailable, "swap_aborted", true},
 	{errors.New("disk on fire"), http.StatusInternalServerError, "internal", false},

@@ -290,13 +290,12 @@ func TestParallelBulkLoadMatchesSequential(t *testing.T) {
 }
 
 // TestParallelBulkLoadReloads asserts a parallel load fully replaces earlier
-// contents, exactly like BulkLoad.
+// contents, exactly like BulkLoad, for every family with a parallel loader.
 func TestParallelBulkLoadReloads(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	first := loaderItems(r, 9000)
 	second := loaderItems(r, 8192)
 	for _, ix := range []index.Index{
-		rtree.NewDefault(),
 		grid.New(grid.Config{Universe: conformanceUniverse(), CellsPerDim: 12}),
 		octree.New(octree.Config{Universe: conformanceUniverse(), LeafCapacity: 10, MaxDepth: 7}),
 		core.New(core.Config{Universe: conformanceUniverse(), CellsPerDim: 12}),

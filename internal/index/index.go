@@ -102,8 +102,8 @@ type BulkLoader interface {
 }
 
 // ParallelBulkLoader is implemented by indexes whose bulk construction can be
-// decomposed into concurrently-built spatial partitions (STR-style sort-tile
-// slabs for the R-Tree family, cell stripes for grids, octants for octrees).
+// decomposed into concurrently-built spatial partitions (cell stripes for
+// grids, octants for octrees).
 // ParallelBulkLoad with workers <= 1 must be semantically identical to
 // BulkLoad; with more workers it must produce an index answering every query
 // exactly like its sequential counterpart.

@@ -42,22 +42,6 @@ func BenchmarkBulkLoad(b *testing.B) {
 	}
 }
 
-func BenchmarkParallelBulkLoad_Sequential(b *testing.B) {
-	items, _ := neuronBenchItems(100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NewDefault().BulkLoad(items)
-	}
-}
-
-func BenchmarkParallelBulkLoad_Workers8(b *testing.B) {
-	items, _ := neuronBenchItems(100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NewDefault().ParallelBulkLoad(items, 8)
-	}
-}
-
 func BenchmarkRangeQuery(b *testing.B) {
 	items, u := neuronBenchItems(50000)
 	t := NewDefault()

@@ -49,7 +49,10 @@ func (t *Tree) strPack(entries []entry, leaf bool) []*node {
 	if n <= m {
 		return []*node{{leaf: leaf, entries: append([]entry(nil), entries...)}}
 	}
-	slabSize, runSize := t.strTiling(n)
+	// Slabs of s*s*m entries cut by X, runs of s*m entries cut by Y, nodes
+	// of m entries cut by Z, with s the cube root of the page count.
+	s := max(int(math.Ceil(math.Cbrt(float64((n+m-1)/m)))), 1)
+	slabSize, runSize := s*s*m, s*m
 
 	sortByCenter(entries, 0)
 	var nodes []*node
@@ -57,27 +60,21 @@ func (t *Tree) strPack(entries []entry, leaf bool) []*node {
 		slab := entries[i:minInt(i+slabSize, n)]
 		nodes = append(nodes, packTiles(slab, leaf, runSize, m)...)
 	}
-	t.rebalanceLastNode(nodes)
-	return nodes
-}
-
-// strTiling returns the STR slab and run sizes for n entries: slabs of
-// s*s*m entries cut by X, runs of s*m entries cut by Y, nodes of m entries
-// cut by Z, with s the cube root of the page count.
-func (t *Tree) strTiling(n int) (slabSize, runSize int) {
-	m := t.maxEntries
-	pages := (n + m - 1) / m
-	s := int(math.Ceil(math.Cbrt(float64(pages))))
-	if s < 1 {
-		s = 1
+	if len(nodes) > 1 {
+		last := nodes[len(nodes)-1]
+		if len(last.entries) < t.minEntries {
+			prev := nodes[len(nodes)-2]
+			merged := append(prev.entries, last.entries...)
+			half := (len(merged) + 1) / 2
+			prev.entries = merged[:half]
+			last.entries = append([]entry(nil), merged[half:]...)
+		}
 	}
-	return s * s * m, s * m
+	return nodes
 }
 
 // packTiles packs one X-slab into nodes: sort the slab by Y center, cut it
 // into runs, sort each run by Z center and emit nodes of at most m entries.
-// It touches only the given slab, so distinct slabs can be packed by
-// concurrent goroutines.
 func packTiles(slab []entry, leaf bool, runSize, m int) []*node {
 	var nodes []*node
 	sortByCenter(slab, 1)
@@ -90,22 +87,6 @@ func packTiles(slab []entry, leaf bool, runSize, m int) []*node {
 		}
 	}
 	return nodes
-}
-
-// rebalanceLastNode fixes the one node a full STR pass can leave underfull:
-// only the globally last node can come out below the minimum occupancy, and
-// it is rebalanced with its predecessor.
-func (t *Tree) rebalanceLastNode(nodes []*node) {
-	if len(nodes) > 1 {
-		last := nodes[len(nodes)-1]
-		if len(last.entries) < t.minEntries {
-			prev := nodes[len(nodes)-2]
-			merged := append(prev.entries, last.entries...)
-			half := (len(merged) + 1) / 2
-			prev.entries = merged[:half]
-			last.entries = append([]entry(nil), merged[half:]...)
-		}
-	}
 }
 
 func sortByCenter(entries []entry, axis int) {

@@ -126,24 +126,22 @@ func (c *epochCache) size() int {
 	return len(c.entries)
 }
 
-// rangeKey and knnKey fingerprint a query exactly (bit-for-bit on the float
-// parameters): the cache must never conflate two queries, and near-miss reuse
-// is the coalescing window's job, not the key's. Both return fixed arrays
-// (callers slice them) so the hit path builds its key on the stack.
-func rangeKey(q geom.AABB) [1 + 6*8]byte {
-	var b [1 + 6*8]byte
+// itemsKey fingerprints a materialising range or kNN exactly (bit-for-bit on
+// the float parameters): the cache must never conflate two queries, and
+// near-miss reuse is the coalescing window's job, not the key's. It returns a
+// fixed array and the length in use, so the hit path builds its key on the
+// stack.
+func itemsKey(req *Request) (b [1 + 6*8]byte, n int) {
+	if req.Op == OpKNN {
+		b[0] = 'k'
+		putVec(b[1:], req.Point)
+		binary.LittleEndian.PutUint64(b[25:], uint64(req.K))
+		return b, 1 + 3*8 + 8
+	}
 	b[0] = 'r'
-	putVec(b[1:], q.Min)
-	putVec(b[25:], q.Max)
-	return b
-}
-
-func knnKey(p geom.Vec3, k int) [1 + 3*8 + 8]byte {
-	var b [1 + 3*8 + 8]byte
-	b[0] = 'k'
-	putVec(b[1:], p)
-	binary.LittleEndian.PutUint64(b[25:], uint64(k))
-	return b
+	putVec(b[1:], req.Query.Min)
+	putVec(b[25:], req.Query.Max)
+	return b, len(b)
 }
 
 func putVec(b []byte, v geom.Vec3) {

@@ -78,12 +78,12 @@ func TestCacheHitDoesNotAliasCallerBuffers(t *testing.T) {
 	s.Bootstrap(genItems(50, 0))
 	q := geom.NewAABB(geom.V(-1, -1, -1), geom.V(40, 40, 10))
 
-	first, _ := s.RangeAll(q, nil)
+	first, _ := rangeAll(t, s, q, nil)
 	// Mutating the returned slice must not poison later cache hits.
 	for i := range first {
 		first[i].ID = -999
 	}
-	second, _ := s.RangeAll(q, nil)
+	second, _ := rangeAll(t, s, q, nil)
 	for _, it := range second {
 		if it.ID == -999 {
 			t.Fatal("cache entry aliased a caller-visible buffer")
@@ -108,7 +108,7 @@ func TestCacheCoalescingUnderConcurrency(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			start.Wait()
-			items, _ := s.RangeAll(q, nil)
+			items, _ := rangeAll(t, s, q, nil)
 			results[g] = sortedIDs(items)
 		}(g)
 	}
@@ -167,10 +167,10 @@ func TestStreamingRangeBypassesCache(t *testing.T) {
 	// Streaming with early stop must not poison the cache with a truncated
 	// result set.
 	seen := 0
-	s.Range(q, func(index.Item) bool {
+	checkedQuery(t, s, Request{Op: OpRange, Query: q, Visit: func(index.Item) bool {
 		seen++
 		return seen < 3
-	})
+	}})
 	r := s.Query(Request{Op: OpRange, Query: q})
 	if r.Plan.CacheHit {
 		t.Fatal("materialized query hit a cache entry a streaming query should never have created")

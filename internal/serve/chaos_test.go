@@ -142,7 +142,7 @@ func TestChaosSoak(t *testing.T) {
 		// Recovery gate: everything the store recovered must be
 		// history-consistent (an older box or a resurrected delete is legal
 		// when WAL appends were failing; an unknown box is not).
-		recovered, _ := store.RangeAll(universe, nil)
+		recovered, _ := rangeAll(t, store, universe, nil)
 		for _, it := range recovered {
 			if msg := hist.validate(it, universe); msg != "" {
 				t.Fatalf("round %d: recovery served a wrong answer: %s", round, msg)
@@ -239,7 +239,7 @@ func TestChaosSoak(t *testing.T) {
 		final := []Update{{ID: 0, Box: genBox(0, int(gen.Add(1)))}}
 		hist.stage(final)
 		store.Apply(final)
-		items, _ := store.RangeAll(universe, nil)
+		items, _ := rangeAll(t, store, universe, nil)
 		want := hist.snapshotCurrent()
 		if len(items) != len(want) {
 			t.Fatalf("round %d quiesce: store holds %d items, truth holds %d", round, len(items), len(want))

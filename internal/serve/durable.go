@@ -8,27 +8,27 @@ package serve
 // rebuilt from records, when snapshots happen).
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"spatialsim/internal/persist"
 )
 
-// Open constructs a store and starts its background workers. With
-// Config.Persist set it first recovers: the newest verifiable epoch snapshot
-// is loaded (its R-Tree shards serve directly as overlays of the segment
-// images), the tile table is re-seeded from it (one tile per persisted
-// shard), and the WAL tail beyond the snapshot is replayed batch
-// by batch — reproducing the pre-crash content, tile layout and epoch
-// sequence numbers. Open fails (rather than serving torn data) only when
-// snapshots exist but none verifies.
+// Open constructs a store. With Config.Persist set it first recovers: the
+// newest verifiable epoch snapshot is loaded (its R-Tree shards serve
+// directly as overlays of the segment images), the tile table is re-seeded
+// from it (one tile per persisted shard), and the WAL tail beyond the
+// snapshot is replayed batch by batch — reproducing the pre-crash content,
+// tile layout and epoch sequence numbers — and then the snapshotter starts,
+// the only goroutine a Store runs of its own. Open fails (rather than
+// serving torn data) only when snapshots exist but none verifies.
 func Open(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	s := &Store{
-		cfg:     cfg,
-		tiles:   newTileTable(cfg.Shards),
-		sem:     make(chan struct{}, cfg.MaxInFlight),
-		updates: make(chan []Update, cfg.IngestQueue),
+		cfg:   cfg,
+		tiles: newTileTable(cfg.Shards),
+		sem:   make(chan struct{}, cfg.MaxInFlight),
 	}
 	s.releaseSlot = func() {
 		s.inFlight.Add(-1)
@@ -51,9 +51,6 @@ func Open(cfg Config) (*Store, error) {
 	// Metrics come online after recovery: replayed batches are rebuild work,
 	// not serving traffic, so they stay out of the latency histograms.
 	s.initMetrics(cfg.Metrics)
-
-	s.wg.Add(1)
-	go s.builderLoop()
 	return s, nil
 }
 
@@ -126,7 +123,7 @@ func (s *Store) recoverFromPersist() error {
 		s.stagingMu.Lock()
 		s.stagedSeq = br.Seq
 		s.stagingMu.Unlock()
-		s.applyBatch(br.Updates, false)
+		s.applyBatchCtx(context.Background(), br.Updates, false)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"regexp"
 	"runtime"
@@ -44,8 +46,8 @@ func openDurable(t *testing.T, dir string, cfg Config) (*Store, *persist.Store) 
 func queryFingerprint(t *testing.T, st *Store) (uint64, []index.Item, []index.Item) {
 	t.Helper()
 	rq := geom.NewAABB(geom.V(20, 20, 20), geom.V(60, 60, 60))
-	rItems, rEpoch := st.RangeAll(rq, nil)
-	kItems, kEpoch := st.KNN(geom.V(50, 50, 50), 12, nil)
+	rItems, rEpoch := rangeAll(t, st, rq, nil)
+	kItems, kEpoch := knnAll(t, st, geom.V(50, 50, 50), 12, nil)
 	if rEpoch != kEpoch {
 		t.Fatalf("epoch moved between queries: %d vs %d", rEpoch, kEpoch)
 	}
@@ -96,7 +98,7 @@ func TestDurableCleanRestartIsIdentical(t *testing.T) {
 		t.Fatalf("knn results differ after restart")
 	}
 	// And the restarted store keeps working: a new batch lands in epoch 4.
-	if seq := st2.Apply([]Update{{ID: 6000, Box: geom.NewAABB(geom.V(3, 3, 3), geom.V(4, 4, 4))}}); seq != 4 {
+	if seq, _ := st2.Apply([]Update{{ID: 6000, Box: geom.NewAABB(geom.V(3, 3, 3), geom.V(4, 4, 4))}}); seq != 4 {
 		t.Fatalf("apply after restart produced epoch %d, want 4", seq)
 	}
 }
@@ -201,7 +203,7 @@ func TestSkippedSnapshotsCarryOnlyPersistedImages(t *testing.T) {
 			it := items[r.Intn(len(items))]
 			batch[j] = Update{ID: it.ID, Box: it.Box.Translate(geom.V(0.5, 0, 0))}
 		}
-		if seq := st.Apply(batch); seq-saved >= uint64(cfg.SnapshotEvery) {
+		if seq, _ := st.Apply(batch); seq-saved >= uint64(cfg.SnapshotEvery) {
 			awaitPersisted(t, st, seq)
 			saved = seq
 		}
@@ -228,5 +230,112 @@ func TestSkippedSnapshotsCarryOnlyPersistedImages(t *testing.T) {
 		if !sameItems(gotRange, wantRange) || !sameItems(gotKNN, wantKNN) {
 			t.Fatalf("%v: recovered epoch %d answers differently", serving, epoch)
 		}
+	}
+}
+
+// TestApplyRefusesInvalidBoxes: a batch with a NaN or infinite corner, or an
+// inverted box, is refused whole with ErrBadRequest before anything is
+// staged or journaled — the epoch, the item count, the staged-update count,
+// the WAL and the served self-join are exactly as before — while deletes
+// need no box. Bootstrap refuses the same way.
+func TestApplyRefusesInvalidBoxes(t *testing.T) {
+	st, ps := openDurable(t, t.TempDir(), Config{Shards: 2, Workers: 2})
+	defer ps.Close()
+	defer st.Close()
+	if _, err := st.Bootstrap(durableItems(400, 5)); err != nil {
+		t.Fatal(err)
+	}
+	join := func() int { return st.SelfJoin(JoinRequest{Eps: 0.5, Workers: 2}).Count }
+	state := func() [5]int64 {
+		s := st.Stats()
+		return [5]int64{int64(s.Epoch), int64(s.Items), s.UpdatesStaged, s.Durability.BatchesLogged, int64(join())}
+	}
+	before := state()
+	if before[4] == 0 {
+		t.Fatal("the self-join finds no pair: the check below would be vacuous")
+	}
+	good := Update{ID: 9000, Box: geom.NewAABB(geom.V(1, 1, 1), geom.V(2, 2, 2))}
+	inf := math.Inf(1)
+	for name, box := range map[string]geom.AABB{
+		"nan":      {Min: geom.V(math.NaN(), 0, 0), Max: geom.V(1, 1, 1)},
+		"+inf":     {Min: geom.V(0, 0, 0), Max: geom.V(1, inf, 1)},
+		"-inf":     {Min: geom.V(0, 0, -inf), Max: geom.V(1, 1, 1)},
+		"inverted": {Min: geom.V(0, 2, 0), Max: geom.V(1, 1, 1)},
+	} {
+		batch := []Update{good, {ID: 3, Delete: true}, {ID: 9001, Box: box}}
+		if seq, err := st.Apply(batch); !errors.Is(err, ErrBadRequest) || seq != 0 {
+			t.Fatalf("%s: Apply = %d, %v; want 0 and ErrBadRequest", name, seq, err)
+		}
+		if got := state(); got != before {
+			t.Fatalf("%s: a refused batch changed the store: %v, before %v", name, got, before)
+		}
+	}
+	if _, err := st.Apply([]Update{{ID: 3, Delete: true}, good}); err != nil {
+		t.Fatalf("a valid batch with a zero-box delete: %v", err)
+	}
+
+	fresh := mustNew(t, Config{Shards: 2, Workers: 2})
+	items := durableItems(50, 6)
+	items[17].Box.Max.Z = math.NaN()
+	if _, err := fresh.Bootstrap(items); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("Bootstrap with a NaN corner: %v, want ErrBadRequest", err)
+	}
+	if s := fresh.Stats(); s.Epoch != 0 || s.Items != 0 || s.UpdatesStaged != 0 {
+		t.Fatalf("a refused Bootstrap changed the store: epoch %d, %d items, %d staged", s.Epoch, s.Items, s.UpdatesStaged)
+	}
+}
+
+// storeGoroutines counts the live goroutines a serve function started and,
+// of those, the ones running the snapshotter.
+func storeGoroutines() (all, snapshotters int) {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			continue
+		}
+		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+			if strings.Contains(g, "\ncreated by spatialsim/internal/serve.") {
+				all++
+				if strings.Contains(g, "serve.(*Store).snapshotLoop") {
+					snapshotters++
+				}
+			}
+		}
+		return all, snapshotters
+	}
+}
+
+// TestStoreStartsOnlyTheSnapshotter: an in-memory store runs no goroutine
+// of its own, not even after it applied and answered; a durable one runs
+// exactly its snapshotter, and Close stops it.
+func TestStoreStartsOnlyTheSnapshotter(t *testing.T) {
+	base, baseSnap := storeGoroutines()
+	settle := func(want int) (all, snap int) {
+		all, snap = storeGoroutines()
+		for deadline := time.Now().Add(2 * time.Second); all != want && time.Now().Before(deadline); all, snap = storeGoroutines() {
+			time.Sleep(time.Millisecond)
+		}
+		return all, snap
+	}
+	mem := mustNew(t, Config{Shards: 2, Workers: 2})
+	mem.Bootstrap(durableItems(300, 1))
+	mem.Apply([]Update{{ID: 1, Delete: true}})
+	knnAll(t, mem, geom.V(50, 50, 50), 3, nil)
+	if got, _ := settle(base); got != base {
+		t.Fatalf("an in-memory store left %d goroutines running", got-base)
+	}
+	mem.Close()
+
+	st, ps := openDurable(t, t.TempDir(), Config{Shards: 2, Workers: 2})
+	defer ps.Close()
+	st.Bootstrap(durableItems(300, 1))
+	if got, snap := settle(base + 1); got != base+1 || snap != baseSnap+1 {
+		t.Fatalf("a durable store runs %d goroutines (%d snapshotters), want only the snapshotter", got-base, snap-baseSnap)
+	}
+	st.Close()
+	if got, _ := settle(base); got != base {
+		t.Fatalf("Close left %d goroutines running", got-base)
 	}
 }

@@ -270,6 +270,25 @@ func (e *Epoch) rangeVisitCtx(ctx context.Context, query geom.AABB, visit func(i
 	return out
 }
 
+// rangeIntoCtx is the materializing form of rangeVisitCtx: it appends every
+// match to buf and returns the extended slice.
+func (e *Epoch) rangeIntoCtx(ctx context.Context, query geom.AABB, buf []index.Item) ([]index.Item, visitOutcome) {
+	out := e.rangeVisitCtx(ctx, query, func(it index.Item) bool {
+		buf = index.AppendItem(buf, it)
+		return true
+	})
+	return buf, out
+}
+
+// collect runs a materializing read's executor — a range or a kNN — and
+// appends its results to buf.
+func (e *Epoch) collect(ctx context.Context, req *Request, buf []index.Item) ([]index.Item, visitOutcome) {
+	if req.Op == OpKNN {
+		return e.knnIntoCtx(ctx, req.Point, req.K, buf)
+	}
+	return e.rangeIntoCtx(ctx, req.Query, buf)
+}
+
 // Bounds returns the union of the epoch's shard MBRs — the tight extent of
 // everything the epoch serves.
 func (e *Epoch) Bounds() geom.AABB { return e.bounds }
@@ -500,6 +519,15 @@ func (e *Epoch) planRange(q geom.AABB) int {
 		}
 	}
 	return fan
+}
+
+// fanOut is the plan report of a materializing read: planRange for a range,
+// planAll for a kNN.
+func (e *Epoch) fanOut(req *Request) int {
+	if req.Op == OpKNN {
+		return e.planAll()
+	}
+	return e.planRange(req.Query)
 }
 
 // planAll is planRange for whole-epoch operations (kNN merges, joins):

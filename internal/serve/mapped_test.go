@@ -112,17 +112,17 @@ func TestMappedServingAcceptsUpdatesAndUnmapsOnRetire(t *testing.T) {
 	st, ps := openDurable(t, dir, mCfg)
 	defer func() { st.Close(); ps.Close() }()
 
-	before, _ := st.RangeAll(geom.NewAABB(geom.V(0, 0, 0), geom.V(100, 100, 100)), nil)
+	before, _ := rangeAll(t, st, geom.NewAABB(geom.V(0, 0, 0), geom.V(100, 100, 100)), nil)
 
 	// The first Apply seeds staging from the mapped epoch, merges the batch,
 	// and publishes a heap epoch; the recovered epoch retires and the
 	// mapping must be released.
 	box := geom.NewAABB(geom.V(200, 200, 200), geom.V(201, 201, 201))
-	next := st.Apply([]Update{{ID: 7777, Box: box}, {ID: 1, Delete: true}})
+	next, _ := st.Apply([]Update{{ID: 7777, Box: box}, {ID: 1, Delete: true}})
 	if next != epoch+1 {
 		t.Fatalf("post-recovery apply published epoch %d, want %d", next, epoch+1)
 	}
-	after, _ := st.RangeAll(geom.NewAABB(geom.V(0, 0, 0), geom.V(300, 300, 300)), nil)
+	after, _ := rangeAll(t, st, geom.NewAABB(geom.V(0, 0, 0), geom.V(300, 300, 300)), nil)
 	if len(after) != len(before) { // +1 insert -1 delete
 		t.Fatalf("post-apply epoch holds %d items in range, want %d", len(after), len(before))
 	}
@@ -151,7 +151,7 @@ func TestMappedServingAcceptsUpdatesAndUnmapsOnRetire(t *testing.T) {
 	if got := st2.Recovery().Epoch; got != next {
 		t.Fatalf("second mapped recovery epoch %d, want %d", got, next)
 	}
-	again, _ := st2.RangeAll(geom.NewAABB(geom.V(0, 0, 0), geom.V(300, 300, 300)), nil)
+	again, _ := rangeAll(t, st2, geom.NewAABB(geom.V(0, 0, 0), geom.V(300, 300, 300)), nil)
 	if !sameItems(again, after) {
 		t.Fatalf("second mapped recovery diverges: %d items, want %d", len(again), len(after))
 	}

@@ -59,10 +59,10 @@ func TestPlannerConformsToEveryStaticConfiguration(t *testing.T) {
 				box := geom.NewAABB(lo, lo.Add(ext))
 				// Every query repeats to drive the cache path.
 				for rep := 0; rep < 2; rep++ {
-					got, _ := auto.RangeAll(box, nil)
+					got, _ := rangeAll(t, auto, box, nil)
 					want := sortedIDs(got)
 					for name, st := range statics {
-						ref, _ := st.RangeAll(box, nil)
+						ref, _ := rangeAll(t, st, box, nil)
 						if !reflect.DeepEqual(want, sortedIDs(ref)) {
 							t.Fatalf("range %v: planner store answered %d items, static %s answered %d", box, len(got), name, len(ref))
 						}
@@ -74,10 +74,10 @@ func TestPlannerConformsToEveryStaticConfiguration(t *testing.T) {
 				p := geom.V(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
 				k := 1 + rng.Intn(20)
 				for rep := 0; rep < 2; rep++ {
-					got, _ := auto.KNN(p, k, nil)
+					got, _ := knnAll(t, auto, p, k, nil)
 					want := rankDistances(got, p)
 					for name, st := range statics {
-						ref, _ := st.KNN(p, k, nil)
+						ref, _ := knnAll(t, st, p, k, nil)
 						refD := rankDistances(ref, p)
 						if !reflect.DeepEqual(want, refD) {
 							t.Fatalf("knn p=%v k=%d: planner store distances %v, static %s distances %v", p, k, want, name, refD)

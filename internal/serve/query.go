@@ -3,8 +3,10 @@ package serve
 // The unified query entry point: every read the store serves — single range,
 // single kNN, epoch self-joins — is one Store.Query call, so admission
 // control, epoch pinning, deadlines, caching and plan reporting happen in
-// exactly one place. The named methods (Range, KNN, SelfJoin, ...) are thin
-// wrappers that fill a Request and reshape the Reply.
+// exactly one place. A materialising range and a kNN share one cache
+// protocol and one uncached path; they differ only in the cache key, the
+// fan-out count and the executor. SelfJoin is the one named method left: it
+// reshapes a join Reply for the benchmark harness.
 //
 // Robustness contract (the graceful-degradation shape a future multi-node
 // coordinator inherits per shard):
@@ -247,13 +249,13 @@ func (s *Store) queryOn(req Request, pinned *Epoch) Reply {
 	}
 	root.Set("epoch", e.seq)
 	var rep Reply
-	switch req.Op {
-	case OpKNN:
-		rep = s.queryKNN(ctx, e, req)
-	case OpJoin:
+	switch {
+	case req.Op == OpJoin:
 		rep = s.queryJoin(ctx, e, req)
+	case req.Op == OpRange && req.Visit != nil:
+		rep = s.queryVisit(ctx, e, req.Query, req.Visit)
 	default:
-		rep = s.queryRange(ctx, e, req)
+		rep = s.queryItems(ctx, e, &req)
 	}
 	if rep.Degraded {
 		s.degraded.Add(1)
@@ -298,99 +300,95 @@ func (rep *Reply) finishOutcome(ctx context.Context, out visitOutcome, gathered 
 	rep.ShardErrors = out.errs
 }
 
-func (s *Store) queryRange(ctx context.Context, e *Epoch, req Request) Reply {
-	span := obs.SpanFromContext(ctx)
+// queryVisit streams a range query's matches to visit: no cache, early stop
+// allowed.
+func (s *Store) queryVisit(ctx context.Context, e *Epoch, q geom.AABB, visit func(index.Item) bool) Reply {
 	rep := Reply{Epoch: e.seq}
-
-	if req.Visit != nil {
-		var n int64
-		// Capture only the visitor func: the closure escapes into the visit
-		// machinery, and grabbing all of req would drag the whole request to
-		// the heap — on every path through this function, cached hits included.
-		visit := req.Visit
-		out := e.rangeVisitCtx(ctx, req.Query, func(it index.Item) bool {
-			n++
-			return visit(it)
-		})
-		rep.finishOutcome(ctx, out, int(n))
-		s.queries.Add(1)
-		s.results.Add(n)
-		return rep
-	}
-
-	if c := e.cache; c != nil && !req.NoCache {
-		key := rangeKey(req.Query)
-		cs := span.Child("cache_lookup")
-		entry, owner := c.lookup(key[:])
-		if !owner {
-			hit, failed := s.awaitEntry(ctx, entry)
-			if cs != nil {
-				cs.Set("hit", hit && !failed)
-				cs.End()
-			}
-			if !hit {
-				rep.Err = mapCtxErr(ctx.Err())
-				return rep
-			} else if failed {
-				// The owner abandoned the entry (cancelled or degraded
-				// execution): fall through and execute privately, uncached.
-				return s.rangeUncached(ctx, e, req, rep)
-			}
-			rep.Items = append(req.Buf, entry.items...)
-			rep.Plan.CacheHit = true
-			rep.Plan.FanOut = e.planRange(req.Query)
-			s.queries.Add(1)
-			s.results.Add(int64(len(entry.items)))
-			return rep
-		}
-		if cs != nil {
-			cs.Set("hit", false)
-			cs.End()
-		}
-		s.cacheMisses.Add(1)
-		var priv []index.Item
-		out := e.rangeVisitCtx(ctx, req.Query, func(it index.Item) bool {
-			priv = index.AppendItem(priv, it)
-			return true
-		})
-		// entry is nil when the cache was dropped mid-query (epoch retired).
-		if entry != nil {
-			if out.clean() {
-				entry.fill(priv)
-			} else {
-				// Never let a partial result become a cache hit.
-				c.remove(key[:])
-				entry.abandon()
-			}
-		}
-		rep.finishOutcome(ctx, out, len(priv))
-		if rep.Err != nil {
-			return rep
-		}
-		rep.Items = append(req.Buf, priv...)
-		s.queries.Add(1)
-		s.results.Add(int64(len(priv)))
-		return rep
-	}
-
-	return s.rangeUncached(ctx, e, req, rep)
+	var n int64
+	out := e.rangeVisitCtx(ctx, q, func(it index.Item) bool {
+		n++
+		return visit(it)
+	})
+	rep.finishOutcome(ctx, out, int(n))
+	s.queries.Add(1)
+	s.results.Add(n)
+	return rep
 }
 
-// rangeUncached is the cache-bypassing materializing range path.
-func (s *Store) rangeUncached(ctx context.Context, e *Epoch, req Request, rep Reply) Reply {
-	buf := req.Buf
-	base := len(buf)
-	out := e.rangeVisitCtx(ctx, req.Query, func(it index.Item) bool {
-		buf = index.AppendItem(buf, it)
-		return true
-	})
-	rep.finishOutcome(ctx, out, len(buf)-base)
+// queryItems answers a materialising range or kNN through the epoch cache:
+// a lookup, then either a hit, a coalesced wait on an identical in-flight
+// read, or the fill obligation — execute privately, then fill the entry on a
+// clean outcome or abandon it on a partial one. A read the cache cannot
+// answer (no cache, NoCache, or an abandoned entry) runs uncached.
+func (s *Store) queryItems(ctx context.Context, e *Epoch, req *Request) Reply {
+	rep := Reply{Epoch: e.seq}
+	c := e.cache
+	if c == nil || req.NoCache {
+		return s.itemsUncached(ctx, e, req, rep)
+	}
+	kb, kn := itemsKey(req)
+	key := kb[:kn]
+	cs := obs.SpanFromContext(ctx).Child("cache_lookup")
+	entry, owner := c.lookup(key)
+	if !owner {
+		hit, failed := s.awaitEntry(ctx, entry)
+		if cs != nil {
+			cs.Set("hit", hit && !failed)
+			cs.End()
+		}
+		if !hit {
+			rep.Err = mapCtxErr(ctx.Err())
+			return rep
+		} else if failed {
+			// The owner abandoned the entry (cancelled or degraded
+			// execution): execute privately, uncached.
+			return s.itemsUncached(ctx, e, req, rep)
+		}
+		rep.Items = append(req.Buf, entry.items...)
+		rep.Plan.CacheHit = true
+		rep.Plan.FanOut = e.fanOut(req)
+		s.queries.Add(1)
+		s.results.Add(int64(len(entry.items)))
+		return rep
+	}
+	if cs != nil {
+		cs.Set("hit", false)
+		cs.End()
+	}
+	s.cacheMisses.Add(1)
+	priv, out := e.collect(ctx, req, nil)
+	// entry is nil when the cache was dropped mid-query (epoch retired).
+	if entry != nil {
+		if out.clean() {
+			entry.fill(priv)
+		} else {
+			// Never let a partial result become a cache hit.
+			c.remove(key)
+			entry.abandon()
+		}
+	}
+	rep.finishOutcome(ctx, out, len(priv))
 	if rep.Err != nil {
 		return rep
 	}
-	rep.Items = buf
+	rep.Items = append(req.Buf, priv...)
 	s.queries.Add(1)
-	s.results.Add(int64(len(buf) - base))
+	s.results.Add(int64(len(priv)))
+	return rep
+}
+
+// itemsUncached is the cache-bypassing materializing read: results append
+// straight into req.Buf.
+func (s *Store) itemsUncached(ctx context.Context, e *Epoch, req *Request, rep Reply) Reply {
+	base := len(req.Buf)
+	items, out := e.collect(ctx, req, req.Buf)
+	rep.finishOutcome(ctx, out, len(items)-base)
+	if rep.Err != nil {
+		return rep
+	}
+	rep.Items = items
+	s.queries.Add(1)
+	s.results.Add(int64(len(items) - base))
 	return rep
 }
 
@@ -411,74 +409,6 @@ func (s *Store) awaitEntry(ctx context.Context, entry *cacheEntry) (hit, failed 
 	case <-ctx.Done():
 		return false, false
 	}
-}
-
-func (s *Store) queryKNN(ctx context.Context, e *Epoch, req Request) Reply {
-	span := obs.SpanFromContext(ctx)
-	rep := Reply{Epoch: e.seq}
-
-	if c := e.cache; c != nil && !req.NoCache {
-		key := knnKey(req.Point, req.K)
-		cs := span.Child("cache_lookup")
-		entry, owner := c.lookup(key[:])
-		if !owner {
-			hit, failed := s.awaitEntry(ctx, entry)
-			if cs != nil {
-				cs.Set("hit", hit && !failed)
-				cs.End()
-			}
-			if !hit {
-				rep.Err = mapCtxErr(ctx.Err())
-				return rep
-			} else if failed {
-				return s.knnUncached(ctx, e, req, rep)
-			}
-			rep.Items = append(req.Buf, entry.items...)
-			rep.Plan.CacheHit = true
-			rep.Plan.FanOut = e.planAll()
-			s.queries.Add(1)
-			s.results.Add(int64(len(entry.items)))
-			return rep
-		}
-		if cs != nil {
-			cs.Set("hit", false)
-			cs.End()
-		}
-		s.cacheMisses.Add(1)
-		priv, out := e.knnIntoCtx(ctx, req.Point, req.K, nil)
-		if entry != nil {
-			if out.clean() {
-				entry.fill(priv)
-			} else {
-				c.remove(key[:])
-				entry.abandon()
-			}
-		}
-		rep.finishOutcome(ctx, out, len(priv))
-		if rep.Err != nil {
-			return rep
-		}
-		rep.Items = append(req.Buf, priv...)
-		s.queries.Add(1)
-		s.results.Add(int64(len(priv)))
-		return rep
-	}
-
-	return s.knnUncached(ctx, e, req, rep)
-}
-
-// knnUncached is the cache-bypassing kNN path.
-func (s *Store) knnUncached(ctx context.Context, e *Epoch, req Request, rep Reply) Reply {
-	base := len(req.Buf)
-	items, out := e.knnIntoCtx(ctx, req.Point, req.K, req.Buf)
-	rep.finishOutcome(ctx, out, len(items)-base)
-	if rep.Err != nil {
-		return rep
-	}
-	rep.Items = items
-	s.queries.Add(1)
-	s.results.Add(int64(len(items) - base))
-	return rep
 }
 
 func (s *Store) queryJoin(ctx context.Context, e *Epoch, req Request) Reply {

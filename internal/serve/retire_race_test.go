@@ -58,7 +58,7 @@ func TestSeedRaceForcedSnapshotFirstApply(t *testing.T) {
 		defer wg.Done()
 		universe := geom.NewAABB(geom.V(-1e9, -1e9, -1e9), geom.V(1e9, 1e9, 1e9))
 		for i := 0; i < 50; i++ {
-			st.RangeAll(universe, nil)
+			rangeAll(t, st, universe, nil)
 		}
 	}()
 	wg.Wait()
@@ -66,7 +66,7 @@ func TestSeedRaceForcedSnapshotFirstApply(t *testing.T) {
 	check := func(label string, s *Store) {
 		t.Helper()
 		universe := geom.NewAABB(geom.V(-1e9, -1e9, -1e9), geom.V(1e9, 1e9, 1e9))
-		items, _ := s.RangeAll(universe, nil)
+		items, _ := rangeAll(t, s, universe, nil)
 		seen := make(map[int64]bool, len(items))
 		for _, it := range items {
 			seen[it.ID] = true
@@ -151,7 +151,7 @@ func TestMappedSwapStormConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
-				buf, _ = st.RangeAll(universe, buf[:0])
+				buf, _ = rangeAll(t, st, universe, buf[:0])
 				if len(buf) != n {
 					t.Errorf("torn reply: %d items, want %d", len(buf), n)
 					return
@@ -163,7 +163,7 @@ func TestMappedSwapStormConcurrentReaders(t *testing.T) {
 						return
 					}
 				}
-				st.KNN(geom.V(10, 10, gen), 8, nil)
+				knnAll(t, st, geom.V(10, 10, gen), 8, nil)
 			}
 		}()
 	}
@@ -181,7 +181,7 @@ func TestMappedSwapStormConcurrentReaders(t *testing.T) {
 	if st.mapping.Load() != nil {
 		t.Fatal("mapping still live after the recovered epoch was churned out")
 	}
-	got, _ := st.RangeAll(universe, nil)
+	got, _ := rangeAll(t, st, universe, nil)
 	if len(got) != n {
 		t.Fatalf("post-storm store holds %d items, want %d", len(got), n)
 	}

@@ -54,9 +54,11 @@
 // the recovered epoch (one tile per persisted shard), keeping the open path
 // free of item scans. The tile layout is a function of the staged batches
 // alone, so WAL replay rebuilds the layout, and therefore the replies, the
-// crashed process served; each batch of a burst the background builder
-// coalesces into one epoch is staged and journaled on its own, so replaying
-// such a burst publishes one epoch per batch.
+// crashed process served. Apply is the one write path: concurrent Apply
+// callers that queue behind one build share its publish, yet each batch is
+// staged and journaled on its own, so replaying them publishes one epoch per
+// batch. Query is the one read path, and a durable store's snapshotter is
+// the only goroutine a Store starts.
 package serve
 
 import (
@@ -81,20 +83,14 @@ import (
 	"spatialsim/internal/rtree"
 )
 
-// ShardBuilder builds the frozen R-Tree image of one shard from the items
-// whose STR tile it owns. bounds is the tight MBR of the items; workers is
-// the goroutine budget for the build (<= 1 builds on the caller's
-// goroutine).
-type ShardBuilder func(bounds geom.AABB, items []index.Item, workers int) *rtree.Compact
+// ShardBuilder builds the frozen R-Tree image of one shard from the
+// ID-sorted items of the STR tile it owns, on the caller's goroutine.
+type ShardBuilder func(items []index.Item) *rtree.Compact
 
 // RTreeBuilder returns a ShardBuilder backed by an STR-bulk-loaded R-Tree
 // frozen into its compact layout — the only shard family the store serves.
 func RTreeBuilder(cfg rtree.Config) ShardBuilder {
-	return func(_ geom.AABB, items []index.Item, workers int) *rtree.Compact {
-		t := rtree.New(cfg)
-		t.ParallelBulkLoad(items, workers)
-		return t.Freeze()
-	}
+	return func(items []index.Item) *rtree.Compact { return rtree.FreezeItems(items, cfg) }
 }
 
 // ServingMode selects how a durable store serves recovered epochs.
@@ -160,9 +156,6 @@ type Config struct {
 	// cached results valid for the epoch's lifetime, and epoch retirement
 	// drops the whole cache — there is no invalidation protocol.
 	CacheEntries int
-	// IngestQueue is the capacity of the asynchronous update-batch queue
-	// consumed by the background builder (<= 0 picks 16).
-	IngestQueue int
 	// Persist enables durability: update batches are journaled to the
 	// store's WAL as they are staged, published epochs are snapshotted to
 	// page-aligned segment files by a background snapshotter, and Open
@@ -201,9 +194,6 @@ func (c Config) withDefaults() Config {
 	if c.Build == nil {
 		c.Build = RTreeBuilder(rtree.Config{})
 	}
-	if c.IngestQueue <= 0 {
-		c.IngestQueue = 16
-	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 1
 	}
@@ -218,15 +208,15 @@ func (c Config) withDefaults() Config {
 // element, aliased here so serving and durability speak one type.
 type Update = persist.Update
 
-// Store is the sharded, epoch-versioned serving store. All query methods are
-// safe for unbounded concurrent use and never block on ingestion; Apply and
-// Enqueue are safe to call concurrently with queries and with each other.
+// Store is the sharded, epoch-versioned serving store. Query is safe for
+// unbounded concurrent use and never blocks on ingestion; Apply is safe to
+// call concurrently with queries and with itself.
 type Store struct {
 	cfg Config
 
 	epoch atomic.Pointer[Epoch]
 
-	// buildMu serializes freeze/swap cycles (one builder at a time);
+	// buildMu serializes freeze/swap cycles (one publish at a time);
 	// stagingMu guards the tile table for the short apply window only, so
 	// staging new batches overlaps an in-progress tile build.
 	buildMu   sync.Mutex
@@ -283,10 +273,6 @@ type Store struct {
 	costMu      sync.Mutex
 	costRetired instrument.CounterSnapshot
 
-	updates chan []Update
-	wg      sync.WaitGroup
-	closed  atomic.Bool
-
 	// Durability (all nil/zero when cfg.Persist is nil).
 	snapCh        chan struct{}
 	snapDone      chan struct{}
@@ -334,24 +320,19 @@ type RecoveryInfo struct {
 	ZeroCopyShards int `json:"zero_copy_shards"`
 }
 
-// New returns an empty store serving epoch 0 (no shards) and starts its
-// background builder; Close releases the builder when the store is done.
-// New is Open under its historical name: it fails (instead of serving torn
-// data) when a durable store's recovery finds only unverifiable snapshots.
+// New returns an empty store serving epoch 0 (no shards). New is Open under
+// its historical name: it fails (instead of serving torn data) when a
+// durable store's recovery finds only unverifiable snapshots.
 func New(cfg Config) (*Store, error) {
 	return Open(cfg)
 }
 
-// Close stops the background builder after draining queued batches, then —
-// for a durable store — takes a final snapshot of the current epoch and
-// stops the snapshotter, so a clean shutdown is always fully recoverable
-// without WAL replay. Queries remain answerable (the last epoch stays
-// current); further Enqueue calls panic, Apply keeps working.
+// Close takes a final snapshot of the current epoch of a durable store and
+// stops its snapshotter, so a clean shutdown is always fully recoverable
+// without WAL replay; an in-memory store has nothing to stop. Queries and
+// Apply keep working (the last epoch stays current), but nothing more is
+// snapshotted.
 func (s *Store) Close() {
-	if s.closed.CompareAndSwap(false, true) {
-		close(s.updates)
-	}
-	s.wg.Wait()
 	if s.cfg.Persist != nil {
 		if s.snapClosed.CompareAndSwap(false, true) {
 			close(s.snapDone)
@@ -360,42 +341,24 @@ func (s *Store) Close() {
 	}
 }
 
-// builderLoop drains the async ingest queue, staging every batch already
-// queued — each one on its own, journaled as its own WAL record — before a
-// single freeze+swap, so a burst of small batches costs one epoch build, not
-// one per batch, and stages exactly as the same batches applied one by one.
-func (s *Store) builderLoop() {
-	defer s.wg.Done()
-	ctx := context.Background()
-	for batch := range s.updates {
-		s.stage(ctx, batch, true)
-		for drained := false; !drained; {
-			select {
-			case more, ok := <-s.updates:
-				if !ok {
-					s.freezeAndSwap()
-					return
-				}
-				s.stage(ctx, more, true)
-			default:
-				drained = true
-			}
+// ValidateBatch refuses an update batch the store cannot index: every
+// upsert's box must be finite and ordered (geom.AABB.IsValid). One bad box
+// poisons the bounds of its tile and of the whole epoch, so the batch is
+// refused whole, before anything is staged or journaled. Store.Apply and the
+// cluster coordinator call it; the error wraps ErrBadRequest.
+func ValidateBatch(batch []Update) error {
+	for i, u := range batch {
+		if !u.Delete && !u.Box.IsValid() {
+			return fmt.Errorf("%w: update %d (id %d): box %v is not finite and ordered", ErrBadRequest, i, u.ID, u.Box)
 		}
-		s.freezeAndSwap()
 	}
-}
-
-// Enqueue hands an update batch to the background builder and returns
-// immediately; the batch becomes visible at some later epoch. The caller must
-// not reuse the slice. Blocks only when the ingest queue is full.
-func (s *Store) Enqueue(batch []Update) {
-	s.updates <- batch
+	return nil
 }
 
 // Bootstrap stages the initial dataset and publishes the first epoch. On a
 // durable store the dataset is journaled like any other upsert batch, so a
 // crash before the first snapshot still recovers it from the WAL.
-func (s *Store) Bootstrap(items []index.Item) uint64 {
+func (s *Store) Bootstrap(items []index.Item) (uint64, error) {
 	batch := make([]Update, len(items))
 	for i, it := range items {
 		batch[i] = Update{ID: it.ID, Box: it.Box}
@@ -406,29 +369,28 @@ func (s *Store) Bootstrap(items []index.Item) uint64 {
 // Apply stages one update batch and synchronously freezes + swaps an epoch
 // that includes it, returning that epoch's sequence number. Staging happens
 // before the build lock is taken, so new batches land in the tile table
-// while an earlier epoch build is still running; readers are never blocked
-// either way — they keep answering from the previous epoch until the atomic
-// pointer swap, and pinned readers finish on the epoch they pinned.
-func (s *Store) Apply(batch []Update) uint64 {
-	return s.applyBatchCtx(context.Background(), batch, true)
+// while an earlier epoch build is still running, and every Apply waiting
+// behind that build is answered by the next publish; readers are never
+// blocked either way — they keep answering from the previous epoch until the
+// atomic pointer swap, and pinned readers finish on the epoch they pinned. A
+// batch ValidateBatch refuses changes nothing.
+func (s *Store) Apply(batch []Update) (uint64, error) {
+	return s.ApplyCtx(context.Background(), batch)
 }
 
 // ApplyCtx is Apply with the caller's context threaded through for tracing:
 // a context carrying an obs.Trace gets stage/wal_append/freeze spans. The
 // context does not cancel the apply — an epoch build, once started, always
 // publishes.
-func (s *Store) ApplyCtx(ctx context.Context, batch []Update) uint64 {
-	return s.applyBatchCtx(ctx, batch, true)
+func (s *Store) ApplyCtx(ctx context.Context, batch []Update) (uint64, error) {
+	if err := ValidateBatch(batch); err != nil {
+		return 0, err
+	}
+	return s.applyBatchCtx(ctx, batch, true), nil
 }
 
-// applyBatch is Apply with the WAL append made optional: recovery replays
-// batches that are already in the WAL and must not journal them again.
-func (s *Store) applyBatch(batch []Update, journal bool) uint64 {
-	return s.applyBatchCtx(context.Background(), batch, journal)
-}
-
-// applyBatchCtx stages the batch (journaling it unless replaying), then
-// freezes and swaps.
+// applyBatchCtx stages the batch (journaling it unless replaying — recovery
+// replays batches already in the WAL), then freezes and swaps.
 func (s *Store) applyBatchCtx(ctx context.Context, batch []Update, journal bool) uint64 {
 	s.stage(ctx, batch, journal)
 	fs := obs.SpanFromContext(ctx).Child("freeze")
@@ -505,8 +467,7 @@ func (s *Store) freezeAndSwap() uint64 {
 	build := func(_, i int) {
 		b := &builds[i]
 		slices.SortFunc(b.items, func(x, y index.Item) int { return cmp.Compare(x.ID, y.ID) })
-		bounds := boundsOf(b.items)
-		sh := newShard(bounds, s.cfg.Build(bounds, b.items, 1))
+		sh := newShard(boundsOf(b.items), s.cfg.Build(b.items))
 		b.tile.image = sh
 		shards[b.shard] = sh
 	}
@@ -644,29 +605,6 @@ func (s *Store) admit(ctx context.Context, pri Priority) (func(), error) {
 		}
 	}
 	return s.releaseSlot, nil
-}
-
-// Range executes one range query against the current epoch, invoking visit
-// for every item whose box intersects query, and returns the epoch sequence
-// the query ran against. Thin wrapper over Query (streaming queries support
-// early stop and bypass the result cache).
-func (s *Store) Range(query geom.AABB, visit func(index.Item) bool) uint64 {
-	return s.Query(Request{Op: OpRange, Query: query, Visit: visit}).Epoch
-}
-
-// RangeAll executes one range query and appends all matches to buf, returning
-// the extended slice and the epoch sequence served. Thin wrapper over Query.
-func (s *Store) RangeAll(query geom.AABB, buf []index.Item) ([]index.Item, uint64) {
-	r := s.Query(Request{Op: OpRange, Query: query, Buf: buf})
-	return r.Items, r.Epoch
-}
-
-// KNN appends the (up to) k items nearest to p, closest first, to buf and
-// returns the extended slice and the epoch sequence served. Thin wrapper over
-// Query.
-func (s *Store) KNN(p geom.Vec3, k int, buf []index.Item) ([]index.Item, uint64) {
-	r := s.Query(Request{Op: OpKNN, Point: p, K: k, Buf: buf})
-	return r.Items, r.Epoch
 }
 
 // JoinRequest shapes one epoch-pinned self-join.

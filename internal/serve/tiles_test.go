@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
@@ -114,9 +116,9 @@ func currentLayout(s *Store) string {
 
 // TestTileTablePropertyAgainstOracle: random upsert/delete sequences that
 // cross the re-cut trigger leave exactly the oracle's items served, and the
-// same batches applied one by one, coalesced through Enqueue, and replayed
-// from the WAL after a crash end in the same tile layout — same shards,
-// same bounds, same items in the same visit order.
+// same batches applied one by one, by concurrent Apply callers that share
+// one publish, and replayed from the WAL after a crash end in the same tile
+// layout — same shards, same bounds, same items in the same visit order.
 func TestTileTablePropertyAgainstOracle(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		batches := tileBatches(seed, 1500, 14)
@@ -154,17 +156,36 @@ func TestTileTablePropertyAgainstOracle(t *testing.T) {
 		ref := currentLayout(one)
 		one.Close()
 
-		// Coalesced: the builder is held until every batch after the first
-		// is queued, so they stage in one loop and publish once.
-		co := mustNew(t, Config{Shards: 1, Workers: 2, IngestQueue: len(batches)})
-		co.buildMu.Lock()
-		for _, b := range batches {
-			co.Enqueue(slices.Clone(b))
+		// Coalesced: the first publish after buildMu is released holds every
+		// batch, so it builds every image the final epoch serves and no
+		// later publish builds one.
+		co := mustNew(t, Config{Shards: 1, Workers: 2})
+		var mu sync.Mutex
+		firstImages, laterBuilds := map[*rtree.Compact]bool{}, 0
+		co.cfg.Build = func(items []index.Item) *rtree.Compact {
+			c := rtree.FreezeItems(items, rtree.Config{})
+			mu.Lock()
+			if co.swaps.Load() == 0 {
+				firstImages[c] = true
+			} else {
+				laterBuilds++
+			}
+			mu.Unlock()
+			return c
 		}
-		co.buildMu.Unlock()
-		co.Close()
-		if swaps := co.swaps.Load(); swaps >= int64(len(batches)) {
-			t.Fatalf("seed %d: %d publishes for %d batches — nothing coalesced", seed, swaps, len(batches))
+		applyCoalesced(t, co, batches)
+		e = co.AcquireEpoch()
+		for _, sh := range e.shards {
+			if !firstImages[sh.snap] {
+				t.Fatalf("seed %d: a shard of the final epoch was not built by the first publish", seed)
+			}
+		}
+		if len(e.shards) != len(firstImages) || laterBuilds != 0 {
+			t.Fatalf("seed %d: first publish built %d images for %d shards, later publishes %d", seed, len(firstImages), len(e.shards), laterBuilds)
+		}
+		co.ReleaseEpoch(e)
+		if swaps := co.swaps.Load(); swaps != int64(len(batches)) {
+			t.Fatalf("seed %d: %d publishes for %d Apply calls", seed, swaps, len(batches))
 		}
 		if lay := currentLayout(co); lay != ref {
 			t.Fatalf("seed %d: coalesced layout differs from one by one", seed)
@@ -206,6 +227,39 @@ func TestTileTablePropertyAgainstOracle(t *testing.T) {
 		st2.Close()
 		ps2.Close()
 	}
+}
+
+// applyCoalesced holds buildMu while it starts one Apply caller per batch,
+// each once the previous caller's batch is staged, so every batch waits
+// behind the lock; then it releases the lock and waits for every caller.
+func applyCoalesced(t *testing.T, s *Store, batches [][]Update) {
+	t.Helper()
+	staged := func() int64 {
+		s.stagingMu.Lock()
+		defer s.stagingMu.Unlock()
+		return s.tiles.updates
+	}
+	var wg sync.WaitGroup
+	s.buildMu.Lock()
+	want := staged()
+	for _, b := range batches {
+		wg.Add(1)
+		go func(b []Update) {
+			defer wg.Done()
+			if _, err := s.Apply(b); err != nil {
+				t.Errorf("apply: %v", err)
+			}
+		}(slices.Clone(b))
+		deadline := time.Now().Add(10 * time.Second)
+		for want += int64(len(b)); staged() < want; time.Sleep(20 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				s.buildMu.Unlock()
+				t.Fatal("an Apply did not stage its batch while another held the build lock")
+			}
+		}
+	}
+	s.buildMu.Unlock()
+	wg.Wait()
 }
 
 // TestIncrementalPublishCarriesCleanTiles: a batch of localized moves

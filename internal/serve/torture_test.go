@@ -120,13 +120,13 @@ func TestTortureSnapshotterCrashWithConcurrentReaders(t *testing.T) {
 							return
 						default:
 						}
-						items, epoch := st.RangeAll(universe, nil)
+						items, epoch := rangeAll(t, st, universe, nil)
 						if want, ok := published.Load(epoch); ok && want.(int) != len(items) {
 							t.Errorf("reader %d: epoch %d served %d items, published %d",
 								w, epoch, len(items), want.(int))
 							return
 						}
-						st.KNN(geom.V(50, 50, 50), 5, nil)
+						knnAll(t, st, geom.V(50, 50, 50), 5, nil)
 					}
 				}(w)
 			}
@@ -143,7 +143,10 @@ func TestTortureSnapshotterCrashWithConcurrentReaders(t *testing.T) {
 					batch[j] = Update{ID: id, Box: geom.AABBFromCenter(c, geom.V(0.4, 0.4, 0.4))}
 				}
 				count += len(batch)
-				seq := st.Apply(batch)
+				seq, err := st.Apply(batch)
+				if err != nil {
+					t.Errorf("apply: %v", err)
+				}
 				states[seq] = count
 				published.Store(seq, count)
 			}
