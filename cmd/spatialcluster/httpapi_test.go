@@ -22,7 +22,7 @@ type (
 func TestClusterContract(t *testing.T) {
 	items := fleetItems(50)
 	co, nodes, _ := newTestFleet(t, 2, 1, items)
-	httpapitest.Contract(t, newServer(co, nodes, nil), items)
+	httpapitest.Contract(t, newServer(co, nodes, nil), items, false)
 }
 
 // TestClusterRangeAllocsDoNotGrowWithMatches pins the pooled result and
@@ -57,8 +57,9 @@ func TestClusterQueryResponseIsByteIdentical(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+		rep.Items = items
 		rec := httptest.NewRecorder()
-		httpapi.WriteQuery(rec, nil, clusterResult(rep), items, nil)
+		httpapi.WriteQuery(rec, nil, clusterResult(rep), nil)
 		if !bytes.Equal(rec.Body.Bytes(), oracle.Bytes()) {
 			t.Errorf("%+v:\n got %.400s\nwant %.400s", rep, rec.Body.Bytes(), oracle.Bytes())
 		}

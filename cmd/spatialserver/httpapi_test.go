@@ -26,7 +26,7 @@ type (
 
 func TestContract(t *testing.T) {
 	store, _ := testServer(t, 100)
-	httpapitest.Contract(t, newServer(store), gridItems(100))
+	httpapitest.Contract(t, newServer(store), gridItems(100), true)
 }
 
 // TestRangeAllocsDoNotGrowWithMatches pins the pooled result buffer through
@@ -84,7 +84,7 @@ func TestQueryResponseIsByteIdentical(t *testing.T) {
 		}
 		p := httpapi.Parse(query)
 		rec := httptest.NewRecorder()
-		httpapi.WriteQuery(rec, p, storeResult(rep), items, tr)
+		httpapi.WriteQuery(rec, p, storeResult(rep), tr)
 		if !bytes.Equal(rec.Body.Bytes(), oracle.Bytes()) {
 			t.Errorf("%s:\n got %.400s\nwant %.400s", tc.name, rec.Body.Bytes(), oracle.Bytes())
 		}

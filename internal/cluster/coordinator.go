@@ -60,8 +60,10 @@ type Reply struct {
 	// Items holds range results in task-launch order — each fan-out task's
 	// items together, tasks in the order they were launched; deterministic
 	// for a fixed view as long as no failover or hedge fired, and in no ID
-	// order — or kNN results (sorted by distance, ties by ID). Every item is
-	// emitted by exactly one task, so there are no duplicates to remove.
+	// order — or kNN results (sorted by distance, ties by ID). A range with
+	// a positive Request.Limit keeps the first Limit of that order, exactly
+	// min(Limit, matches) items on a complete reply. Every item is emitted
+	// by exactly one task, so there are no duplicates to remove.
 	// Items extends the request's Buf (Range and KNN lend none) or an array
 	// grown from it; it never aliases a node task's buffer.
 	Items []index.Item `json:"-"`
@@ -385,7 +387,9 @@ const (
 // Query runs one OpRange, OpKNN or OpJoin read over the fleet, the one
 // entry point Range, KNN and Join wrap, as serve.Store.Query is for one
 // store: any other op reads as a range. Range and kNN items are appended to
-// req.Buf (see Reply.Items); req.Ctx bounds the fan-out (nil: no deadline).
+// req.Buf (see Reply.Items); a range's req.Limit reaches every node task
+// (see fanout), a join's world-range fan-out has none; req.Ctx bounds the
+// fan-out (nil: no deadline).
 func (c *Coordinator) Query(req serve.Request) Reply {
 	class := classRange
 	switch req.Op {
@@ -417,7 +421,7 @@ func (c *Coordinator) Query(req serve.Request) Reply {
 		f.q = geom.NewAABB(geom.V(-worldExtent, -worldExtent, -worldExtent), geom.V(worldExtent, worldExtent, worldExtent))
 		f.prio = serve.PriorityBackground
 	default:
-		f.q = req.Query
+		f.q, f.limit = req.Query, req.Limit
 	}
 	f.run()
 	rep := f.finish()

@@ -51,8 +51,20 @@ type fanTask struct {
 }
 
 // fanout is the state of one scatter/gather over a pinned view. Range
-// queries carry q (and prio); kNN queries carry p, k and the running cutoff
-// bound.
+// queries carry q (and prio, and limit); kNN queries carry p, k and the
+// running cutoff bound.
+//
+// A limited range (limit > 0) gathers the first limit items in task-launch
+// order, and each node task stops once its visitor has kept limit items.
+// The count stays exact, min(limit, truth), under hedges and failovers too.
+// Consider the first clean task to settle that stopped early; it kept limit
+// items of its own tiles. win cuts those down to the tiles it won, and every
+// tile it lost was won before it by a clean task that did not stop — so
+// that tile was answered completely, and each item the cut drops is still
+// held by its winner. The gather therefore holds at least limit items. If
+// no clean task stopped, every tile a clean task won was answered
+// completely, and the gather holds the whole truth (or the reply degrades).
+// concat then copies at most limit items.
 type fanout struct {
 	c     *Coordinator
 	ctx   context.Context
@@ -63,6 +75,7 @@ type fanout struct {
 	knn   bool
 	q     geom.AABB
 	prio  serve.Priority
+	limit int // range: items the gather keeps, <= 0 all
 	p     geom.Vec3
 	k     int
 	bound float64 // kNN: smallest k-th squared distance a node reply proved
@@ -345,9 +358,10 @@ func (f *fanout) launch(node int, ts []int, hedge bool) {
 // materialises a replica another task is responsible for. routeBatch puts an
 // item on exactly the owners of its routed tile, so when every tile the node
 // owns is either in the task or pruned (no match possible) the filter is the
-// identity and is skipped.
+// identity and is skipped. Under a limit it stops the node's traversal once
+// it has kept limit items (kept, not visited: see fanout).
 func (f *fanout) visitor(t *fanTask) func(index.Item) bool {
-	tiles := f.place.tiles
+	tiles, limit := f.place.tiles, f.limit
 	whole := true
 	for ti := range tiles {
 		if f.state[ti] != tilePruned && tiles[ti].ownedBy(t.node) && !slices.Contains(t.tiles, ti) {
@@ -358,7 +372,7 @@ func (f *fanout) visitor(t *fanTask) func(index.Item) bool {
 	if whole {
 		return func(it index.Item) bool {
 			t.items = index.AppendItem(t.items, it)
-			return true
+			return limit <= 0 || len(t.items) < limit
 		}
 	}
 	place, own := f.place, make([]bool, len(tiles))
@@ -369,7 +383,7 @@ func (f *fanout) visitor(t *fanTask) func(index.Item) bool {
 		if own[place.Route(it.Box)] {
 			t.items = index.AppendItem(t.items, it)
 		}
-		return true
+		return limit <= 0 || len(t.items) < limit
 	}
 }
 
@@ -493,14 +507,19 @@ func (f *fanout) contributions(fn func([]index.Item)) {
 }
 
 // concat is the range gather: the contributing tasks' items in task-launch
-// order, appended to buf (grown once to fit). Tasks emit disjoint item sets,
-// so there is nothing to deduplicate and no order to restore. It copies even
-// when a single task contributed: task buffers go back to the pool.
+// order, at most limit of them, appended to buf (grown once to fit). Tasks
+// emit disjoint item sets, so there is nothing to deduplicate and no order
+// to restore. It copies even when a single task contributed: task buffers
+// go back to the pool.
 func (f *fanout) concat(buf []index.Item) []index.Item {
 	total := 0
 	f.contributions(func(items []index.Item) { total += len(items) })
+	if f.limit > 0 {
+		total = min(total, f.limit)
+	}
 	buf = slices.Grow(buf, total)
-	f.contributions(func(items []index.Item) { buf = append(buf, items...) })
+	end := len(buf) + total
+	f.contributions(func(items []index.Item) { buf = append(buf, items[:min(len(items), end-len(buf))]...) })
 	return buf
 }
 

@@ -7,6 +7,7 @@
 package httpapitest
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -160,11 +161,14 @@ var ErrorClasses = []ErrorClass{
 // X-Request-Id generated or echoed on every response; Content-Length equal
 // to the body on every JSON reply; a span tree with ?trace=1, which on an
 // update includes the body's decode; and range and kNN replies that match a
-// linear scan of items while the reads share pooled buffers (checkReuse).
-// The trace subtest's update adds an item, so the reuse check runs first.
-func Contract(t *testing.T, srv *httpapi.Server, items []index.Item) {
+// linear scan of items while the reads share pooled buffers (checkReuse);
+// and ranges limited to 1, 16, 1 000, no and -1 items (checkRangeLimit,
+// where shardOrder says the back end replies every range in one fixed
+// order). The trace subtest's update adds an item, so the reads run first.
+func Contract(t *testing.T, srv *httpapi.Server, items []index.Item, shardOrder bool) {
 	base := start(t, srv)
 	t.Run("reuse", func(t *testing.T) { checkReuse(t, srv, base, items) })
+	t.Run("range_limit", func(t *testing.T) { checkRangeLimit(t, base, items, shardOrder) })
 	t.Run("refusals", func(t *testing.T) {
 		for _, rf := range Refusals {
 			resp, body := do(t, http.MethodGet, base+rf.Path, "")
@@ -285,6 +289,74 @@ func Contract(t *testing.T, srv *httpapi.Server, items []index.Item) {
 			}
 		}
 	})
+}
+
+// checkRangeLimit reads the range over every item at limits 1, 16, 1 000,
+// none and -1. Each reply must hold min(limit, matches) items of the data
+// (none and -1: every match). With shardOrder — the store, which keeps the
+// first matches in shard order — each must also be, byte for byte, the
+// unlimited reply at the same epoch cut to the limit; without it — the
+// cluster, in task-launch order — any such items will do.
+func checkRangeLimit(t *testing.T, base string, items []index.Item, shardOrder bool) {
+	world := items[0].Box
+	for _, it := range items {
+		world = world.Union(it.Box)
+	}
+	status, all, err := get(base + rangeRead(world, 0).path)
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("unlimited range: %d %v %.200s", status, err, all)
+	}
+	head, raw, tail := splitItems(t, all)
+	for _, limit := range []int{1, 16, 1000, 0, -1} {
+		rd := rangeRead(world, limit)
+		status, body, err := get(base + rd.path)
+		if err == nil {
+			var degraded, refused bool
+			if degraded, refused, err = rd.check(items, status, body); err == nil && (degraded || refused) {
+				err = fmt.Errorf("%s: degraded %v, refused %v on a healthy back end", rd.path, degraded, refused)
+			}
+		}
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		if !shardOrder {
+			continue
+		}
+		n := len(raw)
+		if limit > 0 {
+			n = min(limit, n)
+		}
+		want := []byte(strings.Replace(head, `"count":`+strconv.Itoa(len(raw))+`,`, `"count":`+strconv.Itoa(n)+`,`, 1) +
+			strings.Join(raw[:n], ",") + tail)
+		if !bytes.Equal(body, want) {
+			t.Errorf("%s: not the unlimited reply cut to %d items:\n got %.300s\nwant %.300s", rd.path, n, body, want)
+		}
+	}
+}
+
+// splitItems splits a range reply into the bytes before its items, each
+// item's bytes and the bytes after them, checking that they join back into
+// the reply.
+func splitItems(t *testing.T, body []byte) (head string, items []string, tail string) {
+	t.Helper()
+	var rep struct {
+		Items []json.RawMessage `json:"items"`
+	}
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatalf("range reply: %v", err)
+	}
+	for _, it := range rep.Items {
+		items = append(items, string(it))
+	}
+	const open = `"items":[`
+	i := bytes.Index(body, []byte(open)) + len(open)
+	joined := strings.Join(items, ",")
+	head, tail = string(body[:i]), string(body[i:])
+	if !strings.HasPrefix(tail, joined) {
+		t.Fatalf("range reply items are not compact JSON: %.300s", body)
+	}
+	return head, items, tail[len(joined):]
 }
 
 // getJoin answers GET /v1/join?query, which must succeed.

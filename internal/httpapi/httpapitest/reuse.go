@@ -94,7 +94,7 @@ func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 func rangeRead(box geom.AABB, limit int) reuseRead {
 	path := "/v1/range?minx=" + ftoa(box.Min.X) + "&miny=" + ftoa(box.Min.Y) + "&minz=" + ftoa(box.Min.Z) +
 		"&maxx=" + ftoa(box.Max.X) + "&maxy=" + ftoa(box.Max.Y) + "&maxz=" + ftoa(box.Max.Z)
-	if limit > 0 {
+	if limit != 0 {
 		path += "&limit=" + strconv.Itoa(limit)
 	}
 	return reuseRead{path: path, box: box, limit: limit}

@@ -27,7 +27,8 @@ type Backend interface {
 	// is appended to req.Buf, which the handler lends from index.GetItems:
 	// Result.Items must extend it (or an array grown from it), never alias
 	// memory anyone else holds, because the handler pools that array again
-	// once the reply is written.
+	// once the reply is written. A range answer holds at most req.Limit
+	// items when it is positive: the handler sends Items as they come.
 	Query(req serve.Request) Result
 	// Apply publishes one update batch and returns the epoch it became.
 	Apply(ctx context.Context, batch []serve.Update) (uint64, error)
@@ -94,11 +95,14 @@ var reads = []struct {
 //	GET  /v1/healthz
 //	GET  /metrics                          with Metrics: Prometheus text
 //
-// A join reply's count is exact, and only its first ?limit= pairs (in
-// canonical order) are built. Every read takes ?timeout= (a Go duration,
-// e.g. 50ms, tightening the back end's deadline) and ?plan=1 where the back
-// end reports a plan; reads and updates take ?trace=1, which adds the
-// request's span tree as "trace".
+// A range reply's ?limit= is pushed down to where items are produced: the
+// store keeps the first N matches in shard order (the unlimited reply cut to
+// N), the cluster the first N in task-launch order, and count stays
+// len(items). A join reply's count is exact, and only its first ?limit=
+// pairs (in canonical order) are built. Every read takes ?timeout= (a Go
+// duration, e.g. 50ms, tightening the back end's deadline) and ?plan=1
+// where the back end reports a plan; reads and updates take ?trace=1, which
+// adds the request's span tree as "trace".
 // Errors are {"error":{"code","message"}}, and every response carries an
 // X-Request-Id: the client's, or a generated one.
 func (s *Server) Handler() http.Handler {
@@ -140,19 +144,18 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request, p Params) {
 }
 
 // read parses, runs and answers one read. A range reply keeps at most
-// ?limit= items; a join reply at most ?limit= pairs, with the full count.
+// ?limit= items (the back end stops there); a join reply at most ?limit=
+// pairs, with the full count.
 func (s *Server) read(name string, op serve.Op, w http.ResponseWriter, r *http.Request, p Params) {
 	req := serve.Request{Op: op}
-	var limit int
 	var err error
 	switch op {
 	case serve.OpRange:
-		req.Query, limit, err = p.Range()
+		req.Query, req.Limit, err = p.Range()
 	case serve.OpKNN:
 		req.Point, req.K, err = p.KNN()
 	default:
 		req.Join, err = p.Join()
-		limit = req.Join.Limit
 	}
 	if err != nil {
 		BadRequest(w, err)
@@ -184,20 +187,16 @@ func (s *Server) read(name string, op serve.Op, w http.ResponseWriter, r *http.R
 		return
 	}
 	if op == serve.OpJoin {
-		WriteJoin(w, p, res, req.Join.Eps, limit, tr)
+		WriteJoin(w, p, res, req.Join.Eps, req.Join.Limit, tr)
 		return
 	}
-	items := res.Items
-	if limit > 0 && len(items) > limit {
-		items = items[:limit]
-	}
-	WriteQuery(w, p, res, items, tr)
+	WriteQuery(w, p, res, tr)
 }
 
-// WriteQuery answers a range/kNN read: epoch, count, items, the back end's
-// fields, then — with ?trace=1 — trace.
-func WriteQuery(w http.ResponseWriter, p Params, res Result, items []index.Item, tr *obs.Trace) {
-	sendRead(w, p, NewReply(res.Epoch, items), res, tr)
+// WriteQuery answers a range/kNN read: epoch, count, res.Items, the back
+// end's fields, then — with ?trace=1 — trace.
+func WriteQuery(w http.ResponseWriter, p Params, res Result, tr *obs.Trace) {
+	sendRead(w, p, NewReply(res.Epoch, res.Items), res, tr)
 }
 
 // WriteJoin answers a join read: epoch, algorithm, eps, items, count,

@@ -127,11 +127,12 @@ func (c *epochCache) size() int {
 }
 
 // itemsKey fingerprints a materialising range or kNN exactly (bit-for-bit on
-// the float parameters): the cache must never conflate two queries, and
+// the float parameters, and a range's limit, every limit <= 0 being the
+// same unlimited read): the cache must never conflate two queries, and
 // near-miss reuse is the coalescing window's job, not the key's. It returns a
 // fixed array and the length in use, so the hit path builds its key on the
 // stack.
-func itemsKey(req *Request) (b [1 + 6*8]byte, n int) {
+func itemsKey(req *Request) (b [1 + 7*8]byte, n int) {
 	if req.Op == OpKNN {
 		b[0] = 'k'
 		putVec(b[1:], req.Point)
@@ -141,6 +142,7 @@ func itemsKey(req *Request) (b [1 + 6*8]byte, n int) {
 	b[0] = 'r'
 	putVec(b[1:], req.Query.Min)
 	putVec(b[25:], req.Query.Max)
+	binary.LittleEndian.PutUint64(b[49:], uint64(max(req.Limit, 0)))
 	return b, len(b)
 }
 

@@ -170,13 +170,13 @@ func (w *stopWrap) call(it index.Item) bool {
 
 // visitOutcome reports how a fanned-out read over the epoch's shards ended:
 // how many shards the query reached after MBR pruning, how many completed,
-// whether the visitor stopped early (not a failure), whether the context
-// expired mid-fan-out, and the per-shard errors of the shards that did not
-// contribute. A clean read has done == fan and no errors.
+// whether the context expired mid-fan-out, and the per-shard errors of the
+// shards that did not contribute. A visitor that stops early is not a
+// failure: the fan-out reads no shard after the stop, so every error it
+// records came before it.
 type visitOutcome struct {
 	fan       int
 	done      int
-	stopped   bool
 	cancelled bool
 	errs      []ShardError
 	// counters is the instrument-counter delta observed on the visited shards
@@ -185,9 +185,10 @@ type visitOutcome struct {
 	counters instrument.CounterSnapshot
 }
 
-// clean reports whether every reached shard contributed fully.
+// clean reports whether every reached shard contributed what the visitor
+// asked of it: all its matches, or — up to a stop — as many as it wanted.
 func (o visitOutcome) clean() bool {
-	return !o.cancelled && !o.stopped && len(o.errs) == 0
+	return !o.cancelled && len(o.errs) == 0
 }
 
 // RangeVisit implements index.RangeVisitor by scattering the query to every
@@ -200,8 +201,11 @@ func (e *Epoch) RangeVisit(query geom.AABB, visit func(index.Item) bool) {
 // rangeVisitCtx is the cancellable, fault-aware form of RangeVisit: shards
 // are checked against ctx before each scan (and every cancelCheckEvery leaves
 // within one), the per-shard failpoint can inject latency or errors, and the
-// outcome reports exactly which shards did not contribute. A nil ctx is the
-// legacy interface path — no checks, no failpoints, no allocation.
+// outcome reports exactly which shards did not contribute. Shards are read
+// one after another, so the visitor sees the matches in shard order, and
+// once it stops the remaining shards count toward fan but are not read. A
+// nil ctx is the legacy interface path — no checks, no failpoints, no
+// allocation.
 func (e *Epoch) rangeVisitCtx(ctx context.Context, query geom.AABB, visit func(index.Item) bool) visitOutcome {
 	var out visitOutcome
 	var fan *obs.Span
@@ -216,6 +220,9 @@ func (e *Epoch) rangeVisitCtx(ctx context.Context, query geom.AABB, visit func(i
 			continue
 		}
 		out.fan++
+		if w.stopped {
+			continue
+		}
 		sp := fan.Child("shard_visit")
 		sp.SetShard(i)
 		var before instrument.CounterSnapshot
@@ -255,11 +262,9 @@ func (e *Epoch) rangeVisitCtx(ctx context.Context, query geom.AABB, visit func(i
 			out.errs = append(out.errs, ShardError{Shard: i, Err: ctx.Err().Error()})
 			continue
 		}
-		if w.stopped {
-			out.stopped = true
-			break
+		if !w.stopped {
+			out.done++
 		}
-		out.done++
 	}
 	w.visit, w.ctx = nil, nil
 	e.wrapPool.Put(w)
@@ -270,12 +275,14 @@ func (e *Epoch) rangeVisitCtx(ctx context.Context, query geom.AABB, visit func(i
 	return out
 }
 
-// rangeIntoCtx is the materializing form of rangeVisitCtx: it appends every
-// match to buf and returns the extended slice.
-func (e *Epoch) rangeIntoCtx(ctx context.Context, query geom.AABB, buf []index.Item) ([]index.Item, visitOutcome) {
+// rangeIntoCtx is the materializing form of rangeVisitCtx: it appends the
+// matches to buf in shard order and returns the extended slice, stopping the
+// traversal once it has appended limit of them (limit <= 0: every match).
+func (e *Epoch) rangeIntoCtx(ctx context.Context, query geom.AABB, limit int, buf []index.Item) ([]index.Item, visitOutcome) {
+	base := len(buf)
 	out := e.rangeVisitCtx(ctx, query, func(it index.Item) bool {
 		buf = index.AppendItem(buf, it)
-		return true
+		return limit <= 0 || len(buf)-base < limit
 	})
 	return buf, out
 }
@@ -286,7 +293,7 @@ func (e *Epoch) collect(ctx context.Context, req *Request, buf []index.Item) ([]
 	if req.Op == OpKNN {
 		return e.knnIntoCtx(ctx, req.Point, req.K, buf)
 	}
-	return e.rangeIntoCtx(ctx, req.Query, buf)
+	return e.rangeIntoCtx(ctx, req.Query, req.Limit, buf)
 }
 
 // Bounds returns the union of the epoch's shard MBRs — the tight extent of

@@ -110,6 +110,11 @@ type Request struct {
 	// Visit, when set on OpRange, streams matches instead of materializing
 	// them; streaming queries support early stop and bypass the result cache.
 	Visit func(index.Item) bool
+	// Limit caps a materialising OpRange: the reply keeps the first Limit
+	// matches in shard order — the unlimited reply at the same epoch cut to
+	// Limit — and the traversal stops at the Limit-th. <= 0 keeps every
+	// match. kNN, joins (see JoinRequest.Limit) and Visit ignore it.
+	Limit int
 	// Buf is the append target for materialized OpRange/OpKNN results; the
 	// reply's Items extends it (pass nil to allocate). The caller lends it —
 	// both HTTP servers lend one from index.GetItems per range and kNN read,
@@ -162,9 +167,10 @@ type Reply struct {
 	// Epoch is the generation the query ran against (0 when the query was
 	// rejected before pinning one).
 	Epoch uint64
-	// Items holds materialized OpRange/OpKNN results: req.Buf extended, so
-	// it may alias the caller's buffer (or an array grown from it) and never
-	// aliases store memory such as a cache entry.
+	// Items holds materialized OpRange/OpKNN results — at most Request.Limit
+	// range matches when it is set: req.Buf extended, so it may alias the
+	// caller's buffer (or an array grown from it) and never aliases store
+	// memory such as a cache entry.
 	Items []index.Item
 	// Pairs, JoinItems, JoinCount and JoinStats hold the OpJoin
 	// outcome. JoinCount is the exact number of result pairs; Pairs holds
@@ -281,15 +287,16 @@ func (s *Store) failedReply(err error) Reply {
 	return Reply{Err: err}
 }
 
-// finishOutcome folds a shard fan-out outcome into the reply: a clean (or
-// visitor-stopped) read passes through; partial progress degrades the reply
+// finishOutcome folds a shard fan-out outcome into the reply: a clean read —
+// one that stopped early included, unless a shard failed or was cancelled
+// before the stop — passes through; partial progress degrades the reply
 // with per-shard detail; zero progress on a dead context fails it. gathered
 // is how many results the caller collected — progress even when no shard
 // finished whole.
 func (rep *Reply) finishOutcome(ctx context.Context, out visitOutcome, gathered int) {
 	rep.Plan.FanOut = out.fan
 	rep.Counters = out.counters
-	if out.clean() || out.stopped {
+	if out.clean() {
 		return
 	}
 	if out.done == 0 && gathered == 0 && out.cancelled {
