@@ -562,9 +562,9 @@ func TestClusterHedgedRequests(t *testing.T) {
 // slowed past the hedge, fan-outs return while that node's tasks still run,
 // and the stragglers append into their buffers beside later queries that
 // take buffers from the same pool. Only received tasks give theirs back, so
-// every reply stays exact (and -race sees no shared buffer). Every other
-// range is limited to 16 items: a hedge then races a task that stopped
-// early, win cuts it, and the count must still be exactly min(16, truth).
+// every reply stays exact (and -race sees no shared buffer). Each box is
+// also read with limit 16: a hedge then races a task that stopped early,
+// win cuts it, and the count must still be exactly min(16, truth).
 func TestClusterHedgedStragglersKeepTheirBuffers(t *testing.T) {
 	items := clusterItems(3000, 71)
 	co, _ := newTestCluster(t, 3, 2, time.Millisecond)
@@ -581,21 +581,18 @@ func TestClusterHedgedStragglersKeepTheirBuffers(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(c)))
 			for i := 0; i < 40; i++ {
-				lo := geom.V(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
-				box := geom.NewAABB(lo, lo.Add(geom.V(1, 1, 1).Scale(1+rng.Float64()*60)))
-				if i%2 == 1 {
-					if !checkLimited(t, "hedged", limitedRange(co, box, 16), bruteRange(items, box), 16) {
-						return
-					}
-					continue
-				}
+				box := randomBox(rng)
+				want := bruteRange(items, box)
 				rep := co.Range(context.Background(), box)
 				if rep.Err != nil || rep.Degraded {
 					t.Errorf("range %v: err=%v degraded=%v", box, rep.Err, rep.Degraded)
 					return
 				}
-				if got, want := sortedIDs(rep.Items), bruteRange(items, box); !sameIDs(got, want) {
+				if got := sortedIDs(rep.Items); !sameIDs(got, want) {
 					t.Errorf("range %v: %d items, not the %d of the linear scan", box, len(got), len(want))
+					return
+				}
+				if !checkLimited(t, "hedged", limitedRange(co, box, 16), want, 16) {
 					return
 				}
 			}
