@@ -184,6 +184,13 @@ func (c *Compact) Bounds() geom.AABB {
 	return c.nodes[0].box
 }
 
+// Leaf returns leaf entry i, 0 <= i < Len(): the leaf arrays hold every item
+// once, so a position in them names an item of the snapshot for as long as
+// the snapshot lives (the store's tile table keys its id map on it).
+func (c *Compact) Leaf(i int) index.Item {
+	return index.Item{ID: c.leafIDs[i], Box: c.leafBoxes[i]}
+}
+
 // Counters returns the snapshot's traversal counters.
 func (c *Compact) Counters() *instrument.Counters { return &c.counters }
 

@@ -198,3 +198,36 @@ func TestMutableRangeVisitZeroAllocs(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestCompactLeafListsEveryItemOnce: Leaf(0..Len) is the item set, each item
+// once with its box, and an overlay of the serialized snapshot has the same
+// leaf at every position — a leaf position names the same item in both.
+func TestCompactLeafListsEveryItemOnce(t *testing.T) {
+	for _, n := range []int{1, 5, 3000} {
+		items := randomItems(n, int64(n)+3)
+		c := FreezeItems(items, Config{})
+		leaves := make([]index.Item, c.Len())
+		for i := range leaves {
+			leaves[i] = c.Leaf(i)
+		}
+		byID := func(a, b index.Item) int { return int(a.ID - b.ID) }
+		want, got := slices.Clone(items), slices.Clone(leaves)
+		slices.SortFunc(want, byID)
+		slices.SortFunc(got, byID)
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: the leaves are not the item set", n)
+		}
+		if !OverlaySupported() {
+			continue
+		}
+		ov, _, err := OverlayCompact(alignedBlob(c))
+		if err != nil {
+			t.Fatalf("n=%d: overlay: %v", n, err)
+		}
+		for i := range leaves {
+			if ov.Leaf(i) != leaves[i] {
+				t.Fatalf("n=%d: overlay leaf %d is %v, frozen %v", n, i, ov.Leaf(i), leaves[i])
+			}
+		}
+	}
+}

@@ -113,6 +113,21 @@ func (s *Store) initMetrics(reg *obs.Registry) {
 	reg.Gauge("spatial_epoch_age_seconds", func() float64 {
 		return time.Since(s.epoch.Load().born).Seconds()
 	})
+	// Memory by owner: the tile table's materialised item slices (0 at rest,
+	// when every clean tile's items live only in its image) and the current
+	// epoch's images, at their serialized size.
+	reg.Gauge(obs.Name("spatial_mem_bytes", "owner", "tile_items"), func() float64 {
+		return float64(s.tiles.itemBytes.Load())
+	})
+	reg.Gauge(obs.Name("spatial_mem_bytes", "owner", "images"), func() float64 {
+		e := s.acquire()
+		defer s.release(e)
+		n := 0
+		for i := range e.shards {
+			n += e.shards[i].snap.BinarySize()
+		}
+		return float64(n)
+	})
 
 	// The paper's cost categories as live monotonic series. Shard counters
 	// accumulate per epoch and reset on swap, so the scrape folds the running

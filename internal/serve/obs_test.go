@@ -8,6 +8,8 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -182,5 +184,55 @@ func TestJoinTraceReportsComparisons(t *testing.T) {
 	}
 	if cells, ok := js.Attrs["cells"].(int); !ok || cells < 1 {
 		t.Fatalf("join_exec cells = %v, want a positive grid cell count", js.Attrs["cells"])
+	}
+}
+
+// TestMemBytesSeries: /metrics splits the store's memory by owner. The tile
+// table's materialised items read 0 at rest and the bytes of the touched
+// tile between a stage and its publish; the images series is the current
+// epoch's images at their serialized size.
+func TestMemBytesSeries(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := mustNew(t, Config{Shards: 2, Workers: 2, Metrics: reg})
+	defer s.Close()
+	items := durableItems(5000, 41)
+	s.Bootstrap(items)
+	series := func() (tileItems, images string) {
+		var out strings.Builder
+		reg.WritePrometheus(&out)
+		for _, line := range strings.Split(out.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, `spatial_mem_bytes{owner="tile_items"} `); ok {
+				tileItems = v
+			}
+			if v, ok := strings.CutPrefix(line, `spatial_mem_bytes{owner="images"} `); ok {
+				images = v
+			}
+		}
+		return tileItems, images
+	}
+	imageBytes := func() string {
+		e := s.AcquireEpoch()
+		defer s.ReleaseEpoch(e)
+		n := 0
+		for i := range e.shards {
+			n += e.shards[i].snap.BinarySize()
+		}
+		return fmt.Sprintf("%g", float64(n))
+	}
+	if ti, im := series(); ti != "0" || im != imageBytes() || im == "0" {
+		t.Fatalf("after the bootstrap: tile_items %q, images %q (epoch images %s)", ti, im, imageBytes())
+	}
+
+	moved := items[0]
+	s.stage(context.Background(), []Update{{ID: moved.ID, Box: moved.Box.Translate(geom.V(0.5, 0, 0))}}, true)
+	s.stagingMu.Lock()
+	n := s.tiles.tiles[s.tiles.where[moved.ID].tile].n
+	s.stagingMu.Unlock()
+	if ti, _ := series(); ti != fmt.Sprintf("%g", float64(n*56)) {
+		t.Fatalf("one staged move into a %d-item tile: tile_items %q, want %d bytes", n, ti, n*56)
+	}
+	s.freezeAndSwap()
+	if ti, im := series(); ti != "0" || im != imageBytes() {
+		t.Fatalf("after the publish: tile_items %q, images %q (epoch images %s)", ti, im, imageBytes())
 	}
 }

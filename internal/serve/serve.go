@@ -13,11 +13,13 @@
 //     every upsert and delete to its tile in O(1), and a publish rebuilds
 //     only the tiles a batch dirtied — on one goroutine, leaving the other
 //     cores to readers — while every clean tile's image is carried into the
-//     next epoch by reference. Only a cut (after a bulk load — a batch
-//     longer than the live item count, the bootstrap among them — after a
-//     re-cut when a tile's cardinality drifts past a stated factor, and on
-//     the first publish after recovery) rebuilds every tile, fanned out
-//     over Config.Workers. The epoch pointer then swaps atomically.
+//     next epoch by reference. A clean tile keeps no copy of its items: its
+//     image's leaves are its items, and its slots are leaf positions. Only
+//     a cut (after a bulk load — a batch longer than the live item count,
+//     the bootstrap among them — after a re-cut when a tile's cardinality
+//     drifts past a stated factor, and on the first publish after recovery)
+//     rebuilds every tile, fanned out over Config.Workers. The epoch
+//     pointer then swaps atomically.
 //
 // The paper's workload is "massive but minimal movement": a timestep moves
 // many items a short way, so a batch dirties the few tiles it lands in and
@@ -450,7 +452,8 @@ func (s *Store) stage(ctx context.Context, batch []Update, journal bool) {
 // images into the new epoch by reference. A full rebuild (after a cut or a
 // recovery) fans the tiles out over cfg.Workers; an incremental one builds
 // its dirty tiles on this goroutine alone, leaving the other cores to
-// readers.
+// readers. Once built, the tiles hand their items over to their images
+// (tileTable.drop), under stagingMu again.
 func (s *Store) freezeAndSwap() uint64 {
 	s.buildMu.Lock()
 	defer s.buildMu.Unlock()
@@ -480,6 +483,9 @@ func (s *Store) freezeAndSwap() uint64 {
 		}
 		s.scratch = scratch[:0]
 	}
+	s.stagingMu.Lock()
+	s.tiles.drop(builds)
+	s.stagingMu.Unlock()
 
 	prev := s.epoch.Load()
 	next := newEpoch(prev.seq+1, shards, items)

@@ -4,11 +4,18 @@ package serve
 // cut partitions the dataset with partitionSTR into tilesPerShard tiles per
 // configured shard — and an id → (tile, slot) map routes every upsert and
 // delete to its tile in O(1), the role SQLite's R*-Tree gives its
-// %_rowid → nodeno side table. A tile owns its item slice and the frozen
-// image last built from it; staging a batch marks the tiles it touches
+// %_rowid → nodeno side table. Staging a batch marks the tiles it touches
 // dirty, and a publish rebuilds only those, carrying every clean tile's
 // image into the next epoch by reference. Each non-empty tile is one shard
 // of the epoch.
+//
+// The image is the data: once a publish has built a tile's image, the tile
+// drops its item slice, and its slots are the leaf positions of the image
+// (where names them). The first change staged into a clean tile materialises
+// its items in leaf order, so every slot where holds stays valid, and from
+// then on the tile's slice is its items until the next publish drops it
+// again. At rest the table holds a count, the bounds and the image of each
+// tile, and one id map.
 //
 // The layout is a function of the sequence of staged batches and nothing
 // else — not of publish timing, coalescing or worker counts — so WAL replay
@@ -22,13 +29,16 @@ package serve
 //     then margin), ties to the lowest index; routing bounds are the tight
 //     MBR of the tile as of the previous batch, grown by this batch's boxes;
 //   - images are built from ID-sorted items with one goroutine per tile, so
-//     a tile's image is a function of its item set;
+//     a tile's image is a function of its item set, and so is a cut (STR
+//     breaks ties on ID), whatever order slots and leaves put the items in;
 //   - empty tiles are inert (never routed to, not counted, not published),
 //     so a recovered table, which has only the persisted non-empty tiles,
 //     behaves exactly like the one that wrote them.
 
 import (
 	"slices"
+	"sync/atomic"
+	"unsafe"
 
 	"spatialsim/internal/geom"
 	"spatialsim/internal/index"
@@ -46,14 +56,24 @@ const (
 	// recutMinTile exempts small tiles from the imbalance rule, so a tiny
 	// store does not re-cut on every insert.
 	recutMinTile = 64
+	// itemSize is the bytes one materialised item takes in a tile's slice.
+	itemSize = int64(unsafe.Sizeof(index.Item{}))
 )
 
-// tileLoc is an item's position in the table: tile index and slot.
+// tileLoc is an item's position in the table: its tile, and its slot in that
+// tile — the index into the tile's items while they are materialised, and
+// the item's leaf position in the tile's image while the tile is clean.
+// Materialising keeps leaf order, so a slot means the same item in both.
 type tileLoc struct{ tile, slot int32 }
 
 // tile is one STR tile of the table.
 type tile struct {
+	// items is nil while the tile is clean: its items are then only the leaf
+	// arrays of image. It holds them from the first change after a publish
+	// (or from a cut or a seed) until a publish builds and drops them.
 	items []index.Item
+	// n counts the tile's items, materialised or not.
+	n int
 	// bounds is the routing MBR: tight over items at the end of the last
 	// staged batch, grown by the boxes staged into the tile since.
 	bounds geom.AABB
@@ -61,8 +81,29 @@ type tile struct {
 	// store's stagingMu).
 	dirty bool
 	// image is the frozen shard last built from items; valid while the tile
-	// is clean (written and read under the store's buildMu).
+	// is clean (written by a publish under the store's buildMu, and read by
+	// staging only once that publish has dropped the tile's items).
 	image Shard
+}
+
+// appendItems appends the tile's items to dst: its slice, or its image's
+// leaves in leaf order while it is clean.
+func (tl *tile) appendItems(dst []index.Item) []index.Item {
+	if tl.items != nil || tl.n == 0 {
+		return append(dst, tl.items...)
+	}
+	for i := range tl.n {
+		dst = append(dst, tl.image.snap.Leaf(i))
+	}
+	return dst
+}
+
+// materialise gives a clean tile its items back before its first change:
+// slot i is leaf i, so every where entry naming the tile stays valid.
+func (tl *tile) materialise() {
+	if tl.items == nil && tl.n > 0 {
+		tl.items = tl.appendItems(make([]index.Item, 0, tl.n))
+	}
 }
 
 // tileTable is the store's staged state (guarded by the store's stagingMu).
@@ -78,6 +119,10 @@ type tileTable struct {
 	// cuts, the first included.
 	updates int64
 	cuts    int64
+	// itemBytes is the capacity of the materialised item slices in bytes,
+	// recounted after each staged batch and each publish's drop; metrics
+	// read it without the lock.
+	itemBytes atomic.Int64
 }
 
 func newTileTable(shards int) *tileTable {
@@ -90,7 +135,8 @@ func (tt *tileTable) len() int { return len(tt.where) }
 // stage applies one batch, tightens the routing bounds of the dirty tiles
 // and re-cuts if the trigger fires. A batch longer than the table's live
 // item count is a bulk load: its new ids skip routing and collect in one
-// provisional tile, and the batch always ends with a cut.
+// provisional tile, sized once for them and for the items the cut gathers
+// into it, and the batch always ends with a cut.
 func (tt *tileTable) stage(batch []Update) {
 	tt.updates += int64(len(batch))
 	if len(tt.tiles) == 0 {
@@ -98,8 +144,14 @@ func (tt *tileTable) stage(batch []Update) {
 	}
 	bulk := int32(-1)
 	if len(batch) > tt.len() {
+		upserts := 0
+		for _, u := range batch {
+			if !u.Delete {
+				upserts++
+			}
+		}
 		bulk = int32(len(tt.tiles))
-		tt.tiles = append(tt.tiles, &tile{bounds: geom.EmptyAABB()})
+		tt.tiles = append(tt.tiles, &tile{items: make([]index.Item, 0, upserts+tt.len()), bounds: geom.EmptyAABB()})
 	}
 	for _, u := range batch {
 		if u.Delete {
@@ -121,6 +173,7 @@ func (tt *tileTable) stage(batch []Update) {
 	case bulk >= 0 || tt.retileNeeded():
 		tt.cut(bulk)
 	}
+	tt.countItemBytes()
 }
 
 // upsert moves a live id in place or adds a new one: to tile bulk when it
@@ -128,6 +181,7 @@ func (tt *tileTable) stage(batch []Update) {
 func (tt *tileTable) upsert(id int64, box geom.AABB, bulk int32) {
 	if loc, ok := tt.where[id]; ok {
 		tl := tt.tiles[loc.tile]
+		tl.materialise()
 		tl.items[loc.slot].Box = box
 		tl.bounds, tl.dirty = tl.bounds.Union(box), true
 		return
@@ -137,8 +191,10 @@ func (tt *tileTable) upsert(id int64, box geom.AABB, bulk int32) {
 		ti = tt.route(box)
 	}
 	tl := tt.tiles[ti]
-	tt.where[id] = tileLoc{tile: ti, slot: int32(len(tl.items))}
+	tl.materialise()
+	tt.where[id] = tileLoc{tile: ti, slot: int32(tl.n)}
 	tl.items = append(tl.items, index.Item{ID: id, Box: box})
+	tl.n++
 	tl.bounds, tl.dirty = tl.bounds.Union(box), true
 }
 
@@ -150,12 +206,16 @@ func (tt *tileTable) delete(id int64) {
 	delete(tt.where, id)
 	// Swap-remove: the tile's last item takes the freed slot.
 	tl := tt.tiles[loc.tile]
-	last := int32(len(tl.items) - 1)
-	if loc.slot != last {
+	tl.materialise()
+	tl.n--
+	if last := int32(tl.n); loc.slot != last {
 		tl.items[loc.slot] = tl.items[last]
 		tt.where[tl.items[loc.slot].ID] = loc
 	}
-	tl.items, tl.dirty = tl.items[:last], true
+	tl.items, tl.dirty = tl.items[:tl.n], true
+	if tl.n == 0 {
+		tl.items = nil // an emptied tile is inert: release its slice
+	}
 }
 
 // route picks the tile a new id joins: the non-empty tile whose bounds grow
@@ -165,7 +225,7 @@ func (tt *tileTable) route(box geom.AABB) int32 {
 	best, bestVol, bestMargin := int32(0), 0.0, 0.0
 	found := false
 	for i, tl := range tt.tiles {
-		if len(tl.items) == 0 {
+		if tl.n == 0 {
 			continue
 		}
 		u := tl.bounds.Union(box)
@@ -191,9 +251,9 @@ func (tt *tileTable) retileNeeded() bool {
 	}
 	live, largest := 0, 0
 	for _, tl := range tt.tiles {
-		if c := len(tl.items); c > 0 {
+		if tl.n > 0 {
 			live++
-			largest = max(largest, c)
+			largest = max(largest, tl.n)
 		}
 	}
 	if live*recutFactor < min(tt.want, n) {
@@ -202,9 +262,10 @@ func (tt *tileTable) retileNeeded() bool {
 	return largest > recutMinTile && largest*live > recutFactor*n
 }
 
-// cut re-partitions every live item into fresh STR tiles, all dirty. After
-// a bulk load (bulk >= 0) the other tiles' items are appended to the bulk
-// tile's slice instead of a fresh copy of everything; the new tiles are
+// cut re-partitions every live item into fresh STR tiles, all dirty; a clean
+// tile contributes its image's leaves. After a bulk load (bulk >= 0) the
+// other tiles' items are appended to the bulk tile's slice, which stage
+// sized for them, instead of a fresh copy of everything; the new tiles are
 // capped subslices of the gathered items.
 func (tt *tileTable) cut(bulk int32) {
 	var all []index.Item
@@ -215,13 +276,13 @@ func (tt *tileTable) cut(bulk int32) {
 	}
 	for i, tl := range tt.tiles {
 		if int32(i) != bulk {
-			all = append(all, tl.items...)
+			all = tl.appendItems(all)
 		}
 	}
 	parts := partitionSTR(all, tt.want)
 	tt.tiles = make([]*tile, len(parts))
 	for ti, part := range parts {
-		tt.tiles[ti] = &tile{items: part[:len(part):len(part)], bounds: boundsOf(part), dirty: true}
+		tt.tiles[ti] = &tile{items: part[:len(part):len(part)], n: len(part), bounds: boundsOf(part), dirty: true}
 		for slot, it := range part {
 			tt.where[it.ID] = tileLoc{tile: int32(ti), slot: int32(slot)}
 		}
@@ -242,21 +303,23 @@ func (tt *tileTable) seed(shards []Shard) {
 			continue
 		}
 		ti := int32(len(tt.tiles))
-		items := make([]index.Item, 0, sh.Len())
-		sh.snap.RangeVisit(sh.bounds, func(it index.Item) bool {
-			tt.where[it.ID] = tileLoc{tile: ti, slot: int32(len(items))}
-			items = append(items, it)
-			return true
-		})
-		tt.tiles = append(tt.tiles, &tile{items: items, bounds: boundsOf(items), dirty: true})
+		items := make([]index.Item, sh.Len())
+		for slot := range items {
+			items[slot] = sh.snap.Leaf(slot)
+			tt.where[items[slot].ID] = tileLoc{tile: ti, slot: int32(slot)}
+		}
+		tt.tiles = append(tt.tiles, &tile{items: items, n: len(items), bounds: boundsOf(items), dirty: true})
 	}
 	tt.full = true
+	tt.countItemBytes()
 }
 
-// tileBuild is one dirty tile of a publish: a copy of its items (sorted by
-// ID before the build) and the epoch shard slot its image fills.
+// tileBuild is one dirty tile of a publish: its index in the table, a copy
+// of its items (sorted by ID before the build) and the epoch shard slot its
+// image fills.
 type tileBuild struct {
 	tile  *tile
+	ti    int32
 	items []index.Item
 	shard int
 }
@@ -269,23 +332,51 @@ func (tt *tileTable) plan(scratch []index.Item) (shards []Shard, builds []tileBu
 	need := 0
 	for _, tl := range tt.tiles {
 		if tl.dirty {
-			need += len(tl.items)
+			need += tl.n
 		}
 	}
 	buf = slices.Grow(scratch[:0], need)
-	for _, tl := range tt.tiles {
-		if len(tl.items) == 0 {
+	for ti, tl := range tt.tiles {
+		if tl.n == 0 {
 			tl.dirty = false
 			continue
 		}
 		if tl.dirty {
 			start := len(buf)
 			buf = append(buf, tl.items...)
-			builds = append(builds, tileBuild{tile: tl, items: buf[start:len(buf):len(buf)], shard: len(shards)})
+			builds = append(builds, tileBuild{tile: tl, ti: int32(ti), items: buf[start:len(buf):len(buf)], shard: len(shards)})
 			tl.dirty = false
 		}
 		shards = append(shards, tl.image)
 	}
 	full, tt.full = tt.full, false
 	return shards, builds, full, buf
+}
+
+// drop runs once a publish's images are built: each built tile that is still
+// in the table and was not dirtied again during the build hands its items
+// over to its image — where is rewritten to the image's leaf positions and
+// the slice is released. A tile a cut replaced, or one a later batch
+// changed, keeps its items for the next publish.
+func (tt *tileTable) drop(builds []tileBuild) {
+	for _, b := range builds {
+		tl := b.tile
+		if int(b.ti) >= len(tt.tiles) || tt.tiles[b.ti] != tl || tl.dirty {
+			continue
+		}
+		for i := range tl.n {
+			tt.where[tl.image.snap.Leaf(i).ID] = tileLoc{tile: b.ti, slot: int32(i)}
+		}
+		tl.items = nil
+	}
+	tt.countItemBytes()
+}
+
+// countItemBytes recounts itemBytes over the tiles' materialised slices.
+func (tt *tileTable) countItemBytes() {
+	var n int64
+	for _, tl := range tt.tiles {
+		n += int64(cap(tl.items)) * itemSize
+	}
+	tt.itemBytes.Store(n)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -119,9 +120,11 @@ func currentLayout(s *Store) string {
 // same batches applied one by one, by concurrent Apply callers that share
 // one publish, and replayed from the WAL after a crash end in the same tile
 // layout — same shards, same bounds, same items in the same visit order.
+// The last leg stages later batches into tables whose items were dropped.
 func TestTileTablePropertyAgainstOracle(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		batches := tileBatches(seed, 1500, 14)
+		all := tileBatches(seed, 1500, 20)
+		batches, later := all[:14], all[14:]
 		want := oracleOf(batches)
 
 		// One by one.
@@ -154,7 +157,7 @@ func TestTileTablePropertyAgainstOracle(t *testing.T) {
 			}
 		}
 		ref := currentLayout(one)
-		one.Close()
+		defer one.Close()
 
 		// Coalesced: the first publish after buildMu is released holds every
 		// batch, so it builds every image the final epoch serves and no
@@ -226,6 +229,54 @@ func TestTileTablePropertyAgainstOracle(t *testing.T) {
 		again.Close()
 		st2.Close()
 		ps2.Close()
+
+		// After the drop: every tile of one and co holds only its image. The
+		// later batches move, delete and insert into those tiles and re-cut;
+		// one by one, coalesced, and replayed after a crash over a snapshot
+		// taken before them, they end in one layout over the oracle's items.
+		for name, st := range map[string]*Store{"one by one": one, "coalesced": co} {
+			st.stagingMu.Lock()
+			if held := checkTileTable(t, st.tiles, want); len(held) > 0 {
+				t.Fatalf("seed %d: %s: tiles %v hold items after the publish", seed, name, held)
+			}
+			st.stagingMu.Unlock()
+		}
+		cuts := one.tiles.cuts
+		for _, b := range later {
+			one.Apply(slices.Clone(b))
+		}
+		if one.tiles.cuts == cuts {
+			t.Fatalf("seed %d: the later batches never re-cut", seed)
+		}
+		want = oracleOf(all)
+		one.stagingMu.Lock()
+		checkTileTable(t, one.tiles, want)
+		one.stagingMu.Unlock()
+		ref = currentLayout(one)
+		applyCoalesced(t, co, later)
+		if currentLayout(co) != ref {
+			t.Fatalf("seed %d: later batches coalesced over dropped tiles differ from one by one", seed)
+		}
+		dir = t.TempDir()
+		st, ps = openDurable(t, dir, Config{Shards: 1, Workers: 2, SnapshotEvery: 1000})
+		for i, b := range all {
+			st.Apply(slices.Clone(b))
+			if i == len(batches)-1 {
+				if _, err := st.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		ps.Close()
+		st3, ps3 := openDurable(t, dir, Config{Shards: 1, Workers: 2})
+		if rec := st3.Recovery(); rec.ReplayedBatches != len(later) {
+			t.Fatalf("seed %d: recovery %+v, want %d batches replayed", seed, rec, len(later))
+		}
+		if currentLayout(st3) != ref {
+			t.Fatalf("seed %d: later batches replayed after a crash differ from one by one", seed)
+		}
+		st3.Close()
+		ps3.Close()
 	}
 }
 
@@ -462,5 +513,129 @@ func TestStatsListsOneShardPerTile(t *testing.T) {
 	}
 	if classes["range"] != 1 || classes["knn"] != 1 {
 		t.Fatalf("latency rows %+v, want one range and one knn", st.QueryLatencies)
+	}
+}
+
+// checkTileTable checks the table against the oracle: where holds exactly
+// the oracle's ids, each naming a slot that holds the id with its oracle box
+// — in the tile's items while they are materialised, at that leaf position
+// of the tile's image while the tile is clean — and each tile's count is its
+// slice's length or its image's. It returns the materialised tiles. Caller
+// holds stagingMu.
+func checkTileTable(t *testing.T, tt *tileTable, want map[int64]geom.AABB) (held []int) {
+	t.Helper()
+	if len(tt.where) != len(want) {
+		t.Fatalf("where holds %d ids, oracle %d", len(tt.where), len(want))
+	}
+	for id, box := range want {
+		loc, ok := tt.where[id]
+		if !ok {
+			t.Fatalf("id %d is not in where", id)
+		}
+		tl := tt.tiles[loc.tile]
+		var it index.Item
+		if tl.items != nil {
+			it = tl.items[loc.slot]
+		} else {
+			it = tl.image.snap.Leaf(int(loc.slot))
+		}
+		if it.ID != id || it.Box != box {
+			t.Fatalf("id %d: where %+v names %d@%v (materialised %v), oracle box %v", id, loc, it.ID, it.Box, tl.items != nil, box)
+		}
+	}
+	for i, tl := range tt.tiles {
+		switch {
+		case tl.items != nil:
+			if len(tl.items) != tl.n {
+				t.Fatalf("tile %d holds %d items, counts %d", i, len(tl.items), tl.n)
+			}
+			held = append(held, i)
+		case tl.n > 0 && tl.image.snap.Len() != tl.n:
+			t.Fatalf("clean tile %d counts %d items, its image %d", i, tl.n, tl.image.snap.Len())
+		}
+	}
+	return held
+}
+
+// TestCleanTilesHoldNoItems: after the bootstrap and after every batch of
+// 2 000 moves, no tile keeps a copy of its items — each one's image is the
+// only one — and where names every live id's leaf position in its tile's
+// image, where the leaf holds the id's current box.
+func TestCleanTilesHoldNoItems(t *testing.T) {
+	s := mustNew(t, Config{Shards: 4, Workers: 2})
+	defer s.Close()
+	items := durableItems(20000, 31)
+	s.Bootstrap(items)
+	want := make(map[int64]geom.AABB, len(items))
+	for _, it := range items {
+		want[it.ID] = it.Box
+	}
+	check := func(when string) {
+		s.stagingMu.Lock()
+		defer s.stagingMu.Unlock()
+		if held := checkTileTable(t, s.tiles, want); len(held) > 0 {
+			t.Fatalf("%s: tiles %v hold items", when, held)
+		}
+	}
+	check("after the bootstrap")
+	r := rand.New(rand.NewSource(7))
+	for k := 0; k < 5; k++ {
+		batch := make([]Update, 2000)
+		for j := range batch {
+			it := items[r.Intn(len(items))]
+			box := want[it.ID].Translate(geom.V(r.Float64()-0.5, r.Float64()-0.5, r.Float64()-0.5))
+			batch[j], want[it.ID] = Update{ID: it.ID, Box: box}, box
+		}
+		s.Apply(batch)
+		check(fmt.Sprintf("after move batch %d", k))
+	}
+}
+
+// TestStagingMaterialisesOnlyTouchedTiles: between a stage and its publish,
+// the tiles the batch moved items in hold their items, in leaf order, and no
+// other tile does; the publish drops them again.
+func TestStagingMaterialisesOnlyTouchedTiles(t *testing.T) {
+	s := mustNew(t, Config{Shards: 4, Workers: 2})
+	defer s.Close()
+	items := durableItems(20000, 32)
+	s.Bootstrap(items)
+	want := make(map[int64]geom.AABB, len(items))
+	for _, it := range items {
+		want[it.ID] = it.Box
+	}
+	var batch []Update
+	touched := map[int]bool{}
+	s.stagingMu.Lock()
+	for _, it := range items {
+		if c := it.Box.Center(); c.X < 20 && c.Y < 20 && c.Z < 20 {
+			want[it.ID] = it.Box.Translate(geom.V(0.5, 0, 0))
+			batch = append(batch, Update{ID: it.ID, Box: want[it.ID]})
+			touched[int(s.tiles.where[it.ID].tile)] = true
+		}
+	}
+	tiles := len(s.tiles.tiles)
+	s.stagingMu.Unlock()
+	if len(touched) == 0 || len(touched) > tiles/4 {
+		t.Fatalf("%d moves touch %d of %d tiles", len(batch), len(touched), tiles)
+	}
+
+	s.stage(context.Background(), batch, true)
+	s.stagingMu.Lock()
+	held := checkTileTable(t, s.tiles, want)
+	s.stagingMu.Unlock()
+	if len(held) != len(touched) {
+		t.Fatalf("staging %d moves materialised tiles %v, touched %v", len(batch), held, touched)
+	}
+	for _, ti := range held {
+		if !touched[ti] {
+			t.Fatalf("staging materialised tile %d, which the batch did not touch (touched %v)", ti, touched)
+		}
+	}
+
+	s.freezeAndSwap()
+	s.stagingMu.Lock()
+	defer s.stagingMu.Unlock()
+	if held := checkTileTable(t, s.tiles, want); len(held) > 0 {
+		t.Fatalf("after the publish, tiles %v hold items", held)
 	}
 }
