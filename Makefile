@@ -85,6 +85,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeCompact -fuzztime $(FUZZTIME) ./internal/persist/
 	$(GO) test -run xxx -fuzz FuzzOverlayCompact -fuzztime $(FUZZTIME) ./internal/persist/
 	$(GO) test -run xxx -fuzz FuzzAABBIntersectContain -fuzztime $(FUZZTIME) ./internal/geom/
+	$(GO) test -run xxx -fuzz FuzzMergeNearest -fuzztime $(FUZZTIME) ./internal/index/
 	$(GO) test -run xxx -fuzz FuzzSelfJoinGrid -fuzztime $(FUZZTIME) ./internal/join/
 	$(GO) test -run xxx -fuzz FuzzGridCompareMatchesWithin -fuzztime $(FUZZTIME) ./internal/join/
 	$(GO) test -run xxx -fuzz FuzzAppendJSONFloat -fuzztime $(FUZZTIME) ./internal/httpapi/

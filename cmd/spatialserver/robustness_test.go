@@ -186,6 +186,30 @@ func TestDegradedAnswers200WithDetail(t *testing.T) {
 	}
 }
 
+// TestZeroProgressAnswers503 pins the other side of the degraded envelope:
+// when every shard a read reaches fails and no deadline is involved, there
+// is nothing to degrade to, so the read answers 503 unavailable, not 200
+// with no items.
+func TestZeroProgressAnswers503(t *testing.T) {
+	_, ts := testServer(t, 100)
+	faultinject.SetSeed(1)
+	faultinject.Enable(serve.FaultShardVisit, faultinject.Spec{ErrRate: 1})
+	t.Cleanup(faultinject.Reset)
+
+	for _, path := range []string{
+		"/v1/range?minx=-1&miny=-1&minz=-1&maxx=20&maxy=20&maxz=2",
+		"/v1/knn?x=4&y=2&z=0&k=5",
+	} {
+		resp, body := getResp(t, ts.URL+path)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s: status %d, want 503; body %s", path, resp.StatusCode, body)
+		}
+		if eb := decodeError(t, body); eb.Code != "unavailable" {
+			t.Fatalf("%s: code %q, want unavailable", path, eb.Code)
+		}
+	}
+}
+
 // TestServeUntilSignalGracefulShutdown drives the real shutdown path: a
 // durable store serving on a live listener receives SIGTERM, drains, takes
 // its final snapshot, and a reopened store recovers the served state.

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"math"
@@ -85,15 +84,10 @@ func sameIDs(a, b []int64) bool {
 	return true
 }
 
-func sortByDist(items []index.Item, p geom.Vec3) {
-	slices.SortFunc(items, func(a, b index.Item) int {
-		return cmp.Or(cmp.Compare(a.Box.Distance2ToPoint(p), b.Box.Distance2ToPoint(p)), cmp.Compare(a.ID, b.ID))
-	})
-}
-
 // TestClusterConformance checks the headline acceptance bar: a 3-node
 // coordinator answers range, kNN and join byte-identically to one store
-// holding the same dataset.
+// holding the same dataset — kNN in the same (distance, ID) order, since
+// both gather through one merge.
 func TestClusterConformance(t *testing.T) {
 	items := clusterItems(500, 42)
 	co, _ := newTestCluster(t, 3, 2, 0)
@@ -130,7 +124,6 @@ func TestClusterConformance(t *testing.T) {
 			t.Fatalf("knn %d: err=%v degraded=%v", q, rep.Err, rep.Degraded)
 		}
 		want := single.Query(serve.Request{Op: serve.OpKNN, Point: p, K: k}).Items
-		sortByDist(want, p)
 		if !sameIDs(ids(rep.Items), ids(want)) {
 			t.Fatalf("knn %d (k=%d): cluster %v != single %v", q, k, ids(rep.Items), ids(want))
 		}
@@ -484,6 +477,27 @@ func TestClusterDegradedNeverWrong(t *testing.T) {
 	rep = co.Range(context.Background(), universe())
 	if !errors.Is(rep.Err, ErrUnavailable) {
 		t.Fatalf("all-dead err = %v, want ErrUnavailable", rep.Err)
+	}
+}
+
+// TestClusterShardFailuresAreUnavailable: every node is up but every shard
+// fails its read, so each node store fails its task rather than answering
+// degraded with nothing, and the coordinator, with no task that
+// contributed, fails the read with ErrUnavailable for range and kNN alike.
+func TestClusterShardFailuresAreUnavailable(t *testing.T) {
+	co, _ := newTestCluster(t, 3, 1, 0)
+	if _, err := co.Bootstrap(clusterItems(500, 42)); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Reset()
+	faultinject.Enable(serve.FaultShardVisit, faultinject.Spec{ErrRate: 1})
+	for name, rep := range map[string]Reply{
+		"range": co.Range(context.Background(), universe()),
+		"knn":   co.KNN(context.Background(), universe().Center(), 5),
+	} {
+		if !errors.Is(rep.Err, ErrUnavailable) || rep.Degraded || len(rep.NodeErrors) == 0 {
+			t.Errorf("%s: err=%v degraded=%v node errors %v, want ErrUnavailable with node detail", name, rep.Err, rep.Degraded, rep.NodeErrors)
+		}
 	}
 }
 

@@ -60,7 +60,8 @@ type Reply struct {
 	// Items holds range results in task-launch order — each fan-out task's
 	// items together, tasks in the order they were launched; deterministic
 	// for a fixed view as long as no failover or hedge fired, and in no ID
-	// order — or kNN results (sorted by distance, ties by ID). A range with
+	// order — or kNN results (sorted by distance, ties by ID: the single
+	// store's order, through the same index.Nearest merge). A range with
 	// a positive Request.Limit keeps the first Limit of that order, exactly
 	// min(Limit, matches) items on a complete reply. Every item is emitted
 	// by exactly one task, so there are no duplicates to remove.
@@ -369,14 +370,6 @@ func (c *Coordinator) routeBatch(batch []serve.Update, mbrs []geom.AABB) [][]ser
 	return per
 }
 
-// ctxErr maps a dead context onto the serve deadline vocabulary.
-func ctxErr(err error) error {
-	if errors.Is(err, context.DeadlineExceeded) {
-		return serve.ErrDeadline
-	}
-	return err
-}
-
 // Query classes of the latency histogram, matching serve's.
 const (
 	classRange = iota
@@ -496,14 +489,12 @@ func (c *Coordinator) join(ctx context.Context, rep *Reply, items []index.Item, 
 	rep.JoinItems = len(items)
 	rep.JoinCount = int(stats.Pairs)
 	rep.JoinStats = stats
-	if stats.Cancelled {
-		if len(pairs) == 0 {
-			rep.Pairs = nil
-			rep.Err = ctxErr(ctx.Err())
-		} else if !rep.Degraded {
-			rep.Degraded = true
-			c.degradedC.Add(1)
-		}
+	degraded, err := serve.Outcome{Answered: !stats.Cancelled, Progressed: len(pairs) > 0}.Resolve(ctx)
+	if err != nil {
+		rep.Pairs, rep.Err = nil, err
+	} else if degraded && !rep.Degraded {
+		rep.Degraded = true
+		c.degradedC.Add(1)
 	}
 }
 

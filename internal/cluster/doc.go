@@ -44,7 +44,8 @@
 // whose MBR (or an owner's) lies farther than the k-th distance that answer
 // proved is resolved without contacting anyone, only what is left is fanned
 // out, and the per-node lists — each cut down to the tiles its task won —
-// are k-way merged by (distance, ID). A localized kNN touches one node.
+// are folded by (distance, ID) through index.Nearest, the store's own
+// cross-shard merge. A localized kNN touches one node.
 //
 // # Epoch-consistent swaps
 //
@@ -67,10 +68,10 @@
 // tiles are re-assigned to their next owner — a node may be asked twice, for
 // disjoint tile sets — and a task wins only the tiles still open when it
 // reports, keeping only their items. If every owner of some tile is gone, the
-// reply degrades (Reply.Degraded plus per-node error detail, reusing the
-// serve.ErrOverload / serve.ErrDeadline vocabulary) rather than returning
-// wrong answers; a degraded node reply's items survive only for tiles no
-// clean task resolved. So "complete ⇒ equal, degraded ⇒ subset, never
+// reply degrades (Reply.Degraded plus per-node error detail, decided by the
+// store's serve.Outcome rule and reusing its error vocabulary) rather than
+// returning wrong answers; a degraded node reply's items survive only for
+// tiles no clean task resolved. So "complete ⇒ equal, degraded ⇒ subset, never
 // duplicated" holds by construction, not by hashing. Metrics surface as
 // spatial_cluster_* series (node_items_total over result_items_total is the
 // gather amplification, 1.0 on complete range replies) and every fan-out

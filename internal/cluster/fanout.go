@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -483,15 +482,9 @@ func (f *fanout) finish() Reply {
 	c.hedges.Add(int64(f.hedges))
 	c.failovers.Add(int64(f.failovers))
 	c.nodeItems.Add(int64(f.nodeItems))
-	switch {
-	case f.open == 0:
-	case f.progressed:
-		rep.Degraded = true
+	rep.Degraded, rep.Err = serve.Outcome{Answered: f.open == 0, Progressed: f.progressed}.Resolve(f.ctx)
+	if rep.Degraded {
 		c.degradedC.Add(1)
-	case f.ctx.Err() != nil:
-		rep.Err = ctxErr(f.ctx.Err())
-	default:
-		rep.Err = ErrUnavailable
 	}
 	return rep
 }
@@ -536,61 +529,13 @@ func (f *fanout) recycle() {
 	}
 }
 
-// mergeKNN is the kNN gather: a k-way merge of the contributing tasks'
-// lists, each ascending by distance, into the k nearest in (distance, ID)
-// order, appended to buf. Every candidate's distance is computed once; the
-// lists are disjoint by tile ownership, so the merge has no duplicate to
-// look for.
+// mergeKNN is the kNN gather: the contributing tasks' lists, each ascending
+// by distance, folded through one index.Nearest into the k nearest in
+// (distance, ID) order and appended to buf. The lists are disjoint by tile
+// ownership, so the merge has no duplicate to look for.
 func (f *fanout) mergeKNN(buf []index.Item) []index.Item {
-	type run struct {
-		items []index.Item
-		d2    []float64
-	}
-	var runs []run
-	total := 0
-	f.contributions(func(items []index.Item) {
-		runs = append(runs, run{items: items})
-		total += len(items)
-	})
-	if total == 0 {
-		return buf
-	}
-	d2 := make([]float64, total)
-	for r := range runs {
-		runs[r].d2, d2 = d2[:len(runs[r].items)], d2[len(runs[r].items):]
-		items, d := runs[r].items, runs[r].d2
-		for i := range items {
-			d[i] = items[i].Box.Distance2ToPoint(f.p)
-		}
-		// Nodes order equal distances arbitrarily; put them in ID order.
-		for i := 0; i < len(items); {
-			j := i + 1
-			for j < len(items) && d[j] == d[i] {
-				j++
-			}
-			if j-i > 1 {
-				slices.SortFunc(items[i:j], func(a, b index.Item) int { return cmp.Compare(a.ID, b.ID) })
-			}
-			i = j
-		}
-	}
-	out := slices.Grow(buf, min(f.k, total))
-	for base := len(out); len(out)-base < f.k; {
-		best := -1
-		for r := range runs {
-			if len(runs[r].items) == 0 {
-				continue
-			}
-			if best < 0 || runs[r].d2[0] < runs[best].d2[0] ||
-				(runs[r].d2[0] == runs[best].d2[0] && runs[r].items[0].ID < runs[best].items[0].ID) {
-				best = r
-			}
-		}
-		if best < 0 {
-			break
-		}
-		out = append(out, runs[best].items[0])
-		runs[best].items, runs[best].d2 = runs[best].items[1:], runs[best].d2[1:]
-	}
-	return out
+	near := index.GetNearest(f.p, f.k)
+	defer index.PutNearest(near)
+	f.contributions(near.Add)
+	return near.AppendTo(buf)
 }

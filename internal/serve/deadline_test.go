@@ -358,3 +358,38 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 	t.Fatal("condition not reached within 5s")
 }
+
+// TestZeroProgressFailsUnavailable: when every shard a read reaches fails
+// and the context is alive, nothing contributed, so there is nothing to
+// degrade to — the materialising range, the streaming range and the kNN all
+// fail with ErrUnavailable. None is cached, and none counts as degraded.
+func TestZeroProgressFailsUnavailable(t *testing.T) {
+	s := mustNew(t, Config{Shards: 4, Workers: 2, CacheEntries: 16})
+	defer s.Close()
+	s.Bootstrap(genItems(400, 0))
+	box := geom.NewAABB(geom.V(-1, -1, -1), geom.V(40, 40, 8))
+	reqs := map[string]func() Request{
+		"range": func() Request { return Request{Op: OpRange, Query: box} },
+		"streaming": func() Request {
+			return Request{Op: OpRange, Query: box, Visit: func(index.Item) bool { return true }}
+		},
+		"knn": func() Request { return Request{Op: OpKNN, Point: geom.V(16, 6, 2), K: 50} },
+	}
+
+	armShardFault(t, faultinject.Spec{ErrRate: 1})
+	for name, req := range reqs {
+		if rep := s.Query(req()); !errors.Is(rep.Err, ErrUnavailable) || rep.Degraded || len(rep.Items) != 0 {
+			t.Errorf("%s: err=%v degraded=%v items=%d, want ErrUnavailable and nothing else", name, rep.Err, rep.Degraded, len(rep.Items))
+		}
+	}
+	if st := s.Stats(); st.Degraded != 0 {
+		t.Fatalf("Degraded counter = %d, want 0: a failed read is not a degraded one", st.Degraded)
+	}
+
+	faultinject.Reset()
+	for name, req := range reqs {
+		if rep := s.Query(req()); rep.Err != nil || rep.Degraded || rep.Plan.CacheHit {
+			t.Errorf("%s after the fault: err=%v degraded=%v hit=%v, want a clean miss", name, rep.Err, rep.Degraded, rep.Plan.CacheHit)
+		}
+	}
+}

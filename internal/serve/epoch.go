@@ -170,25 +170,19 @@ func (w *stopWrap) call(it index.Item) bool {
 
 // visitOutcome reports how a fanned-out read over the epoch's shards ended:
 // how many shards the query reached after MBR pruning, how many completed,
-// whether the context expired mid-fan-out, and the per-shard errors of the
-// shards that did not contribute. A visitor that stops early is not a
+// and the per-shard errors of the shards that did not contribute — a shard
+// the context expired on included. A visitor that stops early is not a
 // failure: the fan-out reads no shard after the stop, so every error it
-// records came before it.
+// records came before it. Reply.finishOutcome turns it into the reply's
+// shape by the one Outcome rule.
 type visitOutcome struct {
-	fan       int
-	done      int
-	cancelled bool
-	errs      []ShardError
+	fan  int
+	done int
+	errs []ShardError
 	// counters is the instrument-counter delta observed on the visited shards
 	// (ctx paths only). Shard counters are shared across concurrent queries,
 	// so the attribution is approximate under contention.
 	counters instrument.CounterSnapshot
-}
-
-// clean reports whether every reached shard contributed what the visitor
-// asked of it: all its matches, or — up to a stop — as many as it wanted.
-func (o visitOutcome) clean() bool {
-	return !o.cancelled && len(o.errs) == 0
 }
 
 // RangeVisit implements index.RangeVisitor by scattering the query to every
@@ -229,19 +223,13 @@ func (e *Epoch) rangeVisitCtx(ctx context.Context, query geom.AABB, visit func(i
 		c := sh.snap.Counters()
 		if ctx != nil {
 			before = c.Snapshot()
-			if err := ctx.Err(); err != nil {
-				// Deadline gone: keep walking only to attribute the skipped
-				// shards in the degraded reply's error detail.
-				out.cancelled = true
-				out.errs = append(out.errs, ShardError{Shard: i, Err: err.Error()})
-				sp.Set("error", err.Error())
-				sp.End()
-				continue
+			// A dead context keeps walking only to attribute the skipped
+			// shards in the degraded reply's error detail.
+			err := ctx.Err()
+			if err == nil {
+				err = faultinject.HitCtx(ctx, FaultShardVisit)
 			}
-			if err := faultinject.HitCtx(ctx, FaultShardVisit); err != nil {
-				if ctx.Err() != nil {
-					out.cancelled = true
-				}
+			if err != nil {
 				out.errs = append(out.errs, ShardError{Shard: i, Err: err.Error()})
 				sp.Set("error", err.Error())
 				sp.End()
@@ -258,7 +246,6 @@ func (e *Epoch) rangeVisitCtx(ctx context.Context, query geom.AABB, visit func(i
 		}
 		sp.End()
 		if w.cancelled {
-			out.cancelled = true
 			out.errs = append(out.errs, ShardError{Shard: i, Err: ctx.Err().Error()})
 			continue
 		}
@@ -341,26 +328,19 @@ func (e *Epoch) AllItems(buf []index.Item, workers int) []index.Item {
 	return buf[:w]
 }
 
-// knnScratch is the pooled per-query state of the cross-shard kNN merge:
-// shard visit order plus the cached distance keys and merge buffers that keep
-// the merge linear — every item's box distance is computed exactly once.
+// knnScratch is the pooled per-query shard order of the cross-shard kNN:
+// the shards still to visit and their MBR distances to the point.
 type knnScratch struct {
 	order []int32
 	dist2 []float64
-
-	curD    []float64    // distances of the running top-k, aligned with buf
-	newD    []float64    // distances of the latest shard's candidates
-	merged  []index.Item // merge output (swapped back into buf)
-	mergedD []float64
 }
 
 // KNNInto implements index.KNNer with a global merge over shard-local
-// results: shards are visited in ascending MBR-distance order, each
-// contributes its k nearest (already sorted), and the two sorted runs are
-// linearly merged on cached distance keys. A shard whose MBR is farther than
-// the current kth-best distance cannot contribute (its every item is at
-// least that far), so the scan stops early — the branch-and-bound the shard
-// MBRs exist for.
+// results: shards are visited in ascending MBR-distance order and each
+// contributes its k nearest to one index.Nearest, so the reply is in
+// (distance, ID) order. A shard whose MBR is farther than the current
+// kth-best distance cannot contribute (its every item is at least that far),
+// so the scan stops early — the branch-and-bound the shard MBRs exist for.
 func (e *Epoch) KNNInto(p geom.Vec3, k int, buf []index.Item) []index.Item {
 	buf, _ = e.knnIntoCtx(nil, p, k, buf)
 	return buf
@@ -381,12 +361,6 @@ func (e *Epoch) knnIntoCtx(ctx context.Context, p geom.Vec3, k int, buf []index.
 	if ctx != nil {
 		fan = obs.SpanFromContext(ctx).Child("knn_fanout")
 	}
-	endFan := func() {
-		if fan != nil {
-			fan.Set("fan", out.fan)
-			fan.End()
-		}
-	}
 	st := e.knnPool.Get().(*knnScratch)
 	st.order = st.order[:0]
 	for i := range e.shards {
@@ -398,38 +372,30 @@ func (e *Epoch) knnIntoCtx(ctx context.Context, p geom.Vec3, k int, buf []index.
 	}
 	out.fan = len(st.order)
 
-	base := len(buf)
-	st.curD = st.curD[:0]
+	near := index.GetNearest(p, k)
 	for len(st.order) > 0 {
 		si := st.popNearest()
-		cur := len(buf) - base
-		if cur >= k && st.dist2[si] > st.curD[cur-1] {
+		kth := near.Kth()
+		if st.dist2[si] > kth {
 			// Branch-and-bound exhaustion: the remaining shards cannot
 			// contribute, so the result is complete, not degraded.
 			out.done = out.fan - len(out.errs)
-			e.knnPool.Put(st)
-			endFan()
-			return buf, out
+			break
 		}
 		sp := fan.Child("shard_knn")
 		sp.SetShard(int(si))
 		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				out.cancelled = true
-				out.errs = append(out.errs, ShardError{Shard: int(si), Err: err.Error()})
-				sp.Set("error", err.Error())
-				sp.End()
-				break
+			err := ctx.Err()
+			if err == nil {
+				err = faultinject.HitCtx(ctx, FaultShardVisit)
 			}
-			if err := faultinject.HitCtx(ctx, FaultShardVisit); err != nil {
+			if err != nil {
+				out.errs = append(out.errs, ShardError{Shard: int(si), Err: err.Error()})
 				sp.Set("error", err.Error())
 				sp.End()
 				if ctx.Err() != nil {
-					out.cancelled = true
-					out.errs = append(out.errs, ShardError{Shard: int(si), Err: err.Error()})
 					break
 				}
-				out.errs = append(out.errs, ShardError{Shard: int(si), Err: err.Error()})
 				continue
 			}
 		}
@@ -438,13 +404,10 @@ func (e *Epoch) knnIntoCtx(ctx context.Context, p geom.Vec3, k int, buf []index.
 		if ctx != nil {
 			before = c.Snapshot()
 		}
-		if cur >= k {
-			// Only candidates nearer than the running kth can enter the
-			// merge (ties keep the earlier shard's items).
-			buf = e.shards[si].snap.KNNWithin(p, k, st.curD[cur-1], buf)
-		} else {
-			buf = e.shards[si].snap.KNNInto(p, k, buf)
-		}
+		// Only candidates no farther than the running kth can enter the
+		// merge. The shard's run borrows buf's spare room until it is merged.
+		n := len(buf)
+		buf = e.shards[si].snap.KNNWithin(p, k, kth, buf)
 		if ctx != nil {
 			delta := c.Snapshot().Sub(before)
 			out.counters = out.counters.Add(delta)
@@ -454,19 +417,21 @@ func (e *Epoch) knnIntoCtx(ctx context.Context, p geom.Vec3, k int, buf []index.
 		}
 		sp.End()
 		ms := fan.Child("merge")
-		st.newD = st.newD[:0]
-		for _, it := range buf[base+cur:] {
-			st.newD = append(st.newD, it.Box.Distance2ToPoint(p))
-		}
-		buf, st.curD = st.mergeTopK(buf, base, cur, k, p)
+		near.Add(buf[n:])
+		buf = buf[:n]
 		if ms != nil {
 			ms.SetShard(int(si))
 			ms.End()
 		}
 		out.done++
 	}
+	buf = near.AppendTo(buf)
+	index.PutNearest(near)
 	e.knnPool.Put(st)
-	endFan()
+	if fan != nil {
+		fan.Set("fan", out.fan)
+		fan.End()
+	}
 	return buf, out
 }
 
@@ -487,31 +452,6 @@ func (st *knnScratch) popNearest() int32 {
 	st.order[best] = st.order[last]
 	st.order = st.order[:last]
 	return si
-}
-
-// mergeTopK merges the sorted runs buf[base:base+cur] (distances st.curD) and
-// buf[base+cur:] (distances st.newD) into the k closest, writing the result
-// back into buf[base:] and returning the truncated buf plus the new distance
-// keys. Both inputs are sorted ascending, so the merge is a single linear
-// pass with no distance recomputation.
-func (st *knnScratch) mergeTopK(buf []index.Item, base, cur, k int, p geom.Vec3) ([]index.Item, []float64) {
-	st.merged = st.merged[:0]
-	st.mergedD = st.mergedD[:0]
-	i, j := 0, 0
-	for len(st.merged) < k && (i < cur || j < len(st.newD)) {
-		if j >= len(st.newD) || (i < cur && st.curD[i] <= st.newD[j]) {
-			st.merged = append(st.merged, buf[base+i])
-			st.mergedD = append(st.mergedD, st.curD[i])
-			i++
-		} else {
-			st.merged = append(st.merged, buf[base+cur+j])
-			st.mergedD = append(st.mergedD, st.newD[j])
-			j++
-		}
-	}
-	buf = append(buf[:base], st.merged...)
-	st.curD, st.mergedD = st.mergedD, st.curD
-	return buf, st.curD
 }
 
 var _ index.ReadIndex = (*Epoch)(nil)

@@ -29,14 +29,15 @@ var ErrDeadline = fmt.Errorf("serve: query deadline exceeded: %w", context.Deadl
 // admission, so nothing runs.
 var ErrBadRequest = errors.New("serve: bad request")
 
-// The cluster coordinator's failures are declared here, beside the store's,
-// so that one error table maps both back ends without importing the
-// cluster; internal/cluster re-exports the first two under its own name.
+// ErrUnavailable is a zero-progress read on a live context: every shard or
+// node the read reached failed, so there is no partial result to degrade to.
+// internal/cluster re-exports it under its own name.
+var ErrUnavailable = errors.New("unavailable: no shard or node could answer")
+
+// The cluster coordinator's write failures are declared here, beside the
+// store's, so that one error table maps both back ends without importing
+// the cluster; internal/cluster re-exports the first one under its own name.
 var (
-	// ErrUnavailable is a zero-progress read: every node that could have
-	// answered is down or failing, so there is no partial result to degrade
-	// to.
-	ErrUnavailable = errors.New("cluster: no node available")
 	// ErrNotBootstrapped is a write before Bootstrap computed a placement.
 	ErrNotBootstrapped = errors.New("cluster: not bootstrapped")
 	// ErrSwapAborted wraps every failed cluster swap: some node did not stage
@@ -52,6 +53,33 @@ func mapCtxErr(err error) error {
 		return ErrDeadline
 	}
 	return err
+}
+
+// Outcome is how a scatter/gather read over shards (a store) or nodes (the
+// cluster coordinator) ended, and Resolve is the one rule that turns it into
+// a reply's shape.
+type Outcome struct {
+	// Answered: every target the read reached answered — all its matches,
+	// or, up to a visitor's stop, as many as the visitor wanted.
+	Answered bool
+	// Progressed: some target contributed.
+	Progressed bool
+}
+
+// Resolve decides, in this order: every reached target answered — clean;
+// else something contributed — degraded; else a dead context fails the read
+// with ErrDeadline or the context's error; else it fails with
+// ErrUnavailable.
+func (o Outcome) Resolve(ctx context.Context) (degraded bool, err error) {
+	switch {
+	case o.Answered:
+		return false, nil
+	case o.Progressed:
+		return true, nil
+	case ctx.Err() != nil:
+		return false, mapCtxErr(ctx.Err())
+	}
+	return false, ErrUnavailable
 }
 
 // ShardError is the per-shard failure detail of a degraded Reply: which shard

@@ -22,7 +22,10 @@ package serve
 //   - a deadline or shard failure mid-fan-out degrades instead of failing:
 //     if any shard contributed, the Reply carries the partial result with
 //     Degraded set and per-shard error detail; only a query that made no
-//     progress fails with Reply.Err.
+//     progress fails with Reply.Err — ErrDeadline (or the context's error)
+//     when its context died, ErrUnavailable when every shard it reached
+//     failed on a live one. Outcome.Resolve is that rule, and the cluster
+//     coordinator decides its replies by it too.
 
 import (
 	"context"
@@ -44,7 +47,7 @@ const (
 	// otherwise matches are appended to Buf).
 	OpRange Op = iota
 	// OpKNN is a single k-nearest-neighbor query (Point, K; results appended
-	// to Buf closest first).
+	// to Buf in (distance, ID) order).
 	OpKNN
 	// OpJoin is an epoch-pinned self-join (Join parameters).
 	OpJoin
@@ -115,11 +118,12 @@ type Request struct {
 	// Limit — and the traversal stops at the Limit-th. <= 0 keeps every
 	// match. kNN, joins (see JoinRequest.Limit) and Visit ignore it.
 	Limit int
-	// Buf is the append target for materialized OpRange/OpKNN results; the
-	// reply's Items extends it (pass nil to allocate). The caller lends it —
-	// both HTTP servers lend one from index.GetItems per range and kNN read,
-	// as do the cluster's kNN node tasks — and may reuse Items' array once
-	// it has read the reply.
+	// Buf is the append target for materialized OpRange/OpKNN results —
+	// range matches in shard order, kNN results closest first with equal
+	// distances by ID; the reply's Items extends it (pass nil to allocate).
+	// The caller lends it — both HTTP servers lend one from index.GetItems
+	// per range and kNN read, as do the cluster's kNN node tasks — and may
+	// reuse Items' array once it has read the reply.
 	Buf []index.Item
 
 	// Point and K shape OpKNN.
@@ -167,10 +171,11 @@ type Reply struct {
 	// Epoch is the generation the query ran against (0 when the query was
 	// rejected before pinning one).
 	Epoch uint64
-	// Items holds materialized OpRange/OpKNN results — at most Request.Limit
-	// range matches when it is set: req.Buf extended, so it may alias the
-	// caller's buffer (or an array grown from it) and never aliases store
-	// memory such as a cache entry.
+	// Items holds materialized OpRange/OpKNN results — range matches in
+	// shard order, at most Request.Limit of them when it is set; kNN results
+	// by (distance, ID), the cluster coordinator's order: req.Buf extended,
+	// so it may alias the caller's buffer (or an array grown from it) and
+	// never aliases store memory such as a cache entry.
 	Items []index.Item
 	// Pairs, JoinItems, JoinCount and JoinStats hold the OpJoin
 	// outcome. JoinCount is the exact number of result pairs; Pairs holds
@@ -198,8 +203,8 @@ type Reply struct {
 	ShardErrors []ShardError `json:"shard_errors,omitempty"`
 	// Err is set when the query produced nothing usable: ErrOverload (shed at
 	// admission), ErrDeadline / context.Canceled (context died before any
-	// shard contributed), or a store-level failure. Mutually exclusive with
-	// Degraded.
+	// shard contributed), ErrUnavailable (every shard it reached failed), or
+	// a store-level failure. Mutually exclusive with Degraded.
 	Err error `json:"-"`
 }
 
@@ -287,24 +292,17 @@ func (s *Store) failedReply(err error) Reply {
 	return Reply{Err: err}
 }
 
-// finishOutcome folds a shard fan-out outcome into the reply: a clean read —
-// one that stopped early included, unless a shard failed or was cancelled
-// before the stop — passes through; partial progress degrades the reply
-// with per-shard detail; zero progress on a dead context fails it. gathered
-// is how many results the caller collected — progress even when no shard
-// finished whole.
+// finishOutcome folds a shard fan-out outcome into the reply by the
+// Outcome rule. A read that stopped early is answered unless a shard failed
+// or was cancelled before the stop; gathered is how many results the caller
+// collected — progress even when no shard finished whole.
 func (rep *Reply) finishOutcome(ctx context.Context, out visitOutcome, gathered int) {
 	rep.Plan.FanOut = out.fan
 	rep.Counters = out.counters
-	if out.clean() {
-		return
+	rep.Degraded, rep.Err = Outcome{Answered: len(out.errs) == 0, Progressed: out.done > 0 || gathered > 0}.Resolve(ctx)
+	if rep.Degraded {
+		rep.ShardErrors = out.errs
 	}
-	if out.done == 0 && gathered == 0 && out.cancelled {
-		rep.Err = mapCtxErr(ctx.Err())
-		return
-	}
-	rep.Degraded = true
-	rep.ShardErrors = out.errs
 }
 
 // queryVisit streams a range query's matches to visit: no cache, early stop
@@ -364,17 +362,17 @@ func (s *Store) queryItems(ctx context.Context, e *Epoch, req *Request) Reply {
 	}
 	s.cacheMisses.Add(1)
 	priv, out := e.collect(ctx, req, nil)
+	rep.finishOutcome(ctx, out, len(priv))
 	// entry is nil when the cache was dropped mid-query (epoch retired).
 	if entry != nil {
-		if out.clean() {
+		if !rep.Degraded && rep.Err == nil {
 			entry.fill(priv)
 		} else {
-			// Never let a partial result become a cache hit.
+			// Never let a partial or failed result become a cache hit.
 			c.remove(key)
 			entry.abandon()
 		}
 	}
-	rep.finishOutcome(ctx, out, len(priv))
 	if rep.Err != nil {
 		return rep
 	}
@@ -454,13 +452,10 @@ func (s *Store) queryJoin(ctx context.Context, e *Epoch, req Request) Reply {
 	rep.JoinStats = stats
 	rep.Plan.Algorithm = join.Algorithm
 	rep.Plan.Comparisons = rep.Counters.Comparisons
-	if stats.Cancelled {
-		if len(pairs) == 0 {
-			rep.Pairs = nil
-			rep.Err = mapCtxErr(ctx.Err())
-			return rep
-		}
-		rep.Degraded = true
+	rep.Degraded, rep.Err = Outcome{Answered: !stats.Cancelled, Progressed: len(pairs) > 0}.Resolve(ctx)
+	if rep.Err != nil {
+		rep.Pairs = nil
+		return rep
 	}
 	s.joins.Add(1)
 	s.joinPairs.Add(stats.Pairs)

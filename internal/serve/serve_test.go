@@ -376,6 +376,61 @@ func TestKNNMatchesReference(t *testing.T) {
 	}
 }
 
+// TestKNNTiesOrderByID: on the unit-cube grid many items lie at the same
+// distance from a point, and the kNN reply orders them by ID — the order
+// the cluster coordinator answers in — with the brute-force distances, on
+// one shard and across several.
+func TestKNNTiesOrderByID(t *testing.T) {
+	items := genItems(400, 0)
+	p := geom.V(16, 6, 2)
+	ref := index.NewLinearScan()
+	ref.BulkLoad(items)
+	for _, shards := range []int{1, 4} {
+		s := mustNew(t, Config{Shards: shards})
+		s.Bootstrap(items)
+		for _, k := range []int{5, 50, 200} {
+			got, _ := knnAll(t, s, p, k, nil)
+			want := rankDistances(ref.KNN(p, k), p)
+			if !slices.Equal(rankDistances(got, p), want) {
+				t.Fatalf("shards %d k %d: distances %v, want %v", shards, k, rankDistances(got, p), want)
+			}
+			for i := 1; i < len(got); i++ {
+				if d0, d1 := got[i-1].Box.Distance2ToPoint(p), got[i].Box.Distance2ToPoint(p); d0 == d1 && got[i-1].ID > got[i].ID {
+					t.Fatalf("shards %d k %d: rank %d: ID %d before %d at equal distance %v", shards, k, i, got[i-1].ID, got[i].ID, d0)
+				}
+			}
+		}
+		s.Close()
+	}
+}
+
+// TestKNNWarmAllocsZero pins the kNN read path's allocations: a warm,
+// uncached kNN that lends its result buffer allocates nothing — the shard
+// order, the merge and the R-Tree heap all come from pools.
+func TestKNNWarmAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s := mustNew(t, Config{Shards: 4})
+	defer s.Close()
+	s.Bootstrap(randomDataset(4000, 5))
+	buf := make([]index.Item, 0, 64)
+	req := Request{Op: OpKNN, Point: geom.V(25, 25, 25), K: 8, NoCache: true}
+	for i := 0; i < 10; i++ {
+		req.Buf = buf[:0]
+		checkedQuery(t, s, req)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		req.Buf = buf[:0]
+		if rep := s.Query(req); rep.Err != nil || len(rep.Items) != 8 {
+			t.Fatalf("knn: err=%v items=%d", rep.Err, len(rep.Items))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm uncached kNN allocates %.2f times per op, want 0", allocs)
+	}
+}
+
 // TestAdmissionControlBoundsInFlight holds queries open with a slow visitor
 // and checks the in-flight watermark never exceeds the configured bound.
 func TestAdmissionControlBoundsInFlight(t *testing.T) {
